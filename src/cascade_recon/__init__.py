@@ -2,8 +2,9 @@
 observed spreading cascades on a known directed network.
 
 The package provides a forward message-passing engine for discrete-time
-SI dynamics, its forward-mode coupling sensitivities, a reconstruction
-optimizer driven by the resulting approximate likelihood, and exact
+SI dynamics, the approximate likelihood it yields with its reverse-mode
+gradient (and forward-mode coupling sensitivities as a reference), a
+reconstruction optimizer driven by that likelihood, and exact
 likelihood baselines (per-node convex fit, brute-force marginalization,
 Monte Carlo completion) for comparison.
 """

@@ -25,8 +25,10 @@ from scipy.special import logsumexp
 from .errors import CapacityError, DatasetError
 from .graph import Network, validate_couplings
 from .cascades import (
+    _MASK64,
     Cascade,
     ObservedCascade,
+    _common_horizon,
     group_cascades,
     sample_recorded_times,
 )
@@ -42,7 +44,6 @@ __all__ = [
     "hts_fit",
 ]
 
-_MASK64 = (1 << 64) - 1
 _NEG_BIG = -1e12  # stands in for log(0) where -inf would poison matmuls
 
 
@@ -211,19 +212,14 @@ def _full_times_matrix(dataset) -> tuple[np.ndarray, int]:
     if not len(dataset):
         raise DatasetError("empty dataset")
     rows = []
-    horizons = set()
     for item in dataset:
         if isinstance(item, Cascade):
             rows.append(item.times)
-            horizons.add(item.horizon)
         else:
             if not item.is_fully_observed():
                 raise DatasetError("method requires completely observed cascades")
             rows.append(item.hi)
-            horizons.add(item.horizon)
-    if len(horizons) != 1:
-        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
-    return np.stack(rows).astype(np.int64), horizons.pop()
+    return np.stack(rows).astype(np.int64), _common_horizon(dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +364,7 @@ def hts_fit(
     fit_cfg.validate()
     if not dataset:
         raise DatasetError("empty dataset")
-    horizons = {obs.horizon for obs in dataset}
-    if len(horizons) != 1:
-        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
-    horizon = horizons.pop()
+    horizon = _common_horizon(dataset)
 
     hidden_everywhere = np.ones(net.n_nodes, dtype=bool)
     for obs in dataset:

@@ -505,6 +505,14 @@ def group_cascades(dataset: Sequence[ObservedCascade]) -> dict[tuple[int, ...], 
     return {k: groups[k] for k in sorted(groups)}
 
 
+def _common_horizon(dataset: Sequence[Cascade | ObservedCascade]) -> int:
+    """The horizon every cascade of ``dataset`` shares."""
+    horizons = {obs.horizon for obs in dataset}
+    if len(horizons) != 1:
+        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
+    return horizons.pop()
+
+
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         if "seed" in names:
             p.add_argument("--seed", type=int, help="RNG seed")
         p.add_argument("--threads", type=int, default=None, help="worker threads (default: CASCADE_RECON_THREADS or 1)")
-        p.add_argument("--deterministic", action="store_true", help="pin reduction order (on by default; flag kept for pipelines)")
+        p.add_argument("--deterministic", action="store_true", help="no effect: results are the same for any --threads; accepted for existing pipelines")
         p.add_argument("--config", help="key = value config file; flags override file values")
 
     p = sub.add_parser("simulate", help="generate ground-truth cascades")

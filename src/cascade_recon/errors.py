@@ -15,4 +15,5 @@ class DatasetError(CascadeReconError):
 
 
 class CapacityError(CascadeReconError):
-    """Problem size exceeds what a brute-force routine is willing to do."""
+    """Problem size exceeds what a brute-force or memory-heavy routine is
+    willing to do."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -21,15 +20,8 @@ import numpy as np
 
 from .errors import DatasetError
 from .graph import Network
-from .cascades import MaskSpec, ObservedCascade, group_cascades
-from .dmp import dmp_forward
-from .gradient import (
-    GroupSummary,
-    _group_gradient,
-    _group_value,
-    dmp_forward_with_gradients,
-    summarize_dataset,
-)
+from .cascades import MaskSpec, ObservedCascade, _common_horizon, group_cascades
+from .gradient import _dataset_free_energy, _group_map, summarize_dataset
 
 __all__ = [
     "FitConfig",
@@ -54,7 +46,6 @@ class FitConfig:
     step_init: float = 1.0
     step_shrink: float = 0.5
     armijo: float = 1e-4
-    deterministic: bool = True
 
     def validate(self) -> None:
         if not 0.0 < self.alpha_min < self.alpha_init < self.alpha_max < 1.0:
@@ -193,43 +184,6 @@ def projected_gradient_descent(
     return x, trajectory, diagnostics, converged, iterations
 
 
-def _dataset_objective(
-    summaries: list[GroupSummary],
-    net: Network,
-    horizon: int,
-    threads: int,
-):
-    """Value-only and value+gradient callables over grouped observations."""
-
-    def run_many(work):
-        if threads > 1 and len(summaries) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(work, summaries))
-        return [work(s) for s in summaries]
-
-    def value_only(alpha: np.ndarray) -> float:
-        def work(summ):
-            trace = dmp_forward(net, alpha, summ.sources, horizon)
-            return _group_value(trace, summ)[0]
-
-        return float(sum(run_many(work)))
-
-    def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        def work(summ):
-            trace, gtrace = dmp_forward_with_gradients(net, alpha, summ.sources, horizon)
-            val, _, grad = _group_gradient(trace, gtrace, summ, net.n_edges)
-            return val, grad
-
-        results = run_many(work)
-        value = float(sum(v for v, _ in results))
-        gradient = np.zeros(net.n_edges)
-        for _, grad in results:
-            gradient += grad
-        return value, gradient
-
-    return value_and_grad, value_only
-
-
 def dmprec_fit(
     dataset: Sequence[ObservedCascade],
     net: Network,
@@ -239,27 +193,32 @@ def dmprec_fit(
     """Reconstruct couplings from partially observed cascades.
 
     Minimizes the message-passing free energy of the dataset by projected
-    gradient descent from the uniform ``alpha_init`` starting point.  One
-    forward+sensitivity run per distinct source set per gradient
-    evaluation; deterministic for any ``threads`` value.
+    gradient descent from the uniform ``alpha_init`` starting point.  Each
+    gradient evaluation runs one forward pass and one reverse sweep per
+    distinct source set, on one pool of ``threads`` workers kept for the
+    whole run; the result is the same for any ``threads`` value.
     """
     config = config or FitConfig()
     config.validate()
     if not dataset:
         raise DatasetError("empty dataset")
-    horizons = {obs.horizon for obs in dataset}
-    if len(horizons) != 1:
-        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
-    horizon = horizons.pop()
+    horizon = _common_horizon(dataset)
     summaries = summarize_dataset(dataset)
 
-    value_and_grad, value_only = _dataset_objective(summaries, net, horizon, threads)
     x0 = np.full(net.n_edges, config.alpha_init)
-    start = time.perf_counter()
-    x, trajectory, diagnostics, converged, iterations = projected_gradient_descent(
-        value_and_grad, value_only, x0, config.alpha_min, config.alpha_max, config
-    )
-    wall = time.perf_counter() - start
+    with _group_map(threads, len(summaries)) as map_groups:
+
+        def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
+            return _dataset_free_energy(summaries, net, alpha, horizon, map_groups)[:2]
+
+        def value_only(alpha: np.ndarray) -> float:
+            return _dataset_free_energy(summaries, net, alpha, horizon, map_groups, with_gradient=False)[0]
+
+        start = time.perf_counter()
+        x, trajectory, diagnostics, converged, iterations = projected_gradient_descent(
+            value_and_grad, value_only, x0, config.alpha_min, config.alpha_max, config
+        )
+        wall = time.perf_counter() - start
     if not np.all(np.isfinite(trajectory)):
         raise DatasetError("free energy is not finite; dataset or network is corrupt")
     return FitResult(x, iterations, trajectory, converged, wall, diagnostics)

@@ -1,13 +1,5 @@
-"""Forward-mode differentiation of the message-passing dynamics and the
-approximate negative log-likelihood ("free energy") of observed cascades.
-
-The derivative recursion differentiates the forward one step by step: for
-every message edge e and every parameter edge f it tracks
-``d_theta[t, e, f]`` and ``d_phi[t, e, f]``, the sensitivities of the two
-messages to the coupling on f, together with the sensitivities of the
-per-edge hazards ``log1p(-h)`` summed over each node's in-edges
-(``d_log_step``).  All start at zero (initial messages do not depend on
-couplings).
+"""The approximate negative log-likelihood ("free energy") of observed
+cascades and its gradient with respect to the couplings.
 
 Every observation is a half-open window (lo, hi] on the recorded
 activation time, so each observed node contributes ``-log P(window)`` with
@@ -22,31 +14,60 @@ when hi == T.  Neither term rounds to zero inside the coupling box, so no
 floor is needed, and the gradient is the exact derivative of this value.
 The population (infinite-sample) free energy uses the same rule, with the
 generating couplings' marginals as window weights.
+
+The free energy of one source group is a weighted sum of the forward
+trace's ``log_step`` (the weights depend on the trace only through the
+window spans), so its gradient is the derivative of
+``-sum(weights * log_step)`` at fixed weights.  The fit takes it in
+reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008): one
+forward pass keeps each step's ``rho``, hazard, cavity log-sums and cavity
+products, O(T |E|) numbers, and one backward sweep through the
+theta/phi/cavity recursion carries their adjoints and accumulates the
+coupling adjoint.  A step of the sweep costs one transposed sparse cavity
+product and element-wise work, so a gradient costs a small multiple of a
+forward pass.
+
+Forward mode, :func:`dmp_forward_with_gradients`, is kept as the
+reference the reverse sweep is tested against.  For every message edge e
+and every parameter edge f it tracks ``d_theta[t, e, f]`` and
+``d_phi[t, e, f]``, together with the sensitivities of the per-node sums
+of ``log1p(-h)`` (``d_log_step``); all start at zero (initial messages do
+not depend on couplings).  Its memory is O(T |E| F), so it refuses runs
+above :data:`SENSITIVITY_BUDGET_BYTES`.  Both modes linearize the same
+recursion: ``rho`` as computed (capped at 1), ``1 / theta`` taken as 0
+where theta is 0, and the cavity product at t as the product at t-1 times
+``exp`` of the cavity log-sum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DatasetError
+from .errors import CapacityError
 from .graph import Network, validate_couplings
-from .cascades import ObservedCascade, group_cascades
+from .cascades import ObservedCascade, _common_horizon, group_cascades
 from .dmp import DmpTrace, dmp_forward, initial_susceptible, _propagate
 
 __all__ = [
     "GradTrace",
     "FreeEnergyReport",
+    "SENSITIVITY_BUDGET_BYTES",
     "dmp_forward_with_gradients",
     "observed_negative_log_likelihood",
     "free_energy_gradient",
     "population_free_energy",
 ]
+
+# Largest sensitivity storage (d_theta, d_phi and d_log_step together)
+# that forward mode allocates: 1 GiB.
+SENSITIVITY_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,15 +117,25 @@ def dmp_forward_with_gradients(
     """Forward pass with sensitivities to the selected couplings.
 
     The sensitivities exist for couplings below 1: a coupling of 1 drives
-    a message to exactly 0, where its logarithm has no derivative.
+    a message to exactly 0, where its logarithm has no derivative.  Raises
+    :class:`CapacityError`, before allocating them, when the sensitivity
+    arrays would take more than ``SENSITIVITY_BUDGET_BYTES`` (1 GiB):
+    ``(2 (T+1) |E| + (T+1) N) F`` float64 numbers.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    alpha = validate_couplings(net, couplings)
-    ps0 = initial_susceptible(net, sources)
     T, E, N = horizon, net.n_edges, net.n_nodes
     params = np.arange(E, dtype=np.intp) if param_edges is None else np.asarray(param_edges, dtype=np.intp)
     F = params.shape[0]
+    need = (2 * (T + 1) * E + (T + 1) * N) * F * 8
+    if need > SENSITIVITY_BUDGET_BYTES:
+        raise CapacityError(
+            f"forward-mode sensitivities need {need / 2**30:.1f} GiB "
+            f"(T={T}, |E|={E}, N={N}, {F} parameters); the budget is "
+            f"{SENSITIVITY_BUDGET_BYTES / 2**30:g} GiB"
+        )
+    alpha = validate_couplings(net, couplings)
+    ps0 = initial_susceptible(net, sources)
     col_of = np.full(E, -1, dtype=np.intp)
     col_of[params] = np.arange(F, dtype=np.intp)
     own_rows = np.flatnonzero(col_of >= 0)
@@ -198,23 +229,119 @@ def _window_log_prob(trace: DmpTrace, summ: GroupSummary):
     return log_p, before, inside, d_span
 
 
-def _group_value(trace: DmpTrace, summ: GroupSummary) -> tuple[float, np.ndarray]:
-    contrib = -summ.counts * _window_log_prob(trace, summ)[0]
-    return float(contrib.sum()), contrib
-
-
-def _group_gradient(trace, gtrace, summ, n_edges):
+def _window_weights(trace: DmpTrace, summ: GroupSummary) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window free-energy contributions and the (T+1, N) weights with
+    ``d F = -sum(weights * d log_step)``."""
     log_p, before, inside, d_span = _window_log_prob(trace, summ)
-    contrib = -summ.counts * log_p
     # d log P = sum_{t <= lo} d log_step + d_span * sum_{lo < t <= hi} d log_step,
-    # collected as one weight per (node, t) on d_log_step
+    # collected as one weight per (t, node) on d log_step
     row_weights = summ.counts[:, None] * (before + d_span[:, None] * inside)
-    weights = np.zeros((trace.log_step.shape[1], trace.horizon + 1))
-    np.add.at(weights, summ.nodes, row_weights)
-    grad_cols = -np.tensordot(weights.T, gtrace.d_log_step, axes=2)
-    grad = np.zeros(n_edges)
-    grad[gtrace.param_edges] = grad_cols
-    return float(contrib.sum()), contrib, grad
+    weights = np.zeros_like(trace.log_step)
+    np.add.at(weights.T, summ.nodes, row_weights)
+    return -summ.counts * log_p, weights
+
+
+def _log_step_adjoint(net: Network, alpha: np.ndarray, trace: DmpTrace, steps, weights) -> np.ndarray:
+    """Gradient of ``-sum(weights * log_step)`` with respect to the
+    couplings, by one backward sweep over the steps of ``trace``.
+
+    ``steps[t-1]`` holds step t's ``(rho, h, cav_log, cav_t)`` as
+    :func:`dmp._propagate` hands them out.  The sweep transposes, term by
+    term, the linearization that :func:`dmp_forward_with_gradients` runs
+    forward, with the messages' tangents taken in the basis
+    ``(d theta, gap = d phi - rho_next d theta)``: the gap is what enters
+    ``d rho``.  In that basis the adjoint of theta stays of the order of
+    the messages where the adjoint of phi grows like ``1 / theta``, and the
+    coefficients that cancel at ``rho = 1`` (an edge out of a source) are
+    formed before they multiply the large gap adjoint, so they cancel
+    exactly.
+    """
+    T, E = trace.horizon, net.n_edges
+    rho, h, cav_log, cav = (np.array(arr) for arr in zip(*steps))  # (T, E); row t-1 is step t
+    theta, phi = trace.theta[:T], trace.phi[:T]                      # the messages step t reads
+    rho_next = np.zeros_like(rho)                                    # no step T+1: its adjoints are 0
+    rho_next[:-1] = rho[1:]
+    # step t in the basis (d theta, gap), with a = alpha / theta (0 where theta = 0):
+    #   d h = a gap + rho d alpha,  d log1p(-h) = -d h / (1 - h),
+    #   d theta[t] = (1 - h) d theta - theta d h,
+    #   d drop = -cav_t (cavity_sum @ d log1p(-h)) - expm1(cav_log) d cav_prev,
+    #   d cav_t = d cav_prev - d drop,  d log_step[t] = in_edge_sum @ d log1p(-h),
+    #   gap[t] = (1 - alpha + gap_h a) gap + gap_theta d theta + ps0_src d drop + gap_alpha d alpha
+    keep_rate = 1.0 - alpha
+    keep = 1.0 - h
+    gap_theta = keep_rate * rho - rho_next * keep
+    gap_alpha = rho * rho_next * theta - phi
+    gap_h = rho_next * theta
+    a = alpha * np.divide(1.0, theta, out=np.zeros_like(theta), where=theta > 0.0)
+    drop_cav = np.expm1(cav_log)
+    keep_seed = np.ascontiguousarray((net.in_edge_sum.T @ -weights[1:].T).T)  # log_step's seed on log1p(-h)
+    ps0_src = trace.initial_susceptible[net.edge_src]
+    cavity_sum_t = net.cavity_sum.T
+    theta_bar, gap_bar, cav_bar = np.zeros(E), np.zeros(E), np.zeros(E)
+    h_bars, gap_bars = np.empty((T, E)), np.empty((T, E))
+    for i in range(T - 1, -1, -1):
+        drop_bar = ps0_src * gap_bar - cav_bar
+        keep_bar = keep_seed[i] - cavity_sum_t @ (cav[i] * drop_bar)
+        cav_bar -= drop_cav[i] * drop_bar
+        h_bar = -theta[i] * theta_bar - keep_bar / keep[i]
+        h_bars[i], gap_bars[i] = h_bar, gap_bar
+        h_bar += gap_h[i] * gap_bar
+        theta_bar = keep[i] * theta_bar + gap_theta[i] * gap_bar
+        gap_bar = keep_rate * gap_bar + a[i] * h_bar
+    return (rho * h_bars + gap_alpha * gap_bars).sum(axis=0)
+
+
+def _group_free_energy(net: Network, alpha: np.ndarray, horizon: int, summ: GroupSummary, with_gradient: bool):
+    """One group's per-window contributions and, when asked, the gradient
+    of their sum (None otherwise)."""
+    ps0 = initial_susceptible(net, summ.sources)
+    if not with_gradient:
+        trace = _propagate(net, alpha, ps0, horizon)
+        return -summ.counts * _window_log_prob(trace, summ)[0], None
+    steps = []
+    trace = _propagate(net, alpha, ps0, horizon, on_step=lambda t, _trace, *step: steps.append(step))
+    contrib, weights = _window_weights(trace, summ)
+    return contrib, _log_step_adjoint(net, alpha, trace, steps, weights)
+
+
+@contextmanager
+def _group_map(threads: int, n_groups: int):
+    """A ``map`` over source groups: a pool of ``threads`` workers, open
+    for the ``with`` block, when there is more than one of each, else the
+    builtin.  Either returns results in input order."""
+    if threads > 1 and n_groups > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield pool.map
+    else:
+        yield map
+
+
+def _dataset_free_energy(
+    summaries: Sequence[GroupSummary],
+    net: Network,
+    couplings,
+    horizon: int,
+    map_groups=map,
+    with_gradient: bool = True,
+) -> tuple[float, np.ndarray | None, list[np.ndarray]]:
+    """``(value, gradient, per-group window contributions)`` summed over
+    source groups.
+
+    Groups are mapped with ``map_groups`` and reduced in input order, so
+    the result does not depend on how the map runs; the gradient is None
+    without ``with_gradient``.
+    """
+    alpha = validate_couplings(net, couplings)
+    results = list(map_groups(
+        lambda summ: _group_free_energy(net, alpha, horizon, summ, with_gradient), summaries
+    ))
+    value = 0.0
+    gradient = np.zeros(net.n_edges) if with_gradient else None
+    for contrib, grad in results:
+        value += float(contrib.sum())
+        if with_gradient:
+            gradient += grad
+    return value, gradient, [contrib for contrib, _ in results]
 
 
 def observed_negative_log_likelihood(
@@ -225,54 +352,27 @@ def observed_negative_log_likelihood(
     """Free energy of a dataset: sum over observed nodes of
     ``-log P(observation window)`` under the message-passing marginals."""
     horizon = _common_horizon(dataset)
-    value = 0.0
-    for summ in summarize_dataset(dataset):
-        trace = dmp_forward(net, couplings, summ.sources, horizon)
-        value += _group_value(trace, summ)[0]
-    return value
-
-
-def _common_horizon(dataset: Sequence[ObservedCascade]) -> int:
-    horizons = {obs.horizon for obs in dataset}
-    if len(horizons) != 1:
-        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
-    return horizons.pop()
+    return _dataset_free_energy(summarize_dataset(dataset), net, couplings, horizon, with_gradient=False)[0]
 
 
 def free_energy_gradient(
     dataset: Sequence[ObservedCascade],
     net: Network,
     couplings,
-    param_edges: Sequence[int] | None = None,
     threads: int = 1,
 ) -> FreeEnergyReport:
     """Free energy and its exact gradient with respect to every coupling.
 
-    One forward+sensitivity run is performed per distinct source set and
-    shared by all cascades in that group.  Group results are reduced in a
-    fixed order, so the output is identical for any ``threads`` value.
+    One forward pass and one reverse sweep are run per distinct source set
+    and shared by all cascades in that group.  Group results are reduced
+    in a fixed order, so the output is identical for any ``threads`` value.
     """
     horizon = _common_horizon(dataset)
     summaries = summarize_dataset(dataset)
-
-    def work(summ: GroupSummary):
-        trace, gtrace = dmp_forward_with_gradients(
-            net, couplings, summ.sources, horizon, param_edges=param_edges
-        )
-        return _group_gradient(trace, gtrace, summ, net.n_edges)
-
-    if threads > 1 and len(summaries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, summaries))
-    else:
-        results = [work(s) for s in summaries]
-
-    value = 0.0
-    gradient = np.zeros(net.n_edges)
+    with _group_map(threads, len(summaries)) as map_groups:
+        value, gradient, contribs = _dataset_free_energy(summaries, net, couplings, horizon, map_groups)
     per_node: dict[int, float] = {}
-    for summ, (val, contrib, grad) in zip(summaries, results):
-        value += val
-        gradient += grad
+    for summ, contrib in zip(summaries, contribs):
         for node, c in zip(summ.nodes, contrib):
             per_node[int(node)] = per_node.get(int(node), 0.0) + float(c)
     return FreeEnergyReport(value, gradient, per_node)
@@ -294,7 +394,6 @@ def population_free_energy(
     activation masses and the final susceptibility sum to one identically.
     """
     ref = dmp_forward(net, couplings_star, sources, horizon)
-    trace, gtrace = dmp_forward_with_gradients(net, couplings, sources, horizon)
     T = horizon
     nodes = np.arange(net.n_nodes) if observed is None else np.asarray(observed, dtype=np.intp)
     # window (t-1, t] weighted by the reference activation mass at t, and
@@ -305,5 +404,5 @@ def population_free_energy(
         tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist()),
         nodes[row], t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, row], 0,
     )
-    value, _, gradient = _group_gradient(trace, gtrace, summ, net.n_edges)
+    value, gradient, _ = _dataset_free_energy([summ], net, couplings, horizon)
     return value, gradient

@@ -123,17 +123,6 @@ class Network:
     # -- derived structure used by the message-passing code ---------------
 
     @cached_property
-    def cavity_in_edges(self) -> list[np.ndarray]:
-        """For each edge e=(k, i): in-edges of k excluding the one from i."""
-        out = []
-        for e in range(self.n_edges):
-            k = int(self.edge_src[e])
-            i = int(self.edge_dst[e])
-            block = self._in_edges[k]
-            out.append(block[self.edge_src[block] != i])
-        return out
-
-    @cached_property
     def padded_in_edges(self) -> np.ndarray:
         """(N, max_in_degree) matrix of in-edge ids, padded with |E|.
 
@@ -153,7 +142,10 @@ class Network:
         """(|E|, max_cavity) matrix: for edge e=(k, i), the in-edges of k
         excluding the one from i, padded with |E| (same sentinel scheme as
         :attr:`padded_in_edges`)."""
-        cav = self.cavity_in_edges
+        cav = []
+        for k, i in zip(self.edge_src, self.edge_dst):
+            block = self._in_edges[k]
+            cav.append(block[self.edge_src[block] != i])
         dmax = max((c.size for c in cav), default=0)
         mat = np.full((self.n_edges, max(dmax, 1)), self.n_edges, dtype=np.intp)
         for e, c in enumerate(cav):

@@ -16,7 +16,7 @@ from cascade_recon import (
     parse_edge_list,
 )
 
-from conftest import chain_net, random_tree_net, random_couplings
+from conftest import chain_net, preferential_attachment_net, random_tree_net, random_couplings
 
 
 def _full_dataset(net, truth, M, T, seed, sources="random"):
@@ -131,6 +131,30 @@ class TestDmprecFit:
         dataset = [apply_mask(c, mask) for c in data]
         res = dmprec_fit(dataset, net)
         assert l1_coupling_error(res.couplings_hat, truth, np.arange(net.n_edges)) <= 0.1
+
+    def test_thousand_node_graph_fits(self):
+        # 3 992 edges: forward-mode sensitivities would take 2.4 GiB per
+        # source group, above their budget; the reverse sweep O(T |E|)
+        rng = np.random.default_rng(1000)
+        net = preferential_attachment_net(1000, 2, rng)
+        assert net.n_edges >= 3500
+        truth = random_couplings(net, rng, 0.05, 0.3)
+        T = 8
+        degree = np.bincount(net.edge_src, minlength=net.n_nodes)
+        sources = [int(v) for v in np.argsort(-degree, kind="stable")[:2]]
+        rest = np.setdiff1d(np.arange(net.n_nodes), sources)
+        hidden = frozenset(int(v) for v in rng.choice(rest, size=rest.size // 4, replace=False))
+        mask = MaskSpec(hidden, (2, 4, 6, T))
+        data = []
+        for k, src in enumerate(sources):
+            data += generate_dataset(net, truth, 150, [src], T, seed=k, chunk=50)
+        dataset = [apply_mask(c, mask) for c in data]
+        cfg = FitConfig(max_iters=2)
+        res = dmprec_fit(dataset, net, cfg)
+        assert res.iterations >= 1
+        assert np.all(np.isfinite(res.couplings_hat))
+        assert np.all((res.couplings_hat >= cfg.alpha_min) & (res.couplings_hat <= cfg.alpha_max))
+        assert res.free_energy_trajectory[-1] < res.free_energy_trajectory[0]
 
 
 class TestIdentifiableEdges:

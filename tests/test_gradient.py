@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cascade_recon import (
+    CapacityError,
     MaskSpec,
     apply_mask,
     dmp_forward_with_gradients,
@@ -15,7 +16,15 @@ from cascade_recon import (
     population_free_energy,
 )
 
-from conftest import chain_net, random_tree_net, random_loopy_net, random_couplings
+from cascade_recon.gradient import SENSITIVITY_BUDGET_BYTES, _window_weights, summarize_dataset
+
+from conftest import (
+    chain_net,
+    preferential_attachment_net,
+    random_couplings,
+    random_loopy_net,
+    random_tree_net,
+)
 
 
 @pytest.fixture
@@ -37,14 +46,27 @@ def _fd_gradient(dataset, net, alpha, h=1e-5):
     return grad
 
 
-def _masked_dataset(net, truth, T, M, mask, seed):
-    data = generate_dataset(net, truth, M, "random", T, seed=seed)
+def _masked_dataset(net, truth, T, M, mask, seed, sources="random"):
+    data = generate_dataset(net, truth, M, sources, T, seed=seed)
     out = []
     for c in data:
         obs = apply_mask(c, mask)
         if obs.sources.size:
             out.append(obs)
     return out
+
+
+def _forward_mode_free_energy(dataset, net, alpha):
+    """Free energy and gradient from forward-mode sensitivities: the
+    window weights contracted with ``d_log_step``, group by group."""
+    T = dataset[0].horizon
+    value, grad = 0.0, np.zeros(net.n_edges)
+    for summ in summarize_dataset(dataset):
+        trace, gtrace = dmp_forward_with_gradients(net, alpha, summ.sources, T)
+        contrib, weights = _window_weights(trace, summ)
+        value += float(contrib.sum())
+        grad -= np.tensordot(weights, gtrace.d_log_step, axes=2)
+    return value, grad
 
 
 class TestSensitivities:
@@ -107,6 +129,66 @@ class TestSensitivities:
         _, gt = dmp_forward_with_gradients(net, alpha, [0], T)
         total = sum(gt.d_activation(t) for t in range(T)) + gt.d_p_susceptible[T - 1]
         assert np.abs(total).max() <= 1e-10
+
+
+class TestForwardModeCapacity:
+    def test_refuses_before_allocating(self):
+        import tracemalloc
+
+        net = preferential_attachment_net(1000, 2, np.random.default_rng(3))
+        assert net.n_edges >= 3500
+        T = 10
+        need = (2 * (T + 1) * net.n_edges + (T + 1) * net.n_nodes) * net.n_edges * 8
+        assert need > SENSITIVITY_BUDGET_BYTES
+        alpha = np.full(net.n_edges, 0.2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="GiB"):
+                dmp_forward_with_gradients(net, alpha, [0], T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_parameter_subset_within_budget(self):
+        net = preferential_attachment_net(1000, 2, np.random.default_rng(3))
+        alpha = np.full(net.n_edges, 0.2)
+        _, gt = dmp_forward_with_gradients(net, alpha, [0], 10, param_edges=[0, 1])
+        assert gt.d_theta.shape == (11, net.n_edges, 2)
+
+
+class TestReverseMode:
+    """The reverse sweep against forward-mode sensitivities and central
+    differences, on loopy graphs with hidden nodes, snapshot windows and
+    source sets of one and two nodes, at interior couplings."""
+
+    @staticmethod
+    def _instances(rng, count):
+        for trial in range(count):
+            n = int(rng.integers(5, 11))
+            net = random_loopy_net(n, int(rng.integers(3, 8)), rng)
+            truth = random_couplings(net, rng, 0.05, 0.95)
+            alpha = random_couplings(net, rng, 0.05, 0.95)
+            T = int(rng.integers(3, 9))
+            snaps = tuple(sorted({2, T - 1, T})) if trial % 2 else None
+            pair = [int(v) for v in rng.choice(n, size=2, replace=False)]
+            others = [v for v in range(n) if v not in pair]
+            mask = MaskSpec(frozenset({int(rng.choice(others))}), snaps)
+            dataset = _masked_dataset(net, truth, T, 30, mask, seed=trial)
+            dataset += _masked_dataset(net, truth, T, 20, mask, seed=100 + trial, sources=pair)
+            yield net, alpha, dataset
+
+    def test_matches_forward_mode(self, rng):
+        for net, alpha, dataset in self._instances(rng, 12):
+            rep = free_energy_gradient(dataset, net, alpha)
+            value, grad = _forward_mode_free_energy(dataset, net, alpha)
+            assert rep.value == value
+            assert np.abs(rep.gradient - grad).max() <= 1e-9 * np.abs(grad).max()
+
+    def test_matches_finite_differences(self, rng):
+        for net, alpha, dataset in self._instances(rng, 6):
+            rep = free_energy_gradient(dataset, net, alpha)
+            _assert_grad_close(rep.gradient, _fd_gradient(dataset, net, alpha))
 
 
 class TestObservedFreeEnergy:
