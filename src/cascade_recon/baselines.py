@@ -16,6 +16,7 @@ Three levels of fidelity to the exact likelihood:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,12 +28,13 @@ from .graph import Network, validate_couplings
 from .cascades import (
     _MASK64,
     Cascade,
+    MaskSpec,
     ObservedCascade,
     _common_horizon,
     group_cascades,
     sample_recorded_times,
 )
-from .fit import FitConfig, FitResult, projected_gradient_descent
+from .fit import FitConfig, FitResult, identifiable_edges, projected_gradient_descent
 
 __all__ = [
     "HtsConfig",
@@ -107,7 +109,6 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     """
     alpha = validate_couplings(net, couplings)
     times = np.asarray(times, dtype=np.int64)
-    B, N = times.shape
     T = horizon
     with np.errstate(divide="ignore"):
         log_surv = np.log1p(-alpha)
@@ -121,9 +122,7 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     # activation factor log(1 - prod(1 - alpha)) over parents active by tau-1
     activates = (times > 0) & (times < T)
     parent_ok = times[:, esrc] <= times[:, edst] - 1
-    inc_dst = np.zeros((net.n_edges, N))
-    inc_dst[np.arange(net.n_edges), edst] = 1.0
-    stay = (parent_ok * log_surv[None, :]) @ inc_dst
+    stay = (parent_ok * log_surv[None, :]) @ net.in_edge_sum.T
     with np.errstate(divide="ignore", invalid="ignore"):
         log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
     total = total + np.where(activates, log_act, 0.0).sum(axis=1)
@@ -209,8 +208,7 @@ def _loo_products(vals: np.ndarray) -> np.ndarray:
 
 def _full_times_matrix(dataset) -> tuple[np.ndarray, int]:
     """Stack a fully observed dataset into an (M, N) recorded-time matrix."""
-    if not len(dataset):
-        raise DatasetError("empty dataset")
+    horizon = _common_horizon(dataset)
     rows = []
     for item in dataset:
         if isinstance(item, Cascade):
@@ -219,7 +217,7 @@ def _full_times_matrix(dataset) -> tuple[np.ndarray, int]:
             if not item.is_fully_observed():
                 raise DatasetError("method requires completely observed cascades")
             rows.append(item.hi)
-    return np.stack(rows).astype(np.int64), _common_horizon(dataset)
+    return np.stack(rows).astype(np.int64), horizon
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +303,7 @@ def hts_complete(
     if config.aux_samples < 1:
         raise ValueError("aux_samples must be >= 1")
     alpha = validate_couplings(net, couplings)
-    horizon = dataset[0].horizon
+    horizon = _common_horizon(dataset)
     completions: list[dict[int, int] | None] = [None] * len(dataset)
     index_of = {id(obs): i for i, obs in enumerate(dataset)}
     groups = group_cascades(dataset)
@@ -357,27 +355,16 @@ def hts_fit(
     Couplings that no data can constrain (in-edges of hidden nodes with no
     outgoing edge) are pinned at ``alpha_init``.
     """
-    import time as _time
-
     config = config or HtsConfig()
     fit_cfg = config.fit
     fit_cfg.validate()
-    if not dataset:
-        raise DatasetError("empty dataset")
     horizon = _common_horizon(dataset)
 
-    hidden_everywhere = np.ones(net.n_nodes, dtype=bool)
-    for obs in dataset:
-        hidden_everywhere &= obs.hidden
-    frozen = np.array(
-        [
-            int(net.edge_dst[e]) in set(np.flatnonzero(hidden_everywhere))
-            and net.out_degree(int(net.edge_dst[e])) == 0
-            for e in range(net.n_edges)
-        ]
-    )
+    hidden_everywhere = np.logical_and.reduce([obs.hidden for obs in dataset])
+    frozen = np.ones(net.n_edges, dtype=bool)
+    frozen[identifiable_edges(net, MaskSpec(frozenset(np.flatnonzero(hidden_everywhere).tolist())))] = False
 
-    start = _time.perf_counter()
+    start = time.perf_counter()
     alpha = np.full(net.n_edges, fit_cfg.alpha_init)
     trajectory: list[float] = []
     converged = False
@@ -396,5 +383,5 @@ def hts_fit(
         if delta < config.param_tol:
             converged = True
             break
-    wall = _time.perf_counter() - start
+    wall = time.perf_counter() - start
     return FitResult(alpha, rounds_done, trajectory, converged, wall)

@@ -507,6 +507,8 @@ def group_cascades(dataset: Sequence[ObservedCascade]) -> dict[tuple[int, ...], 
 
 def _common_horizon(dataset: Sequence[Cascade | ObservedCascade]) -> int:
     """The horizon every cascade of ``dataset`` shares."""
+    if not len(dataset):
+        raise DatasetError("empty dataset")
     horizons = {obs.horizon for obs in dataset}
     if len(horizons) != 1:
         raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
@@ -527,11 +529,9 @@ def write_cascades(net: Network, cascades: Sequence[Cascade | ObservedCascade]) 
     """
     if not cascades:
         raise ValueError("no cascades to write")
-    T = cascades[0].horizon
+    T = _common_horizon(cascades)
     lines = [f"T={T}"]
     for cid, c in enumerate(cascades):
-        if c.horizon != T:
-            raise DatasetError("cascades with mismatched horizons")
         obs = observe_fully(c) if isinstance(c, Cascade) else c
         tokens = []
         for i in range(obs.n_nodes):

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CascadeReconError, ParseError
-from .graph import Network, parse_edge_list, serialize_edge_list, validate_couplings
+from .graph import Network, parse_edge_list, serialize_edge_list
 from .cascades import (
+    MaskSpec,
     apply_mask,
     generate_dataset,
     interpret_hidden_field,
@@ -252,26 +253,31 @@ def _cmd_simulate(run: _Run) -> int:
     _write(run.require("out"), write_cascades(net, data))
     return 0
 
+
+def _mask_spec(run: _Run, net: Network, cascades, mask_file=None) -> MaskSpec:
+    """The mask in ``mask_file`` when given, else the one that --hidden,
+    --snapshots and --mask-seed describe; sources of ``cascades`` are never
+    hidden."""
+    source_nodes = {int(s) for c in cascades for s in c.sources}
+    if mask_file:
+        return parse_mask_spec(
+            Path(mask_file).read_text(encoding="utf-8"),
+            net, net.n_nodes, exclude=source_nodes,
+        )
+    mask_seed = run.get("mask-seed", int)
+    hidden = interpret_hidden_field(run.get("hidden", str, ""), mask_seed)
+    snapshots_raw = run.get("snapshots", str, "all")
+    snapshots = "all" if snapshots_raw == "all" else [int(v) for v in snapshots_raw.split(",") if v]
+    return resolve_mask(
+        hidden, snapshots, net.n_nodes, net=net,
+        mask_seed=mask_seed, exclude=source_nodes,
+    )
+
+
 def _cmd_mask(run: _Run) -> int:
     net, _ = _load_network(run)
     cascades = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
-    source_nodes = set()
-    for obs in cascades:
-        source_nodes.update(int(s) for s in obs.sources)
-    if run.get("mask"):
-        spec = parse_mask_spec(
-            Path(run.get("mask")).read_text(encoding="utf-8"),
-            net, net.n_nodes, exclude=source_nodes,
-        )
-    else:
-        mask_seed = run.get("mask-seed", int)
-        hidden = interpret_hidden_field(run.get("hidden", str, ""), mask_seed)
-        snapshots_raw = run.get("snapshots", str, "all")
-        snapshots = "all" if snapshots_raw == "all" else [int(v) for v in snapshots_raw.split(",") if v]
-        spec = resolve_mask(
-            hidden, snapshots, net.n_nodes, net=net,
-            mask_seed=mask_seed, exclude=source_nodes,
-        )
+    spec = _mask_spec(run, net, cascades, run.get("mask"))
     observed = [apply_mask(obs.to_cascade(), spec) for obs in cascades]
     _write(run.require("out"), write_cascades(net, observed))
     return 0
@@ -366,15 +372,7 @@ def _cmd_gradcheck(run: _Run) -> int:
     n = run.get("num-cascades", int, 20)
     sources = _parse_sources(run, net, allow_random=True) if run.get("sources") else "random"
     data = generate_dataset(net, alpha, n, sources, horizon, seed)
-    mask_seed = run.get("mask-seed", int)
-    hidden = interpret_hidden_field(run.get("hidden", str, ""), mask_seed)
-    snapshots_raw = run.get("snapshots", str, "all")
-    snapshots = "all" if snapshots_raw == "all" else [int(v) for v in snapshots_raw.split(",") if v]
-    source_nodes = set()
-    for c in data:
-        source_nodes.update(int(s) for s in c.sources)
-    spec = resolve_mask(hidden, snapshots, net.n_nodes, net=net,
-                        mask_seed=mask_seed, exclude=source_nodes)
+    spec = _mask_spec(run, net, data)
     dataset = [apply_mask(c, spec) for c in data]
     report = free_energy_gradient(dataset, net, alpha, threads=run.threads())
     h = 1e-5

@@ -21,9 +21,16 @@ that it has not crossed yet): ``theta`` shrinks by the factor ``1 - h`` and
 ``cavity * -expm1(sum log1p(-h))`` over the cavity edges.  Every term is a
 product or sum of non-negative numbers, so messages stay in [0, 1],
 ``theta`` and ``p_susceptible`` never increase, and no susceptibility drop
-is formed as a difference of nearly equal numbers.  The per-node sums of
-``log1p(-h)`` are kept as ``log_step``: the free energy takes window
-probabilities from them in the log domain.
+is formed as a difference of nearly equal numbers.
+
+The products of ``theta`` over a node's in-edges and over an edge's
+cavity advance by one step from the sums of ``log1p(-h)`` over the same
+edges (``log_step`` for the in-edges), taken with the sparse 0/1 matrices
+``Network.in_edge_sum`` and ``Network.cavity_sum``:
+``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``, and likewise
+for the cavity products.  This is the recursion that both gradient modes
+differentiate, and the free energy takes window probabilities from
+``log_step`` in the log domain.
 """
 
 from __future__ import annotations
@@ -55,8 +62,8 @@ class DmpTrace:
     phi: np.ndarray                  # (T+1, |E|)
     p_susceptible: np.ndarray        # (T+1, N)
     p_activate: np.ndarray           # (T+1, N); row 0 is 1 - initial_susceptible
-    # (T+1, N): log p_susceptible[t] - log p_susceptible[t-1] for non-sources,
-    # as the sum of log(1 - hazard) over in-edges; row 0 is 0
+    # (T+1, N): the sum of log(1 - hazard) over in-edges at step t, so that
+    # p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t]); row 0 is 0
     log_step: np.ndarray
 
 
@@ -81,8 +88,8 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int, o
     After step t is filled in, ``on_step(t, trace, rho, h, cav_log, cav_t)``
     is called when given, with the step's per-edge ``rho = phi / theta``
     (the chance that the source is active given no crossing yet) and hazard
-    ``h = alpha * rho``, the cavity sums of ``log1p(-h)`` and the cavity
-    products at t.
+    ``h = alpha * rho``, the cavity sums ``cav_log`` of ``log1p(-h)`` and the
+    cavity products ``cav_t = cav_prev * exp(cav_log)`` at t.
     """
     T, E, N = horizon, net.n_edges, net.n_nodes
     theta = np.ones((T + 1, E))
@@ -95,7 +102,6 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int, o
     trace = DmpTrace(T, ps0, theta, phi, p_s, m, np.zeros((T + 1, N)))
 
     ps0_src = ps0[net.edge_src]
-    th_pad = np.ones(E + 1)
     cav_prev = np.ones(E)
     for t in range(1, T + 1):
         # rho is 0 once theta is 0, and capped at 1 against rounding
@@ -107,10 +113,9 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int, o
         theta[t] = theta[t - 1] * (1.0 - h)
         cav_log = net.cavity_sum @ log_keep
         phi[t] = (1.0 - alpha) * phi[t - 1] - ps0_src * cav_prev * np.expm1(cav_log)
-        th_pad[:E] = theta[t]
-        cav_t = th_pad[net.padded_cavity].prod(axis=1)
-        p_s[t] = ps0 * th_pad[net.padded_in_edges].prod(axis=1)
+        cav_t = cav_prev * np.exp(cav_log)
         trace.log_step[t] = net.in_edge_sum @ log_keep
+        p_s[t] = p_s[t - 1] * np.exp(trace.log_step[t])
         m[t] = p_s[t - 1] - p_s[t]
         if on_step is not None:
             on_step(t, trace, rho, h, cav_log, cav_t)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DatasetError
 from .graph import Network
-from .cascades import MaskSpec, ObservedCascade, _common_horizon, group_cascades
+from .cascades import MaskSpec, ObservedCascade, _common_horizon
 from .gradient import _dataset_free_energy, _group_map, summarize_dataset
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "FitResult",
     "projected_gradient_descent",
     "dmprec_fit",
-    "group_cascades",
     "identifiable_edges",
     "l1_coupling_error",
 ]
@@ -200,8 +199,6 @@ def dmprec_fit(
     """
     config = config or FitConfig()
     config.validate()
-    if not dataset:
-        raise DatasetError("empty dataset")
     horizon = _common_horizon(dataset)
     summaries = summarize_dataset(dataset)
 

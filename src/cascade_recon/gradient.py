@@ -33,10 +33,12 @@ and every parameter edge f it tracks ``d_theta[t, e, f]`` and
 ``d_phi[t, e, f]``, together with the sensitivities of the per-node sums
 of ``log1p(-h)`` (``d_log_step``); all start at zero (initial messages do
 not depend on couplings).  Its memory is O(T |E| F), so it refuses runs
-above :data:`SENSITIVITY_BUDGET_BYTES`.  Both modes linearize the same
-recursion: ``rho`` as computed (capped at 1), ``1 / theta`` taken as 0
-where theta is 0, and the cavity product at t as the product at t-1 times
-``exp`` of the cavity log-sum.
+above :data:`SENSITIVITY_BUDGET_BYTES`.  Both modes differentiate the
+recursion that :func:`dmp._propagate` runs, as it runs it: ``rho`` as
+computed (capped at 1), with ``1 / theta`` taken as 0 where theta is 0,
+and the cavity product at t as the product at t-1 times ``exp`` of the
+cavity log-sum, and ``p_susceptible`` likewise from ``log_step``.  So the
+value and the gradient belong to one function.
 """
 
 from __future__ import annotations
@@ -265,7 +267,8 @@ def _log_step_adjoint(net: Network, alpha: np.ndarray, trace: DmpTrace, steps, w
     #   d h = a gap + rho d alpha,  d log1p(-h) = -d h / (1 - h),
     #   d theta[t] = (1 - h) d theta - theta d h,
     #   d drop = -cav_t (cavity_sum @ d log1p(-h)) - expm1(cav_log) d cav_prev,
-    #   d cav_t = d cav_prev - d drop,  d log_step[t] = in_edge_sum @ d log1p(-h),
+    #   d cav_t = d cav_prev - d drop (cav_t = cav_prev exp(cav_log) in the forward pass),
+    #   d log_step[t] = in_edge_sum @ d log1p(-h),
     #   gap[t] = (1 - alpha + gap_h a) gap + gap_theta d theta + ps0_src d drop + gap_alpha d alpha
     keep_rate = 1.0 - alpha
     keep = 1.0 - h

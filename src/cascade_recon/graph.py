@@ -85,9 +85,6 @@ class Network:
         """Dense id of the directed edge (src, dst); KeyError if absent."""
         return self._edge_index[(src, dst)]
 
-    def has_edge(self, src: int, dst: int) -> bool:
-        return (src, dst) in self._edge_index
-
     def edge_pair(self, e: int) -> tuple[int, int]:
         return int(self.edge_src[e]), int(self.edge_dst[e])
 
@@ -123,46 +120,26 @@ class Network:
     # -- derived structure used by the message-passing code ---------------
 
     @cached_property
-    def padded_in_edges(self) -> np.ndarray:
-        """(N, max_in_degree) matrix of in-edge ids, padded with |E|.
-
-        Row i lists the edges arriving at node i; the pad index |E| points
-        one past the real edges, so callers append a neutral sentinel value
-        (1 for products, 0 for sums) to their per-edge arrays and index with
-        this matrix in one vectorized shot.
-        """
-        dmax = max((blk.size for blk in self._in_edges), default=0)
-        mat = np.full((self.n_nodes, max(dmax, 1)), self.n_edges, dtype=np.intp)
-        for i, blk in enumerate(self._in_edges):
-            mat[i, : blk.size] = blk
-        return mat
-
-    @cached_property
-    def padded_cavity(self) -> np.ndarray:
-        """(|E|, max_cavity) matrix: for edge e=(k, i), the in-edges of k
-        excluding the one from i, padded with |E| (same sentinel scheme as
-        :attr:`padded_in_edges`)."""
-        cav = []
-        for k, i in zip(self.edge_src, self.edge_dst):
-            block = self._in_edges[k]
-            cav.append(block[self.edge_src[block] != i])
-        dmax = max((c.size for c in cav), default=0)
-        mat = np.full((self.n_edges, max(dmax, 1)), self.n_edges, dtype=np.intp)
-        for e, c in enumerate(cav):
-            mat[e, : c.size] = c
-        return mat
-
-    @cached_property
     def in_edge_sum(self) -> sparse.csr_matrix:
         """(N, |E|) 0/1 matrix: ``in_edge_sum @ v`` sums a per-edge array
-        over each node's in-edges (rows of :attr:`padded_in_edges`)."""
-        return _pad_sum_matrix(self.padded_in_edges, self.n_edges)
+        over each node's in-edges."""
+        # imported here: only the message-passing code needs it, and loading it
+        # with the package grows every process that never runs that code
+        from scipy import sparse
+
+        E = self.n_edges
+        return sparse.csr_matrix((np.ones(E), (self.edge_dst, np.arange(E))), shape=(self.n_nodes, E))
 
     @cached_property
     def cavity_sum(self) -> sparse.csr_matrix:
         """(|E|, |E|) 0/1 matrix: ``cavity_sum @ v`` sums a per-edge array
-        over each edge's cavity (rows of :attr:`padded_cavity`)."""
-        return _pad_sum_matrix(self.padded_cavity, self.n_edges)
+        over each edge's cavity: for e = (k, i), the in-edges of k other
+        than the reverse edge (i, k)."""
+        cav = self.in_edge_sum[self.edge_src]
+        row_dst = np.repeat(self.edge_dst, np.diff(cav.indptr))
+        cav.data[self.edge_src[cav.indices] == row_dst] = 0.0
+        cav.eliminate_zeros()
+        return cav
 
     def __repr__(self):
         return f"Network(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
@@ -179,29 +156,13 @@ class Network:
         return hash((self.labels, self.edge_src.tobytes(), self.edge_dst.tobytes()))
 
 
-def _pad_sum_matrix(padded: np.ndarray, pad: int) -> sparse.csr_matrix:
-    # imported here: only the message-passing code needs it, and loading it
-    # with the package grows every process that never runs that code
-    from scipy import sparse
-
-    rows, cols = np.nonzero(padded != pad)
-    ones = np.ones(rows.size)
-    return sparse.csr_matrix((ones, (rows, padded[rows, cols])), shape=(padded.shape[0], pad))
-
-
-def validate_couplings(net: Network, values, clip_to: tuple[float, float] | None = None) -> np.ndarray:
-    """Return couplings as a float64 array of length |E|, checked to [0, 1].
-
-    With ``clip_to=(lo, hi)`` the values are additionally clamped into the
-    optimizer's box.
-    """
+def validate_couplings(net: Network, values) -> np.ndarray:
+    """Return couplings as a float64 array of length |E|, checked to [0, 1]."""
     alpha = np.asarray(values, dtype=np.float64)
     if alpha.shape != (net.n_edges,):
         raise ValueError(f"couplings must have shape ({net.n_edges},), got {alpha.shape}")
     if not np.all(np.isfinite(alpha)) or alpha.min(initial=0.0) < 0.0 or alpha.max(initial=0.0) > 1.0:
         raise ValueError("couplings must lie in [0, 1]")
-    if clip_to is not None:
-        alpha = np.clip(alpha, clip_to[0], clip_to[1])
     return alpha
 
 
@@ -245,12 +206,6 @@ def parse_edge_list(text) -> tuple[Network, np.ndarray | None]:
 
     if not rows:
         raise ParseError("empty edge list: no edges found")
-
-    seen = set()
-    for src, dst, _ in rows:
-        if (src, dst) in seen:
-            raise ParseError(f"duplicate edge {src!r}->{dst!r}")
-        seen.add((src, dst))
 
     labels = sorted({s for s, _, _ in rows} | {d for _, d, _ in rows}, key=_label_key)
     net = Network(labels, [(s, d) for s, d, _ in rows])

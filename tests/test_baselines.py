@@ -180,6 +180,11 @@ class TestHtsComplete:
         obs = observe_fully(Cascade(3, [0, 2]))
         assert hts_complete([obs], edge01, [0.5], HtsConfig()) == [{}]
 
+    def test_mixed_horizons_rejected(self, edge01):
+        data = [observe_fully(Cascade(3, [0, 2])), observe_fully(Cascade(4, [0, 2]))]
+        with pytest.raises(DatasetError, match="mismatched horizons"):
+            hts_complete(data, edge01, [0.5], HtsConfig())
+
 
 class TestHtsFit:
     def test_h0_bit_identical_to_netrate(self, rng):

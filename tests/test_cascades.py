@@ -209,6 +209,13 @@ class TestFiles:
         back = read_cascades(net, text)
         assert all(a == b for a, b in zip(back, observed))
 
+    def test_mixed_horizons_rejected(self, chain3):
+        data = [Cascade(5, [0, 1, 2]), Cascade(6, [0, 1, 2])]
+        with pytest.raises(DatasetError, match="mismatched horizons"):
+            write_cascades(chain3, data)
+        with pytest.raises(ValueError, match="no cascades"):
+            write_cascades(chain3, [])
+
     def test_mask_spec_parsing(self):
         net, _ = parse_edge_list("0\t1\n1\t2\n")
         spec = parse_mask_spec("hidden=1\nsnapshots=2,4\nmask_seed=7\n", net, 3)

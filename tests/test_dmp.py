@@ -64,6 +64,19 @@ class TestForward:
             for arr in (tr.theta, tr.phi, tr.p_susceptible, tr.p_activate):
                 assert arr.min() >= -1e-12 and arr.max() <= 1 + 1e-12
 
+    def test_susceptible_follows_log_step(self, rng):
+        # the forward pass advances P_S by exp(log_step), the recursion the
+        # gradient differentiates; couplings of 1 give log_step = -inf
+        for _ in range(10):
+            net = random_loopy_net(int(rng.integers(3, 10)), 6, rng)
+            alpha = random_couplings(net, rng)
+            alpha[rng.random(net.n_edges) < 0.2] = 1.0
+            tr = dmp_forward(net, alpha, [int(rng.integers(net.n_nodes))], 8)
+            for t in range(1, 9):
+                np.testing.assert_array_equal(
+                    tr.p_susceptible[t], tr.p_susceptible[t - 1] * np.exp(tr.log_step[t])
+                )
+
     def test_normalization_identity(self, rng):
         for _ in range(10):
             net = random_loopy_net(int(rng.integers(3, 9)), 5, rng)

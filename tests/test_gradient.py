@@ -5,6 +5,7 @@ import pytest
 
 from cascade_recon import (
     CapacityError,
+    DatasetError,
     MaskSpec,
     apply_mask,
     dmp_forward_with_gradients,
@@ -214,6 +215,10 @@ class TestObservedFreeEnergy:
         rep = free_energy_gradient([obs], edge01, [0.5])
         # m(2) = a(1-a) is maximized at a = 0.5
         assert rep.gradient[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_empty_dataset_rejected(self, edge01):
+        with pytest.raises(DatasetError, match="empty dataset"):
+            observed_negative_log_likelihood([], edge01, [0.5])
 
     def test_value_is_sum_of_per_node(self, rng):
         net = random_loopy_net(8, 6, rng)

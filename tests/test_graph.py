@@ -112,16 +112,24 @@ def test_in_out_consistent_with_edge_list(rng):
     assert n_in == n_out == net.n_edges
 
 
-def test_padded_structures(rng):
-    net = random_loopy_net(8, 6, rng)
-    pad = net.n_edges
-    mat = net.padded_in_edges
-    for i in range(net.n_nodes):
-        row = [e for e in mat[i] if e != pad]
-        assert sorted(row) == sorted(net.in_edges(i).tolist())
-    cav = net.padded_cavity
-    for e in range(net.n_edges):
-        k, i = net.edge_pair(e)
-        row = [f for f in cav[e] if f != pad]
-        expect = [f for f in net.in_edges(k) if int(net.edge_src[f]) != i]
-        assert sorted(row) == sorted(expect)
+def test_sum_matrices(rng):
+    nets = [
+        random_loopy_net(8, 6, rng),
+        Network(["0", "1"], [("0", "1"), ("1", "0")]),  # 2-cycle: empty cavities
+        Network(["0", "1", "2"], []),
+    ]
+    for net in nets:
+        ins, cav = net.in_edge_sum, net.cavity_sum
+        assert ins.shape == (net.n_nodes, net.n_edges)
+        assert cav.shape == (net.n_edges, net.n_edges)
+        for mat in (ins, cav):
+            assert np.all(mat.data == 1.0)  # 0/1 entries, no stored zeros
+        ins, cav = ins.toarray(), cav.toarray()
+        assert np.isin(ins, (0.0, 1.0)).all() and np.isin(cav, (0.0, 1.0)).all()
+        for i in range(net.n_nodes):
+            assert np.flatnonzero(ins[i]).tolist() == net.in_edges(i).tolist()
+        for e in range(net.n_edges):
+            k, i = net.edge_pair(e)
+            expect = [f for f in net.in_edges(k) if int(net.edge_src[f]) != i]
+            assert np.flatnonzero(cav[e]).tolist() == expect
+    assert nets[1].cavity_sum.nnz == 0
