@@ -17,7 +17,9 @@ bounds, which keeps every downstream likelihood computation uniform.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -139,12 +141,7 @@ class ObservedCascade:
         """Human-readable status tuple for node ``i``."""
         if self.hidden[i]:
             return ("hidden",)
-        lo, hi, T = int(self.lo[i]), int(self.hi[i]), self.horizon
-        if hi - lo == 1 and hi < T:
-            return ("exact", hi)
-        if lo == T - 1 and hi == T:
-            return ("censored",)
-        return ("interval", lo, hi)
+        return _window_status(int(self.lo[i]), int(self.hi[i]), self.horizon)
 
     def is_fully_observed(self) -> bool:
         """True when every node has an exactly pinned recorded time."""
@@ -164,6 +161,16 @@ class ObservedCascade:
             and np.array_equal(self.lo[~self.hidden], other.lo[~other.hidden])
             and np.array_equal(self.hi[~self.hidden], other.hi[~other.hidden])
         )
+
+
+def _window_status(lo: int, hi: int, T: int) -> tuple:
+    """``("exact", hi)``, ``("censored",)`` or ``("interval", lo, hi)`` for
+    the window (lo, hi] of a visible node."""
+    if hi - lo == 1 and hi < T:
+        return ("exact", hi)
+    if lo == T - 1 and hi == T:
+        return ("censored",)
+    return ("interval", lo, hi)
 
 
 def observe_fully(cascade: Cascade) -> ObservedCascade:
@@ -405,30 +412,22 @@ def monte_carlo_marginals(
 # masking
 
 
-def apply_mask(cascade: Cascade, mask: MaskSpec) -> ObservedCascade:
-    """Reduce a complete cascade to what the mask lets an observer see.
+@lru_cache(maxsize=16)
+def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The validated hidden nodes of ``mask`` and the (2, T+2) table of the
+    window ``(lo, hi]`` it leaves of a recorded time tau, in column tau+1
+    for tau in [-1, T]; both read-only.
 
-    Snapshot semantics: the state is checked at each monitoring time (plus
-    time 0, which is always known); a node first seen active at snapshot s
-    was recorded in ``(prev, s]``; a snapshot at the horizon can only tell
-    "activated by T-1" from "censored".  With ``snapshot_times=None`` every
-    time step is monitored and visible nodes keep exact times.
+    Times below -1 see what -1 sees and times above T what T sees, so
+    the column of any time is tau + 1 clipped into the table.
     """
-    T = cascade.horizon
-    n = cascade.times.shape[0]
-    mask.validate(n, T)
+    mask.validate(n_nodes, horizon)
+    T = horizon
     points = sorted({0, *(mask.snapshot_times if mask.snapshot_times is not None else range(T + 1))})
-    lo = np.empty(n, dtype=np.int64)
-    hi = np.empty(n, dtype=np.int64)
-    hidden = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if i in mask.hidden_nodes:
-            hidden[i] = True
-            lo[i] = hi[i] = -1
-            continue
-        tau = int(cascade.times[i])
+    table = np.empty((2, T + 2), dtype=np.int64)
+    for tau in range(-1, T + 1):
         if tau == 0:
-            lo[i], hi[i] = -1, 0
+            table[:, 1] = -1, 0
             continue
         first_active = None
         prev = 0
@@ -440,10 +439,31 @@ def apply_mask(cascade: Cascade, mask: MaskSpec) -> ObservedCascade:
             prev = s
         if first_active is None:
             # never seen active: after the last monitored time
-            lo[i], hi[i] = (T - 1, T) if prev >= T - 1 else (prev, T)
+            table[:, tau + 1] = (T - 1, T) if prev >= T - 1 else (prev, T)
         else:
-            lo[i] = prev
-            hi[i] = first_active if first_active < T else T - 1
+            table[:, tau + 1] = prev, min(first_active, T - 1)
+    hidden = np.array(sorted(mask.hidden_nodes), dtype=np.intp)
+    table.setflags(write=False)
+    hidden.setflags(write=False)
+    return hidden, table
+
+
+def apply_mask(cascade: Cascade, mask: MaskSpec) -> ObservedCascade:
+    """Reduce a complete cascade to what the mask lets an observer see.
+
+    Snapshot semantics: the state is checked at each monitoring time (plus
+    time 0, which is always known); a node first seen active at snapshot s
+    was recorded in ``(prev, s]``; a snapshot at the horizon can only tell
+    "activated by T-1" from "censored".  With ``snapshot_times=None`` every
+    time step is monitored and visible nodes keep exact times.
+    """
+    T = cascade.horizon
+    n = cascade.times.shape[0]
+    hidden_nodes, windows = _mask_table(mask, n, T)
+    lo, hi = windows.take(cascade.times + 1, axis=1, mode="clip")
+    lo[hidden_nodes] = hi[hidden_nodes] = -1
+    hidden = np.zeros(n, dtype=bool)
+    hidden[hidden_nodes] = True
     return ObservedCascade(T, lo, hi, hidden)
 
 
@@ -494,15 +514,80 @@ def group_cascades(dataset: Sequence[ObservedCascade]) -> dict[tuple[int, ...], 
     observed source (the source was hidden by the mask) is rejected: the
     model conditions on known initial conditions.
     """
-    if not dataset:
+    keys, group_of = _source_groups(dataset)
+    groups: dict[tuple[int, ...], list[ObservedCascade]] = {key: [] for key in keys}
+    members = list(groups.values())
+    for obs, g in zip(dataset, group_of.tolist()):
+        members[g].append(obs)
+    return groups
+
+
+def _source_groups(dataset: Sequence[ObservedCascade]) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The distinct observed source sets of ``dataset`` in sorted order,
+    and for each cascade the index of its set among them.
+
+    This is the grouping rule of :func:`group_cascades` and of the
+    free-energy summaries; it rejects an empty dataset and names the first
+    cascade with no observed source.
+    """
+    if not len(dataset):
         raise DatasetError("empty dataset")
-    groups: dict[tuple[int, ...], list[ObservedCascade]] = {}
-    for idx, obs in enumerate(dataset):
-        key = tuple(int(s) for s in obs.sources)
-        if not key:
-            raise DatasetError(f"cascade {idx} has no observed source; cannot fit")
-        groups.setdefault(key, []).append(obs)
-    return {k: groups[k] for k in sorted(groups)}
+    ids: dict[tuple[int, ...], int] = {}
+    set_id = np.empty(len(dataset), dtype=np.intp)
+    for start, _lo, hi, hidden in _row_blocks(dataset):
+        rows, nodes = np.nonzero(~hidden & (hi == 0))
+        set_id[start : start + hidden.shape[0]] = [
+            ids.setdefault(tuple(row), len(ids)) for row in _split_rows(nodes.tolist(), rows, hidden.shape[0])
+        ]
+    if () in ids:
+        idx = int(np.argmax(set_id == ids[()]))
+        raise DatasetError(f"cascade {idx} has no observed source; cannot fit")
+    keys = sorted(ids)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[[ids[key] for key in keys]] = np.arange(len(keys))
+    return keys, rank[set_id]
+
+
+# cells (cascades x nodes) stacked at a time by the whole-dataset passes
+_CHUNK_CELLS = 8192
+
+
+def _row_blocks(cascades: Sequence[Cascade | ObservedCascade]):
+    """Yield ``(start, lo, hi, hidden)``: the window bounds and hidden flags
+    of ``cascades[start:start + rows]`` stacked into (rows, N) arrays of
+    about ``_CHUNK_CELLS`` cells, for consecutive runs of cascades.
+    Complete cascades are observed fully."""
+    n_nodes = _observed(cascades[0]).n_nodes
+    step = max(1, _CHUNK_CELLS // max(1, n_nodes))
+    for start in range(0, len(cascades), step):
+        chunk = [_observed(c) for c in cascades[start : start + step]]
+        yield (start, np.stack([c.lo for c in chunk]), np.stack([c.hi for c in chunk]),
+               np.stack([c.hidden for c in chunk]))
+
+
+def _observed(cascade: Cascade | ObservedCascade) -> ObservedCascade:
+    return observe_fully(cascade) if isinstance(cascade, Cascade) else cascade
+
+
+def _split_rows(items: list, rows: np.ndarray, n_rows: int) -> list[list]:
+    """``items``, one per entry of the ascending row indices ``rows``, cut
+    into one list per row of ``n_rows``."""
+    ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
+    return [items[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _window_codes(lo: np.ndarray, hi: np.ndarray, T: int) -> np.ndarray:
+    """Windows ``(lo, hi]`` as int64 codes ``(lo + 1) * (T + 2) + hi + 1``,
+    which order as the pairs do; the bounds must lie in [-1, T]."""
+    if lo.size and (min(lo.min(), hi.min()) < -1 or max(lo.max(), hi.max()) > T):
+        raise DatasetError(f"observation windows must lie in [-1, {T}]")
+    return (lo + 1) * (T + 2) + hi + 1
+
+
+def _window_bounds(codes: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lo, hi)`` arrays that :func:`_window_codes` encoded."""
+    lo, hi = np.divmod(codes, T + 2)
+    return lo - 1, hi - 1
 
 
 def _common_horizon(dataset: Sequence[Cascade | ObservedCascade]) -> int:
@@ -530,28 +615,43 @@ def write_cascades(net: Network, cascades: Sequence[Cascade | ObservedCascade]) 
     if not cascades:
         raise ValueError("no cascades to write")
     T = _common_horizon(cascades)
+    labels = np.array(net.labels, dtype=object)
     lines = [f"T={T}"]
-    for cid, c in enumerate(cascades):
-        obs = observe_fully(c) if isinstance(c, Cascade) else c
-        tokens = []
-        for i in range(obs.n_nodes):
-            st = obs.status(i)
-            v = net.labels[i]
-            if st[0] == "hidden":
-                continue
-            if st[0] == "exact":
-                tokens.append(f"{v}:{st[1]}")
-            elif st[0] == "censored":
-                tokens.append(f"{v}:{T}+")
-            else:
-                tokens.append(f"{v}:({st[1]},{st[2]}]")
-        lines.append(f"{cid}\t" + ",".join(tokens))
+    for start, lo, hi, hidden in _row_blocks(cascades):
+        rows, nodes = np.nonzero(~hidden)
+        codes, which = np.unique(_window_codes(lo[rows, nodes], hi[rows, nodes], T), return_inverse=True)
+        lo_of, hi_of = _window_bounds(codes, T)
+        suffixes = [_token_suffix(a, b, T) for a, b in zip(lo_of.tolist(), hi_of.tolist())]
+        tokens = (labels[nodes] + np.array(suffixes, dtype=object)[which]).tolist()
+        for r, line_tokens in enumerate(_split_rows(tokens, rows, hidden.shape[0]), start):
+            lines.append(f"{r}\t" + ",".join(line_tokens))
     return "\n".join(lines) + "\n"
 
 
+def _token_suffix(lo: int, hi: int, T: int) -> str:
+    """The ``:<time>`` part of a visible node's token for window (lo, hi]."""
+    st = _window_status(lo, hi, T)
+    if st[0] == "exact":
+        return f":{hi}"
+    if st[0] == "censored":
+        return f":{T}+"
+    return f":({lo},{hi}]"
+
+
 def read_cascades(net: Network, text: str) -> list[ObservedCascade]:
-    """Parse the cascade file format; inverse of :func:`write_cascades`."""
-    lines = [ln for ln in text.splitlines()]
+    """Parse the cascade file format; inverse of :func:`write_cascades`.
+
+    After the ``T=<int>`` line, blank lines and lines starting with ``#``
+    are skipped; every other line is ``<id>\\t<tokens>``, with an empty
+    token list for a cascade whose nodes are all hidden.  Tokens are the
+    runs of text between commas (an interval's ``(`` runs to its ``]``),
+    each ``<label>:<time>``, with whitespace around a token or a number
+    ignored.  Each error names its line; on a line, the first offending
+    token in order is reported, and a window outside ``-1 <= lo < hi <= T``
+    after all of them.  The cascades are row views of one (M, N) array per
+    field.
+    """
+    lines = text.splitlines()
     idx = 0
     while idx < len(lines) and not lines[idx].strip():
         idx += 1
@@ -563,66 +663,151 @@ def read_cascades(net: Network, text: str) -> list[ObservedCascade]:
         raise ParseError(f"bad horizon line {lines[idx]!r}") from None
     if T < 1:
         raise ParseError("horizon must be >= 1")
-    out = []
-    for lineno, raw in enumerate(lines[idx + 1 :], start=idx + 2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t", 1)
-        if len(parts) != 2:
-            raise ParseError(f"line {lineno}: expected '<id>\\t<tokens>'")
-        lo = np.full(net.n_nodes, -1, dtype=np.int64)
-        hi = np.full(net.n_nodes, -1, dtype=np.int64)
-        hidden = np.ones(net.n_nodes, dtype=bool)
-        body = parts[1].strip()
-        tokens = body.split(",") if body else []
-        # interval tokens contain a comma; re-join "(lo" with "hi]" pieces
-        merged: list[str] = []
-        for tok in tokens:
-            if merged and "(" in merged[-1] and "]" not in merged[-1]:
-                merged[-1] += "," + tok
-            else:
-                merged.append(tok)
-        for tok in merged:
-            tok = tok.strip()
-            if not tok:
-                continue
-            if ":" not in tok:
-                raise ParseError(f"line {lineno}: bad token {tok!r}")
-            label, spec = tok.split(":", 1)
-            if label not in net.label_index:
-                raise ParseError(f"line {lineno}: unknown node {label!r}")
-            i = net.label_index[label]
-            if not hidden[i]:
-                raise ParseError(f"line {lineno}: node {label!r} listed twice")
-            hidden[i] = False
-            if spec.startswith("("):
-                if not spec.endswith("]") or "," not in spec:
-                    raise ParseError(f"line {lineno}: bad interval token {tok!r}")
-                a, b = spec[1:-1].split(",", 1)
-                lo[i], hi[i] = int(a), int(b)
-            elif spec.endswith("+"):
-                if int(spec[:-1]) != T:
-                    raise ParseError(f"line {lineno}: censor token must use horizon {T}")
-                lo[i], hi[i] = T - 1, T
-            else:
-                t = int(spec)
-                if not 0 <= t < T:
-                    raise ParseError(f"line {lineno}: exact time {t} outside [0, {T})")
-                lo[i], hi[i] = t - 1, t
-        obs = ObservedCascade(T, lo, hi, hidden)
-        _validate_bounds(obs, lineno)
-        out.append(obs)
-    if not out:
+    body_lines = range(idx + 1, len(lines))
+    n_cascades = sum(1 for k in body_lines if _is_cascade_line(lines[k]))
+    if not n_cascades:
         raise ParseError("cascade file contains no cascades")
-    return out
+    parser = _BlockParser(net, T, n_cascades)
+    for k in body_lines:
+        if _is_cascade_line(lines[k]):
+            parser.add(k + 1, lines[k])
+    parser.flush()
+    return [ObservedCascade(T, lo, hi, hidden) for lo, hi, hidden in zip(parser.lo, parser.hi, parser.hidden)]
 
 
-def _validate_bounds(obs: ObservedCascade, lineno: int) -> None:
-    vis = ~obs.hidden
-    lo, hi = obs.lo[vis], obs.hi[vis]
-    if vis.any() and (np.any(lo >= hi) or np.any(lo < -1) or np.any(hi > obs.horizon)):
-        raise ParseError(f"line {lineno}: interval bounds must satisfy -1 <= lo < hi <= T")
+def _is_cascade_line(raw: str) -> bool:
+    line = raw.strip()
+    return bool(line) and not line.startswith("#")
+
+
+# A token: a run of characters other than ',' in which '(' opens an
+# interval that runs, commas included, to the next ']' (or to the end of
+# the line), after any leading whitespace; whitespace-only runs are none.
+_TOKEN = re.compile(r"\s*((?=[^,\s])[^,(]*(?:\([^\]]*\]?[^,(]*)*)")
+
+# tokens decoded and scattered at a time by read_cascades
+_PARSE_BATCH_TOKENS = 2048
+
+
+class _BlockParser:
+    """Scatters cascade lines into (M, N) ``lo``/``hi``/``hidden`` arrays,
+    a batch of about ``_PARSE_BATCH_TOKENS`` tokens at a time.
+
+    Each distinct token text is decoded once, into its node and window or
+    into node -1 when it is invalid; a batch with an invalid token or a
+    node listed twice re-walks its first such line to raise that line's
+    error.
+    """
+
+    def __init__(self, net: Network, horizon: int, n_cascades: int):
+        self.label_index = net.label_index
+        self.horizon = horizon
+        shape = (n_cascades, net.n_nodes)
+        self.lo = np.full(shape, -1, dtype=np.int64)
+        self.hi = np.full(shape, -1, dtype=np.int64)
+        self.hidden = np.ones(shape, dtype=bool)
+        self.code_of: dict[str, int] = {}
+        self.decoded: list[tuple[int, int, int]] = []
+        self.table = np.empty((0, 3), dtype=np.int64)
+        self.done = 0
+        self.lines: list[tuple[int, str]] = []
+        self.counts: list[int] = []
+        self.tokens: list[str] = []
+
+    def add(self, lineno: int, raw: str) -> None:
+        _cid, tab, body = raw.lstrip().partition("\t")
+        if not tab:
+            self.flush()
+            raise ParseError(f"line {lineno}: expected '<id>\\t<tokens>'")
+        tokens = _TOKEN.findall(body)
+        self.lines.append((lineno, body))
+        self.counts.append(len(tokens))
+        self.tokens += tokens
+        if len(self.tokens) >= _PARSE_BATCH_TOKENS:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.lines:
+            return
+        new = set(self.tokens).difference(self.code_of)
+        if new:
+            for tok in new:
+                self.code_of[tok] = len(self.decoded)
+                self.decoded.append(self._decode(tok.strip()))
+            self.table = np.array(self.decoded, dtype=np.int64)
+        codes = np.fromiter(map(self.code_of.__getitem__, self.tokens), dtype=np.intp, count=len(self.tokens))
+        nodes, lo, hi = self.table[codes].T
+        counts = np.array(self.counts)
+        first = self.done
+        rows = np.repeat(np.arange(first, first + counts.size), counts)
+        ok = nodes >= 0
+        rows, nodes = rows[ok], nodes[ok]
+        self.hidden[rows, nodes] = False
+        self.lo[rows, nodes] = lo[ok]
+        self.hi[rows, nodes] = hi[ok]
+        valid = np.bincount(rows - first, minlength=counts.size)
+        seen = np.count_nonzero(~self.hidden[first : first + counts.size], axis=1)
+        bad = (valid != counts) | (seen != valid)
+        if bad.any():
+            raise self._line_error(*self.lines[int(np.argmax(bad))])
+        self.done += counts.size
+        self.lines, self.counts, self.tokens = [], [], []
+
+    def _decode(self, tok: str) -> tuple[int, int, int]:
+        """``(node, lo, hi)`` of a stripped token, node -1 if it is invalid."""
+        try:
+            node, spec = _split_token(tok, self.label_index)
+            lo, hi = _decode_time(spec, self.horizon, tok)
+        except ParseError:
+            return -1, 0, 0
+        return (node, lo, hi) if -1 <= lo < hi <= self.horizon else (-1, 0, 0)
+
+    def _line_error(self, lineno: int, body: str) -> ParseError:
+        """The error of a line that holds an invalid token or a node listed
+        twice: that of its first bad token, else the bounds error."""
+        seen: set[int] = set()
+        for tok in _TOKEN.findall(body):
+            tok = tok.strip()
+            try:
+                node, spec = _split_token(tok, self.label_index)
+                if node in seen:
+                    raise ParseError(f"node {tok.partition(':')[0]!r} listed twice")
+                seen.add(node)
+                _decode_time(spec, self.horizon, tok)
+            except ParseError as exc:
+                return ParseError(f"line {lineno}: {exc}")
+        return ParseError(f"line {lineno}: interval bounds must satisfy -1 <= lo < hi <= T")
+
+
+def _split_token(tok: str, label_index: dict[str, int]) -> tuple[int, str]:
+    """The node index and the time text of a stripped ``<label>:<time>`` token."""
+    label, colon, spec = tok.partition(":")
+    if not colon:
+        raise ParseError(f"bad token {tok!r}")
+    if label not in label_index:
+        raise ParseError(f"unknown node {label!r}")
+    return label_index[label], spec
+
+
+def _decode_time(spec: str, T: int, tok: str) -> tuple[int, int]:
+    """The window ``(lo, hi)`` of a token's time text: ``t``, ``<T>+`` or
+    ``(lo,hi]``."""
+    try:
+        if spec.startswith("("):
+            if not spec.endswith("]") or "," not in spec:
+                raise ParseError(f"bad interval token {tok!r}")
+            a, b = spec[1:-1].split(",", 1)
+            return int(a), int(b)
+        if spec.endswith("+"):
+            if int(spec[:-1]) != T:
+                raise ParseError(f"censor token must use horizon {T}")
+            return T - 1, T
+        t = int(spec)
+    except ValueError:
+        raise ParseError(f"non-integer time in token {tok!r}") from None
+    if not 0 <= t < T:
+        raise ParseError(f"exact time {t} outside [0, {T})")
+    return t - 1, t
 
 
 def parse_mask_spec(text: str, net: Network, n_nodes: int, exclude: Iterable[int] = ()) -> MaskSpec:
@@ -642,14 +827,17 @@ def parse_mask_spec(text: str, net: Network, n_nodes: int, exclude: Iterable[int
         if "=" not in line:
             raise ParseError(f"line {lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "hidden":
-            hidden_raw = value
-        elif key == "snapshots":
-            snapshots = "all" if value == "all" else [int(v) for v in value.split(",") if v.strip()]
-        elif key == "mask_seed":
-            mask_seed = int(value)
-        else:
+        if key not in ("hidden", "snapshots", "mask_seed"):
             raise ParseError(f"line {lineno}: unknown key {key!r}")
+        try:
+            if key == "hidden":
+                hidden_raw = value
+            elif key == "snapshots":
+                snapshots = "all" if value == "all" else [int(v) for v in value.split(",") if v.strip()]
+            else:
+                mask_seed = int(value)
+        except ValueError:
+            raise ParseError(f"line {lineno}: {key} takes integers, got {value!r}") from None
     hidden = interpret_hidden_field(hidden_raw, mask_seed)
     return resolve_mask(hidden, snapshots, n_nodes, net=net, mask_seed=mask_seed, exclude=exclude)
 

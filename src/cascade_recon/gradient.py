@@ -43,7 +43,6 @@ value and the gradient belong to one function.
 
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,7 +53,14 @@ import numpy as np
 
 from .errors import CapacityError
 from .graph import Network, validate_couplings
-from .cascades import ObservedCascade, _common_horizon, group_cascades
+from .cascades import (
+    ObservedCascade,
+    _common_horizon,
+    _row_blocks,
+    _source_groups,
+    _window_bounds,
+    _window_codes,
+)
 from .dmp import DmpTrace, dmp_forward, initial_susceptible, _propagate
 
 __all__ = [
@@ -196,22 +202,36 @@ class GroupSummary:
 
 
 def summarize_dataset(dataset: Sequence[ObservedCascade]) -> list[GroupSummary]:
-    """Group cascades by source set and aggregate observation windows."""
-    groups = group_cascades(dataset)
-    out = []
-    for sources, cascades in groups.items():
-        counter: Counter = Counter()
-        for obs in cascades:
-            vis = np.flatnonzero(~obs.hidden & (obs.hi > 0))
-            for i in vis:
-                counter[(int(i), int(obs.lo[i]), int(obs.hi[i]))] += 1
-        keys = sorted(counter)
-        nodes = np.array([k[0] for k in keys], dtype=np.intp)
-        lo = np.array([k[1] for k in keys], dtype=np.int64)
-        hi = np.array([k[2] for k in keys], dtype=np.int64)
-        counts = np.array([counter[k] for k in keys], dtype=np.float64)
-        out.append(GroupSummary(sources, nodes, lo, hi, counts, len(cascades)))
-    return out
+    """Group cascades by source set and aggregate observation windows.
+
+    Each window of a visible non-source node is one int64 key that orders
+    by (group, node, lo, hi); the keys of a block of cascades at a time are
+    counted and merged into the running count, so the rows come out in
+    that order.
+    """
+    sources, group_of = _source_groups(dataset)
+    T = _common_horizon(dataset)
+    n_nodes = dataset[0].n_nodes
+    n_codes = (T + 2) ** 2                                   # window codes lie in [0, (T + 2)**2)
+    keys = np.empty(0, dtype=np.int64)
+    counts = np.empty(0)
+    for start, lo, hi, hidden in _row_blocks(dataset):
+        rows, nodes = np.nonzero(~hidden & (hi > 0))
+        codes = _window_codes(lo[rows, nodes], hi[rows, nodes], T)
+        block_keys, block_counts = np.unique((group_of[start + rows] * n_nodes + nodes) * n_codes + codes,
+                                             return_counts=True)
+        keys, where = np.unique(np.concatenate([keys, block_keys]), return_inverse=True)
+        counts = np.bincount(where, weights=np.concatenate([counts, block_counts]))
+    rest, codes = np.divmod(keys, n_codes)
+    group, nodes = np.divmod(rest, n_nodes)
+    lo, hi = _window_bounds(codes, T)
+    nodes = nodes.astype(np.intp, copy=False)
+    ends = np.searchsorted(group, np.arange(len(sources) + 1))
+    sizes = np.bincount(group_of, minlength=len(sources)).tolist()
+    return [
+        GroupSummary(src, nodes[a:b], lo[a:b], hi[a:b], counts[a:b], size)
+        for src, a, b, size in zip(sources, ends[:-1].tolist(), ends[1:].tolist(), sizes)
+    ]
 
 
 def _window_log_prob(trace: DmpTrace, summ: GroupSummary):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from cascade_recon import Network
+from cascade_recon import MaskSpec, Network, generate_dataset
 
 
 def chain_net(n: int) -> Network:
@@ -66,6 +66,40 @@ def preferential_attachment_net(n: int, m: int, rng: np.random.Generator) -> Net
 
 def random_couplings(net: Network, rng: np.random.Generator, low=0.0, high=1.0) -> np.ndarray:
     return rng.uniform(low, high, net.n_edges)
+
+
+def random_masked_cases(rng: np.random.Generator):
+    """Complete cascades and a mask on random loopy graphs, for property
+    tests of masking, summaries and the file format.
+
+    Covers T in {1, 2, 10} with every step observed, no snapshot, random
+    snapshots ending at T and random snapshots ending below T; random
+    hidden sets that spare the three source nodes; and groups with one
+    source and with two.  Yields ``(net, cascades, mask)``.
+    """
+    for T in (1, 2, 10):
+        for layout in ("every step", "no snapshot", "ending at T", "ending below T"):
+            n = int(rng.integers(6, 12))
+            net = random_loopy_net(n, int(rng.integers(2, 8)), rng)
+            alpha = random_couplings(net, rng, 0.1, 0.9)
+            sources = [int(v) for v in rng.choice(n, size=3, replace=False)]
+            others = [v for v in range(n) if v not in sources]
+            hidden = frozenset(v for v in others if rng.random() < 0.3)
+            if layout == "every step":
+                snapshots = None
+            elif layout == "no snapshot":
+                snapshots = ()
+            else:
+                last = T if layout == "ending at T" else T - 1
+                picks = rng.choice(last + 1, size=int(rng.integers(0, last + 1)), replace=False)
+                snapshots = tuple(sorted({last, *(int(t) for t in picks)}))
+            seed = int(rng.integers(1 << 30))
+            cascades = (
+                generate_dataset(net, alpha, 40, [sources[0]], T, seed)
+                + generate_dataset(net, alpha, 30, [sources[1]], T, seed + 1)
+                + generate_dataset(net, alpha, 30, sources[1:], T, seed + 2)
+            )
+            yield net, cascades, MaskSpec(hidden, snapshots)
 
 
 @pytest.fixture

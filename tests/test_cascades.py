@@ -7,6 +7,8 @@ from cascade_recon import (
     Cascade,
     DatasetError,
     MaskSpec,
+    ObservedCascade,
+    ParseError,
     apply_mask,
     cascade_substream,
     check_realizable,
@@ -22,12 +24,61 @@ from cascade_recon import (
     write_cascades,
 )
 
-from conftest import chain_net, random_loopy_net, random_couplings
+from conftest import (
+    chain_net,
+    preferential_attachment_net,
+    random_couplings,
+    random_loopy_net,
+    random_masked_cases,
+)
 
 
 @pytest.fixture
 def chain3():
     return chain_net(3)
+
+
+def _reference_apply_mask(cascade, mask):
+    """The per-node masking loop that ``apply_mask`` replaced, kept as its
+    reference."""
+    T = cascade.horizon
+    n = cascade.times.shape[0]
+    mask.validate(n, T)
+    points = sorted({0, *(mask.snapshot_times if mask.snapshot_times is not None else range(T + 1))})
+    lo = np.empty(n, dtype=np.int64)
+    hi = np.empty(n, dtype=np.int64)
+    hidden = np.zeros(n, dtype=bool)
+    for i in range(n):
+        if i in mask.hidden_nodes:
+            hidden[i] = True
+            lo[i] = hi[i] = -1
+            continue
+        tau = int(cascade.times[i])
+        if tau == 0:
+            lo[i], hi[i] = -1, 0
+            continue
+        first_active = None
+        prev = 0
+        for s in points:
+            active = tau <= s if s < T else tau < T
+            if active:
+                first_active = s
+                break
+            prev = s
+        if first_active is None:
+            lo[i], hi[i] = (T - 1, T) if prev >= T - 1 else (prev, T)
+        else:
+            lo[i] = prev
+            hi[i] = first_active if first_active < T else T - 1
+    return ObservedCascade(T, lo, hi, hidden)
+
+
+def _assert_identical(a, b):
+    """Same horizon and the same lo, hi and hidden arrays, dtypes included."""
+    assert a.horizon == b.horizon
+    for x, y in ((a.lo, b.lo), (a.hi, b.hi), (a.hidden, b.hidden)):
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
 
 
 class TestSimulate:
@@ -166,6 +217,17 @@ class TestMasking:
         full = apply_mask(c, MaskSpec(frozenset(), None))
         assert full.hi[1] - full.lo[1] == 1
 
+    def test_matches_per_node_reference(self, rng):
+        for net, cascades, mask in random_masked_cases(rng):
+            for c in cascades:
+                _assert_identical(apply_mask(c, mask), _reference_apply_mask(c, mask))
+
+    def test_times_outside_the_horizon_as_the_reference(self):
+        c = Cascade(4, [0, -3, -1, 4, 9, 2])
+        for snapshots in (None, (), (2,), (1, 4)):
+            mask = MaskSpec(frozenset({5}), snapshots)
+            _assert_identical(apply_mask(c, mask), _reference_apply_mask(c, mask))
+
 
 class TestGrouping:
     def test_single_group(self, chain3, rng):
@@ -188,6 +250,25 @@ class TestGrouping:
         with pytest.raises(DatasetError, match="source"):
             group_cascades([obs])
 
+    def test_first_sourceless_cascade_named(self, chain3):
+        from cascade_recon.gradient import summarize_dataset
+
+        c = simulate_cascade(chain3, [1.0, 1.0], [0], 5, 0)
+        seen, unseen = apply_mask(c, MaskSpec(frozenset(), None)), apply_mask(c, MaskSpec(frozenset({0}), None))
+        data = [seen] * 9000 + [unseen, seen, unseen]
+        for group in (group_cascades, summarize_dataset):
+            with pytest.raises(DatasetError, match="^cascade 9000 has no observed source; cannot fit$"):
+                group(data)
+
+    def test_groups_keep_dataset_order(self, rng):
+        net = random_loopy_net(9, 5, rng)
+        alpha = random_couplings(net, rng)
+        data = [observe_fully(c) for c in generate_dataset(net, alpha, 2000, "random", 5, seed=4)]
+        groups = group_cascades(data)
+        assert list(groups) == sorted({tuple(obs.sources.tolist()) for obs in data})
+        for key, members in groups.items():
+            assert members == [obs for obs in data if tuple(obs.sources.tolist()) == key]
+
 
 class TestFiles:
     def test_roundtrip_ground_truth(self, rng):
@@ -209,6 +290,33 @@ class TestFiles:
         back = read_cascades(net, text)
         assert all(a == b for a, b in zip(back, observed))
 
+    def test_roundtrip_random_cases_byte_identical(self, rng):
+        for net, cascades, mask in random_masked_cases(rng):
+            observed = [apply_mask(c, mask) for c in cascades]
+            for data in (cascades, observed):
+                text = write_cascades(net, data)
+                back = read_cascades(net, text)
+                assert write_cascades(net, back) == text
+            for a, b in zip(back, observed):
+                _assert_identical(a, b)
+
+    def test_all_hidden_cascade_roundtrip(self, chain3):
+        observed = [
+            apply_mask(Cascade(5, [0, 1, 2]), MaskSpec(frozenset(), None)),
+            apply_mask(Cascade(5, [0, 1, 2]), MaskSpec(frozenset({0, 1, 2}), None)),
+        ]
+        text = write_cascades(chain3, observed)
+        assert text.splitlines()[2] == "1\t"
+        back = read_cascades(chain3, text)
+        assert back[1].hidden.all()
+        assert back == observed
+        assert write_cascades(chain3, back) == text
+
+    def test_window_outside_the_horizon_rejected(self, chain3):
+        obs = ObservedCascade(5, [-1, 3, -1], [0, 7, -1], [False, False, True])
+        with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
+            write_cascades(chain3, [obs])
+
     def test_mixed_horizons_rejected(self, chain3):
         data = [Cascade(5, [0, 1, 2]), Cascade(6, [0, 1, 2])]
         with pytest.raises(DatasetError, match="mismatched horizons"):
@@ -224,3 +332,107 @@ class TestFiles:
         spec2 = parse_mask_spec("hidden=0,2\nsnapshots=all\n", net, 3)
         assert spec2.hidden_nodes == frozenset({0, 2})
         assert spec2.snapshot_times is None
+
+
+class TestParseErrors:
+    """Each error of the cascade reader, with the line it names."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("0\t0:0\n", "cascade file must start with a 'T=<int>' line"),
+        ("\n\n", "cascade file must start with a 'T=<int>' line"),
+        ("T=x\n0\t0:0\n", "bad horizon line 'T=x'"),
+        ("T=0\n0\t0:0\n", "horizon must be >= 1"),
+        ("T=5\n0 0:0,1:1\n", "line 2: expected '<id>\\t<tokens>'"),
+        ("T=5\n0\t0:0,1\n", "line 2: bad token '1'"),
+        ("T=5\n0\t0:0,9:1\n", "line 2: unknown node '9'"),
+        ("T=5\n0\t0:0,1:1,0:2\n", "line 2: node '0' listed twice"),
+        ("T=5\n0\t0:0,1:(1,2\n", "line 2: bad interval token '1:(1,2'"),
+        ("T=5\n0\t0:0,1:(1]\n", "line 2: bad interval token '1:(1]'"),
+        ("T=5\n0\t0:0,1:4+\n", "line 2: censor token must use horizon 5"),
+        ("T=5\n0\t0:0,1:5\n", "line 2: exact time 5 outside [0, 5)"),
+        ("T=5\n0\t0:0,1:-1\n", "line 2: exact time -1 outside [0, 5)"),
+        ("T=5\n0\t0:0,1:(3,2]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
+        ("T=5\n0\t0:0,1:(1,6]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
+        ("T=5\n0\t0:0,1:(-2,1]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
+        ("T=5\n# nothing\n\n", "cascade file contains no cascades"),
+        ("T=5\n", "cascade file contains no cascades"),
+    ])
+    def test_message(self, chain3, text, message):
+        with pytest.raises(ParseError) as exc:
+            read_cascades(chain3, text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("token", ["1:x", "1:(1,b]", "1:x+", "1:(a,2]", "1:"])
+    def test_non_integer_time(self, chain3, token):
+        with pytest.raises(ParseError) as exc:
+            read_cascades(chain3, f"T=5\n0\t0:0,{token}\n")
+        assert str(exc.value) == f"line 2: non-integer time in token '{token}'"
+
+    def test_first_bad_token_of_a_line_wins(self, chain3):
+        # an out-of-bounds window is reported only after the line's tokens
+        with pytest.raises(ParseError, match="^line 2: unknown node '9'$"):
+            read_cascades(chain3, "T=5\n0\t1:(3,2],9:1,2:x\n")
+        with pytest.raises(ParseError, match="^line 2: node '1' listed twice$"):
+            read_cascades(chain3, "T=5\n0\t1:1,1:x\n")
+
+    def test_first_bad_line_wins(self, chain3):
+        text = "T=5\n0\t0:0\n1\t0:0,1:(3,2]\n2\t0:0,9:1\n"
+        with pytest.raises(ParseError, match="^line 3: interval bounds"):
+            read_cascades(chain3, text)
+
+    def test_line_numbers_past_the_first_batch(self, chain3):
+        good = "\n".join(f"{k}\t0:0,1:{1 + k % 3},2:5+" for k in range(1500))
+        text = f"\n\nT=5\n# header\n{good}\n\n# a comment\n   \n1500\t0:0,1:(1,2],2:9\n1501\t0:0\n"
+        with pytest.raises(ParseError, match="^line 1508: exact time 9 outside \\[0, 5\\)$"):
+            read_cascades(chain3, text)
+        with pytest.raises(ParseError, match="^line 1508: expected"):
+            read_cascades(chain3, text.replace("1500\t", "1500 "))
+
+    def test_whitespace_around_tokens_and_numbers(self, chain3):
+        text = "T=5\n  0\t 0:0 , 1:( 1 , 3 ] ,2:5+ ,\n1\t,0:0,,2: 4\t\n"
+        back = read_cascades(chain3, text)
+        assert back[0].status(1) == ("interval", 1, 3)
+        assert back[0].status(2) == ("censored",)
+        assert back[1].hidden.tolist() == [False, True, False]
+        assert back[1].status(2) == ("exact", 4)
+
+
+class TestInputPathMemory:
+    """The cascade reader and the summaries work a bounded block at a time
+    on a 3 000-cascade, 120-node dataset with hidden nodes and snapshots."""
+
+    @pytest.fixture(scope="class")
+    def pa_data(self):
+        net = preferential_attachment_net(120, 2, np.random.default_rng(150))
+        alpha = np.random.default_rng(151).uniform(0.05, 0.3, net.n_edges)
+        mask = MaskSpec(frozenset(range(60, 90)), (3, 6, 9))
+        cascades = generate_dataset(net, alpha, 1500, [0], 10, seed=1)
+        cascades += generate_dataset(net, alpha, 1500, [1], 10, seed=2)
+        observed = [apply_mask(c, mask) for c in cascades]
+        return net, observed, write_cascades(net, observed)
+
+    @staticmethod
+    def _traced(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            result = fn()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, held, peak
+
+    def test_read_peaks_near_the_dataset_size(self, pa_data):
+        net, observed, text = pa_data
+        back, held, peak = self._traced(lambda: read_cascades(net, text))
+        assert len(back) == len(observed)
+        assert peak <= 1.5 * held
+
+    def test_summarize_peaks_little_above_its_input(self, pa_data):
+        from cascade_recon.gradient import summarize_dataset
+
+        _net, observed, _text = pa_data
+        summaries, _held, peak = self._traced(lambda: summarize_dataset(observed))
+        assert len(summaries) == 2
+        assert peak <= 2 << 20

@@ -186,6 +186,37 @@ class TestErrorsAndConfig:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["1:x", "1:(1,b]", "1:x+"])
+    def test_non_integer_cascade_time_is_exit_1(self, workdir, capsys, token):
+        tmp, net, _ = workdir
+        (tmp / "obs.txt").write_text(f"T=8\n# observed\n0\t0:0,1:3\n1\t0:0,{token}\n")
+        rc = run("fit", "--network", tmp / "net_bare.edges", "--cascades", tmp / "obs.txt",
+                 "--out", tmp / "est.edges")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: line 4: non-integer time in token '{token}'\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("snapshots=2,x", "line 2: snapshots takes integers, got '2,x'"),
+        ("mask_seed=abc", "line 2: mask_seed takes integers, got 'abc'"),
+    ])
+    def test_non_integer_mask_spec_value_is_exit_1(self, workdir, capsys, line, message):
+        tmp, net, _ = workdir
+        run("simulate", "--network", tmp / "net.edges", "--horizon", 8, "--num-cascades", 5,
+            "--sources", "0", "--seed", 1, "--out", tmp / "truth.txt")
+        (tmp / "mask.spec").write_text(f"hidden=2\n{line}\n")
+        rc = run("mask", "--network", tmp / "net.edges", "--cascades", tmp / "truth.txt",
+                 "--mask", tmp / "mask.spec", "--out", tmp / "obs.txt")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_all_hidden_cascade_reports_no_source(self, workdir, capsys):
+        tmp, net, _ = workdir
+        (tmp / "obs.txt").write_text("T=8\n0\t0:0,1:3\n1\t\n")
+        rc = run("fit", "--network", tmp / "net_bare.edges", "--cascades", tmp / "obs.txt",
+                 "--out", tmp / "est.edges")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cascade 1 has no observed source; cannot fit\n"
+
     def test_usage_error_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--method", "bogus")

@@ -24,6 +24,7 @@ from conftest import (
     preferential_attachment_net,
     random_couplings,
     random_loopy_net,
+    random_masked_cases,
     random_tree_net,
 )
 
@@ -68,6 +69,63 @@ def _forward_mode_free_energy(dataset, net, alpha):
         value += float(contrib.sum())
         grad -= np.tensordot(weights, gtrace.d_log_step, axes=2)
     return value, grad
+
+
+def _reference_summaries(dataset):
+    """The ``Counter``-based grouping and window count that
+    ``summarize_dataset`` replaced, kept as its reference: one tuple of
+    (sources, nodes, lo, hi, counts, n_cascades) per source group."""
+    from collections import Counter
+
+    groups = {}
+    for obs in dataset:
+        groups.setdefault(tuple(int(s) for s in obs.sources), []).append(obs)
+    out = []
+    for sources in sorted(groups):
+        counter = Counter()
+        for obs in groups[sources]:
+            for i in np.flatnonzero(~obs.hidden & (obs.hi > 0)):
+                counter[(int(i), int(obs.lo[i]), int(obs.hi[i]))] += 1
+        keys = sorted(counter)
+        out.append((
+            sources,
+            np.array([k[0] for k in keys], dtype=np.intp),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array([k[2] for k in keys], dtype=np.int64),
+            np.array([counter[k] for k in keys], dtype=np.float64),
+            len(groups[sources]),
+        ))
+    return out
+
+
+class TestSummaries:
+    @staticmethod
+    def _assert_matches_reference(dataset):
+        got = summarize_dataset(dataset)
+        want = _reference_summaries(dataset)
+        assert len(got) == len(want)
+        for summ, (sources, nodes, lo, hi, counts, n_cascades) in zip(got, want):
+            assert (summ.sources, summ.n_cascades) == (sources, n_cascades)
+            for x, y in ((summ.nodes, nodes), (summ.lo, lo), (summ.hi, hi), (summ.counts, counts)):
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
+
+    def test_matches_counter_reference(self, rng):
+        for net, cascades, mask in random_masked_cases(rng):
+            self._assert_matches_reference([apply_mask(c, mask) for c in cascades])
+
+    def test_matches_counter_reference_over_many_blocks(self, rng):
+        net = random_loopy_net(12, 8, rng)
+        alpha = random_couplings(net, rng)
+        mask = MaskSpec(frozenset({3, 7}), (2, 5, 8))
+        self._assert_matches_reference(_masked_dataset(net, alpha, 9, 3000, mask, seed=6))
+
+    def test_window_outside_the_horizon_rejected(self):
+        from cascade_recon import ObservedCascade
+
+        obs = ObservedCascade(5, [-1, 3], [0, 7], [False, False])
+        with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
+            summarize_dataset([obs])
 
 
 class TestSensitivities:
