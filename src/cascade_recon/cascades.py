@@ -477,9 +477,11 @@ def resolve_mask(
 ) -> MaskSpec:
     """Build a MaskSpec from file/CLI-style fields.
 
-    ``hidden`` is an iterable of node labels/indices, or an int count for
-    random selection (requires ``mask_seed``; never selects nodes listed in
-    ``exclude``).  ``snapshots`` is "all", None, or an iterable of times.
+    ``hidden`` is an iterable of node labels of ``net`` (node indices when
+    no ``net`` is given), or an int count for random selection (requires
+    ``mask_seed``; never selects nodes listed in ``exclude``).  An entry
+    that is not a label of ``net`` is a :class:`DatasetError`.
+    ``snapshots`` is "all", None, or an iterable of times.
     """
     if isinstance(hidden, (int, np.integer)):
         if mask_seed is None:
@@ -493,10 +495,12 @@ def resolve_mask(
     else:
         ids = []
         for h in hidden:
-            if net is not None and isinstance(h, str) and h in net.label_index:
+            if net is None:
+                ids.append(int(h))
+            elif isinstance(h, str) and h in net.label_index:
                 ids.append(net.label_index[h])
             else:
-                ids.append(int(h))
+                raise DatasetError(f"hidden node {h!r} is not a node label")
         hidden_nodes = frozenset(ids)
     if snapshots is None or snapshots == "all":
         snapshot_times = None

@@ -7,13 +7,12 @@ deterministic given its seeds, so a full simulate -> mask -> fit -> eval
 pipeline reproduces byte-identical artifacts.
 
 Exit codes: 0 success, 1 a module reported a data/model error, 2 usage
-errors (bad flags, bad config keys).
+errors (bad flags, bad config keys, integers that do not parse).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -72,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--horizon", type=int, help="observation window length T")
         if "seed" in names:
             p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (default: CASCADE_RECON_THREADS or 1)")
+        p.add_argument("--threads", type=int, default=None, help="no effect: source groups run in batched array passes; accepted for existing pipelines")
         p.add_argument("--deterministic", action="store_true", help="no effect: results are the same for any --threads; accepted for existing pipelines")
         p.add_argument("--config", help="key = value config file; flags override file values")
 
@@ -146,6 +145,8 @@ class _Run:
             raw = self.file_values[key]
             if cast is bool:
                 return raw.lower() in ("1", "true", "yes", "on")
+            if cast is int:
+                return _parse_int(key, raw)
             return cast(raw)
         return default
 
@@ -154,13 +155,6 @@ class _Run:
         if val is None:
             raise _usage_error(f"missing required option --{key}")
         return val
-
-    def threads(self) -> int:
-        val = self.get("threads", int)
-        if val is not None:
-            return max(1, int(val))
-        env = os.environ.get("CASCADE_RECON_THREADS")
-        return max(1, int(env)) if env else 1
 
     def fit_config(self) -> FitConfig:
         fv = self.file_values
@@ -172,7 +166,7 @@ class _Run:
         if "alpha-max" in fv:
             kw["alpha_max"] = float(fv["alpha-max"])
         if "max-iters" in fv:
-            kw["max_iters"] = int(fv["max-iters"])
+            kw["max_iters"] = _parse_int("max-iters", fv["max-iters"])
         if "tol" in fv:
             kw["tol"] = float(fv["tol"])
         if "step-init" in fv:
@@ -183,9 +177,9 @@ class _Run:
         fv = self.file_values
         kw = {"fit": self.fit_config()}
         if "aux-samples" in fv:
-            kw["aux_samples"] = int(fv["aux-samples"])
+            kw["aux_samples"] = _parse_int("aux-samples", fv["aux-samples"])
         if "outer-rounds" in fv:
-            kw["outer_rounds"] = int(fv["outer-rounds"])
+            kw["outer_rounds"] = _parse_int("outer-rounds", fv["outer-rounds"])
         if "param-tol" in fv:
             kw["param_tol"] = float(fv["param-tol"])
         seed = self.get("seed", int)
@@ -197,6 +191,15 @@ class _Run:
 def _usage_error(message: str) -> SystemExit:
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _parse_int(key: str, text: str) -> int:
+    """An integer from a flag string or a config value; anything else is a
+    usage error that names ``key``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _usage_error(f"{key}: expected an integer, got {text!r}") from None
 
 
 def _load_network(run: _Run) -> tuple[Network, np.ndarray | None]:
@@ -267,7 +270,7 @@ def _mask_spec(run: _Run, net: Network, cascades, mask_file=None) -> MaskSpec:
     mask_seed = run.get("mask-seed", int)
     hidden = interpret_hidden_field(run.get("hidden", str, ""), mask_seed)
     snapshots_raw = run.get("snapshots", str, "all")
-    snapshots = "all" if snapshots_raw == "all" else [int(v) for v in snapshots_raw.split(",") if v]
+    snapshots = "all" if snapshots_raw == "all" else [_parse_int("snapshots", v) for v in snapshots_raw.split(",") if v]
     return resolve_mask(
         hidden, snapshots, net.n_nodes, net=net,
         mask_seed=mask_seed, exclude=source_nodes,
@@ -287,9 +290,8 @@ def _cmd_fit(run: _Run) -> int:
     net, _ = _load_network(run)
     dataset = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
     method = run.get("method", str, "dmprec")
-    threads = run.threads()
     if method == "dmprec":
-        result = dmprec_fit(dataset, net, run.fit_config(), threads=threads)
+        result = dmprec_fit(dataset, net, run.fit_config())
         alpha, diagnostics = result.couplings_hat, result.diagnostics
     elif method == "netrate":
         alpha = netrate_fit(dataset, net, run.fit_config())
@@ -374,7 +376,7 @@ def _cmd_gradcheck(run: _Run) -> int:
     data = generate_dataset(net, alpha, n, sources, horizon, seed)
     spec = _mask_spec(run, net, data)
     dataset = [apply_mask(c, spec) for c in data]
-    report = free_energy_gradient(dataset, net, alpha, threads=run.threads())
+    report = free_energy_gradient(dataset, net, alpha)
     h = 1e-5
     lines = ["src,dst,analytic,numeric,rel_error"]
     max_rel = 0.0

@@ -31,6 +31,12 @@ edges (``log_step`` for the in-edges), taken with the sparse 0/1 matrices
 for the cavity products.  This is the recursion that both gradient modes
 differentiate, and the free energy takes window probabilities from
 ``log_step`` in the log domain.
+
+The recursion runs on a trailing axis of G initial conditions at once:
+every message and marginal array carries one column per source group,
+so that one pass over a chunk of groups costs one sparse product per
+step for all of them.  A single run, :func:`dmp_forward`, is the G = 1
+case.
 """
 
 from __future__ import annotations
@@ -54,7 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DmpTrace:
-    """Full message and marginal history of one forward run."""
+    """Full message and marginal history of one forward run.
+
+    Inside the batched recursion every array carries a trailing axis of
+    G source groups; :meth:`column` gives one group's run with the shapes
+    below.
+    """
 
     horizon: int
     initial_susceptible: np.ndarray  # (N,) indicator: 0 at sources, 1 elsewhere
@@ -65,6 +76,11 @@ class DmpTrace:
     # (T+1, N): the sum of log(1 - hazard) over in-edges at step t, so that
     # p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t]); row 0 is 0
     log_step: np.ndarray
+
+    def column(self, g: int) -> DmpTrace:
+        """The run of source group ``g`` of a batched trace."""
+        return DmpTrace(self.horizon, self.initial_susceptible[:, g], self.theta[..., g], self.phi[..., g],
+                        self.p_susceptible[..., g], self.p_activate[..., g], self.log_step[..., g])
 
 
 def initial_susceptible(net: Network, sources) -> np.ndarray:
@@ -79,33 +95,37 @@ def dmp_forward(net: Network, couplings, sources, horizon: int) -> DmpTrace:
     """Run the forward message-passing recursion up to ``horizon``."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    return _propagate(net, validate_couplings(net, couplings), initial_susceptible(net, sources), horizon)
+    alpha = validate_couplings(net, couplings)
+    return _propagate(net, alpha, initial_susceptible(net, sources)[:, None], horizon).column(0)
 
 
 def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int, on_step=None) -> DmpTrace:
-    """The recursion behind :func:`dmp_forward`, on validated inputs.
+    """The recursion behind :func:`dmp_forward`, on validated inputs, for
+    the G source groups whose initial susceptibilities are the columns of
+    ``ps0`` (N, G); every array of the trace has a trailing axis of G.
 
     After step t is filled in, ``on_step(t, trace, rho, h, cav_log, cav_t)``
     is called when given, with the step's per-edge ``rho = phi / theta``
     (the chance that the source is active given no crossing yet) and hazard
     ``h = alpha * rho``, the cavity sums ``cav_log`` of ``log1p(-h)`` and the
-    cavity products ``cav_t = cav_prev * exp(cav_log)`` at t.
+    cavity products ``cav_t = cav_prev * exp(cav_log)`` at t, each (|E|, G).
     """
-    T, E, N = horizon, net.n_edges, net.n_nodes
-    theta = np.ones((T + 1, E))
-    phi = np.empty((T + 1, E))
+    T, E, N, G = horizon, net.n_edges, net.n_nodes, ps0.shape[1]
+    theta = np.ones((T + 1, E, G))
+    phi = np.empty((T + 1, E, G))
     phi[0] = 1.0 - ps0[net.edge_src]
-    p_s = np.empty((T + 1, N))
+    p_s = np.empty((T + 1, N, G))
     p_s[0] = ps0
-    m = np.empty((T + 1, N))
+    m = np.empty((T + 1, N, G))
     m[0] = 1.0 - ps0
-    trace = DmpTrace(T, ps0, theta, phi, p_s, m, np.zeros((T + 1, N)))
+    trace = DmpTrace(T, ps0, theta, phi, p_s, m, np.zeros((T + 1, N, G)))
 
+    alpha = alpha[:, None]
     ps0_src = ps0[net.edge_src]
-    cav_prev = np.ones(E)
+    cav_prev = np.ones((E, G))
     for t in range(1, T + 1):
         # rho is 0 once theta is 0, and capped at 1 against rounding
-        rho = np.divide(phi[t - 1], theta[t - 1], out=np.zeros(E), where=theta[t - 1] > 0.0)
+        rho = np.divide(phi[t - 1], theta[t - 1], out=np.zeros((E, G)), where=theta[t - 1] > 0.0)
         np.minimum(rho, 1.0, out=rho)
         h = alpha * rho
         with np.errstate(divide="ignore"):  # h == 1 only when alpha == 1

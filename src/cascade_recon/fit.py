@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DatasetError
 from .graph import Network
 from .cascades import MaskSpec, ObservedCascade, _common_horizon
-from .gradient import _dataset_free_energy, _group_map, summarize_dataset
+from .gradient import _chunks, _dataset_free_energy, summarize_dataset
 
 __all__ = [
     "FitConfig",
@@ -193,29 +193,28 @@ def dmprec_fit(
 
     Minimizes the message-passing free energy of the dataset by projected
     gradient descent from the uniform ``alpha_init`` starting point.  Each
-    gradient evaluation runs one forward pass and one reverse sweep per
-    distinct source set, on one pool of ``threads`` workers kept for the
-    whole run; the result is the same for any ``threads`` value.
+    evaluation runs one batched forward pass, and each gradient one reverse
+    sweep, per chunk of distinct source sets; the chunks are stacked once
+    for the whole run.  ``threads`` is accepted for existing callers and
+    has no effect.
     """
     config = config or FitConfig()
     config.validate()
     horizon = _common_horizon(dataset)
-    summaries = summarize_dataset(dataset)
+    chunks = _chunks(summarize_dataset(dataset), net, horizon)
+
+    def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
+        return _dataset_free_energy(chunks, net, alpha, horizon)[:2]
+
+    def value_only(alpha: np.ndarray) -> float:
+        return _dataset_free_energy(chunks, net, alpha, horizon, with_gradient=False)[0]
 
     x0 = np.full(net.n_edges, config.alpha_init)
-    with _group_map(threads, len(summaries)) as map_groups:
-
-        def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
-            return _dataset_free_energy(summaries, net, alpha, horizon, map_groups)[:2]
-
-        def value_only(alpha: np.ndarray) -> float:
-            return _dataset_free_energy(summaries, net, alpha, horizon, map_groups, with_gradient=False)[0]
-
-        start = time.perf_counter()
-        x, trajectory, diagnostics, converged, iterations = projected_gradient_descent(
-            value_and_grad, value_only, x0, config.alpha_min, config.alpha_max, config
-        )
-        wall = time.perf_counter() - start
+    start = time.perf_counter()
+    x, trajectory, diagnostics, converged, iterations = projected_gradient_descent(
+        value_and_grad, value_only, x0, config.alpha_min, config.alpha_max, config
+    )
+    wall = time.perf_counter() - start
     if not np.all(np.isfinite(trajectory)):
         raise DatasetError("free energy is not finite; dataset or network is corrupt")
     return FitResult(x, iterations, trajectory, converged, wall, diagnostics)

@@ -21,11 +21,20 @@ window spans), so its gradient is the derivative of
 ``-sum(weights * log_step)`` at fixed weights.  The fit takes it in
 reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008): one
 forward pass keeps each step's ``rho``, hazard, cavity log-sums and cavity
-products, O(T |E|) numbers, and one backward sweep through the
+products, O(T |E|) numbers per group, and one backward sweep through the
 theta/phi/cavity recursion carries their adjoints and accumulates the
 coupling adjoint.  A step of the sweep costs one transposed sparse cavity
 product and element-wise work, so a gradient costs a small multiple of a
 forward pass.
+
+Source groups run in chunks: the messages of a chunk of G groups are
+stacked as (..., |E|, G) arrays, so one forward pass and one sweep serve
+the whole chunk, with one sparse product per step for all of its groups,
+and the window rows of the chunk are stacked with the column of their
+group.  A chunk holds about :data:`_CHUNK_CELLS` cells of (T+1) |E| G,
+which bounds the memory of an evaluation whatever the number of groups.
+Value, gradient and window contributions are then reduced one group at a
+time in input order, so they do not depend on the chunking.
 
 Forward mode, :func:`dmp_forward_with_gradients`, is kept as the
 reference the reverse sweep is tested against.  For every message edge e
@@ -43,8 +52,6 @@ value and the gradient belong to one function.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -76,6 +83,10 @@ __all__ = [
 # Largest sensitivity storage (d_theta, d_phi and d_log_step together)
 # that forward mode allocates: 1 GiB.
 SENSITIVITY_BUDGET_BYTES = 1 << 30
+
+# Cells, (T+1) |E| per source group, of each message array that one
+# batched pass over a chunk of groups holds: 128 KiB of float64.
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,8 +166,9 @@ def dmp_forward_with_gradients(
     d_cav = np.zeros((E, F))         # sensitivity of the cavity products at t-1
     ps0_src = ps0[net.edge_src]
 
-    def step(t, trace, rho, h, cav_log, cav_t):
-        theta, phi = trace.theta[t - 1], trace.phi[t - 1]
+    def step(t, trace, *arrays):
+        theta, phi = trace.theta[t - 1, :, 0], trace.phi[t - 1, :, 0]
+        rho, h, cav_log, cav_t = (arr[:, 0] for arr in arrays)
         # d rho = (d phi - rho d theta) / theta, d h = rho d alpha + alpha d rho
         inv_theta = np.divide(1.0, theta, out=np.zeros(E), where=theta > 0.0)
         d_h = d_phi[t - 1] - rho[:, None] * d_theta[t - 1]
@@ -175,7 +187,7 @@ def dmp_forward_with_gradients(
         d_cav[...] -= d_drop
         d_log_step[t] = net.in_edge_sum @ d_log_keep
 
-    trace = _propagate(net, alpha, ps0, horizon, on_step=step)
+    trace = _propagate(net, alpha, ps0[:, None], horizon, on_step=step).column(0)
     gtrace = GradTrace(T, params, d_theta, d_phi, d_log_step, trace.p_susceptible)
     return trace, gtrace
 
@@ -234,15 +246,48 @@ def summarize_dataset(dataset: Sequence[ObservedCascade]) -> list[GroupSummary]:
     ]
 
 
-def _window_log_prob(trace: DmpTrace, summ: GroupSummary):
+@dataclass(frozen=True, eq=False)
+class _Chunk:
+    """Consecutive source groups stacked for one batched pass: the
+    columns of ``ps0`` are the groups, and the window rows of all of them
+    follow in group order, each with the column of its group."""
+
+    ps0: np.ndarray                  # (N, G) initial susceptibility
+    group: np.ndarray                # (rows,) column of each row's group
+    nodes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    counts: np.ndarray
+    ends: list[int]                  # group g owns rows ends[g]:ends[g+1]
+
+
+def _chunks(summaries: Sequence[GroupSummary], net: Network, horizon: int) -> list[_Chunk]:
+    """The groups of ``summaries`` in input order, cut into chunks of about
+    ``_CHUNK_CELLS`` message cells."""
+    size = max(1, _CHUNK_CELLS // max(1, (horizon + 1) * net.n_edges))
+    chunks = []
+    for start in range(0, len(summaries), size):
+        block = summaries[start:start + size]
+        lengths = [summ.nodes.size for summ in block]
+        chunks.append(_Chunk(
+            ps0=np.stack([initial_susceptible(net, summ.sources) for summ in block], axis=1),
+            group=np.repeat(np.arange(len(block)), lengths),
+            **{name: np.concatenate([getattr(summ, name) for summ in block]) for name in ("nodes", "lo", "hi", "counts")},
+            ends=np.cumsum([0, *lengths]).tolist(),
+        ))
+    return chunks
+
+
+def _window_log_prob(log_step: np.ndarray, rows: _Chunk):
     """``log P`` of each window, its log-domain pieces as masks over time
-    and ``d log P / d span`` (see the module docstring)."""
-    T = trace.horizon
-    steps = trace.log_step[:, summ.nodes].T                  # (rows, T+1)
+    and ``d log P / d span`` (see the module docstring), from the chunk's
+    (T+1, N, G) ``log_step``."""
+    T = log_step.shape[0] - 1
+    steps = log_step[:, rows.nodes, rows.group].T            # (rows, T+1)
     t = np.arange(T + 1)
-    before = t <= summ.lo[:, None]                           # log S(lo) = sum of steps t <= lo
-    inside = (t > summ.lo[:, None]) & (t <= summ.hi[:, None])
-    censored = summ.hi == T
+    before = t <= rows.lo[:, None]                           # log S(lo) = sum of steps t <= lo
+    inside = (t > rows.lo[:, None]) & (t <= rows.hi[:, None])
+    censored = rows.hi == T
     span = np.where(inside, steps, 0.0).sum(axis=1)          # log S(hi) - log S(lo)
     span[censored] = -np.inf                                 # S(T) = 0
     with np.errstate(divide="ignore", over="ignore"):
@@ -251,21 +296,22 @@ def _window_log_prob(trace: DmpTrace, summ: GroupSummary):
     return log_p, before, inside, d_span
 
 
-def _window_weights(trace: DmpTrace, summ: GroupSummary) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window free-energy contributions and the (T+1, N) weights with
-    ``d F = -sum(weights * d log_step)``."""
-    log_p, before, inside, d_span = _window_log_prob(trace, summ)
+def _window_weights(log_step: np.ndarray, rows: _Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window free-energy contributions and the (T+1, N, G) weights
+    with ``d F = -sum(weights * d log_step)``."""
+    log_p, before, inside, d_span = _window_log_prob(log_step, rows)
     # d log P = sum_{t <= lo} d log_step + d_span * sum_{lo < t <= hi} d log_step,
-    # collected as one weight per (t, node) on d log_step
-    row_weights = summ.counts[:, None] * (before + d_span[:, None] * inside)
-    weights = np.zeros_like(trace.log_step)
-    np.add.at(weights.T, summ.nodes, row_weights)
-    return -summ.counts * log_p, weights
+    # collected as one weight per (t, node, group) on d log_step
+    row_weights = rows.counts[:, None] * (before + d_span[:, None] * inside)
+    weights = np.zeros_like(log_step)
+    np.add.at(weights.transpose(1, 2, 0), (rows.nodes, rows.group), row_weights)
+    return -rows.counts * log_p, weights
 
 
 def _log_step_adjoint(net: Network, alpha: np.ndarray, trace: DmpTrace, steps, weights) -> np.ndarray:
     """Gradient of ``-sum(weights * log_step)`` with respect to the
-    couplings, by one backward sweep over the steps of ``trace``.
+    couplings, by one backward sweep over the steps of ``trace``, for each
+    of its G groups: an (|E|, G) array.
 
     ``steps[t-1]`` holds step t's ``(rho, h, cav_log, cav_t)`` as
     :func:`dmp._propagate` hands them out.  The sweep transposes, term by
@@ -278,93 +324,75 @@ def _log_step_adjoint(net: Network, alpha: np.ndarray, trace: DmpTrace, steps, w
     formed before they multiply the large gap adjoint, so they cancel
     exactly.
     """
-    T, E = trace.horizon, net.n_edges
-    rho, h, cav_log, cav = (np.array(arr) for arr in zip(*steps))  # (T, E); row t-1 is step t
-    theta, phi = trace.theta[:T], trace.phi[:T]                      # the messages step t reads
-    rho_next = np.zeros_like(rho)                                    # no step T+1: its adjoints are 0
-    rho_next[:-1] = rho[1:]
+    T, E, G = trace.horizon, net.n_edges, weights.shape[-1]
     # step t in the basis (d theta, gap), with a = alpha / theta (0 where theta = 0):
     #   d h = a gap + rho d alpha,  d log1p(-h) = -d h / (1 - h),
     #   d theta[t] = (1 - h) d theta - theta d h,
     #   d drop = -cav_t (cavity_sum @ d log1p(-h)) - expm1(cav_log) d cav_prev,
     #   d cav_t = d cav_prev - d drop (cav_t = cav_prev exp(cav_log) in the forward pass),
     #   d log_step[t] = in_edge_sum @ d log1p(-h),
-    #   gap[t] = (1 - alpha + gap_h a) gap + gap_theta d theta + ps0_src d drop + gap_alpha d alpha
+    #   gap[t] = (1 - alpha + gap_h a) gap + gap_theta d theta + ps0_src d drop + gap_alpha d alpha,
+    # with gap_h = rho_next theta, gap_theta = (1 - alpha) rho - rho_next (1 - h) and
+    # gap_alpha = rho rho_next theta - phi.  The coefficients are formed step by step,
+    # so the sweep holds only the forward pass's records and one (T, |E|, G) array of terms.
+    alpha = alpha[:, None]
     keep_rate = 1.0 - alpha
-    keep = 1.0 - h
-    gap_theta = keep_rate * rho - rho_next * keep
-    gap_alpha = rho * rho_next * theta - phi
-    gap_h = rho_next * theta
-    a = alpha * np.divide(1.0, theta, out=np.zeros_like(theta), where=theta > 0.0)
-    drop_cav = np.expm1(cav_log)
-    keep_seed = np.ascontiguousarray((net.in_edge_sum.T @ -weights[1:].T).T)  # log_step's seed on log1p(-h)
     ps0_src = trace.initial_susceptible[net.edge_src]
-    cavity_sum_t = net.cavity_sum.T
-    theta_bar, gap_bar, cav_bar = np.zeros(E), np.zeros(E), np.zeros(E)
-    h_bars, gap_bars = np.empty((T, E)), np.empty((T, E))
+    in_edge_sum_t, cavity_sum_t = net.in_edge_sum.T, net.cavity_sum.T
+    theta_bar, gap_bar, cav_bar = np.zeros((E, G)), np.zeros((E, G)), np.zeros((E, G))
+    rho_next = np.zeros((E, G))                              # no step T+1: its adjoints are 0
+    terms = np.empty((T, E, G))                              # the coupling adjoint of each step
     for i in range(T - 1, -1, -1):
+        rho, h, cav_log, cav = steps[i]
+        theta, phi = trace.theta[i], trace.phi[i]            # the messages step i+1 reads
+        keep = 1.0 - h
+        a = alpha * np.divide(1.0, theta, out=np.zeros((E, G)), where=theta > 0.0)
         drop_bar = ps0_src * gap_bar - cav_bar
-        keep_bar = keep_seed[i] - cavity_sum_t @ (cav[i] * drop_bar)
-        cav_bar -= drop_cav[i] * drop_bar
-        h_bar = -theta[i] * theta_bar - keep_bar / keep[i]
-        h_bars[i], gap_bars[i] = h_bar, gap_bar
-        h_bar += gap_h[i] * gap_bar
-        theta_bar = keep[i] * theta_bar + gap_theta[i] * gap_bar
-        gap_bar = keep_rate * gap_bar + a[i] * h_bar
-    return (rho * h_bars + gap_alpha * gap_bars).sum(axis=0)
-
-
-def _group_free_energy(net: Network, alpha: np.ndarray, horizon: int, summ: GroupSummary, with_gradient: bool):
-    """One group's per-window contributions and, when asked, the gradient
-    of their sum (None otherwise)."""
-    ps0 = initial_susceptible(net, summ.sources)
-    if not with_gradient:
-        trace = _propagate(net, alpha, ps0, horizon)
-        return -summ.counts * _window_log_prob(trace, summ)[0], None
-    steps = []
-    trace = _propagate(net, alpha, ps0, horizon, on_step=lambda t, _trace, *step: steps.append(step))
-    contrib, weights = _window_weights(trace, summ)
-    return contrib, _log_step_adjoint(net, alpha, trace, steps, weights)
-
-
-@contextmanager
-def _group_map(threads: int, n_groups: int):
-    """A ``map`` over source groups: a pool of ``threads`` workers, open
-    for the ``with`` block, when there is more than one of each, else the
-    builtin.  Either returns results in input order."""
-    if threads > 1 and n_groups > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield pool.map
-    else:
-        yield map
+        keep_bar = in_edge_sum_t @ -weights[i + 1] - cavity_sum_t @ (cav * drop_bar)
+        cav_bar -= np.expm1(cav_log) * drop_bar
+        h_bar = -theta * theta_bar - keep_bar / keep
+        terms[i] = rho * h_bar + (rho * rho_next * theta - phi) * gap_bar
+        h_bar += rho_next * theta * gap_bar
+        theta_bar = keep * theta_bar + (keep_rate * rho - rho_next * keep) * gap_bar
+        gap_bar = keep_rate * gap_bar + a * h_bar
+        rho_next = rho
+    return terms.sum(axis=0)
 
 
 def _dataset_free_energy(
-    summaries: Sequence[GroupSummary],
+    chunks: Sequence[_Chunk],
     net: Network,
     couplings,
     horizon: int,
-    map_groups=map,
     with_gradient: bool = True,
 ) -> tuple[float, np.ndarray | None, list[np.ndarray]]:
     """``(value, gradient, per-group window contributions)`` summed over
     source groups.
 
-    Groups are mapped with ``map_groups`` and reduced in input order, so
-    the result does not depend on how the map runs; the gradient is None
-    without ``with_gradient``.
+    Each chunk runs one batched forward pass and, ``with_gradient``, one
+    sweep; the results are reduced one group at a time in input order, so
+    they are the same for any chunking.  The gradient is None without
+    ``with_gradient``.
     """
     alpha = validate_couplings(net, couplings)
-    results = list(map_groups(
-        lambda summ: _group_free_energy(net, alpha, horizon, summ, with_gradient), summaries
-    ))
     value = 0.0
     gradient = np.zeros(net.n_edges) if with_gradient else None
-    for contrib, grad in results:
-        value += float(contrib.sum())
+    contribs = []
+    for chunk in chunks:
         if with_gradient:
-            gradient += grad
-    return value, gradient, [contrib for contrib, _ in results]
+            steps = []
+            trace = _propagate(net, alpha, chunk.ps0, horizon, on_step=lambda t, _trace, *step: steps.append(step))
+            contrib, weights = _window_weights(trace.log_step, chunk)
+            grads = _log_step_adjoint(net, alpha, trace, steps, weights)
+        else:
+            trace = _propagate(net, alpha, chunk.ps0, horizon)
+            contrib = -chunk.counts * _window_log_prob(trace.log_step, chunk)[0]
+        for g, (a, b) in enumerate(zip(chunk.ends[:-1], chunk.ends[1:])):
+            value += float(contrib[a:b].sum())
+            if with_gradient:
+                gradient += grads[:, g]
+            contribs.append(contrib[a:b])
+    return value, gradient, contribs
 
 
 def observed_negative_log_likelihood(
@@ -375,7 +403,8 @@ def observed_negative_log_likelihood(
     """Free energy of a dataset: sum over observed nodes of
     ``-log P(observation window)`` under the message-passing marginals."""
     horizon = _common_horizon(dataset)
-    return _dataset_free_energy(summarize_dataset(dataset), net, couplings, horizon, with_gradient=False)[0]
+    chunks = _chunks(summarize_dataset(dataset), net, horizon)
+    return _dataset_free_energy(chunks, net, couplings, horizon, with_gradient=False)[0]
 
 
 def free_energy_gradient(
@@ -386,14 +415,13 @@ def free_energy_gradient(
 ) -> FreeEnergyReport:
     """Free energy and its exact gradient with respect to every coupling.
 
-    One forward pass and one reverse sweep are run per distinct source set
-    and shared by all cascades in that group.  Group results are reduced
-    in a fixed order, so the output is identical for any ``threads`` value.
+    One batched forward pass and one reverse sweep are run per chunk of
+    distinct source sets, shared by all cascades of those groups.
+    ``threads`` is accepted for existing callers and has no effect.
     """
     horizon = _common_horizon(dataset)
     summaries = summarize_dataset(dataset)
-    with _group_map(threads, len(summaries)) as map_groups:
-        value, gradient, contribs = _dataset_free_energy(summaries, net, couplings, horizon, map_groups)
+    value, gradient, contribs = _dataset_free_energy(_chunks(summaries, net, horizon), net, couplings, horizon)
     per_node: dict[int, float] = {}
     for summ, contrib in zip(summaries, contribs):
         for node, c in zip(summ.nodes, contrib):
@@ -427,5 +455,5 @@ def population_free_energy(
         tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist()),
         nodes[row], t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, row], 0,
     )
-    value, gradient, _ = _dataset_free_energy([summ], net, couplings, horizon)
+    value, gradient, _ = _dataset_free_energy(_chunks([summ], net, horizon), net, couplings, horizon)
     return value, gradient

@@ -246,6 +246,54 @@ class TestErrorsAndConfig:
                  "--sources", net.labels[0], "--out", tmp / "m.csv")
         assert rc == 0
 
+    def test_env_threads_ignored(self, workdir, monkeypatch):
+        tmp, net, _ = workdir
+        run("simulate", "--network", tmp / "net.edges", "--horizon", 6, "--num-cascades", 20,
+            "--sources", "random", "--seed", 1, "--out", tmp / "truth.txt")
+        (tmp / "cfg.txt").write_text("max-iters = 2\n")
+        monkeypatch.setenv("CASCADE_RECON_THREADS", "x")
+        rc = run("fit", "--network", tmp / "net_bare.edges", "--cascades", tmp / "truth.txt",
+                 "--config", tmp / "cfg.txt", "--out", tmp / "est.edges")
+        assert rc == 0
+
+    @pytest.mark.parametrize("args, message", [
+        (["--mask", "hidden=foo\n"], "hidden node 'foo' is not a node label"),
+        (["--mask", "hidden=1\n"], "hidden node '1' is not a node label"),
+        (["--hidden", "1"], "hidden node '1' is not a node label"),
+    ])
+    def test_hidden_entry_not_a_label_is_exit_1(self, tmp_path, capsys, args, message):
+        # labels 10, 20, 30: the number 1 is not a label, though it is a node index
+        (tmp_path / "net.edges").write_text("10\t20\t0.5\n20\t30\t0.5\n")
+        run("simulate", "--network", tmp_path / "net.edges", "--horizon", 4, "--num-cascades", 5,
+            "--sources", "10", "--seed", 1, "--out", tmp_path / "truth.txt")
+        flag, value = args
+        if flag == "--mask":
+            (tmp_path / "mask.spec").write_text(value)
+            value = tmp_path / "mask.spec"
+        rc = run("mask", "--network", tmp_path / "net.edges", "--cascades", tmp_path / "truth.txt",
+                 flag, value, "--out", tmp_path / "obs.txt")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "obs.txt").exists()
+
+    @pytest.mark.parametrize("command, flags, line, message", [
+        ("mask", ["--snapshots", "2,x"], "", "snapshots: expected an integer, got 'x'"),
+        ("mask", [], "snapshots = 2,x", "snapshots: expected an integer, got 'x'"),
+        ("mask", [], "mask-seed = x", "mask-seed: expected an integer, got 'x'"),
+        ("fit", [], "max-iters = x", "max-iters: expected an integer, got 'x'"),
+    ])
+    def test_non_integer_value_is_usage_error(self, workdir, capsys, command, flags, line, message):
+        tmp, net, _ = workdir
+        run("simulate", "--network", tmp / "net.edges", "--horizon", 8, "--num-cascades", 5,
+            "--sources", "0", "--seed", 1, "--out", tmp / "truth.txt")
+        capsys.readouterr()
+        (tmp / "cfg.txt").write_text(f"{line}\nhidden = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--network", tmp / "net.edges", "--cascades", tmp / "truth.txt", *flags,
+                "--config", tmp / "cfg.txt", "--out", tmp / "out.txt")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 @pytest.mark.slow
 class TestHubNetworkPipeline:

@@ -17,7 +17,7 @@ from cascade_recon import (
     population_free_energy,
 )
 
-from cascade_recon.gradient import SENSITIVITY_BUDGET_BYTES, _window_weights, summarize_dataset
+from cascade_recon.gradient import SENSITIVITY_BUDGET_BYTES, _chunks, _window_weights, summarize_dataset
 
 from conftest import (
     chain_net,
@@ -65,9 +65,10 @@ def _forward_mode_free_energy(dataset, net, alpha):
     value, grad = 0.0, np.zeros(net.n_edges)
     for summ in summarize_dataset(dataset):
         trace, gtrace = dmp_forward_with_gradients(net, alpha, summ.sources, T)
-        contrib, weights = _window_weights(trace, summ)
+        (rows,) = _chunks([summ], net, T)
+        contrib, weights = _window_weights(trace.log_step[..., None], rows)
         value += float(contrib.sum())
-        grad -= np.tensordot(weights, gtrace.d_log_step, axes=2)
+        grad -= np.tensordot(weights[..., 0], gtrace.d_log_step, axes=2)
     return value, grad
 
 
@@ -317,6 +318,67 @@ class TestObservedFreeEnergy:
         many = free_energy_gradient(dataset, net, alpha, threads=8)
         assert one.value == many.value
         np.testing.assert_array_equal(one.gradient, many.gradient)
+
+
+class TestChunking:
+    """Source groups run in batched passes over chunks of groups; the
+    outputs do not depend on how the groups are cut into chunks, and the
+    memory of an evaluation does not grow with the number of groups."""
+
+    @staticmethod
+    def _outputs(monkeypatch, net, dataset, alpha, groups_per_chunk):
+        from cascade_recon import FitConfig, dmprec_fit
+        from cascade_recon import gradient
+
+        T = dataset[0].horizon
+        monkeypatch.setattr(gradient, "_CHUNK_CELLS", groups_per_chunk * (T + 1) * net.n_edges)
+        summaries = summarize_dataset(dataset)
+        assert len(_chunks(summaries, net, T)) == -(-len(summaries) // groups_per_chunk)
+        rep = free_energy_gradient(dataset, net, alpha)
+        fit = dmprec_fit(dataset, net, FitConfig(max_iters=3))
+        return rep, fit
+
+    def test_bit_identical_for_any_chunking(self, rng, monkeypatch):
+        for net, cascades, mask in random_masked_cases(rng):
+            dataset = [apply_mask(c, mask) for c in cascades]
+            alpha = random_couplings(net, rng, 0.05, 0.95)
+            n_groups = len(summarize_dataset(dataset))
+            one, one_fit = self._outputs(monkeypatch, net, dataset, alpha, 1)
+            for groups_per_chunk in (2, n_groups):
+                rep, fit = self._outputs(monkeypatch, net, dataset, alpha, groups_per_chunk)
+                assert rep.value == one.value
+                np.testing.assert_array_equal(rep.gradient, one.gradient)
+                assert rep.per_node == one.per_node
+                np.testing.assert_array_equal(fit.couplings_hat, one_fit.couplings_hat)
+                assert fit.free_energy_trajectory == one_fit.free_energy_trajectory
+                assert fit.diagnostics == one_fit.diagnostics
+
+    @staticmethod
+    def _evaluation_peak(n_groups):
+        import tracemalloc
+
+        from cascade_recon.gradient import _dataset_free_energy
+
+        local = np.random.default_rng(60)
+        net = random_tree_net(60, local)
+        alpha = random_couplings(net, local, 0.1, 0.6)
+        source_sets = [[v] for v in range(60)] + [[v, (v + k) % 60] for k in (1, 2, 3) for v in range(60)]
+        dataset = []
+        for k, sources in enumerate(source_sets[:n_groups]):
+            dataset += [observe_fully(c) for c in generate_dataset(net, alpha, 5, sources, 10, seed=k)]
+        chunks = _chunks(summarize_dataset(dataset), net, 10)
+        _dataset_free_energy(chunks, net, alpha, 10)  # builds the network's sum matrices
+        tracemalloc.start()
+        try:
+            value, gradient, contribs = _dataset_free_energy(chunks, net, alpha, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(contribs) == n_groups
+        return peak
+
+    def test_evaluation_peak_does_not_grow_with_groups(self):
+        assert self._evaluation_peak(240) <= 1.25 * self._evaluation_peak(60)
 
 
 class TestLogDomainWindows:
