@@ -17,7 +17,7 @@ bounds, which keeps every downstream likelihood computation uniform.
 
 from __future__ import annotations
 
-import re
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -530,26 +530,42 @@ def _source_groups(dataset: Sequence[ObservedCascade]) -> tuple[list[tuple[int, 
     """The distinct observed source sets of ``dataset`` in sorted order,
     and for each cascade the index of its set among them.
 
-    This is the grouping rule of :func:`group_cascades` and of the
-    free-energy summaries; it rejects an empty dataset and names the first
-    cascade with no observed source.
+    This is the grouping rule of :func:`group_cascades` and, through
+    :func:`_source_sets` and :func:`_ranked_sets`, of the free-energy
+    summaries; it rejects an empty dataset and names the first cascade with
+    no observed source.
     """
     if not len(dataset):
         raise DatasetError("empty dataset")
     ids: dict[tuple[int, ...], int] = {}
-    set_id = np.empty(len(dataset), dtype=np.intp)
-    for start, _lo, hi, hidden in _row_blocks(dataset):
-        rows, nodes = np.nonzero(~hidden & (hi == 0))
-        set_id[start : start + hidden.shape[0]] = [
-            ids.setdefault(tuple(row), len(ids)) for row in _split_rows(nodes.tolist(), rows, hidden.shape[0])
-        ]
+    set_id = np.concatenate([_source_sets(hi, hidden, ids) for _start, _lo, hi, hidden in _row_blocks(dataset)])
+    keys, rank = _ranked_sets(ids, set_id)
+    return keys, rank[set_id]
+
+
+def _source_sets(hi: np.ndarray, hidden: np.ndarray, ids: dict[tuple[int, ...], int]) -> np.ndarray:
+    """The id in ``ids`` of the observed source set (the visible nodes with
+    ``hi == 0``) of each row of a block; a set not in ``ids`` yet is added
+    with the next id.  Rows are grouped by their sets packed into bits."""
+    is_source = ~hidden & (hi == 0)
+    packed = np.packbits(is_source, axis=1)
+    bits = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    bits[:, : packed.shape[1]] = packed
+    first, which = _group_rows(list(bits.view(np.uint64).T))
+    set_ids = [ids.setdefault(tuple(np.flatnonzero(is_source[row]).tolist()), len(ids)) for row in first.tolist()]
+    return np.array(set_ids, dtype=np.intp)[which]
+
+
+def _ranked_sets(ids: dict[tuple[int, ...], int], set_id: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The sets of ``ids`` in sorted order and the rank of each id, given
+    the id of each cascade's set; a cascade with an empty set is an error."""
     if () in ids:
         idx = int(np.argmax(set_id == ids[()]))
         raise DatasetError(f"cascade {idx} has no observed source; cannot fit")
     keys = sorted(ids)
     rank = np.empty(len(keys), dtype=np.intp)
     rank[[ids[key] for key in keys]] = np.arange(len(keys))
-    return keys, rank[set_id]
+    return keys, rank
 
 
 # cells (cascades x nodes) stacked at a time by the whole-dataset passes
@@ -565,8 +581,8 @@ def _row_blocks(cascades: Sequence[Cascade | ObservedCascade]):
     step = max(1, _CHUNK_CELLS // max(1, n_nodes))
     for start in range(0, len(cascades), step):
         chunk = [_observed(c) for c in cascades[start : start + step]]
-        yield (start, np.stack([c.lo for c in chunk]), np.stack([c.hi for c in chunk]),
-               np.stack([c.hidden for c in chunk]))
+        yield (start, *(np.concatenate([getattr(c, name) for c in chunk]).reshape(len(chunk), n_nodes)
+                        for name in ("lo", "hi", "hidden")))
 
 
 def _observed(cascade: Cascade | ObservedCascade) -> ObservedCascade:
@@ -580,12 +596,16 @@ def _split_rows(items: list, rows: np.ndarray, n_rows: int) -> list[list]:
     return [items[a:b] for a, b in zip([0] + ends, ends)]
 
 
-def _window_codes(lo: np.ndarray, hi: np.ndarray, T: int) -> np.ndarray:
+def _window_codes(lo: np.ndarray, hi: np.ndarray, T: int) -> tuple[np.ndarray, bool]:
     """Windows ``(lo, hi]`` as int64 codes ``(lo + 1) * (T + 2) + hi + 1``,
-    which order as the pairs do; the bounds must lie in [-1, T]."""
-    if lo.size and (min(lo.min(), hi.min()) < -1 or max(lo.max(), hi.max()) > T):
-        raise DatasetError(f"observation windows must lie in [-1, {T}]")
-    return (lo + 1) * (T + 2) + hi + 1
+    which order as the pairs do, and whether all bounds lie in [-1, T]
+    (outside it the codes mean nothing; see :func:`_window_range_error`)."""
+    in_range = not lo.size or (min(lo.min(), hi.min()) >= -1 and max(lo.max(), hi.max()) <= T)
+    return (lo + 1) * (T + 2) + hi + 1, in_range
+
+
+def _window_range_error(T: int) -> DatasetError:
+    return DatasetError(f"observation windows must lie in [-1, {T}]")
 
 
 def _window_bounds(codes: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -623,7 +643,10 @@ def write_cascades(net: Network, cascades: Sequence[Cascade | ObservedCascade]) 
     lines = [f"T={T}"]
     for start, lo, hi, hidden in _row_blocks(cascades):
         rows, nodes = np.nonzero(~hidden)
-        codes, which = np.unique(_window_codes(lo[rows, nodes], hi[rows, nodes], T), return_inverse=True)
+        codes, in_range = _window_codes(lo[rows, nodes], hi[rows, nodes], T)
+        if not in_range:
+            raise _window_range_error(T)
+        codes, which = np.unique(codes, return_inverse=True)
         lo_of, hi_of = _window_bounds(codes, T)
         suffixes = [_token_suffix(a, b, T) for a, b in zip(lo_of.tolist(), hi_of.tolist())]
         tokens = (labels[nodes] + np.array(suffixes, dtype=object)[which]).tolist()
@@ -654,111 +677,256 @@ def read_cascades(net: Network, text: str) -> list[ObservedCascade]:
     token in order is reported, and a window outside ``-1 <= lo < hi <= T``
     after all of them.  The cascades are row views of one (M, N) array per
     field.
+
+    The text is tokenized a block of about ``_READ_BLOCK_CHARS`` characters
+    of whole lines at a time, by array passes over its UTF-8 bytes (see
+    :func:`_token_spans`); each distinct token text is decoded once.
     """
-    lines = text.splitlines()
-    idx = 0
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
-    if idx >= len(lines) or not lines[idx].startswith("T="):
+    blocks = _line_blocks(text)
+    for first, lines in blocks:
+        skip = next((k for k, line in enumerate(lines) if line.strip()), len(lines))
+        if skip < len(lines):
+            break
+    else:
+        raise ParseError("cascade file must start with a 'T=<int>' line")
+    if not lines[skip].startswith("T="):
         raise ParseError("cascade file must start with a 'T=<int>' line")
     try:
-        T = int(lines[idx][2:])
+        T = int(lines[skip][2:])
     except ValueError:
-        raise ParseError(f"bad horizon line {lines[idx]!r}") from None
+        raise ParseError(f"bad horizon line {lines[skip]!r}") from None
     if T < 1:
         raise ParseError("horizon must be >= 1")
-    body_lines = range(idx + 1, len(lines))
-    n_cascades = sum(1 for k in body_lines if _is_cascade_line(lines[k]))
-    if not n_cascades:
+
+    tokens = _TokenTable(net, T)
+    parts = []                       # per block: line numbers, token counts and token codes of its cascades
+    bad = None                       # number of the first line found to be bad
+    for first, lines in itertools.chain([(first + skip + 1, lines[skip + 1:])], blocks):
+        numbers, counts, codes, bad = tokens.scan(first, lines)
+        parts.append((numbers, counts, codes))
+        if bad is not None:
+            break
+    n_cascades = sum(counts.size for _numbers, counts, _codes in parts)
+    if not n_cascades and bad is None:
         raise ParseError("cascade file contains no cascades")
-    parser = _BlockParser(net, T, n_cascades)
-    for k in body_lines:
-        if _is_cascade_line(lines[k]):
-            parser.add(k + 1, lines[k])
-    parser.flush()
-    return [ObservedCascade(T, lo, hi, hidden) for lo, hi, hidden in zip(parser.lo, parser.hi, parser.hidden)]
+
+    shape = (n_cascades, net.n_nodes)
+    lo = np.full(shape, -1, dtype=np.int64)
+    hi = np.full(shape, -1, dtype=np.int64)
+    hidden = np.ones(shape, dtype=bool)
+    node_of, lo_of, hi_of = tokens.table.T
+    done = 0
+    for numbers, counts, codes in parts:
+        codes = codes.astype(np.intp)
+        cells = np.repeat(np.arange(done, done + counts.size) * net.n_nodes, counts) + node_of[codes]
+        hidden.ravel()[cells] = False
+        lo.ravel()[cells] = lo_of[codes]
+        hi.ravel()[cells] = hi_of[codes]
+        # a node listed twice on a line leaves fewer cells than tokens
+        twice = np.count_nonzero(~hidden[done : done + counts.size], axis=1) != counts
+        if twice.any():
+            bad = int(numbers[np.argmax(twice)])
+            break
+        done += counts.size
+    if bad is not None:
+        raise tokens.line_error(bad, text.splitlines()[bad - 1])
+    return _observed_rows(T, lo, hi, hidden)
 
 
-def _is_cascade_line(raw: str) -> bool:
-    line = raw.strip()
-    return bool(line) and not line.startswith("#")
+# characters of text tokenized at a time by read_cascades, cut after a line end
+_READ_BLOCK_CHARS = 1 << 17
 
 
-# A token: a run of characters other than ',' in which '(' opens an
-# interval that runs, commas included, to the next ']' (or to the end of
-# the line), after any leading whitespace; whitespace-only runs are none.
-_TOKEN = re.compile(r"\s*((?=[^,\s])[^,(]*(?:\([^\]]*\]?[^,(]*)*)")
+def _line_blocks(text: str):
+    """Yield ``(number of the first line, lines)`` for consecutive runs of
+    the lines of ``text``, as ``str.splitlines`` cuts them, of about
+    ``_READ_BLOCK_CHARS`` characters each."""
+    start, first = 0, 1
+    while start < len(text):
+        cut = text.find("\n", start + _READ_BLOCK_CHARS) + 1 or len(text)
+        lines = text[start:cut].splitlines()
+        yield first, lines
+        start, first = cut, first + len(lines)
 
-# tokens decoded and scattered at a time by read_cascades
-_PARSE_BATCH_TOKENS = 2048
+
+def _observed_rows(horizon: int, lo: np.ndarray, hi: np.ndarray, hidden: np.ndarray) -> list[ObservedCascade]:
+    """ObservedCascade views of the rows of (M, N) int64 ``lo``/``hi`` and
+    bool ``hidden`` arrays, set directly since their dtypes already hold."""
+    rows = []
+    for lo_row, hi_row, hidden_row in zip(list(lo), list(hi), list(hidden)):
+        obs = object.__new__(ObservedCascade)
+        object.__setattr__(obs, "horizon", horizon)
+        object.__setattr__(obs, "lo", lo_row)
+        object.__setattr__(obs, "hi", hi_row)
+        object.__setattr__(obs, "hidden", hidden_row)
+        rows.append(obs)
+    return rows
 
 
-class _BlockParser:
-    """Scatters cascade lines into (M, N) ``lo``/``hi``/``hidden`` arrays,
-    a batch of about ``_PARSE_BATCH_TOKENS`` tokens at a time.
+_NEWLINE, _TAB, _COMMA, _OPEN, _CLOSE, _HASH = b"\n\t,(]#"
+_BODY = 1                            # event code of the tab that starts a line's token list
+_NUL = b"\0"
+# first bytes of a line that str.lstrip() may strip: ASCII space, tab and
+# unit separator, and the lead bytes of other characters
+_MAYBE_SPACE = np.zeros(256, dtype=bool)
+_MAYBE_SPACE[[ord(" "), _TAB, 0x1F]] = True
+_MAYBE_SPACE[0x80:] = True
 
-    Each distinct token text is decoded once, into its node and window or
-    into node -1 when it is invalid; a batch with an invalid token or a
-    node listed twice re-walks its first such line to raise that line's
-    error.
+
+def _token_spans(lines: list[str]):
+    """Split ``lines`` into their cascade lines and token spans.
+
+    Returns the lines' UTF-8 bytes ``data``, each line followed by a
+    newline; the indices in ``lines`` of the cascade lines (neither blank
+    nor starting with ``#``) and whether each has a tab after its id; and,
+    in order, the ``(start, end)`` byte spans of the runs of text between
+    the commas that separate tokens on the lines with a tab, with the index
+    among the cascade lines of the line of each.  A line's tokens follow
+    its first tab after the id.  A comma separates tokens unless an
+    interval is open at it: the last ``(`` before it among the line's
+    tokens comes after the last ``]``.  A run can be empty or whitespace.
+
+    The work is on the "events", the positions of the bytes
+    ``\\n \\t , ( ]`` in order, with array passes over them.
     """
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+    b = np.frombuffer(data, dtype=np.uint8)
+    pos = np.flatnonzero((b == _COMMA) | (b == _OPEN) | (b == _CLOSE) | (b == _NEWLINE) | (b == _TAB))
+    event = b[pos]
+    newline = np.flatnonzero(event == _NEWLINE)              # the event of each line's end
+    ends = pos[newline]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    for k in np.flatnonzero(_MAYBE_SPACE[b[starts]]).tolist():
+        line = lines[k]
+        starts[k] += len(line[: len(line) - len(line.lstrip())].encode("utf-8", "surrogatepass"))
+    lead = b[starts]
+    cascade = np.flatnonzero((lead != _NEWLINE) & (lead != _HASH))
+    tab = np.append(np.flatnonzero(event == _TAB), pos.size)[np.searchsorted(pos[event == _TAB], starts[cascade])]
+    has_tab = tab < newline[cascade]
+    listed = cascade[has_tab]                                 # the lines with a token list
+    event[tab[has_tab]] = _BODY
 
-    def __init__(self, net: Network, horizon: int, n_cascades: int):
+    # events before the _BODY of their line, or on a line without one, are outside the lists
+    stop = newline.copy()
+    stop[listed] = tab[has_tab]
+    outside = _ranges(np.concatenate(([0], newline[:-1] + 1)), stop)
+    # '(' opens an interval up to the next bracket, _BODY or newline
+    marks = np.flatnonzero((event == _OPEN) | (event == _CLOSE) | (event == _NEWLINE) | (event == _BODY))
+    opened = np.flatnonzero(event[marks[:-1]] == _OPEN)
+    inside = _ranges(marks[opened] + 1, marks[opened + 1])
+    cut = event == _COMMA
+    cut[outside] = cut[inside] = False
+    cut[newline[listed]] = True
+    cut |= event == _BODY
+    # runs go from a _BODY or separating comma to the next separating comma or list end
+    cut = np.flatnonzero(cut)
+    run = np.flatnonzero(event[cut[:-1]] != _NEWLINE)
+    line = np.flatnonzero(has_tab)[np.cumsum(event[cut] == _BODY)[run] - 1]
+    return data, cascade, has_tab, pos[cut[run]] + 1, pos[cut[run + 1]], line
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers of the ranges ``[start, stop)``, in order."""
+    size = stop - start
+    filled = size > 0
+    start, size = start[filled], size[filled]
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+# mask of the first k bytes of a little-endian word, for k in 0..8
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+
+def _distinct_runs(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The byte runs ``data[start:end]`` grouped by their exact content:
+    one run index per distinct content, and the distinct index of each run.
+
+    A run is keyed by its bytes packed into little-endian uint64 words,
+    zero-padded.  When ``data`` holds a NUL byte, padding could look like
+    content, so a run of length L takes L // 8 + 1 words and L % 8 goes in
+    the top byte of the last (which holds at most 7 of its bytes).  Runs
+    with the same number of words are sorted by their words together.
+    """
+    length = end - start
+    if _NUL in data:
+        n_words = length // 8 + 1
+    else:                                                     # zero padding alone tells the lengths apart
+        n_words = (length + 7) // 8
+    words = np.ndarray((len(data),), dtype="<u8", buffer=data + bytes(8), strides=(1,))
+    first, inverse = [], np.empty(start.size, dtype=np.intp)
+    for w in np.flatnonzero(np.bincount(n_words)).tolist():
+        runs = np.flatnonzero(n_words == w)
+        at, rest = start[runs], length[runs]
+        keys = [words[at + 8 * k] & _LOW_BYTES[np.clip(rest - 8 * k, 0, 8)] for k in range(w)]
+        if _NUL in data:
+            keys[-1] |= (rest % 8).astype(np.uint64) << np.uint64(56)
+        rep, which = _group_rows(keys)
+        inverse[runs] = len(first) + which
+        first += runs[rep].tolist()
+    return np.array(first, dtype=np.intp), inverse
+
+
+def _group_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows of the uint64 ``columns`` grouped exactly: one row index
+    per group and the group of each row, groups in sorted order."""
+    order = np.argsort(columns[0]) if len(columns) == 1 else np.lexsort(columns[::-1])
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any([column[order[1:]] != column[order[:-1]] for column in columns], axis=0)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
+
+
+class _TokenTable:
+    """Tokenizes blocks of cascade lines; each distinct token text is
+    decoded once, into its node and window, into node -1 when it is
+    invalid, or into node -2 when it is only whitespace (no token)."""
+
+    def __init__(self, net: Network, horizon: int):
         self.label_index = net.label_index
         self.horizon = horizon
-        shape = (n_cascades, net.n_nodes)
-        self.lo = np.full(shape, -1, dtype=np.int64)
-        self.hi = np.full(shape, -1, dtype=np.int64)
-        self.hidden = np.ones(shape, dtype=bool)
-        self.code_of: dict[str, int] = {}
+        self.code_of: dict[bytes, int] = {}
         self.decoded: list[tuple[int, int, int]] = []
         self.table = np.empty((0, 3), dtype=np.int64)
-        self.done = 0
-        self.lines: list[tuple[int, str]] = []
-        self.counts: list[int] = []
-        self.tokens: list[str] = []
 
-    def add(self, lineno: int, raw: str) -> None:
-        _cid, tab, body = raw.lstrip().partition("\t")
-        if not tab:
-            self.flush()
-            raise ParseError(f"line {lineno}: expected '<id>\\t<tokens>'")
-        tokens = _TOKEN.findall(body)
-        self.lines.append((lineno, body))
-        self.counts.append(len(tokens))
-        self.tokens += tokens
-        if len(self.tokens) >= _PARSE_BATCH_TOKENS:
-            self.flush()
+    def scan(self, first: int, lines: list[str]):
+        """``(numbers, counts, codes, bad)`` for the block ``lines``, whose
+        first line has number ``first``: the line numbers and token counts
+        of its cascade lines, their tokens' codes into :attr:`table` in
+        order, and the number of the first line with an invalid token or
+        no tab, or None; the results stop before that line."""
+        data, cascade, has_tab, start, end, line = _token_spans(lines)
+        numbers = first + cascade
+        filled = end > start
+        start, end, line = start[filled], end[filled], line[filled]
+        runs, which = _distinct_runs(data, start, end)
+        code_of = self.code_of
+        texts = [data[a:z] for a, z in zip(start[runs].tolist(), end[runs].tolist())]
+        codes = np.array([code_of[text] if text in code_of else self._add(text) for text in texts],
+                         dtype=np.int32)[which]
+        if len(self.decoded) > len(self.table):
+            self.table = np.concatenate([self.table, np.array(self.decoded[len(self.table):], dtype=np.int64)])
+        nodes = self.table[codes, 0]
+        token = nodes != -2
+        codes, line = codes[token], line[token]
+        counts = np.bincount(line, minlength=cascade.size)
+        bad_line = ~has_tab
+        bad_line[line[nodes[token] < 0]] = True
+        if not bad_line.any():
+            return numbers, counts, codes, None
+        k = int(np.argmax(bad_line))
+        return numbers[:k], counts[:k], codes[line < k], int(numbers[k])
 
-    def flush(self) -> None:
-        if not self.lines:
-            return
-        new = set(self.tokens).difference(self.code_of)
-        if new:
-            for tok in new:
-                self.code_of[tok] = len(self.decoded)
-                self.decoded.append(self._decode(tok.strip()))
-            self.table = np.array(self.decoded, dtype=np.int64)
-        codes = np.fromiter(map(self.code_of.__getitem__, self.tokens), dtype=np.intp, count=len(self.tokens))
-        nodes, lo, hi = self.table[codes].T
-        counts = np.array(self.counts)
-        first = self.done
-        rows = np.repeat(np.arange(first, first + counts.size), counts)
-        ok = nodes >= 0
-        rows, nodes = rows[ok], nodes[ok]
-        self.hidden[rows, nodes] = False
-        self.lo[rows, nodes] = lo[ok]
-        self.hi[rows, nodes] = hi[ok]
-        valid = np.bincount(rows - first, minlength=counts.size)
-        seen = np.count_nonzero(~self.hidden[first : first + counts.size], axis=1)
-        bad = (valid != counts) | (seen != valid)
-        if bad.any():
-            raise self._line_error(*self.lines[int(np.argmax(bad))])
-        self.done += counts.size
-        self.lines, self.counts, self.tokens = [], [], []
+    def _add(self, text: bytes) -> int:
+        """The code of a token text not seen before."""
+        code = self.code_of[text] = len(self.decoded)
+        self.decoded.append(self._decode(text.decode("utf-8", "surrogatepass").strip()))
+        return code
 
     def _decode(self, tok: str) -> tuple[int, int, int]:
-        """``(node, lo, hi)`` of a stripped token, node -1 if it is invalid."""
+        """``(node, lo, hi)`` of a stripped token."""
+        if not tok:
+            return -2, 0, 0
         try:
             node, spec = _split_token(tok, self.label_index)
             lo, hi = _decode_time(spec, self.horizon, tok)
@@ -766,12 +934,17 @@ class _BlockParser:
             return -1, 0, 0
         return (node, lo, hi) if -1 <= lo < hi <= self.horizon else (-1, 0, 0)
 
-    def _line_error(self, lineno: int, body: str) -> ParseError:
-        """The error of a line that holds an invalid token or a node listed
-        twice: that of its first bad token, else the bounds error."""
+    def line_error(self, lineno: int, raw: str) -> ParseError:
+        """The error of a line with no tab, an invalid token or a node
+        listed twice: that of its first bad token, else the bounds error."""
+        data, cascade, has_tab, start, end, _line = _token_spans([raw])
+        if not has_tab.all():
+            return ParseError(f"line {lineno}: expected '<id>\\t<tokens>'")
         seen: set[int] = set()
-        for tok in _TOKEN.findall(body):
-            tok = tok.strip()
+        for a, z in zip(start.tolist(), end.tolist()):
+            tok = data[a:z].decode("utf-8", "surrogatepass").strip()
+            if not tok:
+                continue
             try:
                 node, spec = _split_token(tok, self.label_index)
                 if node in seen:

@@ -58,15 +58,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, DatasetError
 from .graph import Network, validate_couplings
 from .cascades import (
     ObservedCascade,
     _common_horizon,
+    _ranked_sets,
     _row_blocks,
-    _source_groups,
+    _source_sets,
     _window_bounds,
     _window_codes,
+    _window_range_error,
 )
 from .dmp import DmpTrace, dmp_forward, initial_susceptible, _propagate
 
@@ -216,30 +218,47 @@ class GroupSummary:
 def summarize_dataset(dataset: Sequence[ObservedCascade]) -> list[GroupSummary]:
     """Group cascades by source set and aggregate observation windows.
 
-    Each window of a visible non-source node is one int64 key that orders
-    by (group, node, lo, hi); the keys of a block of cascades at a time are
-    counted and merged into the running count, so the rows come out in
-    that order.
+    One walk over the stacked rows, a block at a time, finds each row's
+    source set (:func:`cascades._source_sets`, numbered as first met) and
+    makes each window of a visible non-source node one int64 key that
+    orders by (set, node, lo, hi); a block's keys are counted and merged
+    into the running count.  The sets are then ranked in sorted order and
+    the keys renumbered, so the rows come out ordered by (group, node, lo,
+    hi).
     """
-    sources, group_of = _source_groups(dataset)
-    T = _common_horizon(dataset)
+    if not len(dataset):
+        raise DatasetError("empty dataset")
+    T = dataset[0].horizon
     n_nodes = dataset[0].n_nodes
     n_codes = (T + 2) ** 2                                   # window codes lie in [0, (T + 2)**2)
+    ids: dict[tuple[int, ...], int] = {}
+    set_ids = []
+    in_range = True
     keys = np.empty(0, dtype=np.int64)
     counts = np.empty(0)
-    for start, lo, hi, hidden in _row_blocks(dataset):
+    for _start, lo, hi, hidden in _row_blocks(dataset):
+        set_id = _source_sets(hi, hidden, ids)
+        set_ids.append(set_id)
         rows, nodes = np.nonzero(~hidden & (hi > 0))
-        codes = _window_codes(lo[rows, nodes], hi[rows, nodes], T)
-        block_keys, block_counts = np.unique((group_of[start + rows] * n_nodes + nodes) * n_codes + codes,
-                                             return_counts=True)
+        codes, block_in_range = _window_codes(lo[rows, nodes], hi[rows, nodes], T)
+        in_range &= block_in_range
+        block_keys, block_counts = np.unique((set_id[rows] * n_nodes + nodes) * n_codes + codes, return_counts=True)
         keys, where = np.unique(np.concatenate([keys, block_keys]), return_inverse=True)
         counts = np.bincount(where, weights=np.concatenate([counts, block_counts]))
+    set_id = np.concatenate(set_ids)
+    sources, rank = _ranked_sets(ids, set_id)
+    _common_horizon(dataset)
+    if not in_range:
+        raise _window_range_error(T)
     rest, codes = np.divmod(keys, n_codes)
     group, nodes = np.divmod(rest, n_nodes)
+    group = rank[group]
+    order = np.argsort((group * n_nodes + nodes) * n_codes + codes)
+    group, nodes, codes, counts = group[order], nodes[order], codes[order], counts[order]
     lo, hi = _window_bounds(codes, T)
     nodes = nodes.astype(np.intp, copy=False)
     ends = np.searchsorted(group, np.arange(len(sources) + 1))
-    sizes = np.bincount(group_of, minlength=len(sources)).tolist()
+    sizes = np.bincount(rank[set_id], minlength=len(sources)).tolist()
     return [
         GroupSummary(src, nodes[a:b], lo[a:b], hi[a:b], counts[a:b], size)
         for src, a, b, size in zip(sources, ends[:-1].tolist(), ends[1:].tolist(), sizes)
