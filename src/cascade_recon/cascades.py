@@ -821,7 +821,8 @@ def _token_spans(lines: list[str]):
     # runs go from a _BODY or separating comma to the next separating comma or list end
     cut = np.flatnonzero(cut)
     run = np.flatnonzero(event[cut[:-1]] != _NEWLINE)
-    line = np.flatnonzero(has_tab)[np.cumsum(event[cut] == _BODY)[run] - 1]
+    per_line = np.diff(np.append(np.flatnonzero(event[cut] == _BODY), cut.size)) - 1
+    line = np.repeat(np.flatnonzero(has_tab), per_line)
     return data, cascade, has_tab, pos[cut[run]] + 1, pos[cut[run + 1]], line
 
 
@@ -848,17 +849,16 @@ def _distinct_runs(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.
     with the same number of words are sorted by their words together.
     """
     length = end - start
-    if _NUL in data:
-        n_words = length // 8 + 1
-    else:                                                     # zero padding alone tells the lengths apart
-        n_words = (length + 7) // 8
+    has_nul = _NUL in data
+    # without NUL bytes, zero padding alone tells the lengths apart
+    n_words = length // 8 + 1 if has_nul else (length + 7) // 8
     words = np.ndarray((len(data),), dtype="<u8", buffer=data + bytes(8), strides=(1,))
     first, inverse = [], np.empty(start.size, dtype=np.intp)
     for w in np.flatnonzero(np.bincount(n_words)).tolist():
         runs = np.flatnonzero(n_words == w)
         at, rest = start[runs], length[runs]
         keys = [words[at + 8 * k] & _LOW_BYTES[np.clip(rest - 8 * k, 0, 8)] for k in range(w)]
-        if _NUL in data:
+        if has_nul:
             keys[-1] |= (rest % 8).astype(np.uint64) << np.uint64(56)
         rep, which = _group_rows(keys)
         inverse[runs] = len(first) + which

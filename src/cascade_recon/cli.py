@@ -7,7 +7,8 @@ deterministic given its seeds, so a full simulate -> mask -> fit -> eval
 pipeline reproduces byte-identical artifacts.
 
 Exit codes: 0 success, 1 a module reported a data/model error, 2 usage
-errors (bad flags, bad config keys, integers that do not parse).
+errors (bad flags, bad config keys, numbers that do not parse, optimizer
+settings that ``FitConfig.validate`` rejects).
 """
 
 from __future__ import annotations
@@ -158,20 +159,16 @@ class _Run:
 
     def fit_config(self) -> FitConfig:
         fv = self.file_values
-        kw = {}
-        if "alpha-init" in fv:
-            kw["alpha_init"] = float(fv["alpha-init"])
-        if "alpha-min" in fv:
-            kw["alpha_min"] = float(fv["alpha-min"])
-        if "alpha-max" in fv:
-            kw["alpha_max"] = float(fv["alpha-max"])
+        kw = {key.replace("-", "_"): _parse_float(key, fv[key])
+              for key in ("alpha-init", "alpha-min", "alpha-max", "tol", "step-init") if key in fv}
         if "max-iters" in fv:
             kw["max_iters"] = _parse_int("max-iters", fv["max-iters"])
-        if "tol" in fv:
-            kw["tol"] = float(fv["tol"])
-        if "step-init" in fv:
-            kw["step_init"] = float(fv["step-init"])
-        return FitConfig(**kw)
+        config = FitConfig(**kw)
+        try:
+            config.validate()
+        except ValueError as exc:
+            raise _usage_error(str(exc)) from None
+        return config
 
     def hts_config(self) -> HtsConfig:
         fv = self.file_values
@@ -181,7 +178,7 @@ class _Run:
         if "outer-rounds" in fv:
             kw["outer_rounds"] = _parse_int("outer-rounds", fv["outer-rounds"])
         if "param-tol" in fv:
-            kw["param_tol"] = float(fv["param-tol"])
+            kw["param_tol"] = _parse_float("param-tol", fv["param-tol"])
         seed = self.get("seed", int)
         if seed is not None:
             kw["seed"] = seed
@@ -200,6 +197,15 @@ def _parse_int(key: str, text: str) -> int:
         return int(text)
     except ValueError:
         raise _usage_error(f"{key}: expected an integer, got {text!r}") from None
+
+
+def _parse_float(key: str, text: str) -> float:
+    """A number from a config value; anything else is a usage error that
+    names ``key``."""
+    try:
+        return float(text)
+    except ValueError:
+        raise _usage_error(f"{key}: expected a number, got {text!r}") from None
 
 
 def _load_network(run: _Run) -> tuple[Network, np.ndarray | None]:

@@ -11,6 +11,7 @@ is deterministic for a given dataset and configuration.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -49,8 +50,10 @@ class FitConfig:
     def validate(self) -> None:
         if not 0.0 < self.alpha_min < self.alpha_init < self.alpha_max < 1.0:
             raise ValueError("need 0 < alpha_min < alpha_init < alpha_max < 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0.0 < self.step_init < math.inf:
+            raise ValueError("step_init must be positive and finite")
         if not 0.0 < self.step_shrink < 1.0:
             raise ValueError("step_shrink must be in (0, 1)")
 

@@ -1,5 +1,7 @@
 """Cascade simulation, dataset generation, masking, and file round trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cascade_recon import (
     Cascade,
     DatasetError,
     MaskSpec,
+    Network,
     ObservedCascade,
     ParseError,
     apply_mask,
@@ -23,6 +26,9 @@ from cascade_recon import (
     simulate_cascade,
     write_cascades,
 )
+
+from cascade_recon import cascades
+from cascade_recon.cascades import _decode_time, _split_token
 
 from conftest import (
     chain_net,
@@ -71,6 +77,61 @@ def _reference_apply_mask(cascade, mask):
             lo[i] = prev
             hi[i] = first_active if first_active < T else T - 1
     return ObservedCascade(T, lo, hi, hidden)
+
+
+# A token: a run of characters other than ',' in which '(' opens an
+# interval that runs, commas included, to the next ']' (or to the end of
+# the line), after any leading whitespace; whitespace-only runs are none.
+_REFERENCE_TOKEN = re.compile(r"\s*((?=[^,\s])[^,(]*(?:\([^\]]*\]?[^,(]*)*)")
+
+
+def _reference_read_cascades(net, text):
+    """The regex reader that ``read_cascades`` replaced, kept as its
+    reference: one ``findall`` per line and one decode per token, line by
+    line, so the first bad line in the file raises its first error."""
+    lines = text.splitlines()
+    idx = 0
+    while idx < len(lines) and not lines[idx].strip():
+        idx += 1
+    if idx >= len(lines) or not lines[idx].startswith("T="):
+        raise ParseError("cascade file must start with a 'T=<int>' line")
+    try:
+        T = int(lines[idx][2:])
+    except ValueError:
+        raise ParseError(f"bad horizon line {lines[idx]!r}") from None
+    if T < 1:
+        raise ParseError("horizon must be >= 1")
+    out = []
+    for k in range(idx + 1, len(lines)):
+        line = lines[k].strip()
+        if not line or line.startswith("#"):
+            continue
+        _cid, tab, body = lines[k].lstrip().partition("\t")
+        if not tab:
+            raise ParseError(f"line {k + 1}: expected '<id>\\t<tokens>'")
+        lo = np.full(net.n_nodes, -1, dtype=np.int64)
+        hi = np.full(net.n_nodes, -1, dtype=np.int64)
+        hidden = np.ones(net.n_nodes, dtype=bool)
+        in_bounds = True
+        for tok in _REFERENCE_TOKEN.findall(body):
+            tok = tok.strip()
+            try:
+                node, spec = _split_token(tok, net.label_index)
+                if not hidden[node]:
+                    raise ParseError(f"node {tok.partition(':')[0]!r} listed twice")
+                a, b = _decode_time(spec, T, tok)
+            except ParseError as exc:
+                raise ParseError(f"line {k + 1}: {exc}") from None
+            hidden[node] = False
+            in_bounds &= -1 <= a < b <= T
+            if in_bounds:
+                lo[node], hi[node] = a, b
+        if not in_bounds:
+            raise ParseError(f"line {k + 1}: interval bounds must satisfy -1 <= lo < hi <= T")
+        out.append(ObservedCascade(T, lo, hi, hidden))
+    if not out:
+        raise ParseError("cascade file contains no cascades")
+    return out
 
 
 def _assert_identical(a, b):
@@ -395,6 +456,113 @@ class TestParseErrors:
         assert back[0].status(2) == ("censored",)
         assert back[1].hidden.tolist() == [False, True, False]
         assert back[1].status(2) == ("exact", 4)
+
+
+    def test_errors_past_the_first_block(self, chain3):
+        # about three blocks of lines; the first bad line wins across blocks,
+        # a node listed twice against a bad token or a line without a tab
+        line = "{}\t0:0,1:1,2:5+"
+        n = 3 * cascades._READ_BLOCK_CHARS // len(line.format(0))
+        lines = ["T=5", *(line.format(k) for k in range(n))]
+        twice, bad = n // 2, 5 * n // 6
+        n_blocks = [len(list(cascades._line_blocks("\n".join(lines[: k + 1])))) for k in (twice, bad)]
+        assert 1 < n_blocks[0] < n_blocks[1]
+
+        def read(edits):
+            text = "\n".join(edits.get(k, ln) for k, ln in enumerate(lines)) + "\n"
+            with pytest.raises(ParseError) as exc:
+                read_cascades(chain3, text)
+            return str(exc.value)
+
+        assert read({bad: f"{bad}\t0:0,1:7"}) == f"line {bad + 1}: exact time 7 outside [0, 5)"
+        assert read({bad: f"{bad} 0:0"}) == f"line {bad + 1}: expected '<id>\\t<tokens>'"
+        for other in (f"{bad}\t0:0,1:7", f"{bad} 0:0"):
+            assert read({twice: f"{twice}\t0:0,1:1,0:2", bad: other}) == f"line {twice + 1}: node '0' listed twice"
+
+
+class TestReaderMatchesReference:
+    """``read_cascades`` against the regex reader it replaced: the same
+    arrays, dtypes included, or the same ``ParseError`` message, with the
+    default block size and with blocks of a line or a few."""
+
+    @staticmethod
+    def _outcome(read, net, text):
+        try:
+            got = read(net, text)
+        except ParseError as exc:
+            return str(exc)
+        return [(obs.horizon, *((a.dtype, a.tolist()) for a in (obs.lo, obs.hi, obs.hidden))) for obs in got]
+
+    def _assert_same(self, net, texts, monkeypatch):
+        for block in (cascades._READ_BLOCK_CHARS, 24, 1):
+            monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
+            for text in texts:
+                want = self._outcome(_reference_read_cascades, net, text)
+                assert self._outcome(read_cascades, net, text) == want, (block, text)
+
+    @staticmethod
+    def _text(rng, lines, header=("T=5",) * 6 + ("T=2", " \nT=3", "", "T=x")):
+        ends = ["\n"] * 6 + ["\r\n", ""]
+        return rng.choice(header) + "\n" + "\n".join(lines) + rng.choice(ends)
+
+    def test_random_texts(self, chain3, rng, monkeypatch):
+        alphabet = list("012:(],+-x \t")
+        texts = []
+        for _ in range(300):
+            lines = []
+            for _ in range(int(rng.integers(0, 5))):
+                body = "".join(rng.choice(alphabet, size=int(rng.integers(0, 24))))
+                lines.append((f"{int(rng.integers(0, 9))}\t" if rng.random() < 0.8 else "") + body)
+            texts.append(self._text(rng, lines))
+        self._assert_same(chain3, texts, monkeypatch)
+
+    @staticmethod
+    def _valid_biased(rng, labels, T=5):
+        """Lines of mostly valid tokens, in random order and with random
+        whitespace; one token in twenty has a defect."""
+        space = ["", "", " ", "\t", "  "]
+
+        def ws():
+            return rng.choice(space)
+
+        lines = []
+        for k in range(int(rng.integers(1, 6))):
+            tokens = []
+            for label in rng.permutation(labels)[: int(rng.integers(0, len(labels) + 1))]:
+                a = int(rng.integers(-1, T))
+                b = int(rng.integers(a + 1, T + 1))
+                spec = rng.choice([f"{ws()}{max(a, 0)}", f"{ws()}{T}+", f"({ws()}{a}{ws()},{ws()}{b}{ws()}]"])
+                if rng.random() < 0.05:
+                    label, spec = rng.choice([(label, ""), (label, f"{T}"), (label, f"{T - 1}+"), (label, f"({b},{a}]"),
+                                              (label, f"({a},{b}"), (label, "x"), (rng.choice(labels), spec)])
+                    tokens.append(f"{ws()}{label}:{spec}{ws()}")
+                tokens.append(f"{ws()}{label}:{spec}{ws()}")
+            if rng.random() < 0.3:
+                tokens.insert(int(rng.integers(0, len(tokens) + 1)), rng.choice(["", " "]))
+            lead = rng.choice([" ", "\t", "\u3000", "\xa0"]) if rng.random() < 0.2 else ""
+            lines.append(f"{lead}{k}\t" + ",".join(tokens) + ("," if rng.random() < 0.2 else ""))
+            if rng.random() < 0.2:
+                lines.append(rng.choice(["# a comment, (with] brackets", "", "   ", "\u3000", " #x\t1:1"]))
+        return lines
+
+    def test_valid_biased_texts(self, chain3, rng, monkeypatch):
+        texts = [self._text(rng, self._valid_biased(rng, ["0", "1", "2"]), header=["T=5"]) for _ in range(300)]
+        self._assert_same(chain3, texts, monkeypatch)
+
+    def test_nul_bytes_and_other_line_breaks(self, chain3, monkeypatch):
+        texts = [
+            "T=5\n0\t0:0,1:1\n1\t0:0,1:1\0\n",                 # '1:1' and '1:1\0' are different tokens
+            "T=5\n0\t0:0,1:(1,2]\0\0,2:(1,2]\n",
+            "T=5\r0\t0:0,1:1\r\n1\t0:0\x0b2\t2:4\x0c3\t0:0\x1c4\t0:0,1:9\n",
+            "T=5\x85\u20280\t0:0,1:1\u20291\t0:0,\x1f2:3\x1f\n2\t0:0,0:1\n",
+        ]
+        self._assert_same(chain3, texts, monkeypatch)
+
+    def test_labels_with_brackets_commas_and_other_scripts(self, rng, monkeypatch):
+        labels = ["a(b", "c,d", "e]f", "é中", "ñ"]
+        net = Network(labels, [("a(b", "c,d"), ("c,d", "e]f"), ("e]f", "é中"), ("é中", "ñ")])
+        texts = [self._text(rng, self._valid_biased(rng, labels), header=["T=5"]) for _ in range(300)]
+        self._assert_same(net, texts, monkeypatch)
 
 
 class TestInputPathMemory:

@@ -157,6 +157,30 @@ class TestDmprecFit:
         assert res.free_energy_trajectory[-1] < res.free_energy_trajectory[0]
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("setting, message", [
+        ({"step_init": 0.0}, "step_init must be positive and finite"),
+        ({"step_init": -1.0}, "step_init must be positive and finite"),
+        ({"step_init": float("nan")}, "step_init must be positive and finite"),
+        ({"step_init": float("inf")}, "step_init must be positive and finite"),
+        ({"tol": float("nan")}, "tol must be positive and finite"),
+        ({"tol": float("inf")}, "tol must be positive and finite"),
+        ({"tol": 0.0}, "tol must be positive and finite"),
+        ({"alpha_init": float("nan")}, "need 0 < alpha_min < alpha_init < alpha_max < 1"),
+    ])
+    def test_rejected_settings(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FitConfig(**setting).validate()
+
+    def test_fit_refuses_a_zero_first_step(self):
+        # with step_init = 0 every trial step is empty, and the fit would
+        # return the starting couplings as its estimate
+        net = chain_net(3)
+        dataset = _full_dataset(net, [0.5, 0.5], 50, 5, seed=1, sources=[0])
+        with pytest.raises(ValueError, match="step_init"):
+            dmprec_fit(dataset, net, FitConfig(step_init=0.0))
+
+
 class TestIdentifiableEdges:
     def test_hidden_leaf_excluded(self):
         net = chain_net(3)
