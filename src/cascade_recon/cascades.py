@@ -801,7 +801,8 @@ def _token_spans(lines: list[str]):
         starts[k] += len(line[: len(line) - len(line.lstrip())].encode("utf-8", "surrogatepass"))
     lead = b[starts]
     cascade = np.flatnonzero((lead != _NEWLINE) & (lead != _HASH))
-    tab = np.append(np.flatnonzero(event == _TAB), pos.size)[np.searchsorted(pos[event == _TAB], starts[cascade])]
+    tabs = np.flatnonzero(event == _TAB)
+    tab = np.append(tabs, pos.size)[np.searchsorted(pos[tabs], starts[cascade])]
     has_tab = tab < newline[cascade]
     listed = cascade[has_tab]                                 # the lines with a token list
     event[tab[has_tab]] = _BODY

@@ -172,14 +172,6 @@ class TestFitConfig:
         with pytest.raises(ValueError, match=f"^{message}$"):
             FitConfig(**setting).validate()
 
-    def test_fit_refuses_a_zero_first_step(self):
-        # with step_init = 0 every trial step is empty, and the fit would
-        # return the starting couplings as its estimate
-        net = chain_net(3)
-        dataset = _full_dataset(net, [0.5, 0.5], 50, 5, seed=1, sources=[0])
-        with pytest.raises(ValueError, match="step_init"):
-            dmprec_fit(dataset, net, FitConfig(step_init=0.0))
-
 
 class TestIdentifiableEdges:
     def test_hidden_leaf_excluded(self):
