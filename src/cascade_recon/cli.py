@@ -6,15 +6,23 @@ library (edge lists, cascade files, mask specs, CSV tables) and is
 deterministic given its seeds, so a full simulate -> mask -> fit -> eval
 pipeline reproduces byte-identical artifacts.
 
+A flag and a ``--config`` key share one spelling and one parser; the
+optimizer and two-stage keys are the fields of ``FitConfig`` and
+``HtsConfig``.  Flags win, every value given is parsed before any work
+starts, and defaults live in the subcommands, so a config ``method``
+selects the estimator.
+
 Exit codes: 0 success, 1 a module reported a data/model error, 2 usage
-errors (bad flags, bad config keys, numbers that do not parse, optimizer
-settings that ``FitConfig.validate`` rejects).
+errors (bad flags, bad config keys, values that do not parse, such as
+``--horizon x``: ``error: horizon: expected an integer, got 'x'``, and
+optimizer settings that ``FitConfig.validate`` rejects).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -38,79 +46,71 @@ from .baselines import HtsConfig, hts_fit, netrate_fit
 
 __all__ = ["main", "build_parser"]
 
-_CONFIG_KEYS = {
-    # paths and run parameters (same spelling as the long flags)
-    "network", "couplings", "cascades", "mask", "out", "method", "horizon",
-    "num-cascades", "sources", "seed", "mask-seed", "hidden", "snapshots",
-    "threads", "deterministic",
-    # optimizer settings
-    "alpha-init", "alpha-min", "alpha-max", "max-iters", "tol", "step-init",
-    # two-stage baseline settings
-    "aux-samples", "outer-rounds", "param-tol",
+
+def _parser(cast, expected: str):
+    """``cast`` with a ValueError that names what was ``expected``."""
+    def parse(text: str):
+        try:
+            return cast(text)
+        except ValueError:
+            raise ValueError(f"expected {expected}, got {text!r}") from None
+    return parse
+
+
+_integer, _number = _parser(int, "an integer"), _parser(float, "a number")
+
+
+def _snapshots(text: str):
+    return "all" if text == "all" else [_integer(v) for v in text.split(",") if v]
+
+
+def _method(text: str) -> str:
+    if text not in ("dmprec", "hts", "netrate"):
+        raise ValueError(f"expected dmprec, hts or netrate, got {text!r}")
+    return text
+
+
+# Run options: each is a long flag and a config key, with its parser and
+# help.  A parser of None marks a switch, which takes no value.
+_OPTIONS = {
+    "network": (str, "edge-list file (optionally with couplings)"),
+    "couplings": (str, "edge-list file carrying the couplings to use"),
+    "cascades": (str, "cascade file"),
+    "mask": (str, "mask spec file"),
+    "out": (str, "output path"),
+    "method": (_method, "estimator: dmprec (default), hts or netrate"),
+    "horizon": (_integer, "observation window length T"),
+    "num-cascades": (_integer, "number of cascades M to simulate"),
+    "sources": (str, "'random' (where a command simulates) or comma-separated source labels"),
+    "seed": (_integer, "RNG seed"),
+    "mask-seed": (_integer, "seed for random hidden-node selection"),
+    "hidden": (str, "hidden node count or comma-separated labels"),
+    "snapshots": (_snapshots, "'all' or comma-separated times"),
+    "threads": (_integer, "no effect: source groups run in batched array passes; accepted for existing pipelines"),
+    "deterministic": (None, "no effect: results are the same for any --threads; accepted for existing pipelines"),
 }
 
+# Every config key and its parser: the run options, and the fields of the
+# optimizer and two-stage settings, parsed by the type of their defaults.
+_PARSERS = {
+    f.name.replace("_", "-"): {int: _integer, float: _number}[type(f.default)]
+    for f in fields(FitConfig) + fields(HtsConfig)
+    if f.name != "fit"
+}
+_PARSERS.update((key, parse) for key, (parse, _) in _OPTIONS.items())
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cascade-recon",
-        description="Reconstruct spreading-model couplings from partially observed cascades.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *names):
-        if "network" in names:
-            p.add_argument("--network", help="edge-list file (optionally with couplings)")
-        if "couplings" in names:
-            p.add_argument("--couplings", help="edge-list file carrying the couplings to use")
-        if "cascades" in names:
-            p.add_argument("--cascades", help="cascade file")
-        if "mask" in names:
-            p.add_argument("--mask", help="mask spec file")
-        if "out" in names:
-            p.add_argument("--out", help="output path")
-        if "horizon" in names:
-            p.add_argument("--horizon", type=int, help="observation window length T")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, help="RNG seed")
-        p.add_argument("--threads", type=int, default=None, help="no effect: source groups run in batched array passes; accepted for existing pipelines")
-        p.add_argument("--deterministic", action="store_true", help="no effect: results are the same for any --threads; accepted for existing pipelines")
-        p.add_argument("--config", help="key = value config file; flags override file values")
+def _usage_error(message: str) -> SystemExit:
+    print(f"error: {message}", file=sys.stderr)
+    return SystemExit(2)
 
-    p = sub.add_parser("simulate", help="generate ground-truth cascades")
-    add_common(p, "network", "couplings", "out", "horizon", "seed")
-    p.add_argument("--num-cascades", type=int, help="number of cascades M")
-    p.add_argument("--sources", help="'random' or comma-separated source labels")
 
-    p = sub.add_parser("mask", help="apply an observation mask to cascades")
-    add_common(p, "network", "cascades", "mask", "out")
-    p.add_argument("--hidden", help="hidden node count or comma-separated labels")
-    p.add_argument("--snapshots", help="'all' or comma-separated times")
-    p.add_argument("--mask-seed", type=int, help="seed for random hidden-node selection")
-
-    p = sub.add_parser("fit", help="reconstruct couplings from observed cascades")
-    add_common(p, "network", "cascades", "out", "seed")
-    p.add_argument("--method", choices=["dmprec", "hts", "netrate"], default="dmprec")
-
-    p = sub.add_parser("eval", help="compare estimated couplings against the truth")
-    add_common(p, "network", "couplings", "mask", "out")
-
-    p = sub.add_parser("marginals", help="forward message-passing marginals as CSV")
-    add_common(p, "network", "couplings", "out", "horizon")
-    p.add_argument("--sources", help="comma-separated source labels")
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of the free-energy gradient")
-    add_common(p, "network", "couplings", "out", "horizon", "seed")
-    p.add_argument("--num-cascades", type=int, help="cascades to simulate for the check")
-    p.add_argument("--sources", help="'random' or comma-separated source labels")
-    p.add_argument("--hidden", help="hidden node count or comma-separated labels")
-    p.add_argument("--snapshots", help="'all' or comma-separated times")
-    p.add_argument("--mask-seed", type=int, help="seed for random hidden-node selection")
-
-    p = sub.add_parser("oracle", help="exact subset-state marginals (small N) as CSV")
-    add_common(p, "network", "couplings", "out", "horizon")
-    p.add_argument("--sources", help="comma-separated source labels")
-
-    return parser
+def _parse(key: str, text):
+    parse = _PARSERS[key]
+    try:
+        return text if parse is None else parse(text)
+    except ValueError as exc:
+        raise _usage_error(f"{key}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -124,46 +124,35 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ParseError(f"config line {lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("_", "-")
-        if key not in _CONFIG_KEYS:
+        if key not in _PARSERS:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
         values[key] = value
     return values
 
 
-class _Run:
-    """Merged view of flags and config-file values (flags win)."""
+class _Run(dict):
+    """Config-file values with the flags laid over them, each parsed once."""
 
     def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = _read_config_file(args.config) if args.config else {}
+        given = _read_config_file(args.config) if args.config else {}
+        for key in _OPTIONS:
+            flag = getattr(args, key.replace("-", "_"), None)
+            if flag is not None:
+                given[key] = flag
+        super().__init__((key, _parse(key, text)) for key, text in given.items())
 
-    def get(self, key: str, cast=str, default=None):
-        flag = key.replace("-", "_")
-        val = getattr(self.args, flag, None)
-        if val is not None:
-            return val
-        if key in self.file_values:
-            raw = self.file_values[key]
-            if cast is bool:
-                return raw.lower() in ("1", "true", "yes", "on")
-            if cast is int:
-                return _parse_int(key, raw)
-            return cast(raw)
-        return default
-
-    def require(self, key: str, cast=str):
-        val = self.get(key, cast)
-        if val is None:
+    def require(self, key: str):
+        if self.get(key) is None:
             raise _usage_error(f"missing required option --{key}")
-        return val
+        return self[key]
+
+    def _settings(self, cls, **kw):
+        """``cls`` with each field whose key was given set to its value."""
+        given = {f.name: self[key] for f in fields(cls) if (key := f.name.replace("_", "-")) in self}
+        return cls(**given, **kw)
 
     def fit_config(self) -> FitConfig:
-        fv = self.file_values
-        kw = {key.replace("-", "_"): _parse_float(key, fv[key])
-              for key in ("alpha-init", "alpha-min", "alpha-max", "tol", "step-init") if key in fv}
-        if "max-iters" in fv:
-            kw["max_iters"] = _parse_int("max-iters", fv["max-iters"])
-        config = FitConfig(**kw)
+        config = self._settings(FitConfig)
         try:
             config.validate()
         except ValueError as exc:
@@ -171,52 +160,18 @@ class _Run:
         return config
 
     def hts_config(self) -> HtsConfig:
-        fv = self.file_values
-        kw = {"fit": self.fit_config()}
-        if "aux-samples" in fv:
-            kw["aux_samples"] = _parse_int("aux-samples", fv["aux-samples"])
-        if "outer-rounds" in fv:
-            kw["outer_rounds"] = _parse_int("outer-rounds", fv["outer-rounds"])
-        if "param-tol" in fv:
-            kw["param_tol"] = _parse_float("param-tol", fv["param-tol"])
-        seed = self.get("seed", int)
-        if seed is not None:
-            kw["seed"] = seed
-        return HtsConfig(**kw)
-
-
-def _usage_error(message: str) -> SystemExit:
-    print(f"error: {message}", file=sys.stderr)
-    return SystemExit(2)
-
-
-def _parse_int(key: str, text: str) -> int:
-    """An integer from a flag string or a config value; anything else is a
-    usage error that names ``key``."""
-    try:
-        return int(text)
-    except ValueError:
-        raise _usage_error(f"{key}: expected an integer, got {text!r}") from None
-
-
-def _parse_float(key: str, text: str) -> float:
-    """A number from a config value; anything else is a usage error that
-    names ``key``."""
-    try:
-        return float(text)
-    except ValueError:
-        raise _usage_error(f"{key}: expected a number, got {text!r}") from None
+        return self._settings(HtsConfig, fit=self.fit_config())
 
 
 def _load_network(run: _Run) -> tuple[Network, np.ndarray | None]:
-    path = run.require("network")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(run.require("network"), encoding="utf-8") as fh:
         return parse_edge_list(fh)
 
 
-def _load_couplings(run: _Run, net: Network, net_alpha, required=True):
-    """Couplings from --couplings (an edge-list-with-alpha file over the
-    same graph) or the network file's third column."""
+def _load_couplings(run: _Run) -> tuple[Network, np.ndarray]:
+    """The network, and couplings from --couplings (an edge-list-with-alpha
+    file over the same graph) or the network file's third column."""
+    net, net_alpha = _load_network(run)
     path = run.get("couplings")
     if path:
         other, alpha = parse_edge_list(Path(path).read_text(encoding="utf-8"))
@@ -224,12 +179,10 @@ def _load_couplings(run: _Run, net: Network, net_alpha, required=True):
             raise ParseError(f"{path}: no coupling column")
         if other != net:
             raise ParseError(f"{path}: edge list does not match --network")
-        return alpha
-    if net_alpha is not None:
-        return net_alpha
-    if required:
+        return net, alpha
+    if net_alpha is None:
         raise _usage_error("couplings required: pass --couplings or a 3-column --network")
-    return None
+    return net, net_alpha
 
 
 def _parse_sources(run: _Run, net: Network, allow_random=False):
@@ -251,12 +204,26 @@ def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _write_csv(path: str, header: str, keys, *columns) -> None:
+    """``header``, then one row per key: the key's cells, then the entry of
+    each flat column at the key's position."""
+    rows = (",".join([*key, *(repr(float(col[k])) for col in columns)]) for k, key in enumerate(keys))
+    _write(path, "\n".join([header, *rows]) + "\n")
+
+
+def _node_times(net: Network, horizon: int):
+    return [(label, str(t)) for label in net.labels for t in range(horizon + 1)]
+
+
+def _edge_labels(net: Network):
+    return [(net.labels[i], net.labels[j]) for i, j in map(net.edge_pair, range(net.n_edges))]
+
+
 def _cmd_simulate(run: _Run) -> int:
-    net, net_alpha = _load_network(run)
-    alpha = _load_couplings(run, net, net_alpha)
-    horizon = run.require("horizon", int)
-    n = run.require("num-cascades", int)
-    seed = run.require("seed", int)
+    net, alpha = _load_couplings(run)
+    horizon = run.require("horizon")
+    n = run.require("num-cascades")
+    seed = run.require("seed")
     sources = _parse_sources(run, net, allow_random=True)
     data = generate_dataset(net, alpha, n, sources, horizon, seed)
     _write(run.require("out"), write_cascades(net, data))
@@ -273,12 +240,10 @@ def _mask_spec(run: _Run, net: Network, cascades, mask_file=None) -> MaskSpec:
             Path(mask_file).read_text(encoding="utf-8"),
             net, net.n_nodes, exclude=source_nodes,
         )
-    mask_seed = run.get("mask-seed", int)
-    hidden = interpret_hidden_field(run.get("hidden", str, ""), mask_seed)
-    snapshots_raw = run.get("snapshots", str, "all")
-    snapshots = "all" if snapshots_raw == "all" else [_parse_int("snapshots", v) for v in snapshots_raw.split(",") if v]
+    mask_seed = run.get("mask-seed")
+    hidden = interpret_hidden_field(run.get("hidden", ""), mask_seed)
     return resolve_mask(
-        hidden, snapshots, net.n_nodes, net=net,
+        hidden, run.get("snapshots", "all"), net.n_nodes, net=net,
         mask_seed=mask_seed, exclude=source_nodes,
     )
 
@@ -295,7 +260,7 @@ def _cmd_mask(run: _Run) -> int:
 def _cmd_fit(run: _Run) -> int:
     net, _ = _load_network(run)
     dataset = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
-    method = run.get("method", str, "dmprec")
+    method = run.get("method", "dmprec")
     if method == "dmprec":
         result = dmprec_fit(dataset, net, run.fit_config())
         alpha, diagnostics = result.couplings_hat, result.diagnostics
@@ -325,101 +290,102 @@ def _cmd_eval(run: _Run) -> int:
     other, est = parse_edge_list(Path(est_path).read_text(encoding="utf-8"))
     if est is None or other != net:
         raise ParseError(f"{est_path}: not a couplings file over the same graph")
-    if run.get("mask"):
-        spec = parse_mask_spec(Path(run.get("mask")).read_text(encoding="utf-8"), net, net.n_nodes)
+    mask = run.get("mask")
+    if mask:
+        spec = parse_mask_spec(Path(mask).read_text(encoding="utf-8"), net, net.n_nodes)
         included = identifiable_edges(net, spec)
     else:
         included = np.arange(net.n_edges)
     err = float(l1_coupling_error(est, truth, included))
-    out = run.get("out")
-    if out:
-        lines = ["src,dst,alpha_true,alpha_est"]
-        for e in range(net.n_edges):
-            i, j = net.edge_pair(e)
-            lines.append(f"{net.labels[i]},{net.labels[j]},{float(truth[e])!r},{float(est[e])!r}")
-        _write(out, "\n".join(lines) + "\n")
+    if run.get("out"):
+        _write_csv(run.get("out"), "src,dst,alpha_true,alpha_est", _edge_labels(net), truth, est)
     print(f"normalized_l1_error={err!r}")
     return 0
 
 
 def _cmd_marginals(run: _Run) -> int:
-    net, net_alpha = _load_network(run)
-    alpha = _load_couplings(run, net, net_alpha)
-    horizon = run.require("horizon", int)
-    sources = _parse_sources(run, net)
-    trace = dmp_forward(net, alpha, sources, horizon)
-    lines = ["node,time,P_S,m"]
-    for i in range(net.n_nodes):
-        for t in range(horizon + 1):
-            lines.append(
-                f"{net.labels[i]},{t},{float(trace.p_susceptible[t, i])!r},{float(trace.p_activate[t, i])!r}"
-            )
-    _write(run.require("out"), "\n".join(lines) + "\n")
+    net, alpha = _load_couplings(run)
+    horizon = run.require("horizon")
+    trace = dmp_forward(net, alpha, _parse_sources(run, net), horizon)
+    _write_csv(run.require("out"), "node,time,P_S,m", _node_times(net, horizon),
+               trace.p_susceptible.T.ravel(), trace.p_activate.T.ravel())
     return 0
 
 
 def _cmd_oracle(run: _Run) -> int:
-    net, net_alpha = _load_network(run)
-    alpha = _load_couplings(run, net, net_alpha)
-    horizon = run.require("horizon", int)
-    sources = _parse_sources(run, net)
-    table = exact_marginals_oracle(net, alpha, sources, horizon)
-    lines = ["node,time,P_S"]
-    for i in range(net.n_nodes):
-        for t in range(horizon + 1):
-            lines.append(f"{net.labels[i]},{t},{float(table[t, i])!r}")
-    _write(run.require("out"), "\n".join(lines) + "\n")
+    net, alpha = _load_couplings(run)
+    horizon = run.require("horizon")
+    table = exact_marginals_oracle(net, alpha, _parse_sources(run, net), horizon)
+    _write_csv(run.require("out"), "node,time,P_S", _node_times(net, horizon), table.T.ravel())
     return 0
 
 
 def _cmd_gradcheck(run: _Run) -> int:
-    net, net_alpha = _load_network(run)
-    alpha = _load_couplings(run, net, net_alpha)
-    horizon = run.require("horizon", int)
-    seed = run.get("seed", int, 0)
-    n = run.get("num-cascades", int, 20)
+    net, alpha = _load_couplings(run)
+    horizon = run.require("horizon")
     sources = _parse_sources(run, net, allow_random=True) if run.get("sources") else "random"
-    data = generate_dataset(net, alpha, n, sources, horizon, seed)
+    data = generate_dataset(net, alpha, run.get("num-cascades", 20), sources, horizon, run.get("seed", 0))
     spec = _mask_spec(run, net, data)
     dataset = [apply_mask(c, spec) for c in data]
     report = free_energy_gradient(dataset, net, alpha)
     h = 1e-5
-    lines = ["src,dst,analytic,numeric,rel_error"]
-    max_rel = 0.0
+    analytic = report.gradient
+    numeric = np.empty(net.n_edges)
     for e in range(net.n_edges):
         up = alpha.copy()
         up[e] = min(up[e] + h, 1.0)
         dn = alpha.copy()
         dn[e] = max(dn[e] - h, 0.0)
-        numeric = (
+        numeric[e] = (
             observed_negative_log_likelihood(dataset, net, up)
             - observed_negative_log_likelihood(dataset, net, dn)
         ) / (up[e] - dn[e])
-        analytic = float(report.gradient[e])
-        numeric = float(numeric)
-        rel = abs(analytic - numeric) / max(abs(analytic), 1e-12)
-        max_rel = max(max_rel, rel) if abs(analytic) > 1e-6 else max_rel
-        i, j = net.edge_pair(e)
-        lines.append(f"{net.labels[i]},{net.labels[j]},{analytic!r},{numeric!r},{rel!r}")
-    _write(run.require("out"), "\n".join(lines) + "\n")
+    rel = np.abs(analytic - numeric) / np.maximum(np.abs(analytic), 1e-12)
+    # fmax skips NaN entries, as a running Python max does
+    max_rel = float(np.fmax.reduce(rel[np.abs(analytic) > 1e-6], initial=0.0))
+    _write_csv(run.require("out"), "src,dst,analytic,numeric,rel_error", _edge_labels(net), analytic, numeric, rel)
     print(f"max_rel_error={max_rel!r}")
     return 0
 
 
+# Each subcommand: its handler, its help and the run options it takes
+# besides --threads, --deterministic and --config, which all take.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "mask": _cmd_mask,
-    "fit": _cmd_fit,
-    "eval": _cmd_eval,
-    "marginals": _cmd_marginals,
-    "oracle": _cmd_oracle,
-    "gradcheck": _cmd_gradcheck,
+    "simulate": (_cmd_simulate, "generate ground-truth cascades",
+                 "network couplings out horizon seed num-cascades sources"),
+    "mask": (_cmd_mask, "apply an observation mask to cascades",
+             "network cascades mask out hidden snapshots mask-seed"),
+    "fit": (_cmd_fit, "reconstruct couplings from observed cascades",
+            "network cascades out seed method"),
+    "eval": (_cmd_eval, "compare estimated couplings against the truth",
+             "network couplings mask out"),
+    "marginals": (_cmd_marginals, "forward message-passing marginals as CSV",
+                  "network couplings out horizon sources"),
+    "gradcheck": (_cmd_gradcheck, "finite-difference check of the free-energy gradient",
+                  "network couplings out horizon seed num-cascades sources hidden snapshots mask-seed"),
+    "oracle": (_cmd_oracle, "exact subset-state marginals (small N) as CSV",
+               "network couplings out horizon sources"),
 }
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cascade-recon",
+        description="Reconstruct spreading-model couplings from partially observed cascades.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in options.split() + ["threads", "deterministic"]:
+            parse, option_help = _OPTIONS[key]
+            switch = {"action": "store_true", "default": None} if parse is None else {}
+            p.add_argument(f"--{key}", help=option_help, **switch)
+        p.add_argument("--config", help="key = value config file; flags override file values")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         run = _Run(args)
     except (CascadeReconError, FileNotFoundError) as exc:
@@ -427,13 +393,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](run)
-    except SystemExit:
-        raise
-    except CascadeReconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        return _COMMANDS[args.command][0](run)
+    except (CascadeReconError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

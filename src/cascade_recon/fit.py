@@ -44,8 +44,6 @@ class FitConfig:
     max_iters: int = 2000
     tol: float = 1e-7            # relative decrease of a step accepted at its first trial
     step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo: float = 1e-4
 
     def validate(self) -> None:
         if not 0.0 < self.alpha_min < self.alpha_init < self.alpha_max < 1.0:
@@ -54,8 +52,6 @@ class FitConfig:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.step_init < math.inf:
             raise ValueError("step_init must be positive and finite")
-        if not 0.0 < self.step_shrink < 1.0:
-            raise ValueError("step_shrink must be in (0, 1)")
 
 
 @dataclass(eq=False)
@@ -72,6 +68,8 @@ class FitResult:
 
 
 HISTORY = 10  # curvature pairs kept by the quasi-Newton direction
+STEP_SHRINK = 0.5  # factor on the step after a rejected line-search trial
+ARMIJO = 1e-4  # sufficient-decrease fraction of the projected slope
 
 
 def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
@@ -90,7 +88,7 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def _backtrack(value_only, x, f, g, direction, eta, lower, upper, config):
+def _backtrack(value_only, x, f, g, direction, eta, lower, upper):
     """Armijo backtracking along the projected path ``clip(x + eta d)``.
 
     Returns ``(trial, f_trial, eta, first_try)`` or None when no step
@@ -106,9 +104,9 @@ def _backtrack(value_only, x, f, g, direction, eta, lower, upper, config):
         slope = float(g @ dx)
         if slope < 0.0:
             f_trial = value_only(trial)
-            if f_trial <= f + config.armijo * slope:
+            if f_trial <= f + ARMIJO * slope:
                 return trial, f_trial, eta, first_try
-        eta *= config.step_shrink
+        eta *= STEP_SHRINK
         first_try = False
     return None
 
@@ -157,12 +155,12 @@ def projected_gradient_descent(
             direction = _lbfgs_direction(pg, pairs)
             direction[held] = 0.0
             if float(pg @ direction) < 0.0:
-                found = _backtrack(value_only, x, f, g, direction, 1.0, lower, upper, config)
+                found = _backtrack(value_only, x, f, g, direction, 1.0, lower, upper)
             if found is None:
                 pairs.clear()
         steepest = found is None
         if steepest:
-            found = _backtrack(value_only, x, f, g, -pg, step, lower, upper, config)
+            found = _backtrack(value_only, x, f, g, -pg, step, lower, upper)
         if found is None:
             break  # line search failed: not a convergence
         x_new, f_new, eta, first_try = found

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cascade_recon import parse_edge_list, read_cascades, serialize_edge_list
-from cascade_recon.cli import main
+from cascade_recon import cli
+from cascade_recon.cli import build_parser, main
 
 from conftest import random_tree_net, random_couplings
 
@@ -112,6 +113,24 @@ class TestMaskFitEval:
                  "--method", "hts", "--seed", 4, "--config", tmp / "cfg.txt",
                  "--out", tmp / "hts.edges")
         assert rc == 0
+
+    @pytest.mark.parametrize("config_method, flags, expected", [
+        ("hts", [], "hts"),
+        ("netrate", [], "netrate"),
+        ("hts", ["--method", "dmprec"], "dmprec"),  # the flag wins
+    ])
+    def test_config_method_selects_estimator(self, workdir, config_method, flags, expected):
+        tmp, net, _ = workdir
+        self._simulate(tmp, M=60)
+        settings = "aux-samples = 50\nouter-rounds = 2\nmax-iters = 20\n"
+        (tmp / "cfg.txt").write_text(f"method = {config_method}\n{settings}")
+        (tmp / "ref.txt").write_text(settings)
+        common = ["--network", tmp / "net_bare.edges", "--cascades", tmp / "truth.txt", "--seed", 4]
+        assert run("fit", *common, *flags, "--config", tmp / "cfg.txt", "--out", tmp / "a.edges") == 0
+        assert run("fit", *common, "--method", expected, "--config", tmp / "ref.txt",
+                   "--out", tmp / "b.edges") == 0
+        for name in ("{}.edges", "{}.edges.diag.csv"):
+            assert (tmp / name.format("a")).read_bytes() == (tmp / name.format("b")).read_bytes()
 
 
 class TestDeterminism:
@@ -293,6 +312,13 @@ class TestErrorsAndConfig:
         ("fit", [], "step-init = nan", "step_init must be positive and finite"),
         ("fit", [], "tol = nan", "tol must be positive and finite"),
         ("fit", [], "alpha-init = nan", "need 0 < alpha_min < alpha_init < alpha_max < 1"),
+        # every value given is parsed, also one the run does not read
+        ("fit", [], "param-tol = x", "param-tol: expected a number, got 'x'"),
+        ("fit", [], "threads = x", "threads: expected an integer, got 'x'"),
+        # flags go through the same parsers as config values
+        ("mask", ["--mask-seed", "x"], "", "mask-seed: expected an integer, got 'x'"),
+        ("fit", ["--seed", "x"], "", "seed: expected an integer, got 'x'"),
+        ("fit", ["--method", "bogus"], "", "method: expected dmprec, hts or netrate, got 'bogus'"),
     ])
     def test_non_integer_value_is_usage_error(self, workdir, capsys, command, flags, line, message):
         tmp, net, _ = workdir
@@ -306,6 +332,37 @@ class TestErrorsAndConfig:
         assert exc.value.code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp / "out.txt").exists()
+
+
+class TestOptionSurface:
+    COMMON = {"--threads", "--deterministic", "--config", "--help"}
+    FLAGS = {
+        "simulate": {"--network", "--couplings", "--out", "--horizon", "--seed", "--num-cascades", "--sources"},
+        "mask": {"--network", "--cascades", "--mask", "--out", "--hidden", "--snapshots", "--mask-seed"},
+        "fit": {"--network", "--cascades", "--out", "--seed", "--method"},
+        "eval": {"--network", "--couplings", "--mask", "--out"},
+        "marginals": {"--network", "--couplings", "--out", "--horizon", "--sources"},
+        "gradcheck": {"--network", "--couplings", "--out", "--horizon", "--seed", "--num-cascades",
+                      "--sources", "--hidden", "--snapshots", "--mask-seed"},
+        "oracle": {"--network", "--couplings", "--out", "--horizon", "--sources"},
+    }
+    CONFIG_KEYS = {
+        "network", "couplings", "cascades", "mask", "out", "method", "horizon", "num-cascades",
+        "sources", "seed", "mask-seed", "hidden", "snapshots", "threads", "deterministic",
+        "alpha-init", "alpha-min", "alpha-max", "max-iters", "tol", "step-init",
+        "aux-samples", "outer-rounds", "param-tol",
+    }
+
+    def test_subcommand_flags(self):
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert set(commands) == set(self.FLAGS)
+        for name, sub in commands.items():
+            flags = {o for action in sub._actions for o in action.option_strings if o.startswith("--")}
+            assert flags == self.FLAGS[name] | self.COMMON, name
+
+    def test_config_keys(self):
+        assert set(cli._PARSERS) == self.CONFIG_KEYS
 
 
 @pytest.mark.slow
