@@ -16,6 +16,7 @@ Three levels of fidelity to the exact likelihood:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -58,6 +59,15 @@ class HtsConfig:
     param_tol: float = 1e-3      # L-inf change of couplings declaring convergence
     seed: int = 0
     fit: FitConfig = field(default_factory=FitConfig)
+
+    def validate(self) -> None:
+        self.fit.validate()
+        if self.aux_samples < 1:
+            raise ValueError("aux_samples must be >= 1")
+        if self.outer_rounds < 0:
+            raise ValueError("outer_rounds must be >= 0")
+        if not 0.0 < self.param_tol < math.inf:
+            raise ValueError("param_tol must be positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +310,7 @@ def hts_complete(
     dataset order.
     """
     config = config or HtsConfig()
-    if config.aux_samples < 1:
-        raise ValueError("aux_samples must be >= 1")
+    config.validate()
     alpha = validate_couplings(net, couplings)
     horizon = _common_horizon(dataset)
     completions: list[dict[int, int] | None] = [None] * len(dataset)
@@ -356,8 +365,8 @@ def hts_fit(
     outgoing edge) are pinned at ``alpha_init``.
     """
     config = config or HtsConfig()
+    config.validate()
     fit_cfg = config.fit
-    fit_cfg.validate()
     horizon = _common_horizon(dataset)
 
     hidden_everywhere = np.logical_and.reduce([obs.hidden for obs in dataset])

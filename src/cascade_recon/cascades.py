@@ -227,8 +227,7 @@ def simulate_cascade(net: Network, couplings, sources, horizon: int, rng) -> Cas
         rng = np.random.Generator(np.random.Philox(key=int(rng) & _MASK64))
     alpha = validate_couplings(net, couplings)
     src = _as_source_array(net, sources)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     u = rng.random((max(horizon - 1, 0), net.n_edges))
     times = _run_edge_block(net, alpha, src, horizon, u[None, :, :])[0]
     return Cascade(horizon, times)
@@ -285,8 +284,7 @@ def generate_dataset(
         fixed_src = None
     else:
         fixed_src = _as_source_array(net, source_policy)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
 
     out: list[Cascade] = []
     n_steps = horizon - 1
@@ -612,6 +610,11 @@ def _window_bounds(codes: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``(lo, hi)`` arrays that :func:`_window_codes` encoded."""
     lo, hi = np.divmod(codes, T + 2)
     return lo - 1, hi - 1
+
+
+def _check_horizon(horizon: int, least: int = 1) -> None:
+    if horizon < least:
+        raise DatasetError(f"horizon must be >= {least}")
 
 
 def _common_horizon(dataset: Sequence[Cascade | ObservedCascade]) -> int:

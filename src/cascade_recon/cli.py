@@ -15,7 +15,7 @@ selects the estimator.
 Exit codes: 0 success, 1 a module reported a data/model error, 2 usage
 errors (bad flags, bad config keys, values that do not parse, such as
 ``--horizon x``: ``error: horizon: expected an integer, got 'x'``, and
-optimizer settings that ``FitConfig.validate`` rejects).
+settings that ``FitConfig.validate`` or ``HtsConfig.validate`` rejects).
 """
 
 from __future__ import annotations
@@ -146,21 +146,15 @@ class _Run(dict):
             raise _usage_error(f"missing required option --{key}")
         return self[key]
 
-    def _settings(self, cls, **kw):
-        """``cls`` with each field whose key was given set to its value."""
+    def settings(self, cls, **kw):
+        """``cls`` set from the keys given; what its ``validate`` rejects is a usage error."""
         given = {f.name: self[key] for f in fields(cls) if (key := f.name.replace("_", "-")) in self}
-        return cls(**given, **kw)
-
-    def fit_config(self) -> FitConfig:
-        config = self._settings(FitConfig)
+        config = cls(**given, **kw)
         try:
             config.validate()
         except ValueError as exc:
             raise _usage_error(str(exc)) from None
         return config
-
-    def hts_config(self) -> HtsConfig:
-        return self._settings(HtsConfig, fit=self.fit_config())
 
 
 def _load_network(run: _Run) -> tuple[Network, np.ndarray | None]:
@@ -262,14 +256,14 @@ def _cmd_fit(run: _Run) -> int:
     dataset = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
     method = run.get("method", "dmprec")
     if method == "dmprec":
-        result = dmprec_fit(dataset, net, run.fit_config())
+        result = dmprec_fit(dataset, net, run.settings(FitConfig))
         alpha, diagnostics = result.couplings_hat, result.diagnostics
     elif method == "netrate":
-        alpha = netrate_fit(dataset, net, run.fit_config())
+        alpha = netrate_fit(dataset, net, run.settings(FitConfig))
         nll = observed_negative_log_likelihood(dataset, net, alpha)
         diagnostics = [(0, nll, 0.0, 0.0)]
     else:
-        result = hts_fit(dataset, net, run.hts_config())
+        result = hts_fit(dataset, net, run.settings(HtsConfig, fit=run.settings(FitConfig)))
         alpha = result.couplings_hat
         diagnostics = [(i, f, 0.0, 0.0) for i, f in enumerate(result.free_energy_trajectory)]
     out = run.require("out")

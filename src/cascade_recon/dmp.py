@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import CapacityError, DatasetError
 from .graph import Network, validate_couplings
-from .cascades import Cascade, _as_source_array
+from .cascades import Cascade, _as_source_array, _check_horizon
 
 __all__ = [
     "DmpTrace",
@@ -93,8 +93,7 @@ def initial_susceptible(net: Network, sources) -> np.ndarray:
 
 def dmp_forward(net: Network, couplings, sources, horizon: int) -> DmpTrace:
     """Run the forward message-passing recursion up to ``horizon``."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     alpha = validate_couplings(net, couplings)
     return _propagate(net, alpha, initial_susceptible(net, sources)[:, None], horizon).column(0)
 
@@ -172,8 +171,7 @@ def exact_marginals_oracle(net: Network, couplings, sources, horizon: int) -> np
     """
     if net.n_nodes > 20:
         raise CapacityError(f"exact oracle limited to 20 nodes, got {net.n_nodes}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    _check_horizon(horizon, 0)
     alpha = validate_couplings(net, couplings)
     src = _as_source_array(net, sources)
     N = net.n_nodes

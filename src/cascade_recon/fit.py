@@ -3,10 +3,13 @@
 The optimizer is a projected quasi-Newton method over the box
 ``[alpha_min, alpha_max]^|E|``: limited-memory BFGS directions (Nocedal's
 two-loop recursion, 1980) on the coordinates the gradient does not hold
-at a bound, with a backtracking line search (Armijo
-sufficient decrease on the projected step).  Accepted steps never increase
-the objective, every iterate stays inside the box, and the whole procedure
-is deterministic for a given dataset and configuration.
+at a bound, with a backtracking line search (Armijo sufficient decrease
+on the projected step) from the unit step, or for steepest descent from
+the step that moves the largest projected-gradient entry across the box.
+Accepted steps never increase the objective and every iterate stays inside
+the box.  The procedure is deterministic for a given dataset and
+configuration, and its iterates do not change when the objective is
+scaled by a power of two.
 """
 
 from __future__ import annotations
@@ -43,15 +46,12 @@ class FitConfig:
     alpha_max: float = 1.0 - 1e-6
     max_iters: int = 2000
     tol: float = 1e-7            # relative decrease of a step accepted at its first trial
-    step_init: float = 1.0
 
     def validate(self) -> None:
         if not 0.0 < self.alpha_min < self.alpha_init < self.alpha_max < 1.0:
             raise ValueError("need 0 < alpha_min < alpha_init < alpha_max < 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not 0.0 < self.step_init < math.inf:
-            raise ValueError("step_init must be positive and finite")
 
 
 @dataclass(eq=False)
@@ -124,11 +124,11 @@ def projected_gradient_descent(
     Returns ``(x, trajectory, diagnostics, converged, iterations)``.  Each
     accepted step costs one ``value_and_grad`` call; line-search trials call
     ``value_only``.  A coordinate at a bound whose gradient pushes outward
-    stays fixed for the step; on the others the direction is L-BFGS's, and
-    steepest descent (warm-started at twice the last accepted steepest
-    step, or at the curvature pairs' scale) when there are no curvature
-    pairs yet or the quasi-Newton search fails, which also clears the
-    pairs.
+    stays fixed for the step; on the others the direction is L-BFGS's
+    (first trial at the unit step), and steepest descent (first trial at
+    ``(upper - lower) / max|pg|`` for the projected gradient ``pg``) when
+    there are no curvature pairs yet or the quasi-Newton search fails,
+    which also clears the pairs.
 
     ``converged`` is True when the projected gradient vanishes (a
     stationary point of the box-constrained problem) or when a step
@@ -141,7 +141,6 @@ def projected_gradient_descent(
     trajectory = [f]
     diagnostics = [(0, f, 0.0, float(np.abs(g).max(initial=0.0)))]
     pairs: deque = deque(maxlen=HISTORY)
-    step = config.step_init
     converged = False
     iterations = 0
     for it in range(1, config.max_iters + 1):
@@ -158,9 +157,9 @@ def projected_gradient_descent(
                 found = _backtrack(value_only, x, f, g, direction, 1.0, lower, upper)
             if found is None:
                 pairs.clear()
-        steepest = found is None
-        if steepest:
-            found = _backtrack(value_only, x, f, g, -pg, step, lower, upper)
+        if found is None:
+            eta = (upper - lower) / float(np.abs(pg).max())
+            found = _backtrack(value_only, x, f, g, -pg, eta, lower, upper)
         if found is None:
             break  # line search failed: not a convergence
         x_new, f_new, eta, first_try = found
@@ -175,9 +174,6 @@ def projected_gradient_descent(
         sy = float(s @ y)
         if sy > 1e-10 * float(np.sqrt((s @ s) * (y @ y))):
             pairs.append((s, y, 1.0 / sy))
-            step = sy / float(y @ y)
-        elif steepest:
-            step = eta * 2.0
         if first_try and rel_decrease < config.tol:
             converged = True
             break

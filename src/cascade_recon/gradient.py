@@ -62,6 +62,7 @@ from .errors import CapacityError, DatasetError
 from .graph import Network, validate_couplings
 from .cascades import (
     ObservedCascade,
+    _check_horizon,
     _common_horizon,
     _ranked_sets,
     _row_blocks,
@@ -143,8 +144,7 @@ def dmp_forward_with_gradients(
     arrays would take more than ``SENSITIVITY_BUDGET_BYTES`` (1 GiB):
     ``(2 (T+1) |E| + (T+1) N) F`` float64 numbers.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_horizon(horizon)
     T, E, N = horizon, net.n_edges, net.n_nodes
     params = np.arange(E, dtype=np.intp) if param_edges is None else np.asarray(param_edges, dtype=np.intp)
     F = params.shape[0]

@@ -146,6 +146,31 @@ class TestMarginalizedLikelihood:
             marginalized_likelihood(obs, net, alpha, max_completions=1000)
 
 
+class TestHtsConfig:
+    @pytest.mark.parametrize("setting, message", [
+        ({"aux_samples": 0}, "aux_samples must be >= 1"),
+        ({"outer_rounds": -1}, "outer_rounds must be >= 0"),
+        ({"param_tol": float("nan")}, "param_tol must be positive and finite"),
+        ({"param_tol": float("inf")}, "param_tol must be positive and finite"),
+        ({"param_tol": 0.0}, "param_tol must be positive and finite"),
+        ({"fit": FitConfig(tol=0.0)}, "tol must be positive and finite"),
+    ])
+    def test_rejected_settings(self, edge01, setting, message):
+        config = HtsConfig(**setting)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config.validate()
+        obs = observe_fully(Cascade(3, [0, 2]))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hts_complete([obs], edge01, [0.5], config)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            hts_fit([obs], edge01, config)
+
+    def test_zero_outer_rounds_accepted(self, edge01):
+        res = hts_fit([observe_fully(Cascade(3, [0, 2]))], edge01, HtsConfig(outer_rounds=0))
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.couplings_hat, [0.5])
+
+
 class TestHtsComplete:
     def test_forced_unique_completion(self):
         net = chain_net(3)

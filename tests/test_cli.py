@@ -250,6 +250,36 @@ class TestErrorsAndConfig:
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_step_init_is_not_a_config_key(self, workdir, capsys):
+        # the first steepest-descent trial is derived from the gradient and the box
+        tmp, net, _ = workdir
+        run("simulate", "--network", tmp / "net.edges", "--horizon", 8, "--num-cascades", 5,
+            "--sources", "0", "--seed", 1, "--out", tmp / "truth.txt")
+        (tmp / "cfg.txt").write_text("step-init = 1\n")
+        rc = run("fit", "--network", tmp / "net.edges", "--cascades", tmp / "truth.txt",
+                 "--config", tmp / "cfg.txt", "--out", tmp / "est.edges")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config line 1: unknown key 'step-init'\n"
+
+    @pytest.mark.parametrize("command, horizon, least", [
+        ("simulate", 0, 1), ("marginals", 0, 1), ("gradcheck", 0, 1), ("oracle", -1, 0),
+    ])
+    def test_horizon_below_least_is_exit_1(self, workdir, capsys, command, horizon, least):
+        tmp, net, _ = workdir
+        simulates = ["--num-cascades", 5, "--seed", 1] if command in ("simulate", "gradcheck") else []
+        rc = run(command, "--network", tmp / "net.edges", "--horizon", horizon,
+                 "--sources", net.labels[0], *simulates, "--out", tmp / "out.txt")
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: horizon must be >= {least}\n"
+        assert not (tmp / "out.txt").exists()
+
+    def test_oracle_horizon_zero(self, workdir):
+        tmp, net, _ = workdir
+        rc = run("oracle", "--network", tmp / "net.edges", "--horizon", 0,
+                 "--sources", net.labels[0], "--out", tmp / "o.csv")
+        assert rc == 0
+        assert len((tmp / "o.csv").read_text().splitlines()) == net.n_nodes + 1
+
     def test_flags_override_config(self, workdir):
         tmp, net, _ = workdir
         (tmp / "cfg.txt").write_text(f"network = {tmp/'net.edges'}\nhorizon = 4\nsources = {net.labels[0]}\n")
@@ -304,12 +334,12 @@ class TestErrorsAndConfig:
         ("fit", [], "alpha-min = 1e-3x", "alpha-min: expected a number, got '1e-3x'"),
         ("fit", [], "alpha-max = 0.9.9", "alpha-max: expected a number, got '0.9.9'"),
         ("fit", [], "tol = small", "tol: expected a number, got 'small'"),
-        ("fit", [], "step-init =", "step-init: expected a number, got ''"),
+        ("fit", [], "outer-rounds =", "outer-rounds: expected an integer, got ''"),
         ("fit", ["--method", "hts"], "param-tol = x", "param-tol: expected a number, got 'x'"),
-        # settings that parse but FitConfig.validate rejects
-        ("fit", [], "step-init = 0", "step_init must be positive and finite"),
-        ("fit", [], "step-init = -1", "step_init must be positive and finite"),
-        ("fit", [], "step-init = nan", "step_init must be positive and finite"),
+        # settings that parse but HtsConfig.validate or FitConfig.validate rejects
+        ("fit", ["--method", "hts"], "aux-samples = 0", "aux_samples must be >= 1"),
+        ("fit", ["--method", "hts"], "outer-rounds = -1", "outer_rounds must be >= 0"),
+        ("fit", ["--method", "hts"], "param-tol = nan", "param_tol must be positive and finite"),
         ("fit", [], "tol = nan", "tol must be positive and finite"),
         ("fit", [], "alpha-init = nan", "need 0 < alpha_min < alpha_init < alpha_max < 1"),
         # every value given is parsed, also one the run does not read
@@ -349,7 +379,7 @@ class TestOptionSurface:
     CONFIG_KEYS = {
         "network", "couplings", "cascades", "mask", "out", "method", "horizon", "num-cascades",
         "sources", "seed", "mask-seed", "hidden", "snapshots", "threads", "deterministic",
-        "alpha-init", "alpha-min", "alpha-max", "max-iters", "tol", "step-init",
+        "alpha-init", "alpha-min", "alpha-max", "max-iters", "tol",
         "aux-samples", "outer-rounds", "param-tol",
     }
 

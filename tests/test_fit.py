@@ -14,6 +14,7 @@ from cascade_recon import (
     l1_coupling_error,
     observe_fully,
     parse_edge_list,
+    projected_gradient_descent,
 )
 
 from conftest import chain_net, preferential_attachment_net, random_tree_net, random_couplings
@@ -157,12 +158,66 @@ class TestDmprecFit:
         assert res.free_energy_trajectory[-1] < res.free_energy_trajectory[0]
 
 
+def _quadratic(curvature, minimum, scale=1.0):
+    """``scale * (10 + 0.5 sum w (x - c)^2)`` as the optimizer's two
+    callbacks, each recording the points it is called at."""
+    points = []
+
+    def value_and_grad(x):
+        points.append(x.copy())
+        r = x - minimum
+        return scale * (10.0 + 0.5 * float(curvature @ (r * r))), scale * (curvature * r)
+
+    def value_only(x):
+        return value_and_grad(x)[0]
+
+    return value_and_grad, value_only, points
+
+
+class TestProjectedGradientDescent:
+    @pytest.mark.parametrize("curvature", [1e-3, 1.0, 1e4])
+    def test_iterates_invariant_under_power_of_two_scaling(self, curvature):
+        rng = np.random.default_rng(11)
+        w = curvature * rng.uniform(0.5, 2.0, 12)
+        c = rng.uniform(-0.5, 1.5, 12)  # about half of the minimizers lie outside the box
+        assert np.any((c < 0.0) | (c > 1.0))
+        cfg = FitConfig()
+        runs = []
+        for scale in (1.0, 1024.0):
+            value_and_grad, value_only, points = _quadratic(w, c, scale)
+            x, _, _, converged, iterations = projected_gradient_descent(
+                value_and_grad, value_only, np.full(12, cfg.alpha_init), cfg.alpha_min, cfg.alpha_max, cfg
+            )
+            runs.append((x, iterations, converged, np.array(points)))
+        (x1, it1, conv1, points1), (x2, it2, conv2, points2) = runs
+        assert conv1 and conv2
+        assert it1 == it2
+        np.testing.assert_array_equal(points1, points2)
+        np.testing.assert_array_equal(x1, x2)
+
+    def test_first_steepest_search_starts_near_the_accepted_step(self):
+        # gradients of about 1e4, as on the bundled hub network, where a
+        # first trial at the unit step takes about 17 halvings to pass
+        rng = np.random.default_rng(12)
+        value_and_grad, value_only, _ = _quadratic(
+            1e5 * rng.uniform(0.5, 2.0, 12), rng.uniform(0.2, 0.8, 12))
+        calls = []
+        cfg = FitConfig(max_iters=1)
+        _, trajectory, _, _, iterations = projected_gradient_descent(
+            value_and_grad, lambda x: calls.append(x) or value_only(x),
+            np.full(12, cfg.alpha_init), cfg.alpha_min, cfg.alpha_max, cfg,
+        )
+        assert iterations == 1
+        assert trajectory[1] < trajectory[0]
+        assert len(calls) <= 3
+
+
 class TestFitConfig:
     @pytest.mark.parametrize("setting, message", [
-        ({"step_init": 0.0}, "step_init must be positive and finite"),
-        ({"step_init": -1.0}, "step_init must be positive and finite"),
-        ({"step_init": float("nan")}, "step_init must be positive and finite"),
-        ({"step_init": float("inf")}, "step_init must be positive and finite"),
+        ({"alpha_min": 0.0}, "need 0 < alpha_min < alpha_init < alpha_max < 1"),
+        ({"alpha_max": 1.0}, "need 0 < alpha_min < alpha_init < alpha_max < 1"),
+        ({"alpha_init": 1e-6}, "need 0 < alpha_min < alpha_init < alpha_max < 1"),
+        ({"tol": -1.0}, "tol must be positive and finite"),
         ({"tol": float("nan")}, "tol must be positive and finite"),
         ({"tol": float("inf")}, "tol must be positive and finite"),
         ({"tol": 0.0}, "tol must be positive and finite"),
