@@ -5,13 +5,15 @@ Three levels of fidelity to the exact likelihood:
 - :func:`full_log_likelihood` / :func:`netrate_fit`: exact log-likelihood
   of completely observed cascades and its per-node convex maximization
   (the likelihood factorizes over nodes, so each node's incoming couplings
-  are fit independently).
+  are fit independently).  The batched likelihood and the fit take their
+  terms from one array pass over an (M, N) matrix of recorded times.
 - :func:`marginalized_likelihood`: the exact likelihood summed over all
   completions of the unobserved activation times; brute force, feasible
   only for a handful of hidden nodes.
 - :func:`hts_fit`: the heuristic two-stage baseline, alternating Monte
   Carlo completion of the missing times (keep the most likely consistent
-  auxiliary cascade) with the full-information fit on the completed data.
+  auxiliary cascade) with the full-information fit on the completed
+  recorded-times matrix.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from .cascades import (
     Cascade,
     MaskSpec,
     ObservedCascade,
+    _bit_words,
     _common_horizon,
-    group_cascades,
+    _group_rows,
+    _source_groups,
     sample_recorded_times,
 )
 from .fit import FitConfig, FitResult, identifiable_edges, projected_gradient_descent
@@ -111,6 +115,24 @@ def full_log_likelihood(cascade: Cascade, net: Network, couplings) -> float:
     return float(total)
 
 
+def _full_terms(net: Network, times: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact likelihood's terms for rows of recorded times (M, N):
+
+    - (M, |E|) the steps each edge's source was active without
+      transmitting, before its destination's recorded step (or T - 1);
+    - (M, |E|) whether each edge's source was active before its
+      destination's recorded step;
+    - (M, N) which nodes activated before the horizon.
+    """
+    times = np.asarray(times, dtype=np.int64)
+    esrc, edst = net.edge_src, net.edge_dst
+    end = np.where(times < horizon, times - 1, horizon - 1)
+    counts = np.clip(end[:, edst] - times[:, esrc], 0, None)
+    parent_ok = times[:, esrc] <= times[:, edst] - 1
+    activates = (times > 0) & (times < horizon)
+    return counts, parent_ok, activates
+
+
 def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizon: int) -> np.ndarray:
     """Vectorized :func:`full_log_likelihood` over rows of recorded times.
 
@@ -118,20 +140,13 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     and argmax stay NaN-free; anything below -1e11 means impossible.
     """
     alpha = validate_couplings(net, couplings)
-    times = np.asarray(times, dtype=np.int64)
-    T = horizon
     with np.errstate(divide="ignore"):
         log_surv = np.log1p(-alpha)
     log_surv = np.where(np.isfinite(log_surv), log_surv, _NEG_BIG)
-    esrc, edst = net.edge_src, net.edge_dst
-
-    end = np.where(times < T, times - 1, T - 1)
-    counts = np.clip(end[:, edst] - times[:, esrc], 0, None)
+    counts, parent_ok, activates = _full_terms(net, times, horizon)
     total = counts @ log_surv
 
     # activation factor log(1 - prod(1 - alpha)) over parents active by tau-1
-    activates = (times > 0) & (times < T)
-    parent_ok = times[:, esrc] <= times[:, edst] - 1
     stay = (parent_ok * log_surv[None, :]) @ net.in_edge_sum.T
     with np.errstate(divide="ignore", invalid="ignore"):
         log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
@@ -144,76 +159,58 @@ def netrate_fit(dataset, net: Network, config: FitConfig | None = None) -> np.nd
 
     The exact negative log-likelihood separates into one convex problem
     per node over its incoming couplings; each block is minimized by
-    projected gradient descent inside ``[alpha_min, alpha_max]``.
+    projected gradient descent inside ``[alpha_min, alpha_max]``.  A
+    node's activations enter grouped by their exact sets of active
+    parents, for any in-degree.
     """
     config = config or FitConfig()
     config.validate()
     times, T = _full_times_matrix(dataset)
     if times.shape[1] != net.n_nodes:
         raise DatasetError("dataset does not match the network")
+    return _netrate(net, times, T, config)
+
+
+def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -> np.ndarray:
+    """:func:`netrate_fit` on an (M, N) matrix of recorded times.
+
+    Node i's block of the negative log-likelihood, with ``s`` the summed
+    survival steps of its in-edges and each distinct set of parents active
+    at its activations a 0/1 row of ``sets`` seen ``mult`` times, is
+    ``-s.log(1 - a) - mult.log(1 - exp(sets @ log(1 - a)))``.  An empty
+    parent set is an impossible event that no coupling changes, so it is
+    left out.
+    """
+    counts, parent_ok, activates = _full_terms(net, times, horizon)
+    surv = counts.sum(axis=0).astype(np.float64)
     alpha = np.full(net.n_edges, config.alpha_init)
-    end = np.where(times < T, times - 1, T - 1)
     for i in range(net.n_nodes):
         block = net.in_edges(i)
         if block.size == 0:
             continue
-        srcs = net.edge_src[block]
-        # survival exponents per in-edge
-        counts = np.clip(end[:, i][:, None] - times[:, srcs], 0, None)
-        surv = counts.sum(axis=0).astype(np.float64)
-        # activation events: multiset of active-parent position masks
-        act_rows = np.flatnonzero((times[:, i] > 0) & (times[:, i] < T))
-        mask_counts: dict[int, int] = {}
-        if act_rows.size:
-            active = times[act_rows][:, srcs] <= (times[act_rows, i] - 1)[:, None]
-            packed = active @ (1 << np.arange(block.size, dtype=np.int64))
-            vals, cnts = np.unique(packed, return_counts=True)
-            for v, c in zip(vals, cnts):
-                if v != 0:  # empty parent set: alpha-independent impossible event
-                    mask_counts[int(v)] = int(c)
-        masks = [
-            (np.flatnonzero((m >> np.arange(block.size)) & 1), float(c))
-            for m, c in sorted(mask_counts.items())
-        ]
+        s = surv[block]
+        flags = parent_ok[:, block][activates[:, i]]
+        first, which = _group_rows(_bit_words(flags))
+        sets = flags[first]
+        keep = sets.any(axis=1)
+        sets = sets[keep].astype(np.float64)
+        mult = np.bincount(which, minlength=first.size)[keep].astype(np.float64)
 
-        def value_only(a):
-            val = -(surv * np.log1p(-a)).sum()
-            for pos, c in masks:
-                val -= c * np.log1p(-np.prod(1.0 - a[pos]))
-            return float(val)
-
-        def value_and_grad(a):
-            one_minus = 1.0 - a
-            val = -(surv * np.log1p(-a)).sum()
-            grad = surv / one_minus
-            for pos, c in masks:
-                stay = np.prod(one_minus[pos])
-                p_act = 1.0 - stay
-                val -= c * np.log(p_act)
-                if pos.size == 1:
-                    loo = np.ones(1)
-                else:
-                    loo = _loo_products(one_minus[pos])
-                grad[pos] -= c * loo / p_act
-            return float(val), grad
+        def value_and_grad(a, gradient=True):
+            log_surv = np.log1p(-a)
+            log_stay = sets @ log_surv
+            p_act = -np.expm1(log_stay)
+            value = float(-(s @ log_surv) - mult @ np.log(p_act))
+            if not gradient:
+                return value
+            return value, (s - sets.T @ (mult * np.exp(log_stay) / p_act)) / (1.0 - a)
 
         x0 = np.full(block.size, config.alpha_init)
-        x, _, _, _, _ = projected_gradient_descent(
-            value_and_grad, value_only, x0, config.alpha_min, config.alpha_max, config
-        )
-        alpha[block] = x
+        alpha[block] = projected_gradient_descent(
+            value_and_grad, lambda a: value_and_grad(a, gradient=False),
+            x0, config.alpha_min, config.alpha_max, config,
+        )[0]
     return alpha
-
-
-def _loo_products(vals: np.ndarray) -> np.ndarray:
-    d = vals.shape[0]
-    prefix = np.empty(d + 1)
-    prefix[0] = 1.0
-    np.cumprod(vals, out=prefix[1:])
-    suffix = np.empty(d + 1)
-    suffix[d] = 1.0
-    suffix[:d] = np.cumprod(vals[::-1])[::-1]
-    return prefix[:d] * suffix[1:]
 
 
 def _full_times_matrix(dataset) -> tuple[np.ndarray, int]:
@@ -288,11 +285,6 @@ def marginalized_likelihood(
 # two-stage completion baseline
 
 
-def _unresolved_nodes(obs: ObservedCascade) -> np.ndarray:
-    """Nodes whose recorded time is not pinned by the observation."""
-    return np.flatnonzero(obs.hidden | (obs.hi - obs.lo >= 2))
-
-
 def hts_complete(
     dataset: Sequence[ObservedCascade],
     net: Network,
@@ -312,45 +304,44 @@ def hts_complete(
     config = config or HtsConfig()
     config.validate()
     alpha = validate_couplings(net, couplings)
+    times, unresolved = _completed_times(dataset, net, alpha, config, round_index)
+    return [
+        dict(zip(np.flatnonzero(free).tolist(), row[free].tolist()))
+        for row, free in zip(times, unresolved)
+    ]
+
+
+def _completed_times(dataset, net: Network, alpha: np.ndarray, config: HtsConfig, round_index: int):
+    """The recorded times of ``dataset`` as an (M, N) matrix with the
+    times of its unresolved nodes (hidden, or not pinned by their window)
+    imputed as :func:`hts_complete` describes, and the (M, N) unresolved
+    flags.  Each source group draws its samples from its own Philox key,
+    ``aux_samples`` per cascade that has an unresolved node, in dataset
+    order."""
     horizon = _common_horizon(dataset)
-    completions: list[dict[int, int] | None] = [None] * len(dataset)
-    index_of = {id(obs): i for i, obs in enumerate(dataset)}
-    groups = group_cascades(dataset)
+    lo, hi, hidden = (np.stack([getattr(obs, name) for obs in dataset]) for name in ("lo", "hi", "hidden"))
+    unresolved = hidden | (hi - lo >= 2)
+    keys, group_of = _source_groups(dataset)
+    needs = unresolved.any(axis=1)
+    times = hi.copy()
     L = config.aux_samples
-    for g_idx, (sources, cascades) in enumerate(groups.items()):
-        needs = [obs for obs in cascades if _unresolved_nodes(obs).size > 0]
-        for obs in cascades:
-            if _unresolved_nodes(obs).size == 0:
-                completions[index_of[id(obs)]] = {}
-        if not needs:
+    for g_idx, sources in enumerate(keys):
+        rows = np.flatnonzero((group_of == g_idx) & needs)
+        if not rows.size:
             continue
         key = ((config.seed & _MASK64) << 64) | ((round_index & _MASK64) << 32) | (g_idx & 0xFFFFFFFF)
         rng = np.random.Generator(np.random.Philox(key=key))
-        samples = sample_recorded_times(net, alpha, sources, horizon, L * len(needs), rng)
-        scores = batch_full_log_likelihood(net, alpha, samples, horizon)
-        for j, obs in enumerate(needs):
-            block = samples[j * L : (j + 1) * L]
-            block_scores = scores[j * L : (j + 1) * L]
-            vis = np.flatnonzero(~obs.hidden)
-            inside = (obs.lo[vis][None, :] < block[:, vis]) & (block[:, vis] <= obs.hi[vis][None, :])
-            violations = (~inside).sum(axis=1)
-            vmin = violations.min()
-            pool = np.flatnonzero(violations == vmin)
-            best = pool[np.argmax(block_scores[pool])]
-            completions[index_of[id(obs)]] = {
-                int(n): int(block[best, n]) for n in _unresolved_nodes(obs)
-            }
-    return completions  # type: ignore[return-value]
-
-
-def _completed_times(dataset, completions) -> np.ndarray:
-    rows = []
-    for obs, comp in zip(dataset, completions):
-        t = obs.hi.copy()
-        for n, v in comp.items():
-            t[n] = v
-        rows.append(t)
-    return np.stack(rows).astype(np.int64)
+        samples = sample_recorded_times(net, alpha, sources, horizon, L * rows.size, rng)
+        scores = batch_full_log_likelihood(net, alpha, samples, horizon).reshape(rows.size, L)
+        samples = samples.reshape(rows.size, L, -1)
+        # hidden nodes violate nothing; the pool is each cascade's fewest
+        # violations, and its first most likely sample wins
+        inside = hidden[rows, None] | ((lo[rows, None] < samples) & (samples <= hi[rows, None]))
+        violations = (~inside).sum(axis=2)
+        pool = violations == violations.min(axis=1, keepdims=True)
+        best = np.argmax(np.where(pool, scores, -np.inf), axis=1)
+        times[rows] = np.where(unresolved[rows], samples[np.arange(rows.size), best], hi[rows])
+    return times, unresolved
 
 
 def hts_fit(
@@ -379,10 +370,8 @@ def hts_fit(
     converged = False
     rounds_done = 0
     for rnd in range(config.outer_rounds):
-        completions = hts_complete(dataset, net, alpha, config, round_index=rnd)
-        times = _completed_times(dataset, completions)
-        cascades = [Cascade(horizon, times[j]) for j in range(times.shape[0])]
-        alpha_new = netrate_fit(cascades, net, fit_cfg)
+        times, _ = _completed_times(dataset, net, alpha, config, rnd)
+        alpha_new = _netrate(net, times, horizon, fit_cfg)
         alpha_new[frozen] = fit_cfg.alpha_init
         nll = -batch_full_log_likelihood(net, alpha_new, times, horizon).sum()
         trajectory.append(float(nll))

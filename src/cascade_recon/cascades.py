@@ -546,12 +546,18 @@ def _source_sets(hi: np.ndarray, hidden: np.ndarray, ids: dict[tuple[int, ...], 
     ``hi == 0``) of each row of a block; a set not in ``ids`` yet is added
     with the next id.  Rows are grouped by their sets packed into bits."""
     is_source = ~hidden & (hi == 0)
-    packed = np.packbits(is_source, axis=1)
-    bits = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    bits[:, : packed.shape[1]] = packed
-    first, which = _group_rows(list(bits.view(np.uint64).T))
+    first, which = _group_rows(_bit_words(is_source))
     set_ids = [ids.setdefault(tuple(np.flatnonzero(is_source[row]).tolist()), len(ids)) for row in first.tolist()]
     return np.array(set_ids, dtype=np.intp)[which]
+
+
+def _bit_words(flags: np.ndarray) -> list[np.ndarray]:
+    """The rows of the (R, K) boolean ``flags``, K >= 1, packed into bits,
+    as the uint64 word columns that :func:`_group_rows` groups."""
+    packed = np.packbits(flags, axis=1)
+    bits = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    bits[:, : packed.shape[1]] = packed
+    return list(bits.view(np.uint64).T)
 
 
 def _ranked_sets(ids: dict[tuple[int, ...], int], set_id: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:

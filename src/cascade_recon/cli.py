@@ -71,7 +71,7 @@ def _method(text: str) -> str:
 
 
 # Run options: each is a long flag and a config key, with its parser and
-# help.  A parser of None marks a switch, which takes no value.
+# help.
 _OPTIONS = {
     "network": (str, "edge-list file (optionally with couplings)"),
     "couplings": (str, "edge-list file carrying the couplings to use"),
@@ -87,7 +87,6 @@ _OPTIONS = {
     "hidden": (str, "hidden node count or comma-separated labels"),
     "snapshots": (_snapshots, "'all' or comma-separated times"),
     "threads": (_integer, "no effect: source groups run in batched array passes; accepted for existing pipelines"),
-    "deterministic": (None, "no effect: results are the same for any --threads; accepted for existing pipelines"),
 }
 
 # Every config key and its parser: the run options, and the fields of the
@@ -106,9 +105,8 @@ def _usage_error(message: str) -> SystemExit:
 
 
 def _parse(key: str, text):
-    parse = _PARSERS[key]
     try:
-        return text if parse is None else parse(text)
+        return _PARSERS[key](text)
     except ValueError as exc:
         raise _usage_error(f"{key}: {exc}") from None
 
@@ -343,7 +341,7 @@ def _cmd_gradcheck(run: _Run) -> int:
 
 
 # Each subcommand: its handler, its help and the run options it takes
-# besides --threads, --deterministic and --config, which all take.
+# besides --threads and --config, which all take.
 _COMMANDS = {
     "simulate": (_cmd_simulate, "generate ground-truth cascades",
                  "network couplings out horizon seed num-cascades sources"),
@@ -370,10 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for key in options.split() + ["threads", "deterministic"]:
-            parse, option_help = _OPTIONS[key]
-            switch = {"action": "store_true", "default": None} if parse is None else {}
-            p.add_argument(f"--{key}", help=option_help, **switch)
+        for key in options.split() + ["threads"]:
+            p.add_argument(f"--{key}", help=_OPTIONS[key][1])
         p.add_argument("--config", help="key = value config file; flags override file values")
     return parser
 

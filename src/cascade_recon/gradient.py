@@ -430,13 +430,11 @@ def free_energy_gradient(
     dataset: Sequence[ObservedCascade],
     net: Network,
     couplings,
-    threads: int = 1,
 ) -> FreeEnergyReport:
     """Free energy and its exact gradient with respect to every coupling.
 
     One batched forward pass and one reverse sweep are run per chunk of
     distinct source sets, shared by all cascades of those groups.
-    ``threads`` is accepted for existing callers and has no effect.
     """
     horizon = _common_horizon(dataset)
     summaries = summarize_dataset(dataset)

@@ -293,7 +293,7 @@ def test_criterion_12_pipeline_determinism(tmp_path):
     for threads in (1, 8):
         d = tmp_path / f"threads{threads}"
         d.mkdir()
-        common = ["--deterministic", "--threads", str(threads)]
+        common = ["--threads", str(threads)]
         assert main(["simulate", "--network", str(netfile), "--horizon", "8",
                      "--num-cascades", "400", "--sources", net.labels[0], "--seed", "9",
                      "--out", str(d / "truth.txt"), *common]) == 0

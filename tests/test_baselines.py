@@ -11,6 +11,7 @@ from cascade_recon import (
     FitConfig,
     HtsConfig,
     MaskSpec,
+    Network,
     apply_mask,
     batch_full_log_likelihood,
     dmprec_fit,
@@ -94,6 +95,43 @@ class TestNetrate:
         assert np.abs(alpha_nr - truth).mean() <= 0.02
         res = dmprec_fit([observe_fully(c) for c in data], net)
         assert np.abs(alpha_nr - res.couplings_hat).max() <= 0.02
+
+    def test_stationary_for_the_batched_likelihood(self, rng):
+        # loopy graph: activations with up to four active parents
+        net = random_loopy_net(8, 12, rng)
+        truth = random_couplings(net, rng, 0.1, 0.6)
+        data = generate_dataset(net, truth, 2000, "random", 6, seed=3)
+        times = np.stack([c.times for c in data])
+
+        def fd_gradient(alpha, h=1e-6):
+            step = h * np.eye(net.n_edges)
+            return np.array([
+                batch_full_log_likelihood(net, alpha + step[e], times, 6).sum()
+                - batch_full_log_likelihood(net, alpha - step[e], times, 6).sum()
+                for e in range(net.n_edges)
+            ]) / (2 * h)
+
+        alpha = netrate_fit(data, net)
+        assert np.all((alpha > 1e-3) & (alpha < 1 - 1e-3))
+        start = fd_gradient(np.full(net.n_edges, 0.5))
+        assert np.abs(fd_gradient(alpha)).max() <= 1e-3 * np.abs(start).max()
+
+    def test_relabeling_wide_parent_sets(self, rng):
+        # root 0 -> middles 1..70 -> hub 71: the hub's parent sets are 70 wide
+        n_mid = 70
+        hub = n_mid + 1
+        edges = [("0", str(k)) for k in range(1, hub)] + [(str(k), str(hub)) for k in range(1, hub)]
+        net = Network([str(i) for i in range(hub + 1)], edges)
+        truth = np.array([0.6 if net.edge_dst[e] != hub else 0.03 for e in range(net.n_edges)])
+        truth *= rng.uniform(0.5, 1.5, net.n_edges)
+        data = generate_dataset(net, truth, 2000, [0], 6, seed=70)
+        # the same cascades with the middle labels reversed: k -> hub - k
+        relabel = np.r_[0, np.arange(n_mid, 0, -1), hub]
+        flipped = [Cascade(6, c.times[relabel]) for c in data]
+        alpha = netrate_fit(data, net)
+        alpha_flipped = netrate_fit(flipped, net)
+        back = [net.edge_id(relabel[i], relabel[j]) for i, j in map(net.edge_pair, range(net.n_edges))]
+        np.testing.assert_allclose(alpha_flipped[back], alpha, rtol=0.0, atol=1e-9)
 
 
 class TestMarginalizedLikelihood:

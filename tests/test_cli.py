@@ -142,15 +142,15 @@ class TestDeterminism:
             d.mkdir()
             run("simulate", "--network", tmp / "net.edges", "--horizon", 8,
                 "--num-cascades", 300, "--sources", "0", "--seed", 9,
-                "--threads", threads, "--deterministic", "--out", d / "truth.txt")
+                "--threads", threads, "--out", d / "truth.txt")
             run("mask", "--network", tmp / "net.edges", "--cascades", d / "truth.txt",
                 "--hidden", 2, "--mask-seed", 13, "--threads", threads,
-                "--deterministic", "--out", d / "obs.txt")
+                "--out", d / "obs.txt")
             run("fit", "--network", tmp / "net_bare.edges", "--cascades", d / "obs.txt",
-                "--method", "dmprec", "--threads", threads, "--deterministic",
+                "--method", "dmprec", "--threads", threads,
                 "--out", d / "est.edges")
             run("eval", "--network", tmp / "net.edges", "--couplings", d / "est.edges",
-                "--threads", threads, "--deterministic", "--out", d / "scatter.csv")
+                "--threads", threads, "--out", d / "scatter.csv")
             artifacts[threads] = {
                 name: (d / name).read_bytes()
                 for name in ("truth.txt", "obs.txt", "est.edges", "est.edges.diag.csv", "scatter.csv")
@@ -261,6 +261,20 @@ class TestErrorsAndConfig:
         assert rc == 2
         assert capsys.readouterr().err == "error: config line 1: unknown key 'step-init'\n"
 
+    def test_deterministic_is_a_usage_error(self, workdir, capsys):
+        # results never depended on it: the reduction order is fixed
+        tmp, net, _ = workdir
+        common = ("marginals", "--network", tmp / "net.edges", "--horizon", 3,
+                  "--sources", net.labels[0], "--out", tmp / "m.csv")
+        with pytest.raises(SystemExit) as exc:
+            run(*common, "--deterministic")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --deterministic" in capsys.readouterr().err
+        (tmp / "cfg.txt").write_text("deterministic = 1\n")
+        assert run(*common, "--config", tmp / "cfg.txt") == 2
+        assert capsys.readouterr().err == "error: config line 1: unknown key 'deterministic'\n"
+        assert not (tmp / "m.csv").exists()
+
     @pytest.mark.parametrize("command, horizon, least", [
         ("simulate", 0, 1), ("marginals", 0, 1), ("gradcheck", 0, 1), ("oracle", -1, 0),
     ])
@@ -365,7 +379,7 @@ class TestErrorsAndConfig:
 
 
 class TestOptionSurface:
-    COMMON = {"--threads", "--deterministic", "--config", "--help"}
+    COMMON = {"--threads", "--config", "--help"}
     FLAGS = {
         "simulate": {"--network", "--couplings", "--out", "--horizon", "--seed", "--num-cascades", "--sources"},
         "mask": {"--network", "--cascades", "--mask", "--out", "--hidden", "--snapshots", "--mask-seed"},
@@ -378,7 +392,7 @@ class TestOptionSurface:
     }
     CONFIG_KEYS = {
         "network", "couplings", "cascades", "mask", "out", "method", "horizon", "num-cascades",
-        "sources", "seed", "mask-seed", "hidden", "snapshots", "threads", "deterministic",
+        "sources", "seed", "mask-seed", "hidden", "snapshots", "threads",
         "alpha-init", "alpha-min", "alpha-max", "max-iters", "tol",
         "aux-samples", "outer-rounds", "param-tol",
     }

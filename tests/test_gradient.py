@@ -309,16 +309,6 @@ class TestObservedFreeEnergy:
             fd = _fd_gradient(dataset, net, alpha)
             _assert_grad_close(rep.gradient, fd)
 
-    def test_threads_do_not_change_result(self, rng):
-        net = random_loopy_net(9, 6, rng)
-        truth = random_couplings(net, rng)
-        alpha = random_couplings(net, rng, 0.1, 0.9)
-        dataset = [observe_fully(c) for c in generate_dataset(net, truth, 80, "random", 6, seed=5)]
-        one = free_energy_gradient(dataset, net, alpha, threads=1)
-        many = free_energy_gradient(dataset, net, alpha, threads=8)
-        assert one.value == many.value
-        np.testing.assert_array_equal(one.gradient, many.gradient)
-
 
 class TestChunking:
     """Source groups run in batched passes over chunks of groups; the
