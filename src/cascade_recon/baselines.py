@@ -31,12 +31,13 @@ from .graph import Network, validate_couplings
 from .cascades import (
     _MASK64,
     Cascade,
+    CascadeTable,
     MaskSpec,
     ObservedCascade,
     _bit_words,
-    _common_horizon,
     _group_rows,
     _source_groups,
+    _table,
     sample_recorded_times,
 )
 from .fit import FitConfig, FitResult, identifiable_edges, projected_gradient_descent
@@ -165,10 +166,12 @@ def netrate_fit(dataset, net: Network, config: FitConfig | None = None) -> np.nd
     """
     config = config or FitConfig()
     config.validate()
-    times, T = _full_times_matrix(dataset)
-    if times.shape[1] != net.n_nodes:
+    table = _table(dataset)
+    if not table.is_fully_observed():
+        raise DatasetError("method requires completely observed cascades")
+    if table.n_nodes != net.n_nodes:
         raise DatasetError("dataset does not match the network")
-    return _netrate(net, times, T, config)
+    return _netrate(net, table.hi, table.horizon, config)
 
 
 def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -> np.ndarray:
@@ -211,20 +214,6 @@ def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -
             x0, config.alpha_min, config.alpha_max, config,
         )[0]
     return alpha
-
-
-def _full_times_matrix(dataset) -> tuple[np.ndarray, int]:
-    """Stack a fully observed dataset into an (M, N) recorded-time matrix."""
-    horizon = _common_horizon(dataset)
-    rows = []
-    for item in dataset:
-        if isinstance(item, Cascade):
-            rows.append(item.times)
-        else:
-            if not item.is_fully_observed():
-                raise DatasetError("method requires completely observed cascades")
-            rows.append(item.hi)
-    return np.stack(rows).astype(np.int64), horizon
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +275,7 @@ def marginalized_likelihood(
 
 
 def hts_complete(
-    dataset: Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[ObservedCascade],
     net: Network,
     couplings,
     config: HtsConfig | None = None,
@@ -304,24 +293,23 @@ def hts_complete(
     config = config or HtsConfig()
     config.validate()
     alpha = validate_couplings(net, couplings)
-    times, unresolved = _completed_times(dataset, net, alpha, config, round_index)
+    times, unresolved = _completed_times(_table(dataset), net, alpha, config, round_index)
     return [
         dict(zip(np.flatnonzero(free).tolist(), row[free].tolist()))
         for row, free in zip(times, unresolved)
     ]
 
 
-def _completed_times(dataset, net: Network, alpha: np.ndarray, config: HtsConfig, round_index: int):
-    """The recorded times of ``dataset`` as an (M, N) matrix with the
-    times of its unresolved nodes (hidden, or not pinned by their window)
+def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, config: HtsConfig, round_index: int):
+    """The recorded times of ``table`` as an (M, N) matrix with the times
+    of its unresolved nodes (hidden, or not pinned by their window)
     imputed as :func:`hts_complete` describes, and the (M, N) unresolved
     flags.  Each source group draws its samples from its own Philox key,
     ``aux_samples`` per cascade that has an unresolved node, in dataset
-    order."""
-    horizon = _common_horizon(dataset)
-    lo, hi, hidden = (np.stack([getattr(obs, name) for obs in dataset]) for name in ("lo", "hi", "hidden"))
+    order; only the samples in a cascade's pool are scored."""
+    horizon, lo, hi, hidden = table.horizon, table.lo, table.hi, table.hidden
     unresolved = hidden | (hi - lo >= 2)
-    keys, group_of = _source_groups(dataset)
+    keys, group_of = _source_groups(table)
     needs = unresolved.any(axis=1)
     times = hi.copy()
     L = config.aux_samples
@@ -331,21 +319,21 @@ def _completed_times(dataset, net: Network, alpha: np.ndarray, config: HtsConfig
             continue
         key = ((config.seed & _MASK64) << 64) | ((round_index & _MASK64) << 32) | (g_idx & 0xFFFFFFFF)
         rng = np.random.Generator(np.random.Philox(key=key))
-        samples = sample_recorded_times(net, alpha, sources, horizon, L * rows.size, rng)
-        scores = batch_full_log_likelihood(net, alpha, samples, horizon).reshape(rows.size, L)
-        samples = samples.reshape(rows.size, L, -1)
+        samples = sample_recorded_times(net, alpha, sources, horizon, L * rows.size, rng).reshape(rows.size, L, -1)
         # hidden nodes violate nothing; the pool is each cascade's fewest
         # violations, and its first most likely sample wins
         inside = hidden[rows, None] | ((lo[rows, None] < samples) & (samples <= hi[rows, None]))
         violations = (~inside).sum(axis=2)
         pool = violations == violations.min(axis=1, keepdims=True)
-        best = np.argmax(np.where(pool, scores, -np.inf), axis=1)
+        scores = np.full(pool.shape, -np.inf)
+        scores[pool] = batch_full_log_likelihood(net, alpha, samples[pool], horizon)
+        best = np.argmax(scores, axis=1)
         times[rows] = np.where(unresolved[rows], samples[np.arange(rows.size), best], hi[rows])
     return times, unresolved
 
 
 def hts_fit(
-    dataset: Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[ObservedCascade],
     net: Network,
     config: HtsConfig | None = None,
 ) -> FitResult:
@@ -358,9 +346,10 @@ def hts_fit(
     config = config or HtsConfig()
     config.validate()
     fit_cfg = config.fit
-    horizon = _common_horizon(dataset)
+    table = _table(dataset)
+    horizon = table.horizon
 
-    hidden_everywhere = np.logical_and.reduce([obs.hidden for obs in dataset])
+    hidden_everywhere = table.hidden.all(axis=0)
     frozen = np.ones(net.n_edges, dtype=bool)
     frozen[identifiable_edges(net, MaskSpec(frozenset(np.flatnonzero(hidden_everywhere).tolist())))] = False
 
@@ -370,7 +359,7 @@ def hts_fit(
     converged = False
     rounds_done = 0
     for rnd in range(config.outer_rounds):
-        times, _ = _completed_times(dataset, net, alpha, config, rnd)
+        times, _ = _completed_times(table, net, alpha, config, rnd)
         alpha_new = _netrate(net, times, horizon, fit_cfg)
         alpha_new[frozen] = fit_cfg.alpha_init
         nll = -batch_full_log_likelihood(net, alpha_new, times, horizon).sum()

@@ -13,12 +13,17 @@ which stores one half-open bound pair ``(lo, hi]`` per visible node: the
 recorded activation time is known to lie in that window.  Exact times,
 horizon censoring and snapshot intervals are all special cases of the
 bounds, which keeps every downstream likelihood computation uniform.
+
+A dataset travels from simulation to fit as one :class:`CascadeTable`:
+(M, N) arrays of those bounds, one row per cascade.  Simulation, masking
+and reading produce it; writing, summarizing and fitting consume it, or a
+sequence of row objects, which they stack a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -30,6 +35,7 @@ from .graph import Network, validate_couplings
 __all__ = [
     "Cascade",
     "ObservedCascade",
+    "CascadeTable",
     "MaskSpec",
     "cascade_substream",
     "simulate_cascade",
@@ -179,6 +185,100 @@ def observe_fully(cascade: Cascade) -> ObservedCascade:
     return ObservedCascade(cascade.horizon, t - 1, t.copy(), np.zeros(t.shape[0], dtype=bool))
 
 
+@dataclass(frozen=True, eq=False)
+class CascadeTable:
+    """M cascades over N nodes as (M, N) arrays, one row per cascade.
+
+    Row r holds what :class:`ObservedCascade` holds: the int64 window
+    bounds ``lo[r]`` and ``hi[r]`` and the bool ``hidden[r]``.  A
+    ``complete`` table holds simulated cascades, with ``hi`` the recorded
+    times, ``lo = hi - 1`` and nothing hidden.
+
+    The table is also the sequence of its rows: ``len``, iteration and an
+    integer index give :class:`Cascade` views of ``hi`` for a complete
+    table and :class:`ObservedCascade` views otherwise, a slice gives a
+    table of views, and ``==`` compares row by row with a table or a
+    sequence of rows.  ``table + other``, with ``other`` a table or a
+    sequence of rows, stacks the rows of both into a new table; a list
+    ``+=`` a table is extended by the table's rows, as by any sequence.
+    """
+
+    horizon: int
+    lo: np.ndarray
+    hi: np.ndarray
+    hidden: np.ndarray
+    complete: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.int64))
+        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.int64))
+        object.__setattr__(self, "hidden", np.asarray(self.hidden, dtype=bool))
+
+    @property
+    def n_nodes(self) -> int:
+        return self.lo.shape[1]
+
+    def is_fully_observed(self) -> bool:
+        """True when every node of every cascade has an exactly pinned time."""
+        return self.complete or bool(np.all(~self.hidden & (self.hi - self.lo == 1)))
+
+    def __len__(self) -> int:
+        return self.lo.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            if self.complete:
+                return Cascade(self.horizon, self.hi[index])
+            return ObservedCascade(self.horizon, self.lo[index], self.hi[index], self.hidden[index])
+        return CascadeTable(self.horizon, self.lo[index], self.hi[index], self.hidden[index], self.complete)
+
+    def __iter__(self):
+        if self.complete:
+            return (Cascade(self.horizon, times) for times in self.hi)
+        return (ObservedCascade(self.horizon, *row) for row in zip(self.lo, self.hi, self.hidden))
+
+    def __eq__(self, other):
+        if not isinstance(other, (CascadeTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __add__(self, other):
+        if not isinstance(other, (CascadeTable, list, tuple)):
+            return NotImplemented
+        return _table([*self, *other])
+
+
+def _complete_table(horizon: int, times: np.ndarray) -> CascadeTable:
+    """The complete table of the (M, N) int64 recorded ``times``."""
+    return CascadeTable(horizon, times - 1, times, np.zeros(times.shape, dtype=bool), complete=True)
+
+
+def _table(dataset) -> CascadeTable:
+    """``dataset`` itself when it is a table, else its rows (cascades or
+    observed cascades of one horizon) stacked into one."""
+    if isinstance(dataset, CascadeTable):
+        return dataset
+    if not len(dataset):
+        raise DatasetError("empty dataset")
+    horizon = _shared_horizon(row.horizon for row in dataset)
+
+    def stacked(arrays):
+        return np.concatenate(arrays).reshape(len(arrays), arrays[0].shape[0])
+
+    if all(isinstance(row, Cascade) for row in dataset):
+        return _complete_table(horizon, stacked([row.times for row in dataset]))
+    rows = [observe_fully(row) if isinstance(row, Cascade) else row for row in dataset]
+    return CascadeTable(horizon, *(stacked([getattr(row, name) for row in rows]) for name in ("lo", "hi", "hidden")))
+
+
+def _shared_horizon(horizons: Iterable[int]) -> int:
+    """The one horizon of ``horizons``; more than one is an error."""
+    horizons = set(horizons)
+    if len(horizons) != 1:
+        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
+    return horizons.pop()
+
+
 @dataclass(frozen=True)
 class MaskSpec:
     """Which information survives observation.
@@ -219,42 +319,40 @@ def _as_source_array(net: Network, sources) -> np.ndarray:
 def simulate_cascade(net: Network, couplings, sources, horizon: int, rng) -> Cascade:
     """Simulate one synchronous SI cascade.
 
-    ``rng`` is a numpy Generator (or an int seed).  Each step consumes one
-    uniform per directed edge from a pre-drawn ``(horizon-1) x |E|`` block,
-    so the result does not depend on early termination.
+    ``rng`` is a numpy Generator (or an int seed).  It draws a
+    ``(horizon-1) x |E|`` block of uniforms up front, and edge e transmits
+    at step t + 1 iff ``u[t, e] < alpha[e]`` (its source active by t, its
+    destination still susceptible), so the result does not depend on early
+    termination.  The steps are those :func:`generate_dataset` runs.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.Generator(np.random.Philox(key=int(rng) & _MASK64))
     alpha = validate_couplings(net, couplings)
     src = _as_source_array(net, sources)
     _check_horizon(horizon)
-    u = rng.random((max(horizon - 1, 0), net.n_edges))
-    times = _run_edge_block(net, alpha, src, horizon, u[None, :, :])[0]
-    return Cascade(horizon, times)
+    transmit = rng.random((max(horizon - 1, 0), net.n_edges)) < alpha
+    times = np.full((net.n_nodes, 1), horizon, dtype=np.int64)
+    times[src] = 0
+    _spread(net, horizon, times, transmit[:, :, None])
+    return Cascade(horizon, times[:, 0])
 
 
-def _run_edge_block(net, alpha, src, horizon, u):
-    """Vectorized per-edge simulation for a batch of cascades.
+def _spread(net: Network, horizon: int, times: np.ndarray, transmit: np.ndarray) -> None:
+    """Run the steps of B cascades together, in place.
 
-    ``u`` has shape (batch, horizon-1, |E|); returns (batch, N) int64 times.
-    Transmission along edge e at step t succeeds iff u[c, t, e] < alpha[e].
+    ``times`` is (N, B), 0 at each cascade's sources and ``horizon``
+    elsewhere on entry and the recorded times on return.  ``transmit[t]``
+    is (|E|, B): whether each edge transmits at step t + 1 when its source
+    is active by t and its destination is still susceptible.
     """
-    batch = u.shape[0]
-    times = np.full((batch, net.n_nodes), horizon, dtype=np.int64)
-    times[:, src] = 0
-    if net.n_edges == 0:
-        return times
     esrc, edst = net.edge_src, net.edge_dst
-    for t in range(horizon - 1):
-        active = times <= t
-        open_dst = times[:, edst] == horizon
-        fired = (u[:, t, :] < alpha[None, :]) & active[:, esrc] & open_dst
+    for t, fires in enumerate(transmit):
+        fired = fires & (times <= t)[esrc] & (times == horizon)[edst]
         if fired.any():
-            rows, cols = np.nonzero(fired)
-            times[rows, edst[cols]] = t + 1
+            edges, cols = np.nonzero(fired)
+            times[edst[edges], cols] = t + 1
             if not (times == horizon).any():
                 break
-    return times
 
 
 def generate_dataset(
@@ -265,20 +363,27 @@ def generate_dataset(
     horizon: int,
     seed: int,
     chunk: int = 4096,
-) -> list[Cascade]:
-    """Generate independent cascades with per-cascade Philox substreams.
+) -> CascadeTable:
+    """Generate independent cascades with per-cascade Philox substreams,
+    as a complete :class:`CascadeTable`.
 
     ``source_policy`` is either an explicit collection of source node
     indices (used for every cascade) or the string ``"random"`` for one
     uniformly chosen source per cascade.  Cascade ``c`` is a pure function
-    of (seed, c): with a random source, the substream first yields the
-    source index, then the transmission uniforms.
+    of (seed, c): its substream (:func:`cascade_substream`) first yields
+    the source index when it is random, then one raw 64-bit word per step
+    and edge, and edge e transmits at step t + 1 iff its word ``w`` has
+    ``(w >> 11) < ceil(alpha[e] * 2**53)``.  That is exactly
+    ``u < alpha[e]`` for the uniform ``u = (w >> 11) * 2**-53`` that
+    ``Generator.random`` makes of the word, so cascade c is what
+    :func:`simulate_cascade` simulates from the same substream.  The
+    cascades of a chunk of ``chunk`` run their steps together, each from
+    its own sources.
     """
     if n_cascades < 1:
         raise DatasetError("n_cascades must be >= 1")
     alpha = validate_couplings(net, couplings)
-    random_sources = isinstance(source_policy, str)
-    if random_sources:
+    if isinstance(source_policy, str):
         if source_policy != "random":
             raise ValueError(f"unknown source policy {source_policy!r}")
         fixed_src = None
@@ -286,31 +391,26 @@ def generate_dataset(
         fixed_src = _as_source_array(net, source_policy)
     _check_horizon(horizon)
 
-    out: list[Cascade] = []
-    n_steps = horizon - 1
+    n_steps, n_edges = horizon - 1, net.n_edges
+    threshold = np.ceil(alpha * 2.0**53).astype(np.uint64)
+    times = np.empty((n_cascades, net.n_nodes), dtype=np.int64)
     drawer = _SubstreamDrawer(seed)
     for start in range(0, n_cascades, chunk):
-        stop = min(start + chunk, n_cascades)
-        size = stop - start
-        u = np.empty((size, n_steps, net.n_edges), dtype=np.float64)
-        srcs = np.empty(size, dtype=np.intp)
+        size = min(chunk, n_cascades - start)
+        block = np.full((net.n_nodes, size), horizon, dtype=np.int64)
+        words = np.empty((size, n_steps * n_edges), dtype=np.uint64)
         for j in range(size):
             g = drawer.generator(start + j)
-            if random_sources:
-                srcs[j] = int(g.integers(net.n_nodes))
-            else:
-                srcs[j] = -1
-            u[j] = g.random((n_steps, net.n_edges))
-        if random_sources:
-            times = np.full((size, net.n_nodes), horizon, dtype=np.int64)
-            # group cascades by their drawn source so each group runs vectorized
-            for s in np.unique(srcs):
-                idx = np.flatnonzero(srcs == s)
-                times[idx] = _run_edge_block(net, alpha, np.array([s]), horizon, u[idx])
-        else:
-            times = _run_edge_block(net, alpha, fixed_src, horizon, u)
-        out.extend(Cascade(horizon, times[j]) for j in range(size))
-    return out
+            if fixed_src is None:
+                block[g.integers(net.n_nodes), j] = 0
+            words[j] = g.bit_generator.random_raw(n_steps * n_edges)
+        if fixed_src is not None:
+            block[fixed_src] = 0
+        words >>= 11
+        steps = words.reshape(size, n_steps, n_edges).transpose(1, 2, 0)
+        _spread(net, horizon, block, np.less(steps, threshold[:, None], order="C"))
+        times[start:start + size] = block.T
+    return _complete_table(horizon, times)
 
 
 def check_realizable(net: Network, cascade: Cascade) -> bool:
@@ -446,23 +546,31 @@ def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray,
     return hidden, table
 
 
-def apply_mask(cascade: Cascade, mask: MaskSpec) -> ObservedCascade:
-    """Reduce a complete cascade to what the mask lets an observer see.
+def apply_mask(cascade: Cascade | CascadeTable, mask: MaskSpec) -> ObservedCascade | CascadeTable:
+    """Reduce a complete cascade, or every cascade of a table, to what the
+    mask lets an observer see.
 
     Snapshot semantics: the state is checked at each monitoring time (plus
     time 0, which is always known); a node first seen active at snapshot s
     was recorded in ``(prev, s]``; a snapshot at the horizon can only tell
     "activated by T-1" from "censored".  With ``snapshot_times=None`` every
-    time step is monitored and visible nodes keep exact times.
+    time step is monitored and visible nodes keep exact times.  A table
+    must pin every node's time exactly; its recorded times are its ``hi``.
     """
+    if isinstance(cascade, CascadeTable):
+        if not cascade.is_fully_observed():
+            raise DatasetError("cascade is not fully observed")
+        times = cascade.hi
+    else:
+        times = cascade.times
     T = cascade.horizon
-    n = cascade.times.shape[0]
-    hidden_nodes, windows = _mask_table(mask, n, T)
-    lo, hi = windows.take(cascade.times + 1, axis=1, mode="clip")
-    lo[hidden_nodes] = hi[hidden_nodes] = -1
-    hidden = np.zeros(n, dtype=bool)
-    hidden[hidden_nodes] = True
-    return ObservedCascade(T, lo, hi, hidden)
+    hidden_nodes, windows = _mask_table(mask, times.shape[-1], T)
+    lo, hi = windows.take(times + 1, axis=1, mode="clip")
+    # the nodes are the last axis: rows of the transposes
+    lo.T[hidden_nodes] = hi.T[hidden_nodes] = -1
+    hidden = np.zeros(times.shape, dtype=bool)
+    hidden.T[hidden_nodes] = True
+    return (CascadeTable if times.ndim == 2 else ObservedCascade)(T, lo, hi, hidden)
 
 
 def resolve_mask(
@@ -507,7 +615,7 @@ def resolve_mask(
     return MaskSpec(hidden_nodes=hidden_nodes, snapshot_times=snapshot_times)
 
 
-def group_cascades(dataset: Sequence[ObservedCascade]) -> dict[tuple[int, ...], list[ObservedCascade]]:
+def group_cascades(dataset: CascadeTable | Sequence[ObservedCascade]) -> dict[tuple[int, ...], list[ObservedCascade]]:
     """Partition cascades by their observed source set.
 
     One forward model run per group suffices for likelihood work, so the
@@ -524,7 +632,7 @@ def group_cascades(dataset: Sequence[ObservedCascade]) -> dict[tuple[int, ...], 
     return groups
 
 
-def _source_groups(dataset: Sequence[ObservedCascade]) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _source_groups(dataset: CascadeTable | Sequence[ObservedCascade]) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The distinct observed source sets of ``dataset`` in sorted order,
     and for each cascade the index of its set among them.
 
@@ -533,10 +641,8 @@ def _source_groups(dataset: Sequence[ObservedCascade]) -> tuple[list[tuple[int, 
     summaries; it rejects an empty dataset and names the first cascade with
     no observed source.
     """
-    if not len(dataset):
-        raise DatasetError("empty dataset")
     ids: dict[tuple[int, ...], int] = {}
-    set_id = np.concatenate([_source_sets(hi, hidden, ids) for _start, _lo, hi, hidden in _row_blocks(dataset)])
+    set_id = np.concatenate([_source_sets(block.hi, block.hidden, ids) for _start, block in _blocks(dataset)])
     keys, rank = _ranked_sets(ids, set_id)
     return keys, rank[set_id]
 
@@ -572,25 +678,23 @@ def _ranked_sets(ids: dict[tuple[int, ...], int], set_id: np.ndarray) -> tuple[l
     return keys, rank
 
 
-# cells (cascades x nodes) stacked at a time by the whole-dataset passes
-_CHUNK_CELLS = 8192
+# cells (cascades x nodes) of the blocks that the whole-dataset passes take
+_BLOCK_CELLS = 8192
 
 
-def _row_blocks(cascades: Sequence[Cascade | ObservedCascade]):
-    """Yield ``(start, lo, hi, hidden)``: the window bounds and hidden flags
-    of ``cascades[start:start + rows]`` stacked into (rows, N) arrays of
-    about ``_CHUNK_CELLS`` cells, for consecutive runs of cascades.
-    Complete cascades are observed fully."""
-    n_nodes = _observed(cascades[0]).n_nodes
-    step = max(1, _CHUNK_CELLS // max(1, n_nodes))
-    for start in range(0, len(cascades), step):
-        chunk = [_observed(c) for c in cascades[start : start + step]]
-        yield (start, *(np.concatenate([getattr(c, name) for c in chunk]).reshape(len(chunk), n_nodes)
-                        for name in ("lo", "hi", "hidden")))
-
-
-def _observed(cascade: Cascade | ObservedCascade) -> ObservedCascade:
-    return observe_fully(cascade) if isinstance(cascade, Cascade) else cascade
+def _blocks(dataset: CascadeTable | Sequence):
+    """Yield ``(start, block)``: the table of ``dataset[start:start + rows]``
+    for consecutive runs of about ``_BLOCK_CELLS`` cells, a slice of a
+    table or the rows of a sequence stacked; every block has the horizon
+    of the first.  An empty dataset is an error."""
+    if not len(dataset):
+        raise DatasetError("empty dataset")
+    first = _table(dataset[:1])
+    step = max(1, _BLOCK_CELLS // max(1, first.n_nodes))
+    for start in range(0, len(dataset), step):
+        block = _table(dataset[start : start + step])
+        _shared_horizon([first.horizon, block.horizon])
+        yield start, block
 
 
 def _split_rows(items: list, rows: np.ndarray, n_rows: int) -> list[list]:
@@ -623,43 +727,42 @@ def _check_horizon(horizon: int, least: int = 1) -> None:
         raise DatasetError(f"horizon must be >= {least}")
 
 
-def _common_horizon(dataset: Sequence[Cascade | ObservedCascade]) -> int:
-    """The horizon every cascade of ``dataset`` shares."""
+def _horizon(dataset: CascadeTable | Sequence) -> int:
+    """The horizon of a table or of the first row of a sequence; the passes
+    over :func:`_blocks` check that the other rows share it."""
     if not len(dataset):
         raise DatasetError("empty dataset")
-    horizons = {obs.horizon for obs in dataset}
-    if len(horizons) != 1:
-        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
-    return horizons.pop()
+    return dataset.horizon if isinstance(dataset, CascadeTable) else dataset[0].horizon
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def write_cascades(net: Network, cascades: Sequence[Cascade | ObservedCascade]) -> str:
-    """Serialize cascades (complete or observed) to the text format.
+def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
+    """Serialize cascades (a table, or complete or observed rows) to the
+    text format.
 
     First line ``T=<int>``; then one line per cascade:
     ``<id>\\t<token>,<token>,...`` with tokens ``v:t`` (exact),
     ``v:<T>+`` (censored at horizon) and ``v:(lo,hi]`` (interval).
     Hidden nodes are simply absent from the line.
     """
-    if not cascades:
+    if not len(cascades):
         raise ValueError("no cascades to write")
-    T = _common_horizon(cascades)
+    T = _horizon(cascades)
     labels = np.array(net.labels, dtype=object)
     lines = [f"T={T}"]
-    for start, lo, hi, hidden in _row_blocks(cascades):
-        rows, nodes = np.nonzero(~hidden)
-        codes, in_range = _window_codes(lo[rows, nodes], hi[rows, nodes], T)
+    for start, block in _blocks(cascades):
+        rows, nodes = np.nonzero(~block.hidden)
+        codes, in_range = _window_codes(block.lo[rows, nodes], block.hi[rows, nodes], T)
         if not in_range:
             raise _window_range_error(T)
         codes, which = np.unique(codes, return_inverse=True)
         lo_of, hi_of = _window_bounds(codes, T)
         suffixes = [_token_suffix(a, b, T) for a, b in zip(lo_of.tolist(), hi_of.tolist())]
         tokens = (labels[nodes] + np.array(suffixes, dtype=object)[which]).tolist()
-        for r, line_tokens in enumerate(_split_rows(tokens, rows, hidden.shape[0]), start):
+        for r, line_tokens in enumerate(_split_rows(tokens, rows, len(block)), start):
             lines.append(f"{r}\t" + ",".join(line_tokens))
     return "\n".join(lines) + "\n"
 
@@ -674,7 +777,7 @@ def _token_suffix(lo: int, hi: int, T: int) -> str:
     return f":({lo},{hi}]"
 
 
-def read_cascades(net: Network, text: str) -> list[ObservedCascade]:
+def read_cascades(net: Network, text: str) -> CascadeTable:
     """Parse the cascade file format; inverse of :func:`write_cascades`.
 
     After the ``T=<int>`` line, blank lines and lines starting with ``#``
@@ -684,8 +787,7 @@ def read_cascades(net: Network, text: str) -> list[ObservedCascade]:
     each ``<label>:<time>``, with whitespace around a token or a number
     ignored.  Each error names its line; on a line, the first offending
     token in order is reported, and a window outside ``-1 <= lo < hi <= T``
-    after all of them.  The cascades are row views of one (M, N) array per
-    field.
+    after all of them.  The cascades come back as one table.
 
     The text is tokenized a block of about ``_READ_BLOCK_CHARS`` characters
     of whole lines at a time, by array passes over its UTF-8 bytes (see
@@ -739,7 +841,7 @@ def read_cascades(net: Network, text: str) -> list[ObservedCascade]:
         done += counts.size
     if bad is not None:
         raise tokens.line_error(bad, text.splitlines()[bad - 1])
-    return _observed_rows(T, lo, hi, hidden)
+    return CascadeTable(T, lo, hi, hidden)
 
 
 # characters of text tokenized at a time by read_cascades, cut after a line end
@@ -756,20 +858,6 @@ def _line_blocks(text: str):
         lines = text[start:cut].splitlines()
         yield first, lines
         start, first = cut, first + len(lines)
-
-
-def _observed_rows(horizon: int, lo: np.ndarray, hi: np.ndarray, hidden: np.ndarray) -> list[ObservedCascade]:
-    """ObservedCascade views of the rows of (M, N) int64 ``lo``/``hi`` and
-    bool ``hidden`` arrays, set directly since their dtypes already hold."""
-    rows = []
-    for lo_row, hi_row, hidden_row in zip(list(lo), list(hi), list(hidden)):
-        obs = object.__new__(ObservedCascade)
-        object.__setattr__(obs, "horizon", horizon)
-        object.__setattr__(obs, "lo", lo_row)
-        object.__setattr__(obs, "hi", hi_row)
-        object.__setattr__(obs, "hidden", hidden_row)
-        rows.append(obs)
-    return rows
 
 
 _NEWLINE, _TAB, _COMMA, _OPEN, _CLOSE, _HASH = b"\n\t,(]#"

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import CascadeReconError, ParseError
 from .graph import Network, parse_edge_list, serialize_edge_list
 from .cascades import (
+    CascadeTable,
     MaskSpec,
     apply_mask,
     generate_dataset,
@@ -222,11 +223,11 @@ def _cmd_simulate(run: _Run) -> int:
     return 0
 
 
-def _mask_spec(run: _Run, net: Network, cascades, mask_file=None) -> MaskSpec:
+def _mask_spec(run: _Run, net: Network, cascades: CascadeTable, mask_file=None) -> MaskSpec:
     """The mask in ``mask_file`` when given, else the one that --hidden,
     --snapshots and --mask-seed describe; sources of ``cascades`` are never
     hidden."""
-    source_nodes = {int(s) for c in cascades for s in c.sources}
+    source_nodes = np.flatnonzero((~cascades.hidden & (cascades.hi == 0)).any(axis=0)).tolist()
     if mask_file:
         return parse_mask_spec(
             Path(mask_file).read_text(encoding="utf-8"),
@@ -244,8 +245,7 @@ def _cmd_mask(run: _Run) -> int:
     net, _ = _load_network(run)
     cascades = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
     spec = _mask_spec(run, net, cascades, run.get("mask"))
-    observed = [apply_mask(obs.to_cascade(), spec) for obs in cascades]
-    _write(run.require("out"), write_cascades(net, observed))
+    _write(run.require("out"), write_cascades(net, apply_mask(cascades, spec)))
     return 0
 
 
@@ -317,8 +317,7 @@ def _cmd_gradcheck(run: _Run) -> int:
     horizon = run.require("horizon")
     sources = _parse_sources(run, net, allow_random=True) if run.get("sources") else "random"
     data = generate_dataset(net, alpha, run.get("num-cascades", 20), sources, horizon, run.get("seed", 0))
-    spec = _mask_spec(run, net, data)
-    dataset = [apply_mask(c, spec) for c in data]
+    dataset = apply_mask(data, _mask_spec(run, net, data))
     report = free_energy_gradient(dataset, net, alpha)
     h = 1e-5
     analytic = report.gradient

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DatasetError
 from .graph import Network
-from .cascades import MaskSpec, ObservedCascade, _common_horizon
+from .cascades import CascadeTable, MaskSpec, ObservedCascade, _horizon
 from .gradient import _chunks, _dataset_free_energy, summarize_dataset
 
 __all__ = [
@@ -181,7 +181,7 @@ def projected_gradient_descent(
 
 
 def dmprec_fit(
-    dataset: Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[ObservedCascade],
     net: Network,
     config: FitConfig | None = None,
     threads: int = 1,
@@ -197,7 +197,7 @@ def dmprec_fit(
     """
     config = config or FitConfig()
     config.validate()
-    horizon = _common_horizon(dataset)
+    horizon = _horizon(dataset)
     chunks = _chunks(summarize_dataset(dataset), net, horizon)
 
     def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:

@@ -58,14 +58,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DatasetError
+from .errors import CapacityError
 from .graph import Network, validate_couplings
 from .cascades import (
+    CascadeTable,
     ObservedCascade,
+    _blocks,
     _check_horizon,
-    _common_horizon,
+    _horizon,
     _ranked_sets,
-    _row_blocks,
     _source_sets,
     _window_bounds,
     _window_codes,
@@ -215,10 +216,10 @@ class GroupSummary:
     n_cascades: int
 
 
-def summarize_dataset(dataset: Sequence[ObservedCascade]) -> list[GroupSummary]:
+def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list[GroupSummary]:
     """Group cascades by source set and aggregate observation windows.
 
-    One walk over the stacked rows, a block at a time, finds each row's
+    One walk over the rows, a block at a time, finds each row's
     source set (:func:`cascades._source_sets`, numbered as first met) and
     makes each window of a visible non-source node one int64 key that
     orders by (set, node, lo, hi); a block's keys are counted and merged
@@ -226,17 +227,15 @@ def summarize_dataset(dataset: Sequence[ObservedCascade]) -> list[GroupSummary]:
     the keys renumbered, so the rows come out ordered by (group, node, lo,
     hi).
     """
-    if not len(dataset):
-        raise DatasetError("empty dataset")
-    T = dataset[0].horizon
-    n_nodes = dataset[0].n_nodes
+    T = _horizon(dataset)
     n_codes = (T + 2) ** 2                                   # window codes lie in [0, (T + 2)**2)
     ids: dict[tuple[int, ...], int] = {}
     set_ids = []
     in_range = True
     keys = np.empty(0, dtype=np.int64)
     counts = np.empty(0)
-    for _start, lo, hi, hidden in _row_blocks(dataset):
+    for _start, block in _blocks(dataset):
+        lo, hi, hidden, n_nodes = block.lo, block.hi, block.hidden, block.n_nodes
         set_id = _source_sets(hi, hidden, ids)
         set_ids.append(set_id)
         rows, nodes = np.nonzero(~hidden & (hi > 0))
@@ -247,7 +246,6 @@ def summarize_dataset(dataset: Sequence[ObservedCascade]) -> list[GroupSummary]:
         counts = np.bincount(where, weights=np.concatenate([counts, block_counts]))
     set_id = np.concatenate(set_ids)
     sources, rank = _ranked_sets(ids, set_id)
-    _common_horizon(dataset)
     if not in_range:
         raise _window_range_error(T)
     rest, codes = np.divmod(keys, n_codes)
@@ -415,19 +413,19 @@ def _dataset_free_energy(
 
 
 def observed_negative_log_likelihood(
-    dataset: Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[ObservedCascade],
     net: Network,
     couplings,
 ) -> float:
     """Free energy of a dataset: sum over observed nodes of
     ``-log P(observation window)`` under the message-passing marginals."""
-    horizon = _common_horizon(dataset)
+    horizon = _horizon(dataset)
     chunks = _chunks(summarize_dataset(dataset), net, horizon)
     return _dataset_free_energy(chunks, net, couplings, horizon, with_gradient=False)[0]
 
 
 def free_energy_gradient(
-    dataset: Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[ObservedCascade],
     net: Network,
     couplings,
 ) -> FreeEnergyReport:
@@ -436,7 +434,7 @@ def free_energy_gradient(
     One batched forward pass and one reverse sweep are run per chunk of
     distinct source sets, shared by all cascades of those groups.
     """
-    horizon = _common_horizon(dataset)
+    horizon = _horizon(dataset)
     summaries = summarize_dataset(dataset)
     value, gradient, contribs = _dataset_free_energy(_chunks(summaries, net, horizon), net, couplings, horizon)
     per_node: dict[int, float] = {}

@@ -7,6 +7,7 @@ import pytest
 
 from cascade_recon import (
     Cascade,
+    CascadeTable,
     DatasetError,
     MaskSpec,
     Network,
@@ -134,6 +135,32 @@ def _reference_read_cascades(net, text):
     return out
 
 
+def _reference_times(net, alpha, sources, horizon, g):
+    """The simulator that ``generate_dataset`` and ``simulate_cascade``
+    replaced, kept as the reference of their random stream: after the
+    source draw, a ``(horizon-1) x |E|`` block of ``Generator.random()``
+    doubles, then the steps edge by edge."""
+    u = g.random((max(horizon - 1, 0), net.n_edges))
+    times = np.full(net.n_nodes, horizon, dtype=np.int64)
+    times[sources] = 0
+    for t in range(horizon - 1):
+        before = times.copy()
+        for e in range(net.n_edges):
+            k, i = int(net.edge_src[e]), int(net.edge_dst[e])
+            if before[k] <= t and before[i] == horizon and u[t, e] < alpha[e]:
+                times[i] = t + 1
+    return times
+
+
+def _reference_dataset(net, alpha, n_cascades, source_policy, horizon, seed):
+    rows = []
+    for c in range(n_cascades):
+        g = cascade_substream(seed, c)
+        sources = [int(g.integers(net.n_nodes))] if source_policy == "random" else list(source_policy)
+        rows.append(_reference_times(net, alpha, sources, horizon, g))
+    return np.array(rows)
+
+
 def _assert_identical(a, b):
     """Same horizon and the same lo, hi and hidden arrays, dtypes included."""
     assert a.horizon == b.horizon
@@ -203,6 +230,22 @@ class TestDatasetGeneration:
         b = generate_dataset(net, alpha, 500, "random", 6, seed=11, chunk=499)
         assert all(x == y for x, y in zip(a, b))
 
+    def test_stream_matches_the_reference(self, rng):
+        for seed in range(3):
+            net = random_loopy_net(int(rng.integers(4, 9)), int(rng.integers(2, 8)), rng)
+            alpha = np.where(rng.random(net.n_edges) < 0.4, rng.integers(0, 2, net.n_edges), rng.random(net.n_edges))
+            alpha[:2] = 0.0, 1.0
+            for T in (1, 2, 6):
+                for policy in ("random", [1], [0, 2]):
+                    want = _reference_dataset(net, alpha, 500, policy, T, seed)
+                    for chunk in (1, 64, 499):
+                        got = generate_dataset(net, alpha, 500, policy, T, seed, chunk=chunk)
+                        np.testing.assert_array_equal(got.hi, want)
+                    for c in (0, 1, 499):
+                        g = cascade_substream(seed, c)
+                        sources = [int(g.integers(net.n_nodes))] if policy == "random" else policy
+                        assert simulate_cascade(net, alpha, sources, T, g) == Cascade(T, want[c])
+
     def test_random_sources_single_source_each(self, rng):
         net = random_loopy_net(10, 5, rng)
         alpha = random_couplings(net, rng)
@@ -227,6 +270,65 @@ class TestDatasetGeneration:
         assert len(data) == 10000
         assert all(c.sources.size == 1 for c in data)
         assert all(c.horizon == 10 for c in data)
+
+
+class TestCascadeTable:
+    def test_complete_table_rows(self, rng):
+        net = random_loopy_net(6, 3, rng)
+        data = generate_dataset(net, random_couplings(net, rng), 30, "random", 5, seed=1)
+        assert isinstance(data, CascadeTable) and data.complete
+        assert len(data) == 30 and data.n_nodes == 6
+        assert (data.lo.dtype, data.hi.dtype, data.hidden.dtype) == (np.int64, np.int64, bool)
+        np.testing.assert_array_equal(data.lo, data.hi - 1)
+        assert not data.hidden.any()
+        rows = list(data)
+        assert all(type(c) is Cascade and c.times.dtype == np.int64 for c in rows)
+        assert data[0] == rows[0] and data[-1] == rows[-1] and data[np.int64(3)] == rows[3]
+        np.testing.assert_array_equal(data[3].times, data.hi[3])
+        part = data[5:9]
+        assert isinstance(part, CascadeTable) and part.complete and len(part) == 4
+        assert part == rows[5:9] and part != rows[5:8]
+
+    def test_observed_table_rows(self, chain3):
+        back = read_cascades(chain3, "T=5\n0\t0:0,1:(1,3]\n1\t0:0,2:5+\n")
+        assert isinstance(back, CascadeTable) and not back.complete
+        assert (back.lo.dtype, back.hi.dtype, back.hidden.dtype) == (np.int64, np.int64, bool)
+        assert [type(obs) for obs in back] == [ObservedCascade, ObservedCascade]
+        assert back[0].status(1) == ("interval", 1, 3)
+        assert [back[1].status(i) for i in range(3)] == [("exact", 0), ("hidden",), ("censored",)]
+        assert back[1].hidden.dtype == bool and back[1].lo.dtype == np.int64
+
+    def test_concatenation(self, chain3):
+        a = generate_dataset(chain3, [0.5, 0.5], 3, [0], 5, seed=1)
+        b = generate_dataset(chain3, [0.5, 0.5], 2, [0], 5, seed=2)
+        both = a + b
+        assert isinstance(both, CascadeTable) and both.complete
+        assert both == list(a) + list(b)
+        grown = a
+        grown += b
+        assert grown == both and len(a) == 3
+        rows = []
+        rows += a
+        assert type(rows) is list and [type(c) for c in rows] == [Cascade] * 3
+        mixed = a + [observe_fully(c) for c in b]
+        assert isinstance(mixed, CascadeTable) and not mixed.complete
+        assert mixed == [observe_fully(c) for c in both]
+        with pytest.raises(DatasetError, match="mismatched horizons"):
+            a + generate_dataset(chain3, [0.5, 0.5], 2, [0], 6, seed=2)
+
+    def test_mask_of_a_table_masks_each_row(self, rng):
+        for _net, cascades, mask in random_masked_cases(rng):
+            observed = apply_mask(cascades, mask)
+            assert isinstance(observed, CascadeTable) and not observed.complete
+            assert len(observed) == len(cascades)
+            for obs, c in zip(observed, cascades):
+                _assert_identical(obs, apply_mask(c, mask))
+
+    def test_mask_needs_full_observation(self, chain3):
+        back = read_cascades(chain3, "T=5\n0\t0:0,1:1,2:2\n1\t0:0,1:(1,3],2:5+\n")
+        with pytest.raises(DatasetError, match="^cascade is not fully observed$"):
+            apply_mask(back, MaskSpec())
+        assert apply_mask(back[:1], MaskSpec()) == back[:1]
 
 
 class TestMasking:

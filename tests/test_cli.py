@@ -133,6 +133,38 @@ class TestMaskFitEval:
             assert (tmp / name.format("a")).read_bytes() == (tmp / name.format("b")).read_bytes()
 
 
+class TestPinnedArtifacts:
+    """``simulate`` and ``mask`` on the bundled hub30 network write the
+    bytes pinned here: the simulator's random stream, masking and the file
+    format are part of the artifacts' contract."""
+
+    SHA256 = {
+        "truth.txt": "dfb310a811b700997b65d1f2f3d98e434ff5d8ebb1083bfadc43954ac10336a8",
+        "observed.txt": "3d42b1e5465c9c5e031ab1deacea3d265ec1bef5563b0fe875591d4af4badf01",
+        "truth2.txt": "6760f5225a8d1a000d10f6d1746b449e06d9695b45f5a03e2519131cff39c1cf",
+        "observed2.txt": "667f53728e4f5c55b5a6661deeb06f8dfcfacd58169f96adb281283eb432e558",
+    }
+
+    def test_hub30_simulate_and_mask(self, tmp_path):
+        import hashlib
+        from importlib.resources import files
+
+        hub = tmp_path / "hub30.edges"
+        hub.write_text(files("cascade_recon").joinpath("data/hub30.edges").read_text())
+        (tmp_path / "mask.spec").write_text("hidden=H03,H17,H22\nsnapshots=2,4,6\n")
+        common = ["--network", hub, "--horizon", 6]
+        assert run("simulate", *common, "--num-cascades", 300, "--sources", "random", "--seed", 11,
+                   "--out", tmp_path / "truth.txt") == 0
+        assert run("mask", "--network", hub, "--cascades", tmp_path / "truth.txt",
+                   "--mask", tmp_path / "mask.spec", "--out", tmp_path / "observed.txt") == 0
+        assert run("simulate", *common, "--num-cascades", 200, "--sources", "H00,H05", "--seed", 12,
+                   "--out", tmp_path / "truth2.txt") == 0
+        assert run("mask", "--network", hub, "--cascades", tmp_path / "truth2.txt", "--hidden", 4,
+                   "--mask-seed", 3, "--snapshots", "3,6", "--out", tmp_path / "observed2.txt") == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in self.SHA256}
+        assert digests == self.SHA256
+
+
 class TestDeterminism:
     def test_pipeline_byte_identical_across_threads(self, workdir):
         tmp, net, _ = workdir
@@ -227,6 +259,15 @@ class TestErrorsAndConfig:
                  "--mask", tmp / "mask.spec", "--out", tmp / "obs.txt")
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_mask_of_partly_observed_cascades_is_exit_1(self, workdir, capsys):
+        tmp, net, _ = workdir
+        (tmp / "obs.txt").write_text("T=8\n0\t0:0,1:3\n1\t0:0,1:(1,3]\n")
+        rc = run("mask", "--network", tmp / "net.edges", "--cascades", tmp / "obs.txt",
+                 "--hidden", "", "--out", tmp / "masked.txt")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: cascade is not fully observed\n"
+        assert not (tmp / "masked.txt").exists()
 
     def test_all_hidden_cascade_reports_no_source(self, workdir, capsys):
         tmp, net, _ = workdir
