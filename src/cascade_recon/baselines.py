@@ -30,6 +30,7 @@ from .errors import CapacityError, DatasetError
 from .graph import Network, validate_couplings
 from .cascades import (
     _MASK64,
+    _SAMPLE_ROWS,
     Cascade,
     CascadeTable,
     MaskSpec,
@@ -257,10 +258,9 @@ def marginalized_likelihood(
     if not free:
         return full_log_likelihood(Cascade(observed.horizon, base), net, alpha)
     dims = tuple(len(cand[i]) for i in free)
-    chunk = 65536
     parts = []
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _SAMPLE_ROWS):
+        stop = min(start + _SAMPLE_ROWS, total)
         idx = np.unravel_index(np.arange(start, stop), dims)
         times = np.tile(base, (stop - start, 1))
         for pos, i in enumerate(free):

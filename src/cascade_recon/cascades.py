@@ -355,15 +355,11 @@ def _spread(net: Network, horizon: int, times: np.ndarray, transmit: np.ndarray)
                 break
 
 
-def generate_dataset(
-    net: Network,
-    couplings,
-    n_cascades: int,
-    source_policy,
-    horizon: int,
-    seed: int,
-    chunk: int = 4096,
-) -> CascadeTable:
+# raw 64-bit words that one block of generate_dataset's cascades draws
+_BLOCK_WORDS = 1 << 18
+
+
+def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, horizon: int, seed: int) -> CascadeTable:
     """Generate independent cascades with per-cascade Philox substreams,
     as a complete :class:`CascadeTable`.
 
@@ -377,8 +373,9 @@ def generate_dataset(
     ``u < alpha[e]`` for the uniform ``u = (w >> 11) * 2**-53`` that
     ``Generator.random`` makes of the word, so cascade c is what
     :func:`simulate_cascade` simulates from the same substream.  The
-    cascades of a chunk of ``chunk`` run their steps together, each from
-    its own sources.
+    cascades run their steps together in blocks of about
+    ``_BLOCK_WORDS`` words, each from its own sources, through one word
+    buffer; the result does not depend on the block size.
     """
     if n_cascades < 1:
         raise DatasetError("n_cascades must be >= 1")
@@ -392,13 +389,14 @@ def generate_dataset(
     _check_horizon(horizon)
 
     n_steps, n_edges = horizon - 1, net.n_edges
+    rows = min(n_cascades, max(1, _BLOCK_WORDS // max(1, n_steps * n_edges)))
     threshold = np.ceil(alpha * 2.0**53).astype(np.uint64)
     times = np.empty((n_cascades, net.n_nodes), dtype=np.int64)
+    words = np.empty((rows, n_steps * n_edges), dtype=np.uint64)
     drawer = _SubstreamDrawer(seed)
-    for start in range(0, n_cascades, chunk):
-        size = min(chunk, n_cascades - start)
+    for start in range(0, n_cascades, rows):
+        size = min(rows, n_cascades - start)
         block = np.full((net.n_nodes, size), horizon, dtype=np.int64)
-        words = np.empty((size, n_steps * n_edges), dtype=np.uint64)
         for j in range(size):
             g = drawer.generator(start + j)
             if fixed_src is None:
@@ -407,7 +405,7 @@ def generate_dataset(
         if fixed_src is not None:
             block[fixed_src] = 0
         words >>= 11
-        steps = words.reshape(size, n_steps, n_edges).transpose(1, 2, 0)
+        steps = words[:size].reshape(size, n_steps, n_edges).transpose(1, 2, 0)
         _spread(net, horizon, block, np.less(steps, threshold[:, None], order="C"))
         times[start:start + size] = block.T
     return _complete_table(horizon, times)
@@ -428,38 +426,24 @@ def check_realizable(net: Network, cascade: Cascade) -> bool:
 # fast per-node samplers (same process law, different randomness layout)
 
 
-def _log_survival_matrix(net: Network, alpha) -> np.ndarray:
-    """L[k, j] = log(1 - alpha_kj) for (k, j) in E, else 0; -inf -> -1e3."""
-    L = np.zeros((net.n_nodes, net.n_nodes))
+# rows of a block of the per-node samplers (and of the completions that
+# baselines.marginalized_likelihood scores); each step draws a (rows, N)
+# block of uniforms, so this size is part of the samplers' random streams
+_SAMPLE_ROWS = 1 << 16
+
+
+def _sampled_blocks(net: Network, couplings, sources, horizon: int, count: int, rng):
+    """Yield ``(start, times)``: the (rows, N) recorded times of the next
+    ``rows <= _SAMPLE_ROWS`` of ``count`` cascades that
+    :func:`sample_recorded_times` samples."""
     with np.errstate(divide="ignore"):
-        vals = np.log1p(-np.asarray(alpha, dtype=np.float64))
-    vals = np.where(np.isfinite(vals), vals, -1e3)
-    L[net.edge_src, net.edge_dst] = vals
-    return L
-
-
-def sample_recorded_times(
-    net: Network,
-    couplings,
-    sources,
-    horizon: int,
-    count: int,
-    rng: np.random.Generator,
-    chunk: int = 65536,
-) -> np.ndarray:
-    """Sample ``count`` cascades from a fixed source set; (count, N) times.
-
-    Uses one Bernoulli draw per susceptible node per step with success
-    probability 1 - prod(1 - alpha) over its infected in-neighbors, which
-    has the same law as independent per-edge attempts.
-    """
-    alpha = validate_couplings(net, couplings)
+        vals = np.log1p(-validate_couplings(net, couplings))
     src = _as_source_array(net, sources)
-    L = _log_survival_matrix(net, alpha)
-    out = np.empty((count, net.n_nodes), dtype=np.int64)
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        size = stop - start
+    # L[k, j] = log(1 - alpha_kj) for (k, j) in E, else 0; -inf -> -1e3
+    L = np.zeros((net.n_nodes, net.n_nodes))
+    L[net.edge_src, net.edge_dst] = np.where(np.isfinite(vals), vals, -1e3)
+    for start in range(0, count, _SAMPLE_ROWS):
+        size = min(_SAMPLE_ROWS, count - start)
         times = np.full((size, net.n_nodes), horizon, dtype=np.int64)
         times[:, src] = 0
         infected = np.zeros((size, net.n_nodes))
@@ -473,36 +457,39 @@ def sample_recorded_times(
                 infected[newly] = 1.0
                 if not (times == horizon).any():
                     break
-        out[start:stop] = times
+        yield start, times
+
+
+def sample_recorded_times(net: Network, couplings, sources, horizon: int, count: int, rng) -> np.ndarray:
+    """Sample ``count`` cascades from a fixed source set; (count, N) times.
+
+    Uses one Bernoulli draw per susceptible node per step with success
+    probability 1 - prod(1 - alpha) over its infected in-neighbors, which
+    has the same law as independent per-edge attempts.  The draws come
+    from ``rng`` a block of ``_SAMPLE_ROWS`` rows at a time.
+    """
+    out = np.empty((count, net.n_nodes), dtype=np.int64)
+    for start, times in _sampled_blocks(net, couplings, sources, horizon, count, rng):
+        out[start:start + len(times)] = times
     return out
 
 
-def monte_carlo_marginals(
-    net: Network,
-    couplings,
-    sources,
-    horizon: int,
-    runs: int,
-    rng,
-    chunk: int = 65536,
-) -> np.ndarray:
+def monte_carlo_marginals(net: Network, couplings, sources, horizon: int, runs: int, rng) -> np.ndarray:
     """Empirical susceptibility estimates, shape (horizon+1, N).
 
     Entry [t, i] estimates the probability that node i is still
     susceptible at time t.  The dynamics is run one step past the horizon
     so that activation exactly at t=horizon is resolved and the estimate
-    targets the true state probability at every t in [0, horizon].
+    targets the true state probability at every t in [0, horizon].  The
+    runs are those :func:`sample_recorded_times` draws, counted a block at
+    a time.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     counts = np.zeros((horizon + 1, net.n_nodes), dtype=np.int64)
-    done = 0
-    while done < runs:
-        size = min(chunk, runs - done)
-        times = sample_recorded_times(net, couplings, sources, horizon + 1, size, rng)
+    for _, times in _sampled_blocks(net, couplings, sources, horizon + 1, runs, rng):
         for t in range(horizon + 1):
             counts[t] += (times > t).sum(axis=0)
-        done += size
     return counts / float(runs)
 
 
@@ -1092,6 +1079,13 @@ def parse_mask_spec(text: str, net: Network, n_nodes: int, exclude: Iterable[int
     ``snapshots=all|t1,t2,...`` and ``mask_seed=<int>`` (required when
     ``hidden`` is a count).
     """
+    hidden, snapshots, mask_seed = _mask_fields(text)
+    return resolve_mask(hidden, snapshots, n_nodes, net=net, mask_seed=mask_seed, exclude=exclude)
+
+
+def _mask_fields(text: str):
+    """The hidden field as :func:`interpret_hidden_field` reads it, the
+    snapshots and the mask seed of a mask-spec file."""
     hidden_raw: str = ""
     snapshots: object = "all"
     mask_seed = None
@@ -1113,8 +1107,7 @@ def parse_mask_spec(text: str, net: Network, n_nodes: int, exclude: Iterable[int
                 mask_seed = int(value)
         except ValueError:
             raise ParseError(f"line {lineno}: {key} takes integers, got {value!r}") from None
-    hidden = interpret_hidden_field(hidden_raw, mask_seed)
-    return resolve_mask(hidden, snapshots, n_nodes, net=net, mask_seed=mask_seed, exclude=exclude)
+    return interpret_hidden_field(hidden_raw, mask_seed), snapshots, mask_seed
 
 
 def interpret_hidden_field(raw: str, mask_seed: int | None):

@@ -32,10 +32,10 @@ from .graph import Network, parse_edge_list, serialize_edge_list
 from .cascades import (
     CascadeTable,
     MaskSpec,
+    _mask_fields,
     apply_mask,
     generate_dataset,
     interpret_hidden_field,
-    parse_mask_spec,
     read_cascades,
     resolve_mask,
     write_cascades,
@@ -223,22 +223,20 @@ def _cmd_simulate(run: _Run) -> int:
     return 0
 
 
-def _mask_spec(run: _Run, net: Network, cascades: CascadeTable, mask_file=None) -> MaskSpec:
+def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file=None) -> MaskSpec:
     """The mask in ``mask_file`` when given, else the one that --hidden,
-    --snapshots and --mask-seed describe; sources of ``cascades`` are never
-    hidden."""
-    source_nodes = np.flatnonzero((~cascades.hidden & (cascades.hi == 0)).any(axis=0)).tolist()
+    --snapshots and --mask-seed describe.  A random hidden count never
+    picks a source of ``cascades``, so it needs them; label lists do not."""
     if mask_file:
-        return parse_mask_spec(
-            Path(mask_file).read_text(encoding="utf-8"),
-            net, net.n_nodes, exclude=source_nodes,
-        )
-    mask_seed = run.get("mask-seed")
-    hidden = interpret_hidden_field(run.get("hidden", ""), mask_seed)
-    return resolve_mask(
-        hidden, run.get("snapshots", "all"), net.n_nodes, net=net,
-        mask_seed=mask_seed, exclude=source_nodes,
-    )
+        hidden, snapshots, mask_seed = _mask_fields(Path(mask_file).read_text(encoding="utf-8"))
+    else:
+        mask_seed = run.get("mask-seed")
+        hidden, snapshots = interpret_hidden_field(run.get("hidden", ""), mask_seed), run.get("snapshots", "all")
+    if cascades is None and isinstance(hidden, int):
+        raise _usage_error("a random hidden count needs --cascades (their sources are never hidden)")
+    visible_at_zero = [] if cascades is None else (~cascades.hidden & (cascades.hi == 0)).any(axis=0)
+    source_nodes = np.flatnonzero(visible_at_zero).tolist()
+    return resolve_mask(hidden, snapshots, net.n_nodes, net=net, mask_seed=mask_seed, exclude=source_nodes)
 
 
 def _cmd_mask(run: _Run) -> int:
@@ -282,10 +280,10 @@ def _cmd_eval(run: _Run) -> int:
     other, est = parse_edge_list(Path(est_path).read_text(encoding="utf-8"))
     if est is None or other != net:
         raise ParseError(f"{est_path}: not a couplings file over the same graph")
-    mask = run.get("mask")
+    mask, path = run.get("mask"), run.get("cascades")
     if mask:
-        spec = parse_mask_spec(Path(mask).read_text(encoding="utf-8"), net, net.n_nodes)
-        included = identifiable_edges(net, spec)
+        cascades = read_cascades(net, Path(path).read_text(encoding="utf-8")) if path else None
+        included = identifiable_edges(net, _mask_spec(run, net, cascades, mask))
     else:
         included = np.arange(net.n_edges)
     err = float(l1_coupling_error(est, truth, included))
@@ -348,8 +346,9 @@ _COMMANDS = {
              "network cascades mask out hidden snapshots mask-seed"),
     "fit": (_cmd_fit, "reconstruct couplings from observed cascades",
             "network cascades out seed method"),
-    "eval": (_cmd_eval, "compare estimated couplings against the truth",
-             "network couplings mask out"),
+    "eval": (_cmd_eval, "compare estimated couplings against the truth on the edges a --mask leaves "
+             "identifiable; a random hidden count there reads the sources it never hides from --cascades",
+             "network couplings mask cascades out"),
     "marginals": (_cmd_marginals, "forward message-passing marginals as CSV",
                   "network couplings out horizon sources"),
     "gradcheck": (_cmd_gradcheck, "finite-difference check of the free-energy gradient",
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, description=help_text)
         for key in options.split() + ["threads"]:
             p.add_argument(f"--{key}", help=_OPTIONS[key][1])
         p.add_argument("--config", help="key = value config file; flags override file values")

@@ -188,8 +188,8 @@ class TestSimulate:
         # single edge: activation time is geometric, censored at the horizon
         net, _ = parse_edge_list("0\t1\n")
         alpha, T, runs = 0.5, 10, 10**6
-        data = generate_dataset(net, [alpha], runs, [0], T, seed=99, chunk=50000)
-        taus = np.array([c.times[1] for c in data])
+        data = generate_dataset(net, [alpha], runs, [0], T, seed=99)
+        taus = data.hi[:, 1]
         se = 4.0 * np.sqrt(alpha * (1 - alpha) / runs)
         for t in range(1, T):
             expect = alpha * (1 - alpha) ** (t - 1)
@@ -207,8 +207,8 @@ class TestSimulate:
         net = random_loopy_net(6, 4, rng)
         alpha = random_couplings(net, rng)
         T, runs = 5, 10**6
-        data = generate_dataset(net, alpha, runs, [0], T, seed=17, chunk=100000)
-        times = np.stack([c.times for c in data])
+        data = generate_dataset(net, alpha, runs, [0], T, seed=17)
+        times = data.hi
         table = exact_marginals_oracle(net, alpha, [0], T)
         # recorded-time distribution: still susceptible at t iff tau > t, t <= T-1
         for t in range(T):
@@ -223,14 +223,42 @@ class TestDatasetGeneration:
         direct = simulate_cascade(chain3, [0.4, 0.7], [0], 8, cascade_substream(5, 0))
         assert data[0] == direct
 
-    def test_bit_reproducible_across_chunking(self, rng):
+    @staticmethod
+    def _in_blocks_of(monkeypatch, net, horizon, rows):
+        """Make generate_dataset run blocks of ``rows`` cascades; returns the
+        list that collects the number of cascades of each block it runs."""
+        monkeypatch.setattr(cascades, "_BLOCK_WORDS", rows * max(1, (horizon - 1) * net.n_edges))
+        sizes, spread = [], cascades._spread
+
+        def counted(net, horizon, times, transmit):
+            sizes.append(times.shape[1])
+            spread(net, horizon, times, transmit)
+
+        monkeypatch.setattr(cascades, "_spread", counted)
+        return sizes
+
+    def test_bit_reproducible_across_chunking(self, rng, monkeypatch):
         net = random_loopy_net(7, 5, rng)
         alpha = random_couplings(net, rng)
-        a = generate_dataset(net, alpha, 500, "random", 6, seed=11, chunk=64)
-        b = generate_dataset(net, alpha, 500, "random", 6, seed=11, chunk=499)
-        assert all(x == y for x, y in zip(a, b))
+        for T in (1, 6):
+            want = generate_dataset(net, alpha, 500, "random", T, seed=11)
+            for rows in (1, 64, 499):
+                sizes = self._in_blocks_of(monkeypatch, net, T, rows)
+                _assert_identical(generate_dataset(net, alpha, 500, "random", T, seed=11), want)
+                assert sizes == [rows] * (500 // rows) + [500 % rows] * (500 % rows > 0)
+                monkeypatch.undo()
 
-    def test_stream_matches_the_reference(self, rng):
+    def test_edgeless_network(self, monkeypatch):
+        net = Network(["a", "b", "c"], [])
+        for T in (1, 2, 6):
+            for rows in (1, 64):
+                sizes = self._in_blocks_of(monkeypatch, net, T, rows)
+                got = generate_dataset(net, [], 100, "random", T, seed=3)
+                np.testing.assert_array_equal(got.hi, _reference_dataset(net, [], 100, "random", T, seed=3))
+                assert sizes == [rows] * (100 // rows) + [100 % rows] * (100 % rows > 0)
+                monkeypatch.undo()
+
+    def test_stream_matches_the_reference(self, rng, monkeypatch):
         for seed in range(3):
             net = random_loopy_net(int(rng.integers(4, 9)), int(rng.integers(2, 8)), rng)
             alpha = np.where(rng.random(net.n_edges) < 0.4, rng.integers(0, 2, net.n_edges), rng.random(net.n_edges))
@@ -238,8 +266,10 @@ class TestDatasetGeneration:
             for T in (1, 2, 6):
                 for policy in ("random", [1], [0, 2]):
                     want = _reference_dataset(net, alpha, 500, policy, T, seed)
-                    for chunk in (1, 64, 499):
-                        got = generate_dataset(net, alpha, 500, policy, T, seed, chunk=chunk)
+                    for rows in (1, 64, 499):
+                        self._in_blocks_of(monkeypatch, net, T, rows)
+                        got = generate_dataset(net, alpha, 500, policy, T, seed)
+                        monkeypatch.undo()
                         np.testing.assert_array_equal(got.hi, want)
                     for c in (0, 1, 499):
                         g = cascade_substream(seed, c)
@@ -260,6 +290,21 @@ class TestDatasetGeneration:
         table = exact_marginals_oracle(net, alpha, [1], T)
         se = np.sqrt(table * (1 - table) / runs)
         assert np.all(np.abs(est - table) <= 4 * se + 1e-9)
+
+    def test_peak_memory_near_the_table(self):
+        # the raw words come a bounded block at a time through one buffer,
+        # so the peak stays near the size of the table returned
+        import tracemalloc
+        from importlib.resources import files
+
+        net, alpha = parse_edge_list(files("cascade_recon").joinpath("data/hub30.edges").read_text())
+        tracemalloc.start()
+        try:
+            data = generate_dataset(net, alpha, 10000, "random", 10, seed=52)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (data.lo.nbytes + data.hi.nbytes + data.hidden.nbytes)
 
     def test_hub_network_dataset(self):
         from importlib.resources import files

@@ -88,6 +88,60 @@ class TestMaskFitEval:
         out = capsys.readouterr().out
         assert "normalized_l1_error=0.0" in out
 
+    def test_eval_scores_the_edges_the_mask_hid(self, tmp_path, capsys, monkeypatch):
+        # a random hidden count never picks a source of --cascades, in mask
+        # and in eval alike; sources are visible in both files.  Every hub30
+        # node has out-edges, so every edge counts whatever is hidden: the
+        # hidden nodes eval resolves are read where it asks for the edges
+        from importlib.resources import files
+
+        from cascade_recon import MaskSpec, identifiable_edges, l1_coupling_error
+
+        hub = tmp_path / "hub30.edges"
+        hub.write_text(files("cascade_recon").joinpath("data/hub30.edges").read_text())
+        net, truth = parse_edge_list(hub.read_text())
+        est = np.full(net.n_edges, 0.5)
+        (tmp_path / "est.edges").write_text(serialize_edge_list(net, est))
+        (tmp_path / "random.spec").write_text("hidden=3\nsnapshots=all\nmask_seed=2\n")
+        (tmp_path / "labels.spec").write_text("hidden=H03,H17,H22\nsnapshots=2,4\n")
+        assert run("simulate", "--network", hub, "--horizon", 10, "--num-cascades", 40, "--sources", "random",
+                   "--seed", 1, "--out", tmp_path / "truth.txt") == 0
+        assert run("mask", "--network", hub, "--cascades", tmp_path / "truth.txt",
+                   "--mask", tmp_path / "random.spec", "--out", tmp_path / "observed.txt") == 0
+        hidden = np.flatnonzero(read_cascades(net, (tmp_path / "observed.txt").read_text()).hidden.all(axis=0))
+        assert [net.labels[i] for i in hidden] == ["H01", "H04", "H11"]
+
+        resolved = []
+
+        def recorded(net, spec):
+            resolved.append(spec)
+            return identifiable_edges(net, spec)
+
+        monkeypatch.setattr(cli, "identifiable_edges", recorded)
+
+        def scored(spec, *cascades):
+            capsys.readouterr()
+            rc = run("eval", "--network", hub, "--couplings", tmp_path / "est.edges",
+                     "--mask", tmp_path / spec, *cascades)
+            return rc, capsys.readouterr()
+
+        def line(hidden_labels):
+            spec = MaskSpec(frozenset(net.label_index[v] for v in hidden_labels))
+            return f"normalized_l1_error={float(l1_coupling_error(est, truth, identifiable_edges(net, spec)))!r}\n"
+
+        for cascades in ("truth.txt", "observed.txt"):
+            assert scored("random.spec", "--cascades", tmp_path / cascades) == (0, (line(["H01", "H04", "H11"]), ""))
+        want = (0, (line(["H03", "H17", "H22"]), ""))
+        assert scored("labels.spec") == scored("labels.spec", "--cascades", tmp_path / "truth.txt") == want
+        assert [sorted(net.labels[i] for i in spec.hidden_nodes) for spec in resolved] == [
+            ["H01", "H04", "H11"], ["H01", "H04", "H11"], ["H03", "H17", "H22"], ["H03", "H17", "H22"],
+        ]
+        with pytest.raises(SystemExit) as exc:
+            scored("random.spec")
+        assert exc.value.code == 2
+        message = "error: a random hidden count needs --cascades (their sources are never hidden)\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_mask_spec_file(self, workdir):
         tmp, net, _ = workdir
         self._simulate(tmp, M=20, sources="0")
@@ -425,7 +479,7 @@ class TestOptionSurface:
         "simulate": {"--network", "--couplings", "--out", "--horizon", "--seed", "--num-cascades", "--sources"},
         "mask": {"--network", "--cascades", "--mask", "--out", "--hidden", "--snapshots", "--mask-seed"},
         "fit": {"--network", "--cascades", "--out", "--seed", "--method"},
-        "eval": {"--network", "--couplings", "--mask", "--out"},
+        "eval": {"--network", "--couplings", "--mask", "--cascades", "--out"},
         "marginals": {"--network", "--couplings", "--out", "--horizon", "--sources"},
         "gradcheck": {"--network", "--couplings", "--out", "--horizon", "--seed", "--num-cascades",
                       "--sources", "--hidden", "--snapshots", "--mask-seed"},

@@ -148,7 +148,7 @@ class TestDmprecFit:
         mask = MaskSpec(hidden, (2, 4, 6, T))
         data = []
         for k, src in enumerate(sources):
-            data += generate_dataset(net, truth, 150, [src], T, seed=k, chunk=50)
+            data += generate_dataset(net, truth, 150, [src], T, seed=k)
         dataset = [apply_mask(c, mask) for c in data]
         cfg = FitConfig(max_iters=2)
         res = dmprec_fit(dataset, net, cfg)
