@@ -135,6 +135,38 @@ def _reference_read_cascades(net, text):
     return out
 
 
+def _reference_write_cascades(net, cascades_):
+    """The writer that ``write_cascades`` replaced, kept as its reference:
+    one object-array string concatenation per visible cell."""
+    if not len(cascades_):
+        raise ValueError("no cascades to write")
+    T = cascades._horizon(cascades_)
+    labels = np.array(net.labels, dtype=object)
+    lines = [f"T={T}"]
+    for start, block in cascades._blocks(cascades_):
+        rows, nodes = np.nonzero(~block.hidden)
+        codes, in_range = cascades._window_codes(block.lo[rows, nodes], block.hi[rows, nodes], T)
+        if not in_range:
+            raise cascades._window_range_error(T)
+        codes, which = np.unique(codes, return_inverse=True)
+        lo_of, hi_of = cascades._window_bounds(codes, T)
+        suffixes = [cascades._token_suffix(a, b, T) for a, b in zip(lo_of.tolist(), hi_of.tolist())]
+        tokens = (labels[nodes] + np.array(suffixes, dtype=object)[which]).tolist()
+        for r, line_tokens in enumerate(cascades._split_rows(tokens, rows, len(block)), start):
+            lines.append(f"{r}\t" + ",".join(line_tokens))
+    return "\n".join(lines) + "\n"
+
+
+def _random_windows(rng, n_rows, n_nodes, T):
+    """An observed table of random windows ``-1 <= lo < hi <= T``, a fifth
+    of the cells hidden, and every node hidden in every seventh row."""
+    lo = rng.integers(-1, T, (n_rows, n_nodes))
+    hi = lo + 1 + rng.integers(0, T - lo)
+    hidden = rng.random((n_rows, n_nodes)) < 0.2
+    hidden[::7] = True
+    return CascadeTable(T, np.where(hidden, -1, lo), np.where(hidden, -1, hi), hidden)
+
+
 def _reference_times(net, alpha, sources, horizon, g):
     """The simulator that ``generate_dataset`` and ``simulate_cascade``
     replaced, kept as the reference of their random stream: after the
@@ -328,6 +360,8 @@ class TestCascadeTable:
         assert not data.hidden.any()
         rows = list(data)
         assert all(type(c) is Cascade and c.times.dtype == np.int64 for c in rows)
+        # the rows are views of the table's arrays, not copies
+        assert all(np.shares_memory(c.times, data.hi) for c in [*rows, data[2]])
         assert data[0] == rows[0] and data[-1] == rows[-1] and data[np.int64(3)] == rows[3]
         np.testing.assert_array_equal(data[3].times, data.hi[3])
         part = data[5:9]
@@ -342,6 +376,9 @@ class TestCascadeTable:
         assert back[0].status(1) == ("interval", 1, 3)
         assert [back[1].status(i) for i in range(3)] == [("exact", 0), ("hidden",), ("censored",)]
         assert back[1].hidden.dtype == bool and back[1].lo.dtype == np.int64
+        for obs in [*back, back[1]]:
+            assert (obs.lo.dtype, obs.hi.dtype, obs.hidden.dtype) == (np.int64, np.int64, bool)
+            assert all(np.shares_memory(a, b) for a, b in ((obs.lo, back.lo), (obs.hi, back.hi), (obs.hidden, back.hidden)))
 
     def test_concatenation(self, chain3):
         a = generate_dataset(chain3, [0.5, 0.5], 3, [0], 5, seed=1)
@@ -532,6 +569,22 @@ class TestFiles:
         with pytest.raises(ValueError, match="no cascades"):
             write_cascades(chain3, [])
 
+    def test_write_peaks_near_the_text(self):
+        # a long horizon, with nearly every (node, window) pair of a block
+        # distinct: no cache sized N * (T + 2)**2 fits under the bound
+        import tracemalloc
+
+        net = random_loopy_net(50, 20, np.random.default_rng(4))
+        data = _random_windows(np.random.default_rng(5), 4000, 50, 400)
+        tracemalloc.start()
+        try:
+            text = write_cascades(net, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == _reference_write_cascades(net, data)
+        assert peak <= 4 * len(text)
+
     def test_mask_spec_parsing(self):
         net, _ = parse_edge_list("0\t1\n1\t2\n")
         spec = parse_mask_spec("hidden=1\nsnapshots=2,4\nmask_seed=7\n", net, 3)
@@ -540,6 +593,34 @@ class TestFiles:
         spec2 = parse_mask_spec("hidden=0,2\nsnapshots=all\n", net, 3)
         assert spec2.hidden_nodes == frozenset({0, 2})
         assert spec2.snapshot_times is None
+
+
+class TestWriterMatchesReference:
+    """``write_cascades`` against the writer it replaced: the same text
+    from complete and observed tables and from lists of their rows, with
+    the default block size and with blocks of a row or a few."""
+
+    @staticmethod
+    def _assert_same(net, datasets, monkeypatch):
+        for block in (cascades._BLOCK_CELLS, 24, 1):
+            monkeypatch.setattr(cascades, "_BLOCK_CELLS", block)
+            for data in datasets:
+                for rows in (data, list(data)):
+                    assert write_cascades(net, rows) == _reference_write_cascades(net, rows)
+
+    def test_random_cases(self, rng, monkeypatch):
+        for net, data, mask in random_masked_cases(rng):
+            self._assert_same(net, [data, apply_mask(data, mask)], monkeypatch)
+
+    def test_all_hidden_lines_and_labels_with_brackets_commas_and_other_scripts(self, rng, monkeypatch):
+        labels = ["a(b", "c,d", "e]f", "é中", "ñ"]
+        net = Network(labels, [("a(b", "c,d"), ("c,d", "e]f"), ("e]f", "é中"), ("é中", "ñ"), ("ñ", "a(b")])
+        for T in (1, 2, 10):
+            data = generate_dataset(net, rng.uniform(0.2, 0.9, net.n_edges), 40, "random", T, seed=T)
+            masks = [MaskSpec(), MaskSpec(frozenset(range(5)), None), MaskSpec(frozenset({1, 3}), (T,))]
+            observed = [apply_mask(data, mask) for mask in masks]
+            every_other = [row for pair in zip(*observed[:2]) for row in pair]
+            self._assert_same(net, [data, *observed, every_other, _random_windows(rng, 30, 5, T)], monkeypatch)
 
 
 class TestParseErrors:
