@@ -29,7 +29,7 @@ T = 10
 
 data = generate_dataset(net, truth, 6400, "random", T, seed=21)
 mask = MaskSpec(frozenset(), tuple(range(0, T + 1, 2)))
-dataset = [apply_mask(c, mask) for c in data]
+dataset = apply_mask(data, mask)
 
 res = dmprec_fit(dataset, net)
 est = res.couplings_hat

@@ -32,7 +32,6 @@ from .cascades import (
 )
 from .dmp import (
     DmpTrace,
-    activation_marginal,
     dmp_forward,
     exact_cascade_probability,
     exact_marginals_oracle,

@@ -37,6 +37,7 @@ from .cascades import (
     ObservedCascade,
     _bit_words,
     _group_rows,
+    _horizon,
     _source_groups,
     _table,
     sample_recorded_times,
@@ -51,7 +52,10 @@ __all__ = [
     "marginalized_likelihood",
     "hts_complete",
     "hts_fit",
+    "MAX_COMPLETIONS",
 ]
+
+MAX_COMPLETIONS = 10**6  # most hidden-time completions that marginalized_likelihood sums
 
 _NEG_BIG = -1e12  # stands in for log(0) where -inf would poison matmuls
 
@@ -167,12 +171,11 @@ def netrate_fit(dataset, net: Network, config: FitConfig | None = None) -> np.nd
     """
     config = config or FitConfig()
     config.validate()
+    horizon = _horizon(dataset, net)
     table = _table(dataset)
     if not table.is_fully_observed():
         raise DatasetError("method requires completely observed cascades")
-    if table.n_nodes != net.n_nodes:
-        raise DatasetError("dataset does not match the network")
-    return _netrate(net, table.hi, table.horizon, config)
+    return _netrate(net, table.hi, horizon, config)
 
 
 def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -> np.ndarray:
@@ -231,14 +234,13 @@ def marginalized_likelihood(
     observed: ObservedCascade,
     net: Network,
     couplings,
-    max_completions: int = 10**6,
 ) -> float:
     """Log of the exact likelihood summed over all hidden-time completions.
 
     Hidden nodes range over [1, T]; interval-observed nodes range over
     their windows.  Work grows as the product of the candidate counts;
-    above ``max_completions`` a CapacityError points at the two-stage
-    heuristic instead.
+    above :data:`MAX_COMPLETIONS` (10^6) a CapacityError points at the
+    two-stage heuristic instead.
     """
     alpha = validate_couplings(net, couplings)
     N = observed.n_nodes
@@ -249,10 +251,10 @@ def marginalized_likelihood(
     total = 1
     for i in free:
         total *= len(cand[i])
-        if total > max_completions:
+        if total > MAX_COMPLETIONS:
             raise CapacityError(
                 f"{total}+ completions exceed the brute-force budget "
-                f"({max_completions}); use the two-stage heuristic"
+                f"({MAX_COMPLETIONS}); use the two-stage heuristic"
             )
     base = np.array([c[0] for c in cand], dtype=np.int64)
     if not free:
@@ -279,7 +281,6 @@ def hts_complete(
     net: Network,
     couplings,
     config: HtsConfig | None = None,
-    round_index: int = 0,
 ) -> list[dict[int, int]]:
     """Impute unresolved activation times from auxiliary cascades.
 
@@ -287,26 +288,27 @@ def hts_complete(
     observed source set under the current couplings; among the samples
     consistent with every observation window the most likely one supplies
     the missing times (falling back to the fewest-violations sample when
-    none is consistent).  Returns one {node: time} dict per cascade, in
-    dataset order.
+    none is consistent); the samples are those of :func:`hts_fit`'s first
+    round.  Returns one {node: time} dict per cascade, in dataset order.
     """
     config = config or HtsConfig()
     config.validate()
     alpha = validate_couplings(net, couplings)
-    times, unresolved = _completed_times(_table(dataset), net, alpha, config, round_index)
+    _horizon(dataset, net)                   # rejects a dataset of another width
+    times, unresolved = _completed_times(_table(dataset), net, alpha, config, 0)
     return [
         dict(zip(np.flatnonzero(free).tolist(), row[free].tolist()))
         for row, free in zip(times, unresolved)
     ]
 
 
-def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, config: HtsConfig, round_index: int):
+def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, config: HtsConfig, rnd: int):
     """The recorded times of ``table`` as an (M, N) matrix with the times
     of its unresolved nodes (hidden, or not pinned by their window)
     imputed as :func:`hts_complete` describes, and the (M, N) unresolved
-    flags.  Each source group draws its samples from its own Philox key,
-    ``aux_samples`` per cascade that has an unresolved node, in dataset
-    order; only the samples in a cascade's pool are scored."""
+    flags.  Each source group draws round ``rnd``'s samples from its own
+    Philox key, ``aux_samples`` per cascade that has an unresolved node,
+    in dataset order; only the samples in a cascade's pool are scored."""
     horizon, lo, hi, hidden = table.horizon, table.lo, table.hi, table.hidden
     unresolved = hidden | (hi - lo >= 2)
     keys, group_of = _source_groups(table)
@@ -317,7 +319,7 @@ def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, confi
         rows = np.flatnonzero((group_of == g_idx) & needs)
         if not rows.size:
             continue
-        key = ((config.seed & _MASK64) << 64) | ((round_index & _MASK64) << 32) | (g_idx & 0xFFFFFFFF)
+        key = ((config.seed & _MASK64) << 64) | ((rnd & _MASK64) << 32) | (g_idx & 0xFFFFFFFF)
         rng = np.random.Generator(np.random.Philox(key=key))
         samples = sample_recorded_times(net, alpha, sources, horizon, L * rows.size, rng).reshape(rows.size, L, -1)
         # hidden nodes violate nothing; the pool is each cascade's fewest
@@ -346,8 +348,8 @@ def hts_fit(
     config = config or HtsConfig()
     config.validate()
     fit_cfg = config.fit
+    horizon = _horizon(dataset, net)
     table = _table(dataset)
-    horizon = table.horizon
 
     hidden_everywhere = table.hidden.all(axis=0)
     frozen = np.ones(net.n_edges, dtype=bool)

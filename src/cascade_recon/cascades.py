@@ -262,15 +262,15 @@ def _complete_table(horizon: int, times: np.ndarray) -> CascadeTable:
 
 def _table(dataset) -> CascadeTable:
     """``dataset`` itself when it is a table, else its rows (cascades or
-    observed cascades of one horizon) stacked into one."""
+    observed cascades of one horizon and one width) stacked into one."""
     if isinstance(dataset, CascadeTable):
         return dataset
     if not len(dataset):
         raise DatasetError("empty dataset")
-    horizon = _shared_horizon(row.horizon for row in dataset)
+    horizon = _shared((row.horizon for row in dataset), "horizons")
 
     def stacked(arrays):
-        return np.concatenate(arrays).reshape(len(arrays), arrays[0].shape[0])
+        return np.concatenate(arrays).reshape(len(arrays), _shared((a.shape[0] for a in arrays), "node counts"))
 
     if all(isinstance(row, Cascade) for row in dataset):
         return _complete_table(horizon, stacked([row.times for row in dataset]))
@@ -278,12 +278,13 @@ def _table(dataset) -> CascadeTable:
     return CascadeTable(horizon, *(stacked([getattr(row, name) for row in rows]) for name in ("lo", "hi", "hidden")))
 
 
-def _shared_horizon(horizons: Iterable[int]) -> int:
-    """The one horizon of ``horizons``; more than one is an error."""
-    horizons = set(horizons)
-    if len(horizons) != 1:
-        raise DatasetError(f"cascades with mismatched horizons: {sorted(horizons)}")
-    return horizons.pop()
+def _shared(values: Iterable[int], what: str) -> int:
+    """The one value of ``values``, the cascades' ``what``; more than one
+    is an error."""
+    values = set(values)
+    if len(values) != 1:
+        raise DatasetError(f"cascades with mismatched {what}: {sorted(values)}")
+    return values.pop()
 
 
 @dataclass(frozen=True)
@@ -581,27 +582,20 @@ def apply_mask(cascade: Cascade | CascadeTable, mask: MaskSpec) -> ObservedCasca
     return _row(ObservedCascade, horizon=T, lo=lo, hi=hi, hidden=hidden)
 
 
-def resolve_mask(
-    hidden,
-    snapshots,
-    n_nodes: int,
-    net: Network | None = None,
-    mask_seed: int | None = None,
-    exclude: Iterable[int] = (),
-) -> MaskSpec:
-    """Build a MaskSpec from file/CLI-style fields.
+def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, exclude: Iterable[int] = ()) -> MaskSpec:
+    """Build a MaskSpec for the nodes of ``net`` from file/CLI-style fields.
 
-    ``hidden`` is an iterable of node labels of ``net`` (node indices when
-    no ``net`` is given), or an int count for random selection (requires
-    ``mask_seed``; never selects nodes listed in ``exclude``).  An entry
-    that is not a label of ``net`` is a :class:`DatasetError`.
-    ``snapshots`` is "all", None, or an iterable of times.
+    ``hidden`` is an iterable of node labels of ``net``, or an int count
+    for random selection (requires ``mask_seed``; never selects the node
+    indices in ``exclude``).  A label not of ``net`` or a count outside
+    [0, eligible nodes] is a :class:`DatasetError`.  ``snapshots`` is
+    "all", None, or an iterable of times.
     """
     if isinstance(hidden, (int, np.integer)):
         if mask_seed is None:
             raise DatasetError("random hidden-node selection requires mask_seed")
-        pool = np.array(sorted(set(range(n_nodes)) - set(exclude)), dtype=np.intp)
-        if hidden > pool.size:
+        pool = np.array(sorted(set(range(net.n_nodes)) - set(exclude)), dtype=np.intp)
+        if not 0 <= hidden <= pool.size:
             raise DatasetError(f"cannot hide {hidden} of {pool.size} eligible nodes")
         g = np.random.Generator(np.random.Philox(key=int(mask_seed) & _MASK64))
         chosen = g.choice(pool, size=int(hidden), replace=False)
@@ -609,9 +603,7 @@ def resolve_mask(
     else:
         ids = []
         for h in hidden:
-            if net is None:
-                ids.append(int(h))
-            elif isinstance(h, str) and h in net.label_index:
+            if isinstance(h, str) and h in net.label_index:
                 ids.append(net.label_index[h])
             else:
                 raise DatasetError(f"hidden node {h!r} is not a node label")
@@ -694,14 +686,15 @@ def _blocks(dataset: CascadeTable | Sequence):
     """Yield ``(start, block)``: the table of ``dataset[start:start + rows]``
     for consecutive runs of about ``_BLOCK_CELLS`` cells, a slice of a
     table or the rows of a sequence stacked; every block has the horizon
-    of the first.  An empty dataset is an error."""
+    and the width of the first.  An empty dataset is an error."""
     if not len(dataset):
         raise DatasetError("empty dataset")
     first = _table(dataset[:1])
     step = max(1, _BLOCK_CELLS // max(1, first.n_nodes))
     for start in range(0, len(dataset), step):
         block = _table(dataset[start : start + step])
-        _shared_horizon([first.horizon, block.horizon])
+        _shared([first.horizon, block.horizon], "horizons")
+        _shared([first.n_nodes, block.n_nodes], "node counts")
         yield start, block
 
 
@@ -735,12 +728,16 @@ def _check_horizon(horizon: int, least: int = 1) -> None:
         raise DatasetError(f"horizon must be >= {least}")
 
 
-def _horizon(dataset: CascadeTable | Sequence) -> int:
-    """The horizon of a table or of the first row of a sequence; the passes
-    over :func:`_blocks` check that the other rows share it."""
+def _horizon(dataset: CascadeTable | Sequence, net: Network | None = None) -> int:
+    """The horizon of a table or of the first row of a sequence, which must
+    be as wide as ``net`` has nodes; the passes over :func:`_blocks` and
+    :func:`_table` check that the other rows share both."""
     if not len(dataset):
         raise DatasetError("empty dataset")
-    return dataset.horizon if isinstance(dataset, CascadeTable) else dataset[0].horizon
+    first = _table(dataset[:1])
+    if net is not None and first.n_nodes != net.n_nodes:
+        raise DatasetError("dataset does not match the network")
+    return first.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +760,7 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     """
     if not len(cascades):
         raise ValueError("no cascades to write")
-    T = _horizon(cascades)
+    T = _horizon(cascades, net)
     labels = np.array(net.labels, dtype=object)
     lines = [f"T={T}"]
     for start, block in _blocks(cascades):
@@ -1103,15 +1100,15 @@ def _decode_time(spec: str, T: int, tok: str) -> tuple[int, int]:
     return t - 1, t
 
 
-def parse_mask_spec(text: str, net: Network, n_nodes: int, exclude: Iterable[int] = ()) -> MaskSpec:
-    """Parse a mask-spec file.
+def parse_mask_spec(text: str, net: Network, exclude: Iterable[int] = ()) -> MaskSpec:
+    """Parse a mask-spec file for the nodes of ``net``.
 
-    Lines: ``hidden=<comma-separated labels or an integer count>``,
+    Lines: ``hidden=<comma-separated labels of net or an integer count>``,
     ``snapshots=all|t1,t2,...`` and ``mask_seed=<int>`` (required when
-    ``hidden`` is a count).
+    ``hidden`` is a count); :func:`resolve_mask` builds the mask.
     """
     hidden, snapshots, mask_seed = _mask_fields(text)
-    return resolve_mask(hidden, snapshots, n_nodes, net=net, mask_seed=mask_seed, exclude=exclude)
+    return resolve_mask(hidden, snapshots, net, mask_seed=mask_seed, exclude=exclude)
 
 
 def _mask_fields(text: str):

@@ -236,7 +236,7 @@ def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file
         raise _usage_error("a random hidden count needs --cascades (their sources are never hidden)")
     visible_at_zero = [] if cascades is None else (~cascades.hidden & (cascades.hi == 0)).any(axis=0)
     source_nodes = np.flatnonzero(visible_at_zero).tolist()
-    return resolve_mask(hidden, snapshots, net.n_nodes, net=net, mask_seed=mask_seed, exclude=source_nodes)
+    return resolve_mask(hidden, snapshots, net, mask_seed=mask_seed, exclude=source_nodes)
 
 
 def _cmd_mask(run: _Run) -> int:

@@ -52,7 +52,6 @@ from .cascades import Cascade, _as_source_array, _check_horizon
 __all__ = [
     "DmpTrace",
     "dmp_forward",
-    "activation_marginal",
     "exact_marginals_oracle",
     "exact_cascade_probability",
 ]
@@ -140,13 +139,6 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int, o
             on_step(t, trace, rho, h, cav_log, cav_t)
         cav_prev = cav_t
     return trace
-
-
-def activation_marginal(trace: DmpTrace, node: int, t: int) -> float:
-    """Probability that ``node`` activates exactly at step ``t``."""
-    if not 0 <= t <= trace.horizon:
-        raise ValueError(f"time {t} outside [0, {trace.horizon}]")
-    return float(trace.p_activate[t, node])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ class ParseError(CascadeReconError):
 
 class DatasetError(CascadeReconError):
     """A dataset violates a fitting precondition (hidden sources,
-    mismatched horizons, empty dataset)."""
+    mismatched horizons or widths, empty dataset)."""
 
 
 class CapacityError(CascadeReconError):

@@ -52,6 +52,8 @@ class FitConfig:
             raise ValueError("need 0 < alpha_min < alpha_init < alpha_max < 1")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
 
 
 @dataclass(eq=False)
@@ -197,7 +199,7 @@ def dmprec_fit(
     """
     config = config or FitConfig()
     config.validate()
-    horizon = _horizon(dataset)
+    horizon = _horizon(dataset, net)
     chunks = _chunks(summarize_dataset(dataset), net, horizon)
 
     def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:

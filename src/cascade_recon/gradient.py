@@ -38,10 +38,10 @@ time in input order, so they do not depend on the chunking.
 
 Forward mode, :func:`dmp_forward_with_gradients`, is kept as the
 reference the reverse sweep is tested against.  For every message edge e
-and every parameter edge f it tracks ``d_theta[t, e, f]`` and
+and every coupling f it tracks ``d_theta[t, e, f]`` and
 ``d_phi[t, e, f]``, together with the sensitivities of the per-node sums
 of ``log1p(-h)`` (``d_log_step``); all start at zero (initial messages do
-not depend on couplings).  Its memory is O(T |E| F), so it refuses runs
+not depend on couplings).  Its memory is O(T |E|^2), so it refuses runs
 above :data:`SENSITIVITY_BUDGET_BYTES`.  Both modes differentiate the
 recursion that :func:`dmp._propagate` runs, as it runs it: ``rho`` as
 computed (capped at 1), with ``1 / theta`` taken as 0 where theta is 0,
@@ -95,27 +95,22 @@ _CHUNK_CELLS = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class GradTrace:
-    """Coupling sensitivities of messages and marginals.
-
-    ``param_edges`` lists the edge ids the trailing axis refers to, so a
-    caller can differentiate with respect to a subset of couplings (one
-    slice at a time) when the full |E| x |E| tensor is too large.
-    """
+    """Coupling sensitivities of messages and marginals; the trailing
+    axis runs over all |E| couplings, in edge order."""
 
     horizon: int
-    param_edges: np.ndarray          # (F,)
-    d_theta: np.ndarray              # (T+1, |E|, F)
-    d_phi: np.ndarray                # (T+1, |E|, F)
-    d_log_step: np.ndarray           # (T+1, N, F), sensitivity of DmpTrace.log_step
+    d_theta: np.ndarray              # (T+1, |E|, |E|)
+    d_phi: np.ndarray                # (T+1, |E|, |E|)
+    d_log_step: np.ndarray           # (T+1, N, |E|), sensitivity of DmpTrace.log_step
     p_susceptible: np.ndarray        # (T+1, N), the forward trace's
 
     @cached_property
     def d_p_susceptible(self) -> np.ndarray:
-        """Sensitivity of the susceptibility marginals, shape (T+1, N, F)."""
+        """Sensitivity of the susceptibility marginals, shape (T+1, N, |E|)."""
         return self.p_susceptible[:, :, None] * np.cumsum(self.d_log_step, axis=0)
 
     def d_activation(self, t: int) -> np.ndarray:
-        """Sensitivity of the activation marginal at step t, shape (N, F)."""
+        """Sensitivity of the activation marginal at step t, shape (N, |E|)."""
         if t == 0:
             return np.zeros_like(self.d_p_susceptible[0])
         return self.d_p_susceptible[t - 1] - self.d_p_susceptible[t]
@@ -135,38 +130,32 @@ def dmp_forward_with_gradients(
     couplings,
     sources,
     horizon: int,
-    param_edges: Sequence[int] | None = None,
 ) -> tuple[DmpTrace, GradTrace]:
-    """Forward pass with sensitivities to the selected couplings.
+    """Forward pass with sensitivities to every coupling.
 
     The sensitivities exist for couplings below 1: a coupling of 1 drives
     a message to exactly 0, where its logarithm has no derivative.  Raises
     :class:`CapacityError`, before allocating them, when the sensitivity
     arrays would take more than ``SENSITIVITY_BUDGET_BYTES`` (1 GiB):
-    ``(2 (T+1) |E| + (T+1) N) F`` float64 numbers.
+    ``(2 (T+1) |E| + (T+1) N) |E|`` float64 numbers.
     """
     _check_horizon(horizon)
     T, E, N = horizon, net.n_edges, net.n_nodes
-    params = np.arange(E, dtype=np.intp) if param_edges is None else np.asarray(param_edges, dtype=np.intp)
-    F = params.shape[0]
-    need = (2 * (T + 1) * E + (T + 1) * N) * F * 8
+    need = (2 * (T + 1) * E + (T + 1) * N) * E * 8
     if need > SENSITIVITY_BUDGET_BYTES:
         raise CapacityError(
             f"forward-mode sensitivities need {need / 2**30:.1f} GiB "
-            f"(T={T}, |E|={E}, N={N}, {F} parameters); the budget is "
+            f"(T={T}, |E|={E}, N={N}); the budget is "
             f"{SENSITIVITY_BUDGET_BYTES / 2**30:g} GiB"
         )
     alpha = validate_couplings(net, couplings)
     ps0 = initial_susceptible(net, sources)
-    col_of = np.full(E, -1, dtype=np.intp)
-    col_of[params] = np.arange(F, dtype=np.intp)
-    own_rows = np.flatnonzero(col_of >= 0)
-    own_cols = col_of[own_rows]
+    own = np.arange(E)               # coupling f is edge f's: its own term sits at (f, f)
 
-    d_theta = np.zeros((T + 1, E, F))
-    d_phi = np.zeros((T + 1, E, F))
-    d_log_step = np.zeros((T + 1, N, F))
-    d_cav = np.zeros((E, F))         # sensitivity of the cavity products at t-1
+    d_theta = np.zeros((T + 1, E, E))
+    d_phi = np.zeros((T + 1, E, E))
+    d_log_step = np.zeros((T + 1, N, E))
+    d_cav = np.zeros((E, E))         # sensitivity of the cavity products at t-1
     ps0_src = ps0[net.edge_src]
 
     def step(t, trace, *arrays):
@@ -176,7 +165,7 @@ def dmp_forward_with_gradients(
         inv_theta = np.divide(1.0, theta, out=np.zeros(E), where=theta > 0.0)
         d_h = d_phi[t - 1] - rho[:, None] * d_theta[t - 1]
         d_h *= (alpha * inv_theta)[:, None]
-        d_h[own_rows, own_cols] += rho[own_rows]
+        d_h[own, own] += rho
         d_theta[t] = (1.0 - h)[:, None] * d_theta[t - 1] - theta[:, None] * d_h
         d_log_keep = d_h
         d_log_keep *= (-1.0 / (1.0 - h))[:, None]
@@ -186,12 +175,12 @@ def dmp_forward_with_gradients(
         d_drop *= -cav_t[:, None]
         d_drop -= np.expm1(cav_log)[:, None] * d_cav
         d_phi[t] = (1.0 - alpha)[:, None] * d_phi[t - 1] + ps0_src[:, None] * d_drop
-        d_phi[t][own_rows, own_cols] -= phi[own_rows]
+        d_phi[t][own, own] -= phi
         d_cav[...] -= d_drop
         d_log_step[t] = net.in_edge_sum @ d_log_keep
 
     trace = _propagate(net, alpha, ps0[:, None], horizon, on_step=step).column(0)
-    gtrace = GradTrace(T, params, d_theta, d_phi, d_log_step, trace.p_susceptible)
+    gtrace = GradTrace(T, d_theta, d_phi, d_log_step, trace.p_susceptible)
     return trace, gtrace
 
 
@@ -419,7 +408,7 @@ def observed_negative_log_likelihood(
 ) -> float:
     """Free energy of a dataset: sum over observed nodes of
     ``-log P(observation window)`` under the message-passing marginals."""
-    horizon = _horizon(dataset)
+    horizon = _horizon(dataset, net)
     chunks = _chunks(summarize_dataset(dataset), net, horizon)
     return _dataset_free_energy(chunks, net, couplings, horizon, with_gradient=False)[0]
 
@@ -434,7 +423,7 @@ def free_energy_gradient(
     One batched forward pass and one reverse sweep are run per chunk of
     distinct source sets, shared by all cascades of those groups.
     """
-    horizon = _horizon(dataset)
+    horizon = _horizon(dataset, net)
     summaries = summarize_dataset(dataset)
     value, gradient, contribs = _dataset_free_energy(_chunks(summaries, net, horizon), net, couplings, horizon)
     per_node: dict[int, float] = {}
@@ -450,7 +439,6 @@ def population_free_energy(
     couplings,
     sources,
     horizon: int,
-    observed: Sequence[int] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Infinite-sample limit of the free energy for one initial condition.
 
@@ -461,14 +449,13 @@ def population_free_energy(
     """
     ref = dmp_forward(net, couplings_star, sources, horizon)
     T = horizon
-    nodes = np.arange(net.n_nodes) if observed is None else np.asarray(observed, dtype=np.intp)
     # window (t-1, t] weighted by the reference activation mass at t, and
     # the censored window (T-1, T] by the reference survival to T-1
-    mass = np.concatenate([ref.p_activate[1:T], ref.p_susceptible[T - 1 : T]])[:, nodes]
-    t_idx, row = np.nonzero(mass > 0.0)
+    mass = np.concatenate([ref.p_activate[1:T], ref.p_susceptible[T - 1 : T]])
+    t_idx, nodes = np.nonzero(mass > 0.0)
     summ = GroupSummary(
         tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist()),
-        nodes[row], t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, row], 0,
+        nodes, t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, nodes], 0,
     )
     value, gradient, _ = _dataset_free_energy(_chunks([summ], net, horizon), net, couplings, horizon)
     return value, gradient

@@ -96,23 +96,17 @@ class Network:
         return self._out_edges[i]
 
     def in_neighbors(self, i: int) -> list[int]:
-        return [int(self.edge_src[e]) for e in self._in_edges[i]]
+        """Sorted in-neighbor indices of node ``i``."""
+        return [int(self.edge_src[e]) for e in self._in_edges[self._node(i)]]
 
     def out_neighbors(self, i: int) -> list[int]:
-        return [int(self.edge_dst[e]) for e in self._out_edges[i]]
+        """Sorted out-neighbor indices of node ``i``."""
+        return [int(self.edge_dst[e]) for e in self._out_edges[self._node(i)]]
 
-    def neighbors(self, i: int, direction: str) -> list[int]:
-        """Sorted in- or out-neighbor indices of node ``i``.
-
-        ``direction`` is ``"in"`` or ``"out"``.
-        """
+    def _node(self, i: int) -> int:
         if not 0 <= i < self.n_nodes:
             raise IndexError(f"node index {i} out of range [0, {self.n_nodes})")
-        if direction == "in":
-            return self.in_neighbors(i)
-        if direction == "out":
-            return self.out_neighbors(i)
-        raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
+        return i
 
     def out_degree(self, i: int) -> int:
         return len(self._out_edges[i])

@@ -181,7 +181,7 @@ class TestMarginalizedLikelihood:
         c = generate_dataset(net, alpha, 1, [0], 10, seed=2)[0]
         obs = apply_mask(c, MaskSpec(frozenset(range(1, 10)), None))
         with pytest.raises(CapacityError, match="two-stage"):
-            marginalized_likelihood(obs, net, alpha, max_completions=1000)
+            marginalized_likelihood(obs, net, alpha)
 
 
 class TestHtsConfig:

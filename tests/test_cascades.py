@@ -9,6 +9,8 @@ from cascade_recon import (
     Cascade,
     CascadeTable,
     DatasetError,
+    FitConfig,
+    HtsConfig,
     MaskSpec,
     Network,
     ObservedCascade,
@@ -16,14 +18,21 @@ from cascade_recon import (
     apply_mask,
     cascade_substream,
     check_realizable,
+    dmprec_fit,
     exact_marginals_oracle,
+    free_energy_gradient,
     generate_dataset,
     group_cascades,
+    hts_complete,
+    hts_fit,
     monte_carlo_marginals,
+    netrate_fit,
     observe_fully,
+    observed_negative_log_likelihood,
     parse_edge_list,
     parse_mask_spec,
     read_cascades,
+    resolve_mask,
     simulate_cascade,
     write_cascades,
 )
@@ -413,6 +422,47 @@ class TestCascadeTable:
         assert apply_mask(back[:1], MaskSpec()) == back[:1]
 
 
+class TestNetworkWidth:
+    """Every pass over a dataset checks that its rows are as wide as the
+    network and as one another before it reads them."""
+
+    CALLS = {
+        "dmprec_fit": lambda data, net, alpha: dmprec_fit(data, net, FitConfig(max_iters=1)),
+        "observed_negative_log_likelihood": lambda data, net, alpha: observed_negative_log_likelihood(data, net, alpha),
+        "free_energy_gradient": lambda data, net, alpha: free_energy_gradient(data, net, alpha),
+        "write_cascades": lambda data, net, alpha: write_cascades(net, data),
+        "hts_complete": lambda data, net, alpha: hts_complete(data, net, alpha, HtsConfig(aux_samples=2)),
+        "hts_fit": lambda data, net, alpha: hts_fit(data, net, HtsConfig(aux_samples=2, outer_rounds=1)),
+        "netrate_fit": lambda data, net, alpha: netrate_fit(data, net),
+    }
+
+    @pytest.mark.parametrize("as_rows", [False, True])
+    @pytest.mark.parametrize("width", [3, 7])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_dataset_of_another_width(self, call, width, as_rows):
+        data = generate_dataset(chain_net(width), np.full(width - 1, 0.5), 4, [0], 5, seed=1)
+        with pytest.raises(DatasetError, match="^dataset does not match the network$"):
+            self.CALLS[call](list(data) if as_rows else data, chain_net(5), np.full(4, 0.5))
+
+    @pytest.mark.parametrize("later_block", [False, True])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_rows_of_unequal_width(self, call, later_block):
+        net = chain_net(5)
+        wide = generate_dataset(net, np.full(4, 0.5), 1, [0], 5, seed=1)[0]
+        if later_block:
+            # a first block of full rows, then a block of narrow ones
+            rows, widths = [wide] * (cascades._BLOCK_CELLS // 5) + [Cascade(5, [0])] * 3, "[1, 5]"
+        else:
+            rows, widths = [wide, Cascade(5, [0]), Cascade(5, [0, 1])], "[1, 2, 5]"
+        with pytest.raises(DatasetError, match=f"^{re.escape(f'cascades with mismatched node counts: {widths}')}$"):
+            self.CALLS[call](rows, net, np.full(4, 0.5))
+
+    def test_table_of_unequal_rows(self):
+        rows = [Cascade(5, [0, 1]), Cascade(5, [0]), observe_fully(Cascade(5, [0, 1, 2]))]
+        with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[1, 2, 3\]$"):
+            generate_dataset(chain_net(2), [0.5], 1, [0], 5, seed=1) + rows
+
+
 class TestMasking:
     def test_full_time_hidden_node(self, chain3):
         c = Cascade(5, [0, 1, 2])
@@ -472,6 +522,10 @@ class TestMasking:
         for snapshots in (None, (), (2,), (1, 4)):
             mask = MaskSpec(frozenset({5}), snapshots)
             _assert_identical(apply_mask(c, mask), _reference_apply_mask(c, mask))
+
+    def test_negative_hidden_count_rejected(self, chain3):
+        with pytest.raises(DatasetError, match=r"^cannot hide -1 of 3 eligible nodes$"):
+            resolve_mask(-1, "all", chain3, mask_seed=1)
 
 
 class TestGrouping:
@@ -587,10 +641,10 @@ class TestFiles:
 
     def test_mask_spec_parsing(self):
         net, _ = parse_edge_list("0\t1\n1\t2\n")
-        spec = parse_mask_spec("hidden=1\nsnapshots=2,4\nmask_seed=7\n", net, 3)
+        spec = parse_mask_spec("hidden=1\nsnapshots=2,4\nmask_seed=7\n", net)
         assert len(spec.hidden_nodes) == 1
         assert spec.snapshot_times == (2, 4)
-        spec2 = parse_mask_spec("hidden=0,2\nsnapshots=all\n", net, 3)
+        spec2 = parse_mask_spec("hidden=0,2\nsnapshots=all\n", net)
         assert spec2.hidden_nodes == frozenset({0, 2})
         assert spec2.snapshot_times is None
 

@@ -458,6 +458,7 @@ class TestErrorsAndConfig:
         ("mask", ["--mask-seed", "x"], "", "mask-seed: expected an integer, got 'x'"),
         ("fit", ["--seed", "x"], "", "seed: expected an integer, got 'x'"),
         ("fit", ["--method", "bogus"], "", "method: expected dmprec, hts or netrate, got 'bogus'"),
+        ("fit", [], "max-iters = -3", "max_iters must be >= 0"),
     ])
     def test_non_integer_value_is_usage_error(self, workdir, capsys, command, flags, line, message):
         tmp, net, _ = workdir

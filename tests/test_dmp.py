@@ -7,7 +7,6 @@ from cascade_recon import (
     Cascade,
     CapacityError,
     Network,
-    activation_marginal,
     dmp_forward,
     exact_cascade_probability,
     exact_marginals_oracle,
@@ -95,17 +94,12 @@ class TestForward:
 class TestActivationMarginal:
     def test_source_values(self, edge01):
         tr = dmp_forward(edge01, [0.5], [0], 4)
-        assert activation_marginal(tr, 0, 0) == 1.0
-        assert all(activation_marginal(tr, 0, t) == 0.0 for t in range(1, 5))
+        assert tr.p_activate[0, 0] == 1.0
+        assert all(tr.p_activate[t, 0] == 0.0 for t in range(1, 5))
 
     def test_single_edge_closed_form(self, edge01):
         tr = dmp_forward(edge01, [0.5], [0], 4)
-        assert activation_marginal(tr, 1, 2) == pytest.approx(0.25)
-
-    def test_time_out_of_range(self, edge01):
-        tr = dmp_forward(edge01, [0.5], [0], 4)
-        with pytest.raises(ValueError):
-            activation_marginal(tr, 1, 5)
+        assert tr.p_activate[2, 1] == pytest.approx(0.25)
 
 
 class TestOracle:

@@ -222,6 +222,7 @@ class TestFitConfig:
         ({"tol": float("inf")}, "tol must be positive and finite"),
         ({"tol": 0.0}, "tol must be positive and finite"),
         ({"alpha_init": float("nan")}, "need 0 < alpha_min < alpha_init < alpha_max < 1"),
+        ({"max_iters": -3}, "max_iters must be >= 0"),
     ])
     def test_rejected_settings(self, setting, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

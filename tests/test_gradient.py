@@ -171,17 +171,6 @@ class TestSensitivities:
             assert np.allclose(an[big], fd[big], rtol=1e-6)
             assert np.allclose(an[~big], fd[~big], atol=1e-7)
 
-    def test_param_subset_matches_full(self, rng):
-        net = random_loopy_net(6, 5, rng)
-        alpha = random_couplings(net, rng)
-        subset = np.array([0, 2, net.n_edges - 1], dtype=np.intp)
-        _, full = dmp_forward_with_gradients(net, alpha, [1], 5)
-        _, part = dmp_forward_with_gradients(net, alpha, [1], 5, param_edges=subset)
-        np.testing.assert_allclose(part.d_theta, full.d_theta[:, :, subset], atol=0)
-        np.testing.assert_allclose(
-            part.d_p_susceptible, full.d_p_susceptible[:, :, subset], atol=0
-        )
-
     def test_derivative_normalization(self, rng):
         net = random_loopy_net(7, 5, rng)
         alpha = random_couplings(net, rng)
@@ -209,12 +198,6 @@ class TestForwardModeCapacity:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-
-    def test_parameter_subset_within_budget(self):
-        net = preferential_attachment_net(1000, 2, np.random.default_rng(3))
-        alpha = np.full(net.n_edges, 0.2)
-        _, gt = dmp_forward_with_gradients(net, alpha, [0], 10, param_edges=[0, 1])
-        assert gt.d_theta.shape == (11, net.n_edges, 2)
 
 
 class TestReverseMode:

@@ -62,17 +62,17 @@ def test_comments_and_blank_lines():
 
 def test_neighbors_chain():
     net, _ = parse_edge_list("0\t1\n1\t2\n")
-    assert net.neighbors(1, "in") == [0]
-    assert net.neighbors(0, "in") == []
-    assert net.neighbors(1, "out") == [2]
+    assert net.in_neighbors(1) == [0]
+    assert net.in_neighbors(0) == []
+    assert net.out_neighbors(1) == [2]
     with pytest.raises(IndexError):
-        net.neighbors(3, "in")
+        net.in_neighbors(3)
 
 
 def test_neighbors_bidirectional_pair():
     net, _ = parse_edge_list("0\t1\n1\t0\n")
-    assert net.neighbors(0, "in") == [1]
-    assert net.neighbors(0, "out") == [1]
+    assert net.in_neighbors(0) == [1]
+    assert net.out_neighbors(0) == [1]
 
 
 def test_edge_order_lexicographic():
