@@ -682,15 +682,16 @@ def _ranked_sets(ids: dict[tuple[int, ...], int], set_id: np.ndarray) -> tuple[l
 _BLOCK_CELLS = 8192
 
 
-def _blocks(dataset: CascadeTable | Sequence):
+def _blocks(dataset: CascadeTable | Sequence, cells: int | None = None):
     """Yield ``(start, block)``: the table of ``dataset[start:start + rows]``
-    for consecutive runs of about ``_BLOCK_CELLS`` cells, a slice of a
-    table or the rows of a sequence stacked; every block has the horizon
-    and the width of the first.  An empty dataset is an error."""
+    for consecutive runs of about ``cells`` cells (``_BLOCK_CELLS`` when
+    None), a slice of a table or the rows of a sequence stacked; every
+    block has the horizon and the width of the first.  An empty dataset is
+    an error."""
     if not len(dataset):
         raise DatasetError("empty dataset")
     first = _table(dataset[:1])
-    step = max(1, _BLOCK_CELLS // max(1, first.n_nodes))
+    step = max(1, (cells or _BLOCK_CELLS) // max(1, first.n_nodes))
     for start in range(0, len(dataset), step):
         block = _table(dataset[start : start + step])
         _shared([first.horizon, block.horizon], "horizons")

@@ -36,11 +36,15 @@ The recursion runs on a trailing axis of G initial conditions at once:
 every message and marginal array carries one column per source group,
 so that one pass over a chunk of groups costs one sparse product per
 step for all of them.  A single run, :func:`dmp_forward`, is the G = 1
-case.
+case.  The recursion yields one state per step and keeps no history of
+its own: :func:`dmp_forward` stacks the states into a :class:`DmpTrace`,
+the free energy's value keeps only their ``log_step``, and its gradient
+keeps them whole for the reverse sweep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,51 +98,63 @@ def dmp_forward(net: Network, couplings, sources, horizon: int) -> DmpTrace:
     """Run the forward message-passing recursion up to ``horizon``."""
     _check_horizon(horizon)
     alpha = validate_couplings(net, couplings)
-    return _propagate(net, alpha, initial_susceptible(net, sources)[:, None], horizon).column(0)
+    ps0 = initial_susceptible(net, sources)[:, None]
+    return _trace(ps0, list(_propagate(net, alpha, ps0, horizon))).column(0)
 
 
-def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int, on_step=None) -> DmpTrace:
-    """The recursion behind :func:`dmp_forward`, on validated inputs, for
-    the G source groups whose initial susceptibilities are the columns of
-    ``ps0`` (N, G); every array of the trace has a trailing axis of G.
+@dataclass(frozen=True, eq=False)
+class _State:
+    """The recursion at step t for G source groups, each array with a
+    trailing axis of G: the messages, the cavity products and ``log_step``
+    at t, and the ``rho = phi / theta`` (the chance that the source is
+    active given no crossing yet, read at t-1) and cavity sums of
+    ``log1p(-alpha * rho)`` that step t took them from; those two are None
+    at t = 0."""
 
-    After step t is filled in, ``on_step(t, trace, rho, h, cav_log, cav_t)``
-    is called when given, with the step's per-edge ``rho = phi / theta``
-    (the chance that the source is active given no crossing yet) and hazard
-    ``h = alpha * rho``, the cavity sums ``cav_log`` of ``log1p(-h)`` and the
-    cavity products ``cav_t = cav_prev * exp(cav_log)`` at t, each (|E|, G).
+    theta: np.ndarray                # (|E|, G)
+    phi: np.ndarray                  # (|E|, G)
+    cav: np.ndarray                  # (|E|, G)
+    log_step: np.ndarray             # (N, G)
+    rho: np.ndarray | None           # (|E|, G)
+    cav_log: np.ndarray | None       # (|E|, G)
+
+
+def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int) -> Iterator[_State]:
+    """Yield the :class:`_State` of each step t = 0..horizon of the
+    recursion behind :func:`dmp_forward`, on validated inputs, for the G
+    source groups whose initial susceptibilities are the columns of ``ps0``
+    (N, G).
+
+    A state holds no history: a caller keeps what it needs of it, the
+    whole states for a reverse sweep or only ``log_step`` for a value.
     """
-    T, E, N, G = horizon, net.n_edges, net.n_nodes, ps0.shape[1]
-    theta = np.ones((T + 1, E, G))
-    phi = np.empty((T + 1, E, G))
-    phi[0] = 1.0 - ps0[net.edge_src]
-    p_s = np.empty((T + 1, N, G))
-    p_s[0] = ps0
-    m = np.empty((T + 1, N, G))
-    m[0] = 1.0 - ps0
-    trace = DmpTrace(T, ps0, theta, phi, p_s, m, np.zeros((T + 1, N, G)))
-
+    E, N, G = net.n_edges, net.n_nodes, ps0.shape[1]
     alpha = alpha[:, None]
     ps0_src = ps0[net.edge_src]
-    cav_prev = np.ones((E, G))
-    for t in range(1, T + 1):
+    theta, phi, cav = np.ones((E, G)), 1.0 - ps0_src, np.ones((E, G))
+    yield _State(theta, phi, cav, np.zeros((N, G)), None, None)
+    for _ in range(horizon):
         # rho is 0 once theta is 0, and capped at 1 against rounding
-        rho = np.divide(phi[t - 1], theta[t - 1], out=np.zeros((E, G)), where=theta[t - 1] > 0.0)
+        rho = np.divide(phi, theta, out=np.zeros((E, G)), where=theta > 0.0)
         np.minimum(rho, 1.0, out=rho)
         h = alpha * rho
         with np.errstate(divide="ignore"):  # h == 1 only when alpha == 1
             log_keep = np.log1p(-h)
-        theta[t] = theta[t - 1] * (1.0 - h)
         cav_log = net.cavity_sum @ log_keep
-        phi[t] = (1.0 - alpha) * phi[t - 1] - ps0_src * cav_prev * np.expm1(cav_log)
-        cav_t = cav_prev * np.exp(cav_log)
-        trace.log_step[t] = net.in_edge_sum @ log_keep
-        p_s[t] = p_s[t - 1] * np.exp(trace.log_step[t])
-        m[t] = p_s[t - 1] - p_s[t]
-        if on_step is not None:
-            on_step(t, trace, rho, h, cav_log, cav_t)
-        cav_prev = cav_t
-    return trace
+        theta = theta * (1.0 - h)
+        phi = (1.0 - alpha) * phi - ps0_src * cav * np.expm1(cav_log)
+        cav = cav * np.exp(cav_log)
+        yield _State(theta, phi, cav, net.in_edge_sum @ log_keep, rho, cav_log)
+
+
+def _trace(ps0: np.ndarray, states: list[_State]) -> DmpTrace:
+    """The batched trace of a run from its states: the histories stacked,
+    and the marginals advanced as ``p_susceptible[t] = p_susceptible[t-1]
+    * exp(log_step[t])``."""
+    theta, phi, log_step = (np.stack([getattr(s, name) for s in states]) for name in ("theta", "phi", "log_step"))
+    p_s = np.cumprod(np.concatenate([ps0[None], np.exp(log_step[1:])]), axis=0)
+    m = np.concatenate([1.0 - ps0[None], p_s[:-1] - p_s[1:]])
+    return DmpTrace(len(states) - 1, ps0, theta, phi, p_s, m, log_step)
 
 
 # ---------------------------------------------------------------------------

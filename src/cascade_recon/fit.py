@@ -193,20 +193,23 @@ def dmprec_fit(
     Minimizes the message-passing free energy of the dataset by projected
     gradient descent from the uniform ``alpha_init`` starting point.  Each
     evaluation runs one batched forward pass, and each gradient one reverse
-    sweep, per chunk of distinct source sets; the chunks are stacked once
-    for the whole run.  ``threads`` is accepted for existing callers and
-    has no effect.
+    sweep, per chunk of distinct source sets.  Line-search values run on
+    chunks sized for a value pass and gradients on the smaller chunks that
+    the sweep's memory allows; both lists are stacked once for the whole
+    run.  ``threads`` is accepted for existing callers and has no effect.
     """
     config = config or FitConfig()
     config.validate()
     horizon = _horizon(dataset, net)
-    chunks = _chunks(summarize_dataset(dataset), net, horizon)
+    summaries = summarize_dataset(dataset)
+    grad_chunks = _chunks(summaries, net, horizon)
+    value_chunks = _chunks(summaries, net, horizon, with_gradient=False)
 
     def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        return _dataset_free_energy(chunks, net, alpha, horizon)[:2]
+        return _dataset_free_energy(grad_chunks, net, alpha, horizon)[:2]
 
     def value_only(alpha: np.ndarray) -> float:
-        return _dataset_free_energy(chunks, net, alpha, horizon, with_gradient=False)[0]
+        return _dataset_free_energy(value_chunks, net, alpha, horizon, with_gradient=False)[0]
 
     x0 = np.full(net.n_edges, config.alpha_init)
     start = time.perf_counter()

@@ -10,31 +10,41 @@ all instances of this one rule.  ``P`` is taken in the log domain,
     log P = log S(lo) + log(-expm1(sum of log_step over (lo, hi])),
 
 with ``log S(lo)`` the sum of ``log_step`` up to lo; the second term is 0
-when hi == T.  Neither term rounds to zero inside the coupling box, so no
-floor is needed, and the gradient is the exact derivative of this value.
-The population (infinite-sample) free energy uses the same rule, with the
-generating couplings' marginals as window weights.
+when hi == T.  Each window reads only its own steps: ``log S(lo)`` is
+one gather from the cumulative sum of ``log_step`` over t, and the span
+is the sum of its hi - lo steps.  Neither term rounds to zero inside the
+coupling box, so no floor is needed, and the gradient is the exact
+derivative of this value.  The population (infinite-sample) free energy
+uses the same rule, with the generating couplings' marginals as window
+weights.
 
 The free energy of one source group is a weighted sum of the forward
 trace's ``log_step`` (the weights depend on the trace only through the
 window spans), so its gradient is the derivative of
-``-sum(weights * log_step)`` at fixed weights.  The fit takes it in
-reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008): one
-forward pass keeps each step's ``rho``, hazard, cavity log-sums and cavity
-products, O(T |E|) numbers per group, and one backward sweep through the
-theta/phi/cavity recursion carries their adjoints and accumulates the
-coupling adjoint.  A step of the sweep costs one transposed sparse cavity
-product and element-wise work, so a gradient costs a small multiple of a
-forward pass.
+``-sum(weights * log_step)`` at fixed weights.  A window weighs its
+count on every step up to lo and its count times ``d log P / d span`` on
+every step inside it; the weights are one ``np.bincount`` of the counts
+at lo, summed over t in reverse, plus one ``np.bincount`` per in-window
+step.  The fit takes the gradient in reverse mode (Griewank & Walther,
+*Evaluating Derivatives*, 2008): one forward pass keeps each step's
+messages, ``rho``, cavity log-sums and cavity products, O(T |E|) numbers
+per group, and one backward sweep through the theta/phi/cavity recursion
+carries their adjoints and accumulates the coupling adjoint.  A step of
+the sweep costs one transposed sparse cavity product and element-wise
+work, so a gradient costs a small multiple of a forward pass.
 
 Source groups run in chunks: the messages of a chunk of G groups are
 stacked as (..., |E|, G) arrays, so one forward pass and one sweep serve
 the whole chunk, with one sparse product per step for all of its groups,
 and the window rows of the chunk are stacked with the column of their
-group.  A chunk holds about :data:`_CHUNK_CELLS` cells of (T+1) |E| G,
-which bounds the memory of an evaluation whatever the number of groups.
-Value, gradient and window contributions are then reduced one group at a
-time in input order, so they do not depend on the chunking.
+group.  A chunk holds as many groups as its pass fits in
+:data:`_PASS_BYTES`: a value pass keeps only ``log_step`` and the current
+step, a gradient pass every step's state, so value chunks hold several
+times the groups of gradient chunks.  That bounds the memory of an
+evaluation whatever the number of groups.  Value, gradient and window
+contributions are then reduced one group at a time in input order, so
+they do not depend on the chunking, and a value pass gives the same
+value, bit for bit, as a gradient pass.
 
 Forward mode, :func:`dmp_forward_with_gradients`, is kept as the
 reference the reverse sweep is tested against.  For every message edge e
@@ -43,11 +53,11 @@ and every coupling f it tracks ``d_theta[t, e, f]`` and
 of ``log1p(-h)`` (``d_log_step``); all start at zero (initial messages do
 not depend on couplings).  Its memory is O(T |E|^2), so it refuses runs
 above :data:`SENSITIVITY_BUDGET_BYTES`.  Both modes differentiate the
-recursion that :func:`dmp._propagate` runs, as it runs it: ``rho`` as
-computed (capped at 1), with ``1 / theta`` taken as 0 where theta is 0,
-and the cavity product at t as the product at t-1 times ``exp`` of the
-cavity log-sum, and ``p_susceptible`` likewise from ``log_step``.  So the
-value and the gradient belong to one function.
+recursion whose states :func:`dmp._propagate` yields, as it runs it:
+``rho`` as computed (capped at 1), with ``1 / theta`` taken as 0 where
+theta is 0, and the cavity product at t as the product at t-1 times
+``exp`` of the cavity log-sum, and ``p_susceptible`` likewise from
+``log_step``.  So the value and the gradient belong to one function.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ from .cascades import (
     _window_codes,
     _window_range_error,
 )
-from .dmp import DmpTrace, dmp_forward, initial_susceptible, _propagate
+from .dmp import DmpTrace, dmp_forward, initial_susceptible, _propagate, _State, _trace
 
 __all__ = [
     "GradTrace",
@@ -88,9 +98,13 @@ __all__ = [
 # that forward mode allocates: 1 GiB.
 SENSITIVITY_BUDGET_BYTES = 1 << 30
 
-# Cells, (T+1) |E| per source group, of each message array that one
-# batched pass over a chunk of groups holds: 128 KiB of float64.
-_CHUNK_CELLS = 1 << 14
+# Bytes that one batched pass over a chunk of source groups, or one block
+# of the summaries' walk over the cascades, holds: 1 MiB.
+_PASS_BYTES = 1 << 20
+
+# Cells of a block of the summaries' walk: a cell's bounds and its window's
+# row, node, code and key take about 32 bytes.
+_SUMMARY_BLOCK_CELLS = _PASS_BYTES // 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +164,7 @@ def dmp_forward_with_gradients(
         )
     alpha = validate_couplings(net, couplings)
     ps0 = initial_susceptible(net, sources)
+    states = list(_propagate(net, alpha, ps0[:, None], horizon))
     own = np.arange(E)               # coupling f is edge f's: its own term sits at (f, f)
 
     d_theta = np.zeros((T + 1, E, E))
@@ -157,10 +172,10 @@ def dmp_forward_with_gradients(
     d_log_step = np.zeros((T + 1, N, E))
     d_cav = np.zeros((E, E))         # sensitivity of the cavity products at t-1
     ps0_src = ps0[net.edge_src]
-
-    def step(t, trace, *arrays):
-        theta, phi = trace.theta[t - 1, :, 0], trace.phi[t - 1, :, 0]
-        rho, h, cav_log, cav_t = (arr[:, 0] for arr in arrays)
+    for t in range(1, T + 1):
+        theta, phi = states[t - 1].theta[:, 0], states[t - 1].phi[:, 0]
+        rho, cav_log, cav_t = (arr[:, 0] for arr in (states[t].rho, states[t].cav_log, states[t].cav))
+        h = alpha * rho
         # d rho = (d phi - rho d theta) / theta, d h = rho d alpha + alpha d rho
         inv_theta = np.divide(1.0, theta, out=np.zeros(E), where=theta > 0.0)
         d_h = d_phi[t - 1] - rho[:, None] * d_theta[t - 1]
@@ -176,10 +191,10 @@ def dmp_forward_with_gradients(
         d_drop -= np.expm1(cav_log)[:, None] * d_cav
         d_phi[t] = (1.0 - alpha)[:, None] * d_phi[t - 1] + ps0_src[:, None] * d_drop
         d_phi[t][own, own] -= phi
-        d_cav[...] -= d_drop
+        d_cav -= d_drop
         d_log_step[t] = net.in_edge_sum @ d_log_keep
 
-    trace = _propagate(net, alpha, ps0[:, None], horizon, on_step=step).column(0)
+    trace = _trace(ps0[:, None], states).column(0)
     gtrace = GradTrace(T, d_theta, d_phi, d_log_step, trace.p_susceptible)
     return trace, gtrace
 
@@ -208,11 +223,12 @@ class GroupSummary:
 def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list[GroupSummary]:
     """Group cascades by source set and aggregate observation windows.
 
-    One walk over the rows, a block at a time, finds each row's
-    source set (:func:`cascades._source_sets`, numbered as first met) and
-    makes each window of a visible non-source node one int64 key that
-    orders by (set, node, lo, hi); a block's keys are counted and merged
-    into the running count.  The sets are then ranked in sorted order and
+    One walk over the rows, a block of about ``_SUMMARY_BLOCK_CELLS``
+    cells at a time, finds each row's source set
+    (:func:`cascades._source_sets`, numbered as first met) and makes each
+    window of a visible non-source node one int64 key that orders by (set,
+    node, lo, hi); a block's keys are counted and merged into the running
+    count.  The sets are then ranked in sorted order and
     the keys renumbered, so the rows come out ordered by (group, node, lo,
     hi).
     """
@@ -223,7 +239,7 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     in_range = True
     keys = np.empty(0, dtype=np.int64)
     counts = np.empty(0)
-    for _start, block in _blocks(dataset):
+    for _start, block in _blocks(dataset, _SUMMARY_BLOCK_CELLS):
         lo, hi, hidden, n_nodes = block.lo, block.hi, block.hidden, block.n_nodes
         set_id = _source_sets(hi, hidden, ids)
         set_ids.append(set_id)
@@ -267,10 +283,20 @@ class _Chunk:
     ends: list[int]                  # group g owns rows ends[g]:ends[g+1]
 
 
-def _chunks(summaries: Sequence[GroupSummary], net: Network, horizon: int) -> list[_Chunk]:
-    """The groups of ``summaries`` in input order, cut into chunks of about
-    ``_CHUNK_CELLS`` message cells."""
-    size = max(1, _CHUNK_CELLS // max(1, (horizon + 1) * net.n_edges))
+def _group_bytes(net: Network, horizon: int, with_gradient: bool) -> int:
+    """Bytes that a pass holds per source group.  A value pass keeps
+    ``log_step``, (T+1) N cells, and a few |E|-long arrays of the current
+    step; a gradient pass keeps every step's state for the sweep, (T+1)
+    (5 |E| + N) cells."""
+    T1, E, N = horizon + 1, net.n_edges, net.n_nodes
+    return 8 * (T1 * (5 * E + N) if with_gradient else T1 * N + 8 * E)
+
+
+def _chunks(summaries: Sequence[GroupSummary], net: Network, horizon: int, with_gradient: bool = True) -> list[_Chunk]:
+    """The groups of ``summaries`` in input order, cut into chunks that a
+    value pass, or ``with_gradient`` a gradient pass, runs in about
+    ``_PASS_BYTES``."""
+    size = max(1, _PASS_BYTES // _group_bytes(net, horizon, with_gradient))
     chunks = []
     for start in range(0, len(summaries), size):
         block = summaries[start:start + size]
@@ -285,44 +311,56 @@ def _chunks(summaries: Sequence[GroupSummary], net: Network, horizon: int) -> li
 
 
 def _window_log_prob(log_step: np.ndarray, rows: _Chunk):
-    """``log P`` of each window, its log-domain pieces as masks over time
-    and ``d log P / d span`` (see the module docstring), from the chunk's
-    (T+1, N, G) ``log_step``."""
-    T = log_step.shape[0] - 1
-    steps = log_step[:, rows.nodes, rows.group].T            # (rows, T+1)
-    t = np.arange(T + 1)
-    before = t <= rows.lo[:, None]                           # log S(lo) = sum of steps t <= lo
-    inside = (t > rows.lo[:, None]) & (t <= rows.hi[:, None])
-    censored = rows.hi == T
-    span = np.where(inside, steps, 0.0).sum(axis=1)          # log S(hi) - log S(lo)
+    """``log P`` of each window and ``d log P / d span`` (see the module
+    docstring), from the chunk's (T+1, N, G) ``log_step``, with the steps
+    of the windows: for k = 1, 2, ..., the rows whose window holds step
+    lo + k and that step's flat index into ``log_step``."""
+    T1, N, G = log_step.shape
+    column = rows.nodes * G + rows.group
+    # log S(lo) = sum of log_step over t <= lo; row 0 is 0, so lo = -1 reads it too
+    log_s = np.cumsum(log_step, axis=0).reshape(-1)[np.maximum(rows.lo, 0) * (N * G) + column]
+    censored = rows.hi == T1 - 1
+    width = np.where(censored, 0, rows.hi - rows.lo)
+    span = np.zeros(width.size)                              # log S(hi) - log S(lo)
+    steps = []
+    for k in range(1, int(width.max(initial=0)) + 1):
+        inside = np.flatnonzero(width >= k)
+        at = (rows.lo[inside] + k) * (N * G) + column[inside]
+        span[inside] += log_step.reshape(-1)[at]
+        steps.append((inside, at))
     span[censored] = -np.inf                                 # S(T) = 0
     with np.errstate(divide="ignore", over="ignore"):
-        log_p = np.where(before, steps, 0.0).sum(axis=1) + np.log(-np.expm1(span))
+        log_p = log_s + np.log(-np.expm1(span))
         d_span = -1.0 / np.expm1(-span)
-    return log_p, before, inside, d_span
+    return log_p, d_span, steps
 
 
 def _window_weights(log_step: np.ndarray, rows: _Chunk) -> tuple[np.ndarray, np.ndarray]:
     """Per-window free-energy contributions and the (T+1, N, G) weights
     with ``d F = -sum(weights * d log_step)``."""
-    log_p, before, inside, d_span = _window_log_prob(log_step, rows)
-    # d log P = sum_{t <= lo} d log_step + d_span * sum_{lo < t <= hi} d log_step,
-    # collected as one weight per (t, node, group) on d log_step
-    row_weights = rows.counts[:, None] * (before + d_span[:, None] * inside)
-    weights = np.zeros_like(log_step)
-    np.add.at(weights.transpose(1, 2, 0), (rows.nodes, rows.group), row_weights)
-    return -rows.counts * log_p, weights
+    log_p, d_span, steps = _window_log_prob(log_step, rows)
+    T1, N, G = log_step.shape
+    # d log P = sum_{t <= lo} d log_step + d_span * sum_{lo < t <= hi} d log_step, collected
+    # as one weight per (t, node, group) on d log_step: the counts of the windows with
+    # lo >= t, a reverse cumulative sum over lo + 1 in [0, T+1], plus d_span times the
+    # counts of those that hold step t
+    at_lo = np.bincount((rows.lo + 1) * (N * G) + rows.nodes * G + rows.group, rows.counts, (T1 + 1) * N * G)
+    weights = np.cumsum(at_lo.reshape(T1 + 1, N, G)[::-1], axis=0)[-2::-1].ravel()
+    span_weights = rows.counts * d_span
+    for inside, at in steps:
+        weights += np.bincount(at, span_weights[inside], T1 * N * G)
+    return -rows.counts * log_p, weights.reshape(T1, N, G)
 
 
-def _log_step_adjoint(net: Network, alpha: np.ndarray, trace: DmpTrace, steps, weights) -> np.ndarray:
+def _log_step_adjoint(net: Network, alpha: np.ndarray, ps0: np.ndarray, states: list[_State], weights) -> np.ndarray:
     """Gradient of ``-sum(weights * log_step)`` with respect to the
-    couplings, by one backward sweep over the steps of ``trace``, for each
-    of its G groups: an (|E|, G) array.
+    couplings, by one backward sweep over the ``states`` that
+    :func:`dmp._propagate` yielded from the (N, G) initial
+    susceptibilities ``ps0``, for each of the G groups: an (|E|, G) array.
 
-    ``steps[t-1]`` holds step t's ``(rho, h, cav_log, cav_t)`` as
-    :func:`dmp._propagate` hands them out.  The sweep transposes, term by
-    term, the linearization that :func:`dmp_forward_with_gradients` runs
-    forward, with the messages' tangents taken in the basis
+    The sweep transposes, term by term, the linearization that
+    :func:`dmp_forward_with_gradients` runs forward, with the messages'
+    tangents taken in the basis
     ``(d theta, gap = d phi - rho_next d theta)``: the gap is what enters
     ``d rho``.  In that basis the adjoint of theta stays of the order of
     the messages where the adjoint of phi grows like ``1 / theta``, and the
@@ -330,7 +368,7 @@ def _log_step_adjoint(net: Network, alpha: np.ndarray, trace: DmpTrace, steps, w
     formed before they multiply the large gap adjoint, so they cancel
     exactly.
     """
-    T, E, G = trace.horizon, net.n_edges, weights.shape[-1]
+    T, E, G = len(states) - 1, net.n_edges, weights.shape[-1]
     # step t in the basis (d theta, gap), with a = alpha / theta (0 where theta = 0):
     #   d h = a gap + rho d alpha,  d log1p(-h) = -d h / (1 - h),
     #   d theta[t] = (1 - h) d theta - theta d h,
@@ -340,18 +378,19 @@ def _log_step_adjoint(net: Network, alpha: np.ndarray, trace: DmpTrace, steps, w
     #   gap[t] = (1 - alpha + gap_h a) gap + gap_theta d theta + ps0_src d drop + gap_alpha d alpha,
     # with gap_h = rho_next theta, gap_theta = (1 - alpha) rho - rho_next (1 - h) and
     # gap_alpha = rho rho_next theta - phi.  The coefficients are formed step by step,
-    # so the sweep holds only the forward pass's records and one (T, |E|, G) array of terms.
+    # so the sweep holds only the forward pass's states and one (T, |E|, G) array of terms.
     alpha = alpha[:, None]
     keep_rate = 1.0 - alpha
-    ps0_src = trace.initial_susceptible[net.edge_src]
+    ps0_src = ps0[net.edge_src]
     in_edge_sum_t, cavity_sum_t = net.in_edge_sum.T, net.cavity_sum.T
     theta_bar, gap_bar, cav_bar = np.zeros((E, G)), np.zeros((E, G)), np.zeros((E, G))
     rho_next = np.zeros((E, G))                              # no step T+1: its adjoints are 0
     terms = np.empty((T, E, G))                              # the coupling adjoint of each step
     for i in range(T - 1, -1, -1):
-        rho, h, cav_log, cav = steps[i]
-        theta, phi = trace.theta[i], trace.phi[i]            # the messages step i+1 reads
-        keep = 1.0 - h
+        step = states[i + 1]
+        rho, cav_log, cav = step.rho, step.cav_log, step.cav
+        theta, phi = states[i].theta, states[i].phi          # the messages step i+1 reads
+        keep = 1.0 - alpha * rho
         a = alpha * np.divide(1.0, theta, out=np.zeros((E, G)), where=theta > 0.0)
         drop_bar = ps0_src * gap_bar - cav_bar
         keep_bar = in_edge_sum_t @ -weights[i + 1] - cavity_sum_t @ (cav * drop_bar)
@@ -376,8 +415,9 @@ def _dataset_free_energy(
     source groups.
 
     Each chunk runs one batched forward pass and, ``with_gradient``, one
-    sweep; the results are reduced one group at a time in input order, so
-    they are the same for any chunking.  The gradient is None without
+    sweep over the states it keeps; a value pass keeps only ``log_step``.
+    The results are reduced one group at a time in input order, so they
+    are the same for any chunking.  The gradient is None without
     ``with_gradient``.
     """
     alpha = validate_couplings(net, couplings)
@@ -385,14 +425,15 @@ def _dataset_free_energy(
     gradient = np.zeros(net.n_edges) if with_gradient else None
     contribs = []
     for chunk in chunks:
+        states = _propagate(net, alpha, chunk.ps0, horizon)
         if with_gradient:
-            steps = []
-            trace = _propagate(net, alpha, chunk.ps0, horizon, on_step=lambda t, _trace, *step: steps.append(step))
-            contrib, weights = _window_weights(trace.log_step, chunk)
-            grads = _log_step_adjoint(net, alpha, trace, steps, weights)
+            states = list(states)
+        log_step = np.stack([state.log_step for state in states])
+        if with_gradient:
+            contrib, weights = _window_weights(log_step, chunk)
+            grads = _log_step_adjoint(net, alpha, chunk.ps0, states, weights)
         else:
-            trace = _propagate(net, alpha, chunk.ps0, horizon)
-            contrib = -chunk.counts * _window_log_prob(trace.log_step, chunk)[0]
+            contrib = -chunk.counts * _window_log_prob(log_step, chunk)[0]
         for g, (a, b) in enumerate(zip(chunk.ends[:-1], chunk.ends[1:])):
             value += float(contrib[a:b].sum())
             if with_gradient:
@@ -409,7 +450,7 @@ def observed_negative_log_likelihood(
     """Free energy of a dataset: sum over observed nodes of
     ``-log P(observation window)`` under the message-passing marginals."""
     horizon = _horizon(dataset, net)
-    chunks = _chunks(summarize_dataset(dataset), net, horizon)
+    chunks = _chunks(summarize_dataset(dataset), net, horizon, with_gradient=False)
     return _dataset_free_energy(chunks, net, couplings, horizon, with_gradient=False)[0]
 
 

@@ -17,7 +17,15 @@ from cascade_recon import (
     population_free_energy,
 )
 
-from cascade_recon.gradient import SENSITIVITY_BUDGET_BYTES, _chunks, _window_weights, summarize_dataset
+from cascade_recon.dmp import _propagate
+from cascade_recon.gradient import (
+    SENSITIVITY_BUDGET_BYTES,
+    GroupSummary,
+    _chunks,
+    _window_log_prob,
+    _window_weights,
+    summarize_dataset,
+)
 
 from conftest import (
     chain_net,
@@ -70,6 +78,34 @@ def _forward_mode_free_energy(dataset, net, alpha):
         value += float(contrib.sum())
         grad -= np.tensordot(weights[..., 0], gtrace.d_log_step, axes=2)
     return value, grad
+
+
+def _reference_window_log_prob(log_step, rows):
+    """The (rows, T+1) mask formula that ``_window_log_prob`` replaced,
+    kept as its reference: ``log P`` of each window, its log-domain pieces
+    as masks over time and ``d log P / d span``."""
+    T = log_step.shape[0] - 1
+    steps = log_step[:, rows.nodes, rows.group].T
+    t = np.arange(T + 1)
+    before = t <= rows.lo[:, None]
+    inside = (t > rows.lo[:, None]) & (t <= rows.hi[:, None])
+    censored = rows.hi == T
+    span = np.where(inside, steps, 0.0).sum(axis=1)
+    span[censored] = -np.inf
+    with np.errstate(divide="ignore", over="ignore"):
+        log_p = np.where(before, steps, 0.0).sum(axis=1) + np.log(-np.expm1(span))
+        d_span = -1.0 / np.expm1(-span)
+    return log_p, before, inside, d_span
+
+
+def _reference_window_weights(log_step, rows):
+    """The masked per-row weights scattered with ``np.add.at`` that
+    ``_window_weights`` replaced, kept as its reference."""
+    log_p, before, inside, d_span = _reference_window_log_prob(log_step, rows)
+    row_weights = rows.counts[:, None] * (before + d_span[:, None] * inside)
+    weights = np.zeros_like(log_step)
+    np.add.at(weights.transpose(1, 2, 0), (rows.nodes, rows.group), row_weights)
+    return -rows.counts * log_p, weights
 
 
 def _reference_summaries(dataset):
@@ -127,6 +163,57 @@ class TestSummaries:
         obs = ObservedCascade(5, [-1, 3], [0, 7], [False, False])
         with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
             summarize_dataset([obs])
+
+
+class TestWindowTerms:
+    """Window log-probabilities and weights taken from each window's own
+    steps, against the mask formula they replaced; the summation order
+    differs, so they agree to rounding."""
+
+    @staticmethod
+    def _assert_matches_reference(net, summaries, alpha, T):
+        for chunk in _chunks(summaries, net, T):
+            log_step = np.stack([state.log_step for state in _propagate(net, alpha, chunk.ps0, T)])
+            contrib, weights = _window_weights(log_step, chunk)
+            want_contrib, want_weights = _reference_window_weights(log_step, chunk)
+            log_p = _window_log_prob(log_step, chunk)[0]
+            np.testing.assert_allclose(log_p, _reference_window_log_prob(log_step, chunk)[0], rtol=1e-13, atol=0)
+            np.testing.assert_allclose(contrib, want_contrib, rtol=1e-13, atol=0)
+            assert weights.shape == want_weights.shape
+            np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-13 * np.abs(want_weights).max(initial=0.0))
+
+    def test_random_masked_cases(self, rng):
+        for net, cascades, mask in random_masked_cases(rng):
+            summaries = summarize_dataset(apply_mask(cascades, mask))
+            self._assert_matches_reference(net, summaries, random_couplings(net, rng, 0.05, 0.95), cascades.horizon)
+
+    def test_hand_made_windows(self, rng):
+        from cascade_recon import Network
+
+        # every node next to every source: each window below has P > 0
+        labels = [str(v) for v in range(7)]
+        net = Network(labels, [(a, b) for a in labels for b in labels if a != b])
+        T = 6
+
+        def group(sources, windows):
+            nodes, lo, hi = np.array(windows, dtype=np.int64).reshape(-1, 3).T
+            return GroupSummary(sources, nodes.astype(np.intp), lo, hi, rng.integers(1, 50, len(nodes)).astype(float), 1)
+
+        exact = [(v, t - 1, t) for v in (2, 3) for t in range(1, T)]
+        from_start = [(4, -1, 2), (5, -1, 5), (6, -1, T)]      # lo = -1, the last one open to T as well
+        censored = [(4, T - 1, T), (5, T - 1, T)]
+        open_to_t = [(2, 3, T), (6, 1, T), (3, 0, T)]
+        intervals = [(2, 1, 4), (6, 0, 3), (5, 2, 5)]
+        summaries = [
+            group((0,), exact + censored),
+            group((2,), []),                                  # a group with no window rows
+            group((0, 1), from_start + open_to_t + intervals),
+            group((1,), exact + from_start + censored + open_to_t + intervals),
+        ]
+        for low, high in ((0.05, 0.95), (0.5, 0.999), (1e-6, 1 - 1e-6)):
+            alpha = random_couplings(net, rng, low, high)
+            self._assert_matches_reference(net, summaries, alpha, T)
+            self._assert_matches_reference(net, summaries[1:2], alpha, T)
 
 
 class TestSensitivities:
@@ -304,7 +391,9 @@ class TestChunking:
         from cascade_recon import gradient
 
         T = dataset[0].horizon
-        monkeypatch.setattr(gradient, "_CHUNK_CELLS", groups_per_chunk * (T + 1) * net.n_edges)
+        # a budget of groups_per_chunk groups for the value and the gradient passes alike
+        monkeypatch.setattr(gradient, "_group_bytes", lambda *_pass: 1)
+        monkeypatch.setattr(gradient, "_PASS_BYTES", groups_per_chunk)
         summaries = summarize_dataset(dataset)
         assert len(_chunks(summaries, net, T)) == -(-len(summaries) // groups_per_chunk)
         rep = free_energy_gradient(dataset, net, alpha)
@@ -352,6 +441,44 @@ class TestChunking:
 
     def test_evaluation_peak_does_not_grow_with_groups(self):
         assert self._evaluation_peak(240) <= 1.25 * self._evaluation_peak(60)
+
+    def test_value_pass_matches_gradient_pass(self, rng):
+        # 60 groups on a 60-node tree: one value chunk and several gradient chunks
+        net = random_tree_net(60, rng)
+        truth = random_couplings(net, rng, 0.1, 0.6)
+        dataset = []
+        for v in range(60):
+            dataset += _masked_dataset(net, truth, 10, 5, MaskSpec(frozenset(), (2, 4, 6, 8, 10)), seed=v, sources=[v])
+        summaries = summarize_dataset(dataset)
+        assert len(_chunks(summaries, net, 10, with_gradient=False)) < len(_chunks(summaries, net, 10))
+        for low, high in ((0.05, 0.95), (0.5, 0.999), (1e-6, 1 - 1e-6)):
+            alpha = random_couplings(net, rng, low, high)
+            assert free_energy_gradient(dataset, net, alpha).value == observed_negative_log_likelihood(dataset, net, alpha)
+
+    def test_value_pass_holds_no_message_history(self):
+        # hub30's 15 visible-source groups in one value chunk peak below the
+        # two (T+1, |E|, G) arrays that theta and phi histories would take
+        import tracemalloc
+        from importlib.resources import files
+
+        from cascade_recon.gradient import _dataset_free_energy
+
+        net, truth = parse_edge_list(files("cascade_recon").joinpath("data/hub30.edges").read_text())
+        T = 10
+        hidden = frozenset(int(v) for v in np.random.default_rng(30).choice(net.n_nodes, 15, replace=False))
+        dataset = []
+        for v in sorted(set(range(net.n_nodes)) - hidden):
+            dataset += _masked_dataset(net, truth, T, 20, MaskSpec(hidden, None), seed=v, sources=[v])
+        chunks = _chunks(summarize_dataset(dataset), net, T, with_gradient=False)
+        assert [chunk.ps0.shape[1] for chunk in chunks] == [15]
+        _dataset_free_energy(chunks, net, truth, T, with_gradient=False)  # builds the network's sum matrices
+        tracemalloc.start()
+        try:
+            _dataset_free_energy(chunks, net, truth, T, with_gradient=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (T + 1) * net.n_edges * 15 * 8
 
 
 class TestLogDomainWindows:
