@@ -5,16 +5,16 @@ per-route traffic (busiest route = 0.5).  We simulate 10000 cascades,
 hide 15 of the 30 hubs, and reconstruct every coupling.
 
 What to expect, as measured with the default 10000 cascades: the fit
-lowers the free energy well below that of the true couplings (260 902
-against 320 435; it stops on its relative-decrease tolerance after 373
+lowers the free energy well below that of the true couplings (261 079
+against 320 435; it stops on its relative-decrease tolerance after 524
 iterations).  Where on the flat tail of the fit it stops depends on
 rounding: perturbing the gradient by 1e-12 relative (5 seeds) ends it
-anywhere between 261 060 and 261 320, after 331 iterations up to the
+anywhere between 261 065 and 261 676, after 300 iterations up to the
 600-iteration cap.  The 37 links whose two endpoints are observed track
 the truth and skew slightly high (correlation 0.62, mean residual
-+0.054): the message-passing marginals underestimate susceptibility on
++0.056): the message-passing marginals underestimate susceptibility on
 this very loopy graph.  Links touching a hidden hub are not recovered
-(correlation over all 210 links 0.110): the approximation overpredicts
+(correlation over all 210 links 0.042): the approximation overpredicts
 how many observed nodes activate by T-1 (88 % against 79 % in the data
 at the true couplings), and the fit compensates through the unseen
 links, many of which it drives to ``alpha_min``.  The scatter written at the end shows both groups.

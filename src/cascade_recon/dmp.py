@@ -1,11 +1,14 @@
 """Forward dynamic message passing for the discrete-time SI model.
 
-The engine propagates two quantities per directed edge (k, i):
-
-- ``theta[t, e]``: probability that no activation signal has crossed the
-  edge by time t;
-- ``phi[t, e]``: probability that k is already active but the signal has
-  not crossed the edge yet.
+The engine carries, per directed edge (k, i), the message ``theta[t, e]``,
+the probability that no activation signal has crossed the edge by time
+t, and the cavity product ``cav[t, e]`` of ``theta`` over k's other
+in-edges, so that ``ps0_k * cav`` is the probability that k is still
+susceptible at t with i left out (``ps0_k`` is 0 at a source, else 1).
+On the SI model the second message of the general scheme, the
+probability ``phi`` that k is active but the signal has not crossed yet,
+is ``theta - ps0_k * cav`` (Lokhov, Mézard, Ohta & Zdeborová, PRE 2014,
+at mu = 0), so it is not carried.
 
 Node marginals follow as products of incoming ``theta`` messages:
 ``p_susceptible[t, i]`` is the probability that i is still susceptible at
@@ -14,23 +17,19 @@ at step t.  The scheme is exact when the graph is a tree and yields a
 lower bound on susceptibility probabilities otherwise; the subset-state
 oracle in this module provides the exact reference for small graphs.
 
-Each step is driven by the per-edge transmission hazard
-``h = alpha * phi / theta`` (the chance that the signal crosses now, given
-that it has not crossed yet): ``theta`` shrinks by the factor ``1 - h`` and
-``phi`` gains the drop of the source's cavity susceptibility, written as
-``cavity * -expm1(sum log1p(-h))`` over the cavity edges.  Every term is a
-product or sum of non-negative numbers, so messages stay in [0, 1],
-``theta`` and ``p_susceptible`` never increase, and no susceptibility drop
-is formed as a difference of nearly equal numbers.
-
-The products of ``theta`` over a node's in-edges and over an edge's
-cavity advance by one step from the sums of ``log1p(-h)`` over the same
-edges (``log_step`` for the in-edges), taken with the sparse 0/1 matrices
-``Network.in_edge_sum`` and ``Network.cavity_sum``:
-``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``, and likewise
-for the cavity products.  This is the recursion that both gradient modes
-differentiate, and the free energy takes window probabilities from
-``log_step`` in the log domain.
+Step t crosses each edge with the hazard ``alpha * rho``, where ``rho =
+phi / theta`` at t-1, so the products over ``theta`` shrink by ``keep =
+1 - alpha * rho``.  Both come from logarithms: ``1 - rho = exp(delta)``
+with ``delta = log ps0_k + log cav - log theta``, and ``log keep`` is
+``log1p(-alpha * rho)`` where the hazard is below 1/2 and ``log((1 -
+alpha) + alpha * (1 - rho))`` elsewhere, each exact where it is taken.
+``log theta`` gains ``log keep``, ``log cav`` its sum over the cavity
+edges and ``log_step`` is its sum over the in-edges, with the sparse 0/1
+matrices ``Network.cavity_sum`` and ``Network.in_edge_sum``; then
+``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``.  No
+``log keep`` is positive, so ``theta`` and ``p_susceptible`` never
+increase.  Both gradient modes differentiate this recursion, and the free
+energy takes window probabilities from ``log_step`` in the log domain.
 
 The recursion runs on a trailing axis of G initial conditions at once:
 every message and marginal array carries one column per source group,
@@ -39,7 +38,7 @@ step for all of them.  A single run, :func:`dmp_forward`, is the G = 1
 case.  The recursion yields one state per step and keeps no history of
 its own: :func:`dmp_forward` stacks the states into a :class:`DmpTrace`,
 the free energy's value keeps only their ``log_step``, and its gradient
-keeps them whole for the reverse sweep.
+their ``rho`` and ``1 - rho`` as well.
 """
 
 from __future__ import annotations
@@ -63,7 +62,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DmpTrace:
-    """Full message and marginal history of one forward run.
+    """Full message and marginal history of one forward run: ``theta``,
+    ``phi = theta * rho`` (k active, signal not crossed yet) and the
+    marginals.
 
     Inside the batched recursion every array carries a trailing axis of
     G source groups; :meth:`column` gives one group's run with the shapes
@@ -105,18 +106,17 @@ def dmp_forward(net: Network, couplings, sources, horizon: int) -> DmpTrace:
 @dataclass(frozen=True, eq=False)
 class _State:
     """The recursion at step t for G source groups, each array with a
-    trailing axis of G: the messages, the cavity products and ``log_step``
-    at t, and the ``rho = phi / theta`` (the chance that the source is
-    active given no crossing yet, read at t-1) and cavity sums of
-    ``log1p(-alpha * rho)`` that step t took them from; those two are None
-    at t = 0."""
+    trailing axis of G: ``log theta``, the log cavity products and
+    ``log_step`` at t, and the ``rho`` that step t+1 reads, with ``r = 1 -
+    rho = exp(delta)``.  Where theta is 0, delta is held at 0: rho is 0
+    there, and r, the rate ``-d rho / d delta`` that the reverse sweep
+    reads, is 0 too."""
 
-    theta: np.ndarray                # (|E|, G)
-    phi: np.ndarray                  # (|E|, G)
-    cav: np.ndarray                  # (|E|, G)
+    log_theta: np.ndarray            # (|E|, G)
+    log_cav: np.ndarray              # (|E|, G)
     log_step: np.ndarray             # (N, G)
-    rho: np.ndarray | None           # (|E|, G)
-    cav_log: np.ndarray | None       # (|E|, G)
+    rho: np.ndarray                  # (|E|, G)
+    r: np.ndarray                    # (|E|, G)
 
 
 def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int) -> Iterator[_State]:
@@ -125,36 +125,48 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int) -
     source groups whose initial susceptibilities are the columns of ``ps0``
     (N, G).
 
-    A state holds no history: a caller keeps what it needs of it, the
-    whole states for a reverse sweep or only ``log_step`` for a value.
+    A state holds no history: a caller keeps what it needs of it, ``rho``
+    and ``r`` for a reverse sweep, ``log_step`` for a value.
     """
     E, N, G = net.n_edges, net.n_nodes, ps0.shape[1]
-    alpha = alpha[:, None]
-    ps0_src = ps0[net.edge_src]
-    theta, phi, cav = np.ones((E, G)), 1.0 - ps0_src, np.ones((E, G))
-    yield _State(theta, phi, cav, np.zeros((N, G)), None, None)
-    for _ in range(horizon):
-        # rho is 0 once theta is 0, and capped at 1 against rounding
-        rho = np.divide(phi, theta, out=np.zeros((E, G)), where=theta > 0.0)
-        np.minimum(rho, 1.0, out=rho)
-        h = alpha * rho
-        with np.errstate(divide="ignore"):  # h == 1 only when alpha == 1
-            log_keep = np.log1p(-h)
-        cav_log = net.cavity_sum @ log_keep
-        theta = theta * (1.0 - h)
-        phi = (1.0 - alpha) * phi - ps0_src * cav * np.expm1(cav_log)
-        cav = cav * np.exp(cav_log)
-        yield _State(theta, phi, cav, net.in_edge_sum @ log_keep, rho, cav_log)
+    alpha = np.repeat(alpha[:, None], G, axis=1)  # full (|E|, G): faster than a broadcast
+    with np.errstate(divide="ignore"):
+        log_ps0_src = np.log(ps0[net.edge_src])
+    log_theta, log_cav, log_step = np.zeros((E, G)), np.zeros((E, G)), np.zeros((N, G))
+    for t in range(horizon + 1):
+        if t:
+            log_keep = _log_keep(alpha, rho, r)
+            log_theta = log_theta + log_keep
+            log_cav = log_cav + net.cavity_sum @ log_keep
+            log_step = net.in_edge_sum @ log_keep
+        # delta is capped at 0 against rounding; where theta is 0 it is NaN
+        # or +inf before the cap, which fmin makes 0
+        with np.errstate(invalid="ignore"):
+            delta = np.fmin(log_ps0_src + log_cav - log_theta, 0.0)
+        rho, r = -np.expm1(delta), np.exp(delta)
+        r[log_theta == -np.inf] = 0.0
+        yield _State(log_theta, log_cav, log_step, rho, r)
+
+
+def _log_keep(alpha: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``log(1 - alpha rho)``, each entry from the form that is exact
+    there: ``log1p(-alpha rho)`` where the hazard is below 1/2, and
+    ``log((1 - alpha) + alpha r)`` elsewhere, where ``1 - alpha`` is
+    exact."""
+    h = alpha * rho
+    with np.errstate(divide="ignore"):  # keep is 0 only where alpha is 1 and r is 0
+        return np.where(h < 0.5, np.log1p(-h), np.log((1.0 - alpha) + alpha * r))
 
 
 def _trace(ps0: np.ndarray, states: list[_State]) -> DmpTrace:
     """The batched trace of a run from its states: the histories stacked,
     and the marginals advanced as ``p_susceptible[t] = p_susceptible[t-1]
     * exp(log_step[t])``."""
-    theta, phi, log_step = (np.stack([getattr(s, name) for s in states]) for name in ("theta", "phi", "log_step"))
+    log_theta, rho, log_step = (np.stack([getattr(s, name) for s in states]) for name in ("log_theta", "rho", "log_step"))
+    theta = np.exp(log_theta)
     p_s = np.cumprod(np.concatenate([ps0[None], np.exp(log_step[1:])]), axis=0)
     m = np.concatenate([1.0 - ps0[None], p_s[:-1] - p_s[1:]])
-    return DmpTrace(len(states) - 1, ps0, theta, phi, p_s, m, log_step)
+    return DmpTrace(len(states) - 1, ps0, theta, theta * rho, p_s, m, log_step)
 
 
 # ---------------------------------------------------------------------------

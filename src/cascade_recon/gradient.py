@@ -27,11 +27,14 @@ every step inside it; the weights are one ``np.bincount`` of the counts
 at lo, summed over t in reverse, plus one ``np.bincount`` per in-window
 step.  The fit takes the gradient in reverse mode (Griewank & Walther,
 *Evaluating Derivatives*, 2008): one forward pass keeps each step's
-messages, ``rho``, cavity log-sums and cavity products, O(T |E|) numbers
-per group, and one backward sweep through the theta/phi/cavity recursion
-carries their adjoints and accumulates the coupling adjoint.  A step of
-the sweep costs one transposed sparse cavity product and element-wise
-work, so a gradient costs a small multiple of a forward pass.
+``rho`` and ``r = 1 - rho``, 2 (T+1) |E| numbers per group, and one
+backward sweep carries two adjoints, of ``log theta`` and of the log
+cavity products, and accumulates the coupling adjoint.  It differentiates
+the recursion as :func:`dmp._propagate` runs it, with ``delta`` capped at
+0 and held at 0 where theta is 0, so the value and the gradient belong to
+one function.  A step of the sweep costs two transposed sparse products
+and element-wise work, so a gradient costs a small multiple of a forward
+pass.
 
 Source groups run in chunks: the messages of a chunk of G groups are
 stacked as (..., |E|, G) arrays, so one forward pass and one sweep serve
@@ -39,25 +42,22 @@ the whole chunk, with one sparse product per step for all of its groups,
 and the window rows of the chunk are stacked with the column of their
 group.  A chunk holds as many groups as its pass fits in
 :data:`_PASS_BYTES`: a value pass keeps only ``log_step`` and the current
-step, a gradient pass every step's state, so value chunks hold several
-times the groups of gradient chunks.  That bounds the memory of an
-evaluation whatever the number of groups.  Value, gradient and window
-contributions are then reduced one group at a time in input order, so
-they do not depend on the chunking, and a value pass gives the same
-value, bit for bit, as a gradient pass.
+step, a gradient pass every step's ``rho`` and ``r`` and the window
+weights, so value chunks hold several times the groups of gradient
+chunks.  That bounds the memory of an evaluation whatever the number of
+groups.  Value, gradient and window contributions are then reduced one
+group at a time in input order, so they do not depend on the chunking,
+and a value pass gives the same value, bit for bit, as a gradient pass.
 
 Forward mode, :func:`dmp_forward_with_gradients`, is kept as the
-reference the reverse sweep is tested against.  For every message edge e
-and every coupling f it tracks ``d_theta[t, e, f]`` and
-``d_phi[t, e, f]``, together with the sensitivities of the per-node sums
-of ``log1p(-h)`` (``d_log_step``); all start at zero (initial messages do
-not depend on couplings).  Its memory is O(T |E|^2), so it refuses runs
-above :data:`SENSITIVITY_BUDGET_BYTES`.  Both modes differentiate the
-recursion whose states :func:`dmp._propagate` yields, as it runs it:
-``rho`` as computed (capped at 1), with ``1 / theta`` taken as 0 where
-theta is 0, and the cavity product at t as the product at t-1 times
-``exp`` of the cavity log-sum, and ``p_susceptible`` likewise from
-``log_step``.  So the value and the gradient belong to one function.
+reference the reverse sweep is tested against.  It linearizes the
+two-message form of the recursion instead, with ``phi = theta * rho``
+read from the states: for every message edge e and every coupling f it
+tracks ``d_theta[t, e, f]`` and ``d_phi[t, e, f]``, together with
+``d_log_step``; all start at zero (initial messages do not depend on
+couplings).  Near alpha = 1 that route loses precision, since ``rho = 1``
+is an unstable fixed point of ``phi / theta``.  Its memory is O(T |E|^2),
+so it refuses runs above :data:`SENSITIVITY_BUDGET_BYTES`.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from .cascades import (
     _window_codes,
     _window_range_error,
 )
-from .dmp import DmpTrace, dmp_forward, initial_susceptible, _propagate, _State, _trace
+from .dmp import DmpTrace, dmp_forward, initial_susceptible, _log_keep, _propagate, _trace
 
 __all__ = [
     "GradTrace",
@@ -172,10 +172,13 @@ def dmp_forward_with_gradients(
     d_log_step = np.zeros((T + 1, N, E))
     d_cav = np.zeros((E, E))         # sensitivity of the cavity products at t-1
     ps0_src = ps0[net.edge_src]
+    # the two-message recursion, with h = alpha * phi / theta: theta[t] = (1 - h) theta,
+    # phi[t] = (1 - alpha) phi - ps0_src * cav_prev * expm1(cav_log)
     for t in range(1, T + 1):
-        theta, phi = states[t - 1].theta[:, 0], states[t - 1].phi[:, 0]
-        rho, cav_log, cav_t = (arr[:, 0] for arr in (states[t].rho, states[t].cav_log, states[t].cav))
-        h = alpha * rho
+        log_theta, rho, r = (arr[:, 0] for arr in (states[t - 1].log_theta, states[t - 1].rho, states[t - 1].r))
+        theta, cav_t = np.exp(log_theta), np.exp(states[t].log_cav[:, 0])
+        phi, h = theta * rho, alpha * rho
+        cav_log = net.cavity_sum @ _log_keep(alpha, rho, r)
         # d rho = (d phi - rho d theta) / theta, d h = rho d alpha + alpha d rho
         inv_theta = np.divide(1.0, theta, out=np.zeros(E), where=theta > 0.0)
         d_h = d_phi[t - 1] - rho[:, None] * d_theta[t - 1]
@@ -184,8 +187,7 @@ def dmp_forward_with_gradients(
         d_theta[t] = (1.0 - h)[:, None] * d_theta[t - 1] - theta[:, None] * d_h
         d_log_keep = d_h
         d_log_keep *= (-1.0 / (1.0 - h))[:, None]
-        # phi gains -cav_prev * expm1(cav_log); its derivative, written as
-        # -(d cav_prev * expm1(cav_log) + cav_t * d cav_log):
+        # d(-cav_prev * expm1(cav_log)) = -(d cav_prev * expm1(cav_log) + cav_t * d cav_log)
         d_drop = net.cavity_sum @ d_log_keep
         d_drop *= -cav_t[:, None]
         d_drop -= np.expm1(cav_log)[:, None] * d_cav
@@ -286,10 +288,11 @@ class _Chunk:
 def _group_bytes(net: Network, horizon: int, with_gradient: bool) -> int:
     """Bytes that a pass holds per source group.  A value pass keeps
     ``log_step``, (T+1) N cells, and a few |E|-long arrays of the current
-    step; a gradient pass keeps every step's state for the sweep, (T+1)
-    (5 |E| + N) cells."""
+    step; a gradient pass keeps every step's ``rho`` and ``r`` for the
+    sweep as well, and the window weights with their partial sums: (T+1)
+    (2 |E| + 4 N) cells, and the sweep's |E|-long arrays."""
     T1, E, N = horizon + 1, net.n_edges, net.n_nodes
-    return 8 * (T1 * (5 * E + N) if with_gradient else T1 * N + 8 * E)
+    return 8 * (T1 * (2 * E + 4 * N) + 10 * E if with_gradient else T1 * N + 8 * E)
 
 
 def _chunks(summaries: Sequence[GroupSummary], net: Network, horizon: int, with_gradient: bool = True) -> list[_Chunk]:
@@ -352,56 +355,35 @@ def _window_weights(log_step: np.ndarray, rows: _Chunk) -> tuple[np.ndarray, np.
     return -rows.counts * log_p, weights.reshape(T1, N, G)
 
 
-def _log_step_adjoint(net: Network, alpha: np.ndarray, ps0: np.ndarray, states: list[_State], weights) -> np.ndarray:
+def _log_step_adjoint(net: Network, alpha: np.ndarray, rho: Sequence[np.ndarray], r: Sequence[np.ndarray],
+                      weights: np.ndarray) -> np.ndarray:
     """Gradient of ``-sum(weights * log_step)`` with respect to the
-    couplings, by one backward sweep over the ``states`` that
-    :func:`dmp._propagate` yielded from the (N, G) initial
-    susceptibilities ``ps0``, for each of the G groups: an (|E|, G) array.
+    couplings, by one backward sweep over the ``rho`` and ``r`` of each
+    step that :func:`dmp._propagate` yielded, for each of the G groups: an
+    (|E|, G) array.
 
-    The sweep transposes, term by term, the linearization that
-    :func:`dmp_forward_with_gradients` runs forward, with the messages'
-    tangents taken in the basis
-    ``(d theta, gap = d phi - rho_next d theta)``: the gap is what enters
-    ``d rho``.  In that basis the adjoint of theta stays of the order of
-    the messages where the adjoint of phi grows like ``1 / theta``, and the
-    coefficients that cancel at ``rho = 1`` (an edge out of a source) are
-    formed before they multiply the large gap adjoint, so they cancel
-    exactly.
+    Step t adds ``log keep = log(1 - alpha rho)`` to ``log theta``, its
+    cavity sums to ``log cav`` and its in-edge sums to ``log_step``, where
+    ``rho = -expm1(delta)`` and ``r = exp(delta)`` were read at t-1 from
+    ``delta = log ps0_src + log cav - log theta``.  So the sweep carries
+    only the adjoints of ``log theta`` and ``log cav``: with ``q`` the
+    adjoint of ``log keep`` over ``keep``, the coupling's adjoint gains
+    ``-q rho``, and delta's, ``u = alpha q r``, goes to ``log cav`` and
+    with its sign flipped to ``log theta``.
     """
-    T, E, G = len(states) - 1, net.n_edges, weights.shape[-1]
-    # step t in the basis (d theta, gap), with a = alpha / theta (0 where theta = 0):
-    #   d h = a gap + rho d alpha,  d log1p(-h) = -d h / (1 - h),
-    #   d theta[t] = (1 - h) d theta - theta d h,
-    #   d drop = -cav_t (cavity_sum @ d log1p(-h)) - expm1(cav_log) d cav_prev,
-    #   d cav_t = d cav_prev - d drop (cav_t = cav_prev exp(cav_log) in the forward pass),
-    #   d log_step[t] = in_edge_sum @ d log1p(-h),
-    #   gap[t] = (1 - alpha + gap_h a) gap + gap_theta d theta + ps0_src d drop + gap_alpha d alpha,
-    # with gap_h = rho_next theta, gap_theta = (1 - alpha) rho - rho_next (1 - h) and
-    # gap_alpha = rho rho_next theta - phi.  The coefficients are formed step by step,
-    # so the sweep holds only the forward pass's states and one (T, |E|, G) array of terms.
-    alpha = alpha[:, None]
-    keep_rate = 1.0 - alpha
-    ps0_src = ps0[net.edge_src]
+    E, G = net.n_edges, weights.shape[-1]
+    alpha = np.repeat(alpha[:, None], G, axis=1)  # full (|E|, G): faster than a broadcast
     in_edge_sum_t, cavity_sum_t = net.in_edge_sum.T, net.cavity_sum.T
-    theta_bar, gap_bar, cav_bar = np.zeros((E, G)), np.zeros((E, G)), np.zeros((E, G))
-    rho_next = np.zeros((E, G))                              # no step T+1: its adjoints are 0
-    terms = np.empty((T, E, G))                              # the coupling adjoint of each step
-    for i in range(T - 1, -1, -1):
-        step = states[i + 1]
-        rho, cav_log, cav = step.rho, step.cav_log, step.cav
-        theta, phi = states[i].theta, states[i].phi          # the messages step i+1 reads
-        keep = 1.0 - alpha * rho
-        a = alpha * np.divide(1.0, theta, out=np.zeros((E, G)), where=theta > 0.0)
-        drop_bar = ps0_src * gap_bar - cav_bar
-        keep_bar = in_edge_sum_t @ -weights[i + 1] - cavity_sum_t @ (cav * drop_bar)
-        cav_bar -= np.expm1(cav_log) * drop_bar
-        h_bar = -theta * theta_bar - keep_bar / keep
-        terms[i] = rho * h_bar + (rho * rho_next * theta - phi) * gap_bar
-        h_bar += rho_next * theta * gap_bar
-        theta_bar = keep * theta_bar + (keep_rate * rho - rho_next * keep) * gap_bar
-        gap_bar = keep_rate * gap_bar + a * h_bar
-        rho_next = rho
-    return terms.sum(axis=0)
+    theta_bar, cav_bar, alpha_bar = np.zeros((E, G)), np.zeros((E, G)), np.zeros((E, G))
+    for t in range(weights.shape[0] - 1, 0, -1):
+        h = alpha * rho[t - 1]
+        keep = np.where(h < 0.5, 1.0 - h, (1.0 - alpha) + alpha * r[t - 1])  # the forms _log_keep takes logs of
+        q = (theta_bar + cavity_sum_t @ cav_bar - in_edge_sum_t @ weights[t]) / keep
+        alpha_bar -= q * rho[t - 1]
+        u = alpha * q * r[t - 1]
+        theta_bar -= u
+        cav_bar += u
+    return alpha_bar
 
 
 def _dataset_free_energy(
@@ -415,7 +397,8 @@ def _dataset_free_energy(
     source groups.
 
     Each chunk runs one batched forward pass and, ``with_gradient``, one
-    sweep over the states it keeps; a value pass keeps only ``log_step``.
+    sweep over each step's ``rho`` and ``r``; a value pass keeps only
+    ``log_step``.
     The results are reduced one group at a time in input order, so they
     are the same for any chunking.  The gradient is None without
     ``with_gradient``.
@@ -425,13 +408,15 @@ def _dataset_free_energy(
     gradient = np.zeros(net.n_edges) if with_gradient else None
     contribs = []
     for chunk in chunks:
-        states = _propagate(net, alpha, chunk.ps0, horizon)
-        if with_gradient:
-            states = list(states)
-        log_step = np.stack([state.log_step for state in states])
+        log_step, rho, r = np.empty((horizon + 1, *chunk.ps0.shape)), [], []
+        for t, state in enumerate(_propagate(net, alpha, chunk.ps0, horizon)):
+            log_step[t] = state.log_step
+            if with_gradient:
+                rho.append(state.rho)
+                r.append(state.r)
         if with_gradient:
             contrib, weights = _window_weights(log_step, chunk)
-            grads = _log_step_adjoint(net, alpha, chunk.ps0, states, weights)
+            grads = _log_step_adjoint(net, alpha, rho, r, weights)
         else:
             contrib = -chunk.counts * _window_log_prob(log_step, chunk)[0]
         for g, (a, b) in enumerate(zip(chunk.ends[:-1], chunk.ends[1:])):

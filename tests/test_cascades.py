@@ -37,7 +37,7 @@ from cascade_recon import (
     write_cascades,
 )
 
-from cascade_recon import cascades
+from cascade_recon import cascades, gradient
 from cascade_recon.cascades import _decode_time, _split_token
 
 from conftest import (
@@ -446,12 +446,15 @@ class TestNetworkWidth:
 
     @pytest.mark.parametrize("later_block", [False, True])
     @pytest.mark.parametrize("call", CALLS)
-    def test_rows_of_unequal_width(self, call, later_block):
+    def test_rows_of_unequal_width(self, call, later_block, monkeypatch):
         net = chain_net(5)
         wide = generate_dataset(net, np.full(4, 0.5), 1, [0], 5, seed=1)[0]
         if later_block:
-            # a first block of full rows, then a block of narrow ones
-            rows, widths = [wide] * (cascades._BLOCK_CELLS // 5) + [Cascade(5, [0])] * 3, "[1, 5]"
+            # every walk over the rows takes blocks of two 5-node rows: a first
+            # block of full rows, then a block of narrow ones, each of one width
+            monkeypatch.setattr(cascades, "_BLOCK_CELLS", 10)
+            monkeypatch.setattr(gradient, "_SUMMARY_BLOCK_CELLS", 10)
+            rows, widths = [wide] * 2 + [Cascade(5, [0])] * 3, "[1, 5]"
         else:
             rows, widths = [wide, Cascade(5, [0]), Cascade(5, [0, 1])], "[1, 2, 5]"
         with pytest.raises(DatasetError, match=f"^{re.escape(f'cascades with mismatched node counts: {widths}')}$"):

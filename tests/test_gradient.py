@@ -457,7 +457,7 @@ class TestChunking:
 
     def test_value_pass_holds_no_message_history(self):
         # hub30's 15 visible-source groups in one value chunk peak below the
-        # two (T+1, |E|, G) arrays that theta and phi histories would take
+        # two (T+1, |E|, G) arrays that a gradient pass keeps, rho and r of every step
         import tracemalloc
         from importlib.resources import files
 
@@ -531,6 +531,73 @@ class TestLogDomainWindows:
         assert np.isfinite(rep.value)
         assert np.all(np.isfinite(rep.gradient))
         assert rep.value == observed_negative_log_likelihood(dataset, net, alpha)
+
+
+@pytest.fixture(scope="module")
+def hub30_hidden():
+    """hub30 with 15 nodes hidden and 200 cascades from each visible node, T = 10."""
+    from importlib.resources import files
+
+    net, truth = parse_edge_list(files("cascade_recon").joinpath("data/hub30.edges").read_text())
+    hidden = frozenset(int(v) for v in np.random.default_rng(30).choice(net.n_nodes, 15, replace=False))
+    dataset = []
+    for v in sorted(set(range(net.n_nodes)) - hidden):
+        dataset += apply_mask(generate_dataset(net, truth, 200, [v], 10, seed=v), MaskSpec(hidden, None))
+    return net, dataset
+
+
+def _longdouble_free_energy(dataset, net, alpha):
+    """The free energy from the same recursion run in ``np.longdouble``,
+    with the messages and cavity products held as they are rather than as
+    logarithms, ``1 - rho = ps0_src * cav / theta``, and ``log keep`` from
+    the form that is exact for each entry; couplings below 1 keep theta
+    positive."""
+    from cascade_recon.dmp import initial_susceptible
+
+    ld, T = np.longdouble, dataset[0].horizon
+    alpha = alpha.astype(ld)
+    cavity_sum, in_edge_sum = (m.toarray().astype(ld) for m in (net.cavity_sum, net.in_edge_sum))
+    value = ld(0)
+    for summ in summarize_dataset(dataset):
+        ps0_src = initial_susceptible(net, summ.sources).astype(ld)[net.edge_src]
+        theta, cav = np.ones(net.n_edges, ld), np.ones(net.n_edges, ld)
+        log_step = np.zeros((T + 1, net.n_nodes, 1), ld)
+        for t in range(1, T + 1):
+            r = np.minimum(ps0_src * cav / theta, 1)
+            h = alpha * (1 - r)
+            log_keep = np.where(h < 0.5, np.log1p(-h), np.log((1 - alpha) + alpha * r))
+            theta *= np.exp(log_keep)
+            cav *= np.exp(cavity_sum @ log_keep)
+            log_step[t, :, 0] = in_edge_sum @ log_keep
+        (rows,) = _chunks([summ], net, T)
+        value -= (rows.counts * _reference_window_log_prob(log_step, rows)[0]).sum()
+    return value
+
+
+class TestPrecisionAcrossTheBox:
+    """On hub30 with hidden nodes, up to couplings of 1 - 1e-6: the value
+    holds to rounding, and the gradient is its derivative."""
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                        reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("low, high", [(0.05, 0.95), (0.5, 0.999), (0.9, 1 - 1e-6)])
+    def test_value_matches_longdouble_run(self, hub30_hidden, low, high):
+        net, dataset = hub30_hidden
+        alpha = np.random.default_rng(7).uniform(low, high, net.n_edges)
+        want = _longdouble_free_energy(dataset, net, alpha)
+        assert abs(observed_negative_log_likelihood(dataset, net, alpha) - want) <= 1e-13 * abs(want)
+
+    def test_gradient_matches_central_differences(self, hub30_hidden):
+        net, dataset = hub30_hidden
+        alpha = np.random.default_rng(7).uniform(0.5, 0.999, net.n_edges)
+        gradient = free_energy_gradient(dataset, net, alpha).gradient
+        h = 1e-6
+        for e in np.argsort(-np.abs(gradient))[:8]:
+            up, dn = alpha.copy(), alpha.copy()
+            up[e] += h
+            dn[e] -= h
+            fd = (observed_negative_log_likelihood(dataset, net, up) - observed_negative_log_likelihood(dataset, net, dn)) / (2 * h)
+            assert abs(gradient[e] - fd) <= 1e-5 * abs(fd)
 
 
 class TestPopulationLimit:
