@@ -752,7 +752,9 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     First line ``T=<int>``; then one line per cascade:
     ``<id>\\t<token>,<token>,...`` with tokens ``v:t`` (exact),
     ``v:<T>+`` (censored at horizon) and ``v:(lo,hi]`` (interval).
-    Hidden nodes are simply absent from the line.
+    Hidden nodes are simply absent from the line.  A network with a label
+    that would not read back (see :func:`_unwritable_label`) is refused
+    with a :class:`DatasetError` before anything is written.
 
     The visible cells are taken a block of rows at a time.  Each block
     builds one token text per distinct (window, node) pair among its
@@ -762,6 +764,10 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     if not len(cascades):
         raise ValueError("no cascades to write")
     T = _horizon(cascades, net)
+    bad = next((label for label in net.labels if _unwritable_label(label)), None)
+    if bad is not None:
+        raise DatasetError(f"node label {bad!r} cannot be written to a cascade file: a label there holds "
+                           "no ',', ':', '(' or line break, and no whitespace at its ends")
     labels = np.array(net.labels, dtype=object)
     lines = [f"T={T}"]
     for start, block in _blocks(cascades):
@@ -781,6 +787,14 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
             lines.append(f"{r}\t" + ",".join(line_tokens))
     lines.append("")
     return "\n".join(lines)
+
+
+def _unwritable_label(label: str) -> bool:
+    """Whether ``label`` would not read back from its tokens: the reader
+    splits lines where ``str.splitlines`` does, cuts a line's tokens at
+    commas outside an open ``(``, strips each and takes the label up to
+    its first ``:``."""
+    return any(c in label for c in ",:(") or label != label.strip() or len(label.splitlines()) > 1
 
 
 def _token_suffix(lo: int, hi: int, T: int) -> str:
@@ -807,7 +821,10 @@ def read_cascades(net: Network, text: str) -> CascadeTable:
 
     The text is tokenized a block of about ``_READ_BLOCK_CHARS`` characters
     of whole lines at a time, by array passes over its UTF-8 bytes (see
-    :func:`_token_spans`); each distinct token text is decoded once.
+    :func:`_token_spans`).  The tokens are looked up by their packed bytes
+    in one vocabulary that the blocks share (:class:`_TokenTable`), so each
+    distinct token text is decoded once and a block sorts only the tokens
+    that miss there.
     """
     blocks = _line_blocks(text)
     for first, lines in blocks:
@@ -825,7 +842,7 @@ def read_cascades(net: Network, text: str) -> CascadeTable:
     if T < 1:
         raise ParseError("horizon must be >= 1")
 
-    tokens = _TokenTable(net, T)
+    tokens = _TokenTable(net, T, "\0" in text)
     parts = []                       # per block: line numbers, token counts and token codes of its cascades
     bad = None                       # number of the first line found to be bad
     for first, lines in itertools.chain([(first + skip + 1, lines[skip + 1:])], blocks):
@@ -878,7 +895,6 @@ def _line_blocks(text: str):
 
 _NEWLINE, _TAB, _COMMA, _OPEN, _CLOSE, _HASH = b"\n\t,(]#"
 _BODY = 1                            # event code of the tab that starts a line's token list
-_NUL = b"\0"
 # first bytes of a line that str.lstrip() may strip: ASCII space, tab and
 # unit separator, and the lead bytes of other characters
 _MAYBE_SPACE = np.zeros(256, dtype=bool)
@@ -943,6 +959,8 @@ def _token_spans(lines: list[str]):
 def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """The integers of the ranges ``[start, stop)``, in order."""
     size = stop - start
+    if (size == 1).all():            # each interval's (lo,hi] holds one comma
+        return start
     filled = size > 0
     start, size = start[filled], size[filled]
     return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
@@ -952,32 +970,30 @@ def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def _distinct_runs(data: bytes, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The byte runs ``data[start:end]`` grouped by their exact content:
-    one run index per distinct content, and the distinct index of each run.
+def _packed_runs(data: bytes, start: np.ndarray, end: np.ndarray, has_nul: bool):
+    """Yield ``(runs, keys)`` for the byte runs ``data[start:end]``, one
+    pair per word count: the indices of the runs with that count and their
+    keys, one uint64 array per word.
 
     A run is keyed by its bytes packed into little-endian uint64 words,
-    zero-padded.  When ``data`` holds a NUL byte, padding could look like
-    content, so a run of length L takes L // 8 + 1 words and L % 8 goes in
-    the top byte of the last (which holds at most 7 of its bytes).  Runs
-    with the same number of words are sorted by their words together.
+    zero-padded.  When the text holds a NUL byte (``has_nul``), padding
+    could look like content, so a run of length L takes L // 8 + 1 words
+    and L % 8 goes in the top byte of the last (which holds at most 7 of
+    its bytes).  Among runs keyed with one ``has_nul``, which a read fixes
+    for all its blocks, equal keys mean equal bytes.
     """
     length = end - start
-    has_nul = _NUL in data
     # without NUL bytes, zero padding alone tells the lengths apart
     n_words = length // 8 + 1 if has_nul else (length + 7) // 8
     words = np.ndarray((len(data),), dtype="<u8", buffer=data + bytes(8), strides=(1,))
-    first, inverse = [], np.empty(start.size, dtype=np.intp)
     for w in np.flatnonzero(np.bincount(n_words)).tolist():
         runs = np.flatnonzero(n_words == w)
-        at, rest = start[runs], length[runs]
-        keys = [words[at + 8 * k] & _LOW_BYTES[np.clip(rest - 8 * k, 0, 8)] for k in range(w)]
+        at, tail = start[runs], length[runs] - 8 * (w - 1)
+        keys = [words[at + 8 * k] for k in range(w - 1)]
+        keys.append(words[at + 8 * (w - 1)] & _LOW_BYTES[tail])
         if has_nul:
-            keys[-1] |= (rest % 8).astype(np.uint64) << np.uint64(56)
-        rep, which = _group_rows(keys)
-        inverse[runs] = len(first) + which
-        first += runs[rep].tolist()
-    return np.array(first, dtype=np.intp), inverse
+            keys[-1] |= tail.astype(np.uint64) << np.uint64(56)
+        yield runs, keys
 
 
 def _group_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -991,17 +1007,86 @@ def _group_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return order[new], group
 
 
+# Fibonacci hashing: the odd integer nearest 2**64 over the golden ratio
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# slots of a key table before it grows
+_KEY_SLOTS = 1 << 12
+
+
+class _KeyTable:
+    """A direct-addressed table of token keys of one word count, each
+    with its token code.
+
+    A key's slot is the top bits of a multiplicative hash of its words.  A
+    slot holds the first key put there, and a key whose slot is taken is
+    not held.  The table has a power of two slots, ``_KEY_SLOTS`` or twice
+    the distinct keys met, whichever is more; when the keys outgrow it, it
+    is rebuilt from the keys it holds.
+    """
+
+    def __init__(self, width: int):
+        self.n_keys = 0                  # distinct keys met
+        self._allocate(_KEY_SLOTS, width)
+
+    def _allocate(self, n_slots: int, width: int) -> None:
+        self.shift = np.uint64(65 - n_slots.bit_length())
+        self.slot_code = np.full(n_slots, -1, dtype=np.int32)
+        self.slot_keys = [np.zeros(n_slots, dtype=np.uint64) for _ in range(width)]
+
+    def _slots(self, keys: list[np.ndarray]) -> np.ndarray:
+        h = keys[0] * _HASH_MULTIPLIER
+        for key in keys[1:]:
+            h = (h ^ key) * _HASH_MULTIPLIER
+        return (h >> self.shift).astype(np.intp)
+
+    def find(self, keys: list[np.ndarray]) -> np.ndarray:
+        """The code of each key, or -1 where its slot holds another key or
+        none (an empty slot's code is -1)."""
+        slot = self._slots(keys)
+        hit = np.logical_and.reduce([column[slot] == key for column, key in zip(self.slot_keys, keys)])
+        return np.where(hit, self.slot_code[slot], -1)
+
+    def put(self, keys: list[np.ndarray], codes: np.ndarray, n_new: int) -> None:
+        """Put distinct keys that missed, with their codes, in the slots
+        that are free; ``n_new`` of them were not met before."""
+        self.n_keys += n_new
+        if 2 * self.n_keys > self.slot_code.size:
+            held = self.slot_code >= 0
+            old = [column[held] for column in self.slot_keys], self.slot_code[held]
+            self._allocate(1 << (2 * self.n_keys - 1).bit_length(), len(keys))
+            self._insert(*old)
+        self._insert(keys, codes)
+
+    def _insert(self, keys: list[np.ndarray], codes: np.ndarray) -> None:
+        slot, first = np.unique(self._slots(keys), return_index=True)
+        free = self.slot_code[slot] < 0
+        slot, first = slot[free], first[free]
+        for column, key in zip(self.slot_keys, keys):
+            column[slot] = key[first]
+        self.slot_code[slot] = codes[first]
+
+
 class _TokenTable:
     """Tokenizes blocks of cascade lines; each distinct token text is
     decoded once, into its node and window, into node -1 when it is
-    invalid, or into node -2 when it is only whitespace (no token)."""
+    invalid, or into node -2 when it is only whitespace (no token).
 
-    def __init__(self, net: Network, horizon: int):
+    The texts met so far make one vocabulary for all the blocks of a read:
+    a token is looked up by its packed key words (:func:`_packed_runs`) in
+    the :class:`_KeyTable` of its word count.  Only the tokens that miss
+    there are grouped by sorting their words; each group's text is then
+    looked up in :attr:`code_of`, decoded if it is new, and put in the
+    key table.
+    """
+
+    def __init__(self, net: Network, horizon: int, has_nul: bool):
         self.label_index = net.label_index
         self.horizon = horizon
+        self.has_nul = has_nul                        # the text holds a NUL byte: see _packed_runs
         self.code_of: dict[bytes, int] = {}
         self.decoded: list[tuple[int, int, int]] = []
         self.table = np.empty((0, 3), dtype=np.int64)
+        self.key_tables: dict[int, _KeyTable] = {}    # per word count
 
     def scan(self, first: int, lines: list[str]):
         """``(numbers, counts, codes, bad)`` for the block ``lines``, whose
@@ -1013,11 +1098,9 @@ class _TokenTable:
         numbers = first + cascade
         filled = end > start
         start, end, line = start[filled], end[filled], line[filled]
-        runs, which = _distinct_runs(data, start, end)
-        code_of = self.code_of
-        texts = [data[a:z] for a, z in zip(start[runs].tolist(), end[runs].tolist())]
-        codes = np.array([code_of[text] if text in code_of else self._add(text) for text in texts],
-                         dtype=np.int32)[which]
+        codes = np.empty(start.size, dtype=np.int32)
+        for runs, keys in _packed_runs(data, start, end, self.has_nul):
+            codes[runs] = self._codes(data, start[runs], end[runs], keys)
         if len(self.decoded) > len(self.table):
             self.table = np.concatenate([self.table, np.array(self.decoded[len(self.table):], dtype=np.int64)])
         nodes = self.table[codes, 0]
@@ -1030,6 +1113,25 @@ class _TokenTable:
             return numbers, counts, codes, None
         k = int(np.argmax(bad_line))
         return numbers[:k], counts[:k], codes[line < k], int(numbers[k])
+
+    def _codes(self, data: bytes, start: np.ndarray, end: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
+        """The codes of the runs ``data[start:end]``, whose keys have one
+        word count; texts not met before are decoded and added."""
+        table = self.key_tables.get(len(keys))
+        if table is None:
+            table = self.key_tables[len(keys)] = _KeyTable(len(keys))
+        codes = table.find(keys)
+        miss = np.flatnonzero(codes < 0)
+        if miss.size:
+            rep, which = _group_rows([key[miss] for key in keys])
+            rep = miss[rep]
+            texts = [data[a:z] for a, z in zip(start[rep].tolist(), end[rep].tolist())]
+            n_known = len(self.decoded)
+            found = np.array([self.code_of[text] if text in self.code_of else self._add(text) for text in texts],
+                             dtype=np.int32)
+            codes[miss] = found[which]
+            table.put([key[rep] for key in keys], found, int(np.count_nonzero(found >= n_known)))
+        return codes
 
     def _add(self, text: bytes) -> int:
         """The code of a token text not seen before."""

@@ -245,8 +245,9 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
         lo, hi, hidden, n_nodes = block.lo, block.hi, block.hidden, block.n_nodes
         set_id = _source_sets(hi, hidden, ids)
         set_ids.append(set_id)
-        rows, nodes = np.nonzero(~hidden & (hi > 0))
-        codes, block_in_range = _window_codes(lo[rows, nodes], hi[rows, nodes], T)
+        seen = ~hidden & (hi > 0)
+        rows, nodes = np.nonzero(seen)
+        codes, block_in_range = _window_codes(lo[seen], hi[seen], T)
         in_range &= block_in_range
         block_keys, block_counts = np.unique((set_id[rows] * n_nodes + nodes) * n_codes + codes, return_counts=True)
         keys, where = np.unique(np.concatenate([keys, block_keys]), return_inverse=True)

@@ -642,6 +642,30 @@ class TestFiles:
         assert text == _reference_write_cascades(net, data)
         assert peak <= 4 * len(text)
 
+    def test_every_label_the_writer_accepts_reads_back(self, rng):
+        # labels drawn with the characters that the reader cuts, strips or
+        # splits lines at; a network with a label that would not read back
+        # is refused, and the first such label named
+        plain, special = list("ab])+#0\0é \t"), list(",:(\r\n\x0b\x1c\x85\u2028\u3000")
+        accepted = refused = 0
+        for _ in range(300):
+            labels = {"".join(rng.choice(special) if rng.random() < 0.1 else rng.choice(plain)
+                              for _ in range(int(rng.integers(0, 4)))) for _ in range(3)}
+            net = Network(labels, [])
+            data = _random_windows(rng, 8, net.n_nodes, 4)
+            try:
+                text = write_cascades(net, data)
+            except DatasetError as exc:
+                assert re.match(r"node label (.*) cannot be written", str(exc))[1] in map(repr, net.labels)
+                refused += 1
+                continue
+            _assert_identical(read_cascades(net, text), data)
+            accepted += 1
+        assert accepted >= 50 and refused >= 50
+        net = Network(["h", "a,b", "d:e", "f(g"], [("h", "a,b"), ("a,b", "d:e"), ("d:e", "f(g")])
+        with pytest.raises(DatasetError, match="^node label 'a,b' cannot be written"):
+            write_cascades(net, generate_dataset(net, np.full(3, 0.5), 5, [0], 4, seed=1))
+
     def test_mask_spec_parsing(self):
         net, _ = parse_edge_list("0\t1\n1\t2\n")
         spec = parse_mask_spec("hidden=1\nsnapshots=2,4\nmask_seed=7\n", net)
@@ -670,8 +694,12 @@ class TestWriterMatchesReference:
             self._assert_same(net, [data, apply_mask(data, mask)], monkeypatch)
 
     def test_all_hidden_lines_and_labels_with_brackets_commas_and_other_scripts(self, rng, monkeypatch):
-        labels = ["a(b", "c,d", "e]f", "é中", "ñ"]
-        net = Network(labels, [("a(b", "c,d"), ("c,d", "e]f"), ("e]f", "é中"), ("é中", "ñ"), ("ñ", "a(b")])
+        # labels with '(' or ',' would not read back, and the writer refuses them
+        net = Network(["a(b", "c,d", "e"], [("a(b", "c,d"), ("c,d", "e")])
+        with pytest.raises(DatasetError, match="^node label 'a\\(b' cannot be written"):
+            write_cascades(net, generate_dataset(net, np.full(2, 0.5), 5, [0], 3, seed=1))
+        labels = ["a)b", "c[d", "e]f", "é中", "ñ"]
+        net = Network(labels, [("a)b", "c[d"), ("c[d", "e]f"), ("e]f", "é中"), ("é中", "ñ"), ("ñ", "a)b")])
         for T in (1, 2, 10):
             data = generate_dataset(net, rng.uniform(0.2, 0.9, net.n_edges), 40, "random", T, seed=T)
             masks = [MaskSpec(), MaskSpec(frozenset(range(5)), None), MaskSpec(frozenset({1, 3}), (T,))]
@@ -765,6 +793,29 @@ class TestParseErrors:
             assert read({twice: f"{twice}\t0:0,1:1,0:2", bad: other}) == f"line {twice + 1}: node '0' listed twice"
 
 
+@pytest.fixture(scope="module")
+def many_tokens():
+    """A 3 000-node network and a text of 300 lines, each listing a third
+    of the nodes in random order, each node with one of four windows of
+    its own: about 12 000 distinct tokens of 7 to 22 bytes, some of whose
+    labels hold NUL bytes."""
+    rng = np.random.default_rng(3000)
+    T = 10
+    labels = ([f"n{k:04d}" for k in range(2000)] + [f"long-label-{k:04d}" for k in range(980)]
+              + [f"z\0{k}" + "\0" * (k % 9) for k in range(20)])
+    t = rng.integers(0, T, len(labels)).tolist()
+    lo = rng.integers(-1, T - 1, (len(labels), 2))
+    hi = (lo + 1 + rng.integers(0, T - 1 - lo)).tolist()
+    lo = lo.tolist()
+    specs = [[f"{t[v]}", f"{T}+", f"({lo[v][0]},{hi[v][0]}]", f"({lo[v][1]},{hi[v][1]}]"] for v in range(len(labels))]
+    lines = [f"T={T}"]
+    for r in range(300):
+        nodes = rng.choice(len(labels), len(labels) // 3, replace=False).tolist()
+        pick = rng.integers(0, 4, len(nodes)).tolist()
+        lines.append(f"{r}\t" + ",".join(f"{labels[v]}:{specs[v][p]}" for v, p in zip(nodes, pick)))
+    return Network(labels, []), "\n".join(lines) + "\n"
+
+
 class TestReaderMatchesReference:
     """``read_cascades`` against the regex reader it replaced: the same
     arrays, dtypes included, or the same ``ParseError`` message, with the
@@ -840,6 +891,9 @@ class TestReaderMatchesReference:
             "T=5\n0\t0:0,1:(1,2]\0\0,2:(1,2]\n",
             "T=5\r0\t0:0,1:1\r\n1\t0:0\x0b2\t2:4\x0c3\t0:0\x1c4\t0:0,1:9\n",
             "T=5\x85\u20280\t0:0,1:1\u20291\t0:0,\x1f2:3\x1f\n2\t0:0,0:1\n",
+            # a NUL in an earlier block: '0:(1,2]' with its length byte 7 must
+            # not pass for '0:(1,2]\x07' in a later one
+            "T=5\n# \0\n0\t0:(1,2],1:(1,3],2:(1,4]\n1\t0:(1,2]\x07\n",
         ]
         self._assert_same(chain3, texts, monkeypatch)
 
@@ -848,6 +902,17 @@ class TestReaderMatchesReference:
         net = Network(labels, [("a(b", "c,d"), ("c,d", "e]f"), ("e]f", "é中"), ("é中", "ñ")])
         texts = [self._text(rng, self._valid_biased(rng, labels), header=["T=5"]) for _ in range(300)]
         self._assert_same(net, texts, monkeypatch)
+
+    def test_vocabulary_past_its_initial_slots(self, many_tokens, monkeypatch):
+        # the text holds NUL bytes, so a token of L bytes is keyed by L // 8 + 1
+        # words; the key table of one word count grows past its first size
+        net, text = many_tokens
+        distinct = {tok for line in text.splitlines()[1:] for tok in _REFERENCE_TOKEN.findall(line.partition("\t")[2])}
+        assert np.bincount([len(tok.encode()) // 8 + 1 for tok in distinct]).max() > cascades._KEY_SLOTS
+        want = self._outcome(_reference_read_cascades, net, text)
+        for block in (cascades._READ_BLOCK_CHARS, 24):
+            monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
+            assert self._outcome(read_cascades, net, text) == want
 
 
 class TestInputPathMemory:
@@ -880,6 +945,12 @@ class TestInputPathMemory:
         net, observed, text = pa_data
         back, held, peak = self._traced(lambda: read_cascades(net, text))
         assert len(back) == len(observed)
+        assert peak <= 1.5 * held
+
+    def test_read_with_many_distinct_tokens_peaks_near_the_dataset_size(self, many_tokens):
+        net, text = many_tokens
+        back, held, peak = self._traced(lambda: read_cascades(net, text))
+        assert len(back) == 300
         assert peak <= 1.5 * held
 
     def test_summarize_peaks_little_above_its_input(self, pa_data):

@@ -323,6 +323,14 @@ class TestErrorsAndConfig:
         assert capsys.readouterr().err == "error: cascade is not fully observed\n"
         assert not (tmp / "masked.txt").exists()
 
+    def test_label_that_would_not_read_back_is_exit_1(self, tmp_path, capsys):
+        (tmp_path / "net.edges").write_text("h\ta,b\t0.5\na,b\td:e\t0.5\nd:e\tf(g\t0.5\n")
+        rc = run("simulate", "--network", tmp_path / "net.edges", "--horizon", 4, "--num-cascades", 5,
+                 "--sources", "h", "--seed", 1, "--out", tmp_path / "truth.txt")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: node label 'a,b' cannot be written to a cascade file")
+        assert not (tmp_path / "truth.txt").exists()
+
     def test_all_hidden_cascade_reports_no_source(self, workdir, capsys):
         tmp, net, _ = workdir
         (tmp / "obs.txt").write_text("T=8\n0\t0:0,1:3\n1\t\n")
