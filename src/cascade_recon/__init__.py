@@ -3,10 +3,9 @@ observed spreading cascades on a known directed network.
 
 The package provides a forward message-passing engine for discrete-time
 SI dynamics, the approximate likelihood it yields with its reverse-mode
-gradient (and forward-mode coupling sensitivities as a reference), a
-reconstruction optimizer driven by that likelihood, and exact
-likelihood baselines (per-node convex fit, brute-force marginalization,
-Monte Carlo completion) for comparison.
+gradient, a reconstruction optimizer driven by that likelihood, and
+exact likelihood baselines (per-node convex fit, brute-force
+marginalization, Monte Carlo completion) for comparison.
 """
 
 from .errors import CapacityError, CascadeReconError, DatasetError, ParseError
@@ -38,8 +37,6 @@ from .dmp import (
 )
 from .gradient import (
     FreeEnergyReport,
-    GradTrace,
-    dmp_forward_with_gradients,
     free_energy_gradient,
     observed_negative_log_likelihood,
     population_free_energy,

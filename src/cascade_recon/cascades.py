@@ -455,7 +455,10 @@ _SAMPLE_ROWS = 1 << 16
 def _sampled_blocks(net: Network, couplings, sources, horizon: int, count: int, rng):
     """Yield ``(start, times)``: the (rows, N) recorded times of the next
     ``rows <= _SAMPLE_ROWS`` of ``count`` cascades that
-    :func:`sample_recorded_times` samples."""
+    :func:`sample_recorded_times` samples.  An int ``rng`` is a seed for
+    ``np.random.default_rng``."""
+    if isinstance(rng, (int, np.integer)):
+        rng = np.random.default_rng(int(rng))
     with np.errstate(divide="ignore"):
         vals = np.log1p(-validate_couplings(net, couplings))
     src = _as_source_array(net, sources)
@@ -504,8 +507,6 @@ def monte_carlo_marginals(net: Network, couplings, sources, horizon: int, runs: 
     runs are those :func:`sample_recorded_times` draws, counted a block at
     a time.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     counts = np.zeros((horizon + 1, net.n_nodes), dtype=np.int64)
     for _, times in _sampled_blocks(net, couplings, sources, horizon + 1, runs, rng):
         for t in range(horizon + 1):

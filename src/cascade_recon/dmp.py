@@ -28,17 +28,17 @@ edges and ``log_step`` is its sum over the in-edges, with the sparse 0/1
 matrices ``Network.cavity_sum`` and ``Network.in_edge_sum``; then
 ``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``.  No
 ``log keep`` is positive, so ``theta`` and ``p_susceptible`` never
-increase.  Both gradient modes differentiate this recursion, and the free
-energy takes window probabilities from ``log_step`` in the log domain.
+increase.  The reverse sweep in :mod:`cascade_recon.gradient`
+differentiates this recursion, and the free energy takes window
+probabilities from ``log_step`` in the log domain.
 
 The recursion runs on a trailing axis of G initial conditions at once:
-every message and marginal array carries one column per source group,
-so that one pass over a chunk of groups costs one sparse product per
-step for all of them.  A single run, :func:`dmp_forward`, is the G = 1
-case.  The recursion yields one state per step and keeps no history of
-its own: :func:`dmp_forward` stacks the states into a :class:`DmpTrace`,
-the free energy's value keeps only their ``log_step``, and its gradient
-their ``rho`` and ``1 - rho`` as well.
+every message array carries one column per source group, so that one
+pass over a chunk of groups costs one sparse product per step for all of
+them.  It yields one state per step and keeps no history of its own: the
+free energy's value keeps only their ``log_step``, and its gradient their
+``rho`` and ``1 - rho`` as well.  :func:`dmp_forward` runs one group and
+stacks its states into a :class:`DmpTrace`.
 """
 
 from __future__ import annotations
@@ -64,12 +64,7 @@ __all__ = [
 class DmpTrace:
     """Full message and marginal history of one forward run: ``theta``,
     ``phi = theta * rho`` (k active, signal not crossed yet) and the
-    marginals.
-
-    Inside the batched recursion every array carries a trailing axis of
-    G source groups; :meth:`column` gives one group's run with the shapes
-    below.
-    """
+    marginals."""
 
     horizon: int
     initial_susceptible: np.ndarray  # (N,) indicator: 0 at sources, 1 elsewhere
@@ -81,11 +76,6 @@ class DmpTrace:
     # p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t]); row 0 is 0
     log_step: np.ndarray
 
-    def column(self, g: int) -> DmpTrace:
-        """The run of source group ``g`` of a batched trace."""
-        return DmpTrace(self.horizon, self.initial_susceptible[:, g], self.theta[..., g], self.phi[..., g],
-                        self.p_susceptible[..., g], self.p_activate[..., g], self.log_step[..., g])
-
 
 def initial_susceptible(net: Network, sources) -> np.ndarray:
     """Indicator vector of "not a source"."""
@@ -96,11 +86,18 @@ def initial_susceptible(net: Network, sources) -> np.ndarray:
 
 
 def dmp_forward(net: Network, couplings, sources, horizon: int) -> DmpTrace:
-    """Run the forward message-passing recursion up to ``horizon``."""
+    """Run the forward message-passing recursion up to ``horizon``: the
+    states of its one group stacked, and the marginals advanced as
+    ``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``."""
     _check_horizon(horizon)
     alpha = validate_couplings(net, couplings)
-    ps0 = initial_susceptible(net, sources)[:, None]
-    return _trace(ps0, list(_propagate(net, alpha, ps0, horizon))).column(0)
+    ps0 = initial_susceptible(net, sources)
+    states = list(_propagate(net, alpha, ps0[:, None], horizon))
+    log_theta, rho, log_step = (np.stack([getattr(s, name)[:, 0] for s in states]) for name in ("log_theta", "rho", "log_step"))
+    theta = np.exp(log_theta)
+    p_s = np.cumprod(np.concatenate([ps0[None], np.exp(log_step[1:])]), axis=0)
+    m = np.concatenate([1.0 - ps0[None], p_s[:-1] - p_s[1:]])
+    return DmpTrace(horizon, ps0, theta, theta * rho, p_s, m, log_step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,17 +153,6 @@ def _log_keep(alpha: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     h = alpha * rho
     with np.errstate(divide="ignore"):  # keep is 0 only where alpha is 1 and r is 0
         return np.where(h < 0.5, np.log1p(-h), np.log((1.0 - alpha) + alpha * r))
-
-
-def _trace(ps0: np.ndarray, states: list[_State]) -> DmpTrace:
-    """The batched trace of a run from its states: the histories stacked,
-    and the marginals advanced as ``p_susceptible[t] = p_susceptible[t-1]
-    * exp(log_step[t])``."""
-    log_theta, rho, log_step = (np.stack([getattr(s, name) for s in states]) for name in ("log_theta", "rho", "log_step"))
-    theta = np.exp(log_theta)
-    p_s = np.cumprod(np.concatenate([ps0[None], np.exp(log_step[1:])]), axis=0)
-    m = np.concatenate([1.0 - ps0[None], p_s[:-1] - p_s[1:]])
-    return DmpTrace(len(states) - 1, ps0, theta, theta * rho, p_s, m, log_step)
 
 
 # ---------------------------------------------------------------------------

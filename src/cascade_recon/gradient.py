@@ -25,7 +25,7 @@ window spans), so its gradient is the derivative of
 count on every step up to lo and its count times ``d log P / d span`` on
 every step inside it; the weights are one ``np.bincount`` of the counts
 at lo, summed over t in reverse, plus one ``np.bincount`` per in-window
-step.  The fit takes the gradient in reverse mode (Griewank & Walther,
+step.  The gradient is taken in reverse mode (Griewank & Walther,
 *Evaluating Derivatives*, 2008): one forward pass keeps each step's
 ``rho`` and ``r = 1 - rho``, 2 (T+1) |E| numbers per group, and one
 backward sweep carries two adjoints, of ``log theta`` and of the log
@@ -48,33 +48,20 @@ chunks.  That bounds the memory of an evaluation whatever the number of
 groups.  Value, gradient and window contributions are then reduced one
 group at a time in input order, so they do not depend on the chunking,
 and a value pass gives the same value, bit for bit, as a gradient pass.
-
-Forward mode, :func:`dmp_forward_with_gradients`, is kept as the
-reference the reverse sweep is tested against.  It linearizes the
-two-message form of the recursion instead, with ``phi = theta * rho``
-read from the states: for every message edge e and every coupling f it
-tracks ``d_theta[t, e, f]`` and ``d_phi[t, e, f]``, together with
-``d_log_step``; all start at zero (initial messages do not depend on
-couplings).  Near alpha = 1 that route loses precision, since ``rho = 1``
-is an unstable fixed point of ``phi / theta``.  Its memory is O(T |E|^2),
-so it refuses runs above :data:`SENSITIVITY_BUDGET_BYTES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError
 from .graph import Network, validate_couplings
 from .cascades import (
     CascadeTable,
     ObservedCascade,
     _blocks,
-    _check_horizon,
     _horizon,
     _ranked_sets,
     _source_sets,
@@ -82,21 +69,14 @@ from .cascades import (
     _window_codes,
     _window_range_error,
 )
-from .dmp import DmpTrace, dmp_forward, initial_susceptible, _log_keep, _propagate, _trace
+from .dmp import dmp_forward, initial_susceptible, _propagate
 
 __all__ = [
-    "GradTrace",
     "FreeEnergyReport",
-    "SENSITIVITY_BUDGET_BYTES",
-    "dmp_forward_with_gradients",
     "observed_negative_log_likelihood",
     "free_energy_gradient",
     "population_free_energy",
 ]
-
-# Largest sensitivity storage (d_theta, d_phi and d_log_step together)
-# that forward mode allocates: 1 GiB.
-SENSITIVITY_BUDGET_BYTES = 1 << 30
 
 # Bytes that one batched pass over a chunk of source groups, or one block
 # of the summaries' walk over the cascades, holds: 1 MiB.
@@ -108,97 +88,12 @@ _SUMMARY_BLOCK_CELLS = _PASS_BYTES // 32
 
 
 @dataclass(frozen=True, eq=False)
-class GradTrace:
-    """Coupling sensitivities of messages and marginals; the trailing
-    axis runs over all |E| couplings, in edge order."""
-
-    horizon: int
-    d_theta: np.ndarray              # (T+1, |E|, |E|)
-    d_phi: np.ndarray                # (T+1, |E|, |E|)
-    d_log_step: np.ndarray           # (T+1, N, |E|), sensitivity of DmpTrace.log_step
-    p_susceptible: np.ndarray        # (T+1, N), the forward trace's
-
-    @cached_property
-    def d_p_susceptible(self) -> np.ndarray:
-        """Sensitivity of the susceptibility marginals, shape (T+1, N, |E|)."""
-        return self.p_susceptible[:, :, None] * np.cumsum(self.d_log_step, axis=0)
-
-    def d_activation(self, t: int) -> np.ndarray:
-        """Sensitivity of the activation marginal at step t, shape (N, |E|)."""
-        if t == 0:
-            return np.zeros_like(self.d_p_susceptible[0])
-        return self.d_p_susceptible[t - 1] - self.d_p_susceptible[t]
-
-
-@dataclass(frozen=True, eq=False)
 class FreeEnergyReport:
     """Value and gradient of the observed-cascade free energy."""
 
     value: float
     gradient: np.ndarray             # (|E|,)
     per_node: dict[int, float]
-
-
-def dmp_forward_with_gradients(
-    net: Network,
-    couplings,
-    sources,
-    horizon: int,
-) -> tuple[DmpTrace, GradTrace]:
-    """Forward pass with sensitivities to every coupling.
-
-    The sensitivities exist for couplings below 1: a coupling of 1 drives
-    a message to exactly 0, where its logarithm has no derivative.  Raises
-    :class:`CapacityError`, before allocating them, when the sensitivity
-    arrays would take more than ``SENSITIVITY_BUDGET_BYTES`` (1 GiB):
-    ``(2 (T+1) |E| + (T+1) N) |E|`` float64 numbers.
-    """
-    _check_horizon(horizon)
-    T, E, N = horizon, net.n_edges, net.n_nodes
-    need = (2 * (T + 1) * E + (T + 1) * N) * E * 8
-    if need > SENSITIVITY_BUDGET_BYTES:
-        raise CapacityError(
-            f"forward-mode sensitivities need {need / 2**30:.1f} GiB "
-            f"(T={T}, |E|={E}, N={N}); the budget is "
-            f"{SENSITIVITY_BUDGET_BYTES / 2**30:g} GiB"
-        )
-    alpha = validate_couplings(net, couplings)
-    ps0 = initial_susceptible(net, sources)
-    states = list(_propagate(net, alpha, ps0[:, None], horizon))
-    own = np.arange(E)               # coupling f is edge f's: its own term sits at (f, f)
-
-    d_theta = np.zeros((T + 1, E, E))
-    d_phi = np.zeros((T + 1, E, E))
-    d_log_step = np.zeros((T + 1, N, E))
-    d_cav = np.zeros((E, E))         # sensitivity of the cavity products at t-1
-    ps0_src = ps0[net.edge_src]
-    # the two-message recursion, with h = alpha * phi / theta: theta[t] = (1 - h) theta,
-    # phi[t] = (1 - alpha) phi - ps0_src * cav_prev * expm1(cav_log)
-    for t in range(1, T + 1):
-        log_theta, rho, r = (arr[:, 0] for arr in (states[t - 1].log_theta, states[t - 1].rho, states[t - 1].r))
-        theta, cav_t = np.exp(log_theta), np.exp(states[t].log_cav[:, 0])
-        phi, h = theta * rho, alpha * rho
-        cav_log = net.cavity_sum @ _log_keep(alpha, rho, r)
-        # d rho = (d phi - rho d theta) / theta, d h = rho d alpha + alpha d rho
-        inv_theta = np.divide(1.0, theta, out=np.zeros(E), where=theta > 0.0)
-        d_h = d_phi[t - 1] - rho[:, None] * d_theta[t - 1]
-        d_h *= (alpha * inv_theta)[:, None]
-        d_h[own, own] += rho
-        d_theta[t] = (1.0 - h)[:, None] * d_theta[t - 1] - theta[:, None] * d_h
-        d_log_keep = d_h
-        d_log_keep *= (-1.0 / (1.0 - h))[:, None]
-        # d(-cav_prev * expm1(cav_log)) = -(d cav_prev * expm1(cav_log) + cav_t * d cav_log)
-        d_drop = net.cavity_sum @ d_log_keep
-        d_drop *= -cav_t[:, None]
-        d_drop -= np.expm1(cav_log)[:, None] * d_cav
-        d_phi[t] = (1.0 - alpha)[:, None] * d_phi[t - 1] + ps0_src[:, None] * d_drop
-        d_phi[t][own, own] -= phi
-        d_cav -= d_drop
-        d_log_step[t] = net.in_edge_sum @ d_log_keep
-
-    trace = _trace(ps0[:, None], states).column(0)
-    gtrace = GradTrace(T, d_theta, d_phi, d_log_step, trace.p_susceptible)
-    return trace, gtrace
 
 
 # ---------------------------------------------------------------------------

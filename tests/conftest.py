@@ -1,11 +1,16 @@
-"""Shared fixtures and deterministic graph builders for the test suite."""
+"""Shared fixtures, deterministic graph builders and the forward-mode
+reference gradient for the test suite."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from cascade_recon import MaskSpec, Network, generate_dataset
+from cascade_recon import DmpTrace, MaskSpec, Network, dmp_forward, generate_dataset
+from cascade_recon.dmp import _propagate
 
 
 def chain_net(n: int) -> Network:
@@ -100,6 +105,63 @@ def random_masked_cases(rng: np.random.Generator):
                 + generate_dataset(net, alpha, 30, sources[1:], T, seed + 2)
             )
             yield net, cascades, MaskSpec(hidden, snapshots)
+
+
+@dataclass(frozen=True, eq=False)
+class GradTrace:
+    """Coupling sensitivities of messages and marginals; the trailing
+    axis runs over all |E| couplings, in edge order."""
+
+    horizon: int
+    d_theta: np.ndarray              # (T+1, |E|, |E|)
+    d_phi: np.ndarray                # (T+1, |E|, |E|)
+    d_log_step: np.ndarray           # (T+1, N, |E|), sensitivity of DmpTrace.log_step
+    p_susceptible: np.ndarray        # (T+1, N), the forward trace's
+
+    @cached_property
+    def d_p_susceptible(self) -> np.ndarray:
+        """Sensitivity of the susceptibility marginals, shape (T+1, N, |E|)."""
+        return self.p_susceptible[:, :, None] * np.cumsum(self.d_log_step, axis=0)
+
+    def d_activation(self, t: int) -> np.ndarray:
+        """Sensitivity of the activation marginal at step t, shape (N, |E|)."""
+        if t == 0:
+            return np.zeros_like(self.d_p_susceptible[0])
+        return self.d_p_susceptible[t - 1] - self.d_p_susceptible[t]
+
+
+def dmp_forward_with_gradients(net: Network, couplings, sources, horizon: int) -> tuple[DmpTrace, GradTrace]:
+    """The forward run of ``dmp_forward`` and its tangent with respect to
+    every coupling, the forward-mode reference for the reverse sweep.
+
+    It differentiates the recursion as ``dmp._propagate`` runs it, so it
+    carries ``d log theta`` and ``d log cav``, both zero at t = 0: a state
+    has ``d rho = -r (d log cav - d log theta)``, with the state's ``r = 1
+    - rho`` held at 0 where theta is 0, as in the reverse sweep, and the
+    next step ``d log keep = -(rho [f = e] + alpha d rho) / keep``, which
+    ``log theta`` gains, ``log cav`` its cavity sums and ``log_step`` its
+    in-edge sums.  Then ``d theta = theta d log theta`` and ``d phi = rho
+    d theta + theta d rho``.  Couplings must lie below 1, where keep is
+    positive.
+    """
+    trace = dmp_forward(net, couplings, sources, horizon)
+    alpha = np.asarray(couplings, dtype=float)
+    E, N = net.n_edges, net.n_nodes
+    d_theta, d_phi, d_log_step = np.zeros((horizon + 1, E, E)), np.zeros((horizon + 1, E, E)), np.zeros((horizon + 1, N, E))
+    d_log_theta, d_log_cav = np.zeros((E, E)), np.zeros((E, E))
+    for t, state in enumerate(_propagate(net, alpha, trace.initial_susceptible[:, None], horizon)):
+        if t:
+            h = alpha * rho
+            keep = np.where(h < 0.5, 1.0 - h, (1.0 - alpha) + alpha * r)  # the forms dmp._log_keep takes logs of
+            d_log_keep = -(np.diag(rho) + alpha[:, None] * d_rho) / keep[:, None]
+            d_log_theta = d_log_theta + d_log_keep
+            d_log_cav = d_log_cav + net.cavity_sum @ d_log_keep
+            d_log_step[t] = net.in_edge_sum @ d_log_keep
+        theta, rho, r = np.exp(state.log_theta[:, 0]), state.rho[:, 0], state.r[:, 0]
+        d_rho = -r[:, None] * (d_log_cav - d_log_theta)
+        d_theta[t] = theta[:, None] * d_log_theta
+        d_phi[t] = rho[:, None] * d_theta[t] + theta[:, None] * d_rho
+    return trace, GradTrace(horizon, d_theta, d_phi, d_log_step, trace.p_susceptible)
 
 
 @pytest.fixture

@@ -12,6 +12,8 @@ from scipy.stats import pearsonr
 import cascade_recon as cr
 
 from conftest import (
+    GradTrace,
+    dmp_forward_with_gradients,
     preferential_attachment_net,
     random_couplings,
     random_loopy_net,
@@ -29,7 +31,7 @@ def _check_normalization(trace: cr.DmpTrace) -> None:
     _NORM_DEVS.append(float(np.abs(total - 1.0).max()))
 
 
-def _check_derivative_normalization(gtrace: cr.GradTrace) -> None:
+def _check_derivative_normalization(gtrace: GradTrace) -> None:
     T = gtrace.horizon
     total = sum(gtrace.d_activation(t) for t in range(T)) + gtrace.d_p_susceptible[T - 1]
     _DERIV_NORM_DEVS.append(float(np.abs(total).max()))
@@ -127,7 +129,7 @@ def test_criterion_4_gradient_correctness():
                 worst_rel = max(worst_rel, abs(an - fd) / abs(an))
             else:
                 worst_abs = max(worst_abs, abs(an - fd))
-        _, gtrace = cr.dmp_forward_with_gradients(net, alpha, dataset[0].sources, T)
+        _, gtrace = dmp_forward_with_gradients(net, alpha, dataset[0].sources, T)
         _check_derivative_normalization(gtrace)
     assert worst_rel <= 1e-5
     assert worst_abs <= 1e-8
@@ -148,7 +150,7 @@ def test_criterion_5_population_gradient_vanishes_at_truth():
         T = int(rng.integers(3, 9))
         _, grad = cr.population_free_energy(net, astar, astar, src, T)
         worst = max(worst, float(np.abs(grad).max()))
-        trace, gtrace = cr.dmp_forward_with_gradients(net, astar, src, T)
+        trace, gtrace = dmp_forward_with_gradients(net, astar, src, T)
         _check_normalization(trace)
         _check_derivative_normalization(gtrace)
     assert worst <= 1e-8

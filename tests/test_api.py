@@ -22,7 +22,6 @@ class TestApiSurface:
         "FitResult": ("couplings_hat", "iterations", "free_energy_trajectory", "converged", "wall_time",
                       "diagnostics"),
         "FreeEnergyReport": ("value", "gradient", "per_node"),
-        "GradTrace": ("horizon", "d_theta", "d_phi", "d_log_step", "p_susceptible"),
         "HtsConfig": ("aux_samples", "outer_rounds", "param_tol", "seed", "fit"),
         "MaskSpec": ("hidden_nodes", "snapshot_times"),
         "Network": ("labels", "edges"),
@@ -33,7 +32,6 @@ class TestApiSurface:
         "cascade_substream": ("seed", "index"),
         "check_realizable": ("net", "cascade"),
         "dmp_forward": ("net", "couplings", "sources", "horizon"),
-        "dmp_forward_with_gradients": ("net", "couplings", "sources", "horizon"),
         "dmprec_fit": ("dataset", "net", "config", "threads"),
         "exact_cascade_probability": ("net", "couplings", "cascade"),
         "exact_marginals_oracle": ("net", "couplings", "sources", "horizon"),
@@ -64,9 +62,7 @@ class TestApiSurface:
     }
     METHODS = {
         "CascadeTable": {"is_fully_observed": ()},
-        "DmpTrace": {"column": ("g",)},
         "FitConfig": {"validate": ()},
-        "GradTrace": {"d_activation": ("t",)},
         "HtsConfig": {"validate": ()},
         "MaskSpec": {"validate": ("n_nodes", "horizon")},
         "Network": {"edge_id": ("src", "dst"), "edge_pair": ("e",), "in_edges": ("i",), "out_edges": ("i",),

@@ -33,6 +33,7 @@ from cascade_recon import (
     parse_mask_spec,
     read_cascades,
     resolve_mask,
+    sample_recorded_times,
     simulate_cascade,
     write_cascades,
 )
@@ -331,6 +332,14 @@ class TestDatasetGeneration:
         table = exact_marginals_oracle(net, alpha, [1], T)
         se = np.sqrt(table * (1 - table) / runs)
         assert np.all(np.abs(est - table) <= 4 * se + 1e-9)
+
+    @pytest.mark.parametrize("seed", [5, np.int64(5)])
+    def test_samplers_take_an_int_seed(self, rng, seed):
+        net = random_loopy_net(6, 5, rng)
+        alpha = random_couplings(net, rng)
+        for sampler in (sample_recorded_times, monte_carlo_marginals):
+            np.testing.assert_array_equal(sampler(net, alpha, [1], 5, 300, rng=seed),
+                                          sampler(net, alpha, [1], 5, 300, rng=np.random.default_rng(5)))
 
     def test_peak_memory_near_the_table(self):
         # the raw words come a bounded block at a time through one buffer,

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from cascade_recon import (
-    CapacityError,
     DatasetError,
     MaskSpec,
     apply_mask,
-    dmp_forward_with_gradients,
     free_energy_gradient,
     generate_dataset,
     observe_fully,
@@ -19,7 +17,6 @@ from cascade_recon import (
 
 from cascade_recon.dmp import _propagate
 from cascade_recon.gradient import (
-    SENSITIVITY_BUDGET_BYTES,
     GroupSummary,
     _chunks,
     _window_log_prob,
@@ -29,7 +26,7 @@ from cascade_recon.gradient import (
 
 from conftest import (
     chain_net,
-    preferential_attachment_net,
+    dmp_forward_with_gradients,
     random_couplings,
     random_loopy_net,
     random_masked_cases,
@@ -265,26 +262,6 @@ class TestSensitivities:
         _, gt = dmp_forward_with_gradients(net, alpha, [0], T)
         total = sum(gt.d_activation(t) for t in range(T)) + gt.d_p_susceptible[T - 1]
         assert np.abs(total).max() <= 1e-10
-
-
-class TestForwardModeCapacity:
-    def test_refuses_before_allocating(self):
-        import tracemalloc
-
-        net = preferential_attachment_net(1000, 2, np.random.default_rng(3))
-        assert net.n_edges >= 3500
-        T = 10
-        need = (2 * (T + 1) * net.n_edges + (T + 1) * net.n_nodes) * net.n_edges * 8
-        assert need > SENSITIVITY_BUDGET_BYTES
-        alpha = np.full(net.n_edges, 0.2)
-        tracemalloc.start()
-        try:
-            with pytest.raises(CapacityError, match="GiB"):
-                dmp_forward_with_gradients(net, alpha, [0], T)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
 
 
 class TestReverseMode:
@@ -576,7 +553,8 @@ def _longdouble_free_energy(dataset, net, alpha):
 
 class TestPrecisionAcrossTheBox:
     """On hub30 with hidden nodes, up to couplings of 1 - 1e-6: the value
-    holds to rounding, and the gradient is its derivative."""
+    holds to rounding, and the gradient is its derivative and agrees with
+    the forward-mode tangent to rounding."""
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
                         reason="np.longdouble is no wider than float64 here")
@@ -598,6 +576,14 @@ class TestPrecisionAcrossTheBox:
             dn[e] -= h
             fd = (observed_negative_log_likelihood(dataset, net, up) - observed_negative_log_likelihood(dataset, net, dn)) / (2 * h)
             assert abs(gradient[e] - fd) <= 1e-5 * abs(fd)
+
+    @pytest.mark.parametrize("low, high", [(0.05, 0.95), (0.5, 0.999), (0.9, 1 - 1e-6)])
+    def test_gradient_matches_forward_mode(self, hub30_hidden, low, high):
+        net, dataset = hub30_hidden
+        alpha = np.random.default_rng(7).uniform(low, high, net.n_edges)
+        gradient = free_energy_gradient(dataset, net, alpha).gradient
+        want = _forward_mode_free_energy(dataset, net, alpha)[1]
+        assert np.abs(gradient - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestPopulationLimit:

@@ -133,3 +133,24 @@ def test_sum_matrices(rng):
             expect = [f for f in net.in_edges(k) if int(net.edge_src[f]) != i]
             assert np.flatnonzero(cav[e]).tolist() == expect
     assert nets[1].cavity_sum.nnz == 0
+
+
+def test_package_import_leaves_scipy_sparse_unloaded():
+    # the sum matrices import scipy.sparse when first built, so a process
+    # that only simulates or masks never loads it
+    import os
+    import subprocess
+    import sys
+
+    import cascade_recon
+
+    script = (
+        "import sys, cascade_recon\n"
+        "before = 'scipy.sparse' in sys.modules\n"
+        "cascade_recon.Network(['0', '1'], [('0', '1')]).in_edge_sum\n"
+        "print(before, 'scipy.sparse' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(cascade_recon.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
