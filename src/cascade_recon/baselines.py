@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import CapacityError, DatasetError
 from .graph import Network, validate_couplings
@@ -152,8 +151,14 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     counts, parent_ok, activates = _full_terms(net, times, horizon)
     total = counts @ log_surv
 
-    # activation factor log(1 - prod(1 - alpha)) over parents active by tau-1
-    stay = (parent_ok * log_surv[None, :]) @ net.in_edge_sum.T
+    # activation factor log(1 - prod(1 - alpha)) over parents active by tau-1, in edge order
+    terms = parent_ok * log_surv[None, :]
+    by_dst = np.argsort(net.edge_dst, kind="stable")
+    slot = np.arange(net.n_edges) - np.searchsorted(net.edge_dst[by_dst], net.edge_dst[by_dst])
+    stay = np.zeros((len(terms), net.n_nodes))
+    for s in range(int(slot.max(initial=-1)) + 1):
+        edges = by_dst[slot == s]
+        stay[:, net.edge_dst[edges]] += terms[:, edges]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
     total = total + np.where(activates, log_act, 0.0).sum(axis=1)
@@ -268,8 +273,19 @@ def marginalized_likelihood(
         for pos, i in enumerate(free):
             times[:, i] = np.asarray(cand[i], dtype=np.int64)[idx[pos]]
         lls = batch_full_log_likelihood(net, alpha, times, observed.horizon)
-        parts.append(logsumexp(lls))
-    return float(logsumexp(parts))
+        parts.append(_logsumexp(lls))
+    return _logsumexp(np.array(parts))
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` of a 1-D array as SciPy 1.17 takes it: ``log1p(s
+    / m) + log(m) + max`` for m maxima and s = sum of the others' exp(a -
+    max), and the direct form where that is not finite."""
+    top = a.max()
+    m = float(np.count_nonzero(a == top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.log1p(np.exp(np.where(a == top, -np.inf, a) - top).sum() / m) + np.log(m) + top
+        return float(out if np.isfinite(out) else np.log(np.exp(a).sum()))
 
 
 # ---------------------------------------------------------------------------

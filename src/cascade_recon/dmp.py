@@ -24,8 +24,8 @@ with ``delta = log ps0_k + log cav - log theta``, and ``log keep`` is
 ``log1p(-alpha * rho)`` where the hazard is below 1/2 and ``log((1 -
 alpha) + alpha * (1 - rho))`` elsewhere, each exact where it is taken.
 ``log theta`` gains ``log keep``, ``log cav`` its sum over the cavity
-edges and ``log_step`` is its sum over the in-edges, with the sparse 0/1
-matrices ``Network.cavity_sum`` and ``Network.in_edge_sum``; then
+edges by ``Network._cavity_sum`` and ``log_step`` its sum over the
+in-edges by ``Network._in_sum``, both in the order a CSR product adds; then
 ``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``.  No
 ``log keep`` is positive, so ``theta`` and ``p_susceptible`` never
 increase.  The reverse sweep in :mod:`cascade_recon.gradient`
@@ -34,11 +34,11 @@ probabilities from ``log_step`` in the log domain.
 
 The recursion runs on a trailing axis of G initial conditions at once:
 every message array carries one column per source group, so that one
-pass over a chunk of groups costs one sparse product per step for all of
-them.  It yields one state per step and keeps no history of its own: the
-free energy's value keeps only their ``log_step``, and its gradient their
-``rho`` and ``1 - rho`` as well.  :func:`dmp_forward` runs one group and
-stacks its states into a :class:`DmpTrace`.
+pass over a chunk of groups costs one cavity sum and one in-edge sum per
+step for all of them.  It yields one state per step and keeps no history
+of its own: the free energy's value keeps only their ``log_step``, and
+its gradient their ``rho`` and ``1 - rho`` as well.  :func:`dmp_forward`
+runs one group and stacks its states into a :class:`DmpTrace`.
 """
 
 from __future__ import annotations
@@ -134,8 +134,8 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int) -
         if t:
             log_keep = _log_keep(alpha, rho, r)
             log_theta = log_theta + log_keep
-            log_cav = log_cav + net.cavity_sum @ log_keep
-            log_step = net.in_edge_sum @ log_keep
+            log_cav = log_cav + net._cavity_sum(log_keep)
+            log_step = net._in_sum(log_keep)
         # delta is capped at 0 against rounding; where theta is 0 it is NaN
         # or +inf before the cap, which fmin makes 0
         with np.errstate(invalid="ignore"):
@@ -151,8 +151,11 @@ def _log_keep(alpha: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     ``log((1 - alpha) + alpha r)`` elsewhere, where ``1 - alpha`` is
     exact."""
     h = alpha * rho
+    high = h >= 0.5
     with np.errstate(divide="ignore"):  # keep is 0 only where alpha is 1 and r is 0
-        return np.where(h < 0.5, np.log1p(-h), np.log((1.0 - alpha) + alpha * r))
+        log_keep = np.log1p(np.negative(h, out=h), out=h)
+        log_keep[high] = np.log((1.0 - alpha[high]) + alpha[high] * r[high])
+    return log_keep
 
 
 # ---------------------------------------------------------------------------

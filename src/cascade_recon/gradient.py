@@ -32,13 +32,13 @@ backward sweep carries two adjoints, of ``log theta`` and of the log
 cavity products, and accumulates the coupling adjoint.  It differentiates
 the recursion as :func:`dmp._propagate` runs it, with ``delta`` capped at
 0 and held at 0 where theta is 0, so the value and the gradient belong to
-one function.  A step of the sweep costs two transposed sparse products
-and element-wise work, so a gradient costs a small multiple of a forward
-pass.
+one function.  A step of the sweep costs a transposed cavity sum, a
+gather over the in-edges and element-wise work, so a gradient costs a
+small multiple of a forward pass.
 
 Source groups run in chunks: the messages of a chunk of G groups are
 stacked as (..., |E|, G) arrays, so one forward pass and one sweep serve
-the whole chunk, with one sparse product per step for all of its groups,
+the whole chunk, with one cavity sum per step for all of its groups,
 and the window rows of the chunk are stacked with the column of their
 group.  A chunk holds as many groups as its pass fits in
 :data:`_PASS_BYTES`: a value pass keeps only ``log_step`` and the current
@@ -186,7 +186,8 @@ def _group_bytes(net: Network, horizon: int, with_gradient: bool) -> int:
     ``log_step``, (T+1) N cells, and a few |E|-long arrays of the current
     step; a gradient pass keeps every step's ``rho`` and ``r`` for the
     sweep as well, and the window weights with their partial sums: (T+1)
-    (2 |E| + 4 N) cells, and the sweep's |E|-long arrays."""
+    (2 |E| + 4 N) cells, and the sweep's |E|-long arrays.  Both count the
+    sums' in-edge index and cavity gathers, (|E|, G) at most, among those."""
     T1, E, N = horizon + 1, net.n_edges, net.n_nodes
     return 8 * (T1 * (2 * E + 4 * N) + 10 * E if with_gradient else T1 * N + 8 * E)
 
@@ -269,12 +270,11 @@ def _log_step_adjoint(net: Network, alpha: np.ndarray, rho: Sequence[np.ndarray]
     """
     E, G = net.n_edges, weights.shape[-1]
     alpha = np.repeat(alpha[:, None], G, axis=1)  # full (|E|, G): faster than a broadcast
-    in_edge_sum_t, cavity_sum_t = net.in_edge_sum.T, net.cavity_sum.T
     theta_bar, cav_bar, alpha_bar = np.zeros((E, G)), np.zeros((E, G)), np.zeros((E, G))
     for t in range(weights.shape[0] - 1, 0, -1):
         h = alpha * rho[t - 1]
         keep = np.where(h < 0.5, 1.0 - h, (1.0 - alpha) + alpha * r[t - 1])  # the forms _log_keep takes logs of
-        q = (theta_bar + cavity_sum_t @ cav_bar - in_edge_sum_t @ weights[t]) / keep
+        q = (theta_bar + net._cavity_sum(cav_bar, transpose=True) - weights[t][net.edge_dst]) / keep
         alpha_bar -= q * rho[t - 1]
         u = alpha * q * r[t - 1]
         theta_bar -= u

@@ -114,26 +114,41 @@ class Network:
     # -- derived structure used by the message-passing code ---------------
 
     @cached_property
-    def in_edge_sum(self) -> sparse.csr_matrix:
-        """(N, |E|) 0/1 matrix: ``in_edge_sum @ v`` sums a per-edge array
-        over each node's in-edges."""
-        # imported here: only the message-passing code needs it, and loading it
-        # with the package grows every process that never runs that code
-        from scipy import sparse
-
-        E = self.n_edges
-        return sparse.csr_matrix((np.ones(E), (self.edge_dst, np.arange(E))), shape=(self.n_nodes, E))
+    def _cavity(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cavity as edge-id pairs in CSR order: row e = (k, i) holds
+        the in-edges of k other than (i, k), ascending."""
+        rows = np.repeat(np.arange(self.n_edges), np.bincount(self.edge_dst, minlength=self.n_nodes)[self.edge_src])
+        cols = np.concatenate([np.empty(0, np.intp), *(self._in_edges[k] for k in self.edge_src)])
+        keep = self.edge_src[cols] != self.edge_dst[rows]
+        return rows[keep], cols[keep]
 
     @cached_property
-    def cavity_sum(self) -> sparse.csr_matrix:
-        """(|E|, |E|) 0/1 matrix: ``cavity_sum @ v`` sums a per-edge array
-        over each edge's cavity: for e = (k, i), the in-edges of k other
-        than the reverse edge (i, k)."""
-        cav = self.in_edge_sum[self.edge_src]
-        row_dst = np.repeat(self.edge_dst, np.diff(cav.indptr))
-        cav.data[self.edge_src[cav.indices] == row_dst] = 0.0
-        cav.eliminate_zeros()
-        return cav
+    def _cavity_slots(self) -> tuple:
+        """The cavity and its transpose by slot: each row's place among the rows
+        sorted longest first, and per s the s-th column of every row longer than s."""
+        def layout(rows, cols):
+            start = np.searchsorted(rows, np.arange(self.n_edges + 1))
+            order = np.argsort(-np.diff(start), kind="stable")
+            longer = self.n_edges - np.cumsum(np.bincount(np.diff(start)))[:-1]
+            return np.argsort(order), [cols[start[order[:k]] + s] for s, k in enumerate(longer.tolist())]
+        rows, cols = self._cavity
+        by_col = np.argsort(cols, kind="stable")
+        return layout(rows, cols), layout(cols[by_col], rows[by_col])
+
+    def _in_sum(self, v: np.ndarray) -> np.ndarray:
+        """Sums of an (|E|, G) array over each node's in-edges by one
+        ``np.bincount``, each added in edge order from 0.0."""
+        G = v.shape[1]
+        return np.bincount((self.edge_dst[:, None] * G + np.arange(G)).ravel(), v.ravel(), self.n_nodes * G).reshape(-1, G)
+
+    def _cavity_sum(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Sums of an (|E|, G) array over each edge's cavity, or over its
+        transpose, a slot at a time, each added in CSR order from 0.0."""
+        place, slots = self._cavity_slots[transpose]
+        out = np.zeros_like(v)
+        for cols in slots:
+            out[:cols.size] += np.take(v, cols, axis=0)
+        return out[place]
 
     def __repr__(self):
         return f"Network(n_nodes={self.n_nodes}, n_edges={self.n_edges})"

@@ -69,6 +69,18 @@ def preferential_attachment_net(n: int, m: int, rng: np.random.Generator) -> Net
     return Network([str(i) for i in range(n)], edges)
 
 
+def sum_matrices(net: Network, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    """Dense 0/1 references for the sums of the message passing: the (N,
+    |E|) matrix that sums over each node's in-edges, and the (|E|, |E|)
+    matrix that sums over each edge's cavity, built from the cavity's index
+    pair ``Network._cavity``."""
+    in_edge_sum = np.zeros((net.n_nodes, net.n_edges), dtype)
+    in_edge_sum[net.edge_dst, np.arange(net.n_edges)] = 1
+    cavity_sum = np.zeros((net.n_edges, net.n_edges), dtype)
+    cavity_sum[net._cavity] = 1
+    return in_edge_sum, cavity_sum
+
+
 def random_couplings(net: Network, rng: np.random.Generator, low=0.0, high=1.0) -> np.ndarray:
     return rng.uniform(low, high, net.n_edges)
 
@@ -149,14 +161,15 @@ def dmp_forward_with_gradients(net: Network, couplings, sources, horizon: int) -
     E, N = net.n_edges, net.n_nodes
     d_theta, d_phi, d_log_step = np.zeros((horizon + 1, E, E)), np.zeros((horizon + 1, E, E)), np.zeros((horizon + 1, N, E))
     d_log_theta, d_log_cav = np.zeros((E, E)), np.zeros((E, E))
+    in_edge_sum, cavity_sum = sum_matrices(net)
     for t, state in enumerate(_propagate(net, alpha, trace.initial_susceptible[:, None], horizon)):
         if t:
             h = alpha * rho
             keep = np.where(h < 0.5, 1.0 - h, (1.0 - alpha) + alpha * r)  # the forms dmp._log_keep takes logs of
             d_log_keep = -(np.diag(rho) + alpha[:, None] * d_rho) / keep[:, None]
             d_log_theta = d_log_theta + d_log_keep
-            d_log_cav = d_log_cav + net.cavity_sum @ d_log_keep
-            d_log_step[t] = net.in_edge_sum @ d_log_keep
+            d_log_cav = d_log_cav + cavity_sum @ d_log_keep
+            d_log_step[t] = in_edge_sum @ d_log_keep
         theta, rho, r = np.exp(state.log_theta[:, 0]), state.rho[:, 0], state.r[:, 0]
         d_rho = -r[:, None] * (d_log_cav - d_log_theta)
         d_theta[t] = theta[:, None] * d_log_theta

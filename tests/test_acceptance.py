@@ -7,7 +7,6 @@ criterion 6.
 
 import numpy as np
 import pytest
-from scipy.stats import pearsonr
 
 import cascade_recon as cr
 
@@ -252,7 +251,7 @@ def test_criterion_10_snapshot_reconstruction():
     dataset = [cr.apply_mask(c, mask) for c in data]
     est = cr.dmprec_fit(dataset, net).couplings_hat
     mae = cr.l1_coupling_error(est, truth, included)
-    corr = float(pearsonr(est[included], truth[included]).statistic)
+    corr = float(np.corrcoef(est[included], truth[included])[0, 1])
     assert mae < 0.1
     assert corr > 0.9
     print(f"\nACCEPTANCE 10: PASS — every-other-step snapshots: MAE {mae:.4f} < 0.1, correlation {corr:.3f} > 0.9")

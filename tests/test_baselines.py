@@ -183,6 +183,14 @@ class TestMarginalizedLikelihood:
         with pytest.raises(CapacityError, match="two-stage"):
             marginalized_likelihood(obs, net, alpha)
 
+    def test_logsumexp_closed_forms(self):
+        from cascade_recon.baselines import _logsumexp
+
+        for a in (0.0, -3.5, 1e-300, 700.0, -1e12):
+            assert _logsumexp(np.array([a, a])) == a + np.log(2.0)
+            assert _logsumexp(np.array([a])) == a
+        assert _logsumexp(np.array([0.0, -1e12])) == 0.0
+
 
 class TestHtsConfig:
     @pytest.mark.parametrize("setting, message", [

@@ -280,6 +280,35 @@ class TestAuxCommands:
         assert lines[0] == "src,dst,analytic,numeric,rel_error"
         assert len(lines) == net.n_edges + 1
 
+    @staticmethod
+    def _hub30_gradcheck(tmp, capsys):
+        from pathlib import Path
+
+        import cascade_recon
+
+        rc = run("gradcheck", "--network", Path(cascade_recon.__file__).parent / "data" / "hub30.edges",
+                 "--horizon", 10, "--num-cascades", 40, "--sources", "H00,H05", "--hidden", "H03,H17",
+                 "--out", tmp / "g.csv")
+        assert rc == 0
+        return float(capsys.readouterr().out.split("max_rel_error=")[1])
+
+    def test_gradcheck_reports_no_rounding_near_zero(self, tmp_path, capsys):
+        # coordinates near 1e-5 whose difference quotients round at about
+        # eps |F| / h = 4e-8 once read 0.0019 relative to themselves
+        assert self._hub30_gradcheck(tmp_path, capsys) < 1e-6
+
+    def test_gradcheck_flags_a_wrong_largest_entry(self, tmp_path, capsys, monkeypatch):
+        from cascade_recon import FreeEnergyReport, free_energy_gradient
+
+        def wrong(*args):
+            report = free_energy_gradient(*args)
+            gradient = report.gradient.copy()
+            gradient[np.argmax(np.abs(gradient))] *= 1 + 1e-3
+            return FreeEnergyReport(report.value, gradient, report.per_node)
+
+        monkeypatch.setattr(cli, "free_energy_gradient", wrong)
+        assert self._hub30_gradcheck(tmp_path, capsys) > 9e-4
+
 
 class TestErrorsAndConfig:
     def test_module_error_is_exit_1(self, workdir, capsys):

@@ -31,6 +31,7 @@ from conftest import (
     random_loopy_net,
     random_masked_cases,
     random_tree_net,
+    sum_matrices,
 )
 
 
@@ -406,7 +407,7 @@ class TestChunking:
         for k, sources in enumerate(source_sets[:n_groups]):
             dataset += [observe_fully(c) for c in generate_dataset(net, alpha, 5, sources, 10, seed=k)]
         chunks = _chunks(summarize_dataset(dataset), net, 10)
-        _dataset_free_energy(chunks, net, alpha, 10)  # builds the network's sum matrices
+        _dataset_free_energy(chunks, net, alpha, 10)  # builds the network's cavity slots
         tracemalloc.start()
         try:
             value, gradient, contribs = _dataset_free_energy(chunks, net, alpha, 10)
@@ -448,7 +449,7 @@ class TestChunking:
             dataset += _masked_dataset(net, truth, T, 20, MaskSpec(hidden, None), seed=v, sources=[v])
         chunks = _chunks(summarize_dataset(dataset), net, T, with_gradient=False)
         assert [chunk.ps0.shape[1] for chunk in chunks] == [15]
-        _dataset_free_energy(chunks, net, truth, T, with_gradient=False)  # builds the network's sum matrices
+        _dataset_free_energy(chunks, net, truth, T, with_gradient=False)  # builds the network's cavity slots
         tracemalloc.start()
         try:
             _dataset_free_energy(chunks, net, truth, T, with_gradient=False)
@@ -533,7 +534,7 @@ def _longdouble_free_energy(dataset, net, alpha):
 
     ld, T = np.longdouble, dataset[0].horizon
     alpha = alpha.astype(ld)
-    cavity_sum, in_edge_sum = (m.toarray().astype(ld) for m in (net.cavity_sum, net.in_edge_sum))
+    in_edge_sum, cavity_sum = sum_matrices(net, ld)
     value = ld(0)
     for summ in summarize_dataset(dataset):
         ps0_src = initial_susceptible(net, summ.sources).astype(ld)[net.edge_src]

@@ -5,7 +5,7 @@ import pytest
 
 from cascade_recon import Network, ParseError, parse_edge_list, serialize_edge_list
 
-from conftest import random_loopy_net
+from conftest import random_loopy_net, sum_matrices
 
 
 def test_two_edge_chain():
@@ -112,32 +112,51 @@ def test_in_out_consistent_with_edge_list(rng):
     assert n_in == n_out == net.n_edges
 
 
-def test_sum_matrices(rng):
+def _sequential_sums(mat, x):
+    """``mat @ x`` for a 0/1 ``mat``, each output added in column order
+    from 0.0."""
+    out = np.zeros((mat.shape[0], x.shape[1]))
+    for r in range(mat.shape[0]):
+        for j in np.flatnonzero(mat[r]):
+            out[r] += x[j]
+    return out
+
+
+def test_sums_over_in_edges_and_cavities(rng):
+    complete = Network([str(i) for i in range(8)], [(str(i), str(j)) for i in range(8) for j in range(8) if i != j])
     nets = [
         random_loopy_net(8, 6, rng),
+        complete,  # every cavity holds 6 edges: six slots per sum
         Network(["0", "1"], [("0", "1"), ("1", "0")]),  # 2-cycle: empty cavities
         Network(["0", "1", "2"], []),
     ]
     for net in nets:
-        ins, cav = net.in_edge_sum, net.cavity_sum
-        assert ins.shape == (net.n_nodes, net.n_edges)
-        assert cav.shape == (net.n_edges, net.n_edges)
-        for mat in (ins, cav):
-            assert np.all(mat.data == 1.0)  # 0/1 entries, no stored zeros
-        ins, cav = ins.toarray(), cav.toarray()
-        assert np.isin(ins, (0.0, 1.0)).all() and np.isin(cav, (0.0, 1.0)).all()
+        ins, cav = sum_matrices(net)
         for i in range(net.n_nodes):
             assert np.flatnonzero(ins[i]).tolist() == net.in_edges(i).tolist()
         for e in range(net.n_edges):
             k, i = net.edge_pair(e)
             expect = [f for f in net.in_edges(k) if int(net.edge_src[f]) != i]
             assert np.flatnonzero(cav[e]).tolist() == expect
-    assert nets[1].cavity_sum.nnz == 0
+        rows, cols = net._cavity
+        assert np.array_equal(np.lexsort((cols, rows)), np.arange(rows.size))  # CSR order
+        v = rng.standard_normal((net.n_edges, 3)) * np.exp(rng.uniform(-20, 20, (net.n_edges, 3)))
+        w = rng.standard_normal((net.n_nodes, 3))
+        for got, mat, x in [
+            (net._in_sum(v), ins, v),
+            (w[net.edge_dst], ins.T, w),
+            (net._cavity_sum(v), cav, v),
+            (net._cavity_sum(v, transpose=True), cav.T, v),
+        ]:
+            np.testing.assert_allclose(got, mat @ x, rtol=1e-12, atol=0.0)
+            assert got.tobytes() == _sequential_sums(mat, x).tobytes()
+    assert [len(slots) for _, slots in complete._cavity_slots] == [6, 6]
+    assert nets[2]._cavity[0].size == 0
 
 
-def test_package_import_leaves_scipy_sparse_unloaded():
-    # the sum matrices import scipy.sparse when first built, so a process
-    # that only simulates or masks never loads it
+def test_pipeline_loads_no_scipy():
+    # simulate, mask, a file round trip, a fit, a gradient and the brute-force
+    # likelihood all run on numpy alone
     import os
     import subprocess
     import sys
@@ -145,12 +164,19 @@ def test_package_import_leaves_scipy_sparse_unloaded():
     import cascade_recon
 
     script = (
-        "import sys, cascade_recon\n"
-        "before = 'scipy.sparse' in sys.modules\n"
-        "cascade_recon.Network(['0', '1'], [('0', '1')]).in_edge_sum\n"
-        "print(before, 'scipy.sparse' in sys.modules)\n"
+        "import sys\n"
+        "import cascade_recon as cr\n"
+        "net = cr.Network(list('01234'), [('0', '1'), ('1', '2'), ('2', '1'), ('1', '3'), ('3', '4'), ('4', '0')])\n"
+        "alpha = [0.5, 0.4, 0.3, 0.6, 0.7, 0.2]\n"
+        "data = cr.generate_dataset(net, alpha, 30, [0], 5, seed=1)\n"
+        "observed = [cr.apply_mask(c, cr.MaskSpec(frozenset({2}), None)) for c in data]\n"
+        "table = cr.read_cascades(net, cr.write_cascades(net, observed))\n"
+        "fit = cr.dmprec_fit(table, net, cr.FitConfig(max_iters=3))\n"
+        "cr.free_energy_gradient(table, net, fit.couplings_hat)\n"
+        "cr.marginalized_likelihood(observed[0], net, fit.couplings_hat)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
     )
     root = os.path.dirname(os.path.dirname(cascade_recon.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout == "[]\n"
