@@ -42,6 +42,7 @@ from .cascades import (
     sample_recorded_times,
 )
 from .fit import FitConfig, FitResult, identifiable_edges, projected_gradient_descent
+from .gradient import _PASS_BYTES
 
 __all__ = [
     "HtsConfig",
@@ -151,14 +152,11 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     counts, parent_ok, activates = _full_terms(net, times, horizon)
     total = counts @ log_surv
 
-    # activation factor log(1 - prod(1 - alpha)) over parents active by tau-1, in edge order
-    terms = parent_ok * log_surv[None, :]
-    by_dst = np.argsort(net.edge_dst, kind="stable")
-    slot = np.arange(net.n_edges) - np.searchsorted(net.edge_dst[by_dst], net.edge_dst[by_dst])
-    stay = np.zeros((len(terms), net.n_nodes))
-    for s in range(int(slot.max(initial=-1)) + 1):
-        edges = by_dst[slot == s]
-        stay[:, net.edge_dst[edges]] += terms[:, edges]
+    # activation factor log(1 - prod(1 - alpha)) over parents active by tau-1, a pass of rows at a time
+    stay = np.empty((len(parent_ok), net.n_nodes))
+    step = max(1, _PASS_BYTES // (8 * max(1, net.n_edges)))
+    for a in range(0, len(stay), step):
+        stay[a:a + step] = net._in_sum((parent_ok[a:a + step] * log_surv).T).T
     with np.errstate(divide="ignore", invalid="ignore"):
         log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
     total = total + np.where(activates, log_act, 0.0).sum(axis=1)

@@ -522,32 +522,21 @@ def monte_carlo_marginals(net: Network, couplings, sources, horizon: int, runs: 
 def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """The validated hidden nodes of ``mask`` and the (2, T+2) table of the
     window ``(lo, hi]`` it leaves of a recorded time tau, in column tau+1
-    for tau in [-1, T]; both read-only.
+    for tau in [-1, T]; both read-only.  Times below -1 see what -1 sees
+    and times above T what T sees, so the column of any time is tau + 1
+    clipped into the table.
 
-    Times below -1 see what -1 sees and times above T what T sees, so
-    the column of any time is tau + 1 clipped into the table.
+    Point s (0 or a snapshot) sees tau active iff tau <= min(s, T-1); the
+    window ends there at the first such s, or at T after the last point.
     """
     mask.validate(n_nodes, horizon)
     T = horizon
-    points = sorted({0, *(mask.snapshot_times if mask.snapshot_times is not None else range(T + 1))})
-    table = np.empty((2, T + 2), dtype=np.int64)
-    for tau in range(-1, T + 1):
-        if tau == 0:
-            table[:, 1] = -1, 0
-            continue
-        first_active = None
-        prev = 0
-        for s in points:
-            active = tau <= s if s < T else tau < T
-            if active:
-                first_active = s
-                break
-            prev = s
-        if first_active is None:
-            # never seen active: after the last monitored time
-            table[:, tau + 1] = (T - 1, T) if prev >= T - 1 else (prev, T)
-        else:
-            table[:, tau + 1] = prev, min(first_active, T - 1)
+    points = np.array(sorted({0, *(mask.snapshot_times if mask.snapshot_times is not None else range(T + 1))}), dtype=np.int64)
+    seen = np.minimum(points, T - 1)
+    first = np.searchsorted(seen, np.arange(-1, T + 1))
+    before = points[np.maximum(first - 1, 0)]
+    table = np.stack([np.where(first == len(points), np.minimum(before, T - 1), before), np.append(seen, T)[first]])
+    table[:, 1] = -1, 0
     hidden = np.array(sorted(mask.hidden_nodes), dtype=np.intp)
     table.setflags(write=False)
     hidden.setflags(write=False)

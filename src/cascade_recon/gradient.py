@@ -78,8 +78,9 @@ __all__ = [
     "population_free_energy",
 ]
 
-# Bytes that one batched pass over a chunk of source groups, or one block
-# of the summaries' walk over the cascades, holds: 1 MiB.
+# Bytes that one batched pass over a chunk of source groups, one block of
+# the summaries' walk over the cascades, or the in-edge index of one block
+# of baselines.batch_full_log_likelihood holds: 1 MiB.
 _PASS_BYTES = 1 << 20
 
 # Cells of a block of the summaries' walk: a cell's bounds and its window's
@@ -124,18 +125,17 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     cells at a time, finds each row's source set
     (:func:`cascades._source_sets`, numbered as first met) and makes each
     window of a visible non-source node one int64 key that orders by (set,
-    node, lo, hi); a block's keys are counted and merged into the running
-    count.  The sets are then ranked in sorted order and
-    the keys renumbered, so the rows come out ordered by (group, node, lo,
-    hi).
+    node, lo, hi).  A block's counted keys are a run, and runs of equally
+    many blocks merge as a binary counter carries, so a key is sorted about
+    log2(blocks) times.  The sets are then ranked in sorted order and the
+    keys renumbered, so the rows come out ordered by (group, node, lo, hi).
     """
     T = _horizon(dataset)
     n_codes = (T + 2) ** 2                                   # window codes lie in [0, (T + 2)**2)
     ids: dict[tuple[int, ...], int] = {}
     set_ids = []
     in_range = True
-    keys = np.empty(0, dtype=np.int64)
-    counts = np.empty(0)
+    runs = []                                                # (blocks, keys, counts), blocks falling
     for _start, block in _blocks(dataset, _SUMMARY_BLOCK_CELLS):
         lo, hi, hidden, n_nodes = block.lo, block.hi, block.hidden, block.n_nodes
         set_id = _source_sets(hi, hidden, ids)
@@ -144,9 +144,12 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
         rows, nodes = np.nonzero(seen)
         codes, block_in_range = _window_codes(lo[seen], hi[seen], T)
         in_range &= block_in_range
-        block_keys, block_counts = np.unique((set_id[rows] * n_nodes + nodes) * n_codes + codes, return_counts=True)
-        keys, where = np.unique(np.concatenate([keys, block_keys]), return_inverse=True)
-        counts = np.bincount(where, weights=np.concatenate([counts, block_counts]))
+        run = (1, *np.unique((set_id[rows] * n_nodes + nodes) * n_codes + codes, return_counts=True))
+        while runs and runs[-1][0] == run[0]:
+            run = _merged([runs.pop(), run])
+        runs.append(run)
+    _, keys, counts = _merged(runs)
+    runs.clear()                                             # as large as the keys
     set_id = np.concatenate(set_ids)
     sources, rank = _ranked_sets(ids, set_id)
     if not in_range:
@@ -164,6 +167,13 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
         GroupSummary(src, nodes[a:b], lo[a:b], hi[a:b], counts[a:b], size)
         for src, a, b, size in zip(sources, ends[:-1].tolist(), ends[1:].tolist(), sizes)
     ]
+
+
+def _merged(runs: list) -> tuple:
+    """One run of ``(blocks, keys, counts)`` runs: their sorted distinct
+    keys with float64 counts summed over the runs."""
+    keys, where = np.unique(np.concatenate([run[1] for run in runs]), return_inverse=True)
+    return sum(run[0] for run in runs), keys, np.bincount(where, weights=np.concatenate([run[2] for run in runs]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DatasetError, ParseError
 
 __all__ = [
     "Network",
@@ -27,9 +27,10 @@ __all__ = [
 
 
 def _label_key(label: str):
-    # integer-looking labels sort numerically, everything else after, as text
+    # integer-looking labels sort numerically, equal ones ('1', '01', '+1')
+    # by text; everything else after them, as text
     try:
-        return (0, int(label), "")
+        return (0, int(label), label)
     except ValueError:
         return (1, 0, label)
 
@@ -40,8 +41,8 @@ class Network:
     Parameters
     ----------
     labels : sequence of str
-        Node labels.  They are sorted (integers numerically, other tokens
-        lexically) to fix the dense node indexing.
+        Node labels.  They are sorted (integers numerically, equal integers
+        and other tokens lexically) to fix the dense node indexing.
     edges : iterable of (str, str)
         Directed edges given as label pairs.  Self-loops and duplicate
         directed edges are rejected.
@@ -184,10 +185,7 @@ def parse_edge_list(text) -> tuple[Network, np.ndarray | None]:
     Returns ``(net, alpha)`` with ``alpha`` aligned to the canonical edge
     order, or ``(net, None)`` when no third column is present.
     """
-    if isinstance(text, str):
-        stream = io.StringIO(text)
-    else:
-        stream = text
+    stream = io.StringIO(text) if isinstance(text, str) else text
     rows: list[tuple[str, str, float | None]] = []
     n_cols = None
     for lineno, raw in enumerate(stream, start=1):
@@ -216,8 +214,7 @@ def parse_edge_list(text) -> tuple[Network, np.ndarray | None]:
     if not rows:
         raise ParseError("empty edge list: no edges found")
 
-    labels = sorted({s for s, _, _ in rows} | {d for _, d, _ in rows}, key=_label_key)
-    net = Network(labels, [(s, d) for s, d, _ in rows])
+    net = Network({s for s, _, _ in rows} | {d for _, d, _ in rows}, [(s, d) for s, d, _ in rows])
     if n_cols == 2:
         return net, None
     alpha = np.empty(net.n_edges, dtype=np.float64)
@@ -227,12 +224,16 @@ def parse_edge_list(text) -> tuple[Network, np.ndarray | None]:
 
 
 def serialize_edge_list(net: Network, couplings=None) -> str:
-    """Inverse of :func:`parse_edge_list`; edges in canonical order."""
-    lines = []
-    for e in range(net.n_edges):
-        i, j = net.edge_pair(e)
-        if couplings is None:
-            lines.append(f"{net.labels[i]}\t{net.labels[j]}")
-        else:
-            lines.append(f"{net.labels[i]}\t{net.labels[j]}\t{float(couplings[e])!r}")
+    """Inverse of :func:`parse_edge_list`; edges in canonical order.  A
+    network that would not read back, with a node on no edge or a label
+    that is empty or holds whitespace or ``#``, is refused with a
+    :class:`DatasetError` before anything is written."""
+    bad = next((label for label, ins, outs in zip(net.labels, net._in_edges, net._out_edges)
+                if label.split() != [label] or "#" in label or not ins.size + outs.size), None)
+    if bad is not None:
+        raise DatasetError(f"node {bad!r} cannot be written to an edge list: a node there is on an edge, "
+                           "and its label is not empty and holds no whitespace or '#'")
+    lines = [f"{net.labels[i]}\t{net.labels[j]}" for i, j in zip(net.edge_src.tolist(), net.edge_dst.tolist())]
+    if couplings is not None:
+        lines = [f"{line}\t{float(couplings[e])!r}" for e, line in enumerate(lines)]
     return "\n".join(lines) + "\n"

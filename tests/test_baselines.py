@@ -59,14 +59,24 @@ class TestFullLogLikelihood:
                 np.log(max(p, 1e-300)), abs=1e-10
             )
 
-    def test_batch_matches_scalar(self, rng):
-        net = random_loopy_net(7, 6, rng)
-        alpha = random_couplings(net, rng, 0.05, 0.95)
-        data = generate_dataset(net, alpha, 50, "random", 6, seed=8)
-        times = np.stack([c.times for c in data])
-        batch = batch_full_log_likelihood(net, alpha, times, 6)
-        for row, c in zip(batch, data):
-            assert row == pytest.approx(full_log_likelihood(c, net, alpha), abs=1e-9)
+    def test_batch_matches_scalar(self, rng, monkeypatch):
+        from cascade_recon import baselines
+
+        nets = [
+            random_loopy_net(7, 6, rng),
+            Network(["0", "1", "2"], [("0", "1"), ("1", "2"), ("2", "1")]),  # node 0 has no in-edge
+            Network(["0", "1", "2"], []),
+        ]
+        for net in nets:
+            # in-edge sums in blocks of 3 rows: one row, one block, a block and a row, many blocks
+            monkeypatch.setattr(baselines, "_PASS_BYTES", 3 * 8 * max(1, net.n_edges))
+            alpha = random_couplings(net, rng, 0.05, 0.95)
+            for m in (1, 3, 4, 50):
+                data = generate_dataset(net, alpha, m, "random", 6, seed=8)
+                batch = batch_full_log_likelihood(net, alpha, np.stack([c.times for c in data]), 6)
+                assert batch.shape == (m,)
+                for row, c in zip(batch, data):
+                    assert row == pytest.approx(full_log_likelihood(c, net, alpha), abs=1e-9)
 
 
 class TestNetrate:

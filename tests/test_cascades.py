@@ -529,6 +529,14 @@ class TestMasking:
             for c in cascades:
                 _assert_identical(apply_mask(c, mask), _reference_apply_mask(c, mask))
 
+    def test_every_horizon_and_snapshot_set_as_the_reference(self, rng):
+        for T in range(1, 13):
+            c = Cascade(T, np.arange(-2, T + 2))  # every recorded time, and one beyond each end
+            random_sets = [tuple(np.flatnonzero(rng.random(T + 1) < 0.4).tolist()) for _ in range(8)]
+            for snapshots in [None, (), (0,), (T - 1,), (T,), (T - 1, T), *random_sets]:
+                mask = MaskSpec(frozenset({T + 3}), snapshots)
+                _assert_identical(apply_mask(c, mask), _reference_apply_mask(c, mask))
+
     def test_times_outside_the_horizon_as_the_reference(self):
         c = Cascade(4, [0, -3, -1, 4, 9, 2])
         for snapshots in (None, (), (2,), (1, 4)):

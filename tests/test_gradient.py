@@ -155,6 +155,27 @@ class TestSummaries:
         mask = MaskSpec(frozenset({3, 7}), (2, 5, 8))
         self._assert_matches_reference(_masked_dataset(net, alpha, 9, 3000, mask, seed=6))
 
+    def test_each_key_is_sorted_about_log_blocks_times(self, monkeypatch):
+        # 512 one-row blocks, each with 3 keys met in no other block: merged
+        # block by block into the running count they sort about 3 * 512**2 / 2
+        # keys, merged as a binary counter about 3 * 512 * log2(512)
+        from cascade_recon import CascadeTable
+        from cascade_recon import gradient
+
+        M, T = 512, 600
+        hi = np.column_stack([np.zeros(M, np.int64)] + [np.arange(1, M + 1)] * 3)
+        dataset = CascadeTable(T, np.where(hi > 0, hi - 1, -1), hi, np.zeros(hi.shape, bool))
+        sorted_sizes = []
+
+        def counted_unique(a, *args, unique=np.unique, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return unique(a, *args, **kwargs)
+
+        monkeypatch.setattr(gradient, "_SUMMARY_BLOCK_CELLS", 4)
+        monkeypatch.setattr(np, "unique", counted_unique)
+        self._assert_matches_reference(dataset)
+        assert sum(sorted_sizes) <= 2 * 3 * M * np.log2(M)
+
     def test_window_outside_the_horizon_rejected(self):
         from cascade_recon import ObservedCascade
 

@@ -1,9 +1,11 @@
 """Edge-list parsing, dense indexing, and neighborhood queries."""
 
+import re
+
 import numpy as np
 import pytest
 
-from cascade_recon import Network, ParseError, parse_edge_list, serialize_edge_list
+from cascade_recon import DatasetError, Network, ParseError, parse_edge_list, serialize_edge_list
 
 from conftest import random_loopy_net, sum_matrices
 
@@ -86,6 +88,62 @@ def test_edge_order_lexicographic():
 def test_integer_labels_sort_numerically():
     net, _ = parse_edge_list("10\t2\n2\t10\n")
     assert net.labels == ("2", "10")
+
+
+def test_tied_integer_labels_order_by_text():
+    # '1', '01' and '+1' are one integer; their text orders them, whatever
+    # order they come in and whatever the string hash seed
+    import itertools
+    import os
+    import subprocess
+    import sys
+
+    import cascade_recon
+
+    script = (
+        "import cascade_recon as cr\n"
+        "net, alpha = cr.parse_edge_list('1\\t01\\t0.1\\n01\\t2\\t0.2\\n+1\\t2\\t0.3\\n')\n"
+        "print(net.labels, alpha.tolist())\n"
+    )
+    root = os.path.dirname(os.path.dirname(cascade_recon.__file__))
+    outs = set()
+    for seed in ("0", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
+        outs.add(subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout)
+    assert outs == {"('+1', '01', '1', '2') [0.3, 0.2, 0.1]\n"}
+    for labels in itertools.permutations(["1", "01", "+1", "2", "a"]):
+        assert Network(labels, []).labels == ("+1", "01", "1", "2", "a")
+
+
+def test_every_network_the_writer_accepts_reads_back(rng):
+    # labels drawn with the characters that the parser splits fields or cuts
+    # comments at, and numbers that tie; a network with a label that would
+    # not read back, or a node on no edge, is refused and one of them named
+    plain, special = list("ab01+é"), list("# \t\r\n\x0b\x1c\x85\u3000")
+    accepted = refused = 0
+    for _ in range(300):
+        labels = sorted({"".join(rng.choice(special) if rng.random() < 0.1 else rng.choice(plain)
+                                 for _ in range(int(rng.integers(1, 4)))) for _ in range(4)})
+        pairs = {(a, b) for a, b in rng.integers(0, len(labels), (int(rng.integers(2, 12)), 2)).tolist() if a != b}
+        net = Network(labels, [(labels[a], labels[b]) for a, b in pairs])
+        alpha = rng.uniform(0, 1, net.n_edges)
+        try:
+            text = serialize_edge_list(net, alpha)
+        except DatasetError as exc:
+            assert re.match(r"node (.*) cannot be written to an edge list", str(exc))[1] in map(repr, net.labels)
+            refused += 1
+            continue
+        net2, alpha2 = parse_edge_list(text)
+        assert net2 == net
+        np.testing.assert_array_equal(alpha2, alpha)
+        accepted += 1
+    assert accepted >= 50 and refused >= 50, (accepted, refused)
+    with pytest.raises(DatasetError, match="^node 'a b' cannot be written to an edge list"):
+        serialize_edge_list(Network(["a b", "c#d", "e"], [("a b", "e"), ("c#d", "e")]), [0.5, 0.5])
+    with pytest.raises(DatasetError, match="^node '' cannot be written"):
+        serialize_edge_list(Network(["", "a"], [("", "a")]))
+    with pytest.raises(DatasetError, match="^node 'c' cannot be written"):
+        serialize_edge_list(Network(["a", "b", "c"], [("a", "b")]))
 
 
 def test_roundtrip_random_graphs(rng):
