@@ -17,9 +17,7 @@ from .cascades import (
     ObservedCascade,
     apply_mask,
     cascade_substream,
-    check_realizable,
     generate_dataset,
-    group_cascades,
     monte_carlo_marginals,
     observe_fully,
     parse_mask_spec,
@@ -32,7 +30,6 @@ from .cascades import (
 from .dmp import (
     DmpTrace,
     dmp_forward,
-    exact_cascade_probability,
     exact_marginals_oracle,
 )
 from .gradient import (
@@ -53,7 +50,6 @@ from .baselines import (
     HtsConfig,
     batch_full_log_likelihood,
     full_log_likelihood,
-    hts_complete,
     hts_fit,
     marginalized_likelihood,
     netrate_fit,

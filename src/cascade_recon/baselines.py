@@ -2,11 +2,12 @@
 
 Three levels of fidelity to the exact likelihood:
 
-- :func:`full_log_likelihood` / :func:`netrate_fit`: exact log-likelihood
-  of completely observed cascades and its per-node convex maximization
-  (the likelihood factorizes over nodes, so each node's incoming couplings
-  are fit independently).  The batched likelihood and the fit take their
-  terms from one array pass over an (M, N) matrix of recorded times.
+- :func:`batch_full_log_likelihood` / :func:`netrate_fit`: exact
+  log-likelihood of completely observed cascades and its per-node convex
+  maximization (the likelihood factorizes over nodes, so each node's
+  incoming couplings are fit independently).  Both take their terms from
+  array passes over an (M, N) matrix of recorded times;
+  :func:`full_log_likelihood` is one row of the batch.
 - :func:`marginalized_likelihood`: the exact likelihood summed over all
   completions of the unobserved activation times; brute force, feasible
   only for a handful of hidden nodes.
@@ -50,7 +51,6 @@ __all__ = [
     "batch_full_log_likelihood",
     "netrate_fit",
     "marginalized_likelihood",
-    "hts_complete",
     "hts_fit",
     "MAX_COMPLETIONS",
 ]
@@ -85,44 +85,15 @@ class HtsConfig:
 
 
 def full_log_likelihood(cascade: Cascade, net: Network, couplings) -> float:
-    """Exact log-probability of a completely observed cascade.
-
-    Every non-source node contributes survival factors for each step its
-    infected in-neighbors failed to transmit, times (for an activation
-    before the horizon) the probability that at least one succeeded at the
-    recorded step.  Sources are conditioned on and contribute nothing.
-    Returns ``-inf`` for unrealizable time vectors.
-    """
-    alpha = validate_couplings(net, couplings)
-    T = cascade.horizon
-    times = cascade.times
-    if times.shape[0] != net.n_nodes:
-        raise DatasetError("cascade does not match the network")
-    total = 0.0
-    for i in range(net.n_nodes):
-        tau = int(times[i])
-        if tau == 0:
-            continue
-        end = tau - 1 if tau < T else T - 1
-        act_stay = 1.0
-        for e in net.in_edges(i):
-            tk = int(times[net.edge_src[e]])
-            steps = end - tk
-            if steps > 0:
-                if alpha[e] >= 1.0:
-                    return float("-inf")
-                total += steps * np.log1p(-alpha[e])
-            if tau < T and tk <= tau - 1:
-                act_stay *= 1.0 - alpha[e]
-        if tau < T:
-            if act_stay >= 1.0:
-                return float("-inf")  # no infected in-neighbor could have fired
-            total += np.log1p(-act_stay)
-    return float(total)
+    """Exact log-probability of a completely observed cascade: its row of
+    :func:`batch_full_log_likelihood`, with ``-inf`` for an unrealizable
+    time vector (a row below -1e11)."""
+    ll = float(batch_full_log_likelihood(net, couplings, cascade.times[None], cascade.horizon)[0])
+    return ll if ll >= -1e11 else float("-inf")
 
 
 def _full_terms(net: Network, times: np.ndarray, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact likelihood's terms for rows of recorded times (M, N):
+    """The exact likelihood's terms for int64 rows of recorded times (M, N):
 
     - (M, |E|) the steps each edge's source was active without
       transmitting, before its destination's recorded step (or T - 1);
@@ -130,7 +101,6 @@ def _full_terms(net: Network, times: np.ndarray, horizon: int) -> tuple[np.ndarr
       destination's recorded step;
     - (M, N) which nodes activated before the horizon.
     """
-    times = np.asarray(times, dtype=np.int64)
     esrc, edst = net.edge_src, net.edge_dst
     end = np.where(times < horizon, times - 1, horizon - 1)
     counts = np.clip(end[:, edst] - times[:, esrc], 0, None)
@@ -140,26 +110,34 @@ def _full_terms(net: Network, times: np.ndarray, horizon: int) -> tuple[np.ndarr
 
 
 def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizon: int) -> np.ndarray:
-    """Vectorized :func:`full_log_likelihood` over rows of recorded times.
+    """Exact log-probability of each row of an (M, N) matrix of completely
+    observed recorded times.
 
+    Every non-source node contributes survival factors for each step its
+    active in-neighbors failed to transmit, times (for an activation before
+    the horizon) the probability that at least one of those active a step
+    earlier succeeded.  Sources are conditioned on and contribute nothing.
     Unrealizable rows come back around -1e12 instead of -inf so that sums
-    and argmax stay NaN-free; anything below -1e11 means impossible.
+    and argmax stay NaN-free; anything below -1e11 means impossible.  The
+    rows run in blocks whose (rows, |E|) terms fit ``_PASS_BYTES``, so the
+    memory does not grow with M.
     """
     alpha = validate_couplings(net, couplings)
+    times = np.asarray(times, dtype=np.int64)
+    if times.ndim != 2 or times.shape[1] != net.n_nodes:
+        raise DatasetError("cascade does not match the network")
     with np.errstate(divide="ignore"):
         log_surv = np.log1p(-alpha)
     log_surv = np.where(np.isfinite(log_surv), log_surv, _NEG_BIG)
-    counts, parent_ok, activates = _full_terms(net, times, horizon)
-    total = counts @ log_surv
-
-    # activation factor log(1 - prod(1 - alpha)) over parents active by tau-1, a pass of rows at a time
-    stay = np.empty((len(parent_ok), net.n_nodes))
+    total = np.empty(len(times))
     step = max(1, _PASS_BYTES // (8 * max(1, net.n_edges)))
-    for a in range(0, len(stay), step):
-        stay[a:a + step] = net._in_sum((parent_ok[a:a + step] * log_surv).T).T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
-    total = total + np.where(activates, log_act, 0.0).sum(axis=1)
+    for a in range(0, len(times), step):
+        counts, parent_ok, activates = _full_terms(net, times[a:a + step], horizon)
+        # activation factor log(1 - prod(1 - alpha)) over the parents active by tau - 1
+        stay = net._in_sum((parent_ok * log_surv).T).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
+        total[a:a + step] = counts @ log_surv + np.where(activates, log_act, 0.0).sum(axis=1)
     return total
 
 
@@ -290,39 +268,17 @@ def _logsumexp(a: np.ndarray) -> float:
 # two-stage completion baseline
 
 
-def hts_complete(
-    dataset: CascadeTable | Sequence[ObservedCascade],
-    net: Network,
-    couplings,
-    config: HtsConfig | None = None,
-) -> list[dict[int, int]]:
-    """Impute unresolved activation times from auxiliary cascades.
-
-    For each cascade, ``aux_samples`` cascades are simulated from its
-    observed source set under the current couplings; among the samples
-    consistent with every observation window the most likely one supplies
-    the missing times (falling back to the fewest-violations sample when
-    none is consistent); the samples are those of :func:`hts_fit`'s first
-    round.  Returns one {node: time} dict per cascade, in dataset order.
-    """
-    config = config or HtsConfig()
-    config.validate()
-    alpha = validate_couplings(net, couplings)
-    _horizon(dataset, net)                   # rejects a dataset of another width
-    times, unresolved = _completed_times(_table(dataset), net, alpha, config, 0)
-    return [
-        dict(zip(np.flatnonzero(free).tolist(), row[free].tolist()))
-        for row, free in zip(times, unresolved)
-    ]
-
-
 def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, config: HtsConfig, rnd: int):
     """The recorded times of ``table`` as an (M, N) matrix with the times
     of its unresolved nodes (hidden, or not pinned by their window)
-    imputed as :func:`hts_complete` describes, and the (M, N) unresolved
-    flags.  Each source group draws round ``rnd``'s samples from its own
-    Philox key, ``aux_samples`` per cascade that has an unresolved node,
-    in dataset order; only the samples in a cascade's pool are scored."""
+    imputed from auxiliary cascades, and the (M, N) unresolved flags.
+
+    Each cascade that has an unresolved node gets ``aux_samples`` cascades
+    simulated from its observed source set under ``alpha``; among those
+    with the fewest window violations (all of them inside every window,
+    when any is) the most likely supplies the missing times.  Each source
+    group draws round ``rnd``'s samples from its own Philox key, in dataset
+    order; only the samples in a cascade's pool are scored."""
     horizon, lo, hi, hidden = table.horizon, table.lo, table.hi, table.hidden
     unresolved = hidden | (hi - lo >= 2)
     keys, group_of = _source_groups(table)

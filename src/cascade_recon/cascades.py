@@ -43,8 +43,6 @@ __all__ = [
     "sample_recorded_times",
     "monte_carlo_marginals",
     "apply_mask",
-    "check_realizable",
-    "group_cascades",
     "observe_fully",
     "write_cascades",
     "read_cascades",
@@ -328,17 +326,20 @@ def simulate_cascade(net: Network, couplings, sources, horizon: int, rng) -> Cas
     """Simulate one synchronous SI cascade.
 
     ``rng`` is a numpy Generator (or an int seed).  It draws a
-    ``(horizon-1) x |E|`` block of uniforms up front, and edge e transmits
-    at step t + 1 iff ``u[t, e] < alpha[e]`` (its source active by t, its
-    destination still susceptible), so the result does not depend on early
-    termination.  The steps are those :func:`generate_dataset` runs.
+    ``(horizon-1) x |E|`` block of 64-bit words up front (full-range
+    ``integers``, the bit generator's 64-bit outputs), and edge e
+    transmits at step t + 1 (its source active by t, its destination still
+    susceptible) iff word ``[t, e]`` passes :func:`_thresholds`' rule, so
+    the result does not depend on early termination.  The steps and the
+    rule are those :func:`generate_dataset` runs.
     """
     if isinstance(rng, (int, np.integer)):
         rng = np.random.Generator(np.random.Philox(key=int(rng) & _MASK64))
     alpha = validate_couplings(net, couplings)
     src = _as_source_array(net, sources)
     _check_horizon(horizon)
-    transmit = rng.random((max(horizon - 1, 0), net.n_edges)) < alpha
+    words = rng.integers(0, 2**64, (horizon - 1, net.n_edges), dtype=np.uint64)
+    transmit = (words >> 11) < _thresholds(alpha)
     times = np.full((net.n_nodes, 1), horizon, dtype=np.int64)
     times[src] = 0
     _spread(net, horizon, times, transmit[:, :, None])
@@ -372,6 +373,14 @@ def _spread(net: Network, horizon: int, times: np.ndarray, transmit: np.ndarray)
         times[edst[edges], cols] = t + 1
 
 
+def _thresholds(alpha: np.ndarray) -> np.ndarray:
+    """The simulators' transmit rule: a raw 64-bit word ``w`` drawn for edge
+    e transmits iff ``(w >> 11) < ceil(alpha[e] * 2**53)``, the threshold
+    returned here.  That is exactly ``u < alpha[e]`` for the uniform ``u =
+    (w >> 11) * 2**-53`` that ``Generator.random`` makes of the word."""
+    return np.ceil(alpha * 2.0**53).astype(np.uint64)
+
+
 # raw 64-bit words that one block of generate_dataset's cascades draws
 _BLOCK_WORDS = 1 << 18
 
@@ -385,10 +394,8 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
     uniformly chosen source per cascade.  Cascade ``c`` is a pure function
     of (seed, c): its substream (:func:`cascade_substream`) first yields
     the source index when it is random, then one raw 64-bit word per step
-    and edge, and edge e transmits at step t + 1 iff its word ``w`` has
-    ``(w >> 11) < ceil(alpha[e] * 2**53)``.  That is exactly
-    ``u < alpha[e]`` for the uniform ``u = (w >> 11) * 2**-53`` that
-    ``Generator.random`` makes of the word, so cascade c is what
+    and edge, and edge e transmits at step t + 1 iff its word passes
+    :func:`_thresholds`' rule, so cascade c is what
     :func:`simulate_cascade` simulates from the same substream.  The
     cascades run their steps together in blocks of about
     ``_BLOCK_WORDS`` words, each from its own sources, through one word
@@ -410,7 +417,7 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
 
     n_steps, n_edges = horizon - 1, net.n_edges
     rows = min(n_cascades, max(1, _BLOCK_WORDS // max(1, n_steps * n_edges)))
-    threshold = np.ceil(alpha * 2.0**53).astype(np.uint64)
+    threshold = _thresholds(alpha)
     times = np.empty((n_cascades, net.n_nodes), dtype=np.int64)
     words = np.empty((rows, n_steps * n_edges), dtype=np.uint64)
     drawer = _SubstreamDrawer(seed)
@@ -429,17 +436,6 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
         _spread(net, horizon, block, np.less(steps, threshold[:, None], order="C"))
         times[start:start + size] = block.T
     return _complete_table(horizon, times)
-
-
-def check_realizable(net: Network, cascade: Cascade) -> bool:
-    """Every non-source activation has an in-neighbor active one step earlier."""
-    t = cascade.times
-    for i in range(net.n_nodes):
-        if 0 < t[i] < cascade.horizon:
-            parents = net.in_neighbors(i)
-            if not parents or min(t[k] for k in parents) > t[i] - 1:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -605,31 +601,18 @@ def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, 
     return MaskSpec(hidden_nodes=hidden_nodes, snapshot_times=snapshot_times)
 
 
-def group_cascades(dataset: CascadeTable | Sequence[ObservedCascade]) -> dict[tuple[int, ...], list[ObservedCascade]]:
-    """Partition cascades by their observed source set.
-
-    One forward model run per group suffices for likelihood work, so the
-    cost of an update step scales with the number of distinct initial
-    conditions, not with the number of cascades.  A cascade with no
-    observed source (the source was hidden by the mask) is rejected: the
-    model conditions on known initial conditions.
-    """
-    keys, group_of = _source_groups(dataset)
-    groups: dict[tuple[int, ...], list[ObservedCascade]] = {key: [] for key in keys}
-    members = list(groups.values())
-    for obs, g in zip(dataset, group_of.tolist()):
-        members[g].append(obs)
-    return groups
-
-
 def _source_groups(dataset: CascadeTable | Sequence[ObservedCascade]) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The distinct observed source sets of ``dataset`` in sorted order,
     and for each cascade the index of its set among them.
 
-    This is the grouping rule of :func:`group_cascades` and, through
-    :func:`_source_sets` and :func:`_ranked_sets`, of the free-energy
-    summaries; it rejects an empty dataset and names the first cascade with
-    no observed source.
+    One forward model run per group suffices for likelihood work, so the
+    cost of an update step scales with the number of distinct initial
+    conditions, not with the number of cascades.  The free-energy
+    summaries group by the same rule, through :func:`_source_sets` and
+    :func:`_ranked_sets`.  An empty dataset is rejected, and so is a
+    cascade with no observed source (the source was hidden by the mask):
+    the model conditions on known initial conditions, and the error names
+    the first such cascade.
     """
     ids: dict[tuple[int, ...], int] = {}
     set_id = np.concatenate([_source_sets(block.hi, block.hidden, ids) for _start, block in _blocks(dataset)])

@@ -48,15 +48,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DatasetError
+from .errors import CapacityError
 from .graph import Network, validate_couplings
-from .cascades import Cascade, _as_source_array, _check_horizon
+from .cascades import _as_source_array, _check_horizon
 
 __all__ = [
     "DmpTrace",
     "dmp_forward",
     "exact_marginals_oracle",
-    "exact_cascade_probability",
 ]
 
 
@@ -239,35 +238,3 @@ def _susceptible_marginals(dist: dict[int, float], n: int) -> np.ndarray:
     for i in range(n):
         out[i] = probs[((masks >> i) & 1) == 0].sum()
     return out
-
-
-def exact_cascade_probability(net: Network, couplings, cascade: Cascade) -> float:
-    """Probability of a recorded activation-time vector under the chain.
-
-    The recorded times determine the full state path (censored nodes stay
-    susceptible through step horizon-1), so the probability is the product
-    of one-step transition factors.  Independent of any likelihood formula:
-    uses only the chain's per-step infection probabilities.
-    """
-    T = cascade.horizon
-    times = np.asarray(cascade.times)
-    if times.shape[0] != net.n_nodes:
-        raise DatasetError("cascade does not match the network")
-    alpha = validate_couplings(net, couplings)
-    one_minus_alpha = 1.0 - alpha
-    in_edges = [net.in_edges(i) for i in range(net.n_nodes)]
-    in_srcs = [net.edge_src[net.in_edges(i)] for i in range(net.n_nodes)]
-    prob = 1.0
-    for t in range(T - 1):
-        mask = 0
-        for i in range(net.n_nodes):
-            if times[i] <= t:
-                mask |= 1 << i
-        for j in range(net.n_nodes):
-            if times[j] <= t:
-                continue
-            pj = _infection_probs(in_edges, in_srcs, one_minus_alpha, mask, j)
-            prob *= pj if times[j] == t + 1 else 1.0 - pj
-            if prob == 0.0:
-                return 0.0
-    return prob

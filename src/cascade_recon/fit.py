@@ -206,7 +206,7 @@ def dmprec_fit(
     value_chunks = _chunks(summaries, net, horizon, with_gradient=False)
 
     def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        return _dataset_free_energy(grad_chunks, net, alpha, horizon)[:2]
+        return _dataset_free_energy(grad_chunks, net, alpha, horizon)
 
     def value_only(alpha: np.ndarray) -> float:
         return _dataset_free_energy(value_chunks, net, alpha, horizon, with_gradient=False)[0]

@@ -79,8 +79,8 @@ __all__ = [
 ]
 
 # Bytes that one batched pass over a chunk of source groups, one block of
-# the summaries' walk over the cascades, or the in-edge index of one block
-# of baselines.batch_full_log_likelihood holds: 1 MiB.
+# the summaries' walk over the cascades, or one (rows, |E|) term array of a
+# block of baselines.batch_full_log_likelihood holds: 1 MiB.
 _PASS_BYTES = 1 << 20
 
 # Cells of a block of the summaries' walk: a cell's bounds and its window's
@@ -94,7 +94,6 @@ class FreeEnergyReport:
 
     value: float
     gradient: np.ndarray             # (|E|,)
-    per_node: dict[int, float]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +251,12 @@ def _window_weights(log_step: np.ndarray, rows: _Chunk) -> tuple[np.ndarray, np.
     T1, N, G = log_step.shape
     # d log P = sum_{t <= lo} d log_step + d_span * sum_{lo < t <= hi} d log_step, collected
     # as one weight per (t, node, group) on d log_step: the counts of the windows with
-    # lo >= t, a reverse cumulative sum over lo + 1 in [0, T+1], plus d_span times the
-    # counts of those that hold step t
+    # lo >= t, a reverse cumulative sum over lo + 1 in [0, T+1] taken in place, plus
+    # d_span times the counts of those that hold step t
     at_lo = np.bincount((rows.lo + 1) * (N * G) + rows.nodes * G + rows.group, rows.counts, (T1 + 1) * N * G)
-    weights = np.cumsum(at_lo.reshape(T1 + 1, N, G)[::-1], axis=0)[-2::-1].ravel()
+    by_step = at_lo.reshape(T1 + 1, N * G)[::-1]
+    np.cumsum(by_step, axis=0, out=by_step)
+    weights = at_lo[N * G:]
     span_weights = rows.counts * d_span
     for inside, at in steps:
         weights += np.bincount(at, span_weights[inside], T1 * N * G)
@@ -298,9 +299,8 @@ def _dataset_free_energy(
     couplings,
     horizon: int,
     with_gradient: bool = True,
-) -> tuple[float, np.ndarray | None, list[np.ndarray]]:
-    """``(value, gradient, per-group window contributions)`` summed over
-    source groups.
+) -> tuple[float, np.ndarray | None]:
+    """``(value, gradient)`` summed over source groups.
 
     Each chunk runs one batched forward pass and, ``with_gradient``, one
     sweep over each step's ``rho`` and ``r``; a value pass keeps only
@@ -312,7 +312,6 @@ def _dataset_free_energy(
     alpha = validate_couplings(net, couplings)
     value = 0.0
     gradient = np.zeros(net.n_edges) if with_gradient else None
-    contribs = []
     for chunk in chunks:
         log_step, rho, r = np.empty((horizon + 1, *chunk.ps0.shape)), [], []
         for t, state in enumerate(_propagate(net, alpha, chunk.ps0, horizon)):
@@ -329,8 +328,7 @@ def _dataset_free_energy(
             value += float(contrib[a:b].sum())
             if with_gradient:
                 gradient += grads[:, g]
-            contribs.append(contrib[a:b])
-    return value, gradient, contribs
+    return value, gradient
 
 
 def observed_negative_log_likelihood(
@@ -356,13 +354,8 @@ def free_energy_gradient(
     distinct source sets, shared by all cascades of those groups.
     """
     horizon = _horizon(dataset, net)
-    summaries = summarize_dataset(dataset)
-    value, gradient, contribs = _dataset_free_energy(_chunks(summaries, net, horizon), net, couplings, horizon)
-    per_node: dict[int, float] = {}
-    for summ, contrib in zip(summaries, contribs):
-        for node, c in zip(summ.nodes, contrib):
-            per_node[int(node)] = per_node.get(int(node), 0.0) + float(c)
-    return FreeEnergyReport(value, gradient, per_node)
+    chunks = _chunks(summarize_dataset(dataset), net, horizon)
+    return FreeEnergyReport(*_dataset_free_energy(chunks, net, couplings, horizon))
 
 
 def population_free_energy(
@@ -389,5 +382,4 @@ def population_free_energy(
         tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist()),
         nodes, t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, nodes], 0,
     )
-    value, gradient, _ = _dataset_free_energy(_chunks([summ], net, horizon), net, couplings, horizon)
-    return value, gradient
+    return _dataset_free_energy(_chunks([summ], net, horizon), net, couplings, horizon)

@@ -93,9 +93,6 @@ class Network:
         """Edge ids of edges (k, i), sorted by source index."""
         return self._in_edges[i]
 
-    def out_edges(self, i: int) -> np.ndarray:
-        return self._out_edges[i]
-
     def in_neighbors(self, i: int) -> list[int]:
         """Sorted in-neighbor indices of node ``i``."""
         return [int(self.edge_src[e]) for e in self._in_edges[self._node(i)]]

@@ -1,5 +1,6 @@
-"""Shared fixtures, deterministic graph builders and the forward-mode
-reference gradient for the test suite."""
+"""Shared fixtures, deterministic graph builders and the references the
+test suite compares against: the forward-mode gradient, the exact
+likelihood by a loop over nodes and the chain's cascade probability."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from cascade_recon import DmpTrace, MaskSpec, Network, dmp_forward, generate_dataset
+from cascade_recon import Cascade, DmpTrace, MaskSpec, Network, dmp_forward, generate_dataset
 from cascade_recon.dmp import _propagate
 
 
@@ -117,6 +118,64 @@ def random_masked_cases(rng: np.random.Generator):
                 + generate_dataset(net, alpha, 30, sources[1:], T, seed + 2)
             )
             yield net, cascades, MaskSpec(hidden, snapshots)
+
+
+def reference_full_log_likelihood(cascade: Cascade, net: Network, couplings) -> float:
+    """The exact log-probability of a completely observed cascade by a loop
+    over nodes and in-edges, the reference for ``full_log_likelihood``.
+
+    Every non-source node contributes survival factors for each step its
+    infected in-neighbors failed to transmit, times (for an activation
+    before the horizon) the probability that at least one succeeded at the
+    recorded step.  Sources are conditioned on and contribute nothing.
+    Returns ``-inf`` for unrealizable time vectors.
+    """
+    alpha = np.asarray(couplings, dtype=float)
+    T, times = cascade.horizon, cascade.times
+    total = 0.0
+    for i in range(net.n_nodes):
+        tau = int(times[i])
+        if tau == 0:
+            continue
+        end = tau - 1 if tau < T else T - 1
+        act_stay = 1.0
+        for e in net.in_edges(i):
+            tk = int(times[net.edge_src[e]])
+            steps = end - tk
+            if steps > 0:
+                if alpha[e] >= 1.0:
+                    return float("-inf")
+                total += steps * np.log1p(-alpha[e])
+            if tau < T and tk <= tau - 1:
+                act_stay *= 1.0 - alpha[e]
+        if tau < T:
+            if act_stay >= 1.0:
+                return float("-inf")  # no infected in-neighbor could have fired
+            total += np.log1p(-act_stay)
+    return float(total)
+
+
+def exact_cascade_probability(net: Network, couplings, cascade: Cascade) -> float:
+    """Probability of a recorded activation-time vector under the chain.
+
+    The recorded times determine the full state path (censored nodes stay
+    susceptible through step horizon-1), so the probability is the product
+    of one-step transition factors.  Independent of any likelihood formula:
+    uses only the chain's per-step infection probabilities.
+    """
+    one_minus_alpha = 1.0 - np.asarray(couplings, dtype=float)
+    times = cascade.times
+    prob = 1.0
+    for t in range(cascade.horizon - 1):
+        for j in range(net.n_nodes):
+            if times[j] <= t:
+                continue
+            stay = np.prod([one_minus_alpha[e] for e in net.in_edges(j) if times[net.edge_src[e]] <= t])
+            pj = 1.0 - stay
+            prob *= pj if times[j] == t + 1 else 1.0 - pj
+            if prob == 0.0:
+                return 0.0
+    return prob
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ class TestApiSurface:
         "FitConfig": ("alpha_init", "alpha_min", "alpha_max", "max_iters", "tol"),
         "FitResult": ("couplings_hat", "iterations", "free_energy_trajectory", "converged", "wall_time",
                       "diagnostics"),
-        "FreeEnergyReport": ("value", "gradient", "per_node"),
+        "FreeEnergyReport": ("value", "gradient"),
         "HtsConfig": ("aux_samples", "outer_rounds", "param_tol", "seed", "fit"),
         "MaskSpec": ("hidden_nodes", "snapshot_times"),
         "Network": ("labels", "edges"),
@@ -30,16 +30,12 @@ class TestApiSurface:
         "apply_mask": ("cascade", "mask"),
         "batch_full_log_likelihood": ("net", "couplings", "times", "horizon"),
         "cascade_substream": ("seed", "index"),
-        "check_realizable": ("net", "cascade"),
         "dmp_forward": ("net", "couplings", "sources", "horizon"),
         "dmprec_fit": ("dataset", "net", "config", "threads"),
-        "exact_cascade_probability": ("net", "couplings", "cascade"),
         "exact_marginals_oracle": ("net", "couplings", "sources", "horizon"),
         "free_energy_gradient": ("dataset", "net", "couplings"),
         "full_log_likelihood": ("cascade", "net", "couplings"),
         "generate_dataset": ("net", "couplings", "n_cascades", "source_policy", "horizon", "seed"),
-        "group_cascades": ("dataset",),
-        "hts_complete": ("dataset", "net", "couplings", "config"),
         "hts_fit": ("dataset", "net", "config"),
         "identifiable_edges": ("net", "mask"),
         "l1_coupling_error": ("est", "truth", "included"),
@@ -65,8 +61,8 @@ class TestApiSurface:
         "FitConfig": {"validate": ()},
         "HtsConfig": {"validate": ()},
         "MaskSpec": {"validate": ("n_nodes", "horizon")},
-        "Network": {"edge_id": ("src", "dst"), "edge_pair": ("e",), "in_edges": ("i",), "out_edges": ("i",),
-                    "in_neighbors": ("i",), "out_neighbors": ("i",), "out_degree": ("i",)},
+        "Network": {"edge_id": ("src", "dst"), "edge_pair": ("e",), "in_edges": ("i",), "in_neighbors": ("i",),
+                    "out_neighbors": ("i",), "out_degree": ("i",)},
         "ObservedCascade": {"status": ("i",), "is_fully_observed": (), "to_cascade": ()},
     }
 

@@ -15,11 +15,9 @@ from cascade_recon import (
     apply_mask,
     batch_full_log_likelihood,
     dmprec_fit,
-    exact_cascade_probability,
     exact_marginals_oracle,
     full_log_likelihood,
     generate_dataset,
-    hts_complete,
     hts_fit,
     marginalized_likelihood,
     netrate_fit,
@@ -27,7 +25,17 @@ from cascade_recon import (
     parse_edge_list,
 )
 
-from conftest import chain_net, random_tree_net, random_loopy_net, random_couplings
+from cascade_recon.baselines import _completed_times
+from cascade_recon.cascades import _table
+
+from conftest import (
+    chain_net,
+    exact_cascade_probability,
+    random_couplings,
+    random_loopy_net,
+    random_tree_net,
+    reference_full_log_likelihood,
+)
 
 
 @pytest.fixture
@@ -68,7 +76,7 @@ class TestFullLogLikelihood:
             Network(["0", "1", "2"], []),
         ]
         for net in nets:
-            # in-edge sums in blocks of 3 rows: one row, one block, a block and a row, many blocks
+            # rows in blocks of 3: one row, one block, a block and a row, many blocks
             monkeypatch.setattr(baselines, "_PASS_BYTES", 3 * 8 * max(1, net.n_edges))
             alpha = random_couplings(net, rng, 0.05, 0.95)
             for m in (1, 3, 4, 50):
@@ -76,7 +84,50 @@ class TestFullLogLikelihood:
                 batch = batch_full_log_likelihood(net, alpha, np.stack([c.times for c in data]), 6)
                 assert batch.shape == (m,)
                 for row, c in zip(batch, data):
-                    assert row == pytest.approx(full_log_likelihood(c, net, alpha), abs=1e-9)
+                    expect = reference_full_log_likelihood(c, net, alpha)
+                    assert row == pytest.approx(expect, abs=1e-9)
+                    assert full_log_likelihood(c, net, alpha) == pytest.approx(expect, abs=1e-9)
+
+    def test_one_row_of_the_batch_is_minus_inf_where_impossible(self, rng):
+        # random time vectors, many unrealizable, and couplings of exactly 0 and 1 on some edges
+        for net in (random_loopy_net(7, 6, rng), chain_net(4)):
+            alpha = random_couplings(net, rng, 0.05, 0.95)
+            alpha[rng.random(net.n_edges) < 0.25] = 1.0
+            alpha[rng.random(net.n_edges) < 0.25] = 0.0
+            impossible = 0
+            for _ in range(300):
+                times = rng.integers(0, 7, net.n_nodes)
+                c = Cascade(6, times)
+                expect = reference_full_log_likelihood(c, net, alpha)
+                got = full_log_likelihood(c, net, alpha)
+                if expect == -np.inf:
+                    impossible += 1
+                    assert got == -np.inf
+                else:
+                    assert got == pytest.approx(expect, abs=1e-9)
+            assert 0 < impossible < 300
+
+    def test_wrong_width_rejected(self, edge01):
+        with pytest.raises(DatasetError, match="^cascade does not match the network$"):
+            full_log_likelihood(Cascade(3, [0, 2, 1]), edge01, [0.5])
+        with pytest.raises(DatasetError, match="^cascade does not match the network$"):
+            batch_full_log_likelihood(edge01, [0.5], np.zeros((4, 3), dtype=np.int64), 3)
+
+    def test_batch_peak_is_bounded(self):
+        # the hub30 network at M = 20 000: the (M, |E|) terms at once peak above 100 MiB
+        import tracemalloc
+        from importlib import resources
+
+        net, alpha = parse_edge_list(resources.files("cascade_recon").joinpath("data/hub30.edges").read_text())
+        times = generate_dataset(net, alpha, 20_000, "random", 10, seed=5).hi
+        batch_full_log_likelihood(net, alpha, times[:1], 10)  # builds the network's in-edge index
+        tracemalloc.start()
+        try:
+            batch_full_log_likelihood(net, alpha, times, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestNetrate:
@@ -217,8 +268,6 @@ class TestHtsConfig:
             config.validate()
         obs = observe_fully(Cascade(3, [0, 2]))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            hts_complete([obs], edge01, [0.5], config)
-        with pytest.raises(ValueError, match=f"^{message}$"):
             hts_fit([obs], edge01, config)
 
     def test_zero_outer_rounds_accepted(self, edge01):
@@ -227,12 +276,19 @@ class TestHtsConfig:
         np.testing.assert_array_equal(res.couplings_hat, [0.5])
 
 
+def _complete(data, net, alpha, config):
+    """The recorded times with the unresolved ones imputed, and the
+    unresolved flags, that the first round of ``hts_fit`` fits."""
+    return _completed_times(_table(data), net, np.asarray(alpha, dtype=float), config, 0)
+
+
 class TestHtsComplete:
     def test_forced_unique_completion(self):
         net = chain_net(3)
         obs = apply_mask(Cascade(5, [0, 1, 2]), MaskSpec(frozenset({1}), None))
-        comps = hts_complete([obs], net, [1.0, 1.0], HtsConfig(aux_samples=50))
-        assert comps == [{1: 1}]
+        times, unresolved = _complete([obs], net, [1.0, 1.0], HtsConfig(aux_samples=50))
+        np.testing.assert_array_equal(unresolved, [[False, True, False]])
+        np.testing.assert_array_equal(times, [[0, 1, 2]])
 
     def test_completion_is_argmax_of_consistent_samples(self, rng):
         net = random_tree_net(6, rng)
@@ -240,11 +296,9 @@ class TestHtsComplete:
         c = generate_dataset(net, truth, 1, [0], 6, seed=5)[0]
         obs = apply_mask(c, MaskSpec(frozenset({3}), None))
         cfg = HtsConfig(aux_samples=200, seed=9)
-        comp = hts_complete([obs], net, truth, cfg)[0]
-        completed = obs.hi.copy()
-        for k, v in comp.items():
-            completed[k] = v
-        best = full_log_likelihood(Cascade(6, completed), net, truth)
+        times, unresolved = _complete([obs], net, truth, cfg)
+        np.testing.assert_array_equal(times[0, ~unresolved[0]], obs.hi[~unresolved[0]])
+        best = full_log_likelihood(Cascade(6, times[0]), net, truth)
         # no consistent sample beats the chosen completion
         from cascade_recon.cascades import sample_recorded_times
         import numpy.random as npr
@@ -257,14 +311,22 @@ class TestHtsComplete:
         lls = batch_full_log_likelihood(net, truth, samples[ok], 6)
         assert best >= lls.max() - 1e-9
 
-    def test_no_unresolved_no_sampling(self, edge01):
+    def test_no_unresolved_no_sampling(self, edge01, monkeypatch):
+        from cascade_recon import baselines
+
+        def refuse(*args):
+            raise AssertionError("sampled a cascade with no unresolved node")
+
+        monkeypatch.setattr(baselines, "sample_recorded_times", refuse)
         obs = observe_fully(Cascade(3, [0, 2]))
-        assert hts_complete([obs], edge01, [0.5], HtsConfig()) == [{}]
+        times, unresolved = _complete([obs], edge01, [0.5], HtsConfig())
+        np.testing.assert_array_equal(times, [[0, 2]])
+        assert not unresolved.any()
 
     def test_mixed_horizons_rejected(self, edge01):
         data = [observe_fully(Cascade(3, [0, 2])), observe_fully(Cascade(4, [0, 2]))]
         with pytest.raises(DatasetError, match="mismatched horizons"):
-            hts_complete(data, edge01, [0.5], HtsConfig())
+            hts_fit(data, edge01, HtsConfig())
 
 
 class TestHtsFit:

@@ -16,14 +16,12 @@ from cascade_recon import (
     ObservedCascade,
     ParseError,
     apply_mask,
+    batch_full_log_likelihood,
     cascade_substream,
-    check_realizable,
     dmprec_fit,
     exact_marginals_oracle,
     free_energy_gradient,
     generate_dataset,
-    group_cascades,
-    hts_complete,
     hts_fit,
     monte_carlo_marginals,
     netrate_fit,
@@ -39,7 +37,7 @@ from cascade_recon import (
 )
 
 from cascade_recon import cascades, gradient
-from cascade_recon.cascades import _decode_time, _split_token
+from cascade_recon.cascades import _decode_time, _source_groups, _split_token
 
 from conftest import (
     chain_net,
@@ -243,7 +241,10 @@ class TestSimulate:
         net = random_loopy_net(8, 6, rng)
         alpha = random_couplings(net, rng)
         data = generate_dataset(net, alpha, 10000, "random", 6, seed=3)
-        assert all(check_realizable(net, c) for c in data)
+        # with every coupling below 1 only an activation with no in-neighbor
+        # active a step earlier is impossible
+        assert alpha.max() < 1.0
+        assert (batch_full_log_likelihood(net, alpha, data.hi, 6) > -1e11).all()
 
     def test_empirical_marginals_match_oracle(self, rng):
         net = random_loopy_net(6, 4, rng)
@@ -317,6 +318,22 @@ class TestDatasetGeneration:
                         g = cascade_substream(seed, c)
                         sources = [int(g.integers(net.n_nodes))] if policy == "random" else policy
                         assert simulate_cascade(net, alpha, sources, T, g) == Cascade(T, want[c])
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.SFC64, np.random.MT19937])
+    def test_words_decide_as_uniforms_from_any_bit_generator(self, bit_generator, rng):
+        # a full-range 64-bit word w transmits iff (w >> 11) * 2**-53 < alpha, the
+        # uniform that Generator.random draws from the same state (for MT19937,
+        # whose 64-bit words and doubles split its 32-bit outputs differently,
+        # the two agree on the top 27 bits); each draw leaves the state alike
+        net = random_loopy_net(8, 10, rng)
+        alpha = random_couplings(net, rng)
+        for seed in range(20):
+            g, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+            times = np.full((net.n_nodes, 1), 6)
+            times[seed % 8] = 0
+            cascades._spread(net, 6, times, (ref.random((5, net.n_edges)) < alpha)[:, :, None])
+            assert simulate_cascade(net, alpha, [seed % 8], 6, g) == Cascade(6, times[:, 0])
+            assert g.random() == ref.random()
 
     def test_random_sources_single_source_each(self, rng):
         net = random_loopy_net(10, 5, rng)
@@ -440,7 +457,6 @@ class TestNetworkWidth:
         "observed_negative_log_likelihood": lambda data, net, alpha: observed_negative_log_likelihood(data, net, alpha),
         "free_energy_gradient": lambda data, net, alpha: free_energy_gradient(data, net, alpha),
         "write_cascades": lambda data, net, alpha: write_cascades(net, data),
-        "hts_complete": lambda data, net, alpha: hts_complete(data, net, alpha, HtsConfig(aux_samples=2)),
         "hts_fit": lambda data, net, alpha: hts_fit(data, net, HtsConfig(aux_samples=2, outer_rounds=1)),
         "netrate_fit": lambda data, net, alpha: netrate_fit(data, net),
     }
@@ -551,23 +567,24 @@ class TestMasking:
 class TestGrouping:
     def test_single_group(self, chain3, rng):
         data = [observe_fully(simulate_cascade(chain3, [0.5, 0.5], [0], 5, int(s))) for s in range(100)]
-        groups = group_cascades(data)
-        assert list(groups) == [(0,)]
-        assert len(groups[(0,)]) == 100
+        keys, group_of = _source_groups(data)
+        assert keys == [(0,)]
+        np.testing.assert_array_equal(group_of, np.zeros(100))
 
     def test_partition_property(self, rng):
         net = random_loopy_net(10, 8, rng)
         alpha = random_couplings(net, rng)
         data = [observe_fully(c) for c in generate_dataset(net, alpha, 300, "random", 5, seed=1)]
-        groups = group_cascades(data)
-        assert len(groups) <= net.n_nodes
-        assert sum(len(v) for v in groups.values()) == 300
+        keys, group_of = _source_groups(data)
+        assert len(keys) <= net.n_nodes
+        assert group_of.shape == (300,)
+        assert np.bincount(group_of, minlength=len(keys)).min() >= 1
 
     def test_hidden_source_rejected(self, chain3):
         c = simulate_cascade(chain3, [1.0, 1.0], [0], 5, 0)
         obs = apply_mask(c, MaskSpec(frozenset({0}), None))
         with pytest.raises(DatasetError, match="source"):
-            group_cascades([obs])
+            _source_groups([obs])
 
     def test_first_sourceless_cascade_named(self, chain3):
         from cascade_recon.gradient import summarize_dataset
@@ -575,7 +592,7 @@ class TestGrouping:
         c = simulate_cascade(chain3, [1.0, 1.0], [0], 5, 0)
         seen, unseen = apply_mask(c, MaskSpec(frozenset(), None)), apply_mask(c, MaskSpec(frozenset({0}), None))
         data = [seen] * 9000 + [unseen, seen, unseen]
-        for group in (group_cascades, summarize_dataset):
+        for group in (_source_groups, summarize_dataset):
             with pytest.raises(DatasetError, match="^cascade 9000 has no observed source; cannot fit$"):
                 group(data)
 
@@ -583,10 +600,9 @@ class TestGrouping:
         net = random_loopy_net(9, 5, rng)
         alpha = random_couplings(net, rng)
         data = [observe_fully(c) for c in generate_dataset(net, alpha, 2000, "random", 5, seed=4)]
-        groups = group_cascades(data)
-        assert list(groups) == sorted({tuple(obs.sources.tolist()) for obs in data})
-        for key, members in groups.items():
-            assert members == [obs for obs in data if tuple(obs.sources.tolist()) == key]
+        keys, group_of = _source_groups(data)
+        assert keys == sorted({tuple(obs.sources.tolist()) for obs in data})
+        assert [keys[g] for g in group_of.tolist()] == [tuple(obs.sources.tolist()) for obs in data]
 
 
 class TestFiles:

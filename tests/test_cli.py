@@ -304,7 +304,7 @@ class TestAuxCommands:
             report = free_energy_gradient(*args)
             gradient = report.gradient.copy()
             gradient[np.argmax(np.abs(gradient))] *= 1 + 1e-3
-            return FreeEnergyReport(report.value, gradient, report.per_node)
+            return FreeEnergyReport(report.value, gradient)
 
         monkeypatch.setattr(cli, "free_energy_gradient", wrong)
         assert self._hub30_gradcheck(tmp_path, capsys) > 9e-4

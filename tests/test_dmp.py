@@ -8,13 +8,12 @@ from cascade_recon import (
     CapacityError,
     Network,
     dmp_forward,
-    exact_cascade_probability,
     exact_marginals_oracle,
     full_log_likelihood,
     parse_edge_list,
 )
 
-from conftest import chain_net, random_tree_net, random_loopy_net, random_couplings
+from conftest import chain_net, exact_cascade_probability, random_tree_net, random_loopy_net, random_couplings
 
 
 @pytest.fixture
