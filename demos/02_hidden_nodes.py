@@ -58,7 +58,7 @@ for M in (200, 800, 3200):
         g = cascade_substream(10, c)
         src = observed[int(g.integers(len(observed)))]
         data.append(simulate_cascade(net, truth, [src], T, g))
-    dataset = [apply_mask(c, mask) for c in data]
+    dataset = apply_mask(data, mask)
     res = dmprec_fit(dataset, net, FitConfig(max_iters=800))
     err = l1_coupling_error(res.couplings_hat, truth, included)
     print(f"{M:>9} {err:>8.4f} {baseline:>16.4f}")

@@ -57,7 +57,7 @@ for c in range(M):
     g = cascade_substream(888, c)
     src = observed[int(g.integers(len(observed)))]
     data.append(simulate_cascade(net, truth, [src], T, g))
-dataset = [apply_mask(c, mask) for c in data]
+dataset = apply_mask(data, mask)
 
 res = dmprec_fit(dataset, net, FitConfig(max_iters=600))
 est = res.couplings_hat

@@ -38,6 +38,7 @@ from .cascades import (
     _bit_words,
     _group_rows,
     _horizon,
+    _ranges,
     _source_groups,
     _table,
     sample_recorded_times,
@@ -168,18 +169,44 @@ def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -
     ``-s.log(1 - a) - mult.log(1 - exp(sets @ log(1 - a)))``.  An empty
     parent set is an impossible event that no coupling changes, so it is
     left out.
+
+    The terms come from the row blocks that
+    :func:`batch_full_log_likelihood` walks, so no (M, |E|) array is held:
+    each block adds its survival steps, and appends its activations'
+    parent flags, in row order, to each edge's run of one flat array.  The
+    runs follow the nodes' in-edges in turn, so a node's flags are one
+    (in-degree, activations) slice of it.
     """
-    counts, parent_ok, activates = _full_terms(net, times, horizon)
-    surv = counts.sum(axis=0).astype(np.float64)
+    step = max(1, _PASS_BYTES // (8 * max(1, net.n_edges)))
+    by_dst = np.argsort(net.edge_dst, kind="stable")        # node by node, each node's in_edges
+    dst = net.edge_dst[by_dst]
+    activations = np.zeros(net.n_nodes, dtype=np.int64)
+    for a in range(0, len(times), step):
+        rows = times[a:a + step]
+        activations += np.count_nonzero((rows > 0) & (rows < horizon), axis=0)
+    run = activations[dst]                                  # the flags of each edge's run
+    filled = np.cumsum(run) - run                           # where each run's next flag goes
+    flags = np.empty(int(run.sum()), dtype=bool)
+    node_end = np.cumsum(activations * np.bincount(dst, minlength=net.n_nodes))
+    surv = np.zeros(net.n_edges, dtype=np.int64)
+    for a in range(0, len(times), step):
+        counts, parent_ok, activates = _full_terms(net, times[a:a + step], horizon)
+        surv += counts.sum(axis=0)
+        took = activates[:, dst].T
+        n_took = np.count_nonzero(took, axis=1)
+        flags[_ranges(filled, filled + n_took)] = parent_ok[:, by_dst].T[took]
+        filled += n_took
+    surv = surv.astype(np.float64)
     alpha = np.full(net.n_edges, config.alpha_init)
     for i in range(net.n_nodes):
         block = net.in_edges(i)
         if block.size == 0:
             continue
         s = surv[block]
-        flags = parent_ok[:, block][activates[:, i]]
-        first, which = _group_rows(_bit_words(flags))
-        sets = flags[first]
+        end = int(node_end[i])
+        node_flags = flags[end - int(activations[i]) * block.size:end].reshape(block.size, -1).T
+        first, which = _group_rows(_bit_words(node_flags))
+        sets = node_flags[first]
         keep = sets.any(axis=1)
         sets = sets[keep].astype(np.float64)
         mult = np.bincount(which, minlength=first.size)[keep].astype(np.float64)

@@ -15,8 +15,9 @@ horizon censoring and snapshot intervals are all special cases of the
 bounds, which keeps every downstream likelihood computation uniform.
 
 A dataset travels from simulation to fit as one :class:`CascadeTable`:
-(M, N) arrays of those bounds, one row per cascade.  Simulation, masking
-and reading produce it; writing, summarizing and fitting consume it, or a
+an (M, N) array of one code per window, 0 for a hidden node, one row per
+cascade, in one or two bytes a cell.  Simulation, masking and reading
+write the codes; writing, summarizing and fitting read them, or a
 sequence of row objects, which they stack a block of rows at a time.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -173,9 +174,10 @@ def _window_status(lo: int, hi: int, T: int) -> tuple:
 
 
 def _row(cls, **fields):
-    """A ``cls`` row (:class:`Cascade` or :class:`ObservedCascade`) that
-    holds ``fields`` as they are, past the conversions of the constructor:
-    the caller passes int64 times or bounds and a bool ``hidden``."""
+    """A ``cls`` instance (a row, :class:`Cascade` or :class:`ObservedCascade`,
+    or a :class:`CascadeTable`) that holds ``fields`` as they are, past the
+    conversions and checks of the constructor: the caller passes int64
+    times or bounds and a bool ``hidden``, or a table's codes."""
     row = object.__new__(cls)
     vars(row).update(fields)
     return row
@@ -187,45 +189,83 @@ def observe_fully(cascade: Cascade) -> ObservedCascade:
     return ObservedCascade(cascade.horizon, t - 1, t.copy(), np.zeros(t.shape[0], dtype=bool))
 
 
-@dataclass(frozen=True, eq=False)
-class CascadeTable:
-    """M cascades over N nodes as (M, N) arrays, one row per cascade.
+def _code_dtype(horizon: int) -> type:
+    """The smallest signed integer type that holds (T + 2)**2, one more than
+    the largest window code of horizon T: int8 up to T = 9, int16 up to
+    T = 179, int32 beyond."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= (horizon + 2) ** 2)
 
-    Row r holds what :class:`ObservedCascade` holds: the int64 window
-    bounds ``lo[r]`` and ``hi[r]`` and the bool ``hidden[r]``.  A
-    ``complete`` table holds simulated cascades, with ``hi`` the recorded
-    times, ``lo = hi - 1`` and nothing hidden.
+
+# the window code of a source, (-1, 0]; a visible node that is no source has a higher one
+_SOURCE = 1
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class CascadeTable:
+    """M cascades over N nodes as one (M, N) array of window codes, one
+    row per cascade.
+
+    Cell (r, i) is 0 when node i is hidden in cascade r, and else the code
+    ``(lo + 1) * (T + 2) + hi + 1`` of its window ``(lo, hi]``, which orders
+    as the pairs do: a source is code 1, and an exact window is a code
+    ``1 (mod T + 3)``.  The codes take the smallest signed integer type
+    that holds ``(T + 2)**2``: one byte a cell up to T = 9, two up to
+    T = 179.  Row r holds what :class:`ObservedCascade` holds, and the
+    int64 window bounds ``lo`` and ``hi`` and the bool ``hidden`` are
+    read-only (M, N) arrays decoded from the codes on first use and kept.
+    The constructor takes those three arrays, encodes them and checks
+    every visible window: ``-1 <= lo < hi <= T``.  A ``complete`` table
+    holds simulated cascades, with ``hi`` the recorded times, ``lo = hi -
+    1`` and nothing hidden.
 
     The table is also the sequence of its rows: ``len``, iteration and an
     integer index give :class:`Cascade` views of ``hi`` for a complete
     table and :class:`ObservedCascade` views otherwise, a slice gives a
-    table of views, and ``==`` compares row by row with a table or a
-    sequence of rows.  ``table + other``, with ``other`` a table or a
-    sequence of rows, stacks the rows of both into a new table; a list
-    ``+=`` a table is extended by the table's rows, as by any sequence.
+    table of views of the codes, and ``==`` compares row by row with a
+    table or a sequence of rows.  ``table + other``, with ``other`` a table
+    or a sequence of rows, stacks the rows of both into a new table; a
+    list ``+=`` a table is extended by the table's rows, as by any
+    sequence.
     """
 
     horizon: int
-    lo: np.ndarray
-    hi: np.ndarray
-    hidden: np.ndarray
+    codes: np.ndarray
     complete: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.int64))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.int64))
-        object.__setattr__(self, "hidden", np.asarray(self.hidden, dtype=bool))
+    def __init__(self, horizon: int, lo, hi, hidden, complete: bool = False):
+        vars(self).update(horizon=horizon, codes=_read_only(_encoded(horizon, lo, hi, hidden)), complete=complete)
+
+    @cached_property
+    def lo(self) -> np.ndarray:
+        lo = np.floor_divide(self.codes, self.horizon + 2, dtype=np.int64)
+        lo -= 1
+        return _read_only(lo)
+
+    @cached_property
+    def hi(self) -> np.ndarray:
+        hi = np.remainder(self.codes, self.horizon + 2, dtype=np.int64)
+        hi -= 1
+        return _read_only(hi)
+
+    @cached_property
+    def hidden(self) -> np.ndarray:
+        return _read_only(self.codes == 0)
 
     @property
     def n_nodes(self) -> int:
-        return self.lo.shape[1]
+        return self.codes.shape[1]
 
     def is_fully_observed(self) -> bool:
         """True when every node of every cascade has an exactly pinned time."""
-        return self.complete or bool(np.all(~self.hidden & (self.hi - self.lo == 1)))
+        return self.complete or bool(np.all(self.codes % (self.horizon + 3) == 1))
 
     def __len__(self) -> int:
-        return self.lo.shape[0]
+        return self.codes.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
@@ -233,7 +273,7 @@ class CascadeTable:
                 return _row(Cascade, horizon=self.horizon, times=self.hi[index])
             return _row(ObservedCascade, horizon=self.horizon, lo=self.lo[index], hi=self.hi[index],
                         hidden=self.hidden[index])
-        return CascadeTable(self.horizon, self.lo[index], self.hi[index], self.hidden[index], self.complete)
+        return _coded_table(self.horizon, self.codes[index], self.complete)
 
     def __iter__(self):
         T = self.horizon
@@ -253,9 +293,26 @@ class CascadeTable:
         return _table([*self, *other])
 
 
-def _complete_table(horizon: int, times: np.ndarray) -> CascadeTable:
-    """The complete table of the (M, N) int64 recorded ``times``."""
-    return CascadeTable(horizon, times - 1, times, np.zeros(times.shape, dtype=bool), complete=True)
+def _encoded(horizon: int, lo, hi, hidden) -> np.ndarray:
+    """The window codes of :class:`CascadeTable` for the bounds ``lo`` and
+    ``hi`` and the flags ``hidden``, 0 where hidden.  A visible window
+    outside [-1, T], or with ``lo >= hi`` (code 0 would read it as hidden),
+    is a :class:`DatasetError`."""
+    seen = ~np.asarray(hidden, dtype=bool)
+    lo, hi = np.asarray(lo, dtype=np.int64)[seen], np.asarray(hi, dtype=np.int64)[seen]
+    codes, in_range = _window_codes(lo, hi, horizon)
+    if not in_range:
+        raise _window_range_error(horizon)
+    if (lo >= hi).any():
+        raise DatasetError("an observed window (lo, hi] must have lo < hi")
+    table = np.zeros(seen.shape, dtype=_code_dtype(horizon))
+    table[seen] = codes
+    return table
+
+
+def _coded_table(horizon: int, codes: np.ndarray, complete: bool = False) -> CascadeTable:
+    """The table of window ``codes`` that hold valid windows, made read-only."""
+    return _row(CascadeTable, horizon=horizon, codes=_read_only(codes), complete=complete)
 
 
 def _table(dataset) -> CascadeTable:
@@ -271,7 +328,8 @@ def _table(dataset) -> CascadeTable:
         return np.concatenate(arrays).reshape(len(arrays), _shared((a.shape[0] for a in arrays), "node counts"))
 
     if all(isinstance(row, Cascade) for row in dataset):
-        return _complete_table(horizon, stacked([row.times for row in dataset]))
+        times = stacked([row.times for row in dataset])
+        return CascadeTable(horizon, times - 1, times, np.zeros(times.shape, dtype=bool), complete=True)
     rows = [observe_fully(row) if isinstance(row, Cascade) else row for row in dataset]
     return CascadeTable(horizon, *(stacked([getattr(row, name) for row in rows]) for name in ("lo", "hi", "hidden")))
 
@@ -418,7 +476,7 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
     n_steps, n_edges = horizon - 1, net.n_edges
     rows = min(n_cascades, max(1, _BLOCK_WORDS // max(1, n_steps * n_edges)))
     threshold = _thresholds(alpha)
-    times = np.empty((n_cascades, net.n_nodes), dtype=np.int64)
+    codes = np.empty((n_cascades, net.n_nodes), dtype=_code_dtype(horizon))
     words = np.empty((rows, n_steps * n_edges), dtype=np.uint64)
     drawer = _SubstreamDrawer(seed)
     for start in range(0, n_cascades, rows):
@@ -434,8 +492,8 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
         words >>= 11
         steps = words[:size].reshape(size, n_steps, n_edges).transpose(1, 2, 0)
         _spread(net, horizon, block, np.less(steps, threshold[:, None], order="C"))
-        times[start:start + size] = block.T
-    return _complete_table(horizon, times)
+        codes[start:start + size] = block.T * (horizon + 3) + 1          # the exact windows (t - 1, t]
+    return _coded_table(horizon, codes, complete=True)
 
 
 # ---------------------------------------------------------------------------
@@ -515,12 +573,14 @@ def monte_carlo_marginals(net: Network, couplings, sources, horizon: int, runs: 
 
 
 @lru_cache(maxsize=16)
-def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The validated hidden nodes of ``mask`` and the (2, T+2) table of the
+def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated hidden nodes of ``mask``, the (2, T+2) table of the
     window ``(lo, hi]`` it leaves of a recorded time tau, in column tau+1
-    for tau in [-1, T]; both read-only.  Times below -1 see what -1 sees
-    and times above T what T sees, so the column of any time is tau + 1
-    clipped into the table.
+    for tau in [-1, T], and the same windows by code: the window code (see
+    :class:`CascadeTable`) that the mask leaves of the exact window of tau
+    in [0, T], at that window's code ``tau (T + 3) + 1``; all read-only.
+    Times below -1 see what -1 sees and times above T what T sees, so the
+    column of any time is tau + 1 clipped into the table.
 
     Point s (0 or a snapshot) sees tau active iff tau <= min(s, T-1); the
     window ends there at the first such s, or at T after the last point.
@@ -533,39 +593,39 @@ def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray,
     before = points[np.maximum(first - 1, 0)]
     table = np.stack([np.where(first == len(points), np.minimum(before, T - 1), before), np.append(seen, T)[first]])
     table[:, 1] = -1, 0
+    by_code = np.zeros((T + 2) ** 2, dtype=_code_dtype(T))
+    by_code[np.arange(T + 1) * (T + 3) + 1] = _window_codes(*table[:, 1:], T)[0]
     hidden = np.array(sorted(mask.hidden_nodes), dtype=np.intp)
-    table.setflags(write=False)
-    hidden.setflags(write=False)
-    return hidden, table
+    return _read_only(hidden), _read_only(table), _read_only(by_code)
 
 
-def apply_mask(cascade: Cascade | CascadeTable, mask: MaskSpec) -> ObservedCascade | CascadeTable:
-    """Reduce a complete cascade, or every cascade of a table, to what the
-    mask lets an observer see.
+def apply_mask(cascade: Cascade | CascadeTable | Sequence[Cascade], mask: MaskSpec) -> ObservedCascade | CascadeTable:
+    """Reduce a complete cascade, or every cascade of a table or of a
+    sequence of rows, to what the mask lets an observer see.
 
     Snapshot semantics: the state is checked at each monitoring time (plus
     time 0, which is always known); a node first seen active at snapshot s
     was recorded in ``(prev, s]``; a snapshot at the horizon can only tell
     "activated by T-1" from "censored".  With ``snapshot_times=None`` every
     time step is monitored and visible nodes keep exact times.  A table
-    must pin every node's time exactly; its recorded times are its ``hi``.
+    must pin every node's time exactly, and its codes are masked by one
+    lookup of each; a sequence of rows is stacked into a table first.
     """
-    if isinstance(cascade, CascadeTable):
-        if not cascade.is_fully_observed():
-            raise DatasetError("cascade is not fully observed")
-        times = cascade.hi
-    else:
-        times = cascade.times
-    T = cascade.horizon
-    hidden_nodes, windows = _mask_table(mask, times.shape[-1], T)
-    lo, hi = windows.take(times + 1, axis=1, mode="clip")
-    # the nodes are the last axis: rows of the transposes
-    lo.T[hidden_nodes] = hi.T[hidden_nodes] = -1
-    hidden = np.zeros(times.shape, dtype=bool)
-    hidden.T[hidden_nodes] = True
-    if times.ndim == 2:
-        return CascadeTable(T, lo, hi, hidden)
-    return _row(ObservedCascade, horizon=T, lo=lo, hi=hi, hidden=hidden)
+    if isinstance(cascade, Cascade):
+        T, times = cascade.horizon, cascade.times
+        hidden_nodes, windows, _ = _mask_table(mask, times.shape[0], T)
+        lo, hi = windows.take(times + 1, axis=1, mode="clip")
+        lo[hidden_nodes] = hi[hidden_nodes] = -1
+        hidden = np.zeros(times.shape, dtype=bool)
+        hidden[hidden_nodes] = True
+        return _row(ObservedCascade, horizon=T, lo=lo, hi=hi, hidden=hidden)
+    table = _table(cascade)
+    if not table.is_fully_observed():
+        raise DatasetError("cascade is not fully observed")
+    hidden_nodes, _, by_code = _mask_table(mask, table.n_nodes, table.horizon)
+    codes = by_code[table.codes]
+    codes[:, hidden_nodes] = 0
+    return _coded_table(table.horizon, codes)
 
 
 def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, exclude: Iterable[int] = ()) -> MaskSpec:
@@ -615,16 +675,17 @@ def _source_groups(dataset: CascadeTable | Sequence[ObservedCascade]) -> tuple[l
     the first such cascade.
     """
     ids: dict[tuple[int, ...], int] = {}
-    set_id = np.concatenate([_source_sets(block.hi, block.hidden, ids) for _start, block in _blocks(dataset)])
+    set_id = np.concatenate([_source_sets(block.codes, ids) for _start, block in _blocks(dataset)])
     keys, rank = _ranked_sets(ids, set_id)
     return keys, rank[set_id]
 
 
-def _source_sets(hi: np.ndarray, hidden: np.ndarray, ids: dict[tuple[int, ...], int]) -> np.ndarray:
-    """The id in ``ids`` of the observed source set (the visible nodes with
-    ``hi == 0``) of each row of a block; a set not in ``ids`` yet is added
-    with the next id.  Rows are grouped by their sets packed into bits."""
-    is_source = ~hidden & (hi == 0)
+def _source_sets(codes: np.ndarray, ids: dict[tuple[int, ...], int]) -> np.ndarray:
+    """The id in ``ids`` of the observed source set (the nodes of window
+    code 1, ``(-1, 0]``) of each row of a block of a table's codes; a set
+    not in ``ids`` yet is added with the next id.  Rows are grouped by
+    their sets packed into bits."""
+    is_source = codes == _SOURCE
     first, which = _group_rows(_bit_words(is_source))
     set_ids = [ids.setdefault(tuple(np.flatnonzero(is_source[row]).tolist()), len(ids)) for row in first.tolist()]
     return np.array(set_ids, dtype=np.intp)[which]
@@ -682,9 +743,15 @@ def _split_rows(items: list, rows: np.ndarray, n_rows: int) -> list[list]:
 def _window_codes(lo: np.ndarray, hi: np.ndarray, T: int) -> tuple[np.ndarray, bool]:
     """Windows ``(lo, hi]`` as int64 codes ``(lo + 1) * (T + 2) + hi + 1``,
     which order as the pairs do, and whether all bounds lie in [-1, T]
-    (outside it the codes mean nothing; see :func:`_window_range_error`)."""
+    (outside it the codes mean nothing; see :func:`_window_range_error`).
+    :class:`CascadeTable` stores them, with code 0, the empty window (-1,
+    -1], for a hidden node."""
     in_range = not lo.size or (min(lo.min(), hi.min()) >= -1 and max(lo.max(), hi.max()) <= T)
-    return (lo + 1) * (T + 2) + hi + 1, in_range
+    codes = lo + 1                   # in place from here: one int64 array, not three
+    codes *= T + 2
+    codes += hi
+    codes += 1
+    return codes, in_range
 
 
 def _window_range_error(T: int) -> DatasetError:
@@ -729,10 +796,10 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     that would not read back (see :func:`_unwritable_label`) is refused
     with a :class:`DatasetError` before anything is written.
 
-    The visible cells are taken a block of rows at a time.  Each block
-    builds one token text per distinct (window, node) pair among its
-    cells, and its lines share those strings, so the work and the memory
-    of a block grow with its cells and not with N or T.
+    The visible cells, the nonzero codes, are taken a block of rows at a
+    time.  Each block builds one token text per distinct (window, node)
+    pair among its cells, and its lines share those strings, so the work
+    and the memory of a block grow with its cells and not with N or T.
     """
     if not len(cascades):
         raise ValueError("no cascades to write")
@@ -744,13 +811,11 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     labels = np.array(net.labels, dtype=object)
     lines = [f"T={T}"]
     for start, block in _blocks(cascades):
-        cells = np.flatnonzero(~block.hidden)
-        codes, in_range = _window_codes(block.lo.ravel()[cells], block.hi.ravel()[cells], T)
-        if not in_range:
-            raise _window_range_error(T)
+        codes = block.codes.ravel()
+        cells = np.flatnonzero(codes)
         rows, nodes = np.divmod(cells, block.n_nodes)
         # pairs keyed window first: their windows come out sorted, which unique sorts fast
-        pairs, which = np.unique(codes * block.n_nodes + nodes, return_inverse=True)
+        pairs, which = np.unique(codes[cells].astype(np.int64) * block.n_nodes + nodes, return_inverse=True)
         codes, nodes = np.divmod(pairs, block.n_nodes)
         codes, window = np.unique(codes, return_inverse=True)
         lo_of, hi_of = _window_bounds(codes, T)
@@ -790,7 +855,8 @@ def read_cascades(net: Network, text: str) -> CascadeTable:
     each ``<label>:<time>``, with whitespace around a token or a number
     ignored.  Each error names its line; on a line, the first offending
     token in order is reported, and a window outside ``-1 <= lo < hi <= T``
-    after all of them.  The cascades come back as one table.
+    after all of them.  The cascades come back as one table, whose codes
+    each block of lines writes with one scatter.
 
     The text is tokenized a block of about ``_READ_BLOCK_CHARS`` characters
     of whole lines at a time, by array passes over its UTF-8 bytes (see
@@ -827,27 +893,22 @@ def read_cascades(net: Network, text: str) -> CascadeTable:
     if not n_cascades and bad is None:
         raise ParseError("cascade file contains no cascades")
 
-    shape = (n_cascades, net.n_nodes)
-    lo = np.full(shape, -1, dtype=np.int64)
-    hi = np.full(shape, -1, dtype=np.int64)
-    hidden = np.ones(shape, dtype=bool)
-    node_of, lo_of, hi_of = tokens.table.T
+    windows = np.zeros((n_cascades, net.n_nodes), dtype=_code_dtype(T))
+    node_of, window_of = tokens.table.T
     done = 0
     for numbers, counts, codes in parts:
         codes = codes.astype(np.intp)
         cells = np.repeat(np.arange(done, done + counts.size) * net.n_nodes, counts) + node_of[codes]
-        hidden.ravel()[cells] = False
-        lo.ravel()[cells] = lo_of[codes]
-        hi.ravel()[cells] = hi_of[codes]
+        windows.ravel()[cells] = window_of[codes]
         # a node listed twice on a line leaves fewer cells than tokens
-        twice = np.count_nonzero(~hidden[done : done + counts.size], axis=1) != counts
+        twice = np.count_nonzero(windows[done : done + counts.size], axis=1) != counts
         if twice.any():
             bad = int(numbers[np.argmax(twice)])
             break
         done += counts.size
     if bad is not None:
         raise tokens.line_error(bad, text.splitlines()[bad - 1])
-    return CascadeTable(T, lo, hi, hidden)
+    return _coded_table(T, windows)
 
 
 # characters of text tokenized at a time by read_cascades, cut after a line end
@@ -1041,8 +1102,9 @@ class _KeyTable:
 
 class _TokenTable:
     """Tokenizes blocks of cascade lines; each distinct token text is
-    decoded once, into its node and window, into node -1 when it is
-    invalid, or into node -2 when it is only whitespace (no token).
+    decoded once, into its node and window code (see
+    :class:`CascadeTable`), into node -1 when it is invalid, or into node
+    -2 when it is only whitespace (no token).
 
     The texts met so far make one vocabulary for all the blocks of a read:
     a token is looked up by its packed key words (:func:`_packed_runs`) in
@@ -1057,8 +1119,8 @@ class _TokenTable:
         self.horizon = horizon
         self.has_nul = has_nul                        # the text holds a NUL byte: see _packed_runs
         self.code_of: dict[bytes, int] = {}
-        self.decoded: list[tuple[int, int, int]] = []
-        self.table = np.empty((0, 3), dtype=np.int64)
+        self.decoded: list[tuple[int, int]] = []
+        self.table = np.empty((0, 2), dtype=np.int64)
         self.key_tables: dict[int, _KeyTable] = {}    # per word count
 
     def scan(self, first: int, lines: list[str]):
@@ -1112,16 +1174,16 @@ class _TokenTable:
         self.decoded.append(self._decode(text.decode("utf-8", "surrogatepass").strip()))
         return code
 
-    def _decode(self, tok: str) -> tuple[int, int, int]:
-        """``(node, lo, hi)`` of a stripped token."""
+    def _decode(self, tok: str) -> tuple[int, int]:
+        """``(node, window code)`` of a stripped token."""
         if not tok:
-            return -2, 0, 0
+            return -2, 0
         try:
             node, spec = _split_token(tok, self.label_index)
             lo, hi = _decode_time(spec, self.horizon, tok)
         except ParseError:
-            return -1, 0, 0
-        return (node, lo, hi) if -1 <= lo < hi <= self.horizon else (-1, 0, 0)
+            return -1, 0
+        return (node, (lo + 1) * (self.horizon + 2) + hi + 1) if -1 <= lo < hi <= self.horizon else (-1, 0)
 
     def line_error(self, lineno: int, raw: str) -> ParseError:
         """The error of a line with no tab, an invalid token or a node

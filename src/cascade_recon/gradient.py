@@ -59,6 +59,7 @@ import numpy as np
 
 from .graph import Network, validate_couplings
 from .cascades import (
+    _SOURCE,
     CascadeTable,
     ObservedCascade,
     _blocks,
@@ -66,8 +67,6 @@ from .cascades import (
     _ranked_sets,
     _source_sets,
     _window_bounds,
-    _window_codes,
-    _window_range_error,
 )
 from .dmp import dmp_forward, initial_susceptible, _propagate
 
@@ -80,11 +79,11 @@ __all__ = [
 
 # Bytes that one batched pass over a chunk of source groups, one block of
 # the summaries' walk over the cascades, or one (rows, |E|) term array of a
-# block of baselines.batch_full_log_likelihood holds: 1 MiB.
+# block of baselines.batch_full_log_likelihood or of NetRate holds: 1 MiB.
 _PASS_BYTES = 1 << 20
 
-# Cells of a block of the summaries' walk: a cell's bounds and its window's
-# row, node, code and key take about 32 bytes.
+# Cells of a block of the summaries' walk: a cell's code and its window's
+# row, node and key, with the sort's copies, take about 32 bytes.
 _SUMMARY_BLOCK_CELLS = _PASS_BYTES // 32
 
 
@@ -120,12 +119,14 @@ class GroupSummary:
 def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list[GroupSummary]:
     """Group cascades by source set and aggregate observation windows.
 
-    One walk over the rows, a block of about ``_SUMMARY_BLOCK_CELLS``
-    cells at a time, finds each row's source set
+    One walk over the table's codes, a block of about
+    ``_SUMMARY_BLOCK_CELLS`` cells at a time, finds each row's source set
     (:func:`cascades._source_sets`, numbered as first met) and makes each
-    window of a visible non-source node one int64 key that orders by (set,
-    node, lo, hi).  A block's counted keys are a run, and runs of equally
-    many blocks merge as a binary counter carries, so a key is sorted about
+    window of a visible non-source node (a code above ``_SOURCE``) one
+    int64 key that orders by (set, node, lo, hi), with the window code as
+    its last digit, so no bounds are decoded until the keys are counted.
+    A block's counted keys are a run, and runs of equally many blocks
+    merge as a binary counter carries, so a key is sorted about
     log2(blocks) times.  The sets are then ranked in sorted order and the
     keys renumbered, so the rows come out ordered by (group, node, lo, hi).
     """
@@ -133,17 +134,15 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     n_codes = (T + 2) ** 2                                   # window codes lie in [0, (T + 2)**2)
     ids: dict[tuple[int, ...], int] = {}
     set_ids = []
-    in_range = True
     runs = []                                                # (blocks, keys, counts), blocks falling
     for _start, block in _blocks(dataset, _SUMMARY_BLOCK_CELLS):
-        lo, hi, hidden, n_nodes = block.lo, block.hi, block.hidden, block.n_nodes
-        set_id = _source_sets(hi, hidden, ids)
+        codes, n_nodes = block.codes, block.n_nodes
+        set_id = _source_sets(codes, ids)
         set_ids.append(set_id)
-        seen = ~hidden & (hi > 0)
-        rows, nodes = np.nonzero(seen)
-        codes, block_in_range = _window_codes(lo[seen], hi[seen], T)
-        in_range &= block_in_range
-        run = (1, *np.unique((set_id[rows] * n_nodes + nodes) * n_codes + codes, return_counts=True))
+        rows, nodes = np.nonzero(codes > _SOURCE)
+        # int64 before the codes are added: an int8 or int16 product would wrap
+        keys = (set_id[rows] * n_nodes + nodes) * n_codes + codes[rows, nodes]
+        run = (1, *np.unique(keys, return_counts=True))
         while runs and runs[-1][0] == run[0]:
             run = _merged([runs.pop(), run])
         runs.append(run)
@@ -151,8 +150,6 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     runs.clear()                                             # as large as the keys
     set_id = np.concatenate(set_ids)
     sources, rank = _ranked_sets(ids, set_id)
-    if not in_range:
-        raise _window_range_error(T)
     rest, codes = np.divmod(keys, n_codes)
     group, nodes = np.divmod(rest, n_nodes)
     group = rank[group]

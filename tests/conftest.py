@@ -4,6 +4,7 @@ likelihood by a loop over nodes and the chain's cascade probability."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,6 +119,32 @@ def random_masked_cases(rng: np.random.Generator):
                 + generate_dataset(net, alpha, 30, sources[1:], T, seed + 2)
             )
             yield net, cascades, MaskSpec(hidden, snapshots)
+
+
+def reference_summaries(dataset) -> list[tuple]:
+    """The ``Counter``-based grouping and window count that
+    ``summarize_dataset`` replaced, kept as its reference: one tuple of
+    (sources, nodes, lo, hi, counts, n_cascades) per source group, from the
+    int64 bounds of each row."""
+    groups = {}
+    for obs in dataset:
+        groups.setdefault(tuple(int(s) for s in obs.sources), []).append(obs)
+    out = []
+    for sources in sorted(groups):
+        counter = Counter()
+        for obs in groups[sources]:
+            for i in np.flatnonzero(~obs.hidden & (obs.hi > 0)):
+                counter[(int(i), int(obs.lo[i]), int(obs.hi[i]))] += 1
+        keys = sorted(counter)
+        out.append((
+            sources,
+            np.array([k[0] for k in keys], dtype=np.intp),
+            np.array([k[1] for k in keys], dtype=np.int64),
+            np.array([k[2] for k in keys], dtype=np.int64),
+            np.array([counter[k] for k in keys], dtype=np.float64),
+            len(groups[sources]),
+        ))
+    return out
 
 
 def reference_full_log_likelihood(cascade: Cascade, net: Network, couplings) -> float:

@@ -194,6 +194,34 @@ class TestNetrate:
         back = [net.edge_id(relabel[i], relabel[j]) for i, j in map(net.edge_pair, range(net.n_edges))]
         np.testing.assert_allclose(alpha_flipped[back], alpha, rtol=0.0, atol=1e-9)
 
+    def test_blocks_of_rows_change_no_bit(self, rng, monkeypatch):
+        # row blocks of 1, 7 and 64 rows give the couplings of one block of
+        # all 500 rows, bit for bit
+        from cascade_recon import baselines
+
+        net = random_loopy_net(9, 10, rng)
+        data = generate_dataset(net, random_couplings(net, rng, 0.1, 0.7), 500, "random", 6, seed=4)
+        want = netrate_fit(data, net)
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(baselines, "_PASS_BYTES", 8 * net.n_edges * rows)
+            assert netrate_fit(data, net).tobytes() == want.tobytes()
+
+    def test_peak_is_bounded(self):
+        # the data of test_batch_peak_is_bounded: the (M, |E|) terms at once
+        # peak above 100 MiB
+        import tracemalloc
+        from importlib import resources
+
+        net, alpha = parse_edge_list(resources.files("cascade_recon").joinpath("data/hub30.edges").read_text())
+        data = generate_dataset(net, alpha, 20_000, "random", 10, seed=5)
+        tracemalloc.start()
+        try:
+            netrate_fit(data, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
 
 class TestMarginalizedLikelihood:
     def test_total_probability_single_edge(self, edge01):

@@ -45,6 +45,7 @@ from conftest import (
     random_couplings,
     random_loopy_net,
     random_masked_cases,
+    reference_summaries,
 )
 
 
@@ -446,6 +447,80 @@ class TestCascadeTable:
         with pytest.raises(DatasetError, match="^cascade is not fully observed$"):
             apply_mask(back, MaskSpec())
         assert apply_mask(back[:1], MaskSpec()) == back[:1]
+
+    def test_windows_are_checked_once_at_construction(self):
+        with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 5\]$"):
+            CascadeTable(5, [[-1, 3]], [[0, 7]], [[False, False]])
+        # (2, 2] is empty: its code would read as hidden
+        for lo, hi in ((2, 2), (3, 1)):
+            with pytest.raises(DatasetError, match=r"^an observed window \(lo, hi\] must have lo < hi$"):
+                CascadeTable(5, [[-1, lo]], [[0, hi]], [[False, False]])
+        # a hidden cell's bounds are not read; it decodes as (-1, -1]
+        table = CascadeTable(5, [[-1, 9]], [[0, 2]], [[False, True]])
+        assert table.codes.tolist() == [[1, 0]] and table.codes.dtype == np.int8
+        assert (table.lo.tolist(), table.hi.tolist(), table.hidden.tolist()) == ([[-1, -1]], [[0, -1]], [[False, True]])
+        for name in ("lo", "hi", "hidden", "codes"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0, 0] = 1
+
+    def test_compact_path_never_decodes_a_table(self, rng, monkeypatch):
+        # simulation, masking, reading, writing, summarizing and fitting read
+        # and write the codes alone: no int64 bounds of a table, nor of a
+        # block of one
+        for name in ("lo", "hi", "hidden"):
+            monkeypatch.setattr(CascadeTable, name, property(lambda table, name=name: pytest.fail(f"{name} decoded")))
+        net = random_loopy_net(8, 6, rng)
+        alpha = random_couplings(net, rng, 0.1, 0.9)
+        mask = MaskSpec(frozenset({5}), (2, 4, 6))
+        data = generate_dataset(net, alpha, 200, [0, 1], 6, seed=3)
+        observed = apply_mask(data, mask)
+        back = read_cascades(net, write_cascades(net, observed))
+        dmprec_fit(back, net, FitConfig(max_iters=2))
+        free_energy_gradient(back, net, alpha)
+        gradient.summarize_dataset(back)
+        full = read_cascades(net, write_cascades(net, data))
+        assert full.is_fully_observed() and not back.is_fully_observed()
+        assert np.array_equal(apply_mask(full, mask).codes, back.codes)
+        assert np.array_equal(back.codes, observed.codes)
+
+
+class TestCodeDtypes:
+    """The window codes take int8 up to T = 9, int16 up to T = 179 and
+    int32 beyond.  On each side of both switches, on 300 nodes, so that
+    the writer's (window, node) pairs and the summaries' (set, node,
+    window) keys outgrow the codes' dtype, every pass gives what the int64
+    references give."""
+
+    @pytest.mark.parametrize("T, dtype", [(9, np.int8), (10, np.int16), (179, np.int16), (180, np.int32)])
+    def test_passes_match_the_int64_references(self, T, dtype):
+        rng = np.random.default_rng(T)
+        net = random_loopy_net(300, 60, rng)
+        alpha = random_couplings(net, rng, 0.005, 0.2)
+        data = generate_dataset(net, alpha, 24, [3, 100], T, seed=T) + generate_dataset(net, alpha, 24, [7], T, seed=1)
+        snapshots = tuple(sorted({T, T - 1, *rng.choice(T, 4, replace=False).tolist()}))
+        mask = MaskSpec(frozenset(range(250, 300)), snapshots)
+        observed = apply_mask(data, mask)
+        assert data.codes.dtype == observed.codes.dtype == dtype
+        assert observed.hi.max() == T and ((observed.hi - observed.lo)[~observed.hidden] > 1).any()
+        for obs, c in zip(observed, data):
+            _assert_identical(obs, _reference_apply_mask(c, mask))
+        windows = _random_windows(rng, 40, net.n_nodes, T)
+        for table in (data, observed, windows):
+            text = write_cascades(net, table)
+            assert text == _reference_write_cascades(net, table)
+            back = read_cascades(net, text)
+            assert back.codes.dtype == dtype
+            for got, want in zip(back, _reference_read_cascades(net, text)):
+                _assert_identical(got, want)
+        rows = list(observed)
+        got = gradient.summarize_dataset(observed)
+        want = reference_summaries(rows)
+        assert len(got) == len(want) == 2
+        for summ, (sources, nodes, lo, hi, counts, n_cascades) in zip(got, want):
+            assert (summ.sources, summ.n_cascades) == (sources, n_cascades)
+            for x, y in ((summ.nodes, nodes), (summ.lo, lo), (summ.hi, hi), (summ.counts, counts)):
+                assert x.dtype == y.dtype
+                np.testing.assert_array_equal(x, y)
 
 
 class TestNetworkWidth:
@@ -974,17 +1049,22 @@ class TestInputPathMemory:
             tracemalloc.stop()
         return result, held, peak
 
+    # The reader's ceilings are absolute: the table it returns is 2 bytes a
+    # cell, so a ceiling relative to it would bound the transient work alone.
+    # Each is half the peak of the reader that held int64 bounds (7.88 MiB
+    # and 19.3 MiB).
+
     def test_read_peaks_near_the_dataset_size(self, pa_data):
         net, observed, text = pa_data
-        back, held, peak = self._traced(lambda: read_cascades(net, text))
+        back, _held, peak = self._traced(lambda: read_cascades(net, text))
         assert len(back) == len(observed)
-        assert peak <= 1.5 * held
+        assert peak <= 3.9 * 2**20
 
     def test_read_with_many_distinct_tokens_peaks_near_the_dataset_size(self, many_tokens):
         net, text = many_tokens
-        back, held, peak = self._traced(lambda: read_cascades(net, text))
+        back, _held, peak = self._traced(lambda: read_cascades(net, text))
         assert len(back) == 300
-        assert peak <= 1.5 * held
+        assert peak <= 9.6 * 2**20
 
     def test_summarize_peaks_little_above_its_input(self, pa_data):
         from cascade_recon.gradient import summarize_dataset

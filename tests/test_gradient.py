@@ -32,6 +32,7 @@ from conftest import (
     random_loopy_net,
     random_masked_cases,
     random_tree_net,
+    reference_summaries,
     sum_matrices,
 )
 
@@ -107,38 +108,11 @@ def _reference_window_weights(log_step, rows):
     return -rows.counts * log_p, weights
 
 
-def _reference_summaries(dataset):
-    """The ``Counter``-based grouping and window count that
-    ``summarize_dataset`` replaced, kept as its reference: one tuple of
-    (sources, nodes, lo, hi, counts, n_cascades) per source group."""
-    from collections import Counter
-
-    groups = {}
-    for obs in dataset:
-        groups.setdefault(tuple(int(s) for s in obs.sources), []).append(obs)
-    out = []
-    for sources in sorted(groups):
-        counter = Counter()
-        for obs in groups[sources]:
-            for i in np.flatnonzero(~obs.hidden & (obs.hi > 0)):
-                counter[(int(i), int(obs.lo[i]), int(obs.hi[i]))] += 1
-        keys = sorted(counter)
-        out.append((
-            sources,
-            np.array([k[0] for k in keys], dtype=np.intp),
-            np.array([k[1] for k in keys], dtype=np.int64),
-            np.array([k[2] for k in keys], dtype=np.int64),
-            np.array([counter[k] for k in keys], dtype=np.float64),
-            len(groups[sources]),
-        ))
-    return out
-
-
 class TestSummaries:
     @staticmethod
     def _assert_matches_reference(dataset):
         got = summarize_dataset(dataset)
-        want = _reference_summaries(dataset)
+        want = reference_summaries(dataset)
         assert len(got) == len(want)
         for summ, (sources, nodes, lo, hi, counts, n_cascades) in zip(got, want):
             assert (summ.sources, summ.n_cascades) == (sources, n_cascades)
