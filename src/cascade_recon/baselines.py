@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DatasetError
-from .graph import Network, validate_couplings
+from .graph import Network, _ranges, validate_couplings
 from .cascades import (
     _MASK64,
     _SAMPLE_ROWS,
@@ -38,7 +38,6 @@ from .cascades import (
     _bit_words,
     _group_rows,
     _horizon,
-    _ranges,
     _source_groups,
     _table,
     sample_recorded_times,
@@ -121,7 +120,8 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     Unrealizable rows come back around -1e12 instead of -inf so that sums
     and argmax stay NaN-free; anything below -1e11 means impossible.  The
     rows run in blocks whose (rows, |E|) terms fit ``_PASS_BYTES``, so the
-    memory does not grow with M.
+    memory does not grow with M.  Each row is summed alone (C order, no
+    matrix product), so its bits do not depend on the batch.
     """
     alpha = validate_couplings(net, couplings)
     times = np.asarray(times, dtype=np.int64)
@@ -138,7 +138,7 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
         stay = net._in_sum((parent_ok * log_surv).T).T
         with np.errstate(divide="ignore", invalid="ignore"):
             log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
-        total[a:a + step] = counts @ log_surv + np.where(activates, log_act, 0.0).sum(axis=1)
+        total[a:a + step] = np.multiply(counts, log_surv, order="C").sum(axis=1) + np.where(activates, log_act, 0.0).sum(axis=1)
     return total
 
 
@@ -178,16 +178,16 @@ def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -
     (in-degree, activations) slice of it.
     """
     step = max(1, _PASS_BYTES // (8 * max(1, net.n_edges)))
-    by_dst = np.argsort(net.edge_dst, kind="stable")        # node by node, each node's in_edges
+    by_dst, ptr = net._in_order, net._in_ptr                # node by node, each node's in_edges
     dst = net.edge_dst[by_dst]
     activations = np.zeros(net.n_nodes, dtype=np.int64)
     for a in range(0, len(times), step):
         rows = times[a:a + step]
         activations += np.count_nonzero((rows > 0) & (rows < horizon), axis=0)
     run = activations[dst]                                  # the flags of each edge's run
-    filled = np.cumsum(run) - run                           # where each run's next flag goes
-    flags = np.empty(int(run.sum()), dtype=bool)
-    node_end = np.cumsum(activations * np.bincount(dst, minlength=net.n_nodes))
+    start = np.concatenate(([0], np.cumsum(run)))           # where each run begins, and the end
+    filled = start[:-1].copy()                              # where each run's next flag goes
+    flags = np.empty(int(start[-1]), dtype=bool)
     surv = np.zeros(net.n_edges, dtype=np.int64)
     for a in range(0, len(times), step):
         counts, parent_ok, activates = _full_terms(net, times[a:a + step], horizon)
@@ -198,13 +198,10 @@ def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -
         filled += n_took
     surv = surv.astype(np.float64)
     alpha = np.full(net.n_edges, config.alpha_init)
-    for i in range(net.n_nodes):
+    for i in np.flatnonzero(np.diff(ptr)).tolist():          # the nodes with in-edges
         block = net.in_edges(i)
-        if block.size == 0:
-            continue
         s = surv[block]
-        end = int(node_end[i])
-        node_flags = flags[end - int(activations[i]) * block.size:end].reshape(block.size, -1).T
+        node_flags = flags[start[ptr[i]]:start[ptr[i + 1]]].reshape(block.size, -1).T
         first, which = _group_rows(_bit_words(node_flags))
         sets = node_flags[first]
         keep = sets.any(axis=1)

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DatasetError, ParseError
-from .graph import Network, validate_couplings
+from .graph import Network, _ranges, _read_only, validate_couplings
 
 __all__ = [
     "Cascade",
@@ -200,11 +200,6 @@ def _code_dtype(horizon: int) -> type:
 _SOURCE = 1
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class CascadeTable:
     """M cascades over N nodes as one (M, N) array of window codes, one
@@ -226,11 +221,10 @@ class CascadeTable:
     The table is also the sequence of its rows: ``len``, iteration and an
     integer index give :class:`Cascade` views of ``hi`` for a complete
     table and :class:`ObservedCascade` views otherwise, a slice gives a
-    table of views of the codes, and ``==`` compares row by row with a
-    table or a sequence of rows.  ``table + other``, with ``other`` a table
-    or a sequence of rows, stacks the rows of both into a new table; a
-    list ``+=`` a table is extended by the table's rows, as by any
-    sequence.
+    table of views of the codes, ``==`` compares row by row with a sequence
+    of rows and by horizon, ``complete`` and codes with a table, and ``+``
+    stacks a table's codes (complete when both are) or a sequence's rows
+    into a new table; a list ``+=`` a table is extended by its rows.
     """
 
     horizon: int
@@ -283,12 +277,18 @@ class CascadeTable:
                 for lo, hi, hidden in zip(self.lo, self.hi, self.hidden))
 
     def __eq__(self, other):
-        if not isinstance(other, (CascadeTable, list, tuple)):
+        if isinstance(other, CascadeTable):
+            return (self.horizon, self.complete) == (other.horizon, other.complete) and np.array_equal(self.codes, other.codes)
+        if not isinstance(other, (list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __add__(self, other):
-        if not isinstance(other, (CascadeTable, list, tuple)):
+        if isinstance(other, CascadeTable):
+            horizon = _shared((self.horizon, other.horizon), "horizons")
+            _shared((self.n_nodes, other.n_nodes), "node counts")
+            return _coded_table(horizon, np.concatenate((self.codes, other.codes)), self.complete and other.complete)
+        if not isinstance(other, (list, tuple)):
             return NotImplemented
         return _table([*self, *other])
 
@@ -988,16 +988,6 @@ def _token_spans(lines: list[str]):
     per_line = np.diff(np.append(np.flatnonzero(event[cut] == _BODY), cut.size)) - 1
     line = np.repeat(np.flatnonzero(has_tab), per_line)
     return data, cascade, has_tab, pos[cut[run]] + 1, pos[cut[run + 1]], line
-
-
-def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The integers of the ranges ``[start, stop)``, in order."""
-    size = stop - start
-    if (size == 1).all():            # each interval's (lo,hi] holds one comma
-        return start
-    filled = size > 0
-    start, size = start[filled], size[filled]
-    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
 
 
 # mask of the first k bytes of a little-endian word, for k in 0..8

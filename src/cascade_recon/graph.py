@@ -1,11 +1,12 @@
 """Directed weighted graphs with stable dense edge indexing.
 
 A :class:`Network` maps arbitrary node labels to dense indices ``0..N-1``
-and directed edges to dense edge ids ``0..|E|-1``.  The edge ordering is
-canonical: lexicographic by ``(src index, dst index)`` after sorting node
-labels, so the same edge-list file always produces the same indexing.
-Transmission probabilities ("couplings") are plain float64 arrays of
-length ``|E|`` aligned with that edge order.
+and directed edges to dense edge ids ``0..|E|-1``, lexicographic by ``(src
+index, dst index)`` after sorting node labels, so the same edge-list file
+always produces the same indexing; couplings are float64 arrays of length
+``|E|`` in that order.  The incidence is held once, in CSR form: node i's
+out-edges are the ids ``_out_ptr[i]:_out_ptr[i+1]``, its in-edges the ids
+at ``_in_ptr[i]:_in_ptr[i+1]`` of ``_in_order``, a stable argsort of ``edge_dst``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,21 @@ def _label_key(label: str):
         return (1, 0, label)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The integers of the ranges ``[start, stop)``, in order."""
+    size = stop - start
+    if (size == 1).all():            # each range holds one integer
+        return start
+    filled = size > 0
+    start, size = start[filled], size[filled]
+    return np.repeat(start - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
 class Network:
     """Immutable directed graph over dense node and edge indices.
 
@@ -54,52 +70,53 @@ class Network:
             raise ParseError("duplicate node labels")
         self.labels: tuple[str, ...] = tuple(sorted(labels, key=_label_key))
         self.label_index: dict[str, int] = {s: i for i, s in enumerate(self.labels)}
-        self.n_nodes = len(self.labels)
+        self.n_nodes = N = len(self.labels)
 
-        pairs = []
-        seen = set()
-        for src, dst in edges:
-            i, j = self.label_index[str(src)], self.label_index[str(dst)]
-            if i == j:
+        # the first edge with an unknown label (-1), a self-loop or a repeated
+        # key is refused, with the error a loop over the edges would raise
+        edges = [(src, dst) for src, dst in edges]
+        ends = np.array([[self.label_index.get(str(s), -1) for s in pair] for pair in edges], dtype=np.intp).reshape(-1, 2)
+        keys = ends[:, 0] * N + ends[:, 1]
+        order = np.argsort(keys, kind="stable")
+        bad = (ends < 0).any(axis=1) | (ends[:, 0] == ends[:, 1])
+        bad[order[1:]] |= keys[order[1:]] == keys[order[:-1]]
+        if bad.any():
+            src, dst = edges[int(np.argmax(bad))]
+            if self.label_index[str(src)] == self.label_index[str(dst)]:
                 raise ParseError(f"self-loop at node {src!r}")
-            if (i, j) in seen:
-                raise ParseError(f"duplicate edge {src!r}->{dst!r}")
-            seen.add((i, j))
-            pairs.append((i, j))
-        pairs.sort()
-        self.n_edges = len(pairs)
-        self.edge_src = np.array([p[0] for p in pairs], dtype=np.intp)
-        self.edge_dst = np.array([p[1] for p in pairs], dtype=np.intp)
-        self._edge_index = {p: e for e, p in enumerate(pairs)}
-
-        self._in_edges = [[] for _ in range(self.n_nodes)]
-        self._out_edges = [[] for _ in range(self.n_nodes)]
-        for e, (i, j) in enumerate(pairs):
-            self._out_edges[i].append(e)
-            self._in_edges[j].append(e)
-        self._in_edges = [np.array(v, dtype=np.intp) for v in self._in_edges]
-        self._out_edges = [np.array(v, dtype=np.intp) for v in self._out_edges]
+            raise ParseError(f"duplicate edge {src!r}->{dst!r}")
+        self._edge_keys = keys[order]
+        self.n_edges = self._edge_keys.size
+        self.edge_src, self.edge_dst = np.divmod(self._edge_keys, max(N, 1))
+        self._out_ptr = np.searchsorted(self.edge_src, np.arange(N + 1))
+        self._in_order = _read_only(np.argsort(self.edge_dst, kind="stable"))
+        self._in_ptr = np.searchsorted(self.edge_dst[self._in_order], np.arange(N + 1))
 
     # -- basic queries ---------------------------------------------------
 
     def edge_id(self, src: int, dst: int) -> int:
         """Dense id of the directed edge (src, dst); KeyError if absent."""
-        return self._edge_index[(src, dst)]
+        e = int(np.searchsorted(self._edge_keys, src * self.n_nodes + dst))
+        if e < self.n_edges and self.edge_pair(e) == (src, dst):
+            return e
+        raise KeyError((src, dst))
 
     def edge_pair(self, e: int) -> tuple[int, int]:
         return int(self.edge_src[e]), int(self.edge_dst[e])
 
     def in_edges(self, i: int) -> np.ndarray:
-        """Edge ids of edges (k, i), sorted by source index."""
-        return self._in_edges[i]
+        """Edge ids of edges (k, i), sorted by source index; read-only."""
+        i = range(self.n_nodes)[i]
+        return self._in_order[self._in_ptr[i]:self._in_ptr[i + 1]]
 
     def in_neighbors(self, i: int) -> list[int]:
         """Sorted in-neighbor indices of node ``i``."""
-        return [int(self.edge_src[e]) for e in self._in_edges[self._node(i)]]
+        return self.edge_src[self.in_edges(self._node(i))].tolist()
 
     def out_neighbors(self, i: int) -> list[int]:
         """Sorted out-neighbor indices of node ``i``."""
-        return [int(self.edge_dst[e]) for e in self._out_edges[self._node(i)]]
+        i = self._node(i)
+        return self.edge_dst[self._out_ptr[i]:self._out_ptr[i + 1]].tolist()
 
     def _node(self, i: int) -> int:
         if not 0 <= i < self.n_nodes:
@@ -107,7 +124,8 @@ class Network:
         return i
 
     def out_degree(self, i: int) -> int:
-        return len(self._out_edges[i])
+        i = range(self.n_nodes)[i]
+        return int(self._out_ptr[i + 1] - self._out_ptr[i])
 
     # -- derived structure used by the message-passing code ---------------
 
@@ -115,8 +133,9 @@ class Network:
     def _cavity(self) -> tuple[np.ndarray, np.ndarray]:
         """The cavity as edge-id pairs in CSR order: row e = (k, i) holds
         the in-edges of k other than (i, k), ascending."""
-        rows = np.repeat(np.arange(self.n_edges), np.bincount(self.edge_dst, minlength=self.n_nodes)[self.edge_src])
-        cols = np.concatenate([np.empty(0, np.intp), *(self._in_edges[k] for k in self.edge_src)])
+        start, stop = self._in_ptr[self.edge_src], self._in_ptr[self.edge_src + 1]
+        rows = np.repeat(np.arange(self.n_edges), stop - start)
+        cols = self._in_order[_ranges(start, stop)]
         keep = self.edge_src[cols] != self.edge_dst[rows]
         return rows[keep], cols[keep]
 
@@ -214,10 +233,9 @@ def parse_edge_list(text) -> tuple[Network, np.ndarray | None]:
     net = Network({s for s, _, _ in rows} | {d for _, d, _ in rows}, [(s, d) for s, d, _ in rows])
     if n_cols == 2:
         return net, None
-    alpha = np.empty(net.n_edges, dtype=np.float64)
-    for src, dst, a in rows:
-        alpha[net.edge_id(net.label_index[src], net.label_index[dst])] = a
-    return net, alpha
+    # the canonical edge order is the rows' order by (src, dst) index
+    order = np.lexsort([[net.label_index[row[k]] for row in rows] for k in (1, 0)])
+    return net, np.array([a for _, _, a in rows], dtype=np.float64)[order]
 
 
 def serialize_edge_list(net: Network, couplings=None) -> str:
@@ -225,8 +243,9 @@ def serialize_edge_list(net: Network, couplings=None) -> str:
     network that would not read back, with a node on no edge or a label
     that is empty or holds whitespace or ``#``, is refused with a
     :class:`DatasetError` before anything is written."""
-    bad = next((label for label, ins, outs in zip(net.labels, net._in_edges, net._out_edges)
-                if label.split() != [label] or "#" in label or not ins.size + outs.size), None)
+    degree = np.diff(net._out_ptr) + np.diff(net._in_ptr)
+    bad = next((label for label, used in zip(net.labels, degree.tolist())
+                if label.split() != [label] or "#" in label or not used), None)
     if bad is not None:
         raise DatasetError(f"node {bad!r} cannot be written to an edge list: a node there is on an edge, "
                            "and its label is not empty and holds no whitespace or '#'")

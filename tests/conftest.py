@@ -1,17 +1,19 @@
 """Shared fixtures, deterministic graph builders and the references the
-test suite compares against: the forward-mode gradient, the exact
-likelihood by a loop over nodes and the chain's cascade probability."""
+test suite compares against: the network's incidence by a loop over
+edges, the forward-mode gradient, the exact likelihood by a loop over
+nodes and the chain's cascade probability."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cascade_recon import Cascade, DmpTrace, MaskSpec, Network, dmp_forward, generate_dataset
+from cascade_recon import Cascade, DmpTrace, MaskSpec, Network, ParseError, dmp_forward, generate_dataset
 from cascade_recon.dmp import _propagate
 
 
@@ -69,6 +71,32 @@ def preferential_attachment_net(n: int, m: int, rng: np.random.Generator) -> Net
         edges.append((str(u), str(v)))
         edges.append((str(v), str(u)))
     return Network([str(i) for i in range(n)], edges)
+
+
+def reference_incidence(labels, edges) -> SimpleNamespace:
+    """``Network(labels, edges)``'s incidence by the loop over the edges
+    that its array construction replaced, kept as its reference: the
+    (src, dst) index pairs in canonical order as ``pairs``, each node's in-
+    and out-edge ids as ``ins`` and ``outs``, the pair-to-id map ``ids``
+    and the cavity's index pair ``cavity``.  The first edge with an
+    unknown label, a self-loop or a repeated pair raises what the
+    constructor raises."""
+    index = Network(labels, []).label_index
+    pairs, seen = [], set()
+    for src, dst in edges:
+        i, j = index[str(src)], index[str(dst)]
+        if i == j:
+            raise ParseError(f"self-loop at node {src!r}")
+        if (i, j) in seen:
+            raise ParseError(f"duplicate edge {src!r}->{dst!r}")
+        seen.add((i, j))
+        pairs.append((i, j))
+    pairs.sort()
+    ins = [[e for e, (_, j) in enumerate(pairs) if j == k] for k in range(len(index))]
+    outs = [[e for e, (i, _) in enumerate(pairs) if i == k] for k in range(len(index))]
+    cavity = [(e, f) for e, (k, i) in enumerate(pairs) for f in ins[k] if pairs[f][0] != i]
+    return SimpleNamespace(pairs=pairs, ins=ins, outs=outs, ids={p: e for e, p in enumerate(pairs)},
+                           cavity=([e for e, _ in cavity], [f for _, f in cavity]))
 
 
 def sum_matrices(net: Network, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:

@@ -88,6 +88,29 @@ class TestFullLogLikelihood:
                     assert row == pytest.approx(expect, abs=1e-9)
                     assert full_log_likelihood(c, net, alpha) == pytest.approx(expect, abs=1e-9)
 
+    def test_each_row_is_its_own_call(self, rng, monkeypatch):
+        # a row's bits come from that row alone: the batch equals one-row
+        # calls and any split of it, on hub30 and on random graphs of odd and
+        # even edge counts, in one block of rows and in blocks of 64
+        from importlib import resources
+
+        from cascade_recon import baselines
+
+        hub, hub_alpha = parse_edge_list(resources.files("cascade_recon").joinpath("data/hub30.edges").read_text())
+        cases = [(hub, hub_alpha, 10)]
+        for _ in range(4):
+            net = random_loopy_net(int(rng.integers(5, 30)), int(rng.integers(0, 40)), rng)
+            cases.append((net, random_couplings(net, rng, 0.05, 0.95), 8))
+        for rows_per_block in (None, 64):
+            for net, alpha, T in cases:
+                if rows_per_block:
+                    monkeypatch.setattr(baselines, "_PASS_BYTES", rows_per_block * 8 * max(1, net.n_edges))
+                data = generate_dataset(net, alpha, 300, "random", T, seed=5)
+                whole = batch_full_log_likelihood(net, alpha, data.hi, T)
+                assert whole.tobytes() == np.array([full_log_likelihood(c, net, alpha) for c in data]).tobytes()
+                split = [batch_full_log_likelihood(net, alpha, data.hi[a:a + 7], T) for a in range(0, 300, 7)]
+                assert whole.tobytes() == np.concatenate(split).tobytes()
+
     def test_one_row_of_the_batch_is_minus_inf_where_impossible(self, rng):
         # random time vectors, many unrealizable, and couplings of exactly 0 and 1 on some edges
         for net in (random_loopy_net(7, 6, rng), chain_net(4)):

@@ -431,8 +431,10 @@ class TestCascadeTable:
         mixed = a + [observe_fully(c) for c in b]
         assert isinstance(mixed, CascadeTable) and not mixed.complete
         assert mixed == [observe_fully(c) for c in both]
-        with pytest.raises(DatasetError, match="mismatched horizons"):
+        with pytest.raises(DatasetError, match=r"^cascades with mismatched horizons: \[5, 6\]$"):
             a + generate_dataset(chain3, [0.5, 0.5], 2, [0], 6, seed=2)
+        with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[2, 3\]$"):
+            a + generate_dataset(chain_net(2), [0.5], 2, [0], 5, seed=2)
 
     def test_mask_of_a_table_masks_each_row(self, rng):
         for _net, cascades, mask in random_masked_cases(rng):
@@ -482,6 +484,12 @@ class TestCascadeTable:
         assert full.is_fully_observed() and not back.is_fully_observed()
         assert np.array_equal(apply_mask(full, mask).codes, back.codes)
         assert np.array_equal(back.codes, observed.codes)
+        # two tables compare and stack by their codes
+        assert back == observed and back != full and data != full and back != back[1:]
+        both = back + observed
+        assert both == observed + back and both != full + back and not both.complete
+        assert np.array_equal(both.codes, np.concatenate((back.codes, back.codes)))
+        assert (data + data).complete and not (data + full).complete
 
 
 class TestCodeDtypes:

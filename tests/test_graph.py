@@ -1,13 +1,15 @@
 """Edge-list parsing, dense indexing, and neighborhood queries."""
 
+import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from cascade_recon import DatasetError, Network, ParseError, parse_edge_list, serialize_edge_list
 
-from conftest import random_loopy_net, sum_matrices
+from conftest import random_loopy_net, reference_incidence, sum_matrices
 
 
 def test_two_edge_chain():
@@ -168,6 +170,50 @@ def test_in_out_consistent_with_edge_list(rng):
     n_in = sum(len(net.in_neighbors(i)) for i in range(net.n_nodes))
     n_out = sum(len(net.out_neighbors(i)) for i in range(net.n_nodes))
     assert n_in == n_out == net.n_edges
+
+
+def test_constructor_matches_the_reference_loop(rng):
+    # random edge lists over integer-looking and text labels, some given as
+    # ints, with labels on no edge, self-loops, repeated pairs and unknown
+    # labels: the arrays hold what the loop over the edges gives, or the
+    # first bad edge raises the same exception
+    pool = ["0", "1", "2", "3", "10", "01", "+1", "a", "b", "é", "x#y"]
+    outcomes = Counter()
+    for _ in range(200):
+        labels = rng.choice(pool, size=int(rng.integers(2, 8)), replace=False).tolist()
+        ends = [int(x) if x.isdigit() and rng.random() < 0.3 else x for x in labels]
+        picks = [tuple(rng.choice(len(ends), 2, replace=False)) for _ in range(int(rng.integers(0, 14)))]
+        edges = [(ends[a], ends[b]) for a, b in dict.fromkeys(picks)]
+        # a self-loop, a repeated pair and an unknown label, each in about a fifth of the lists
+        for edge in [(ends[0], ends[0]), edges[0] if edges else None, (ends[-1], "zz"), ("zz", ends[0])]:
+            if edge and rng.random() < 0.2:
+                edges.insert(int(rng.integers(len(edges) + 1)), edge)
+        try:
+            want = reference_incidence(labels, edges)
+        except (KeyError, ParseError) as exc:
+            with pytest.raises(type(exc)) as got:
+                Network(labels, iter(edges))
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+            outcomes["unknown label" if type(exc) is KeyError else str(exc).split()[0]] += 1
+            continue
+        outcomes["built"] += 1
+        net = Network(labels, iter(edges))
+        n = net.n_nodes
+        assert list(zip(net.edge_src.tolist(), net.edge_dst.tolist())) == want.pairs
+        for i in range(-n, n):
+            assert net.in_edges(i).tolist() == want.ins[i] and not net.in_edges(i).flags.writeable
+            assert net.out_degree(i) == len(want.outs[i])
+        for i in range(n):
+            assert net.in_neighbors(i) == [want.pairs[e][0] for e in want.ins[i]]
+            assert net.out_neighbors(i) == [want.pairs[e][1] for e in want.outs[i]]
+        for pair in itertools.product(range(-1, n + 1), repeat=2):
+            if pair in want.ids:
+                assert net.edge_id(*pair) == want.ids[pair]
+            else:
+                with pytest.raises(KeyError, match=re.escape(str(pair))):
+                    net.edge_id(*pair)
+        assert [a.tolist() for a in net._cavity] == list(want.cavity)
+    assert min(outcomes.values()) >= 10 and len(outcomes) == 4, outcomes
 
 
 def _sequential_sums(mat, x):
