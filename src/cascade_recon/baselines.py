@@ -131,7 +131,7 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
         log_surv = np.log1p(-alpha)
     log_surv = np.where(np.isfinite(log_surv), log_surv, _NEG_BIG)
     total = np.empty(len(times))
-    step = max(1, _PASS_BYTES // (8 * max(1, net.n_edges)))
+    step = _block_rows(net)
     for a in range(0, len(times), step):
         counts, parent_ok, activates = _full_terms(net, times[a:a + step], horizon)
         # activation factor log(1 - prod(1 - alpha)) over the parents active by tau - 1
@@ -140,6 +140,11 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
             log_act = np.where(stay < 0.0, np.log(-np.expm1(np.maximum(stay, _NEG_BIG))), _NEG_BIG)
         total[a:a + step] = np.multiply(counts, log_surv, order="C").sum(axis=1) + np.where(activates, log_act, 0.0).sum(axis=1)
     return total
+
+
+def _block_rows(net: Network) -> int:
+    """Rows of the blocks of the batch and of NetRate: their (rows, |E|) terms fit ``_PASS_BYTES``."""
+    return max(1, _PASS_BYTES // (8 * max(1, net.n_edges)))
 
 
 def netrate_fit(dataset, net: Network, config: FitConfig | None = None) -> np.ndarray:
@@ -177,7 +182,7 @@ def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -
     runs follow the nodes' in-edges in turn, so a node's flags are one
     (in-degree, activations) slice of it.
     """
-    step = max(1, _PASS_BYTES // (8 * max(1, net.n_edges)))
+    step = _block_rows(net)
     by_dst, ptr = net._in_order, net._in_ptr                # node by node, each node's in_edges
     dst = net.edge_dst[by_dst]
     activations = np.zeros(net.n_nodes, dtype=np.int64)

@@ -189,15 +189,71 @@ def observe_fully(cascade: Cascade) -> ObservedCascade:
     return ObservedCascade(cascade.horizon, t - 1, t.copy(), np.zeros(t.shape[0], dtype=bool))
 
 
-def _code_dtype(horizon: int) -> type:
-    """The smallest signed integer type that holds (T + 2)**2, one more than
-    the largest window code of horizon T: int8 up to T = 9, int16 up to
-    T = 179, int32 beyond."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= (horizon + 2) ** 2)
+# ---------------------------------------------------------------------------
+# window codes: how a cell of a CascadeTable holds a window, known here alone
 
 
-# the window code of a source, (-1, 0]; a visible node that is no source has a higher one
-_SOURCE = 1
+def _code_count(T: int) -> int:
+    """Window codes of horizon T lie in [0, (T + 2)**2)."""
+    return (T + 2) ** 2
+
+
+def _code_dtype(T: int) -> type:
+    """The smallest signed integer type that holds :func:`_code_count`:
+    int8 up to T = 9, int16 up to T = 179, int32 beyond."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if np.iinfo(t).max >= _code_count(T))
+
+
+# the codes of windows that break -1 <= lo < hi <= T, by the first rule broken:
+# a bound outside [-1, T], else lo >= hi (code 0 would read as hidden)
+_OUT_OF_RANGE, _EMPTY = -2, -1
+
+
+def _window_codes(lo: np.ndarray, hi: np.ndarray, T: int) -> np.ndarray:
+    """Windows ``(lo, hi]`` of int64 bounds as int64 codes ``(lo + 1) (T +
+    2) + hi + 1``, which order as the pairs do: 0 is (-1, -1], a hidden
+    node, and 1 is (-1, 0], a source.  A window that breaks ``-1 <= lo <
+    hi <= T`` gets ``_OUT_OF_RANGE`` or ``_EMPTY``; see :func:`_checked`."""
+    codes = lo + 1                   # in place from here: one int64 array, not three
+    codes *= T + 2
+    codes += hi
+    codes += 1
+    codes[lo >= hi] = _EMPTY
+    codes[(lo < -1) | (lo > T) | (hi < -1) | (hi > T)] = _OUT_OF_RANGE
+    return codes
+
+
+def _window_bounds(codes: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 ``(lo, hi)`` of window codes of any integer type."""
+    lo, hi = np.divmod(codes, T + 2, dtype=np.int64)
+    return np.subtract(lo, 1, out=lo), np.subtract(hi, 1, out=hi)
+
+
+def _exact_codes(times: np.ndarray, T: int) -> np.ndarray:
+    """The int64 codes ``t (T + 3) + 1`` of the exact windows (t - 1, t] of
+    int64 recorded times t, ``_OUT_OF_RANGE`` for a t outside [0, T]."""
+    return np.where((times < 0) | (times > T), _OUT_OF_RANGE, times * (T + 3) + 1)
+
+
+def _is_exact(codes: np.ndarray, T: int) -> np.ndarray:
+    return codes % (T + 3) == 1
+
+
+def _is_source(codes: np.ndarray) -> np.ndarray:
+    return codes == 1
+
+
+def _is_visible_non_source(codes: np.ndarray) -> np.ndarray:
+    return codes > 1
+
+
+def _checked(codes: np.ndarray, T: int) -> np.ndarray:
+    """``codes`` if none is negative, else the error of a window's first broken rule."""
+    if (codes == _OUT_OF_RANGE).any():
+        raise DatasetError(f"observation windows must lie in [-1, {T}]")
+    if (codes == _EMPTY).any():
+        raise DatasetError("an observed window (lo, hi] must have lo < hi")
+    return codes
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -206,10 +262,9 @@ class CascadeTable:
     row per cascade.
 
     Cell (r, i) is 0 when node i is hidden in cascade r, and else the code
-    ``(lo + 1) * (T + 2) + hi + 1`` of its window ``(lo, hi]``, which orders
-    as the pairs do: a source is code 1, and an exact window is a code
-    ``1 (mod T + 3)``.  The codes take the smallest signed integer type
-    that holds ``(T + 2)**2``: one byte a cell up to T = 9, two up to
+    of its window ``(lo, hi]`` (:func:`_window_codes`), which orders as the
+    pairs do.  The codes take the smallest signed integer type that holds
+    them (:func:`_code_dtype`): one byte a cell up to T = 9, two up to
     T = 179.  Row r holds what :class:`ObservedCascade` holds, and the
     int64 window bounds ``lo`` and ``hi`` and the bool ``hidden`` are
     read-only (M, N) arrays decoded from the codes on first use and kept.
@@ -232,19 +287,19 @@ class CascadeTable:
     complete: bool = False
 
     def __init__(self, horizon: int, lo, hi, hidden, complete: bool = False):
-        vars(self).update(horizon=horizon, codes=_read_only(_encoded(horizon, lo, hi, hidden)), complete=complete)
+        seen = ~np.asarray(hidden, dtype=bool)
+        codes = np.zeros(seen.shape, dtype=_code_dtype(horizon))
+        lo, hi = np.asarray(lo, dtype=np.int64)[seen], np.asarray(hi, dtype=np.int64)[seen]
+        codes[seen] = _checked(_window_codes(lo, hi, horizon), horizon)
+        vars(self).update(horizon=horizon, codes=_read_only(codes), complete=complete)
 
     @cached_property
     def lo(self) -> np.ndarray:
-        lo = np.floor_divide(self.codes, self.horizon + 2, dtype=np.int64)
-        lo -= 1
-        return _read_only(lo)
+        return _read_only(_window_bounds(self.codes, self.horizon)[0])
 
     @cached_property
     def hi(self) -> np.ndarray:
-        hi = np.remainder(self.codes, self.horizon + 2, dtype=np.int64)
-        hi -= 1
-        return _read_only(hi)
+        return _read_only(_window_bounds(self.codes, self.horizon)[1])
 
     @cached_property
     def hidden(self) -> np.ndarray:
@@ -256,7 +311,7 @@ class CascadeTable:
 
     def is_fully_observed(self) -> bool:
         """True when every node of every cascade has an exactly pinned time."""
-        return self.complete or bool(np.all(self.codes % (self.horizon + 3) == 1))
+        return self.complete or bool(np.all(_is_exact(self.codes, self.horizon)))
 
     def __len__(self) -> int:
         return self.codes.shape[0]
@@ -293,23 +348,6 @@ class CascadeTable:
         return _table([*self, *other])
 
 
-def _encoded(horizon: int, lo, hi, hidden) -> np.ndarray:
-    """The window codes of :class:`CascadeTable` for the bounds ``lo`` and
-    ``hi`` and the flags ``hidden``, 0 where hidden.  A visible window
-    outside [-1, T], or with ``lo >= hi`` (code 0 would read it as hidden),
-    is a :class:`DatasetError`."""
-    seen = ~np.asarray(hidden, dtype=bool)
-    lo, hi = np.asarray(lo, dtype=np.int64)[seen], np.asarray(hi, dtype=np.int64)[seen]
-    codes, in_range = _window_codes(lo, hi, horizon)
-    if not in_range:
-        raise _window_range_error(horizon)
-    if (lo >= hi).any():
-        raise DatasetError("an observed window (lo, hi] must have lo < hi")
-    table = np.zeros(seen.shape, dtype=_code_dtype(horizon))
-    table[seen] = codes
-    return table
-
-
 def _coded_table(horizon: int, codes: np.ndarray, complete: bool = False) -> CascadeTable:
     """The table of window ``codes`` that hold valid windows, made read-only."""
     return _row(CascadeTable, horizon=horizon, codes=_read_only(codes), complete=complete)
@@ -328,8 +366,8 @@ def _table(dataset) -> CascadeTable:
         return np.concatenate(arrays).reshape(len(arrays), _shared((a.shape[0] for a in arrays), "node counts"))
 
     if all(isinstance(row, Cascade) for row in dataset):
-        times = stacked([row.times for row in dataset])
-        return CascadeTable(horizon, times - 1, times, np.zeros(times.shape, dtype=bool), complete=True)
+        codes = _checked(_exact_codes(stacked([row.times for row in dataset]), horizon), horizon)
+        return _coded_table(horizon, codes.astype(_code_dtype(horizon)), complete=True)
     rows = [observe_fully(row) if isinstance(row, Cascade) else row for row in dataset]
     return CascadeTable(horizon, *(stacked([getattr(row, name) for row in rows]) for name in ("lo", "hi", "hidden")))
 
@@ -492,7 +530,7 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
         words >>= 11
         steps = words[:size].reshape(size, n_steps, n_edges).transpose(1, 2, 0)
         _spread(net, horizon, block, np.less(steps, threshold[:, None], order="C"))
-        codes[start:start + size] = block.T * (horizon + 3) + 1          # the exact windows (t - 1, t]
+        codes[start:start + size] = _exact_codes(block.T, horizon)
     return _coded_table(horizon, codes, complete=True)
 
 
@@ -578,7 +616,7 @@ def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray,
     window ``(lo, hi]`` it leaves of a recorded time tau, in column tau+1
     for tau in [-1, T], and the same windows by code: the window code (see
     :class:`CascadeTable`) that the mask leaves of the exact window of tau
-    in [0, T], at that window's code ``tau (T + 3) + 1``; all read-only.
+    in [0, T], at that window's code (:func:`_exact_codes`); all read-only.
     Times below -1 see what -1 sees and times above T what T sees, so the
     column of any time is tau + 1 clipped into the table.
 
@@ -593,8 +631,8 @@ def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray,
     before = points[np.maximum(first - 1, 0)]
     table = np.stack([np.where(first == len(points), np.minimum(before, T - 1), before), np.append(seen, T)[first]])
     table[:, 1] = -1, 0
-    by_code = np.zeros((T + 2) ** 2, dtype=_code_dtype(T))
-    by_code[np.arange(T + 1) * (T + 3) + 1] = _window_codes(*table[:, 1:], T)[0]
+    by_code = np.zeros(_code_count(T), dtype=_code_dtype(T))
+    by_code[_exact_codes(np.arange(T + 1), T)] = _window_codes(*table[:, 1:], T)
     hidden = np.array(sorted(mask.hidden_nodes), dtype=np.intp)
     return _read_only(hidden), _read_only(table), _read_only(by_code)
 
@@ -685,7 +723,7 @@ def _source_sets(codes: np.ndarray, ids: dict[tuple[int, ...], int]) -> np.ndarr
     code 1, ``(-1, 0]``) of each row of a block of a table's codes; a set
     not in ``ids`` yet is added with the next id.  Rows are grouped by
     their sets packed into bits."""
-    is_source = codes == _SOURCE
+    is_source = _is_source(codes)
     first, which = _group_rows(_bit_words(is_source))
     set_ids = [ids.setdefault(tuple(np.flatnonzero(is_source[row]).tolist()), len(ids)) for row in first.tolist()]
     return np.array(set_ids, dtype=np.intp)[which]
@@ -738,30 +776,6 @@ def _split_rows(items: list, rows: np.ndarray, n_rows: int) -> list[list]:
     into one list per row of ``n_rows``."""
     ends = np.cumsum(np.bincount(rows, minlength=n_rows)).tolist()
     return [items[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def _window_codes(lo: np.ndarray, hi: np.ndarray, T: int) -> tuple[np.ndarray, bool]:
-    """Windows ``(lo, hi]`` as int64 codes ``(lo + 1) * (T + 2) + hi + 1``,
-    which order as the pairs do, and whether all bounds lie in [-1, T]
-    (outside it the codes mean nothing; see :func:`_window_range_error`).
-    :class:`CascadeTable` stores them, with code 0, the empty window (-1,
-    -1], for a hidden node."""
-    in_range = not lo.size or (min(lo.min(), hi.min()) >= -1 and max(lo.max(), hi.max()) <= T)
-    codes = lo + 1                   # in place from here: one int64 array, not three
-    codes *= T + 2
-    codes += hi
-    codes += 1
-    return codes, in_range
-
-
-def _window_range_error(T: int) -> DatasetError:
-    return DatasetError(f"observation windows must lie in [-1, {T}]")
-
-
-def _window_bounds(codes: np.ndarray, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(lo, hi)`` arrays that :func:`_window_codes` encoded."""
-    lo, hi = np.divmod(codes, T + 2)
-    return lo - 1, hi - 1
 
 
 def _check_horizon(horizon: int, least: int = 1) -> None:
@@ -1109,7 +1123,7 @@ class _TokenTable:
         self.horizon = horizon
         self.has_nul = has_nul                        # the text holds a NUL byte: see _packed_runs
         self.code_of: dict[bytes, int] = {}
-        self.decoded: list[tuple[int, int]] = []
+        self.decoded: list[tuple[int, int, int]] = []
         self.table = np.empty((0, 2), dtype=np.int64)
         self.key_tables: dict[int, _KeyTable] = {}    # per word count
 
@@ -1127,7 +1141,9 @@ class _TokenTable:
         for runs, keys in _packed_runs(data, start, end, self.has_nul):
             codes[runs] = self._codes(data, start[runs], end[runs], keys)
         if len(self.decoded) > len(self.table):
-            self.table = np.concatenate([self.table, np.array(self.decoded[len(self.table):], dtype=np.int64)])
+            node, lo, hi = np.array(self.decoded[len(self.table):], dtype=np.int64).T
+            code = _window_codes(lo, hi, self.horizon)
+            self.table = np.concatenate([self.table, np.stack([np.where(code < 0, -1, node), code], axis=1)])
         nodes = self.table[codes, 0]
         token = nodes != -2
         codes, line = codes[token], line[token]
@@ -1164,16 +1180,18 @@ class _TokenTable:
         self.decoded.append(self._decode(text.decode("utf-8", "surrogatepass").strip()))
         return code
 
-    def _decode(self, tok: str) -> tuple[int, int]:
-        """``(node, window code)`` of a stripped token."""
+    def _decode(self, tok: str) -> tuple[int, int, int]:
+        """``(node, lo, hi)`` of a stripped token, node -2 when it is empty
+        and -1 when it is bad; :meth:`scan` encodes the window.  The bounds
+        are clipped into int64, [-2, T + 1], where one outside [-1, T] stays so."""
         if not tok:
-            return -2, 0
+            return -2, -1, 0
         try:
             node, spec = _split_token(tok, self.label_index)
             lo, hi = _decode_time(spec, self.horizon, tok)
         except ParseError:
-            return -1, 0
-        return (node, (lo + 1) * (self.horizon + 2) + hi + 1) if -1 <= lo < hi <= self.horizon else (-1, 0)
+            return -1, -1, 0
+        return node, min(max(lo, -2), self.horizon + 1), min(max(hi, -2), self.horizon + 1)
 
     def line_error(self, lineno: int, raw: str) -> ParseError:
         """The error of a line with no tab, an invalid token or a node

@@ -1,4 +1,4 @@
-"""Forward dynamic message passing for the discrete-time SI model.
+"""Dynamic message passing for the discrete-time SI model, and its reverse sweep.
 
 The engine carries, per directed edge (k, i), the message ``theta[t, e]``,
 the probability that no activation signal has crossed the edge by time
@@ -17,33 +17,44 @@ at step t.  The scheme is exact when the graph is a tree and yields a
 lower bound on susceptibility probabilities otherwise; the subset-state
 oracle in this module provides the exact reference for small graphs.
 
-Step t crosses each edge with the hazard ``alpha * rho``, where ``rho =
-phi / theta`` at t-1, so the products over ``theta`` shrink by ``keep =
-1 - alpha * rho``.  Both come from logarithms: ``1 - rho = exp(delta)``
-with ``delta = log ps0_k + log cav - log theta``, and ``log keep`` is
-``log1p(-alpha * rho)`` where the hazard is below 1/2 and ``log((1 -
-alpha) + alpha * (1 - rho))`` elsewhere, each exact where it is taken.
-``log theta`` gains ``log keep``, ``log cav`` its sum over the cavity
-edges by ``Network._cavity_sum`` and ``log_step`` its sum over the
-in-edges by ``Network._in_sum``, both in the order a CSR product adds; then
-``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``.  No
-``log keep`` is positive, so ``theta`` and ``p_susceptible`` never
-increase.  The reverse sweep in :mod:`cascade_recon.gradient`
-differentiates this recursion, and the free energy takes window
-probabilities from ``log_step`` in the log domain.
+Step t crosses each edge with the hazard ``h = alpha * rho``, where
+``rho = phi / theta`` at t-1, so the products over ``theta`` shrink by
+``keep = 1 - h``.  Here ``1 - rho = exp(delta)``, with ``delta = log ps0_k
++ log cav - log theta`` capped at 0 and held at 0 where theta is 0, and
+keep takes the form that is exact at each entry (:func:`_keep_forms`):
+``1 - h``, whose log is ``log1p(-h)``, where h is below 1/2, else ``(1 -
+alpha) + alpha * (1 - rho)``.  ``log theta`` gains ``log keep``, ``log
+cav`` its sum over the cavity edges by ``Network._cavity_sum`` and
+``log_step`` its sum over the in-edges by ``Network._in_sum``, both in the
+order a CSR product adds; then ``p_susceptible[t] = p_susceptible[t-1] *
+exp(log_step[t])``.  No ``log keep`` is positive, so ``theta`` and
+``p_susceptible`` never increase.
+
+The free energy (:mod:`cascade_recon.gradient`) reads window
+probabilities from ``log_step``; its gradient, that of ``-sum(weights *
+log_step)`` at fixed weights, is taken by :func:`_log_step_adjoint` in
+reverse mode (Griewank & Walther, *Evaluating Derivatives*, 2008).  One
+backward sweep over each step's ``rho`` and ``r = 1 - rho`` carries the
+adjoints of ``log theta`` and ``log cav``: with ``q`` the adjoint of ``log
+keep`` over keep, the coupling's adjoint gains ``-q rho``, and delta's,
+``u = alpha q r``, goes to ``log cav`` and negated to ``log theta``.  Keep
+takes the forward step's forms and r is 0 where theta is 0, so the value
+and the gradient belong to one function; a gradient costs a small
+multiple of a forward pass.
 
 The recursion runs on a trailing axis of G initial conditions at once:
 every message array carries one column per source group, so that one
 pass over a chunk of groups costs one cavity sum and one in-edge sum per
-step for all of them.  It yields one state per step and keeps no history
-of its own: the free energy's value keeps only their ``log_step``, and
-its gradient their ``rho`` and ``1 - rho`` as well.  :func:`dmp_forward`
-runs one group and stacks its states into a :class:`DmpTrace`.
+step for all of them.  It yields one state per step and keeps no
+history: a value pass keeps their ``log_step``, a gradient pass their
+``rho`` and ``r`` too.  :func:`dmp_forward` runs one group and stacks
+its states into a :class:`DmpTrace`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,14 +113,12 @@ def dmp_forward(net: Network, couplings, sources, horizon: int) -> DmpTrace:
 @dataclass(frozen=True, eq=False)
 class _State:
     """The recursion at step t for G source groups, each array with a
-    trailing axis of G: ``log theta``, the log cavity products and
-    ``log_step`` at t, and the ``rho`` that step t+1 reads, with ``r = 1 -
-    rho = exp(delta)``.  Where theta is 0, delta is held at 0: rho is 0
-    there, and r, the rate ``-d rho / d delta`` that the reverse sweep
-    reads, is 0 too."""
+    trailing axis of G: ``log theta`` and ``log_step`` at t, and the
+    ``rho`` that step t+1 reads, with ``r = 1 - rho = exp(delta)``.  Where
+    theta is 0, delta is held at 0: rho is 0 there, and r, the rate ``-d
+    rho / d delta`` that the reverse sweep reads, is 0 too."""
 
     log_theta: np.ndarray            # (|E|, G)
-    log_cav: np.ndarray              # (|E|, G)
     log_step: np.ndarray             # (N, G)
     rho: np.ndarray                  # (|E|, G)
     r: np.ndarray                    # (|E|, G)
@@ -119,10 +128,7 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int) -
     """Yield the :class:`_State` of each step t = 0..horizon of the
     recursion behind :func:`dmp_forward`, on validated inputs, for the G
     source groups whose initial susceptibilities are the columns of ``ps0``
-    (N, G).
-
-    A state holds no history: a caller keeps what it needs of it, ``rho``
-    and ``r`` for a reverse sweep, ``log_step`` for a value.
+    (N, G); a caller keeps what it needs of each.
     """
     E, N, G = net.n_edges, net.n_nodes, ps0.shape[1]
     alpha = np.repeat(alpha[:, None], G, axis=1)  # full (|E|, G): faster than a broadcast
@@ -141,32 +147,51 @@ def _propagate(net: Network, alpha: np.ndarray, ps0: np.ndarray, horizon: int) -
             delta = np.fmin(log_ps0_src + log_cav - log_theta, 0.0)
         rho, r = -np.expm1(delta), np.exp(delta)
         r[log_theta == -np.inf] = 0.0
-        yield _State(log_theta, log_cav, log_step, rho, r)
+        yield _State(log_theta, log_step, rho, r)
+
+
+def _keep_forms(alpha: np.ndarray, rho: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``keep = 1 - h`` of the hazard ``h = alpha rho`` in three parts: ``-h``,
+    from which ``1 - h`` and ``log1p(-h)`` are exact where h < 1/2; the mask
+    where h >= 1/2; and keep there as ``(1 - alpha) + alpha r``, also exact."""
+    minus_h = alpha * rho
+    high = minus_h >= 0.5
+    alpha_high = alpha[high]
+    return np.negative(minus_h, out=minus_h), high, (1.0 - alpha_high) + alpha_high * r[high]
 
 
 def _log_keep(alpha: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``log(1 - alpha rho)``, each entry from the form that is exact
-    there: ``log1p(-alpha rho)`` where the hazard is below 1/2, and
-    ``log((1 - alpha) + alpha r)`` elsewhere, where ``1 - alpha`` is
-    exact."""
-    h = alpha * rho
-    high = h >= 0.5
+    """``log keep`` from :func:`_keep_forms`."""
+    log_keep, high, keep_high = _keep_forms(alpha, rho, r)
     with np.errstate(divide="ignore"):  # keep is 0 only where alpha is 1 and r is 0
-        log_keep = np.log1p(np.negative(h, out=h), out=h)
-        log_keep[high] = np.log((1.0 - alpha[high]) + alpha[high] * r[high])
+        np.log1p(log_keep, out=log_keep)
+        log_keep[high] = np.log(keep_high)
     return log_keep
+
+
+def _log_step_adjoint(net: Network, alpha: np.ndarray, rho: Sequence[np.ndarray], r: Sequence[np.ndarray],
+                      weights: np.ndarray) -> np.ndarray:
+    """Gradient of ``-sum(weights * log_step)`` with respect to the
+    couplings for each of G groups, an (|E|, G) array, by the backward
+    sweep (see the module docstring) over the (T+1, N, G) ``weights`` and
+    the ``rho`` and ``r`` of each step that :func:`_propagate` yielded."""
+    E, G = net.n_edges, weights.shape[-1]
+    alpha = np.repeat(alpha[:, None], G, axis=1)  # full (|E|, G): faster than a broadcast
+    theta_bar, cav_bar, alpha_bar = np.zeros((E, G)), np.zeros((E, G)), np.zeros((E, G))
+    for t in range(weights.shape[0] - 1, 0, -1):
+        keep, high, keep_high = _keep_forms(alpha, rho[t - 1], r[t - 1])
+        keep += 1.0                                  # -h + 1 is 1 - h, bit for bit
+        keep[high] = keep_high
+        q = (theta_bar + net._cavity_sum(cav_bar, transpose=True) - weights[t][net.edge_dst]) / keep
+        alpha_bar -= q * rho[t - 1]
+        u = alpha * q * r[t - 1]
+        theta_bar -= u
+        cav_bar += u
+    return alpha_bar
 
 
 # ---------------------------------------------------------------------------
 # exact reference for small graphs
-
-
-def _infection_probs(in_edges, in_srcs, one_minus_alpha, mask, j):
-    p_stay = 1.0
-    for e, k in zip(in_edges[j], in_srcs[j]):
-        if (mask >> k) & 1:
-            p_stay *= one_minus_alpha[e]
-    return 1.0 - p_stay
 
 
 def exact_marginals_oracle(net: Network, couplings, sources, horizon: int) -> np.ndarray:
@@ -183,38 +208,23 @@ def exact_marginals_oracle(net: Network, couplings, sources, horizon: int) -> np
     alpha = validate_couplings(net, couplings)
     src = _as_source_array(net, sources)
     N = net.n_nodes
-    one_minus_alpha = 1.0 - alpha
-    in_edges = [net.in_edges(i) for i in range(N)]
-    in_srcs = [net.edge_src[net.in_edges(i)] for i in range(N)]
-    # nodes whose infection probability can ever be positive given the mask
-    in_bits = np.zeros(N, dtype=np.int64)
-    for i in range(N):
-        for e, k in zip(in_edges[i], in_srcs[i]):
-            if alpha[e] > 0.0:
-                in_bits[i] |= np.int64(1) << np.int64(k)
-
-    mask0 = 0
-    for s in src:
-        mask0 |= 1 << int(s)
+    one_minus_alpha = (1.0 - alpha).tolist()
+    # each node's (in-edge, in-neighbor) pairs, and as bits the in-neighbors that can infect it
+    in_pairs = [list(zip(net.in_edges(i).tolist(), net.edge_src[net.in_edges(i)].tolist())) for i in range(N)]
+    in_bits = [sum(1 << k for e, k in pairs if alpha[e] > 0.0) for pairs in in_pairs]
 
     out = np.empty((horizon + 1, N))
-    dist: dict[int, float] = {mask0: 1.0}
+    dist: dict[int, float] = {sum(1 << int(s) for s in src): 1.0}
     out[0] = _susceptible_marginals(dist, N)
     for t in range(1, horizon + 1):
         new_dist: dict[int, float] = {}
         for mask, prob in dist.items():
-            frontier = [
-                j
-                for j in range(N)
-                if not (mask >> j) & 1 and (in_bits[j] & mask)
-            ]
-            pjs = [
-                _infection_probs(in_edges, in_srcs, one_minus_alpha, mask, j)
-                for j in frontier
-            ]
             masks = [mask]
             probs = [prob]
-            for j, pj in zip(frontier, pjs):
+            for j in range(N):
+                if (mask >> j) & 1 or not in_bits[j] & mask:
+                    continue
+                pj = 1.0 - math.prod(one_minus_alpha[e] for e, k in in_pairs[j] if (mask >> k) & 1)
                 bit = 1 << j
                 if pj <= 0.0:
                     continue

@@ -25,16 +25,9 @@ window spans), so its gradient is the derivative of
 count on every step up to lo and its count times ``d log P / d span`` on
 every step inside it; the weights are one ``np.bincount`` of the counts
 at lo, summed over t in reverse, plus one ``np.bincount`` per in-window
-step.  The gradient is taken in reverse mode (Griewank & Walther,
-*Evaluating Derivatives*, 2008): one forward pass keeps each step's
-``rho`` and ``r = 1 - rho``, 2 (T+1) |E| numbers per group, and one
-backward sweep carries two adjoints, of ``log theta`` and of the log
-cavity products, and accumulates the coupling adjoint.  It differentiates
-the recursion as :func:`dmp._propagate` runs it, with ``delta`` capped at
-0 and held at 0 where theta is 0, so the value and the gradient belong to
-one function.  A step of the sweep costs a transposed cavity sum, a
-gather over the in-edges and element-wise work, so a gradient costs a
-small multiple of a forward pass.
+step.  The reverse sweep of :mod:`cascade_recon.dmp`
+(:func:`dmp._log_step_adjoint`) takes that derivative from the ``rho``
+and ``r`` that the forward pass keeps.
 
 Source groups run in chunks: the messages of a chunk of G groups are
 stacked as (..., |E|, G) arrays, so one forward pass and one sweep serve
@@ -59,16 +52,17 @@ import numpy as np
 
 from .graph import Network, validate_couplings
 from .cascades import (
-    _SOURCE,
     CascadeTable,
     ObservedCascade,
     _blocks,
+    _code_count,
     _horizon,
+    _is_visible_non_source,
     _ranked_sets,
     _source_sets,
     _window_bounds,
 )
-from .dmp import dmp_forward, initial_susceptible, _propagate
+from .dmp import dmp_forward, initial_susceptible, _log_step_adjoint, _propagate
 
 __all__ = [
     "FreeEnergyReport",
@@ -122,16 +116,16 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     One walk over the table's codes, a block of about
     ``_SUMMARY_BLOCK_CELLS`` cells at a time, finds each row's source set
     (:func:`cascades._source_sets`, numbered as first met) and makes each
-    window of a visible non-source node (a code above ``_SOURCE``) one
-    int64 key that orders by (set, node, lo, hi), with the window code as
-    its last digit, so no bounds are decoded until the keys are counted.
+    window of a visible non-source node one int64 key that orders by (set,
+    node, lo, hi), with the window code as its last digit, so no bounds are
+    decoded until the keys are counted.
     A block's counted keys are a run, and runs of equally many blocks
     merge as a binary counter carries, so a key is sorted about
     log2(blocks) times.  The sets are then ranked in sorted order and the
     keys renumbered, so the rows come out ordered by (group, node, lo, hi).
     """
     T = _horizon(dataset)
-    n_codes = (T + 2) ** 2                                   # window codes lie in [0, (T + 2)**2)
+    n_codes = _code_count(T)
     ids: dict[tuple[int, ...], int] = {}
     set_ids = []
     runs = []                                                # (blocks, keys, counts), blocks falling
@@ -139,7 +133,7 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
         codes, n_nodes = block.codes, block.n_nodes
         set_id = _source_sets(codes, ids)
         set_ids.append(set_id)
-        rows, nodes = np.nonzero(codes > _SOURCE)
+        rows, nodes = np.nonzero(_is_visible_non_source(codes))
         # int64 before the codes are added: an int8 or int16 product would wrap
         keys = (set_id[rows] * n_nodes + nodes) * n_codes + codes[rows, nodes]
         run = (1, *np.unique(keys, return_counts=True))
@@ -258,36 +252,6 @@ def _window_weights(log_step: np.ndarray, rows: _Chunk) -> tuple[np.ndarray, np.
     for inside, at in steps:
         weights += np.bincount(at, span_weights[inside], T1 * N * G)
     return -rows.counts * log_p, weights.reshape(T1, N, G)
-
-
-def _log_step_adjoint(net: Network, alpha: np.ndarray, rho: Sequence[np.ndarray], r: Sequence[np.ndarray],
-                      weights: np.ndarray) -> np.ndarray:
-    """Gradient of ``-sum(weights * log_step)`` with respect to the
-    couplings, by one backward sweep over the ``rho`` and ``r`` of each
-    step that :func:`dmp._propagate` yielded, for each of the G groups: an
-    (|E|, G) array.
-
-    Step t adds ``log keep = log(1 - alpha rho)`` to ``log theta``, its
-    cavity sums to ``log cav`` and its in-edge sums to ``log_step``, where
-    ``rho = -expm1(delta)`` and ``r = exp(delta)`` were read at t-1 from
-    ``delta = log ps0_src + log cav - log theta``.  So the sweep carries
-    only the adjoints of ``log theta`` and ``log cav``: with ``q`` the
-    adjoint of ``log keep`` over ``keep``, the coupling's adjoint gains
-    ``-q rho``, and delta's, ``u = alpha q r``, goes to ``log cav`` and
-    with its sign flipped to ``log theta``.
-    """
-    E, G = net.n_edges, weights.shape[-1]
-    alpha = np.repeat(alpha[:, None], G, axis=1)  # full (|E|, G): faster than a broadcast
-    theta_bar, cav_bar, alpha_bar = np.zeros((E, G)), np.zeros((E, G)), np.zeros((E, G))
-    for t in range(weights.shape[0] - 1, 0, -1):
-        h = alpha * rho[t - 1]
-        keep = np.where(h < 0.5, 1.0 - h, (1.0 - alpha) + alpha * r[t - 1])  # the forms _log_keep takes logs of
-        q = (theta_bar + net._cavity_sum(cav_bar, transpose=True) - weights[t][net.edge_dst]) / keep
-        alpha_bar -= q * rho[t - 1]
-        u = alpha * q * r[t - 1]
-        theta_bar -= u
-        cav_bar += u
-    return alpha_bar
 
 
 def _dataset_free_energy(

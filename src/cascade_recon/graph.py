@@ -106,12 +106,12 @@ class Network:
 
     def in_edges(self, i: int) -> np.ndarray:
         """Edge ids of edges (k, i), sorted by source index; read-only."""
-        i = range(self.n_nodes)[i]
+        i = self._node(i)
         return self._in_order[self._in_ptr[i]:self._in_ptr[i + 1]]
 
     def in_neighbors(self, i: int) -> list[int]:
         """Sorted in-neighbor indices of node ``i``."""
-        return self.edge_src[self.in_edges(self._node(i))].tolist()
+        return self.edge_src[self.in_edges(i)].tolist()
 
     def out_neighbors(self, i: int) -> list[int]:
         """Sorted out-neighbor indices of node ``i``."""
@@ -119,12 +119,13 @@ class Network:
         return self.edge_dst[self._out_ptr[i]:self._out_ptr[i + 1]].tolist()
 
     def _node(self, i: int) -> int:
+        """``i``, a node index in [0, N); any other is an IndexError."""
         if not 0 <= i < self.n_nodes:
             raise IndexError(f"node index {i} out of range [0, {self.n_nodes})")
         return i
 
     def out_degree(self, i: int) -> int:
-        i = range(self.n_nodes)[i]
+        i = self._node(i)
         return int(self._out_ptr[i + 1] - self._out_ptr[i])
 
     # -- derived structure used by the message-passing code ---------------
@@ -164,7 +165,7 @@ class Network:
         place, slots = self._cavity_slots[transpose]
         out = np.zeros_like(v)
         for cols in slots:
-            out[:cols.size] += np.take(v, cols, axis=0)
+            out[:cols.size] += v.take(cols, axis=0)
         return out[place]
 
     def __repr__(self):

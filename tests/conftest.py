@@ -279,7 +279,7 @@ def dmp_forward_with_gradients(net: Network, couplings, sources, horizon: int) -
     for t, state in enumerate(_propagate(net, alpha, trace.initial_susceptible[:, None], horizon)):
         if t:
             h = alpha * rho
-            keep = np.where(h < 0.5, 1.0 - h, (1.0 - alpha) + alpha * r)  # the forms dmp._log_keep takes logs of
+            keep = np.where(h < 0.5, 1.0 - h, (1.0 - alpha) + alpha * r)  # dmp._keep_forms, written out again
             d_log_keep = -(np.diag(rho) + alpha[:, None] * d_rho) / keep[:, None]
             d_log_theta = d_log_theta + d_log_keep
             d_log_cav = d_log_cav + cavity_sum @ d_log_keep

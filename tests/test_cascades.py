@@ -154,9 +154,7 @@ def _reference_write_cascades(net, cascades_):
     lines = [f"T={T}"]
     for start, block in cascades._blocks(cascades_):
         rows, nodes = np.nonzero(~block.hidden)
-        codes, in_range = cascades._window_codes(block.lo[rows, nodes], block.hi[rows, nodes], T)
-        if not in_range:
-            raise cascades._window_range_error(T)
+        codes = cascades._checked(cascades._window_codes(block.lo[rows, nodes], block.hi[rows, nodes], T), T)
         codes, which = np.unique(codes, return_inverse=True)
         lo_of, hi_of = cascades._window_bounds(codes, T)
         suffixes = [cascades._token_suffix(a, b, T) for a, b in zip(lo_of.tolist(), hi_of.tolist())]
@@ -490,6 +488,52 @@ class TestCascadeTable:
         assert both == observed + back and both != full + back and not both.complete
         assert np.array_equal(both.codes, np.concatenate((back.codes, back.codes)))
         assert (data + data).complete and not (data + full).complete
+
+
+class TestWindowCodes:
+    """The code helpers, on both sides of the int8/int16/int32 switches."""
+
+    @pytest.mark.parametrize("T, dtype", [(1, np.int8), (9, np.int8), (10, np.int16), (179, np.int16), (180, np.int32)])
+    def test_codes_round_trip_and_order_as_the_pairs(self, T, dtype):
+        lo, hi = (a.ravel() for a in np.meshgrid(np.arange(-1, T + 1), np.arange(-1, T + 1), indexing="ij"))
+        lo, hi = lo[lo < hi], hi[lo < hi]                    # every valid window, in the order of the pairs
+        codes = cascades._window_codes(lo, hi, T)
+        assert codes.dtype == np.int64 and (np.diff(codes) > 0).all()
+        assert (codes[0], lo[0], hi[0]) == (1, -1, 0)       # code 1 is (-1, 0]
+        assert cascades._code_dtype(T) is dtype and codes.max() < cascades._code_count(T) <= np.iinfo(dtype).max
+        for stored in (codes, codes.astype(dtype)):
+            back_lo, back_hi = cascades._window_bounds(stored, T)
+            assert back_lo.dtype == back_hi.dtype == np.int64
+            np.testing.assert_array_equal(back_lo, lo)
+            np.testing.assert_array_equal(back_hi, hi)
+        exact = hi - lo == 1
+        all_codes = np.arange(cascades._code_count(T))
+        np.testing.assert_array_equal(codes[exact], all_codes[(all_codes % (T + 3) == 1)])
+        np.testing.assert_array_equal(cascades._exact_codes(hi[exact], T), codes[exact])
+        np.testing.assert_array_equal(cascades._is_exact(codes, T), exact)
+        source = (lo == -1) & (hi == 0)
+        np.testing.assert_array_equal(cascades._is_source(codes), source)
+        np.testing.assert_array_equal(cascades._is_visible_non_source(codes), ~source)
+        assert not cascades._is_exact(np.zeros(1, dtype=dtype), T).any()      # code 0: hidden
+        assert not cascades._is_source(np.zeros(1, dtype=dtype)).any()
+        assert not cascades._is_visible_non_source(np.zeros(1, dtype=dtype)).any()
+
+    @pytest.mark.parametrize("T", [1, 9, 10, 179, 180])
+    def test_invalid_windows_keep_their_errors(self, T):
+        in_range = rf"^observation windows must lie in \[-1, {T}\]$"
+        ordered = r"^an observed window \(lo, hi\] must have lo < hi$"
+        cases = [((-2, 0), in_range), ((0, T + 1), in_range), ((T + 1, 0), in_range), ((0, -2), in_range),
+                 ((-3, T + 5), in_range), ((0, 0), ordered), ((T, T - 1), ordered), ((T, -1), ordered)]
+        for (lo, hi), message in cases:
+            assert cascades._window_codes(np.array([lo]), np.array([hi]), T)[0] < 0
+            with pytest.raises(DatasetError, match=message):
+                CascadeTable(T, [[-1, lo]], [[0, hi]], [[False, False]])
+        # the range comes first, whatever the order of the windows
+        with pytest.raises(DatasetError, match=in_range):
+            CascadeTable(T, [[0, -2]], [[0, 0]], [[False, False]])
+        for t in (-1, T + 1):
+            with pytest.raises(DatasetError, match=in_range):
+                cascades._table([Cascade(T, [0, t])])
 
 
 class TestCodeDtypes:
@@ -844,6 +888,9 @@ class TestParseErrors:
         ("T=5\n0\t0:0,1:(3,2]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
         ("T=5\n0\t0:0,1:(1,6]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
         ("T=5\n0\t0:0,1:(-2,1]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
+        # bounds beyond int64 are outside [-1, T] too
+        ("T=5\n0\t0:0,1:(1,99999999999999999999]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
+        ("T=5\n0\t0:0,1:(-99999999999999999999,2]\n", "line 2: interval bounds must satisfy -1 <= lo < hi <= T"),
         ("T=5\n# nothing\n\n", "cascade file contains no cascades"),
         ("T=5\n", "cascade file contains no cascades"),
     ])

@@ -73,6 +73,19 @@ def test_neighbors_chain():
         net.in_neighbors(3)
 
 
+@pytest.mark.parametrize("method", ["in_edges", "in_neighbors", "out_neighbors", "out_degree"])
+def test_node_queries_take_one_index_rule(method):
+    # every query takes a node index in [0, N), a numpy integer too, and
+    # raises IndexError for any other, -1 included
+    net, _ = parse_edge_list("0\t1\n1\t2\n2\t0\n")
+    query = getattr(net, method)
+    for i in range(3):
+        assert np.array_equal(query(np.int64(i)), query(i))
+    for i in (-1, -3, 3, np.int64(-1), np.int64(3)):
+        with pytest.raises(IndexError, match=rf"^node index {i} out of range \[0, 3\)$"):
+            query(i)
+
+
 def test_neighbors_bidirectional_pair():
     net, _ = parse_edge_list("0\t1\n1\t0\n")
     assert net.in_neighbors(0) == [1]
@@ -200,10 +213,9 @@ def test_constructor_matches_the_reference_loop(rng):
         net = Network(labels, iter(edges))
         n = net.n_nodes
         assert list(zip(net.edge_src.tolist(), net.edge_dst.tolist())) == want.pairs
-        for i in range(-n, n):
+        for i in range(n):
             assert net.in_edges(i).tolist() == want.ins[i] and not net.in_edges(i).flags.writeable
             assert net.out_degree(i) == len(want.outs[i])
-        for i in range(n):
             assert net.in_neighbors(i) == [want.pairs[e][0] for e in want.ins[i]]
             assert net.out_neighbors(i) == [want.pairs[e][1] for e in want.outs[i]]
         for pair in itertools.product(range(-1, n + 1), repeat=2):
