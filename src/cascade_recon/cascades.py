@@ -9,16 +9,19 @@ per-step success probability.
 
 Partial observation is described by :class:`MaskSpec` (a set of hidden
 nodes plus a set of snapshot times) and produces :class:`ObservedCascade`,
-which stores one half-open bound pair ``(lo, hi]`` per visible node: the
+which holds one half-open window ``(lo, hi]`` per visible node: the
 recorded activation time is known to lie in that window.  Exact times,
 horizon censoring and snapshot intervals are all special cases of the
-bounds, which keeps every downstream likelihood computation uniform.
+window, which keeps every downstream likelihood computation uniform.
 
-A dataset travels from simulation to fit as one :class:`CascadeTable`:
-an (M, N) array of one code per window, 0 for a hidden node, one row per
-cascade, in one or two bytes a cell.  Simulation, masking and reading
-write the codes; writing, summarizing and fitting read them, or a
-sequence of row objects, which they stack a block of rows at a time.
+Every cascade holds its windows one way: one window code a node, 0 for a
+hidden node, in one or two bytes.  A :class:`Cascade` or an
+:class:`ObservedCascade` is one row of codes, and a dataset travels from
+simulation to fit as one :class:`CascadeTable`, an (M, N) array of them,
+whose rows are views of its codes; all three decode their bounds one way
+(:class:`_Windows`).  Simulation, masking and reading write the codes;
+writing, summarizing and fitting read them, of a table or of a sequence of
+rows, which they stack a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -83,114 +86,8 @@ class _SubstreamDrawer:
         return self._gen
 
 
-@dataclass(frozen=True, eq=False)
-class Cascade:
-    """Complete activation-time record of one simulated spread."""
-
-    horizon: int
-    times: np.ndarray  # int array, length N, values in [0, horizon]
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=np.int64))
-
-    @property
-    def sources(self) -> np.ndarray:
-        return np.flatnonzero(self.times == 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cascade)
-            and self.horizon == other.horizon
-            and np.array_equal(self.times, other.times)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class ObservedCascade:
-    """Partially observed cascade.
-
-    Per node ``i`` either ``hidden[i]`` is True, or the recorded activation
-    time is known to satisfy ``lo[i] < t <= hi[i]``.  Derived statuses:
-
-    - Exact(t):             (t-1, t]   with t <= T-1 (sources: (-1, 0])
-    - CensoredAtHorizon:    (T-1, T]
-    - Interval(lo, hi]:     everything else (hi == T means "after lo,
-                            nothing more is known")
-    """
-
-    horizon: int
-    lo: np.ndarray
-    hi: np.ndarray
-    hidden: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.int64))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.int64))
-        object.__setattr__(self, "hidden", np.asarray(self.hidden, dtype=bool))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def sources(self) -> np.ndarray:
-        """Nodes observed exactly at time 0."""
-        return np.flatnonzero(~self.hidden & (self.hi == 0))
-
-    def status(self, i: int):
-        """Human-readable status tuple for node ``i``."""
-        if self.hidden[i]:
-            return ("hidden",)
-        return _window_status(int(self.lo[i]), int(self.hi[i]), self.horizon)
-
-    def is_fully_observed(self) -> bool:
-        """True when every node has an exactly pinned recorded time."""
-        return bool(np.all(~self.hidden & (self.hi - self.lo == 1)))
-
-    def to_cascade(self) -> Cascade:
-        """Convert back to a Cascade; requires full observation."""
-        if not self.is_fully_observed():
-            raise DatasetError("cascade is not fully observed")
-        return Cascade(self.horizon, self.hi.copy())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ObservedCascade)
-            and self.horizon == other.horizon
-            and np.array_equal(self.hidden, other.hidden)
-            and np.array_equal(self.lo[~self.hidden], other.lo[~other.hidden])
-            and np.array_equal(self.hi[~self.hidden], other.hi[~other.hidden])
-        )
-
-
-def _window_status(lo: int, hi: int, T: int) -> tuple:
-    """``("exact", hi)``, ``("censored",)`` or ``("interval", lo, hi)`` for
-    the window (lo, hi] of a visible node."""
-    if hi - lo == 1 and hi < T:
-        return ("exact", hi)
-    if lo == T - 1 and hi == T:
-        return ("censored",)
-    return ("interval", lo, hi)
-
-
-def _row(cls, **fields):
-    """A ``cls`` instance (a row, :class:`Cascade` or :class:`ObservedCascade`,
-    or a :class:`CascadeTable`) that holds ``fields`` as they are, past the
-    conversions and checks of the constructor: the caller passes int64
-    times or bounds and a bool ``hidden``, or a table's codes."""
-    row = object.__new__(cls)
-    vars(row).update(fields)
-    return row
-
-
-def observe_fully(cascade: Cascade) -> ObservedCascade:
-    """ObservedCascade with every node pinned (identity mask)."""
-    t = cascade.times
-    return ObservedCascade(cascade.horizon, t - 1, t.copy(), np.zeros(t.shape[0], dtype=bool))
-
-
 # ---------------------------------------------------------------------------
-# window codes: how a cell of a CascadeTable holds a window, known here alone
+# window codes: how a cascade holds a window, known here alone
 
 
 def _code_count(T: int) -> int:
@@ -256,42 +153,40 @@ def _checked(codes: np.ndarray, T: int) -> np.ndarray:
     return codes
 
 
+def _encoded(horizon: int, lo, hi, hidden) -> np.ndarray:
+    """The read-only window codes of the bounds ``lo`` and ``hi`` and the
+    flags ``hidden``, of one shape, with every visible window checked
+    (:func:`_checked`); a hidden cell is 0, whatever its bounds."""
+    seen = ~np.asarray(hidden, dtype=bool)
+    codes = np.zeros(seen.shape, dtype=_code_dtype(horizon))
+    lo, hi = np.asarray(lo, dtype=np.int64)[seen], np.asarray(hi, dtype=np.int64)[seen]
+    codes[seen] = _checked(_window_codes(lo, hi, horizon), horizon)
+    return _read_only(codes)
+
+
+# ---------------------------------------------------------------------------
+# cascades: rows and tables of window codes
+
+
 @dataclass(frozen=True, eq=False, init=False)
-class CascadeTable:
-    """M cascades over N nodes as one (M, N) array of window codes, one
-    row per cascade.
+class _Windows:
+    """The window codes of one cascade (a row: 1-D, one code a node) or of
+    a :class:`CascadeTable` (2-D, one row per cascade).
 
-    Cell (r, i) is 0 when node i is hidden in cascade r, and else the code
-    of its window ``(lo, hi]`` (:func:`_window_codes`), which orders as the
-    pairs do.  The codes take the smallest signed integer type that holds
-    them (:func:`_code_dtype`): one byte a cell up to T = 9, two up to
-    T = 179.  Row r holds what :class:`ObservedCascade` holds, and the
-    int64 window bounds ``lo`` and ``hi`` and the bool ``hidden`` are
-    read-only (M, N) arrays decoded from the codes on first use and kept.
-    The constructor takes those three arrays, encodes them and checks
-    every visible window: ``-1 <= lo < hi <= T``.  A ``complete`` table
-    holds simulated cascades, with ``hi`` the recorded times, ``lo = hi -
-    1`` and nothing hidden.
-
-    The table is also the sequence of its rows: ``len``, iteration and an
-    integer index give :class:`Cascade` views of ``hi`` for a complete
-    table and :class:`ObservedCascade` views otherwise, a slice gives a
-    table of views of the codes, ``==`` compares row by row with a sequence
-    of rows and by horizon, ``complete`` and codes with a table, and ``+``
-    stacks a table's codes (complete when both are) or a sequence's rows
-    into a new table; a list ``+=`` a table is extended by its rows.
+    A code is 0 for a hidden node and else that of the window ``(lo, hi]``
+    known to hold the node's recorded activation time
+    (:func:`_window_codes`); the codes take the smallest signed integer
+    type that holds them (:func:`_code_dtype`) and are read-only.  The
+    int64 bounds ``lo`` and ``hi`` and the bool ``hidden`` are decoded from
+    them on first use and kept, read-only; a hidden node decodes as
+    (-1, -1].  ``complete`` marks codes that are all exact windows by
+    construction: a :class:`Cascade`, or a table of simulated cascades.
     """
 
     horizon: int
     codes: np.ndarray
-    complete: bool = False
 
-    def __init__(self, horizon: int, lo, hi, hidden, complete: bool = False):
-        seen = ~np.asarray(hidden, dtype=bool)
-        codes = np.zeros(seen.shape, dtype=_code_dtype(horizon))
-        lo, hi = np.asarray(lo, dtype=np.int64)[seen], np.asarray(hi, dtype=np.int64)[seen]
-        codes[seen] = _checked(_window_codes(lo, hi, horizon), horizon)
-        vars(self).update(horizon=horizon, codes=_read_only(codes), complete=complete)
+    complete = False
 
     @cached_property
     def lo(self) -> np.ndarray:
@@ -306,30 +201,146 @@ class CascadeTable:
         return _read_only(self.codes == 0)
 
     @property
+    def times(self) -> np.ndarray:
+        """The recorded times of complete cascades: ``hi``."""
+        return self.hi
+
+    @property
     def n_nodes(self) -> int:
-        return self.codes.shape[1]
+        return self.codes.shape[-1]
+
+    @property
+    def sources(self) -> np.ndarray:
+        """The nodes of a row observed exactly at time 0; of a table, the
+        flat indices of those cells."""
+        return np.flatnonzero(_is_source(self.codes))
 
     def is_fully_observed(self) -> bool:
-        """True when every node of every cascade has an exactly pinned time."""
+        """True when every node has an exactly pinned recorded time."""
         return self.complete or bool(np.all(_is_exact(self.codes, self.horizon)))
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.horizon == other.horizon and np.array_equal(self.codes, other.codes)
+
+
+class Cascade(_Windows):
+    """Complete activation-time record of one simulated spread: the exact
+    windows ``(t - 1, t]`` of its recorded times t in [0, horizon], which
+    ``times`` decodes.  A time outside [0, horizon] is a
+    :class:`DatasetError`."""
+
+    complete = True
+
+    def __init__(self, horizon: int, times):
+        codes = _checked(_exact_codes(np.asarray(times, dtype=np.int64), horizon), horizon)
+        vars(self).update(horizon=horizon, codes=_read_only(codes.astype(_code_dtype(horizon))))
+
+
+class ObservedCascade(_Windows):
+    """Partially observed cascade.
+
+    Per node ``i`` either ``hidden[i]`` is True, or the recorded activation
+    time is known to satisfy ``lo[i] < t <= hi[i]``.  The constructor
+    encodes and checks the windows as :class:`CascadeTable`'s does.
+    Derived statuses:
+
+    - Exact(t):             (t-1, t]   with t <= T-1 (sources: (-1, 0])
+    - CensoredAtHorizon:    (T-1, T]
+    - Interval(lo, hi]:     everything else (hi == T means "after lo,
+                            nothing more is known")
+    """
+
+    def __init__(self, horizon: int, lo, hi, hidden):
+        vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden))
+
+    def status(self, i: int):
+        """Human-readable status tuple for node ``i``."""
+        if self.hidden[i]:
+            return ("hidden",)
+        return _window_status(int(self.lo[i]), int(self.hi[i]), self.horizon)
+
+    # the base's rule, declared here too as one of the class's own public methods
+    is_fully_observed = _Windows.is_fully_observed
+
+    def to_cascade(self) -> Cascade:
+        """The same codes as a Cascade; requires full observation."""
+        if not self.is_fully_observed():
+            raise DatasetError("cascade is not fully observed")
+        return _row(Cascade, horizon=self.horizon, codes=self.codes)
+
+
+def _window_status(lo: int, hi: int, T: int) -> tuple:
+    """``("exact", hi)``, ``("censored",)`` or ``("interval", lo, hi)`` for
+    the window (lo, hi] of a visible node."""
+    if hi - lo == 1 and hi < T:
+        return ("exact", hi)
+    if lo == T - 1 and hi == T:
+        return ("censored",)
+    return ("interval", lo, hi)
+
+
+def _row(cls, **fields):
+    """A ``cls`` instance (a row, :class:`Cascade` or :class:`ObservedCascade`,
+    or a :class:`CascadeTable`) that holds ``fields`` as they are, past the
+    encoding and checks of the constructor: the caller passes valid,
+    read-only codes."""
+    row = object.__new__(cls)
+    vars(row).update(fields)
+    return row
+
+
+def observe_fully(cascade: Cascade) -> ObservedCascade:
+    """ObservedCascade with every node pinned (identity mask): the
+    cascade's own codes."""
+    return _row(ObservedCascade, horizon=cascade.horizon, codes=cascade.codes)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class CascadeTable(_Windows):
+    """M cascades over N nodes as one (M, N) array of window codes, one
+    row per cascade.
+
+    Row r holds what an :class:`ObservedCascade` holds, and the codes,
+    their decoding and the rule of a valid window are those of every
+    cascade (:class:`_Windows`): one byte a cell up to T = 9, two up to
+    T = 179.  The constructor takes (M, N) arrays ``lo``, ``hi`` and
+    ``hidden``, encodes them and checks every visible window: ``-1 <= lo
+    < hi <= T``.  A ``complete`` table holds simulated cascades, with
+    ``hi`` the recorded times, ``lo = hi - 1`` and nothing hidden.
+
+    The table is also the sequence of its rows: ``len``, iteration and an
+    integer index give rows that are views of its codes, :class:`Cascade`
+    rows of a complete table and :class:`ObservedCascade` rows otherwise;
+    a slice gives a table of a view of the codes, ``==`` compares row by
+    row with a sequence of rows and by horizon, ``complete`` and codes
+    with a table, and ``+`` stacks a table's codes (complete when both
+    are) or a sequence's rows into a new table; a list ``+=`` a table is
+    extended by its rows.
+    """
+
+    complete: bool = False
+
+    def __init__(self, horizon: int, lo, hi, hidden, complete: bool = False):
+        vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden), complete=complete)
+
+    # the base's rule, declared here too as one of the class's own public methods
+    is_fully_observed = _Windows.is_fully_observed
 
     def __len__(self) -> int:
         return self.codes.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            if self.complete:
-                return _row(Cascade, horizon=self.horizon, times=self.hi[index])
-            return _row(ObservedCascade, horizon=self.horizon, lo=self.lo[index], hi=self.hi[index],
-                        hidden=self.hidden[index])
+            return _row(self._row_type, horizon=self.horizon, codes=self.codes[index])
         return _coded_table(self.horizon, self.codes[index], self.complete)
 
     def __iter__(self):
-        T = self.horizon
-        if self.complete:
-            return (_row(Cascade, horizon=T, times=times) for times in self.hi)
-        return (_row(ObservedCascade, horizon=T, lo=lo, hi=hi, hidden=hidden)
-                for lo, hi, hidden in zip(self.lo, self.hi, self.hidden))
+        row_type, T = self._row_type, self.horizon
+        return (_row(row_type, horizon=T, codes=codes) for codes in self.codes)
+
+    @property
+    def _row_type(self) -> type:
+        return Cascade if self.complete else ObservedCascade
 
     def __eq__(self, other):
         if isinstance(other, CascadeTable):
@@ -354,22 +365,17 @@ def _coded_table(horizon: int, codes: np.ndarray, complete: bool = False) -> Cas
 
 
 def _table(dataset) -> CascadeTable:
-    """``dataset`` itself when it is a table, else its rows (cascades or
-    observed cascades of one horizon and one width) stacked into one."""
+    """``dataset`` itself when it is a table, else the codes of its rows
+    (cascades or observed cascades of one horizon and one width) stacked
+    into one, complete when every row is a :class:`Cascade`."""
     if isinstance(dataset, CascadeTable):
         return dataset
     if not len(dataset):
         raise DatasetError("empty dataset")
     horizon = _shared((row.horizon for row in dataset), "horizons")
-
-    def stacked(arrays):
-        return np.concatenate(arrays).reshape(len(arrays), _shared((a.shape[0] for a in arrays), "node counts"))
-
-    if all(isinstance(row, Cascade) for row in dataset):
-        codes = _checked(_exact_codes(stacked([row.times for row in dataset]), horizon), horizon)
-        return _coded_table(horizon, codes.astype(_code_dtype(horizon)), complete=True)
-    rows = [observe_fully(row) if isinstance(row, Cascade) else row for row in dataset]
-    return CascadeTable(horizon, *(stacked([getattr(row, name) for row in rows]) for name in ("lo", "hi", "hidden")))
+    codes = [row.codes for row in dataset]
+    width = _shared((len(row) for row in codes), "node counts")
+    return _coded_table(horizon, np.concatenate(codes).reshape(len(codes), width), all(row.complete for row in dataset))
 
 
 def _shared(values: Iterable[int], what: str) -> int:
@@ -611,14 +617,11 @@ def monte_carlo_marginals(net: Network, couplings, sources, horizon: int, runs: 
 
 
 @lru_cache(maxsize=16)
-def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validated hidden nodes of ``mask``, the (2, T+2) table of the
-    window ``(lo, hi]`` it leaves of a recorded time tau, in column tau+1
-    for tau in [-1, T], and the same windows by code: the window code (see
-    :class:`CascadeTable`) that the mask leaves of the exact window of tau
-    in [0, T], at that window's code (:func:`_exact_codes`); all read-only.
-    Times below -1 see what -1 sees and times above T what T sees, so the
-    column of any time is tau + 1 clipped into the table.
+def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The validated hidden nodes of ``mask`` and the window codes it
+    leaves, both read-only: at the code of the exact window of a recorded
+    time tau in [0, T] (:func:`_exact_codes`), the code of the window
+    ``(lo, hi]`` that the mask leaves of tau.
 
     Point s (0 or a snapshot) sees tau active iff tau <= min(s, T-1); the
     window ends there at the first such s, or at T after the last point.
@@ -627,14 +630,15 @@ def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray,
     T = horizon
     points = np.array(sorted({0, *(mask.snapshot_times if mask.snapshot_times is not None else range(T + 1))}), dtype=np.int64)
     seen = np.minimum(points, T - 1)
-    first = np.searchsorted(seen, np.arange(-1, T + 1))
+    first = np.searchsorted(seen, np.arange(T + 1))
     before = points[np.maximum(first - 1, 0)]
-    table = np.stack([np.where(first == len(points), np.minimum(before, T - 1), before), np.append(seen, T)[first]])
-    table[:, 1] = -1, 0
+    lo = np.where(first == len(points), np.minimum(before, T - 1), before)
+    hi = np.append(seen, T)[first]
+    lo[0], hi[0] = -1, 0
     by_code = np.zeros(_code_count(T), dtype=_code_dtype(T))
-    by_code[_exact_codes(np.arange(T + 1), T)] = _window_codes(*table[:, 1:], T)
+    by_code[_exact_codes(np.arange(T + 1), T)] = _window_codes(lo, hi, T)
     hidden = np.array(sorted(mask.hidden_nodes), dtype=np.intp)
-    return _read_only(hidden), _read_only(table), _read_only(by_code)
+    return _read_only(hidden), _read_only(by_code)
 
 
 def apply_mask(cascade: Cascade | CascadeTable | Sequence[Cascade], mask: MaskSpec) -> ObservedCascade | CascadeTable:
@@ -646,24 +650,19 @@ def apply_mask(cascade: Cascade | CascadeTable | Sequence[Cascade], mask: MaskSp
     was recorded in ``(prev, s]``; a snapshot at the horizon can only tell
     "activated by T-1" from "censored".  With ``snapshot_times=None`` every
     time step is monitored and visible nodes keep exact times.  A table
-    must pin every node's time exactly, and its codes are masked by one
-    lookup of each; a sequence of rows is stacked into a table first.
+    must pin every node's time exactly; a sequence of rows is stacked into
+    a table first.  The codes of a cascade or of a table are masked by one
+    lookup of each.
     """
-    if isinstance(cascade, Cascade):
-        T, times = cascade.horizon, cascade.times
-        hidden_nodes, windows, _ = _mask_table(mask, times.shape[0], T)
-        lo, hi = windows.take(times + 1, axis=1, mode="clip")
-        lo[hidden_nodes] = hi[hidden_nodes] = -1
-        hidden = np.zeros(times.shape, dtype=bool)
-        hidden[hidden_nodes] = True
-        return _row(ObservedCascade, horizon=T, lo=lo, hi=hi, hidden=hidden)
-    table = _table(cascade)
-    if not table.is_fully_observed():
+    data = cascade if isinstance(cascade, Cascade) else _table(cascade)
+    if not data.is_fully_observed():
         raise DatasetError("cascade is not fully observed")
-    hidden_nodes, _, by_code = _mask_table(mask, table.n_nodes, table.horizon)
-    codes = by_code[table.codes]
-    codes[:, hidden_nodes] = 0
-    return _coded_table(table.horizon, codes)
+    hidden_nodes, by_code = _mask_table(mask, data.n_nodes, data.horizon)
+    codes = by_code[data.codes]
+    codes[..., hidden_nodes] = 0
+    if isinstance(cascade, Cascade):
+        return _row(ObservedCascade, horizon=data.horizon, codes=_read_only(codes))
+    return _coded_table(data.horizon, codes)
 
 
 def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, exclude: Iterable[int] = ()) -> MaskSpec:

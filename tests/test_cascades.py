@@ -394,8 +394,9 @@ class TestCascadeTable:
         assert not data.hidden.any()
         rows = list(data)
         assert all(type(c) is Cascade and c.times.dtype == np.int64 for c in rows)
-        # the rows are views of the table's arrays, not copies
-        assert all(np.shares_memory(c.times, data.hi) for c in [*rows, data[2]])
+        # the rows are views of the table's codes, not copies; their times are decoded, read-only
+        for c in [*rows, data[2]]:
+            assert np.shares_memory(c.codes, data.codes) and not c.times.flags.writeable
         assert data[0] == rows[0] and data[-1] == rows[-1] and data[np.int64(3)] == rows[3]
         np.testing.assert_array_equal(data[3].times, data.hi[3])
         part = data[5:9]
@@ -412,7 +413,8 @@ class TestCascadeTable:
         assert back[1].hidden.dtype == bool and back[1].lo.dtype == np.int64
         for obs in [*back, back[1]]:
             assert (obs.lo.dtype, obs.hi.dtype, obs.hidden.dtype) == (np.int64, np.int64, bool)
-            assert all(np.shares_memory(a, b) for a, b in ((obs.lo, back.lo), (obs.hi, back.hi), (obs.hidden, back.hidden)))
+            assert np.shares_memory(obs.codes, back.codes)
+            assert not any(a.flags.writeable for a in (obs.codes, obs.lo, obs.hi, obs.hidden))
 
     def test_concatenation(self, chain3):
         a = generate_dataset(chain3, [0.5, 0.5], 3, [0], 5, seed=1)
@@ -449,12 +451,21 @@ class TestCascadeTable:
         assert apply_mask(back[:1], MaskSpec()) == back[:1]
 
     def test_windows_are_checked_once_at_construction(self):
-        with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 5\]$"):
+        # a table and each kind of row check their windows as they are built
+        in_range = r"^observation windows must lie in \[-1, 5\]$"
+        with pytest.raises(DatasetError, match=in_range):
             CascadeTable(5, [[-1, 3]], [[0, 7]], [[False, False]])
+        with pytest.raises(DatasetError, match=in_range):
+            ObservedCascade(5, [-1, 3], [0, 7], [False, False])
+        for t in (-1, 6):
+            with pytest.raises(DatasetError, match=in_range):
+                Cascade(5, [0, t])
         # (2, 2] is empty: its code would read as hidden
         for lo, hi in ((2, 2), (3, 1)):
             with pytest.raises(DatasetError, match=r"^an observed window \(lo, hi\] must have lo < hi$"):
                 CascadeTable(5, [[-1, lo]], [[0, hi]], [[False, False]])
+            with pytest.raises(DatasetError, match=r"^an observed window \(lo, hi\] must have lo < hi$"):
+                ObservedCascade(5, [-1, lo], [0, hi], [False, False])
         # a hidden cell's bounds are not read; it decodes as (-1, -1]
         table = CascadeTable(5, [[-1, 9]], [[0, 2]], [[False, True]])
         assert table.codes.tolist() == [[1, 0]] and table.codes.dtype == np.int8
@@ -465,10 +476,11 @@ class TestCascadeTable:
 
     def test_compact_path_never_decodes_a_table(self, rng, monkeypatch):
         # simulation, masking, reading, writing, summarizing and fitting read
-        # and write the codes alone: no int64 bounds of a table, nor of a
-        # block of one
-        for name in ("lo", "hi", "hidden"):
-            monkeypatch.setattr(CascadeTable, name, property(lambda table, name=name: pytest.fail(f"{name} decoded")))
+        # and write the codes alone: no int64 bounds of a table, of a block
+        # of one or of a row
+        for cls in (CascadeTable, Cascade, ObservedCascade):
+            for name in ("lo", "hi", "hidden"):
+                monkeypatch.setattr(cls, name, property(lambda data, name=name: pytest.fail(f"{name} decoded")), raising=False)
         net = random_loopy_net(8, 6, rng)
         alpha = random_couplings(net, rng, 0.1, 0.9)
         mask = MaskSpec(frozenset({5}), (2, 4, 6))
@@ -488,6 +500,13 @@ class TestCascadeTable:
         assert both == observed + back and both != full + back and not both.complete
         assert np.array_equal(both.codes, np.concatenate((back.codes, back.codes)))
         assert (data + data).complete and not (data + full).complete
+        # the row path: rows of a table are views of its codes, and masking
+        # them, writing and summarizing the list work on the codes too
+        rows = [apply_mask(c, mask) for c in data]
+        text = write_cascades(net, rows)
+        assert text == write_cascades(net, observed)
+        gradient.summarize_dataset(rows)
+        assert rows == observed
 
 
 class TestWindowCodes:
@@ -674,17 +693,26 @@ class TestMasking:
 
     def test_every_horizon_and_snapshot_set_as_the_reference(self, rng):
         for T in range(1, 13):
-            c = Cascade(T, np.arange(-2, T + 2))  # every recorded time, and one beyond each end
+            c = Cascade(T, np.arange(T + 1))  # every recorded time
             random_sets = [tuple(np.flatnonzero(rng.random(T + 1) < 0.4).tolist()) for _ in range(8)]
             for snapshots in [None, (), (0,), (T - 1,), (T,), (T - 1, T), *random_sets]:
-                mask = MaskSpec(frozenset({T + 3}), snapshots)
+                mask = MaskSpec(frozenset({T}), snapshots)
                 _assert_identical(apply_mask(c, mask), _reference_apply_mask(c, mask))
 
+    def test_every_horizon_refuses_times_beyond_either_end(self):
+        for T in range(1, 13):
+            for t in (-2, -1, T + 1):
+                with pytest.raises(DatasetError, match=rf"^observation windows must lie in \[-1, {T}\]$"):
+                    apply_mask(Cascade(T, [0, t]), MaskSpec())
+
     def test_times_outside_the_horizon_as_the_reference(self):
-        c = Cascade(4, [0, -3, -1, 4, 9, 2])
-        for snapshots in (None, (), (2,), (1, 4)):
-            mask = MaskSpec(frozenset({5}), snapshots)
-            _assert_identical(apply_mask(c, mask), _reference_apply_mask(c, mask))
+        # the reference loop read such times as their nearest time in [0, T];
+        # a row now refuses them when it is built, with the message of a list
+        # or a table
+        with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 5\]$"):
+            apply_mask(Cascade(5, [0, 99, -3]), MaskSpec())
+        with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 4\]$"):
+            apply_mask(Cascade(4, [0, -3, -1, 4, 9, 2]), MaskSpec(frozenset({5}), (1, 4)))
 
     def test_negative_hidden_count_rejected(self, chain3):
         with pytest.raises(DatasetError, match=r"^cannot hide -1 of 3 eligible nodes$"):
@@ -775,9 +803,8 @@ class TestFiles:
         assert write_cascades(chain3, back) == text
 
     def test_window_outside_the_horizon_rejected(self, chain3):
-        obs = ObservedCascade(5, [-1, 3, -1], [0, 7, -1], [False, False, True])
         with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
-            write_cascades(chain3, [obs])
+            write_cascades(chain3, [ObservedCascade(5, [-1, 3, -1], [0, 7, -1], [False, False, True])])
 
     def test_mixed_horizons_rejected(self, chain3):
         data = [Cascade(5, [0, 1, 2]), Cascade(6, [0, 1, 2])]

@@ -154,9 +154,8 @@ class TestSummaries:
     def test_window_outside_the_horizon_rejected(self):
         from cascade_recon import ObservedCascade
 
-        obs = ObservedCascade(5, [-1, 3], [0, 7], [False, False])
         with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
-            summarize_dataset([obs])
+            summarize_dataset([ObservedCascade(5, [-1, 3], [0, 7], [False, False])])
 
 
 class TestWindowTerms:
