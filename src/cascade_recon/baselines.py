@@ -30,6 +30,7 @@ from .errors import CapacityError, DatasetError
 from .graph import Network, _ranges, validate_couplings
 from .cascades import (
     _MASK64,
+    _PASS_BYTES,
     _SAMPLE_ROWS,
     Cascade,
     CascadeTable,
@@ -37,13 +38,11 @@ from .cascades import (
     ObservedCascade,
     _bit_words,
     _group_rows,
-    _horizon,
     _source_groups,
     _table,
     sample_recorded_times,
 )
 from .fit import FitConfig, FitResult, identifiable_edges, projected_gradient_descent
-from .gradient import _PASS_BYTES
 
 __all__ = [
     "HtsConfig",
@@ -158,11 +157,10 @@ def netrate_fit(dataset, net: Network, config: FitConfig | None = None) -> np.nd
     """
     config = config or FitConfig()
     config.validate()
-    horizon = _horizon(dataset, net)
-    table = _table(dataset)
+    table = _table(dataset, net)
     if not table.is_fully_observed():
         raise DatasetError("method requires completely observed cascades")
-    return _netrate(net, table.hi, horizon, config)
+    return _netrate(net, table.hi, table.horizon, config)
 
 
 def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -> np.ndarray:
@@ -347,8 +345,8 @@ def hts_fit(
     config = config or HtsConfig()
     config.validate()
     fit_cfg = config.fit
-    horizon = _horizon(dataset, net)
-    table = _table(dataset)
+    table = _table(dataset, net)
+    horizon = table.horizon
 
     hidden_everywhere = table.hidden.all(axis=0)
     frozen = np.ones(net.n_edges, dtype=bool)

@@ -20,8 +20,8 @@ hidden node, in one or two bytes.  A :class:`Cascade` or an
 simulation to fit as one :class:`CascadeTable`, an (M, N) array of them,
 whose rows are views of its codes; all three decode their bounds one way
 (:class:`_Windows`).  Simulation, masking and reading write the codes;
-writing, summarizing and fitting read them, of a table or of a sequence of
-rows, which they stack a block of rows at a time.
+writing, summarizing and fitting read them, a slice of a table at a time
+(:func:`_blocks`), once a public function has stacked rows (:func:`_table`).
 """
 
 from __future__ import annotations
@@ -356,7 +356,10 @@ class CascadeTable(_Windows):
             return _coded_table(horizon, np.concatenate((self.codes, other.codes)), self.complete and other.complete)
         if not isinstance(other, (list, tuple)):
             return NotImplemented
-        return _table([*self, *other])
+        # the table's last row stands for all of its rows in _table's checks
+        tail = _table([self[-1], *other] if len(self) else other)
+        codes = np.concatenate((self.codes[:-1], tail.codes)) if len(self) else tail.codes
+        return _coded_table(tail.horizon, codes, tail.complete)
 
 
 def _coded_table(horizon: int, codes: np.ndarray, complete: bool = False) -> CascadeTable:
@@ -364,14 +367,18 @@ def _coded_table(horizon: int, codes: np.ndarray, complete: bool = False) -> Cas
     return _row(CascadeTable, horizon=horizon, codes=_read_only(codes), complete=complete)
 
 
-def _table(dataset) -> CascadeTable:
-    """``dataset`` itself when it is a table, else the codes of its rows
-    (cascades or observed cascades of one horizon and one width) stacked
-    into one, complete when every row is a :class:`Cascade`."""
-    if isinstance(dataset, CascadeTable):
-        return dataset
+def _table(dataset, net: Network | None = None) -> CascadeTable:
+    """A public function's dataset as the table that all below it take:
+    ``dataset`` itself, or the codes of its rows (of one horizon and one
+    width) stacked, complete when every row is a :class:`Cascade`.  The
+    errors, in order: empty, a first row not as wide as ``net``, rows of
+    more than one horizon, then of more than one width."""
     if not len(dataset):
         raise DatasetError("empty dataset")
+    if net is not None and dataset[0].n_nodes != net.n_nodes:
+        raise DatasetError("dataset does not match the network")
+    if isinstance(dataset, CascadeTable):
+        return dataset
     horizon = _shared((row.horizon for row in dataset), "horizons")
     codes = [row.codes for row in dataset]
     width = _shared((len(row) for row in codes), "node counts")
@@ -554,7 +561,7 @@ def _sampled_blocks(net: Network, couplings, sources, horizon: int, count: int, 
     """Yield ``(start, times)``: the (rows, N) recorded times of the next
     ``rows <= _SAMPLE_ROWS`` of ``count`` cascades that
     :func:`sample_recorded_times` samples.  An int ``rng`` is a seed for
-    ``np.random.default_rng``."""
+    ``np.random.default_rng``; a block's steps stop once none is susceptible."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     with np.errstate(divide="ignore"):
@@ -569,14 +576,15 @@ def _sampled_blocks(net: Network, couplings, sources, horizon: int, count: int, 
         times[:, src] = 0
         infected = np.zeros((size, net.n_nodes))
         infected[:, src] = 1.0
+        susceptible = times == horizon
         for t in range(horizon - 1):
             p_inf = -np.expm1(infected @ L)
-            u = rng.random((size, net.n_nodes))
-            newly = (u < p_inf) & (times == horizon)
+            newly = (rng.random((size, net.n_nodes)) < p_inf) & susceptible
             if newly.any():
-                times[newly] = t + 1
-                infected[newly] = 1.0
-                if not (times == horizon).any():
+                np.copyto(times, t + 1, where=newly)
+                np.copyto(infected, 1.0, where=newly)
+                susceptible &= ~newly
+                if not susceptible.any():
                     break
         yield start, times
 
@@ -651,8 +659,8 @@ def apply_mask(cascade: Cascade | CascadeTable | Sequence[Cascade], mask: MaskSp
     "activated by T-1" from "censored".  With ``snapshot_times=None`` every
     time step is monitored and visible nodes keep exact times.  A table
     must pin every node's time exactly; a sequence of rows is stacked into
-    a table first.  The codes of a cascade or of a table are masked by one
-    lookup of each.
+    a table first (:func:`_table`).  The codes of a cascade or of a table
+    are masked by one lookup of each.
     """
     data = cascade if isinstance(cascade, Cascade) else _table(cascade)
     if not data.is_fully_observed():
@@ -709,10 +717,10 @@ def _source_groups(dataset: CascadeTable | Sequence[ObservedCascade]) -> tuple[l
     :func:`_ranked_sets`.  An empty dataset is rejected, and so is a
     cascade with no observed source (the source was hidden by the mask):
     the model conditions on known initial conditions, and the error names
-    the first such cascade.
+    the first such cascade.  The table's codes are walked a block at a time.
     """
     ids: dict[tuple[int, ...], int] = {}
-    set_id = np.concatenate([_source_sets(block.codes, ids) for _start, block in _blocks(dataset)])
+    set_id = np.concatenate([_source_sets(block.codes, ids) for _start, block in _blocks(_table(dataset))])
     keys, rank = _ranked_sets(ids, set_id)
     return keys, rank[set_id]
 
@@ -749,25 +757,22 @@ def _ranked_sets(ids: dict[tuple[int, ...], int], set_id: np.ndarray) -> tuple[l
     return keys, rank
 
 
-# cells (cascades x nodes) of the blocks that the whole-dataset passes take
-_BLOCK_CELLS = 8192
+# Bytes that one block of a walk over a table, one batched pass over a chunk
+# of source groups (gradient._chunks) or one (rows, |E|) term array of a block
+# of baselines.batch_full_log_likelihood or of NetRate holds: 1 MiB.
+_PASS_BYTES = 1 << 20
+
+# Cells of a block of the walks over a table: in the summaries a cell's code
+# and its window's row, node and key, with the sort's copies, take 32 bytes.
+_BLOCK_CELLS = _PASS_BYTES // 32
 
 
-def _blocks(dataset: CascadeTable | Sequence, cells: int | None = None):
-    """Yield ``(start, block)``: the table of ``dataset[start:start + rows]``
-    for consecutive runs of about ``cells`` cells (``_BLOCK_CELLS`` when
-    None), a slice of a table or the rows of a sequence stacked; every
-    block has the horizon and the width of the first.  An empty dataset is
-    an error."""
-    if not len(dataset):
-        raise DatasetError("empty dataset")
-    first = _table(dataset[:1])
-    step = max(1, (cells or _BLOCK_CELLS) // max(1, first.n_nodes))
-    for start in range(0, len(dataset), step):
-        block = _table(dataset[start : start + step])
-        _shared([first.horizon, block.horizon], "horizons")
-        _shared([first.n_nodes, block.n_nodes], "node counts")
-        yield start, block
+def _blocks(table: CascadeTable):
+    """Yield ``(start, block)``: the slices ``table[start:start + rows]``
+    that cut it into consecutive runs of about ``_BLOCK_CELLS`` cells."""
+    step = max(1, _BLOCK_CELLS // max(1, table.n_nodes))
+    for start in range(0, len(table), step):
+        yield start, table[start : start + step]
 
 
 def _split_rows(items: list, rows: np.ndarray, n_rows: int) -> list[list]:
@@ -780,18 +785,6 @@ def _split_rows(items: list, rows: np.ndarray, n_rows: int) -> list[list]:
 def _check_horizon(horizon: int, least: int = 1) -> None:
     if horizon < least:
         raise DatasetError(f"horizon must be >= {least}")
-
-
-def _horizon(dataset: CascadeTable | Sequence, net: Network | None = None) -> int:
-    """The horizon of a table or of the first row of a sequence, which must
-    be as wide as ``net`` has nodes; the passes over :func:`_blocks` and
-    :func:`_table` check that the other rows share both."""
-    if not len(dataset):
-        raise DatasetError("empty dataset")
-    first = _table(dataset[:1])
-    if net is not None and first.n_nodes != net.n_nodes:
-        raise DatasetError("dataset does not match the network")
-    return first.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -810,34 +803,43 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     with a :class:`DatasetError` before anything is written.
 
     The visible cells, the nonzero codes, are taken a block of rows at a
-    time.  Each block builds one token text per distinct (window, node)
-    pair among its cells, and its lines share those strings, so the work
-    and the memory of a block grow with its cells and not with N or T.
+    time (:func:`_blocks`).  Each block builds one token text per distinct
+    (window, node) pair among its cells, and its lines share those strings,
+    so the work and the memory of a block grow with its cells and not with
+    N or T.
     """
     if not len(cascades):
         raise ValueError("no cascades to write")
-    T = _horizon(cascades, net)
+    table = _table(cascades, net)
+    T = table.horizon
     bad = next((label for label in net.labels if _unwritable_label(label)), None)
     if bad is not None:
         raise DatasetError(f"node label {bad!r} cannot be written to a cascade file: a label there holds "
                            "no ',', ':', '(' or line break, and no whitespace at its ends")
     labels = np.array(net.labels, dtype=object)
     lines = [f"T={T}"]
-    for start, block in _blocks(cascades):
-        codes = block.codes.ravel()
-        cells = np.flatnonzero(codes)
-        rows, nodes = np.divmod(cells, block.n_nodes)
-        # pairs keyed window first: their windows come out sorted, which unique sorts fast
-        pairs, which = np.unique(codes[cells].astype(np.int64) * block.n_nodes + nodes, return_inverse=True)
-        codes, nodes = np.divmod(pairs, block.n_nodes)
-        codes, window = np.unique(codes, return_inverse=True)
-        lo_of, hi_of = _window_bounds(codes, T)
-        suffixes = np.array([_token_suffix(a, b, T) for a, b in zip(lo_of.tolist(), hi_of.tolist())], dtype=object)
-        tokens = (labels[nodes] + suffixes[window])[which].tolist()
-        for r, line_tokens in enumerate(_split_rows(tokens, rows, len(block)), start):
-            lines.append(f"{r}\t" + ",".join(line_tokens))
+    for start, block in _blocks(table):
+        lines += _block_lines(block, start, labels)
     lines.append("")
     return "\n".join(lines)
+
+
+def _block_lines(block: CascadeTable, start: int, labels: np.ndarray) -> list[str]:
+    """The lines of ``block``'s cascades, numbered from ``start``, with the
+    object array ``labels``; what it builds is freed before the next block."""
+    T, n_nodes = block.horizon, block.n_nodes
+    rows, nodes = np.nonzero(block.codes)
+    # pairs keyed window first: their windows come out sorted, which unique sorts fast
+    pairs, which = np.unique(block.codes[rows, nodes].astype(np.int64) * n_nodes + nodes, return_inverse=True)
+    codes, nodes = np.divmod(pairs, n_nodes)
+    codes, n_pairs = np.unique(codes, return_counts=True)
+    lo_of, hi_of = _window_bounds(codes, T)
+    # a window's suffix is made once, added to its pairs' labels (which follow one another), and freed
+    suffixes = (_token_suffix(int(a), int(b), T) for a, b in zip(lo_of, hi_of))
+    repeated = itertools.chain.from_iterable(map(itertools.repeat, suffixes, n_pairs.tolist()))
+    texts = np.array(list(map(str.__add__, labels[nodes].tolist(), repeated)), dtype=object)
+    tokens = texts[which].tolist()
+    return [f"{r}\t" + ",".join(line_tokens) for r, line_tokens in enumerate(_split_rows(tokens, rows, len(block)), start)]
 
 
 def _unwritable_label(label: str) -> bool:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DatasetError
 from .graph import Network
-from .cascades import CascadeTable, MaskSpec, ObservedCascade, _horizon
+from .cascades import CascadeTable, MaskSpec, ObservedCascade, _table
 from .gradient import _chunks, _dataset_free_energy, summarize_dataset
 
 __all__ = [
@@ -200,16 +200,16 @@ def dmprec_fit(
     """
     config = config or FitConfig()
     config.validate()
-    horizon = _horizon(dataset, net)
-    summaries = summarize_dataset(dataset)
-    grad_chunks = _chunks(summaries, net, horizon)
-    value_chunks = _chunks(summaries, net, horizon, with_gradient=False)
+    table = _table(dataset, net)
+    summaries = summarize_dataset(table)
+    grad_chunks = _chunks(summaries, net, table.horizon)
+    value_chunks = _chunks(summaries, net, table.horizon, with_gradient=False)
 
     def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        return _dataset_free_energy(grad_chunks, net, alpha, horizon)
+        return _dataset_free_energy(grad_chunks, net, alpha, table.horizon)
 
     def value_only(alpha: np.ndarray) -> float:
-        return _dataset_free_energy(value_chunks, net, alpha, horizon, with_gradient=False)[0]
+        return _dataset_free_energy(value_chunks, net, alpha, table.horizon, with_gradient=False)[0]
 
     x0 = np.full(net.n_edges, config.alpha_init)
     start = time.perf_counter()

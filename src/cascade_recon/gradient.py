@@ -52,14 +52,15 @@ import numpy as np
 
 from .graph import Network, validate_couplings
 from .cascades import (
+    _PASS_BYTES,
     CascadeTable,
     ObservedCascade,
     _blocks,
     _code_count,
-    _horizon,
     _is_visible_non_source,
     _ranked_sets,
     _source_sets,
+    _table,
     _window_bounds,
 )
 from .dmp import dmp_forward, initial_susceptible, _log_step_adjoint, _propagate
@@ -70,16 +71,6 @@ __all__ = [
     "free_energy_gradient",
     "population_free_energy",
 ]
-
-# Bytes that one batched pass over a chunk of source groups, one block of
-# the summaries' walk over the cascades, or one (rows, |E|) term array of a
-# block of baselines.batch_full_log_likelihood or of NetRate holds: 1 MiB.
-_PASS_BYTES = 1 << 20
-
-# Cells of a block of the summaries' walk: a cell's code and its window's
-# row, node and key, with the sort's copies, take about 32 bytes.
-_SUMMARY_BLOCK_CELLS = _PASS_BYTES // 32
-
 
 @dataclass(frozen=True, eq=False)
 class FreeEnergyReport:
@@ -113,8 +104,9 @@ class GroupSummary:
 def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list[GroupSummary]:
     """Group cascades by source set and aggregate observation windows.
 
-    One walk over the table's codes, a block of about
-    ``_SUMMARY_BLOCK_CELLS`` cells at a time, finds each row's source set
+    A sequence of rows is stacked into a table first
+    (:func:`cascades._table`).  One walk over the table's codes, a block
+    (:func:`cascades._blocks`) at a time, finds each row's source set
     (:func:`cascades._source_sets`, numbered as first met) and makes each
     window of a visible non-source node one int64 key that orders by (set,
     node, lo, hi), with the window code as its last digit, so no bounds are
@@ -124,12 +116,13 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     log2(blocks) times.  The sets are then ranked in sorted order and the
     keys renumbered, so the rows come out ordered by (group, node, lo, hi).
     """
-    T = _horizon(dataset)
+    table = _table(dataset)
+    T = table.horizon
     n_codes = _code_count(T)
     ids: dict[tuple[int, ...], int] = {}
     set_ids = []
     runs = []                                                # (blocks, keys, counts), blocks falling
-    for _start, block in _blocks(dataset, _SUMMARY_BLOCK_CELLS):
+    for _start, block in _blocks(table):
         codes, n_nodes = block.codes, block.n_nodes
         set_id = _source_sets(codes, ids)
         set_ids.append(set_id)
@@ -299,9 +292,9 @@ def observed_negative_log_likelihood(
 ) -> float:
     """Free energy of a dataset: sum over observed nodes of
     ``-log P(observation window)`` under the message-passing marginals."""
-    horizon = _horizon(dataset, net)
-    chunks = _chunks(summarize_dataset(dataset), net, horizon, with_gradient=False)
-    return _dataset_free_energy(chunks, net, couplings, horizon, with_gradient=False)[0]
+    table = _table(dataset, net)
+    chunks = _chunks(summarize_dataset(table), net, table.horizon, with_gradient=False)
+    return _dataset_free_energy(chunks, net, couplings, table.horizon, with_gradient=False)[0]
 
 
 def free_energy_gradient(
@@ -314,9 +307,9 @@ def free_energy_gradient(
     One batched forward pass and one reverse sweep are run per chunk of
     distinct source sets, shared by all cascades of those groups.
     """
-    horizon = _horizon(dataset, net)
-    chunks = _chunks(summarize_dataset(dataset), net, horizon)
-    return FreeEnergyReport(*_dataset_free_energy(chunks, net, couplings, horizon))
+    table = _table(dataset, net)
+    chunks = _chunks(summarize_dataset(table), net, table.horizon)
+    return FreeEnergyReport(*_dataset_free_energy(chunks, net, couplings, table.horizon))
 
 
 def population_free_energy(

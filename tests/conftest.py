@@ -1,7 +1,7 @@
 """Shared fixtures, deterministic graph builders and the references the
 test suite compares against: the network's incidence by a loop over
-edges, the forward-mode gradient, the exact likelihood by a loop over
-nodes and the chain's cascade probability."""
+edges, the per-node sampler's loop, the forward-mode gradient, the exact
+likelihood by a loop over nodes and the chain's cascade probability."""
 
 from __future__ import annotations
 
@@ -147,6 +147,37 @@ def random_masked_cases(rng: np.random.Generator):
                 + generate_dataset(net, alpha, 30, sources[1:], T, seed + 2)
             )
             yield net, cascades, MaskSpec(hidden, snapshots)
+
+
+def reference_sampled_times(net: Network, couplings, sources, horizon: int, count: int, rng, rows: int) -> np.ndarray:
+    """The loop of the per-node sampler that ``cascades._sampled_blocks``
+    replaced, kept as the reference of its random stream: blocks of
+    ``rows`` cascades, and in each step of a block a boolean scatter of the
+    new times and two ``times == horizon`` compares; a block stops after
+    a step that leaves no node susceptible."""
+    with np.errstate(divide="ignore"):
+        vals = np.log1p(-np.asarray(couplings, dtype=np.float64))
+    src = np.array(sorted({int(s) for s in sources}), dtype=np.intp)
+    L = np.zeros((net.n_nodes, net.n_nodes))
+    L[net.edge_src, net.edge_dst] = np.where(np.isfinite(vals), vals, -1e3)
+    out = []
+    for start in range(0, count, rows):
+        size = min(rows, count - start)
+        times = np.full((size, net.n_nodes), horizon, dtype=np.int64)
+        times[:, src] = 0
+        infected = np.zeros((size, net.n_nodes))
+        infected[:, src] = 1.0
+        for t in range(horizon - 1):
+            p_inf = -np.expm1(infected @ L)
+            u = rng.random((size, net.n_nodes))
+            newly = (u < p_inf) & (times == horizon)
+            if newly.any():
+                times[newly] = t + 1
+                infected[newly] = 1.0
+                if not (times == horizon).any():
+                    break
+        out.append(times)
+    return np.concatenate(out)
 
 
 def reference_summaries(dataset) -> list[tuple]:

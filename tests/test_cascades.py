@@ -45,6 +45,7 @@ from conftest import (
     random_couplings,
     random_loopy_net,
     random_masked_cases,
+    reference_sampled_times,
     reference_summaries,
 )
 
@@ -149,10 +150,11 @@ def _reference_write_cascades(net, cascades_):
     one object-array string concatenation per visible cell."""
     if not len(cascades_):
         raise ValueError("no cascades to write")
-    T = cascades._horizon(cascades_)
+    table = cascades._table(cascades_)
+    T = table.horizon
     labels = np.array(net.labels, dtype=object)
     lines = [f"T={T}"]
-    for start, block in cascades._blocks(cascades_):
+    for start, block in cascades._blocks(table):
         rows, nodes = np.nonzero(~block.hidden)
         codes = cascades._checked(cascades._window_codes(block.lo[rows, nodes], block.hi[rows, nodes], T), T)
         codes, which = np.unique(codes, return_inverse=True)
@@ -357,6 +359,29 @@ class TestDatasetGeneration:
             np.testing.assert_array_equal(sampler(net, alpha, [1], 5, 300, rng=seed),
                                           sampler(net, alpha, [1], 5, 300, rng=np.random.default_rng(5)))
 
+    def test_sampler_stream_matches_the_reference(self, monkeypatch):
+        # three graphs, each with an alpha = 1 edge, and two seeds, in one
+        # block and in blocks of 7 rows; on the chain with every coupling 1 a
+        # block stops early, once every node is active, and with every node a
+        # source none does; the generator is left where the reference leaves it
+        rng = np.random.default_rng(9)
+        loopy, pa = random_loopy_net(8, 6, rng), preferential_attachment_net(12, 2, rng)
+        cases = [(chain_net(4), np.ones(3), [0]), (chain_net(4), np.ones(3), range(4))]
+        for net in (loopy, pa):
+            alpha = random_couplings(net, rng, 0.05, 0.6)
+            alpha[0] = 1.0
+            cases.append((net, alpha, [0, 3]))
+        T, count = 8, 40
+        for rows in (cascades._SAMPLE_ROWS, 7):
+            monkeypatch.setattr(cascades, "_SAMPLE_ROWS", rows)
+            for net, alpha, sources in cases:
+                for seed in (3, 4):
+                    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+                    times = sample_recorded_times(net, alpha, sources, T, count, got)
+                    np.testing.assert_array_equal(times, reference_sampled_times(net, alpha, sources, T, count, want, rows))
+                    assert got.random() == want.random()
+            assert sample_recorded_times(*cases[0][:3], T, count, 3).max() == 3 < T - 1
+
     def test_peak_memory_near_the_table(self):
         # the raw words come a bounded block at a time through one buffer,
         # so the peak stays near the size of the table returned
@@ -435,6 +460,24 @@ class TestCascadeTable:
             a + generate_dataset(chain3, [0.5, 0.5], 2, [0], 6, seed=2)
         with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[2, 3\]$"):
             a + generate_dataset(chain_net(2), [0.5], 2, [0], 5, seed=2)
+
+    def test_table_plus_rows_builds_no_row_of_the_table(self, rng, monkeypatch):
+        # a table plus a list stacks the list's codes onto the table's: the
+        # same table as stacking every row of both, and no row of the table made
+        net = random_loopy_net(8, 5, rng)
+        alpha = random_couplings(net, rng, 0.1, 0.9)
+        data = generate_dataset(net, alpha, 30, [0, 2], 6, seed=4)
+        observed = apply_mask(data, MaskSpec(frozenset({5}), (2, 4)))
+        extra = generate_dataset(net, alpha, 5, [1], 6, seed=5)
+        sums = [(data, [extra[0]]), (data, list(extra)), (data, []), (observed, list(apply_mask(extra, MaskSpec()))),
+                (observed, [extra[1]]), (observed, [])]
+        want = [cascades._table([*table, *rows]) for table, rows in sums]
+        monkeypatch.setattr(CascadeTable, "__iter__", lambda table: pytest.fail("a row of the table was made"))
+        for (table, rows), expected in zip(sums, want):
+            got = table + rows
+            assert (got.horizon, got.complete, got.codes.dtype) == (expected.horizon, expected.complete, expected.codes.dtype)
+            np.testing.assert_array_equal(got.codes, expected.codes)
+        assert (data + [extra[0]]).complete and not (data + [observed[0], observed[1]]).complete
 
     def test_mask_of_a_table_masks_each_row(self, rng):
         for _net, cascades, mask in random_masked_cases(rng):
@@ -621,10 +664,9 @@ class TestNetworkWidth:
         net = chain_net(5)
         wide = generate_dataset(net, np.full(4, 0.5), 1, [0], 5, seed=1)[0]
         if later_block:
-            # every walk over the rows takes blocks of two 5-node rows: a first
-            # block of full rows, then a block of narrow ones, each of one width
+            # walks over blocks of two 5-node rows would see a first block of
+            # full rows, then a block of narrow ones, each of one width
             monkeypatch.setattr(cascades, "_BLOCK_CELLS", 10)
-            monkeypatch.setattr(gradient, "_SUMMARY_BLOCK_CELLS", 10)
             rows, widths = [wide] * 2 + [Cascade(5, [0])] * 3, "[1, 5]"
         else:
             rows, widths = [wide, Cascade(5, [0]), Cascade(5, [0, 1])], "[1, 2, 5]"
@@ -635,6 +677,52 @@ class TestNetworkWidth:
         rows = [Cascade(5, [0, 1]), Cascade(5, [0]), observe_fully(Cascade(5, [0, 1, 2]))]
         with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[1, 2, 3\]$"):
             generate_dataset(chain_net(2), [0.5], 1, [0], 5, seed=1) + rows
+
+
+class TestTableOrRows:
+    """Every entry point that takes a dataset gives the same bytes for a
+    table and for the list of its rows, whatever the block size of the
+    walks over the table; ``TestWriterMatchesReference`` covers the writer."""
+
+    CALLS = {
+        **{name: call for name, call in TestNetworkWidth.CALLS.items() if name != "write_cascades"},
+        "apply_mask": lambda data, net, alpha: apply_mask(data, MaskSpec(frozenset({4}), (2, 5))),
+        "summarize_dataset": lambda data, net, alpha: gradient.summarize_dataset(data),
+    }
+    # the entry points that take complete cascades; the others take them masked
+    COMPLETE = ("netrate_fit", "apply_mask")
+
+    @staticmethod
+    def _bytes(result):
+        """The outputs of an entry point as bytes: couplings, value,
+        gradient, summaries or the codes of a table."""
+        if isinstance(result, CascadeTable):
+            return (result.horizon, result.complete, result.codes.dtype.str, result.codes.tobytes())
+        if isinstance(result, np.ndarray):
+            return (result.dtype.str, result.tobytes())
+        if isinstance(result, float):
+            return np.float64(result).tobytes()
+        if isinstance(result, list):
+            return [(summ.sources, summ.n_cascades, *(TestTableOrRows._bytes(getattr(summ, name))
+                     for name in ("nodes", "lo", "hi", "counts"))) for summ in result]
+        if hasattr(result, "couplings_hat"):
+            return (TestTableOrRows._bytes(result.couplings_hat), np.array(result.free_energy_trajectory).tobytes(),
+                    result.iterations, result.converged)
+        return (TestTableOrRows._bytes(result.value), TestTableOrRows._bytes(result.gradient))
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_same_bytes_for_a_table_and_its_rows(self, call, rng, monkeypatch):
+        net = random_loopy_net(9, 6, rng)
+        alpha = random_couplings(net, rng, 0.1, 0.8)
+        data = generate_dataset(net, alpha, 60, [0], 7, seed=2) + generate_dataset(net, alpha, 50, [1, 3], 7, seed=3)
+        if call not in self.COMPLETE:
+            data = apply_mask(data, MaskSpec(frozenset({4, 8}), (1, 3, 5, 7)))
+        want = self._bytes(self.CALLS[call](data, net, alpha))
+        for rows in (None, 1, 4):
+            if rows is not None:
+                monkeypatch.setattr(cascades, "_BLOCK_CELLS", rows * net.n_nodes)
+            for dataset in (data, list(data)):
+                assert self._bytes(self.CALLS[call](dataset, net, alpha)) == want
 
 
 class TestMasking:

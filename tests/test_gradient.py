@@ -135,7 +135,7 @@ class TestSummaries:
         # block by block into the running count they sort about 3 * 512**2 / 2
         # keys, merged as a binary counter about 3 * 512 * log2(512)
         from cascade_recon import CascadeTable
-        from cascade_recon import gradient
+        from cascade_recon import cascades
 
         M, T = 512, 600
         hi = np.column_stack([np.zeros(M, np.int64)] + [np.arange(1, M + 1)] * 3)
@@ -146,7 +146,7 @@ class TestSummaries:
             sorted_sizes.append(np.size(a))
             return unique(a, *args, **kwargs)
 
-        monkeypatch.setattr(gradient, "_SUMMARY_BLOCK_CELLS", 4)
+        monkeypatch.setattr(cascades, "_BLOCK_CELLS", 4)
         monkeypatch.setattr(np, "unique", counted_unique)
         self._assert_matches_reference(dataset)
         assert sum(sorted_sizes) <= 2 * 3 * M * np.log2(M)
