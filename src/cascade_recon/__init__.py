@@ -19,7 +19,6 @@ from .cascades import (
     cascade_substream,
     generate_dataset,
     monte_carlo_marginals,
-    observe_fully,
     parse_mask_spec,
     read_cascades,
     resolve_mask,

@@ -37,6 +37,8 @@ from .cascades import (
     MaskSpec,
     ObservedCascade,
     _bit_words,
+    _checked,
+    _exact_codes,
     _group_rows,
     _source_groups,
     _table,
@@ -120,12 +122,15 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     and argmax stay NaN-free; anything below -1e11 means impossible.  The
     rows run in blocks whose (rows, |E|) terms fit ``_PASS_BYTES``, so the
     memory does not grow with M.  Each row is summed alone (C order, no
-    matrix product), so its bits do not depend on the batch.
+    matrix product), so its bits do not depend on the batch.  A time
+    outside [0, T] is a :class:`DatasetError`, as in a :class:`Cascade`.
     """
     alpha = validate_couplings(net, couplings)
     times = np.asarray(times, dtype=np.int64)
     if times.ndim != 2 or times.shape[1] != net.n_nodes:
         raise DatasetError("cascade does not match the network")
+    # the least and the greatest time stand for all of them: no (M, N) temporaries
+    _checked(_exact_codes(np.array([times.min(initial=0), times.max(initial=0)]), horizon), horizon)
     with np.errstate(divide="ignore"):
         log_surv = np.log1p(-alpha)
     log_surv = np.where(np.isfinite(log_surv), log_surv, _NEG_BIG)

@@ -47,7 +47,6 @@ __all__ = [
     "sample_recorded_times",
     "monte_carlo_marginals",
     "apply_mask",
-    "observe_fully",
     "write_cascades",
     "read_cascades",
     "parse_mask_spec",
@@ -241,23 +240,14 @@ class ObservedCascade(_Windows):
 
     Per node ``i`` either ``hidden[i]`` is True, or the recorded activation
     time is known to satisfy ``lo[i] < t <= hi[i]``.  The constructor
-    encodes and checks the windows as :class:`CascadeTable`'s does.
-    Derived statuses:
-
-    - Exact(t):             (t-1, t]   with t <= T-1 (sources: (-1, 0])
-    - CensoredAtHorizon:    (T-1, T]
-    - Interval(lo, hi]:     everything else (hi == T means "after lo,
-                            nothing more is known")
+    encodes and checks the windows as :class:`CascadeTable`'s does.  A
+    window is an exact time t when ``hi - lo == 1`` and t < T (a source's
+    is (-1, 0]), censored at the horizon when it is (T-1, T], and an
+    interval otherwise (hi == T means "after lo, nothing more is known").
     """
 
     def __init__(self, horizon: int, lo, hi, hidden):
         vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden))
-
-    def status(self, i: int):
-        """Human-readable status tuple for node ``i``."""
-        if self.hidden[i]:
-            return ("hidden",)
-        return _window_status(int(self.lo[i]), int(self.hi[i]), self.horizon)
 
     # the base's rule, declared here too as one of the class's own public methods
     is_fully_observed = _Windows.is_fully_observed
@@ -267,16 +257,6 @@ class ObservedCascade(_Windows):
         if not self.is_fully_observed():
             raise DatasetError("cascade is not fully observed")
         return _row(Cascade, horizon=self.horizon, codes=self.codes)
-
-
-def _window_status(lo: int, hi: int, T: int) -> tuple:
-    """``("exact", hi)``, ``("censored",)`` or ``("interval", lo, hi)`` for
-    the window (lo, hi] of a visible node."""
-    if hi - lo == 1 and hi < T:
-        return ("exact", hi)
-    if lo == T - 1 and hi == T:
-        return ("censored",)
-    return ("interval", lo, hi)
 
 
 def _row(cls, **fields):
@@ -289,12 +269,6 @@ def _row(cls, **fields):
     return row
 
 
-def observe_fully(cascade: Cascade) -> ObservedCascade:
-    """ObservedCascade with every node pinned (identity mask): the
-    cascade's own codes."""
-    return _row(ObservedCascade, horizon=cascade.horizon, codes=cascade.codes)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class CascadeTable(_Windows):
     """M cascades over N nodes as one (M, N) array of window codes, one
@@ -305,8 +279,11 @@ class CascadeTable(_Windows):
     cascade (:class:`_Windows`): one byte a cell up to T = 9, two up to
     T = 179.  The constructor takes (M, N) arrays ``lo``, ``hi`` and
     ``hidden``, encodes them and checks every visible window: ``-1 <= lo
-    < hi <= T``.  A ``complete`` table holds simulated cascades, with
-    ``hi`` the recorded times, ``lo = hi - 1`` and nothing hidden.
+    < hi <= T``; :meth:`is_fully_observed` then reads the codes.  Only
+    :func:`generate_dataset` makes a ``complete`` table, of simulated
+    cascades, with ``hi`` the recorded times, ``lo = hi - 1`` and nothing
+    hidden; its slices, its sums with complete tables and the stacks of
+    :class:`Cascade` rows stay complete.
 
     The table is also the sequence of its rows: ``len``, iteration and an
     integer index give rows that are views of its codes, :class:`Cascade`
@@ -320,8 +297,8 @@ class CascadeTable(_Windows):
 
     complete: bool = False
 
-    def __init__(self, horizon: int, lo, hi, hidden, complete: bool = False):
-        vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden), complete=complete)
+    def __init__(self, horizon: int, lo, hi, hidden):
+        vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden))
 
     # the base's rule, declared here too as one of the class's own public methods
     is_fully_observed = _Windows.is_fully_observed
@@ -407,15 +384,20 @@ class MaskSpec:
     snapshot_times: tuple[int, ...] | None = None
 
     def validate(self, n_nodes: int, horizon: int) -> None:
-        for h in self.hidden_nodes:
-            if not 0 <= h < n_nodes:
-                raise DatasetError(f"hidden node index {h} out of range")
+        self._validate_nodes(n_nodes)
         if self.snapshot_times is not None:
             ts = self.snapshot_times
             if list(ts) != sorted(set(ts)):
                 raise DatasetError("snapshot times must be strictly increasing")
             if ts and (ts[0] < 0 or ts[-1] > horizon):
                 raise DatasetError("snapshot times must lie in [0, horizon]")
+
+    def _validate_nodes(self, n_nodes: int) -> None:
+        """The check of :meth:`validate` that needs no horizon: every hidden
+        node is an index in [0, n_nodes)."""
+        for h in self.hidden_nodes:
+            if not 0 <= h < n_nodes:
+                raise DatasetError(f"hidden node index {h} out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +577,11 @@ def sample_recorded_times(net: Network, couplings, sources, horizon: int, count:
     Uses one Bernoulli draw per susceptible node per step with success
     probability 1 - prod(1 - alpha) over its infected in-neighbors, which
     has the same law as independent per-edge attempts.  The draws come
-    from ``rng`` a block of ``_SAMPLE_ROWS`` rows at a time.
+    from ``rng`` a block of ``_SAMPLE_ROWS`` rows at a time.  A negative
+    ``count`` is a :class:`DatasetError`.
     """
+    if count < 0:
+        raise DatasetError("count must be >= 0")
     out = np.empty((count, net.n_nodes), dtype=np.int64)
     for start, times in _sampled_blocks(net, couplings, sources, horizon, count, rng):
         out[start:start + len(times)] = times
@@ -611,8 +596,10 @@ def monte_carlo_marginals(net: Network, couplings, sources, horizon: int, runs: 
     so that activation exactly at t=horizon is resolved and the estimate
     targets the true state probability at every t in [0, horizon].  The
     runs are those :func:`sample_recorded_times` draws, counted a block at
-    a time.
+    a time; ``runs`` < 1 is a :class:`DatasetError`.
     """
+    if runs < 1:
+        raise DatasetError("runs must be >= 1")
     counts = np.zeros((horizon + 1, net.n_nodes), dtype=np.int64)
     for _, times in _sampled_blocks(net, couplings, sources, horizon + 1, runs, rng):
         for t in range(horizon + 1):
@@ -851,12 +838,11 @@ def _unwritable_label(label: str) -> bool:
 
 
 def _token_suffix(lo: int, hi: int, T: int) -> str:
-    """The ``:<time>`` part of a visible node's token for window (lo, hi]."""
-    st = _window_status(lo, hi, T)
-    if st[0] == "exact":
-        return f":{hi}"
-    if st[0] == "censored":
-        return f":{T}+"
+    """The ``:<time>`` part of a visible node's token for window (lo, hi]:
+    ``:t`` for an exact time t < T, ``:<T>+`` for (T-1, T], censored at
+    the horizon, and ``:(lo,hi]`` for any other window."""
+    if hi - lo == 1:
+        return f":{hi}" if hi < T else f":{T}+"
     return f":({lo},{hi}]"
 
 
@@ -1247,15 +1233,16 @@ def _decode_time(spec: str, T: int, tok: str) -> tuple[int, int]:
     return t - 1, t
 
 
-def parse_mask_spec(text: str, net: Network, exclude: Iterable[int] = ()) -> MaskSpec:
+def parse_mask_spec(text: str, net: Network) -> MaskSpec:
     """Parse a mask-spec file for the nodes of ``net``.
 
     Lines: ``hidden=<comma-separated labels of net or an integer count>``,
     ``snapshots=all|t1,t2,...`` and ``mask_seed=<int>`` (required when
-    ``hidden`` is a count); :func:`resolve_mask` builds the mask.
+    ``hidden`` is a count); :func:`resolve_mask` builds the mask, drawing a
+    count from all of the nodes.
     """
     hidden, snapshots, mask_seed = _mask_fields(text)
-    return resolve_mask(hidden, snapshots, net, mask_seed=mask_seed, exclude=exclude)
+    return resolve_mask(hidden, snapshots, net, mask_seed=mask_seed)
 
 
 def _mask_fields(text: str):

@@ -227,7 +227,9 @@ def identifiable_edges(net: Network, mask: MaskSpec) -> np.ndarray:
 
     Excludes in-edges of hidden nodes with no outgoing edge: such a node's
     activation time is never seen and never influences anything visible.
+    A hidden node that is not a node of ``net`` is a :class:`DatasetError`.
     """
+    mask._validate_nodes(net.n_nodes)
     silent = np.isin(np.arange(net.n_nodes), list(mask.hidden_nodes)) & (np.diff(net._out_ptr) == 0)
     return np.flatnonzero(~silent[net.edge_dst])
 

@@ -90,7 +90,8 @@ class GroupSummary:
 
     Each row is one (node, lo, hi) observation window with its multiplicity
     across the group's cascades; source nodes are excluded (their exact-0
-    observation is conditioned on, not generated by the model).
+    observation is conditioned on, not generated by the model).  Only the
+    windows enter the free energy, so a group's number of cascades is not kept.
     """
 
     sources: tuple[int, ...]
@@ -98,7 +99,6 @@ class GroupSummary:
     lo: np.ndarray
     hi: np.ndarray
     counts: np.ndarray
-    n_cascades: int
 
 
 def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list[GroupSummary]:
@@ -145,10 +145,9 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     lo, hi = _window_bounds(codes, T)
     nodes = nodes.astype(np.intp, copy=False)
     ends = np.searchsorted(group, np.arange(len(sources) + 1))
-    sizes = np.bincount(rank[set_id], minlength=len(sources)).tolist()
     return [
-        GroupSummary(src, nodes[a:b], lo[a:b], hi[a:b], counts[a:b], size)
-        for src, a, b, size in zip(sources, ends[:-1].tolist(), ends[1:].tolist(), sizes)
+        GroupSummary(src, nodes[a:b], lo[a:b], hi[a:b], counts[a:b])
+        for src, a, b in zip(sources, ends[:-1].tolist(), ends[1:].tolist())
     ]
 
 
@@ -334,6 +333,6 @@ def population_free_energy(
     t_idx, nodes = np.nonzero(mass > 0.0)
     summ = GroupSummary(
         tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist()),
-        nodes, t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, nodes], 0,
+        nodes, t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, nodes],
     )
     return _dataset_free_energy(_chunks([summ], net, horizon), net, couplings, horizon)

@@ -93,6 +93,9 @@ class Network:
         self._in_ptr = np.searchsorted(self.edge_dst[self._in_order], np.arange(N + 1))
 
     # -- basic queries ---------------------------------------------------
+    # An edge's id and its ends, and a node's in-edges.  A node's neighbors
+    # are the other ends of its edges: ``edge_src[in_edges(i)]``, and
+    # ``edge_dst[edge_src == i]`` in order, as the edges sort by source.
 
     def edge_id(self, src: int, dst: int) -> int:
         """Dense id of the directed edge (src, dst); KeyError if absent."""
@@ -105,28 +108,11 @@ class Network:
         return int(self.edge_src[e]), int(self.edge_dst[e])
 
     def in_edges(self, i: int) -> np.ndarray:
-        """Edge ids of edges (k, i), sorted by source index; read-only."""
-        i = self._node(i)
-        return self._in_order[self._in_ptr[i]:self._in_ptr[i + 1]]
-
-    def in_neighbors(self, i: int) -> list[int]:
-        """Sorted in-neighbor indices of node ``i``."""
-        return self.edge_src[self.in_edges(i)].tolist()
-
-    def out_neighbors(self, i: int) -> list[int]:
-        """Sorted out-neighbor indices of node ``i``."""
-        i = self._node(i)
-        return self.edge_dst[self._out_ptr[i]:self._out_ptr[i + 1]].tolist()
-
-    def _node(self, i: int) -> int:
-        """``i``, a node index in [0, N); any other is an IndexError."""
+        """Edge ids of edges (k, i), sorted by source index; read-only.
+        ``i`` is a node index in [0, N); any other is an IndexError."""
         if not 0 <= i < self.n_nodes:
             raise IndexError(f"node index {i} out of range [0, {self.n_nodes})")
-        return i
-
-    def out_degree(self, i: int) -> int:
-        i = self._node(i)
-        return int(self._out_ptr[i + 1] - self._out_ptr[i])
+        return self._in_order[self._in_ptr[i]:self._in_ptr[i + 1]]
 
     # -- derived structure used by the message-passing code ---------------
 

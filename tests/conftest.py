@@ -183,7 +183,7 @@ def reference_sampled_times(net: Network, couplings, sources, horizon: int, coun
 def reference_summaries(dataset) -> list[tuple]:
     """The ``Counter``-based grouping and window count that
     ``summarize_dataset`` replaced, kept as its reference: one tuple of
-    (sources, nodes, lo, hi, counts, n_cascades) per source group, from the
+    (sources, nodes, lo, hi, counts) per source group, from the
     int64 bounds of each row."""
     groups = {}
     for obs in dataset:
@@ -201,7 +201,6 @@ def reference_summaries(dataset) -> list[tuple]:
             np.array([k[1] for k in keys], dtype=np.int64),
             np.array([k[2] for k in keys], dtype=np.int64),
             np.array([counter[k] for k in keys], dtype=np.float64),
-            len(groups[sources]),
         ))
     return out
 

@@ -177,7 +177,7 @@ def test_criterion_7_single_edge_consistency():
     n_act = int((taus < T).sum())
     survived = int((taus[taus < T] - 1).sum() + (taus == T).sum() * (T - 1))
     mle = n_act / (n_act + survived)
-    fit = cr.dmprec_fit([cr.observe_fully(c) for c in data], net)
+    fit = cr.dmprec_fit([cr.apply_mask(c, cr.MaskSpec()) for c in data], net)
     netrate = cr.netrate_fit(data, net)
     assert abs(fit.couplings_hat[0] - mle) <= 0.01
     assert abs(netrate[0] - mle) <= 0.01

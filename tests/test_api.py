@@ -16,7 +16,7 @@ class TestApiSurface:
     PARAMETERS = {
         # classes: the constructor's parameters
         "Cascade": ("horizon", "times"),
-        "CascadeTable": ("horizon", "lo", "hi", "hidden", "complete"),
+        "CascadeTable": ("horizon", "lo", "hi", "hidden"),
         "DmpTrace": ("horizon", "initial_susceptible", "theta", "phi", "p_susceptible", "p_activate", "log_step"),
         "FitConfig": ("alpha_init", "alpha_min", "alpha_max", "max_iters", "tol"),
         "FitResult": ("couplings_hat", "iterations", "free_energy_trajectory", "converged", "wall_time",
@@ -42,10 +42,9 @@ class TestApiSurface:
         "marginalized_likelihood": ("observed", "net", "couplings"),
         "monte_carlo_marginals": ("net", "couplings", "sources", "horizon", "runs", "rng"),
         "netrate_fit": ("dataset", "net", "config"),
-        "observe_fully": ("cascade",),
         "observed_negative_log_likelihood": ("dataset", "net", "couplings"),
         "parse_edge_list": ("text",),
-        "parse_mask_spec": ("text", "net", "exclude"),
+        "parse_mask_spec": ("text", "net"),
         "population_free_energy": ("net", "couplings_star", "couplings", "sources", "horizon"),
         "projected_gradient_descent": ("value_and_grad", "value_only", "x0", "lower", "upper", "config"),
         "read_cascades": ("net", "text"),
@@ -61,9 +60,8 @@ class TestApiSurface:
         "FitConfig": {"validate": ()},
         "HtsConfig": {"validate": ()},
         "MaskSpec": {"validate": ("n_nodes", "horizon")},
-        "Network": {"edge_id": ("src", "dst"), "edge_pair": ("e",), "in_edges": ("i",), "in_neighbors": ("i",),
-                    "out_neighbors": ("i",), "out_degree": ("i",)},
-        "ObservedCascade": {"status": ("i",), "is_fully_observed": (), "to_cascade": ()},
+        "Network": {"edge_id": ("src", "dst"), "edge_pair": ("e",), "in_edges": ("i",)},
+        "ObservedCascade": {"is_fully_observed": (), "to_cascade": ()},
     }
 
     def test_exported_names(self):

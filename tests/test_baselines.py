@@ -21,7 +21,6 @@ from cascade_recon import (
     hts_fit,
     marginalized_likelihood,
     netrate_fit,
-    observe_fully,
     parse_edge_list,
 )
 
@@ -52,6 +51,15 @@ class TestFullLogLikelihood:
     def test_censored_case(self, edge01):
         ll = full_log_likelihood(Cascade(3, [0, 3]), edge01, [0.5])
         assert ll == pytest.approx(np.log(0.25))
+
+    def test_times_outside_the_horizon_rejected(self, edge01):
+        # a time outside [0, T] fails as it does in a Cascade
+        for t in (-5, -1, 4, 7):
+            with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 3\]$"):
+                batch_full_log_likelihood(edge01, [0.5], [[0, 2], [0, t]], 3)
+            with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 3\]$"):
+                Cascade(3, [0, t])
+        assert batch_full_log_likelihood(edge01, [0.5], np.zeros((0, 2), dtype=np.int64), 3).shape == (0,)
 
     def test_unrealizable(self):
         net = chain_net(3)
@@ -177,7 +185,7 @@ class TestNetrate:
         data = generate_dataset(net, truth, 10000, "random", 10, seed=19)
         alpha_nr = netrate_fit(data, net)
         assert np.abs(alpha_nr - truth).mean() <= 0.02
-        res = dmprec_fit([observe_fully(c) for c in data], net)
+        res = dmprec_fit([apply_mask(c, MaskSpec()) for c in data], net)
         assert np.abs(alpha_nr - res.couplings_hat).max() <= 0.02
 
     def test_stationary_for_the_batched_likelihood(self, rng):
@@ -256,7 +264,7 @@ class TestMarginalizedLikelihood:
         net = random_loopy_net(6, 4, rng)
         alpha = random_couplings(net, rng, 0.05, 0.95)
         c = generate_dataset(net, alpha, 1, "random", 5, seed=33)[0]
-        obs = observe_fully(c)
+        obs = apply_mask(c, MaskSpec())
         assert marginalized_likelihood(obs, net, alpha) == pytest.approx(
             full_log_likelihood(c, net, alpha)
         )
@@ -317,12 +325,12 @@ class TestHtsConfig:
         config = HtsConfig(**setting)
         with pytest.raises(ValueError, match=f"^{message}$"):
             config.validate()
-        obs = observe_fully(Cascade(3, [0, 2]))
+        obs = apply_mask(Cascade(3, [0, 2]), MaskSpec())
         with pytest.raises(ValueError, match=f"^{message}$"):
             hts_fit([obs], edge01, config)
 
     def test_zero_outer_rounds_accepted(self, edge01):
-        res = hts_fit([observe_fully(Cascade(3, [0, 2]))], edge01, HtsConfig(outer_rounds=0))
+        res = hts_fit([apply_mask(Cascade(3, [0, 2]), MaskSpec())], edge01, HtsConfig(outer_rounds=0))
         assert res.iterations == 0
         np.testing.assert_array_equal(res.couplings_hat, [0.5])
 
@@ -369,13 +377,13 @@ class TestHtsComplete:
             raise AssertionError("sampled a cascade with no unresolved node")
 
         monkeypatch.setattr(baselines, "sample_recorded_times", refuse)
-        obs = observe_fully(Cascade(3, [0, 2]))
+        obs = apply_mask(Cascade(3, [0, 2]), MaskSpec())
         times, unresolved = _complete([obs], edge01, [0.5], HtsConfig())
         np.testing.assert_array_equal(times, [[0, 2]])
         assert not unresolved.any()
 
     def test_mixed_horizons_rejected(self, edge01):
-        data = [observe_fully(Cascade(3, [0, 2])), observe_fully(Cascade(4, [0, 2]))]
+        data = [apply_mask(Cascade(3, [0, 2]), MaskSpec()), apply_mask(Cascade(4, [0, 2]), MaskSpec())]
         with pytest.raises(DatasetError, match="mismatched horizons"):
             hts_fit(data, edge01, HtsConfig())
 
@@ -386,7 +394,7 @@ class TestHtsFit:
         truth = random_couplings(net, rng)
         data = generate_dataset(net, truth, 400, "random", 6, seed=12)
         nr = netrate_fit(data, net)
-        res = hts_fit([observe_fully(c) for c in data], net, HtsConfig())
+        res = hts_fit([apply_mask(c, MaskSpec()) for c in data], net, HtsConfig())
         np.testing.assert_array_equal(res.couplings_hat, nr)
         assert res.converged
 

@@ -25,7 +25,6 @@ from cascade_recon import (
     hts_fit,
     monte_carlo_marginals,
     netrate_fit,
-    observe_fully,
     observed_negative_log_likelihood,
     parse_edge_list,
     parse_mask_spec,
@@ -88,6 +87,11 @@ def _reference_apply_mask(cascade, mask):
             lo[i] = prev
             hi[i] = first_active if first_active < T else T - 1
     return ObservedCascade(T, lo, hi, hidden)
+
+
+def _window(obs, i):
+    """Node ``i``'s window ``(lo, hi)`` in ``obs``, or None when it is hidden."""
+    return None if obs.hidden[i] else (int(obs.lo[i]), int(obs.hi[i]))
 
 
 # A token: a run of characters other than ',' in which '(' opens an
@@ -351,6 +355,13 @@ class TestDatasetGeneration:
         se = np.sqrt(table * (1 - table) / runs)
         assert np.all(np.abs(est - table) <= 4 * se + 1e-9)
 
+    def test_samplers_refuse_a_bad_count(self, chain3):
+        with pytest.raises(DatasetError, match=r"^runs must be >= 1$"):
+            monte_carlo_marginals(chain3, [0.5, 0.5], [0], 5, 0, rng=1)
+        with pytest.raises(DatasetError, match=r"^count must be >= 0$"):
+            sample_recorded_times(chain3, [0.5, 0.5], [0], 5, -1, rng=1)
+        assert sample_recorded_times(chain3, [0.5, 0.5], [0], 5, 0, rng=1).shape == (0, 3)
+
     @pytest.mark.parametrize("seed", [5, np.int64(5)])
     def test_samplers_take_an_int_seed(self, rng, seed):
         net = random_loopy_net(6, 5, rng)
@@ -433,8 +444,8 @@ class TestCascadeTable:
         assert isinstance(back, CascadeTable) and not back.complete
         assert (back.lo.dtype, back.hi.dtype, back.hidden.dtype) == (np.int64, np.int64, bool)
         assert [type(obs) for obs in back] == [ObservedCascade, ObservedCascade]
-        assert back[0].status(1) == ("interval", 1, 3)
-        assert [back[1].status(i) for i in range(3)] == [("exact", 0), ("hidden",), ("censored",)]
+        assert _window(back[0], 1) == (1, 3)
+        assert [_window(back[1], i) for i in range(3)] == [(-1, 0), None, (4, 5)]
         assert back[1].hidden.dtype == bool and back[1].lo.dtype == np.int64
         for obs in [*back, back[1]]:
             assert (obs.lo.dtype, obs.hi.dtype, obs.hidden.dtype) == (np.int64, np.int64, bool)
@@ -453,9 +464,9 @@ class TestCascadeTable:
         rows = []
         rows += a
         assert type(rows) is list and [type(c) for c in rows] == [Cascade] * 3
-        mixed = a + [observe_fully(c) for c in b]
+        mixed = a + [apply_mask(c, MaskSpec()) for c in b]
         assert isinstance(mixed, CascadeTable) and not mixed.complete
-        assert mixed == [observe_fully(c) for c in both]
+        assert mixed == [apply_mask(c, MaskSpec()) for c in both]
         with pytest.raises(DatasetError, match=r"^cascades with mismatched horizons: \[5, 6\]$"):
             a + generate_dataset(chain3, [0.5, 0.5], 2, [0], 6, seed=2)
         with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[2, 3\]$"):
@@ -492,6 +503,21 @@ class TestCascadeTable:
         with pytest.raises(DatasetError, match="^cascade is not fully observed$"):
             apply_mask(back, MaskSpec())
         assert apply_mask(back[:1], MaskSpec()) == back[:1]
+
+    def test_a_built_table_is_complete_by_its_codes_alone(self):
+        # only the simulator marks a table complete; a built table with an
+        # interval window is not fully observed, so masking and NetRate refuse it
+        with pytest.raises(TypeError):
+            CascadeTable(5, [[-1, 0]], [[0, 3]], [[False, False]], complete=True)
+        table = CascadeTable(5, [[-1, 0]], [[0, 3]], [[False, False]])
+        assert not table.complete and not table.is_fully_observed()
+        with pytest.raises(DatasetError, match="^cascade is not fully observed$"):
+            apply_mask(table, MaskSpec())
+        with pytest.raises(DatasetError, match="^method requires completely observed cascades$"):
+            netrate_fit(table, chain_net(2))
+        exact = CascadeTable(5, [[-1, 2]], [[0, 3]], [[False, False]])
+        assert not exact.complete and exact.is_fully_observed()
+        assert apply_mask(exact, MaskSpec()).codes.tolist() == exact.codes.tolist()
 
     def test_windows_are_checked_once_at_construction(self):
         # a table and each kind of row check their windows as they are built
@@ -630,8 +656,8 @@ class TestCodeDtypes:
         got = gradient.summarize_dataset(observed)
         want = reference_summaries(rows)
         assert len(got) == len(want) == 2
-        for summ, (sources, nodes, lo, hi, counts, n_cascades) in zip(got, want):
-            assert (summ.sources, summ.n_cascades) == (sources, n_cascades)
+        for summ, (sources, nodes, lo, hi, counts) in zip(got, want):
+            assert summ.sources == sources
             for x, y in ((summ.nodes, nodes), (summ.lo, lo), (summ.hi, hi), (summ.counts, counts)):
                 assert x.dtype == y.dtype
                 np.testing.assert_array_equal(x, y)
@@ -674,7 +700,7 @@ class TestNetworkWidth:
             self.CALLS[call](rows, net, np.full(4, 0.5))
 
     def test_table_of_unequal_rows(self):
-        rows = [Cascade(5, [0, 1]), Cascade(5, [0]), observe_fully(Cascade(5, [0, 1, 2]))]
+        rows = [Cascade(5, [0, 1]), Cascade(5, [0]), apply_mask(Cascade(5, [0, 1, 2]), MaskSpec())]
         with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[1, 2, 3\]$"):
             generate_dataset(chain_net(2), [0.5], 1, [0], 5, seed=1) + rows
 
@@ -703,7 +729,7 @@ class TestTableOrRows:
         if isinstance(result, float):
             return np.float64(result).tobytes()
         if isinstance(result, list):
-            return [(summ.sources, summ.n_cascades, *(TestTableOrRows._bytes(getattr(summ, name))
+            return [(summ.sources, *(TestTableOrRows._bytes(getattr(summ, name))
                      for name in ("nodes", "lo", "hi", "counts"))) for summ in result]
         if hasattr(result, "couplings_hat"):
             return (TestTableOrRows._bytes(result.couplings_hat), np.array(result.free_energy_trajectory).tobytes(),
@@ -729,45 +755,45 @@ class TestMasking:
     def test_full_time_hidden_node(self, chain3):
         c = Cascade(5, [0, 1, 2])
         obs = apply_mask(c, MaskSpec(frozenset({1}), None))
-        assert obs.status(0) == ("exact", 0)
-        assert obs.status(1) == ("hidden",)
-        assert obs.status(2) == ("exact", 2)
+        assert _window(obs, 0) == (-1, 0)
+        assert _window(obs, 1) is None
+        assert _window(obs, 2) == (1, 2)
 
     def test_snapshot_interval(self):
         net = chain_net(2)
         c = Cascade(10, [0, 3])
         obs = apply_mask(c, MaskSpec(frozenset(), (2, 4, 6, 8, 10)))
-        assert obs.status(1) == ("interval", 2, 4)
+        assert _window(obs, 1) == (2, 4)
 
     def test_censored_at_horizon_all_snapshots(self):
         c = Cascade(10, [0, 10])
         obs = apply_mask(c, MaskSpec(frozenset(), None))
-        assert obs.status(1) == ("censored",)
+        assert _window(obs, 1) == (9, 10)
 
     def test_activation_after_last_snapshot(self):
         c = Cascade(10, [0, 9])
         obs = apply_mask(c, MaskSpec(frozenset(), (2, 4)))
-        assert obs.status(1) == ("interval", 4, 10)
+        assert _window(obs, 1) == (4, 10)
 
     def test_censored_with_sparse_snapshots_including_T(self):
         c = Cascade(10, [0, 10])
         obs = apply_mask(c, MaskSpec(frozenset(), (4, 10)))
-        assert obs.status(1) == ("censored",)
+        assert _window(obs, 1) == (9, 10)
 
     def test_first_active_at_horizon_snapshot_caps_at_Tminus1(self):
         c = Cascade(10, [0, 7])
         obs = apply_mask(c, MaskSpec(frozenset(), (4, 10)))
-        assert obs.status(1) == ("interval", 4, 9)
+        assert _window(obs, 1) == (4, 9)
 
     def test_pre_first_snapshot_activation(self):
         c = Cascade(10, [0, 2])
         obs = apply_mask(c, MaskSpec(frozenset(), (4, 8)))
-        assert obs.status(1) == ("interval", 0, 4)
+        assert _window(obs, 1) == (0, 4)
 
     def test_adjacent_snapshots_pin_exact(self):
         c = Cascade(10, [0, 4])
         obs = apply_mask(c, MaskSpec(frozenset(), (3, 4, 8)))
-        assert obs.status(1) == ("exact", 4)
+        assert _window(obs, 1) == (3, 4)
 
     def test_exact_equals_unit_interval(self):
         c = Cascade(10, [0, 4])
@@ -809,7 +835,7 @@ class TestMasking:
 
 class TestGrouping:
     def test_single_group(self, chain3, rng):
-        data = [observe_fully(simulate_cascade(chain3, [0.5, 0.5], [0], 5, int(s))) for s in range(100)]
+        data = [apply_mask(simulate_cascade(chain3, [0.5, 0.5], [0], 5, int(s)), MaskSpec()) for s in range(100)]
         keys, group_of = _source_groups(data)
         assert keys == [(0,)]
         np.testing.assert_array_equal(group_of, np.zeros(100))
@@ -817,7 +843,7 @@ class TestGrouping:
     def test_partition_property(self, rng):
         net = random_loopy_net(10, 8, rng)
         alpha = random_couplings(net, rng)
-        data = [observe_fully(c) for c in generate_dataset(net, alpha, 300, "random", 5, seed=1)]
+        data = list(apply_mask(generate_dataset(net, alpha, 300, "random", 5, seed=1), MaskSpec()))
         keys, group_of = _source_groups(data)
         assert len(keys) <= net.n_nodes
         assert group_of.shape == (300,)
@@ -842,7 +868,7 @@ class TestGrouping:
     def test_groups_keep_dataset_order(self, rng):
         net = random_loopy_net(9, 5, rng)
         alpha = random_couplings(net, rng)
-        data = [observe_fully(c) for c in generate_dataset(net, alpha, 2000, "random", 5, seed=4)]
+        data = list(apply_mask(generate_dataset(net, alpha, 2000, "random", 5, seed=4), MaskSpec()))
         keys, group_of = _source_groups(data)
         assert keys == sorted({tuple(obs.sources.tolist()) for obs in data})
         assert [keys[g] for g in group_of.tolist()] == [tuple(obs.sources.tolist()) for obs in data]
@@ -855,7 +881,7 @@ class TestFiles:
         data = generate_dataset(net, alpha, 40, "random", 6, seed=8)
         text = write_cascades(net, data)
         back = read_cascades(net, text)
-        assert all(a == observe_fully(c) for a, c in zip(back, data))
+        assert all(a == apply_mask(c, MaskSpec()) for a, c in zip(back, data))
         assert write_cascades(net, back) == text
 
     def test_roundtrip_masked(self, rng):
@@ -1043,10 +1069,10 @@ class TestParseErrors:
     def test_whitespace_around_tokens_and_numbers(self, chain3):
         text = "T=5\n  0\t 0:0 , 1:( 1 , 3 ] ,2:5+ ,\n1\t,0:0,,2: 4\t\n"
         back = read_cascades(chain3, text)
-        assert back[0].status(1) == ("interval", 1, 3)
-        assert back[0].status(2) == ("censored",)
+        assert _window(back[0], 1) == (1, 3)
+        assert _window(back[0], 2) == (4, 5)
         assert back[1].hidden.tolist() == [False, True, False]
-        assert back[1].status(2) == ("exact", 4)
+        assert _window(back[1], 2) == (3, 4)
 
 
     def test_errors_past_the_first_block(self, chain3):

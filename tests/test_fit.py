@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cascade_recon import (
+    DatasetError,
     FitConfig,
     MaskSpec,
     Network,
@@ -12,7 +13,6 @@ from cascade_recon import (
     generate_dataset,
     identifiable_edges,
     l1_coupling_error,
-    observe_fully,
     parse_edge_list,
     projected_gradient_descent,
 )
@@ -21,7 +21,7 @@ from conftest import chain_net, preferential_attachment_net, random_tree_net, ra
 
 
 def _full_dataset(net, truth, M, T, seed, sources="random"):
-    return [observe_fully(c) for c in generate_dataset(net, truth, M, sources, T, seed)]
+    return list(apply_mask(generate_dataset(net, truth, M, sources, T, seed), MaskSpec()))
 
 
 def _censored_geometric_mle(taus, T):
@@ -245,6 +245,12 @@ class TestIdentifiableEdges:
         net, _ = parse_edge_list("0\t1\n1\t2\n")
         included = identifiable_edges(net, MaskSpec(frozenset({1}), None))
         assert net.edge_id(0, 1) in included
+
+    def test_hidden_node_out_of_range_rejected(self):
+        net = chain_net(2)
+        for node in (99, 2, -1):
+            with pytest.raises(DatasetError, match=f"^hidden node index {node} out of range$"):
+                identifiable_edges(net, MaskSpec(frozenset({node})))
 
 
 class TestErrorMetric:

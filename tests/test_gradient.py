@@ -10,7 +10,6 @@ from cascade_recon import (
     dmp_forward,
     free_energy_gradient,
     generate_dataset,
-    observe_fully,
     observed_negative_log_likelihood,
     parse_edge_list,
     population_free_energy,
@@ -114,8 +113,8 @@ class TestSummaries:
         got = summarize_dataset(dataset)
         want = reference_summaries(dataset)
         assert len(got) == len(want)
-        for summ, (sources, nodes, lo, hi, counts, n_cascades) in zip(got, want):
-            assert (summ.sources, summ.n_cascades) == (sources, n_cascades)
+        for summ, (sources, nodes, lo, hi, counts) in zip(got, want):
+            assert summ.sources == sources
             for x, y in ((summ.nodes, nodes), (summ.lo, lo), (summ.hi, hi), (summ.counts, counts)):
                 assert x.dtype == y.dtype
                 np.testing.assert_array_equal(x, y)
@@ -190,7 +189,7 @@ class TestWindowTerms:
 
         def group(sources, windows):
             nodes, lo, hi = np.array(windows, dtype=np.int64).reshape(-1, 3).T
-            return GroupSummary(sources, nodes.astype(np.intp), lo, hi, rng.integers(1, 50, len(nodes)).astype(float), 1)
+            return GroupSummary(sources, nodes.astype(np.intp), lo, hi, rng.integers(1, 50, len(nodes)).astype(float))
 
         exact = [(v, t - 1, t) for v in (2, 3) for t in range(1, T)]
         from_start = [(4, -1, 2), (5, -1, 5), (6, -1, T)]      # lo = -1, the last one open to T as well
@@ -296,7 +295,7 @@ class TestReverseMode:
 
 class TestObservedFreeEnergy:
     def test_exact_observation_closed_form(self, edge01):
-        obs = observe_fully(_cascade(edge01, [0, 2], T=3))
+        obs = apply_mask(_cascade(edge01, [0, 2], T=3), MaskSpec())
         f = observed_negative_log_likelihood([obs], edge01, [0.5])
         assert f == pytest.approx(np.log(4.0))
 
@@ -313,7 +312,7 @@ class TestObservedFreeEnergy:
         assert f == pytest.approx(-np.log(0.75))
 
     def test_stationary_point_single_edge(self, edge01):
-        obs = observe_fully(_cascade(edge01, [0, 2], T=4))
+        obs = apply_mask(_cascade(edge01, [0, 2], T=4), MaskSpec())
         rep = free_energy_gradient([obs], edge01, [0.5])
         # m(2) = a(1-a) is maximized at a = 0.5
         assert rep.gradient[0] == pytest.approx(0.0, abs=1e-12)
@@ -341,7 +340,7 @@ class TestObservedFreeEnergy:
         net = random_tree_net(8, rng)
         truth = random_couplings(net, rng, 0.05, 0.95)
         alpha = random_couplings(net, rng, 0.05, 0.95)
-        dataset = [observe_fully(c) for c in generate_dataset(net, truth, 50, "random", 6, seed=21)]
+        dataset = list(apply_mask(generate_dataset(net, truth, 50, "random", 6, seed=21), MaskSpec()))
         rep = free_energy_gradient(dataset, net, alpha)
         fd = _fd_gradient(dataset, net, alpha)
         _assert_grad_close(rep.gradient, fd)
@@ -407,7 +406,7 @@ class TestChunking:
         source_sets = [[v] for v in range(60)] + [[v, (v + k) % 60] for k in (1, 2, 3) for v in range(60)]
         dataset = []
         for k, sources in enumerate(source_sets[:n_groups]):
-            dataset += [observe_fully(c) for c in generate_dataset(net, alpha, 5, sources, 10, seed=k)]
+            dataset += list(apply_mask(generate_dataset(net, alpha, 5, sources, 10, seed=k), MaskSpec()))
         chunks = _chunks(summarize_dataset(dataset), net, 10)
         _dataset_free_energy(chunks, net, alpha, 10)  # builds the network's cavity slots
         tracemalloc.start()
@@ -468,7 +467,7 @@ class TestLogDomainWindows:
     @pytest.mark.parametrize("a", [0.9, 0.99])
     def test_censored_single_edge_closed_form(self, edge01, a):
         # censored at T=10: node 1 survives 9 steps, P = (1-a)^9
-        obs = observe_fully(_cascade(edge01, [0, 10], T=10))
+        obs = apply_mask(_cascade(edge01, [0, 10], T=10), MaskSpec())
         alpha = np.array([a])
         f = observed_negative_log_likelihood([obs], edge01, alpha)
         assert f == pytest.approx(-9.0 * np.log1p(-a), rel=1e-10)
@@ -482,7 +481,7 @@ class TestLogDomainWindows:
         # probability a01 * a12, where S(1) - S(2) cancels to nothing
         net = chain_net(3)
         alpha = np.array([1e-9, 1e-10])
-        obs = observe_fully(_cascade(net, [0, 1, 2], T=4))
+        obs = apply_mask(_cascade(net, [0, 1, 2], T=4), MaskSpec())
         rep = free_energy_gradient([obs], net, alpha)
         expected = -np.log(alpha[0]) - np.log(alpha[0] * alpha[1])
         assert rep.value == pytest.approx(expected, rel=1e-12)
