@@ -89,7 +89,12 @@ def full_log_likelihood(cascade: Cascade, net: Network, couplings) -> float:
     """Exact log-probability of a completely observed cascade: its row of
     :func:`batch_full_log_likelihood`, with ``-inf`` for an unrealizable
     time vector (a row below -1e11)."""
-    ll = float(batch_full_log_likelihood(net, couplings, cascade.times[None], cascade.horizon)[0])
+    return _or_impossible(float(batch_full_log_likelihood(net, couplings, cascade.times[None], cascade.horizon)[0]))
+
+
+def _or_impossible(ll: float) -> float:
+    """``ll``, or ``-inf`` when it is below -1e11: it then holds the -1e12
+    stand-in of an unrealizable cascade."""
     return ll if ll >= -1e11 else float("-inf")
 
 
@@ -251,9 +256,10 @@ def marginalized_likelihood(
     """Log of the exact likelihood summed over all hidden-time completions.
 
     Hidden nodes range over [1, T]; interval-observed nodes range over
-    their windows.  Work grows as the product of the candidate counts;
-    above :data:`MAX_COMPLETIONS` (10^6) a CapacityError points at the
-    two-stage heuristic instead.
+    their windows.  An observation that no completion realizes is
+    ``-inf``, as in :func:`full_log_likelihood`.  Work grows as the
+    product of the candidate counts; above :data:`MAX_COMPLETIONS` (10^6)
+    a CapacityError points at the two-stage heuristic instead.
     """
     alpha = validate_couplings(net, couplings)
     N = observed.n_nodes
@@ -282,7 +288,7 @@ def marginalized_likelihood(
             times[:, i] = np.asarray(cand[i], dtype=np.int64)[idx[pos]]
         lls = batch_full_log_likelihood(net, alpha, times, observed.horizon)
         parts.append(_logsumexp(lls))
-    return _logsumexp(np.array(parts))
+    return _or_impossible(_logsumexp(np.array(parts)))
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -300,10 +306,12 @@ def _logsumexp(a: np.ndarray) -> float:
 # two-stage completion baseline
 
 
-def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, config: HtsConfig, rnd: int):
+def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, config: HtsConfig, rnd: int,
+                     groups: list[tuple[tuple[int, ...], np.ndarray]], unresolved: np.ndarray) -> np.ndarray:
     """The recorded times of ``table`` as an (M, N) matrix with the times
-    of its unresolved nodes (hidden, or not pinned by their window)
-    imputed from auxiliary cascades, and the (M, N) unresolved flags.
+    of its ``unresolved`` nodes imputed from auxiliary cascades, for the
+    ``groups`` of :func:`_unresolved_groups`, which :func:`hts_fit` takes
+    once a fit.
 
     Each cascade that has an unresolved node gets ``aux_samples`` cascades
     simulated from its observed source set under ``alpha``; among those
@@ -312,13 +320,9 @@ def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, confi
     group draws round ``rnd``'s samples from its own Philox key, in dataset
     order; only the samples in a cascade's pool are scored."""
     horizon, lo, hi, hidden = table.horizon, table.lo, table.hi, table.hidden
-    unresolved = hidden | (hi - lo >= 2)
-    keys, group_of = _source_groups(table)
-    needs = unresolved.any(axis=1)
     times = hi.copy()
     L = config.aux_samples
-    for g_idx, sources in enumerate(keys):
-        rows = np.flatnonzero((group_of == g_idx) & needs)
+    for g_idx, (sources, rows) in enumerate(groups):
         if not rows.size:
             continue
         key = ((config.seed & _MASK64) << 64) | ((rnd & _MASK64) << 32) | (g_idx & 0xFFFFFFFF)
@@ -333,7 +337,17 @@ def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, confi
         scores[pool] = batch_full_log_likelihood(net, alpha, samples[pool], horizon)
         best = np.argmax(scores, axis=1)
         times[rows] = np.where(unresolved[rows], samples[np.arange(rows.size), best], hi[rows])
-    return times, unresolved
+    return times
+
+
+def _unresolved_groups(table: CascadeTable) -> tuple[list[tuple[tuple[int, ...], np.ndarray]], np.ndarray]:
+    """Each source group of :func:`cascades._source_groups` as its set and
+    the rows of its cascades that have an unresolved node (hidden, or not
+    pinned by its window), and the (M, N) flags of those nodes."""
+    unresolved = table.hidden | (table.hi - table.lo >= 2)
+    keys, group_of = _source_groups(table)
+    needs = unresolved.any(axis=1)
+    return [(sources, np.flatnonzero((group_of == g_idx) & needs)) for g_idx, sources in enumerate(keys)], unresolved
 
 
 def hts_fit(
@@ -362,8 +376,9 @@ def hts_fit(
     trajectory: list[float] = []
     converged = False
     rounds_done = 0
+    groups, unresolved = _unresolved_groups(table)
     for rnd in range(config.outer_rounds):
-        times, _ = _completed_times(table, net, alpha, config, rnd)
+        times = _completed_times(table, net, alpha, config, rnd, groups, unresolved)
         alpha_new = _netrate(net, times, horizon, fit_cfg)
         alpha_new[frozen] = fit_cfg.alpha_init
         nll = -batch_full_log_likelihood(net, alpha_new, times, horizon).sum()

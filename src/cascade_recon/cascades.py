@@ -695,32 +695,34 @@ def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, 
 
 def _source_groups(dataset: CascadeTable | Sequence[ObservedCascade]) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The distinct observed source sets of ``dataset`` in sorted order,
-    and for each cascade the index of its set among them.
+    and for each cascade the index of its set among them: the one
+    numbering of source groups, which the free-energy summaries and the
+    two-stage baseline read.
 
     One forward model run per group suffices for likelihood work, so the
     cost of an update step scales with the number of distinct initial
-    conditions, not with the number of cascades.  The free-energy
-    summaries group by the same rule, through :func:`_source_sets` and
-    :func:`_ranked_sets`.  An empty dataset is rejected, and so is a
-    cascade with no observed source (the source was hidden by the mask):
-    the model conditions on known initial conditions, and the error names
-    the first such cascade.  The table's codes are walked a block at a time.
+    conditions, not with the number of cascades.  An empty dataset is
+    rejected, and so is a cascade with no observed source (the source was
+    hidden by the mask): the model conditions on known initial conditions,
+    and the error names the first such cascade.  One walk over the table,
+    a block at a time, groups each block's rows by their source sets (the
+    nodes of window code 1) packed into bits and numbers the sets as first
+    met; the numbers are ranked in sorted order of the sets at the end.
     """
     ids: dict[tuple[int, ...], int] = {}
-    set_id = np.concatenate([_source_sets(block.codes, ids) for _start, block in _blocks(_table(dataset))])
-    keys, rank = _ranked_sets(ids, set_id)
-    return keys, rank[set_id]
-
-
-def _source_sets(codes: np.ndarray, ids: dict[tuple[int, ...], int]) -> np.ndarray:
-    """The id in ``ids`` of the observed source set (the nodes of window
-    code 1, ``(-1, 0]``) of each row of a block of a table's codes; a set
-    not in ``ids`` yet is added with the next id.  Rows are grouped by
-    their sets packed into bits."""
-    is_source = _is_source(codes)
-    first, which = _group_rows(_bit_words(is_source))
-    set_ids = [ids.setdefault(tuple(np.flatnonzero(is_source[row]).tolist()), len(ids)) for row in first.tolist()]
-    return np.array(set_ids, dtype=np.intp)[which]
+    set_ids = []
+    for _start, block in _blocks(_table(dataset)):
+        is_source = _is_source(block.codes)
+        first, which = _group_rows(_bit_words(is_source))
+        met = [ids.setdefault(tuple(np.flatnonzero(is_source[row]).tolist()), len(ids)) for row in first.tolist()]
+        set_ids.append(np.array(met, dtype=np.intp)[which])
+    set_id = np.concatenate(set_ids)
+    if () in ids:
+        idx = int(np.argmax(set_id == ids[()]))
+        raise DatasetError(f"cascade {idx} has no observed source; cannot fit")
+    keys = sorted(ids)
+    # the inverse of the permutation from rank to first-met number
+    return keys, np.argsort([ids[key] for key in keys])[set_id]
 
 
 def _bit_words(flags: np.ndarray) -> list[np.ndarray]:
@@ -730,18 +732,6 @@ def _bit_words(flags: np.ndarray) -> list[np.ndarray]:
     bits = np.zeros((packed.shape[0], -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
     bits[:, : packed.shape[1]] = packed
     return list(bits.view(np.uint64).T)
-
-
-def _ranked_sets(ids: dict[tuple[int, ...], int], set_id: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The sets of ``ids`` in sorted order and the rank of each id, given
-    the id of each cascade's set; a cascade with an empty set is an error."""
-    if () in ids:
-        idx = int(np.argmax(set_id == ids[()]))
-        raise DatasetError(f"cascade {idx} has no observed source; cannot fit")
-    keys = sorted(ids)
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[[ids[key] for key in keys]] = np.arange(len(keys))
-    return keys, rank
 
 
 # Bytes that one block of a walk over a table, one batched pass over a chunk
@@ -785,9 +775,11 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     First line ``T=<int>``; then one line per cascade:
     ``<id>\\t<token>,<token>,...`` with tokens ``v:t`` (exact),
     ``v:<T>+`` (censored at horizon) and ``v:(lo,hi]`` (interval).
-    Hidden nodes are simply absent from the line.  A network with a label
-    that would not read back (see :func:`_unwritable_label`) is refused
-    with a :class:`DatasetError` before anything is written.
+    Hidden nodes are simply absent from the line.  An empty dataset is
+    refused as every entry point refuses it (:func:`_table`), and so is a
+    network with a label that would not read back (see
+    :func:`_unwritable_label`), each with a :class:`DatasetError` before
+    anything is written.
 
     The visible cells, the nonzero codes, are taken a block of rows at a
     time (:func:`_blocks`).  Each block builds one token text per distinct
@@ -795,8 +787,6 @@ def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
     so the work and the memory of a block grow with its cells and not with
     N or T.
     """
-    if not len(cascades):
-        raise ValueError("no cascades to write")
     table = _table(cascades, net)
     T = table.horizon
     bad = next((label for label in net.labels if _unwritable_label(label)), None)

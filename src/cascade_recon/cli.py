@@ -32,7 +32,6 @@ from .graph import Network, parse_edge_list, serialize_edge_list
 from .cascades import (
     CascadeTable,
     MaskSpec,
-    _is_source,
     _mask_fields,
     apply_mask,
     generate_dataset,
@@ -235,8 +234,7 @@ def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file
         hidden, snapshots = interpret_hidden_field(run.get("hidden", ""), mask_seed), run.get("snapshots", "all")
     if cascades is None and isinstance(hidden, int):
         raise _usage_error("a random hidden count needs --cascades (their sources are never hidden)")
-    visible_at_zero = [] if cascades is None else _is_source(cascades.codes).any(axis=0)
-    source_nodes = np.flatnonzero(visible_at_zero).tolist()
+    source_nodes = [] if cascades is None else np.unique(cascades.sources % cascades.n_nodes).tolist()
     return resolve_mask(hidden, snapshots, net, mask_seed=mask_seed, exclude=source_nodes)
 
 

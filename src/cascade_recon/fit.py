@@ -235,10 +235,11 @@ def identifiable_edges(net: Network, mask: MaskSpec) -> np.ndarray:
 
 
 def l1_coupling_error(est, truth, included) -> float:
-    """Mean absolute coupling error over the included edges."""
+    """Mean absolute coupling error over the included edges; an empty
+    ``included`` is a :class:`DatasetError`."""
     included = np.asarray(included, dtype=np.intp)
     if included.size == 0:
-        raise ValueError("no edges included in the error metric")
+        raise DatasetError("no edges included in the error metric")
     est = np.asarray(est, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     return float(np.abs(est[included] - truth[included]).sum() / included.size)

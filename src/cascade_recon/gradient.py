@@ -58,8 +58,7 @@ from .cascades import (
     _blocks,
     _code_count,
     _is_visible_non_source,
-    _ranked_sets,
-    _source_sets,
+    _source_groups,
     _table,
     _window_bounds,
 )
@@ -105,43 +104,34 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     """Group cascades by source set and aggregate observation windows.
 
     A sequence of rows is stacked into a table first
-    (:func:`cascades._table`).  One walk over the table's codes, a block
-    (:func:`cascades._blocks`) at a time, finds each row's source set
-    (:func:`cascades._source_sets`, numbered as first met) and makes each
-    window of a visible non-source node one int64 key that orders by (set,
-    node, lo, hi), with the window code as its last digit, so no bounds are
-    decoded until the keys are counted.
-    A block's counted keys are a run, and runs of equally many blocks
-    merge as a binary counter carries, so a key is sorted about
-    log2(blocks) times.  The sets are then ranked in sorted order and the
-    keys renumbered, so the rows come out ordered by (group, node, lo, hi).
+    (:func:`cascades._table`), and its source groups are numbered once
+    (:func:`cascades._source_groups`, in sorted order of the sets).  One
+    walk over the table's codes, a block (:func:`cascades._blocks`) at a
+    time, makes each window of a visible non-source node one int64 key
+    that orders by (group, node, lo, hi), with the window code as its last
+    digit, so no bounds are decoded until the keys are counted.  A block's
+    counted keys are a run, and runs of equally many blocks merge as a
+    binary counter carries, so a key is sorted about log2(blocks) times
+    and the merged keys come out in (group, node, lo, hi) order.
     """
     table = _table(dataset)
-    T = table.horizon
+    sources, group_of = _source_groups(table)
+    T, n_nodes = table.horizon, table.n_nodes
     n_codes = _code_count(T)
-    ids: dict[tuple[int, ...], int] = {}
-    set_ids = []
     runs = []                                                # (blocks, keys, counts), blocks falling
-    for _start, block in _blocks(table):
-        codes, n_nodes = block.codes, block.n_nodes
-        set_id = _source_sets(codes, ids)
-        set_ids.append(set_id)
+    for start, block in _blocks(table):
+        codes = block.codes
         rows, nodes = np.nonzero(_is_visible_non_source(codes))
         # int64 before the codes are added: an int8 or int16 product would wrap
-        keys = (set_id[rows] * n_nodes + nodes) * n_codes + codes[rows, nodes]
+        keys = (group_of[start + rows] * n_nodes + nodes) * n_codes + codes[rows, nodes]
         run = (1, *np.unique(keys, return_counts=True))
         while runs and runs[-1][0] == run[0]:
             run = _merged([runs.pop(), run])
         runs.append(run)
     _, keys, counts = _merged(runs)
     runs.clear()                                             # as large as the keys
-    set_id = np.concatenate(set_ids)
-    sources, rank = _ranked_sets(ids, set_id)
     rest, codes = np.divmod(keys, n_codes)
     group, nodes = np.divmod(rest, n_nodes)
-    group = rank[group]
-    order = np.argsort((group * n_nodes + nodes) * n_codes + codes)
-    group, nodes, codes, counts = group[order], nodes[order], codes[order], counts[order]
     lo, hi = _window_bounds(codes, T)
     nodes = nodes.astype(np.intp, copy=False)
     ends = np.searchsorted(group, np.arange(len(sources) + 1))

@@ -24,7 +24,7 @@ from cascade_recon import (
     parse_edge_list,
 )
 
-from cascade_recon.baselines import _completed_times
+from cascade_recon.baselines import _completed_times, _unresolved_groups
 from cascade_recon.cascades import _table
 
 from conftest import (
@@ -295,6 +295,16 @@ class TestMarginalizedLikelihood:
             obs = apply_mask(c, MaskSpec(frozenset(set(range(n)) - {src}), None))
             assert marginalized_likelihood(obs, net, alpha) == pytest.approx(0.0, abs=1e-9)
 
+    def test_impossible_observation_is_minus_inf(self):
+        # 0 -> 1 cannot transmit, so node 1 at time 1 is impossible whether
+        # node 2 is summed over or pinned
+        net = chain_net(3)
+        alpha = [0.0, 0.5]
+        hidden = apply_mask(Cascade(4, [0, 1, 2]), MaskSpec(frozenset({2}), None))
+        pinned = apply_mask(Cascade(4, [0, 1, 2]), MaskSpec())
+        assert marginalized_likelihood(hidden, net, alpha) == -np.inf
+        assert marginalized_likelihood(pinned, net, alpha) == -np.inf
+
     def test_capacity_error(self, rng):
         net = random_loopy_net(10, 4, rng)
         alpha = random_couplings(net, rng)
@@ -338,7 +348,9 @@ class TestHtsConfig:
 def _complete(data, net, alpha, config):
     """The recorded times with the unresolved ones imputed, and the
     unresolved flags, that the first round of ``hts_fit`` fits."""
-    return _completed_times(_table(data), net, np.asarray(alpha, dtype=float), config, 0)
+    table = _table(data)
+    groups, unresolved = _unresolved_groups(table)
+    return _completed_times(table, net, np.asarray(alpha, dtype=float), config, 0, groups, unresolved), unresolved
 
 
 class TestHtsComplete:
@@ -397,6 +409,25 @@ class TestHtsFit:
         res = hts_fit([apply_mask(c, MaskSpec()) for c in data], net, HtsConfig())
         np.testing.assert_array_equal(res.couplings_hat, nr)
         assert res.converged
+
+    def test_groups_numbered_once_a_fit(self, monkeypatch):
+        # the source groups and the rows to complete are the same in every
+        # round, so a fit of three rounds numbers the groups once
+        from cascade_recon import baselines
+
+        calls = []
+
+        def counted(table, numbered=baselines._source_groups):
+            calls.append(len(table))
+            return numbered(table)
+
+        monkeypatch.setattr(baselines, "_source_groups", counted)
+        net = chain_net(3)
+        data = generate_dataset(net, [0.6, 0.6], 60, [0], 5, seed=4)
+        obs = [apply_mask(c, MaskSpec(frozenset({1}), None)) for c in data]
+        res = hts_fit(obs, net, HtsConfig(aux_samples=20, outer_rounds=3, param_tol=1e-300))
+        assert res.iterations == 3
+        assert calls == [60]
 
     def test_unidentifiable_edge_stays_at_init(self, edge01):
         truth = [0.3]

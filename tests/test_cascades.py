@@ -924,7 +924,7 @@ class TestFiles:
         data = [Cascade(5, [0, 1, 2]), Cascade(6, [0, 1, 2])]
         with pytest.raises(DatasetError, match="mismatched horizons"):
             write_cascades(chain3, data)
-        with pytest.raises(ValueError, match="no cascades"):
+        with pytest.raises(DatasetError, match="^empty dataset$"):
             write_cascades(chain3, [])
 
     def test_write_peaks_near_the_text(self):

@@ -368,6 +368,15 @@ class TestErrorsAndConfig:
         assert rc == 1
         assert capsys.readouterr().err == "error: cascade 1 has no observed source; cannot fit\n"
 
+    def test_eval_with_no_identifiable_edge_is_exit_1(self, tmp_path, capsys):
+        # node 1 is a hidden sink, so the mask leaves no edge to score
+        (tmp_path / "net.edges").write_text("0\t1\t0.5\n")
+        (tmp_path / "mask.spec").write_text("hidden=1\n")
+        rc = run("eval", "--network", tmp_path / "net.edges", "--couplings", tmp_path / "net.edges",
+                 "--mask", tmp_path / "mask.spec")
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no edges included in the error metric\n"
+
     def test_usage_error_is_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run("fit", "--method", "bogus")

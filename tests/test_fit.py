@@ -267,5 +267,5 @@ class TestErrorMetric:
         assert abs(err - 0.25) <= 0.02
 
     def test_empty_inclusion_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="^no edges included in the error metric$"):
             l1_coupling_error([0.5], [0.5], [])
