@@ -78,5 +78,5 @@ with open(out, "w", encoding="utf-8") as fh:
     fh.write("src,dst,alpha_true,alpha_est\n")
     for e in range(net.n_edges):
         i, j = net.edge_pair(e)
-        fh.write(f"{net.labels[i]},{net.labels[j]},{truth[e]!r},{est[e]!r}\n")
+        fh.write(f"{net.labels[i]},{net.labels[j]},{float(truth[e])!r},{float(est[e])!r}\n")
 print(f"scatter written to {out}")

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import CapacityError, DatasetError
 from .graph import Network, _ranges, validate_couplings
 from .cascades import (
-    _MASK64,
     _PASS_BYTES,
     _SAMPLE_ROWS,
     Cascade,
@@ -42,6 +41,7 @@ from .cascades import (
     _group_rows,
     _source_groups,
     _table,
+    cascade_substream,
     sample_recorded_times,
 )
 from .fit import FitConfig, FitResult, identifiable_edges, projected_gradient_descent
@@ -232,8 +232,7 @@ def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -
 
         x0 = np.full(block.size, config.alpha_init)
         alpha[block] = projected_gradient_descent(
-            value_and_grad, lambda a: value_and_grad(a, gradient=False),
-            x0, config.alpha_min, config.alpha_max, config,
+            value_and_grad, lambda a: value_and_grad(a, gradient=False), x0, config
         )[0]
     return alpha
 
@@ -325,8 +324,7 @@ def _completed_times(table: CascadeTable, net: Network, alpha: np.ndarray, confi
     for g_idx, (sources, rows) in enumerate(groups):
         if not rows.size:
             continue
-        key = ((config.seed & _MASK64) << 64) | ((rnd & _MASK64) << 32) | (g_idx & 0xFFFFFFFF)
-        rng = np.random.Generator(np.random.Philox(key=key))
+        rng = cascade_substream(config.seed, (rnd << 32) | g_idx)
         samples = sample_recorded_times(net, alpha, sources, horizon, L * rows.size, rng).reshape(rows.size, L, -1)
         # hidden nodes violate nothing; the pool is each cascade's fewest
         # violations, and its first most likely sample wins

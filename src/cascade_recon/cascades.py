@@ -49,7 +49,6 @@ __all__ = [
     "apply_mask",
     "write_cascades",
     "read_cascades",
-    "parse_mask_spec",
     "resolve_mask",
 ]
 
@@ -661,11 +660,13 @@ def apply_mask(cascade: Cascade | CascadeTable | Sequence[Cascade], mask: MaskSp
 
 
 def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, exclude: Iterable[int] = ()) -> MaskSpec:
-    """Build a MaskSpec for the nodes of ``net`` from file/CLI-style fields.
+    """Build a MaskSpec for the nodes of ``net`` from the fields of a mask
+    description, as the CLI reads them from flags or a mask file.
 
     ``hidden`` is an iterable of node labels of ``net``, or an int count
     for random selection (requires ``mask_seed``; never selects the node
-    indices in ``exclude``).  A label not of ``net`` or a count outside
+    indices in ``exclude``, so passing the nodes that start a cascade
+    keeps every source visible).  A label not of ``net`` or a count outside
     [0, eligible nodes] is a :class:`DatasetError`.  ``snapshots`` is
     "all", None, or an iterable of times.
     """
@@ -1221,53 +1222,3 @@ def _decode_time(spec: str, T: int, tok: str) -> tuple[int, int]:
     if not 0 <= t < T:
         raise ParseError(f"exact time {t} outside [0, {T})")
     return t - 1, t
-
-
-def parse_mask_spec(text: str, net: Network) -> MaskSpec:
-    """Parse a mask-spec file for the nodes of ``net``.
-
-    Lines: ``hidden=<comma-separated labels of net or an integer count>``,
-    ``snapshots=all|t1,t2,...`` and ``mask_seed=<int>`` (required when
-    ``hidden`` is a count); :func:`resolve_mask` builds the mask, drawing a
-    count from all of the nodes.
-    """
-    hidden, snapshots, mask_seed = _mask_fields(text)
-    return resolve_mask(hidden, snapshots, net, mask_seed=mask_seed)
-
-
-def _mask_fields(text: str):
-    """The hidden field as :func:`interpret_hidden_field` reads it, the
-    snapshots and the mask seed of a mask-spec file."""
-    hidden_raw: str = ""
-    snapshots: object = "all"
-    mask_seed = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in ("hidden", "snapshots", "mask_seed"):
-            raise ParseError(f"line {lineno}: unknown key {key!r}")
-        try:
-            if key == "hidden":
-                hidden_raw = value
-            elif key == "snapshots":
-                snapshots = "all" if value == "all" else [int(v) for v in value.split(",") if v.strip()]
-            else:
-                mask_seed = int(value)
-        except ValueError:
-            raise ParseError(f"line {lineno}: {key} takes integers, got {value!r}") from None
-    return interpret_hidden_field(hidden_raw, mask_seed), snapshots, mask_seed
-
-
-def interpret_hidden_field(raw: str, mask_seed: int | None):
-    """A single integer means "hide this many random nodes" only when a
-    mask seed accompanies it (random selection needs one); otherwise the
-    tokens are node labels.  Resolves the count-vs-label ambiguity for
-    graphs with numeric labels."""
-    items = [v.strip() for v in raw.split(",") if v.strip()]
-    if len(items) == 1 and items[0].isdigit() and mask_seed is not None:
-        return int(items[0])
-    return items

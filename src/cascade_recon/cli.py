@@ -2,7 +2,7 @@
 gradcheck, oracle.
 
 Every subcommand reads/writes the plain-text formats defined by the
-library (edge lists, cascade files, mask specs, CSV tables) and is
+library (edge lists, cascade files, CSV tables) and mask files, and is
 deterministic given its seeds, so a full simulate -> mask -> fit -> eval
 pipeline reproduces byte-identical artifacts.
 
@@ -10,7 +10,10 @@ A flag and a ``--config`` key share one spelling and one parser; the
 optimizer and two-stage keys are the fields of ``FitConfig`` and
 ``HtsConfig``.  Flags win, every value given is parsed before any work
 starts, and defaults live in the subcommands, so a config ``method``
-selects the estimator.
+selects the estimator.  A mask file is read as a config file is, with
+the keys ``hidden``, ``snapshots`` and ``mask_seed``, each parsed as the
+flag of its name; it replaces those flags, and a value there that does
+not parse is a data error.
 
 Exit codes: 0 success, 1 a module reported a data/model error, 2 usage
 errors (bad flags, bad config keys, values that do not parse, such as
@@ -32,10 +35,8 @@ from .graph import Network, parse_edge_list, serialize_edge_list
 from .cascades import (
     CascadeTable,
     MaskSpec,
-    _mask_fields,
     apply_mask,
     generate_dataset,
-    interpret_hidden_field,
     read_cascades,
     resolve_mask,
     write_cascades,
@@ -112,28 +113,37 @@ def _parse(key: str, text):
         raise _usage_error(f"{key}: {exc}") from None
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_key_values(path: str, keys, where: str) -> dict[str, tuple[int, str, str]]:
+    """The ``key = value`` lines of a config or mask file, ``#`` starting a
+    comment: each key, ``_`` read as ``-``, to its line number, its
+    spelling there and its value.  A key not in ``keys`` is a ParseError
+    that names the line as ``where`` and its number."""
+    values = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"config line {lineno}: expected 'key = value'")
-        key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("_", "-")
-        if key not in _PARSERS:
-            raise ParseError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = value
+            raise ParseError(f"{where} {lineno}: expected 'key = value'")
+        spelt, value = (s.strip() for s in line.split("=", 1))
+        key = spelt.replace("_", "-")
+        if key not in keys:
+            raise ParseError(f"{where} {lineno}: unknown key {key!r}")
+        values[key] = (lineno, spelt, value)
     return values
+
+
+# The keys of a mask file: the flags that describe a mask otherwise.
+_MASK_KEYS = ("hidden", "snapshots", "mask-seed")
 
 
 class _Run(dict):
     """Config-file values with the flags laid over them, each parsed once."""
 
     def __init__(self, args: argparse.Namespace):
-        given = _read_config_file(args.config) if args.config else {}
+        lines = _read_key_values(args.config, _PARSERS, "config line") if args.config else {}
+        given = {key: text for key, (*_, text) in lines.items()}
         for key in _OPTIONS:
             flag = getattr(args, key.replace("-", "_"), None)
             if flag is not None:
@@ -224,18 +234,30 @@ def _cmd_simulate(run: _Run) -> int:
 
 
 def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file=None) -> MaskSpec:
-    """The mask in ``mask_file`` when given, else the one that --hidden,
-    --snapshots and --mask-seed describe.  A random hidden count never
-    picks a source of ``cascades``, so it needs them; label lists do not."""
+    """The mask that --hidden, --snapshots and --mask-seed describe, or
+    the same keys of ``mask_file``, each parsed by its flag's parser; both
+    at once is a usage error.  A random hidden count never picks a source
+    of ``cascades``, so it needs them; label lists do not."""
+    fields = run
     if mask_file:
-        hidden, snapshots, mask_seed = _mask_fields(Path(mask_file).read_text(encoding="utf-8"))
-    else:
-        mask_seed = run.get("mask-seed")
-        hidden, snapshots = interpret_hidden_field(run.get("hidden", ""), mask_seed), run.get("snapshots", "all")
+        clash = [key for key in _MASK_KEYS if key in run]
+        if clash:
+            raise _usage_error(f"--mask and --{clash[0]} both describe the mask; give one of them")
+        fields = {}
+        for key, (lineno, spelt, text) in _read_key_values(mask_file, _MASK_KEYS, "line").items():
+            try:
+                fields[key] = _PARSERS[key](text)
+            except ValueError:
+                raise ParseError(f"line {lineno}: {spelt} takes integers, got {text!r}") from None
+    mask_seed = fields.get("mask-seed")
+    # one integer is a count only with a mask seed (random selection needs
+    # one), so numeric labels stay labels
+    items = [v.strip() for v in fields.get("hidden", "").split(",") if v.strip()]
+    hidden = int(items[0]) if len(items) == 1 and items[0].isdigit() and mask_seed is not None else items
     if cascades is None and isinstance(hidden, int):
         raise _usage_error("a random hidden count needs --cascades (their sources are never hidden)")
     source_nodes = [] if cascades is None else np.unique(cascades.sources % cascades.n_nodes).tolist()
-    return resolve_mask(hidden, snapshots, net, mask_seed=mask_seed, exclude=source_nodes)
+    return resolve_mask(hidden, fields.get("snapshots", "all"), net, mask_seed=mask_seed, exclude=source_nodes)
 
 
 def _cmd_mask(run: _Run) -> int:

@@ -117,20 +117,19 @@ def projected_gradient_descent(
     value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
     value_only: Callable[[np.ndarray], float],
     x0: np.ndarray,
-    lower: float,
-    upper: float,
     config: FitConfig,
 ) -> tuple[np.ndarray, list[float], list[tuple[int, float, float, float]], bool, int]:
-    """Monotone projected descent with quasi-Newton directions.
+    """Monotone projected descent with quasi-Newton directions on the box
+    ``[config.alpha_min, config.alpha_max]``.
 
     Returns ``(x, trajectory, diagnostics, converged, iterations)``.  Each
     accepted step costs one ``value_and_grad`` call; line-search trials call
     ``value_only``.  A coordinate at a bound whose gradient pushes outward
     stays fixed for the step; on the others the direction is L-BFGS's
     (first trial at the unit step), and steepest descent (first trial at
-    ``(upper - lower) / max|pg|`` for the projected gradient ``pg``) when
-    there are no curvature pairs yet or the quasi-Newton search fails,
-    which also clears the pairs.
+    ``(alpha_max - alpha_min) / max|pg|`` for the projected gradient
+    ``pg``) when there are no curvature pairs yet or the quasi-Newton
+    search fails, which also clears the pairs.
 
     ``converged`` is True when the projected gradient vanishes (a
     stationary point of the box-constrained problem) or when a step
@@ -138,6 +137,7 @@ def projected_gradient_descent(
     relative.  A line search that finds no step along steepest descent
     ends the run with ``converged`` False, as does reaching ``max_iters``.
     """
+    lower, upper = config.alpha_min, config.alpha_max
     x = np.clip(np.asarray(x0, dtype=np.float64), lower, upper)
     f, g = value_and_grad(x)
     trajectory = [f]
@@ -214,7 +214,7 @@ def dmprec_fit(
     x0 = np.full(net.n_edges, config.alpha_init)
     start = time.perf_counter()
     x, trajectory, diagnostics, converged, iterations = projected_gradient_descent(
-        value_and_grad, value_only, x0, config.alpha_min, config.alpha_max, config
+        value_and_grad, value_only, x0, config
     )
     wall = time.perf_counter() - start
     if not np.all(np.isfinite(trajectory)):

@@ -44,9 +44,8 @@ class TestApiSurface:
         "netrate_fit": ("dataset", "net", "config"),
         "observed_negative_log_likelihood": ("dataset", "net", "couplings"),
         "parse_edge_list": ("text",),
-        "parse_mask_spec": ("text", "net"),
         "population_free_energy": ("net", "couplings_star", "couplings", "sources", "horizon"),
-        "projected_gradient_descent": ("value_and_grad", "value_only", "x0", "lower", "upper", "config"),
+        "projected_gradient_descent": ("value_and_grad", "value_only", "x0", "config"),
         "read_cascades": ("net", "text"),
         "resolve_mask": ("hidden", "snapshots", "net", "mask_seed", "exclude"),
         "sample_recorded_times": ("net", "couplings", "sources", "horizon", "count", "rng"),

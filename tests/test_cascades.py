@@ -27,7 +27,6 @@ from cascade_recon import (
     netrate_fit,
     observed_negative_log_likelihood,
     parse_edge_list,
-    parse_mask_spec,
     read_cascades,
     resolve_mask,
     sample_recorded_times,
@@ -968,11 +967,14 @@ class TestFiles:
             write_cascades(net, generate_dataset(net, np.full(3, 0.5), 5, [0], 4, seed=1))
 
     def test_mask_spec_parsing(self):
+        # the fields of a mask description, as the CLI reads them from a
+        # mask file or flags; a random count never draws an excluded node
         net, _ = parse_edge_list("0\t1\n1\t2\n")
-        spec = parse_mask_spec("hidden=1\nsnapshots=2,4\nmask_seed=7\n", net)
-        assert len(spec.hidden_nodes) == 1
+        spec = resolve_mask(1, [4, 2, 4], net, mask_seed=7, exclude=[0])
+        assert len(spec.hidden_nodes) == 1 and 0 not in spec.hidden_nodes
         assert spec.snapshot_times == (2, 4)
-        spec2 = parse_mask_spec("hidden=0,2\nsnapshots=all\n", net)
+        assert resolve_mask(2, "all", net, mask_seed=7, exclude=[0]).hidden_nodes == frozenset({1, 2})
+        spec2 = resolve_mask(["0", "2"], "all", net)
         assert spec2.hidden_nodes == frozenset({0, 2})
         assert spec2.snapshot_times is None
 

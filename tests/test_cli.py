@@ -152,6 +152,21 @@ class TestMaskFitEval:
         observed = read_cascades(net, (tmp / "obs.txt").read_text())
         assert sum(bool(o.hidden.any()) for o in observed) == len(observed)
 
+    @pytest.mark.parametrize("flags, spec", [
+        (["--hidden", "3,5", "--snapshots", "2,4,8"], "hidden=3,5\nsnapshots=2,4,8\n"),
+        # a mask file is read as a config file is: spaces, comments, and
+        # a key spelt with '-' or '_'
+        (["--hidden", 2, "--mask-seed", 11], "hidden = 2  # a random count\n\nmask-seed = 11\n"),
+    ], ids=["labels", "count"])
+    def test_mask_flags_and_file_agree(self, workdir, flags, spec):
+        tmp, net, _ = workdir
+        self._simulate(tmp, M=40, sources="0")
+        (tmp / "mask.spec").write_text(spec)
+        common = ["--network", tmp / "net.edges", "--cascades", tmp / "truth.txt"]
+        assert run("mask", *common, *flags, "--out", tmp / "flags.txt") == 0
+        assert run("mask", *common, "--mask", tmp / "mask.spec", "--out", tmp / "file.txt") == 0
+        assert (tmp / "flags.txt").read_bytes() == (tmp / "file.txt").read_bytes()
+
     def test_netrate_method(self, workdir):
         tmp, net, truth = workdir
         self._simulate(tmp, M=400)
@@ -342,6 +357,19 @@ class TestErrorsAndConfig:
                  "--mask", tmp / "mask.spec", "--out", tmp / "obs.txt")
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag, value", [("hidden", "3"), ("snapshots", "2,4"), ("mask-seed", "1")])
+    def test_mask_file_with_a_mask_flag_is_exit_2(self, workdir, capsys, flag, value):
+        tmp, net, _ = workdir
+        run("simulate", "--network", tmp / "net.edges", "--horizon", 8, "--num-cascades", 5,
+            "--sources", "0", "--seed", 1, "--out", tmp / "truth.txt")
+        (tmp / "mask.spec").write_text("hidden=2\n")
+        with pytest.raises(SystemExit) as exc:
+            run("mask", "--network", tmp / "net.edges", "--cascades", tmp / "truth.txt",
+                "--mask", tmp / "mask.spec", f"--{flag}", value, "--out", tmp / "obs.txt")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --mask and --{flag} both describe the mask; give one of them\n"
+        assert not (tmp / "obs.txt").exists()
 
     def test_mask_of_partly_observed_cascades_is_exit_1(self, workdir, capsys):
         tmp, net, _ = workdir

@@ -186,7 +186,7 @@ class TestProjectedGradientDescent:
         for scale in (1.0, 1024.0):
             value_and_grad, value_only, points = _quadratic(w, c, scale)
             x, _, _, converged, iterations = projected_gradient_descent(
-                value_and_grad, value_only, np.full(12, cfg.alpha_init), cfg.alpha_min, cfg.alpha_max, cfg
+                value_and_grad, value_only, np.full(12, cfg.alpha_init), cfg
             )
             runs.append((x, iterations, converged, np.array(points)))
         (x1, it1, conv1, points1), (x2, it2, conv2, points2) = runs
@@ -205,7 +205,7 @@ class TestProjectedGradientDescent:
         cfg = FitConfig(max_iters=1)
         _, trajectory, _, _, iterations = projected_gradient_descent(
             value_and_grad, lambda x: calls.append(x) or value_only(x),
-            np.full(12, cfg.alpha_init), cfg.alpha_min, cfg.alpha_max, cfg,
+            np.full(12, cfg.alpha_init), cfg,
         )
         assert iterations == 1
         assert trajectory[1] < trajectory[0]
