@@ -12,11 +12,10 @@ from cascade_recon import (
     FitConfig,
     MaskSpec,
     apply_mask,
-    cascade_substream,
     dmprec_fit,
+    generate_dataset,
     identifiable_edges,
     l1_coupling_error,
-    simulate_cascade,
 )
 
 
@@ -45,7 +44,6 @@ net = preferential_attachment(20, 2, rng)
 truth = rng.uniform(0, 1, net.n_edges)
 T = 10
 hidden = frozenset(int(x) for x in rng.choice(20, size=5, replace=False))
-observed = [i for i in range(20) if i not in hidden]
 mask = MaskSpec(hidden, None)
 included = identifiable_edges(net, mask)
 
@@ -53,12 +51,8 @@ print(f"graph: 20 nodes, {net.n_edges} directed edges; hidden nodes: {sorted(hid
 print(f"{'cascades':>9} {'error':>8} {'vs constant-0.5':>16}")
 baseline = l1_coupling_error(np.full(net.n_edges, 0.5), truth, included)
 for M in (200, 800, 3200):
-    data = []
-    for c in range(M):
-        g = cascade_substream(10, c)
-        src = observed[int(g.integers(len(observed)))]
-        data.append(simulate_cascade(net, truth, [src], T, g))
-    dataset = apply_mask(data, mask)
+    # every source is drawn among the observed nodes
+    dataset = apply_mask(generate_dataset(net, truth, M, "random", T, seed=10, exclude=hidden), mask)
     res = dmprec_fit(dataset, net, FitConfig(max_iters=800))
     err = l1_coupling_error(res.couplings_hat, truth, included)
     print(f"{M:>9} {err:>8.4f} {baseline:>16.4f}")

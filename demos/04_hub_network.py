@@ -19,7 +19,7 @@ how many observed nodes activate by T-1 (88 % against 79 % in the data
 at the true couplings), and the fit compensates through the unseen
 links, many of which it drives to ``alpha_min``.  The scatter written at the end shows both groups.
 
-The run took about 5 seconds on a 2-CPU machine; pass a smaller cascade
+The run took about 3 seconds on a 2-CPU machine; pass a smaller cascade
 count to go faster, e.g. ``python demos/04_hub_network.py 2000``.
 """
 
@@ -32,13 +32,12 @@ from cascade_recon import (
     FitConfig,
     MaskSpec,
     apply_mask,
-    cascade_substream,
     dmprec_fit,
+    generate_dataset,
     identifiable_edges,
     l1_coupling_error,
     observed_negative_log_likelihood,
     parse_edge_list,
-    simulate_cascade,
 )
 
 M = int(sys.argv[1]) if len(sys.argv) > 1 else 10000
@@ -48,16 +47,11 @@ text = files("cascade_recon").joinpath("data/hub30.edges").read_text()
 net, truth = parse_edge_list(text)
 rng = np.random.default_rng(30)
 hidden = frozenset(int(x) for x in rng.choice(net.n_nodes, size=15, replace=False))
-observed = [i for i in range(net.n_nodes) if i not in hidden]
 mask = MaskSpec(hidden, None)
 
 print(f"hub network: {net.n_nodes} nodes, {net.n_edges} links; hiding {len(hidden)} hubs; M={M}")
-data = []
-for c in range(M):
-    g = cascade_substream(888, c)
-    src = observed[int(g.integers(len(observed)))]
-    data.append(simulate_cascade(net, truth, [src], T, g))
-dataset = apply_mask(data, mask)
+# every source is drawn among the observed hubs
+dataset = apply_mask(generate_dataset(net, truth, M, "random", T, seed=888, exclude=hidden), mask)
 
 res = dmprec_fit(dataset, net, FitConfig(max_iters=600))
 est = res.couplings_hat

@@ -22,7 +22,6 @@ from .cascades import (
     read_cascades,
     resolve_mask,
     sample_recorded_times,
-    simulate_cascade,
     write_cascades,
 )
 from .dmp import (

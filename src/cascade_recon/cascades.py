@@ -42,7 +42,6 @@ __all__ = [
     "CascadeTable",
     "MaskSpec",
     "cascade_substream",
-    "simulate_cascade",
     "generate_dataset",
     "sample_recorded_times",
     "monte_carlo_marginals",
@@ -218,7 +217,8 @@ class _Windows:
         return self.complete or bool(np.all(_is_exact(self.codes, self.horizon)))
 
     def __eq__(self, other):
-        return isinstance(other, type(self)) and self.horizon == other.horizon and np.array_equal(self.codes, other.codes)
+        return (isinstance(other, type(self)) and (self.horizon, self.complete) == (other.horizon, other.complete)
+                and np.array_equal(self.codes, other.codes))
 
 
 class Cascade(_Windows):
@@ -286,12 +286,11 @@ class CascadeTable(_Windows):
 
     The table is also the sequence of its rows: ``len``, iteration and an
     integer index give rows that are views of its codes, :class:`Cascade`
-    rows of a complete table and :class:`ObservedCascade` rows otherwise;
-    a slice gives a table of a view of the codes, ``==`` compares row by
-    row with a sequence of rows and by horizon, ``complete`` and codes
-    with a table, and ``+`` stacks a table's codes (complete when both
-    are) or a sequence's rows into a new table; a list ``+=`` a table is
-    extended by its rows.
+    rows of a complete table and :class:`ObservedCascade` rows otherwise,
+    and a slice gives a table of a view of the codes.  ``==`` and ``+``
+    take tables: ``==`` compares horizon, ``complete`` and codes, as it
+    does for rows, and ``+`` stacks the codes into a new table, complete
+    when both are; a list ``+=`` a table is extended by its rows.
     """
 
     complete: bool = False
@@ -318,24 +317,12 @@ class CascadeTable(_Windows):
     def _row_type(self) -> type:
         return Cascade if self.complete else ObservedCascade
 
-    def __eq__(self, other):
-        if isinstance(other, CascadeTable):
-            return (self.horizon, self.complete) == (other.horizon, other.complete) and np.array_equal(self.codes, other.codes)
-        if not isinstance(other, (list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
     def __add__(self, other):
-        if isinstance(other, CascadeTable):
-            horizon = _shared((self.horizon, other.horizon), "horizons")
-            _shared((self.n_nodes, other.n_nodes), "node counts")
-            return _coded_table(horizon, np.concatenate((self.codes, other.codes)), self.complete and other.complete)
-        if not isinstance(other, (list, tuple)):
+        if not isinstance(other, CascadeTable):
             return NotImplemented
-        # the table's last row stands for all of its rows in _table's checks
-        tail = _table([self[-1], *other] if len(self) else other)
-        codes = np.concatenate((self.codes[:-1], tail.codes)) if len(self) else tail.codes
-        return _coded_table(tail.horizon, codes, tail.complete)
+        horizon = _shared((self.horizon, other.horizon), "horizons")
+        _shared((self.n_nodes, other.n_nodes), "node counts")
+        return _coded_table(horizon, np.concatenate((self.codes, other.codes)), self.complete and other.complete)
 
 
 def _coded_table(horizon: int, codes: np.ndarray, complete: bool = False) -> CascadeTable:
@@ -412,30 +399,6 @@ def _as_source_array(net: Network, sources) -> np.ndarray:
     return src
 
 
-def simulate_cascade(net: Network, couplings, sources, horizon: int, rng) -> Cascade:
-    """Simulate one synchronous SI cascade.
-
-    ``rng`` is a numpy Generator (or an int seed).  It draws a
-    ``(horizon-1) x |E|`` block of 64-bit words up front (full-range
-    ``integers``, the bit generator's 64-bit outputs), and edge e
-    transmits at step t + 1 (its source active by t, its destination still
-    susceptible) iff word ``[t, e]`` passes :func:`_thresholds`' rule, so
-    the result does not depend on early termination.  The steps and the
-    rule are those :func:`generate_dataset` runs.
-    """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.Generator(np.random.Philox(key=int(rng) & _MASK64))
-    alpha = validate_couplings(net, couplings)
-    src = _as_source_array(net, sources)
-    _check_horizon(horizon)
-    words = rng.integers(0, 2**64, (horizon - 1, net.n_edges), dtype=np.uint64)
-    transmit = (words >> 11) < _thresholds(alpha)
-    times = np.full((net.n_nodes, 1), horizon, dtype=np.int64)
-    times[src] = 0
-    _spread(net, horizon, times, transmit[:, :, None])
-    return Cascade(horizon, times[:, 0])
-
-
 def _spread(net: Network, horizon: int, times: np.ndarray, transmit: np.ndarray) -> None:
     """Run the steps of B cascades together, in place.
 
@@ -464,45 +427,63 @@ def _spread(net: Network, horizon: int, times: np.ndarray, transmit: np.ndarray)
 
 
 def _thresholds(alpha: np.ndarray) -> np.ndarray:
-    """The simulators' transmit rule: a raw 64-bit word ``w`` drawn for edge
+    """The simulator's transmit rule: a raw 64-bit word ``w`` drawn for edge
     e transmits iff ``(w >> 11) < ceil(alpha[e] * 2**53)``, the threshold
     returned here.  That is exactly ``u < alpha[e]`` for the uniform ``u =
     (w >> 11) * 2**-53`` that ``Generator.random`` makes of the word."""
     return np.ceil(alpha * 2.0**53).astype(np.uint64)
 
 
+def _eligible(n_nodes: int, exclude: Iterable[int]) -> np.ndarray:
+    """The node indices in [0, n_nodes) not in ``exclude``, ascending: the
+    pool of every random draw of nodes."""
+    return np.array(sorted(set(range(n_nodes)) - {int(i) for i in exclude}), dtype=np.intp)
+
+
 # raw 64-bit words that one block of generate_dataset's cascades draws
 _BLOCK_WORDS = 1 << 18
 
 
-def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, horizon: int, seed: int) -> CascadeTable:
+def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, horizon: int, seed: int,
+                     exclude: Iterable[int] = ()) -> CascadeTable:
     """Generate independent cascades with per-cascade Philox substreams,
     as a complete :class:`CascadeTable`.
 
     ``source_policy`` is either an explicit collection of source node
     indices (used for every cascade) or the string ``"random"`` for one
-    uniformly chosen source per cascade.  Cascade ``c`` is a pure function
-    of (seed, c): its substream (:func:`cascade_substream`) first yields
-    the source index when it is random, then one raw 64-bit word per step
-    and edge, and edge e transmits at step t + 1 iff its word passes
-    :func:`_thresholds`' rule, so cascade c is what
-    :func:`simulate_cascade` simulates from the same substream.  The
-    cascades run their steps together in blocks of about
-    ``_BLOCK_WORDS`` words, each from its own sources, through one word
-    buffer; the result does not depend on the block size.  One Philox
-    instance serves every cascade, re-keyed in place
-    (:class:`_SubstreamDrawer`), so drawing the words is most of the
-    work, and :func:`_spread` steps a block with a few array passes.
+    source per cascade, drawn uniformly from the node indices not in
+    ``exclude`` (:func:`_eligible`, the pool of :func:`resolve_mask`), so
+    passing the hidden nodes keeps every source visible.  Cascade ``c`` is
+    a pure function of (seed, c): its substream (:func:`cascade_substream`)
+    first yields the source's position in the pool when it is random, then
+    one raw 64-bit word per step and edge, and edge e transmits at step t +
+    1 iff its word passes :func:`_thresholds`' rule.  The cascades run
+    their steps together in blocks of about ``_BLOCK_WORDS`` words, each
+    from its own sources, through one word buffer; the result does not
+    depend on the block size.  One Philox instance serves every cascade,
+    re-keyed in place (:class:`_SubstreamDrawer`), so drawing the words is
+    most of the work, and :func:`_spread` steps a block with a few array
+    passes.  A policy string other than ``"random"``, an ``exclude`` with
+    explicit sources, an excluded index outside [0, N) and an ``exclude``
+    of every node are each a :class:`DatasetError`.
     """
     if n_cascades < 1:
         raise DatasetError("n_cascades must be >= 1")
     alpha = validate_couplings(net, couplings)
-    if isinstance(source_policy, str):
-        if source_policy != "random":
-            raise ValueError(f"unknown source policy {source_policy!r}")
-        fixed_src = None
-    else:
+    exclude = {int(i) for i in exclude}
+    pool = fixed_src = None
+    if not isinstance(source_policy, str):
+        if exclude:
+            raise DatasetError("exclude applies to random sources only")
         fixed_src = _as_source_array(net, source_policy)
+    elif source_policy != "random":
+        raise DatasetError(f"unknown source policy {source_policy!r}")
+    elif outside := sorted(exclude - set(range(net.n_nodes))):
+        raise DatasetError(f"excluded node index {outside[0]} out of range")
+    elif len(exclude) == net.n_nodes:
+        raise DatasetError("exclude leaves no node to draw a source from")
+    else:
+        pool = _eligible(net.n_nodes, exclude)
     _check_horizon(horizon)
 
     n_steps, n_edges = horizon - 1, net.n_edges
@@ -516,8 +497,8 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
         block = np.full((net.n_nodes, size), horizon, dtype=np.int64)
         for j in range(size):
             g = drawer.generator(start + j)
-            if fixed_src is None:
-                block[g.integers(net.n_nodes), j] = 0
+            if pool is not None:
+                block[pool[g.integers(pool.size)], j] = 0
             words[j] = g.bit_generator.random_raw(n_steps * n_edges)
         if fixed_src is not None:
             block[fixed_src] = 0
@@ -673,7 +654,7 @@ def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, 
     if isinstance(hidden, (int, np.integer)):
         if mask_seed is None:
             raise DatasetError("random hidden-node selection requires mask_seed")
-        pool = np.array(sorted(set(range(net.n_nodes)) - set(exclude)), dtype=np.intp)
+        pool = _eligible(net.n_nodes, exclude)
         if not 0 <= hidden <= pool.size:
             raise DatasetError(f"cannot hide {hidden} of {pool.size} eligible nodes")
         g = np.random.Generator(np.random.Philox(key=int(mask_seed) & _MASK64))

@@ -10,10 +10,11 @@ A flag and a ``--config`` key share one spelling and one parser; the
 optimizer and two-stage keys are the fields of ``FitConfig`` and
 ``HtsConfig``.  Flags win, every value given is parsed before any work
 starts, and defaults live in the subcommands, so a config ``method``
-selects the estimator.  A mask file is read as a config file is, with
-the keys ``hidden``, ``snapshots`` and ``mask_seed``, each parsed as the
-flag of its name; it replaces those flags, and a value there that does
-not parse is a data error.
+selects the estimator.  A config key must name an option of the
+subcommand, and ``fit`` takes every settings key.  A mask file is read
+as a config file is, with the keys ``hidden``, ``snapshots`` and
+``mask_seed``, each parsed as the flag of its name; it replaces those
+flags, and a value there that does not parse is a data error.
 
 Exit codes: 0 success, 1 a module reported a data/model error, 2 usage
 errors (bad flags, bad config keys, values that do not parse, such as
@@ -139,7 +140,10 @@ _MASK_KEYS = ("hidden", "snapshots", "mask-seed")
 
 
 class _Run(dict):
-    """Config-file values with the flags laid over them, each parsed once."""
+    """Config-file values with the flags laid over them, each parsed once,
+    and for ``fit`` the estimator's validated settings; then a config key
+    that names no option of the subcommand (``fit`` takes every settings
+    key) is a usage error."""
 
     def __init__(self, args: argparse.Namespace):
         lines = _read_key_values(args.config, _PARSERS, "config line") if args.config else {}
@@ -149,6 +153,14 @@ class _Run(dict):
             if flag is not None:
                 given[key] = flag
         super().__init__((key, _parse(key, text)) for key, text in given.items())
+        takes = {*_COMMANDS[args.command][2].split(), "threads"}
+        if args.command == "fit":
+            fit = self.settings(FitConfig)
+            self.fit = self.settings(HtsConfig, fit=fit) if self.get("method") == "hts" else fit
+            takes |= _PARSERS.keys() - _OPTIONS.keys()
+        for key, (lineno, spelt, _) in lines.items():
+            if key not in takes:
+                raise _usage_error(f"config line {lineno}: {args.command} takes no key {spelt!r}")
 
     def require(self, key: str):
         if self.get(key) is None:
@@ -233,11 +245,11 @@ def _cmd_simulate(run: _Run) -> int:
     return 0
 
 
-def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file=None) -> MaskSpec:
+def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file=None) -> MaskSpec | None:
     """The mask that --hidden, --snapshots and --mask-seed describe, or
     the same keys of ``mask_file``, each parsed by its flag's parser; both
     at once is a usage error.  A random hidden count never picks a source
-    of ``cascades``, so it needs them; label lists do not."""
+    of ``cascades``, so without them it gives None; label lists need none."""
     fields = run
     if mask_file:
         clash = [key for key in _MASK_KEYS if key in run]
@@ -255,7 +267,7 @@ def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file
     items = [v.strip() for v in fields.get("hidden", "").split(",") if v.strip()]
     hidden = int(items[0]) if len(items) == 1 and items[0].isdigit() and mask_seed is not None else items
     if cascades is None and isinstance(hidden, int):
-        raise _usage_error("a random hidden count needs --cascades (their sources are never hidden)")
+        return None
     source_nodes = [] if cascades is None else np.unique(cascades.sources % cascades.n_nodes).tolist()
     return resolve_mask(hidden, fields.get("snapshots", "all"), net, mask_seed=mask_seed, exclude=source_nodes)
 
@@ -273,14 +285,14 @@ def _cmd_fit(run: _Run) -> int:
     dataset = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
     method = run.get("method", "dmprec")
     if method == "dmprec":
-        result = dmprec_fit(dataset, net, run.settings(FitConfig))
+        result = dmprec_fit(dataset, net, run.fit)
         alpha, diagnostics = result.couplings_hat, result.diagnostics
     elif method == "netrate":
-        alpha = netrate_fit(dataset, net, run.settings(FitConfig))
+        alpha = netrate_fit(dataset, net, run.fit)
         nll = observed_negative_log_likelihood(dataset, net, alpha)
         diagnostics = [(0, nll, 0.0, 0.0)]
     else:
-        result = hts_fit(dataset, net, run.settings(HtsConfig, fit=run.settings(FitConfig)))
+        result = hts_fit(dataset, net, run.fit)
         alpha = result.couplings_hat
         diagnostics = [(i, f, 0.0, 0.0) for i, f in enumerate(result.free_energy_trajectory)]
     out = run.require("out")
@@ -304,7 +316,10 @@ def _cmd_eval(run: _Run) -> int:
     mask, path = run.get("mask"), run.get("cascades")
     if mask:
         cascades = read_cascades(net, Path(path).read_text(encoding="utf-8")) if path else None
-        included = identifiable_edges(net, _mask_spec(run, net, cascades, mask))
+        spec = _mask_spec(run, net, cascades, mask)
+        if spec is None:
+            raise _usage_error("a random hidden count needs --cascades (their sources are never hidden)")
+        included = identifiable_edges(net, spec)
     else:
         included = np.arange(net.n_edges)
     err = float(l1_coupling_error(est, truth, included))
@@ -335,8 +350,12 @@ def _cmd_gradcheck(run: _Run) -> int:
     net, alpha = _load_couplings(run)
     horizon = run.require("horizon")
     sources = _parse_sources(run, net, allow_random=True) if run.get("sources") else "random"
-    data = generate_dataset(net, alpha, run.get("num-cascades", 20), sources, horizon, run.get("seed", 0))
-    dataset = apply_mask(data, _mask_spec(run, net, data))
+    # hidden labels are resolved first and start no random cascade; a
+    # random hidden count is drawn after the simulation, among the other nodes
+    mask = _mask_spec(run, net, None)
+    exclude = mask.hidden_nodes if mask and sources == "random" else ()
+    data = generate_dataset(net, alpha, run.get("num-cascades", 20), sources, horizon, run.get("seed", 0), exclude)
+    dataset = apply_mask(data, mask or _mask_spec(run, net, data))
     report = free_energy_gradient(dataset, net, alpha)
     h = 1e-5
     analytic = report.gradient

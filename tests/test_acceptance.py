@@ -187,28 +187,18 @@ def test_criterion_7_single_edge_consistency():
     )
 
 
-def _protocol_dataset(net, truth, observed_nodes, M, T, seed):
-    data = []
-    for c in range(M):
-        g = cr.cascade_substream(seed, c)
-        src = observed_nodes[int(g.integers(len(observed_nodes)))]
-        data.append(cr.simulate_cascade(net, truth, [src], T, g))
-    return data
-
-
 def test_criterion_8_reconstruction_error_vs_samples():
     rng = np.random.default_rng(123)
     net = preferential_attachment_net(20, 2, rng)
     truth = rng.uniform(0, 1, net.n_edges)
     T = 10
     hidden = frozenset(int(x) for x in rng.choice(20, size=5, replace=False))
-    observed_nodes = [i for i in range(20) if i not in hidden]
     mask = cr.MaskSpec(hidden, None)
     included = cr.identifiable_edges(net, mask)
     errors = []
     for M in (200, 800, 3200, 6400):
-        data = _protocol_dataset(net, truth, observed_nodes, M, T, seed=777 + M)
-        dataset = [cr.apply_mask(c, mask) for c in data]
+        data = cr.generate_dataset(net, truth, M, "random", T, seed=777 + M, exclude=hidden)
+        dataset = cr.apply_mask(data, mask)
         res = cr.dmprec_fit(dataset, net)
         errors.append(cr.l1_coupling_error(res.couplings_hat, truth, included))
     diffs = np.diff(errors)
@@ -228,11 +218,10 @@ def test_criterion_9_dmprec_beats_hts():
     truth = rng.uniform(0, 1, net.n_edges)
     T, M = 8, 1600
     hidden = frozenset(int(x) for x in rng.choice(14, size=3, replace=False))
-    observed_nodes = [i for i in range(14) if i not in hidden]
     mask = cr.MaskSpec(hidden, None)
     included = cr.identifiable_edges(net, mask)
-    data = _protocol_dataset(net, truth, observed_nodes, M, T, seed=4242)
-    dataset = [cr.apply_mask(c, mask) for c in data]
+    data = cr.generate_dataset(net, truth, M, "random", T, seed=4242, exclude=hidden)
+    dataset = cr.apply_mask(data, mask)
     err_dmprec = cr.l1_coupling_error(cr.dmprec_fit(dataset, net).couplings_hat, truth, included)
     hts = cr.hts_fit(dataset, net, cr.HtsConfig(aux_samples=1000, outer_rounds=10, seed=5))
     err_hts = cr.l1_coupling_error(hts.couplings_hat, truth, included)

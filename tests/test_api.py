@@ -35,7 +35,7 @@ class TestApiSurface:
         "exact_marginals_oracle": ("net", "couplings", "sources", "horizon"),
         "free_energy_gradient": ("dataset", "net", "couplings"),
         "full_log_likelihood": ("cascade", "net", "couplings"),
-        "generate_dataset": ("net", "couplings", "n_cascades", "source_policy", "horizon", "seed"),
+        "generate_dataset": ("net", "couplings", "n_cascades", "source_policy", "horizon", "seed", "exclude"),
         "hts_fit": ("dataset", "net", "config"),
         "identifiable_edges": ("net", "mask"),
         "l1_coupling_error": ("est", "truth", "included"),
@@ -50,7 +50,6 @@ class TestApiSurface:
         "resolve_mask": ("hidden", "snapshots", "net", "mask_seed", "exclude"),
         "sample_recorded_times": ("net", "couplings", "sources", "horizon", "count", "rng"),
         "serialize_edge_list": ("net", "couplings"),
-        "simulate_cascade": ("net", "couplings", "sources", "horizon", "rng"),
         "validate_couplings": ("net", "values"),
         "write_cascades": ("net", "cascades"),
     }

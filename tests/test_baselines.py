@@ -442,16 +442,9 @@ class TestHtsFit:
     def test_recovers_with_hidden_node(self, rng):
         net = random_tree_net(6, rng)
         truth = random_couplings(net, rng, 0.2, 0.8)
-        hidden = 4
-        sources = [i for i in range(6) if i != hidden]
-        data = []
-        for c_idx in range(3000):
-            from cascade_recon import cascade_substream, simulate_cascade
-
-            g = cascade_substream(50, c_idx)
-            src = sources[int(g.integers(len(sources)))]
-            data.append(simulate_cascade(net, truth, [src], 8, g))
-        obs = [apply_mask(c, MaskSpec(frozenset({hidden}), None)) for c in data]
+        hidden = frozenset({4})
+        data = generate_dataset(net, truth, 3000, "random", 8, seed=50, exclude=hidden)
+        obs = apply_mask(data, MaskSpec(hidden, None))
         res = hts_fit(obs, net, HtsConfig(aux_samples=300, outer_rounds=5, seed=3))
         err = np.abs(res.couplings_hat - truth).mean()
         assert err <= 0.15  # heuristic baseline: sane, not sharp

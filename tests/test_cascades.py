@@ -30,7 +30,6 @@ from cascade_recon import (
     read_cascades,
     resolve_mask,
     sample_recorded_times,
-    simulate_cascade,
     write_cascades,
 )
 
@@ -180,10 +179,10 @@ def _random_windows(rng, n_rows, n_nodes, T):
 
 
 def _reference_times(net, alpha, sources, horizon, g):
-    """The simulator that ``generate_dataset`` and ``simulate_cascade``
-    replaced, kept as the reference of their random stream: after the
-    source draw, a ``(horizon-1) x |E|`` block of ``Generator.random()``
-    doubles, then the steps edge by edge."""
+    """The simulator that ``generate_dataset`` replaced, kept as the
+    reference of its random stream: after the source draw, a
+    ``(horizon-1) x |E|`` block of ``Generator.random()`` doubles, then the
+    steps edge by edge."""
     u = g.random((max(horizon - 1, 0), net.n_edges))
     times = np.full(net.n_nodes, horizon, dtype=np.int64)
     times[sources] = 0
@@ -196,11 +195,14 @@ def _reference_times(net, alpha, sources, horizon, g):
     return times
 
 
-def _reference_dataset(net, alpha, n_cascades, source_policy, horizon, seed):
+def _reference_dataset(net, alpha, n_cascades, source_policy, horizon, seed, exclude=()):
+    """The recorded times of the cascades of the reference stream: a
+    random source is drawn from the nodes not in ``exclude``, ascending."""
+    pool = [i for i in range(net.n_nodes) if i not in set(exclude)]
     rows = []
     for c in range(n_cascades):
         g = cascade_substream(seed, c)
-        sources = [int(g.integers(net.n_nodes))] if source_policy == "random" else list(source_policy)
+        sources = [pool[int(g.integers(len(pool)))]] if source_policy == "random" else list(source_policy)
         rows.append(_reference_times(net, alpha, sources, horizon, g))
     return np.array(rows)
 
@@ -215,18 +217,18 @@ def _assert_identical(a, b):
 
 class TestSimulate:
     def test_deterministic_transmission(self, chain3):
-        c = simulate_cascade(chain3, [1.0, 1.0], [0], 5, 0)
-        np.testing.assert_array_equal(c.times, [0, 1, 2])
+        data = generate_dataset(chain3, [1.0, 1.0], 3, [0], 5, seed=0)
+        np.testing.assert_array_equal(data.times, [[0, 1, 2]] * 3)
 
     def test_no_transmission(self, chain3):
-        c = simulate_cascade(chain3, [0.0, 0.0], [0], 5, 0)
-        np.testing.assert_array_equal(c.times, [0, 5, 5])
+        data = generate_dataset(chain3, [0.0, 0.0], 3, [0], 5, seed=0)
+        np.testing.assert_array_equal(data.times, [[0, 5, 5]] * 3)
 
     def test_empty_sources_rejected(self, chain3):
-        with pytest.raises(DatasetError):
-            simulate_cascade(chain3, [0.5, 0.5], [], 5, 0)
-        with pytest.raises(DatasetError):
-            simulate_cascade(chain3, [0.5, 0.5], [7], 5, 0)
+        with pytest.raises(DatasetError, match="^source set is empty$"):
+            generate_dataset(chain3, [0.5, 0.5], 1, [], 5, seed=0)
+        with pytest.raises(DatasetError, match="^source index out of range$"):
+            generate_dataset(chain3, [0.5, 0.5], 1, [7], 5, seed=0)
 
     def test_geometric_activation_law(self):
         # single edge: activation time is geometric, censored at the horizon
@@ -267,8 +269,8 @@ class TestSimulate:
 class TestDatasetGeneration:
     def test_singleton_matches_substream(self, chain3):
         data = generate_dataset(chain3, [0.4, 0.7], 1, [0], 8, seed=5)
-        direct = simulate_cascade(chain3, [0.4, 0.7], [0], 8, cascade_substream(5, 0))
-        assert data[0] == direct
+        direct = _reference_times(chain3, np.array([0.4, 0.7]), [0], 8, cascade_substream(5, 0))
+        assert data[0] == Cascade(8, direct)
 
     @staticmethod
     def _in_blocks_of(monkeypatch, net, horizon, rows):
@@ -310,34 +312,38 @@ class TestDatasetGeneration:
             net = random_loopy_net(int(rng.integers(4, 9)), int(rng.integers(2, 8)), rng)
             alpha = np.where(rng.random(net.n_edges) < 0.4, rng.integers(0, 2, net.n_edges), rng.random(net.n_edges))
             alpha[:2] = 0.0, 1.0
+            # random sources from every node, from all but node 0, and from one node alone
+            excludes = ((), (0,), range(1, net.n_nodes))
             for T in (1, 2, 6):
-                for policy in ("random", [1], [0, 2]):
-                    want = _reference_dataset(net, alpha, 500, policy, T, seed)
+                for policy, exclude in [*(("random", e) for e in excludes), ([1], ()), ([0, 2], ())]:
+                    want = _reference_dataset(net, alpha, 500, policy, T, seed, exclude)
                     for rows in (1, 64, 499):
                         self._in_blocks_of(monkeypatch, net, T, rows)
-                        got = generate_dataset(net, alpha, 500, policy, T, seed)
+                        got = generate_dataset(net, alpha, 500, policy, T, seed, exclude=exclude)
                         monkeypatch.undo()
                         np.testing.assert_array_equal(got.hi, want)
-                    for c in (0, 1, 499):
-                        g = cascade_substream(seed, c)
-                        sources = [int(g.integers(net.n_nodes))] if policy == "random" else policy
-                        assert simulate_cascade(net, alpha, sources, T, g) == Cascade(T, want[c])
 
-    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64, np.random.SFC64, np.random.MT19937])
-    def test_words_decide_as_uniforms_from_any_bit_generator(self, bit_generator, rng):
-        # a full-range 64-bit word w transmits iff (w >> 11) * 2**-53 < alpha, the
-        # uniform that Generator.random draws from the same state (for MT19937,
-        # whose 64-bit words and doubles split its 32-bit outputs differently,
-        # the two agree on the top 27 bits); each draw leaves the state alike
-        net = random_loopy_net(8, 10, rng)
-        alpha = random_couplings(net, rng)
+    def test_words_decide_as_uniforms(self, rng):
+        # a raw Philox word w passes _thresholds' rule for alpha iff the uniform
+        # (w >> 11) * 2**-53 that Generator.random makes of the same state is
+        # below alpha, and each draw leaves the state alike
+        alpha = np.concatenate(([0.0, 1.0, 2.0**-53, 1 - 2.0**-53], rng.random(40)))
         for seed in range(20):
-            g, ref = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
-            times = np.full((net.n_nodes, 1), 6)
-            times[seed % 8] = 0
-            cascades._spread(net, 6, times, (ref.random((5, net.n_edges)) < alpha)[:, :, None])
-            assert simulate_cascade(net, alpha, [seed % 8], 6, g) == Cascade(6, times[:, 0])
-            assert g.random() == ref.random()
+            words, ref = np.random.Philox(seed), np.random.Generator(np.random.Philox(seed))
+            passes = (words.random_raw((50, alpha.size)) >> np.uint64(11)) < cascades._thresholds(alpha)
+            np.testing.assert_array_equal(passes, ref.random((50, alpha.size)) < alpha)
+            assert np.random.Generator(words).random() == ref.random()
+
+    @pytest.mark.parametrize("policy, exclude, message", [
+        ([0], (1,), "exclude applies to random sources only"),
+        ("random", (3,), "excluded node index 3 out of range"),
+        ("random", (-1,), "excluded node index -1 out of range"),
+        ("random", (0, 1, 2), "exclude leaves no node to draw a source from"),
+        ("randomly", (), "unknown source policy 'randomly'"),
+    ])
+    def test_refusals(self, chain3, policy, exclude, message):
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            generate_dataset(chain3, [0.5, 0.5], 5, policy, 5, seed=1, exclude=exclude)
 
     def test_random_sources_single_source_each(self, rng):
         net = random_loopy_net(10, 5, rng)
@@ -436,7 +442,7 @@ class TestCascadeTable:
         np.testing.assert_array_equal(data[3].times, data.hi[3])
         part = data[5:9]
         assert isinstance(part, CascadeTable) and part.complete and len(part) == 4
-        assert part == rows[5:9] and part != rows[5:8]
+        assert list(part) == rows[5:9]
 
     def test_observed_table_rows(self, chain3):
         back = read_cascades(chain3, "T=5\n0\t0:0,1:(1,3]\n1\t0:0,2:5+\n")
@@ -456,38 +462,42 @@ class TestCascadeTable:
         b = generate_dataset(chain3, [0.5, 0.5], 2, [0], 5, seed=2)
         both = a + b
         assert isinstance(both, CascadeTable) and both.complete
-        assert both == list(a) + list(b)
+        assert list(both) == list(a) + list(b)
         grown = a
         grown += b
         assert grown == both and len(a) == 3
         rows = []
         rows += a
         assert type(rows) is list and [type(c) for c in rows] == [Cascade] * 3
-        mixed = a + [apply_mask(c, MaskSpec()) for c in b]
+        mixed = a + apply_mask(b, MaskSpec())
         assert isinstance(mixed, CascadeTable) and not mixed.complete
-        assert mixed == [apply_mask(c, MaskSpec()) for c in both]
+        assert mixed == apply_mask(both, MaskSpec())
+        # + and == take tables; a list of rows is neither added nor equal
+        with pytest.raises(TypeError):
+            a + list(b)
+        assert a != list(a)
         with pytest.raises(DatasetError, match=r"^cascades with mismatched horizons: \[5, 6\]$"):
             a + generate_dataset(chain3, [0.5, 0.5], 2, [0], 6, seed=2)
         with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[2, 3\]$"):
             a + generate_dataset(chain_net(2), [0.5], 2, [0], 5, seed=2)
 
     def test_table_plus_rows_builds_no_row_of_the_table(self, rng, monkeypatch):
-        # a table plus a list stacks the list's codes onto the table's: the
-        # same table as stacking every row of both, and no row of the table made
+        # a table plus a table of rows stacks their codes: the same table as
+        # stacking every row of both, and no row of either made
         net = random_loopy_net(8, 5, rng)
         alpha = random_couplings(net, rng, 0.1, 0.9)
         data = generate_dataset(net, alpha, 30, [0, 2], 6, seed=4)
         observed = apply_mask(data, MaskSpec(frozenset({5}), (2, 4)))
         extra = generate_dataset(net, alpha, 5, [1], 6, seed=5)
-        sums = [(data, [extra[0]]), (data, list(extra)), (data, []), (observed, list(apply_mask(extra, MaskSpec()))),
-                (observed, [extra[1]]), (observed, [])]
+        sums = [(data, extra[:1]), (data, extra), (data, extra[:0]), (observed, apply_mask(extra, MaskSpec())),
+                (observed, extra[1:2]), (observed, extra[:0])]
         want = [cascades._table([*table, *rows]) for table, rows in sums]
         monkeypatch.setattr(CascadeTable, "__iter__", lambda table: pytest.fail("a row of the table was made"))
         for (table, rows), expected in zip(sums, want):
             got = table + rows
             assert (got.horizon, got.complete, got.codes.dtype) == (expected.horizon, expected.complete, expected.codes.dtype)
             np.testing.assert_array_equal(got.codes, expected.codes)
-        assert (data + [extra[0]]).complete and not (data + [observed[0], observed[1]]).complete
+        assert (data + extra[:1]).complete and not (data + observed[:2]).complete
 
     def test_mask_of_a_table_masks_each_row(self, rng):
         for _net, cascades, mask in random_masked_cases(rng):
@@ -574,7 +584,7 @@ class TestCascadeTable:
         text = write_cascades(net, rows)
         assert text == write_cascades(net, observed)
         gradient.summarize_dataset(rows)
-        assert rows == observed
+        assert rows == list(observed)
 
 
 class TestWindowCodes:
@@ -701,7 +711,7 @@ class TestNetworkWidth:
     def test_table_of_unequal_rows(self):
         rows = [Cascade(5, [0, 1]), Cascade(5, [0]), apply_mask(Cascade(5, [0, 1, 2]), MaskSpec())]
         with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[1, 2, 3\]$"):
-            generate_dataset(chain_net(2), [0.5], 1, [0], 5, seed=1) + rows
+            cascades._table([*generate_dataset(chain_net(2), [0.5], 1, [0], 5, seed=1), *rows])
 
 
 class TestTableOrRows:
@@ -834,7 +844,7 @@ class TestMasking:
 
 class TestGrouping:
     def test_single_group(self, chain3, rng):
-        data = [apply_mask(simulate_cascade(chain3, [0.5, 0.5], [0], 5, int(s)), MaskSpec()) for s in range(100)]
+        data = list(apply_mask(generate_dataset(chain3, [0.5, 0.5], 100, [0], 5, seed=0), MaskSpec()))
         keys, group_of = _source_groups(data)
         assert keys == [(0,)]
         np.testing.assert_array_equal(group_of, np.zeros(100))
@@ -849,7 +859,7 @@ class TestGrouping:
         assert np.bincount(group_of, minlength=len(keys)).min() >= 1
 
     def test_hidden_source_rejected(self, chain3):
-        c = simulate_cascade(chain3, [1.0, 1.0], [0], 5, 0)
+        c = generate_dataset(chain3, [1.0, 1.0], 1, [0], 5, seed=0)[0]
         obs = apply_mask(c, MaskSpec(frozenset({0}), None))
         with pytest.raises(DatasetError, match="source"):
             _source_groups([obs])
@@ -857,7 +867,7 @@ class TestGrouping:
     def test_first_sourceless_cascade_named(self, chain3):
         from cascade_recon.gradient import summarize_dataset
 
-        c = simulate_cascade(chain3, [1.0, 1.0], [0], 5, 0)
+        c = generate_dataset(chain3, [1.0, 1.0], 1, [0], 5, seed=0)[0]
         seen, unseen = apply_mask(c, MaskSpec(frozenset(), None)), apply_mask(c, MaskSpec(frozenset({0}), None))
         data = [seen] * 9000 + [unseen, seen, unseen]
         for group in (_source_groups, summarize_dataset):
@@ -912,7 +922,7 @@ class TestFiles:
         assert text.splitlines()[2] == "1\t"
         back = read_cascades(chain3, text)
         assert back[1].hidden.all()
-        assert back == observed
+        assert list(back) == observed
         assert write_cascades(chain3, back) == text
 
     def test_window_outside_the_horizon_rejected(self, chain3):

@@ -307,6 +307,20 @@ class TestAuxCommands:
         assert rc == 0
         return float(capsys.readouterr().out.split("max_rel_error=")[1])
 
+    def test_gradcheck_draws_random_sources_among_visible_nodes(self, tmp_path, capsys):
+        # the hidden labels are resolved before the simulation, and no random
+        # source is drawn among them: with seed 1, cascade 17 once started at
+        # a hidden hub and the run stopped with "has no observed source"
+        from pathlib import Path
+
+        import cascade_recon
+
+        rc = run("gradcheck", "--network", Path(cascade_recon.__file__).parent / "data" / "hub30.edges",
+                 "--horizon", 10, "--hidden", "H03,H17", "--seed", 1, "--out", tmp_path / "g.csv")
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert float(out.split("max_rel_error=")[1]) < 1e-6
+
     def test_gradcheck_reports_no_rounding_near_zero(self, tmp_path, capsys):
         # coordinates near 1e-5 whose difference quotients round at about
         # eps |F| / h = 4e-8 once read 0.0019 relative to themselves
@@ -418,6 +432,25 @@ class TestErrorsAndConfig:
                  "--out", tmp / "m.csv")
         assert rc == 2
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, lines, message", [
+        # eval once scored every edge, as if nothing were hidden, and exit 0
+        ("eval", ["--couplings", "net.edges"], "# hubs\nhidden = H03,H17\n", "config line 2: eval takes no key 'hidden'"),
+        ("marginals", ["--horizon", 3, "--sources", "0", "--out", "m.csv"], "mask = nothere.spec\n",
+         "config line 1: marginals takes no key 'mask'"),
+        ("simulate", ["--horizon", 3, "--sources", "0", "--seed", 1, "--num-cascades", 2, "--out", "m.csv"],
+         "max_iters = 5\n", "config line 1: simulate takes no key 'max_iters'"),
+    ], ids=["eval-hidden", "marginals-mask", "simulate-max-iters"])
+    def test_config_key_of_no_option_of_the_subcommand_is_usage_error(self, workdir, capsys, command, flags,
+                                                                      lines, message):
+        tmp, _, _ = workdir
+        (tmp / "cfg.txt").write_text(lines)
+        flags = [tmp / f if str(f).endswith((".edges", ".csv")) else f for f in flags]
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--network", tmp / "net.edges", *flags, "--config", tmp / "cfg.txt")
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp / "m.csv").exists()
 
     def test_step_init_is_not_a_config_key(self, workdir, capsys):
         # the first steepest-descent trial is derived from the gradient and the box
@@ -605,10 +638,9 @@ class TestHubNetworkPipeline:
         from cascade_recon import (
             MaskSpec,
             apply_mask,
-            cascade_substream,
+            generate_dataset,
             identifiable_edges,
             observed_negative_log_likelihood,
-            simulate_cascade,
             write_cascades,
         )
 
@@ -617,13 +649,8 @@ class TestHubNetworkPipeline:
         net, truth = parse_edge_list(text)
         rng = np.random.default_rng(30)
         hidden = frozenset(int(x) for x in rng.choice(net.n_nodes, size=15, replace=False))
-        observed = [i for i in range(net.n_nodes) if i not in hidden]
-        data = []
-        for c in range(10000):
-            g = cascade_substream(888, c)
-            src = observed[int(g.integers(len(observed)))]
-            data.append(simulate_cascade(net, truth, [src], 10, g))
-        dataset = [apply_mask(c, MaskSpec(hidden, None)) for c in data]
+        data = generate_dataset(net, truth, 10000, "random", 10, seed=888, exclude=hidden)
+        dataset = apply_mask(data, MaskSpec(hidden, None))
         (tmp_path / "obs.txt").write_text(write_cascades(net, dataset))
         (tmp_path / "cfg.txt").write_text("max-iters = 600\n")
         rc = run("fit", "--network", tmp_path / "hub.edges", "--cascades", tmp_path / "obs.txt",
