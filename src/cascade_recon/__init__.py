@@ -11,10 +11,8 @@ marginalization, Monte Carlo completion) for comparison.
 from .errors import CapacityError, CascadeReconError, DatasetError, ParseError
 from .graph import Network, parse_edge_list, serialize_edge_list, validate_couplings
 from .cascades import (
-    Cascade,
     CascadeTable,
     MaskSpec,
-    ObservedCascade,
     apply_mask,
     cascade_substream,
     generate_dataset,

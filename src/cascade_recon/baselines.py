@@ -31,10 +31,8 @@ from .graph import Network, _ranges, validate_couplings
 from .cascades import (
     _PASS_BYTES,
     _SAMPLE_ROWS,
-    Cascade,
     CascadeTable,
     MaskSpec,
-    ObservedCascade,
     _bit_words,
     _checked,
     _exact_codes,
@@ -85,11 +83,23 @@ class HtsConfig:
 # exact full-information likelihood
 
 
-def full_log_likelihood(cascade: Cascade, net: Network, couplings) -> float:
-    """Exact log-probability of a completely observed cascade: its row of
-    :func:`batch_full_log_likelihood`, with ``-inf`` for an unrealizable
-    time vector (a row below -1e11)."""
-    return _or_impossible(float(batch_full_log_likelihood(net, couplings, cascade.times[None], cascade.horizon)[0]))
+def full_log_likelihood(cascade: CascadeTable, net: Network, couplings) -> float:
+    """Exact log-probability of one completely observed cascade, a one-row
+    table: its row of :func:`batch_full_log_likelihood`, with ``-inf`` for
+    an unrealizable time vector (a row below -1e11).  Another row count or
+    a window that is not an exact time is a :class:`DatasetError`."""
+    _one_cascade(cascade, net)
+    if not cascade.is_fully_observed():
+        raise DatasetError("cascade is not fully observed")
+    return _or_impossible(float(batch_full_log_likelihood(net, couplings, cascade.times, cascade.horizon)[0]))
+
+
+def _one_cascade(cascade: CascadeTable, net: Network) -> None:
+    """Refuse a table that is not one cascade over the nodes of ``net``."""
+    if len(cascade) != 1:
+        raise DatasetError(f"expected one cascade, got a table of {len(cascade)}")
+    if cascade.n_nodes != net.n_nodes:
+        raise DatasetError("cascade does not match the network")
 
 
 def _or_impossible(ll: float) -> float:
@@ -128,7 +138,7 @@ def batch_full_log_likelihood(net: Network, couplings, times: np.ndarray, horizo
     rows run in blocks whose (rows, |E|) terms fit ``_PASS_BYTES``, so the
     memory does not grow with M.  Each row is summed alone (C order, no
     matrix product), so its bits do not depend on the batch.  A time
-    outside [0, T] is a :class:`DatasetError`, as in a :class:`Cascade`.
+    outside [0, T] is a :class:`DatasetError`, as in a :class:`CascadeTable`.
     """
     alpha = validate_couplings(net, couplings)
     times = np.asarray(times, dtype=np.int64)
@@ -241,31 +251,28 @@ def _netrate(net: Network, times: np.ndarray, horizon: int, config: FitConfig) -
 # marginalized likelihood (brute force)
 
 
-def _candidate_times(obs: ObservedCascade, i: int) -> range:
-    if obs.hidden[i]:
-        return range(1, obs.horizon + 1)  # sources are observed, so tau >= 1
-    return range(int(obs.lo[i]) + 1, int(obs.hi[i]) + 1)
-
-
 def marginalized_likelihood(
-    observed: ObservedCascade,
+    observed: CascadeTable,
     net: Network,
     couplings,
 ) -> float:
-    """Log of the exact likelihood summed over all hidden-time completions.
+    """Log of the exact likelihood of one observed cascade, a one-row
+    table, summed over all hidden-time completions.
 
     Hidden nodes range over [1, T]; interval-observed nodes range over
     their windows.  An observation that no completion realizes is
     ``-inf``, as in :func:`full_log_likelihood`.  Work grows as the
     product of the candidate counts; above :data:`MAX_COMPLETIONS` (10^6)
-    a CapacityError points at the two-stage heuristic instead.
+    a CapacityError points at the two-stage heuristic instead.  Another
+    row count is a :class:`DatasetError`.
     """
     alpha = validate_couplings(net, couplings)
-    N = observed.n_nodes
-    if N != net.n_nodes:
-        raise DatasetError("cascade does not match the network")
-    cand = [list(_candidate_times(observed, i)) for i in range(N)]
-    free = [i for i in range(N) if len(cand[i]) > 1]
+    _one_cascade(observed, net)
+    T = observed.horizon
+    # sources are observed, so a hidden node's tau >= 1
+    cand = [range(1, T + 1) if hidden else range(lo + 1, hi + 1)
+            for hidden, lo, hi in zip(observed.hidden[0].tolist(), observed.lo[0].tolist(), observed.hi[0].tolist())]
+    free = [i for i, c in enumerate(cand) if len(c) > 1]
     total = 1
     for i in free:
         total *= len(cand[i])
@@ -276,7 +283,7 @@ def marginalized_likelihood(
             )
     base = np.array([c[0] for c in cand], dtype=np.int64)
     if not free:
-        return full_log_likelihood(Cascade(observed.horizon, base), net, alpha)
+        return _or_impossible(float(batch_full_log_likelihood(net, alpha, base[None], T)[0]))
     dims = tuple(len(cand[i]) for i in free)
     parts = []
     for start in range(0, total, _SAMPLE_ROWS):
@@ -285,7 +292,7 @@ def marginalized_likelihood(
         times = np.tile(base, (stop - start, 1))
         for pos, i in enumerate(free):
             times[:, i] = np.asarray(cand[i], dtype=np.int64)[idx[pos]]
-        lls = batch_full_log_likelihood(net, alpha, times, observed.horizon)
+        lls = batch_full_log_likelihood(net, alpha, times, T)
         parts.append(_logsumexp(lls))
     return _or_impossible(_logsumexp(np.array(parts)))
 
@@ -349,7 +356,7 @@ def _unresolved_groups(table: CascadeTable) -> tuple[list[tuple[tuple[int, ...],
 
 
 def hts_fit(
-    dataset: CascadeTable | Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[CascadeTable],
     net: Network,
     config: HtsConfig | None = None,
 ) -> FitResult:

@@ -8,25 +8,25 @@ susceptible out-neighbors independently with the edge's coupling as the
 per-step success probability.
 
 Partial observation is described by :class:`MaskSpec` (a set of hidden
-nodes plus a set of snapshot times) and produces :class:`ObservedCascade`,
-which holds one half-open window ``(lo, hi]`` per visible node: the
-recorded activation time is known to lie in that window.  Exact times,
-horizon censoring and snapshot intervals are all special cases of the
-window, which keeps every downstream likelihood computation uniform.
+nodes plus a set of snapshot times) and leaves one half-open window
+``(lo, hi]`` per visible node: the recorded activation time is known to
+lie in that window.  Exact times, horizon censoring and snapshot
+intervals are all special cases of the window, which keeps every
+downstream likelihood computation uniform.
 
 Every cascade holds its windows one way: one window code a node, 0 for a
-hidden node, in one or two bytes.  A :class:`Cascade` or an
-:class:`ObservedCascade` is one row of codes, and a dataset travels from
-simulation to fit as one :class:`CascadeTable`, an (M, N) array of them,
-whose rows are views of its codes; all three decode their bounds one way
-(:class:`_Windows`).  Simulation, masking and reading write the codes;
-writing, summarizing and fitting read them, a slice of a table at a time
-(:func:`_blocks`), once a public function has stacked rows (:func:`_table`).
+hidden node, in one or two bytes.  A dataset travels from simulation to
+fit as one :class:`CascadeTable`, an (M, N) array of them, and one
+cascade is a one-row table.  Simulation, masking and reading write the
+codes; writing, summarizing and fitting read them, a slice of a table at
+a time (:func:`_blocks`), once a public function has stacked a list of
+tables (:func:`_table`).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -37,8 +37,6 @@ from .errors import DatasetError, ParseError
 from .graph import Network, _ranges, _read_only, validate_couplings
 
 __all__ = [
-    "Cascade",
-    "ObservedCascade",
     "CascadeTable",
     "MaskSpec",
     "cascade_substream",
@@ -162,28 +160,47 @@ def _encoded(horizon: int, lo, hi, hidden) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cascades: rows and tables of window codes
+# cascades: tables of window codes
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class _Windows:
-    """The window codes of one cascade (a row: 1-D, one code a node) or of
-    a :class:`CascadeTable` (2-D, one row per cascade).
+class CascadeTable:
+    """M cascades over N nodes as one (M, N) array of window codes, one
+    row per cascade.
 
     A code is 0 for a hidden node and else that of the window ``(lo, hi]``
     known to hold the node's recorded activation time
     (:func:`_window_codes`); the codes take the smallest signed integer
-    type that holds them (:func:`_code_dtype`) and are read-only.  The
-    int64 bounds ``lo`` and ``hi`` and the bool ``hidden`` are decoded from
-    them on first use and kept, read-only; a hidden node decodes as
-    (-1, -1].  ``complete`` marks codes that are all exact windows by
-    construction: a :class:`Cascade`, or a table of simulated cascades.
+    type that holds them (:func:`_code_dtype`), one byte a cell up to T =
+    9, two up to T = 179, and are read-only.  The int64 bounds ``lo`` and
+    ``hi`` and the bool ``hidden`` are decoded from them on first use and
+    kept, read-only; a hidden node decodes as (-1, -1].  A window is an
+    exact time t when ``hi - lo == 1`` and t < T (a source's is (-1, 0]),
+    censored at the horizon when it is (T-1, T], and an interval otherwise
+    (hi == T means "after lo, nothing more is known").
+
+    The constructor takes (M, N) arrays ``lo``, ``hi`` and ``hidden``,
+    encodes them and checks every visible window: ``-1 <= lo < hi <= T``;
+    :meth:`is_fully_observed` then reads the codes.  Only
+    :func:`generate_dataset` makes a ``complete`` table, of simulated
+    cascades, with ``hi`` the recorded times, ``lo = hi - 1`` and nothing
+    hidden; its slices, its sums with complete tables and the stacks of
+    complete tables stay complete.
+
+    One cascade is a one-row table.  ``len`` counts the rows, and
+    iteration and an integer index give the one-row tables ``table[k:k +
+    1]``, views of the codes that keep ``complete``; a slice gives a table
+    of a view of the codes.  ``==`` compares horizon, ``complete`` and
+    codes, and ``+`` stacks the codes of two tables into a new table,
+    complete when both are.
     """
 
     horizon: int
     codes: np.ndarray
+    complete: bool = False
 
-    complete = False
+    def __init__(self, horizon: int, lo, hi, hidden):
+        vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden))
 
     @cached_property
     def lo(self) -> np.ndarray:
@@ -204,118 +221,46 @@ class _Windows:
 
     @property
     def n_nodes(self) -> int:
-        return self.codes.shape[-1]
+        return self.codes.shape[1]
 
     @property
     def sources(self) -> np.ndarray:
-        """The nodes of a row observed exactly at time 0; of a table, the
-        flat indices of those cells."""
+        """The flat indices of the cells observed exactly at time 0: of a
+        one-row table, its source nodes."""
         return np.flatnonzero(_is_source(self.codes))
 
     def is_fully_observed(self) -> bool:
         """True when every node has an exactly pinned recorded time."""
         return self.complete or bool(np.all(_is_exact(self.codes, self.horizon)))
 
-    def __eq__(self, other):
-        return (isinstance(other, type(self)) and (self.horizon, self.complete) == (other.horizon, other.complete)
-                and np.array_equal(self.codes, other.codes))
-
-
-class Cascade(_Windows):
-    """Complete activation-time record of one simulated spread: the exact
-    windows ``(t - 1, t]`` of its recorded times t in [0, horizon], which
-    ``times`` decodes.  A time outside [0, horizon] is a
-    :class:`DatasetError`."""
-
-    complete = True
-
-    def __init__(self, horizon: int, times):
-        codes = _checked(_exact_codes(np.asarray(times, dtype=np.int64), horizon), horizon)
-        vars(self).update(horizon=horizon, codes=_read_only(codes.astype(_code_dtype(horizon))))
-
-
-class ObservedCascade(_Windows):
-    """Partially observed cascade.
-
-    Per node ``i`` either ``hidden[i]`` is True, or the recorded activation
-    time is known to satisfy ``lo[i] < t <= hi[i]``.  The constructor
-    encodes and checks the windows as :class:`CascadeTable`'s does.  A
-    window is an exact time t when ``hi - lo == 1`` and t < T (a source's
-    is (-1, 0]), censored at the horizon when it is (T-1, T], and an
-    interval otherwise (hi == T means "after lo, nothing more is known").
-    """
-
-    def __init__(self, horizon: int, lo, hi, hidden):
-        vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden))
-
-    # the base's rule, declared here too as one of the class's own public methods
-    is_fully_observed = _Windows.is_fully_observed
-
-    def to_cascade(self) -> Cascade:
-        """The same codes as a Cascade; requires full observation."""
+    def to_cascade(self) -> CascadeTable:
+        """The same codes marked complete; requires full observation.
+        Kept for ``bench/worker.py``, its one caller."""
         if not self.is_fully_observed():
             raise DatasetError("cascade is not fully observed")
-        return _row(Cascade, horizon=self.horizon, codes=self.codes)
+        return _coded_table(self.horizon, self.codes, complete=True)
 
-
-def _row(cls, **fields):
-    """A ``cls`` instance (a row, :class:`Cascade` or :class:`ObservedCascade`,
-    or a :class:`CascadeTable`) that holds ``fields`` as they are, past the
-    encoding and checks of the constructor: the caller passes valid,
-    read-only codes."""
-    row = object.__new__(cls)
-    vars(row).update(fields)
-    return row
-
-
-@dataclass(frozen=True, eq=False, init=False)
-class CascadeTable(_Windows):
-    """M cascades over N nodes as one (M, N) array of window codes, one
-    row per cascade.
-
-    Row r holds what an :class:`ObservedCascade` holds, and the codes,
-    their decoding and the rule of a valid window are those of every
-    cascade (:class:`_Windows`): one byte a cell up to T = 9, two up to
-    T = 179.  The constructor takes (M, N) arrays ``lo``, ``hi`` and
-    ``hidden``, encodes them and checks every visible window: ``-1 <= lo
-    < hi <= T``; :meth:`is_fully_observed` then reads the codes.  Only
-    :func:`generate_dataset` makes a ``complete`` table, of simulated
-    cascades, with ``hi`` the recorded times, ``lo = hi - 1`` and nothing
-    hidden; its slices, its sums with complete tables and the stacks of
-    :class:`Cascade` rows stay complete.
-
-    The table is also the sequence of its rows: ``len``, iteration and an
-    integer index give rows that are views of its codes, :class:`Cascade`
-    rows of a complete table and :class:`ObservedCascade` rows otherwise,
-    and a slice gives a table of a view of the codes.  ``==`` and ``+``
-    take tables: ``==`` compares horizon, ``complete`` and codes, as it
-    does for rows, and ``+`` stacks the codes into a new table, complete
-    when both are; a list ``+=`` a table is extended by its rows.
-    """
-
-    complete: bool = False
-
-    def __init__(self, horizon: int, lo, hi, hidden):
-        vars(self).update(horizon=horizon, codes=_encoded(horizon, lo, hi, hidden))
-
-    # the base's rule, declared here too as one of the class's own public methods
-    is_fully_observed = _Windows.is_fully_observed
+    def __eq__(self, other):
+        return (isinstance(other, CascadeTable) and (self.horizon, self.complete) == (other.horizon, other.complete)
+                and np.array_equal(self.codes, other.codes))
 
     def __len__(self) -> int:
         return self.codes.shape[0]
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return _row(self._row_type, horizon=self.horizon, codes=self.codes[index])
-        return _coded_table(self.horizon, self.codes[index], self.complete)
+            # a plain slice past either end would give an empty table
+            row = range(len(self))[index]
+            index = slice(row, row + 1)
+        codes = self.codes[index]
+        if codes.ndim != 2:
+            raise IndexError("a table's index picks whole rows")
+        return _coded_table(self.horizon, codes, self.complete)
 
     def __iter__(self):
-        row_type, T = self._row_type, self.horizon
-        return (_row(row_type, horizon=T, codes=codes) for codes in self.codes)
-
-    @property
-    def _row_type(self) -> type:
-        return Cascade if self.complete else ObservedCascade
+        # also what a list ``+=`` a table takes, as ``bench/worker.py`` does
+        T, complete = self.horizon, self.complete
+        return (_coded_table(T, row, complete) for row in self.codes[:, None])
 
     def __add__(self, other):
         if not isinstance(other, CascadeTable):
@@ -326,26 +271,29 @@ class CascadeTable(_Windows):
 
 
 def _coded_table(horizon: int, codes: np.ndarray, complete: bool = False) -> CascadeTable:
-    """The table of window ``codes`` that hold valid windows, made read-only."""
-    return _row(CascadeTable, horizon=horizon, codes=_read_only(codes), complete=complete)
+    """The table of the (M, N) window ``codes`` that hold valid windows,
+    made read-only, past the encoding and checks of the constructor."""
+    table = object.__new__(CascadeTable)
+    vars(table).update(horizon=horizon, codes=_read_only(codes), complete=complete)
+    return table
 
 
 def _table(dataset, net: Network | None = None) -> CascadeTable:
     """A public function's dataset as the table that all below it take:
-    ``dataset`` itself, or the codes of its rows (of one horizon and one
-    width) stacked, complete when every row is a :class:`Cascade`.  The
-    errors, in order: empty, a first row not as wide as ``net``, rows of
-    more than one horizon, then of more than one width."""
+    ``dataset`` itself, or the codes of a list of tables (of one horizon
+    and one width) stacked, complete when every one is.  The errors, in
+    order: empty, a first table not as wide as ``net``, tables of more
+    than one horizon, then of more than one width.  A list of one-row
+    tables, masked one at a time, is what ``bench/worker.py`` writes."""
     if not len(dataset):
         raise DatasetError("empty dataset")
     if net is not None and dataset[0].n_nodes != net.n_nodes:
         raise DatasetError("dataset does not match the network")
     if isinstance(dataset, CascadeTable):
         return dataset
-    horizon = _shared((row.horizon for row in dataset), "horizons")
-    codes = [row.codes for row in dataset]
-    width = _shared((len(row) for row in codes), "node counts")
-    return _coded_table(horizon, np.concatenate(codes).reshape(len(codes), width), all(row.complete for row in dataset))
+    horizon = _shared((part.horizon for part in dataset), "horizons")
+    _shared((part.n_nodes for part in dataset), "node counts")
+    return _coded_table(horizon, np.concatenate([part.codes for part in dataset]), all(part.complete for part in dataset))
 
 
 def _shared(values: Iterable[int], what: str) -> int:
@@ -488,7 +436,7 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
 
     n_steps, n_edges = horizon - 1, net.n_edges
     rows = min(n_cascades, max(1, _BLOCK_WORDS // max(1, n_steps * n_edges)))
-    threshold = _thresholds(alpha)
+    threshold = np.tile(_thresholds(alpha), n_steps)      # the words' own (step, edge) layout
     codes = np.empty((n_cascades, net.n_nodes), dtype=_code_dtype(horizon))
     words = np.empty((rows, n_steps * n_edges), dtype=np.uint64)
     drawer = _SubstreamDrawer(seed)
@@ -503,8 +451,8 @@ def generate_dataset(net: Network, couplings, n_cascades: int, source_policy, ho
         if fixed_src is not None:
             block[fixed_src] = 0
         words >>= 11
-        steps = words[:size].reshape(size, n_steps, n_edges).transpose(1, 2, 0)
-        _spread(net, horizon, block, np.less(steps, threshold[:, None], order="C"))
+        fires = np.less(words[:size], threshold).reshape(size, n_steps, n_edges)
+        _spread(net, horizon, block, np.ascontiguousarray(fires.transpose(1, 2, 0)))
         codes[start:start + size] = _exact_codes(block.T, horizon)
     return _coded_table(horizon, codes, complete=True)
 
@@ -593,10 +541,11 @@ def monte_carlo_marginals(net: Network, couplings, sources, horizon: int, runs: 
 
 @lru_cache(maxsize=16)
 def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """The validated hidden nodes of ``mask`` and the window codes it
-    leaves, both read-only: at the code of the exact window of a recorded
-    time tau in [0, T] (:func:`_exact_codes`), the code of the window
-    ``(lo, hi]`` that the mask leaves of tau.
+    """For ``mask``, validated, the 0/1 flags of the visible nodes and the
+    window codes it leaves, both of the code type and read-only: at the
+    code of the exact window of a recorded time tau in [0, T]
+    (:func:`_exact_codes`), the code of the window ``(lo, hi]`` that the
+    mask leaves of tau.
 
     Point s (0 or a snapshot) sees tau active iff tau <= min(s, T-1); the
     window ends there at the first such s, or at T after the last point.
@@ -612,31 +561,32 @@ def _mask_table(mask: MaskSpec, n_nodes: int, horizon: int) -> tuple[np.ndarray,
     lo[0], hi[0] = -1, 0
     by_code = np.zeros(_code_count(T), dtype=_code_dtype(T))
     by_code[_exact_codes(np.arange(T + 1), T)] = _window_codes(lo, hi, T)
-    hidden = np.array(sorted(mask.hidden_nodes), dtype=np.intp)
-    return _read_only(hidden), _read_only(by_code)
+    visible = np.ones(n_nodes, dtype=by_code.dtype)
+    visible[list(mask.hidden_nodes)] = 0
+    return _read_only(visible), _read_only(by_code)
 
 
-def apply_mask(cascade: Cascade | CascadeTable | Sequence[Cascade], mask: MaskSpec) -> ObservedCascade | CascadeTable:
-    """Reduce a complete cascade, or every cascade of a table or of a
-    sequence of rows, to what the mask lets an observer see.
+def apply_mask(cascade: CascadeTable | Sequence[CascadeTable], mask: MaskSpec) -> CascadeTable:
+    """Reduce every cascade of a complete table, or of a list of tables, to
+    what the mask lets an observer see.
 
     Snapshot semantics: the state is checked at each monitoring time (plus
     time 0, which is always known); a node first seen active at snapshot s
     was recorded in ``(prev, s]``; a snapshot at the horizon can only tell
     "activated by T-1" from "censored".  With ``snapshot_times=None`` every
-    time step is monitored and visible nodes keep exact times.  A table
-    must pin every node's time exactly; a sequence of rows is stacked into
-    a table first (:func:`_table`).  The codes of a cascade or of a table
-    are masked by one lookup of each.
+    time step is monitored and visible nodes keep exact times.  The table
+    must pin every node's time exactly; a list is stacked into a table
+    first (:func:`_table`).  The codes are masked by one lookup of each
+    and one product with the flags of the visible nodes.  A one-row table
+    is masked as any other: ``bench/worker.py`` masks its cascades one at
+    a time.
     """
-    data = cascade if isinstance(cascade, Cascade) else _table(cascade)
+    data = _table(cascade)
     if not data.is_fully_observed():
         raise DatasetError("cascade is not fully observed")
-    hidden_nodes, by_code = _mask_table(mask, data.n_nodes, data.horizon)
-    codes = by_code[data.codes]
-    codes[..., hidden_nodes] = 0
-    if isinstance(cascade, Cascade):
-        return _row(ObservedCascade, horizon=data.horizon, codes=_read_only(codes))
+    visible, by_code = _mask_table(mask, data.n_nodes, data.horizon)
+    codes = by_code.take(data.codes)
+    codes *= visible
     return _coded_table(data.horizon, codes)
 
 
@@ -675,7 +625,7 @@ def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, 
     return MaskSpec(hidden_nodes=hidden_nodes, snapshot_times=snapshot_times)
 
 
-def _source_groups(dataset: CascadeTable | Sequence[ObservedCascade]) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def _source_groups(dataset: CascadeTable | Sequence[CascadeTable]) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The distinct observed source sets of ``dataset`` in sorted order,
     and for each cascade the index of its set among them: the one
     numbering of source groups, which the free-energy summaries and the
@@ -750,9 +700,9 @@ def _check_horizon(horizon: int, least: int = 1) -> None:
 # file formats
 
 
-def write_cascades(net: Network, cascades: CascadeTable | Sequence) -> str:
-    """Serialize cascades (a table, or complete or observed rows) to the
-    text format.
+def write_cascades(net: Network, cascades: CascadeTable | Sequence[CascadeTable]) -> str:
+    """Serialize cascades (a table, or a list of tables, which is stacked:
+    ``bench/worker.py`` writes a list of one-row tables) to the text format.
 
     First line ``T=<int>``; then one line per cascade:
     ``<id>\\t<token>,<token>,...`` with tokens ``v:t`` (exact),
@@ -880,21 +830,28 @@ def read_cascades(net: Network, text: str) -> CascadeTable:
             break
         done += counts.size
     if bad is not None:
-        raise tokens.line_error(bad, text.splitlines()[bad - 1])
+        if not first <= bad < first + len(lines):
+            # a line of an earlier block, found by the scatter: walk the blocks to it
+            first, lines = next((first, lines) for first, lines in _line_blocks(text) if bad < first + len(lines))
+        raise tokens.line_error(bad, lines[bad - first])
     return _coded_table(T, windows)
 
 
 # characters of text tokenized at a time by read_cascades, cut after a line end
 _READ_BLOCK_CHARS = 1 << 17
+# the line ends of str.splitlines, "\r\n" kept whole
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 def _line_blocks(text: str):
     """Yield ``(number of the first line, lines)`` for consecutive runs of
     the lines of ``text``, as ``str.splitlines`` cuts them, of about
-    ``_READ_BLOCK_CHARS`` characters each."""
+    ``_READ_BLOCK_CHARS`` characters each: a block ends at the first line
+    end at or after that many characters."""
     start, first = 0, 1
     while start < len(text):
-        cut = text.find("\n", start + _READ_BLOCK_CHARS) + 1 or len(text)
+        end = _LINE_END.search(text, start + _READ_BLOCK_CHARS)
+        cut = end.end() if end else len(text)
         lines = text[start:cut].splitlines()
         yield first, lines
         start, first = cut, first + len(lines)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DatasetError
 from .graph import Network
-from .cascades import CascadeTable, MaskSpec, ObservedCascade, _table
+from .cascades import CascadeTable, MaskSpec, _table
 from .gradient import _chunks, _dataset_free_energy, summarize_dataset
 
 __all__ = [
@@ -183,7 +183,7 @@ def projected_gradient_descent(
 
 
 def dmprec_fit(
-    dataset: CascadeTable | Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[CascadeTable],
     net: Network,
     config: FitConfig | None = None,
     threads: int = 1,

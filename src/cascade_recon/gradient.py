@@ -54,7 +54,6 @@ from .graph import Network, validate_couplings
 from .cascades import (
     _PASS_BYTES,
     CascadeTable,
-    ObservedCascade,
     _blocks,
     _code_count,
     _is_visible_non_source,
@@ -100,10 +99,10 @@ class GroupSummary:
     counts: np.ndarray
 
 
-def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list[GroupSummary]:
+def summarize_dataset(dataset: CascadeTable | Sequence[CascadeTable]) -> list[GroupSummary]:
     """Group cascades by source set and aggregate observation windows.
 
-    A sequence of rows is stacked into a table first
+    A list of tables is stacked into one table first
     (:func:`cascades._table`), and its source groups are numbered once
     (:func:`cascades._source_groups`, in sorted order of the sets).  One
     walk over the table's codes, a block (:func:`cascades._blocks`) at a
@@ -121,9 +120,9 @@ def summarize_dataset(dataset: CascadeTable | Sequence[ObservedCascade]) -> list
     runs = []                                                # (blocks, keys, counts), blocks falling
     for start, block in _blocks(table):
         codes = block.codes
-        rows, nodes = np.nonzero(_is_visible_non_source(codes))
         # int64 before the codes are added: an int8 or int16 product would wrap
-        keys = (group_of[start + rows] * n_nodes + nodes) * n_codes + codes[rows, nodes]
+        cells = (group_of[start : start + len(block), None] * n_nodes + np.arange(n_nodes)) * n_codes + codes
+        keys = cells[_is_visible_non_source(codes)]
         run = (1, *np.unique(keys, return_counts=True))
         while runs and runs[-1][0] == run[0]:
             run = _merged([runs.pop(), run])
@@ -275,7 +274,7 @@ def _dataset_free_energy(
 
 
 def observed_negative_log_likelihood(
-    dataset: CascadeTable | Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[CascadeTable],
     net: Network,
     couplings,
 ) -> float:
@@ -287,7 +286,7 @@ def observed_negative_log_likelihood(
 
 
 def free_energy_gradient(
-    dataset: CascadeTable | Sequence[ObservedCascade],
+    dataset: CascadeTable | Sequence[CascadeTable],
     net: Network,
     couplings,
 ) -> FreeEnergyReport:

@@ -11,7 +11,6 @@ at ``_in_ptr[i]:_in_ptr[i+1]`` of ``_in_order``, a stable argsort of ``edge_dst`
 
 from __future__ import annotations
 
-import io
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -185,13 +184,15 @@ def parse_edge_list(text) -> tuple[Network, np.ndarray | None]:
     Format: one edge per line, ``src<TAB>dst`` or ``src<TAB>dst<TAB>alpha``
     (any whitespace separates fields); ``#`` starts a comment; blank lines
     are ignored.  Either every edge line carries an alpha or none does.
+    ``text`` is a string or a text stream, whose lines are cut where
+    ``str.splitlines`` cuts them, as in the cascade and config readers.
     Returns ``(net, alpha)`` with ``alpha`` aligned to the canonical edge
     order, or ``(net, None)`` when no third column is present.
     """
-    stream = io.StringIO(text) if isinstance(text, str) else text
+    lines = (text if isinstance(text, str) else text.read()).splitlines()
     rows: list[tuple[str, str, float | None]] = []
     n_cols = None
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -13,8 +13,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cascade_recon import Cascade, DmpTrace, MaskSpec, Network, ParseError, dmp_forward, generate_dataset
+from cascade_recon import CascadeTable, DmpTrace, MaskSpec, Network, ParseError, dmp_forward, generate_dataset
+from cascade_recon.cascades import _coded_table
 from cascade_recon.dmp import _propagate
+
+
+def cascade(horizon: int, times) -> CascadeTable:
+    """The complete table of the recorded ``times``: one row of a 1-D
+    ``times``, one row each of a 2-D one.  A time outside [0, horizon]
+    fails as the window (t - 1, t] of the table's constructor."""
+    times = np.atleast_2d(np.asarray(times, dtype=np.int64))
+    built = CascadeTable(horizon, times - 1, times, np.zeros(times.shape, dtype=bool))
+    return _coded_table(horizon, built.codes, complete=True)
 
 
 def chain_net(n: int) -> Network:
@@ -184,7 +194,7 @@ def reference_summaries(dataset) -> list[tuple]:
     """The ``Counter``-based grouping and window count that
     ``summarize_dataset`` replaced, kept as its reference: one tuple of
     (sources, nodes, lo, hi, counts) per source group, from the
-    int64 bounds of each row."""
+    int64 bounds of each one-row table of the dataset."""
     groups = {}
     for obs in dataset:
         groups.setdefault(tuple(int(s) for s in obs.sources), []).append(obs)
@@ -192,8 +202,9 @@ def reference_summaries(dataset) -> list[tuple]:
     for sources in sorted(groups):
         counter = Counter()
         for obs in groups[sources]:
-            for i in np.flatnonzero(~obs.hidden & (obs.hi > 0)):
-                counter[(int(i), int(obs.lo[i]), int(obs.hi[i]))] += 1
+            (lo,), (hi,), (hidden,) = obs.lo, obs.hi, obs.hidden
+            for i in np.flatnonzero(~hidden & (hi > 0)):
+                counter[(int(i), int(lo[i]), int(hi[i]))] += 1
         keys = sorted(counter)
         out.append((
             sources,
@@ -205,8 +216,9 @@ def reference_summaries(dataset) -> list[tuple]:
     return out
 
 
-def reference_full_log_likelihood(cascade: Cascade, net: Network, couplings) -> float:
-    """The exact log-probability of a completely observed cascade by a loop
+def reference_full_log_likelihood(cascade: CascadeTable, net: Network, couplings) -> float:
+    """The exact log-probability of a completely observed cascade, a
+    one-row table, by a loop
     over nodes and in-edges, the reference for ``full_log_likelihood``.
 
     Every non-source node contributes survival factors for each step its
@@ -216,7 +228,7 @@ def reference_full_log_likelihood(cascade: Cascade, net: Network, couplings) -> 
     Returns ``-inf`` for unrealizable time vectors.
     """
     alpha = np.asarray(couplings, dtype=float)
-    T, times = cascade.horizon, cascade.times
+    T, (times,) = cascade.horizon, cascade.times
     total = 0.0
     for i in range(net.n_nodes):
         tau = int(times[i])
@@ -240,8 +252,9 @@ def reference_full_log_likelihood(cascade: Cascade, net: Network, couplings) -> 
     return float(total)
 
 
-def exact_cascade_probability(net: Network, couplings, cascade: Cascade) -> float:
-    """Probability of a recorded activation-time vector under the chain.
+def exact_cascade_probability(net: Network, couplings, cascade: CascadeTable) -> float:
+    """Probability of the recorded activation-time vector of a one-row
+    table under the chain.
 
     The recorded times determine the full state path (censored nodes stay
     susceptible through step horizon-1), so the probability is the product
@@ -249,7 +262,7 @@ def exact_cascade_probability(net: Network, couplings, cascade: Cascade) -> floa
     uses only the chain's per-step infection probabilities.
     """
     one_minus_alpha = 1.0 - np.asarray(couplings, dtype=float)
-    times = cascade.times
+    (times,) = cascade.times
     prob = 1.0
     for t in range(cascade.horizon - 1):
         for j in range(net.n_nodes):

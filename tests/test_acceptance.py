@@ -173,7 +173,7 @@ def test_criterion_7_single_edge_consistency():
     net, _ = cr.parse_edge_list("0\t1\n")
     T, M, astar = 10, 10**5, 0.3
     data = cr.generate_dataset(net, [astar], M, [0], T, seed=7007)
-    taus = np.array([c.times[1] for c in data])
+    taus = data.times[:, 1]
     n_act = int((taus < T).sum())
     survived = int((taus[taus < T] - 1).sum() + (taus == T).sum() * (T - 1))
     mle = n_act / (n_act + survived)

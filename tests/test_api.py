@@ -15,7 +15,6 @@ class TestApiSurface:
     ERRORS = {"CascadeReconError", "CapacityError", "DatasetError", "ParseError"}
     PARAMETERS = {
         # classes: the constructor's parameters
-        "Cascade": ("horizon", "times"),
         "CascadeTable": ("horizon", "lo", "hi", "hidden"),
         "DmpTrace": ("horizon", "initial_susceptible", "theta", "phi", "p_susceptible", "p_activate", "log_step"),
         "FitConfig": ("alpha_init", "alpha_min", "alpha_max", "max_iters", "tol"),
@@ -25,7 +24,6 @@ class TestApiSurface:
         "HtsConfig": ("aux_samples", "outer_rounds", "param_tol", "seed", "fit"),
         "MaskSpec": ("hidden_nodes", "snapshot_times"),
         "Network": ("labels", "edges"),
-        "ObservedCascade": ("horizon", "lo", "hi", "hidden"),
         # functions
         "apply_mask": ("cascade", "mask"),
         "batch_full_log_likelihood": ("net", "couplings", "times", "horizon"),
@@ -54,12 +52,11 @@ class TestApiSurface:
         "write_cascades": ("net", "cascades"),
     }
     METHODS = {
-        "CascadeTable": {"is_fully_observed": ()},
+        "CascadeTable": {"is_fully_observed": (), "to_cascade": ()},
         "FitConfig": {"validate": ()},
         "HtsConfig": {"validate": ()},
         "MaskSpec": {"validate": ("n_nodes", "horizon")},
         "Network": {"edge_id": ("src", "dst"), "edge_pair": ("e",), "in_edges": ("i",)},
-        "ObservedCascade": {"is_fully_observed": (), "to_cascade": ()},
     }
 
     def test_exported_names(self):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cascade_recon import (
-    Cascade,
     CapacityError,
     DatasetError,
     FitConfig,
@@ -28,6 +27,7 @@ from cascade_recon.baselines import _completed_times, _unresolved_groups
 from cascade_recon.cascades import _table
 
 from conftest import (
+    cascade,
     chain_net,
     exact_cascade_probability,
     random_couplings,
@@ -45,25 +45,25 @@ def edge01():
 
 class TestFullLogLikelihood:
     def test_activation_case(self, edge01):
-        ll = full_log_likelihood(Cascade(3, [0, 2]), edge01, [0.5])
+        ll = full_log_likelihood(cascade(3, [0, 2]), edge01, [0.5])
         assert ll == pytest.approx(np.log(0.25))
 
     def test_censored_case(self, edge01):
-        ll = full_log_likelihood(Cascade(3, [0, 3]), edge01, [0.5])
+        ll = full_log_likelihood(cascade(3, [0, 3]), edge01, [0.5])
         assert ll == pytest.approx(np.log(0.25))
 
     def test_times_outside_the_horizon_rejected(self, edge01):
-        # a time outside [0, T] fails as it does in a Cascade
+        # a time outside [0, T] fails as it does in a table's window (t - 1, t]
         for t in (-5, -1, 4, 7):
             with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 3\]$"):
                 batch_full_log_likelihood(edge01, [0.5], [[0, 2], [0, t]], 3)
             with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 3\]$"):
-                Cascade(3, [0, t])
+                cascade(3, [0, t])
         assert batch_full_log_likelihood(edge01, [0.5], np.zeros((0, 2), dtype=np.int64), 3).shape == (0,)
 
     def test_unrealizable(self):
         net = chain_net(3)
-        assert full_log_likelihood(Cascade(5, [0, 5, 2]), net, [0.5, 0.5]) == -np.inf
+        assert full_log_likelihood(cascade(5, [0, 5, 2]), net, [0.5, 0.5]) == -np.inf
 
     def test_matches_chain_oracle(self, rng):
         for _ in range(15):
@@ -89,7 +89,7 @@ class TestFullLogLikelihood:
             alpha = random_couplings(net, rng, 0.05, 0.95)
             for m in (1, 3, 4, 50):
                 data = generate_dataset(net, alpha, m, "random", 6, seed=8)
-                batch = batch_full_log_likelihood(net, alpha, np.stack([c.times for c in data]), 6)
+                batch = batch_full_log_likelihood(net, alpha, np.concatenate([c.times for c in data]), 6)
                 assert batch.shape == (m,)
                 for row, c in zip(batch, data):
                     expect = reference_full_log_likelihood(c, net, alpha)
@@ -128,7 +128,7 @@ class TestFullLogLikelihood:
             impossible = 0
             for _ in range(300):
                 times = rng.integers(0, 7, net.n_nodes)
-                c = Cascade(6, times)
+                c = cascade(6, times)
                 expect = reference_full_log_likelihood(c, net, alpha)
                 got = full_log_likelihood(c, net, alpha)
                 if expect == -np.inf:
@@ -140,9 +140,22 @@ class TestFullLogLikelihood:
 
     def test_wrong_width_rejected(self, edge01):
         with pytest.raises(DatasetError, match="^cascade does not match the network$"):
-            full_log_likelihood(Cascade(3, [0, 2, 1]), edge01, [0.5])
+            full_log_likelihood(cascade(3, [0, 2, 1]), edge01, [0.5])
         with pytest.raises(DatasetError, match="^cascade does not match the network$"):
             batch_full_log_likelihood(edge01, [0.5], np.zeros((4, 3), dtype=np.int64), 3)
+
+    def test_one_complete_cascade_only(self, edge01):
+        # a likelihood of one cascade takes a one-row table of exact windows
+        two = cascade(3, [[0, 2], [0, 1]])
+        for rows in (two, two[:0]):
+            with pytest.raises(DatasetError, match=f"^expected one cascade, got a table of {len(rows)}$"):
+                full_log_likelihood(rows, edge01, [0.5])
+            with pytest.raises(DatasetError, match=f"^expected one cascade, got a table of {len(rows)}$"):
+                marginalized_likelihood(apply_mask(two, MaskSpec())[: len(rows)], edge01, [0.5])
+        snapshot = apply_mask(cascade(3, [0, 2]), MaskSpec(snapshot_times=(3,)))
+        with pytest.raises(DatasetError, match="^cascade is not fully observed$"):
+            full_log_likelihood(snapshot, edge01, [0.5])
+        assert full_log_likelihood(two[1], edge01, [0.5]) == pytest.approx(np.log(0.5))
 
     def test_batch_peak_is_bounded(self):
         # the hub30 network at M = 20 000: the (M, |E|) terms at once peak above 100 MiB
@@ -164,18 +177,18 @@ class TestFullLogLikelihood:
 class TestNetrate:
     def test_all_immediate_pushes_to_max(self, edge01):
         cfg = FitConfig(alpha_max=0.999)
-        data = [Cascade(3, [0, 1])] * 20
+        data = [cascade(3, [0, 1])] * 20
         alpha = netrate_fit(data, edge01, cfg)
         assert alpha[0] == pytest.approx(0.999)
 
     def test_two_cascade_closed_form(self, edge01):
         # one activation at 1, one censored at T=2: likelihood a(1-a), max 0.5
-        data = [Cascade(2, [0, 1]), Cascade(2, [0, 2])]
+        data = [cascade(2, [0, 1]), cascade(2, [0, 2])]
         alpha = netrate_fit(data, edge01)
         assert alpha[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_requires_full_observation(self, edge01):
-        obs = apply_mask(Cascade(3, [0, 2]), MaskSpec(frozenset({1}), None))
+        obs = apply_mask(cascade(3, [0, 2]), MaskSpec(frozenset({1}), None))
         with pytest.raises(DatasetError):
             netrate_fit([obs], edge01)
 
@@ -193,7 +206,7 @@ class TestNetrate:
         net = random_loopy_net(8, 12, rng)
         truth = random_couplings(net, rng, 0.1, 0.6)
         data = generate_dataset(net, truth, 2000, "random", 6, seed=3)
-        times = np.stack([c.times for c in data])
+        times = data.times
 
         def fd_gradient(alpha, h=1e-6):
             step = h * np.eye(net.n_edges)
@@ -219,7 +232,7 @@ class TestNetrate:
         data = generate_dataset(net, truth, 2000, [0], 6, seed=70)
         # the same cascades with the middle labels reversed: k -> hub - k
         relabel = np.r_[0, np.arange(n_mid, 0, -1), hub]
-        flipped = [Cascade(6, c.times[relabel]) for c in data]
+        flipped = cascade(6, data.times[:, relabel])
         alpha = netrate_fit(data, net)
         alpha_flipped = netrate_fit(flipped, net)
         back = [net.edge_id(relabel[i], relabel[j]) for i, j in map(net.edge_pair, range(net.n_edges))]
@@ -256,7 +269,7 @@ class TestNetrate:
 
 class TestMarginalizedLikelihood:
     def test_total_probability_single_edge(self, edge01):
-        obs = apply_mask(Cascade(4, [0, 2]), MaskSpec(frozenset({1}), None))
+        obs = apply_mask(cascade(4, [0, 2]), MaskSpec(frozenset({1}), None))
         for a in (0.1, 0.5, 0.93):
             assert marginalized_likelihood(obs, edge01, [a]) == pytest.approx(0.0, abs=1e-12)
 
@@ -275,7 +288,7 @@ class TestMarginalizedLikelihood:
         T = 5
         for tau2 in (2, 3, T):
             times = np.array([0, 1, tau2])  # the hidden value 1 is discarded by masking
-            obs = apply_mask(Cascade(T, times), MaskSpec(frozenset({1}), None))
+            obs = apply_mask(cascade(T, times), MaskSpec(frozenset({1}), None))
             table = exact_marginals_oracle(net, alpha, [0], T)
             if tau2 < T:
                 expect = table[tau2 - 1, 2] - table[tau2, 2]
@@ -300,8 +313,8 @@ class TestMarginalizedLikelihood:
         # node 2 is summed over or pinned
         net = chain_net(3)
         alpha = [0.0, 0.5]
-        hidden = apply_mask(Cascade(4, [0, 1, 2]), MaskSpec(frozenset({2}), None))
-        pinned = apply_mask(Cascade(4, [0, 1, 2]), MaskSpec())
+        hidden = apply_mask(cascade(4, [0, 1, 2]), MaskSpec(frozenset({2}), None))
+        pinned = apply_mask(cascade(4, [0, 1, 2]), MaskSpec())
         assert marginalized_likelihood(hidden, net, alpha) == -np.inf
         assert marginalized_likelihood(pinned, net, alpha) == -np.inf
 
@@ -335,12 +348,12 @@ class TestHtsConfig:
         config = HtsConfig(**setting)
         with pytest.raises(ValueError, match=f"^{message}$"):
             config.validate()
-        obs = apply_mask(Cascade(3, [0, 2]), MaskSpec())
+        obs = apply_mask(cascade(3, [0, 2]), MaskSpec())
         with pytest.raises(ValueError, match=f"^{message}$"):
             hts_fit([obs], edge01, config)
 
     def test_zero_outer_rounds_accepted(self, edge01):
-        res = hts_fit([apply_mask(Cascade(3, [0, 2]), MaskSpec())], edge01, HtsConfig(outer_rounds=0))
+        res = hts_fit([apply_mask(cascade(3, [0, 2]), MaskSpec())], edge01, HtsConfig(outer_rounds=0))
         assert res.iterations == 0
         np.testing.assert_array_equal(res.couplings_hat, [0.5])
 
@@ -356,7 +369,7 @@ def _complete(data, net, alpha, config):
 class TestHtsComplete:
     def test_forced_unique_completion(self):
         net = chain_net(3)
-        obs = apply_mask(Cascade(5, [0, 1, 2]), MaskSpec(frozenset({1}), None))
+        obs = apply_mask(cascade(5, [0, 1, 2]), MaskSpec(frozenset({1}), None))
         times, unresolved = _complete([obs], net, [1.0, 1.0], HtsConfig(aux_samples=50))
         np.testing.assert_array_equal(unresolved, [[False, True, False]])
         np.testing.assert_array_equal(times, [[0, 1, 2]])
@@ -368,8 +381,8 @@ class TestHtsComplete:
         obs = apply_mask(c, MaskSpec(frozenset({3}), None))
         cfg = HtsConfig(aux_samples=200, seed=9)
         times, unresolved = _complete([obs], net, truth, cfg)
-        np.testing.assert_array_equal(times[0, ~unresolved[0]], obs.hi[~unresolved[0]])
-        best = full_log_likelihood(Cascade(6, times[0]), net, truth)
+        np.testing.assert_array_equal(times[0, ~unresolved[0]], obs.hi[0, ~unresolved[0]])
+        best = full_log_likelihood(cascade(6, times[0]), net, truth)
         # no consistent sample beats the chosen completion
         from cascade_recon.cascades import sample_recorded_times
         import numpy.random as npr
@@ -377,8 +390,8 @@ class TestHtsComplete:
         key = ((9 & (2**64 - 1)) << 64) | (0 << 32) | 0
         rng2 = npr.Generator(npr.Philox(key=key))
         samples = sample_recorded_times(net, truth, [0], 6, 200, rng2)
-        vis = np.flatnonzero(~obs.hidden)
-        ok = ((obs.lo[vis] < samples[:, vis]) & (samples[:, vis] <= obs.hi[vis])).all(axis=1)
+        vis = np.flatnonzero(~obs.hidden[0])
+        ok = ((obs.lo[0, vis] < samples[:, vis]) & (samples[:, vis] <= obs.hi[0, vis])).all(axis=1)
         lls = batch_full_log_likelihood(net, truth, samples[ok], 6)
         assert best >= lls.max() - 1e-9
 
@@ -389,13 +402,13 @@ class TestHtsComplete:
             raise AssertionError("sampled a cascade with no unresolved node")
 
         monkeypatch.setattr(baselines, "sample_recorded_times", refuse)
-        obs = apply_mask(Cascade(3, [0, 2]), MaskSpec())
+        obs = apply_mask(cascade(3, [0, 2]), MaskSpec())
         times, unresolved = _complete([obs], edge01, [0.5], HtsConfig())
         np.testing.assert_array_equal(times, [[0, 2]])
         assert not unresolved.any()
 
     def test_mixed_horizons_rejected(self, edge01):
-        data = [apply_mask(Cascade(3, [0, 2]), MaskSpec()), apply_mask(Cascade(4, [0, 2]), MaskSpec())]
+        data = [apply_mask(cascade(3, [0, 2]), MaskSpec()), apply_mask(cascade(4, [0, 2]), MaskSpec())]
         with pytest.raises(DatasetError, match="mismatched horizons"):
             hts_fit(data, edge01, HtsConfig())
 

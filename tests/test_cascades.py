@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from cascade_recon import (
-    Cascade,
     CascadeTable,
     DatasetError,
     FitConfig,
     HtsConfig,
     MaskSpec,
     Network,
-    ObservedCascade,
     ParseError,
     apply_mask,
     batch_full_log_likelihood,
@@ -30,6 +28,7 @@ from cascade_recon import (
     read_cascades,
     resolve_mask,
     sample_recorded_times,
+    serialize_edge_list,
     write_cascades,
 )
 
@@ -37,6 +36,7 @@ from cascade_recon import cascades, gradient
 from cascade_recon.cascades import _decode_time, _source_groups, _split_token
 
 from conftest import (
+    cascade,
     chain_net,
     preferential_attachment_net,
     random_couplings,
@@ -55,8 +55,8 @@ def chain3():
 def _reference_apply_mask(cascade, mask):
     """The per-node masking loop that ``apply_mask`` replaced, kept as its
     reference."""
-    T = cascade.horizon
-    n = cascade.times.shape[0]
+    T, (times,) = cascade.horizon, cascade.times
+    n = times.shape[0]
     mask.validate(n, T)
     points = sorted({0, *(mask.snapshot_times if mask.snapshot_times is not None else range(T + 1))})
     lo = np.empty(n, dtype=np.int64)
@@ -67,7 +67,7 @@ def _reference_apply_mask(cascade, mask):
             hidden[i] = True
             lo[i] = hi[i] = -1
             continue
-        tau = int(cascade.times[i])
+        tau = int(times[i])
         if tau == 0:
             lo[i], hi[i] = -1, 0
             continue
@@ -84,12 +84,13 @@ def _reference_apply_mask(cascade, mask):
         else:
             lo[i] = prev
             hi[i] = first_active if first_active < T else T - 1
-    return ObservedCascade(T, lo, hi, hidden)
+    return CascadeTable(T, [lo], [hi], [hidden])
 
 
 def _window(obs, i):
-    """Node ``i``'s window ``(lo, hi)`` in ``obs``, or None when it is hidden."""
-    return None if obs.hidden[i] else (int(obs.lo[i]), int(obs.hi[i]))
+    """Node ``i``'s window ``(lo, hi)`` in the one-row table ``obs``, or
+    None when it is hidden."""
+    return None if obs.hidden[0, i] else (int(obs.lo[0, i]), int(obs.hi[0, i]))
 
 
 # A token: a run of characters other than ',' in which '(' opens an
@@ -141,7 +142,7 @@ def _reference_read_cascades(net, text):
                 lo[node], hi[node] = a, b
         if not in_bounds:
             raise ParseError(f"line {k + 1}: interval bounds must satisfy -1 <= lo < hi <= T")
-        out.append(ObservedCascade(T, lo, hi, hidden))
+        out.append(CascadeTable(T, [lo], [hi], [hidden]))
     if not out:
         raise ParseError("cascade file contains no cascades")
     return out
@@ -270,7 +271,7 @@ class TestDatasetGeneration:
     def test_singleton_matches_substream(self, chain3):
         data = generate_dataset(chain3, [0.4, 0.7], 1, [0], 8, seed=5)
         direct = _reference_times(chain3, np.array([0.4, 0.7]), [0], 8, cascade_substream(5, 0))
-        assert data[0] == Cascade(8, direct)
+        assert data[0] == cascade(8, direct)
 
     @staticmethod
     def _in_blocks_of(monkeypatch, net, horizon, rows):
@@ -433,13 +434,23 @@ class TestCascadeTable:
         assert (data.lo.dtype, data.hi.dtype, data.hidden.dtype) == (np.int64, np.int64, bool)
         np.testing.assert_array_equal(data.lo, data.hi - 1)
         assert not data.hidden.any()
+        # a row is a one-row table that keeps complete
         rows = list(data)
-        assert all(type(c) is Cascade and c.times.dtype == np.int64 for c in rows)
+        assert all(type(c) is CascadeTable and len(c) == 1 and c.complete and c.times.dtype == np.int64 for c in rows)
         # the rows are views of the table's codes, not copies; their times are decoded, read-only
         for c in [*rows, data[2]]:
             assert np.shares_memory(c.codes, data.codes) and not c.times.flags.writeable
-        assert data[0] == rows[0] and data[-1] == rows[-1] and data[np.int64(3)] == rows[3]
-        np.testing.assert_array_equal(data[3].times, data.hi[3])
+        assert data[0] == rows[0] == data[-30] and data[-1] == rows[-1] and data[np.int64(3)] == rows[3] == data[3:4]
+        np.testing.assert_array_equal(data[3].times, data.hi[3:4])
+        np.testing.assert_array_equal(data[3].sources, data.sources[data.sources // 6 == 3] % 6)
+        # an integer past either end is an IndexError, not an empty table
+        for k in (30, -31, np.int64(30)):
+            with pytest.raises(IndexError):
+                data[k]
+        # an index that does not pick whole rows makes no table
+        for index in ((3, 1), (slice(None), 1)):
+            with pytest.raises(IndexError, match="^a table's index picks whole rows$"):
+                data[index]
         part = data[5:9]
         assert isinstance(part, CascadeTable) and part.complete and len(part) == 4
         assert list(part) == rows[5:9]
@@ -448,7 +459,7 @@ class TestCascadeTable:
         back = read_cascades(chain3, "T=5\n0\t0:0,1:(1,3]\n1\t0:0,2:5+\n")
         assert isinstance(back, CascadeTable) and not back.complete
         assert (back.lo.dtype, back.hi.dtype, back.hidden.dtype) == (np.int64, np.int64, bool)
-        assert [type(obs) for obs in back] == [ObservedCascade, ObservedCascade]
+        assert [(type(obs), len(obs), obs.complete) for obs in back] == [(CascadeTable, 1, False)] * 2
         assert _window(back[0], 1) == (1, 3)
         assert [_window(back[1], i) for i in range(3)] == [(-1, 0), None, (4, 5)]
         assert back[1].hidden.dtype == bool and back[1].lo.dtype == np.int64
@@ -468,7 +479,7 @@ class TestCascadeTable:
         assert grown == both and len(a) == 3
         rows = []
         rows += a
-        assert type(rows) is list and [type(c) for c in rows] == [Cascade] * 3
+        assert type(rows) is list and rows == [a[0], a[1], a[2]]
         mixed = a + apply_mask(b, MaskSpec())
         assert isinstance(mixed, CascadeTable) and not mixed.complete
         assert mixed == apply_mask(both, MaskSpec())
@@ -529,21 +540,17 @@ class TestCascadeTable:
         assert apply_mask(exact, MaskSpec()).codes.tolist() == exact.codes.tolist()
 
     def test_windows_are_checked_once_at_construction(self):
-        # a table and each kind of row check their windows as they are built
+        # a table checks its windows as it is built, complete rows of times too
         in_range = r"^observation windows must lie in \[-1, 5\]$"
         with pytest.raises(DatasetError, match=in_range):
             CascadeTable(5, [[-1, 3]], [[0, 7]], [[False, False]])
-        with pytest.raises(DatasetError, match=in_range):
-            ObservedCascade(5, [-1, 3], [0, 7], [False, False])
         for t in (-1, 6):
             with pytest.raises(DatasetError, match=in_range):
-                Cascade(5, [0, t])
+                cascade(5, [0, t])
         # (2, 2] is empty: its code would read as hidden
         for lo, hi in ((2, 2), (3, 1)):
             with pytest.raises(DatasetError, match=r"^an observed window \(lo, hi\] must have lo < hi$"):
                 CascadeTable(5, [[-1, lo]], [[0, hi]], [[False, False]])
-            with pytest.raises(DatasetError, match=r"^an observed window \(lo, hi\] must have lo < hi$"):
-                ObservedCascade(5, [-1, lo], [0, hi], [False, False])
         # a hidden cell's bounds are not read; it decodes as (-1, -1]
         table = CascadeTable(5, [[-1, 9]], [[0, 2]], [[False, True]])
         assert table.codes.tolist() == [[1, 0]] and table.codes.dtype == np.int8
@@ -555,10 +562,9 @@ class TestCascadeTable:
     def test_compact_path_never_decodes_a_table(self, rng, monkeypatch):
         # simulation, masking, reading, writing, summarizing and fitting read
         # and write the codes alone: no int64 bounds of a table, of a block
-        # of one or of a row
-        for cls in (CascadeTable, Cascade, ObservedCascade):
-            for name in ("lo", "hi", "hidden"):
-                monkeypatch.setattr(cls, name, property(lambda data, name=name: pytest.fail(f"{name} decoded")), raising=False)
+        # of one or of a one-row table
+        for name in ("lo", "hi", "hidden"):
+            monkeypatch.setattr(CascadeTable, name, property(lambda data, name=name: pytest.fail(f"{name} decoded")))
         net = random_loopy_net(8, 6, rng)
         alpha = random_couplings(net, rng, 0.1, 0.9)
         mask = MaskSpec(frozenset({5}), (2, 4, 6))
@@ -578,13 +584,65 @@ class TestCascadeTable:
         assert both == observed + back and both != full + back and not both.complete
         assert np.array_equal(both.codes, np.concatenate((back.codes, back.codes)))
         assert (data + data).complete and not (data + full).complete
-        # the row path: rows of a table are views of its codes, and masking
-        # them, writing and summarizing the list work on the codes too
+        # the row path: one-row tables of a table are views of its codes, and
+        # masking them, writing and summarizing the list work on the codes too
         rows = [apply_mask(c, mask) for c in data]
         text = write_cascades(net, rows)
         assert text == write_cascades(net, observed)
         gradient.summarize_dataset(rows)
         assert rows == list(observed)
+
+
+class TestWorkerRowSequences:
+    """The two sequences of one-row tables that ``bench/worker.py`` runs, on
+    a small dataset, so that a change that breaks the benchmark's worker
+    fails the tests too."""
+
+    @pytest.fixture
+    def hub(self, rng):
+        net = random_loopy_net(12, 10, rng)
+        return net, random_couplings(net, rng, 0.1, 0.7), MaskSpec(frozenset({4, 9}), (2, 4, 6))
+
+    def test_library_path(self, hub):
+        # a list grown by tables, masked a row at a time, written, read back
+        net, alpha, mask = hub
+        data = []
+        for source, count, seed in ((0, 30, 11), (5, 20, 12)):
+            data += generate_dataset(net, alpha, count, [source], 6, seed)
+        observed = [apply_mask(c, mask) for c in data]
+        text = write_cascades(net, observed)
+        got = read_cascades(net, text)
+        assert len(got) == len(observed) == 50
+        assert all(a == b for a, b in zip(got, observed))
+        whole = generate_dataset(net, alpha, 30, [0], 6, 11) + generate_dataset(net, alpha, 20, [5], 6, 12)
+        assert text == write_cascades(net, apply_mask(whole, mask))
+
+    def test_cli_path(self, hub, tmp_path):
+        # the simulated file read back, each row marked complete and masked,
+        # against the file that the mask subcommand writes
+        import contextlib
+        import io
+
+        from cascade_recon import cli
+
+        net, alpha, mask = hub
+        (tmp_path / "net.edges").write_text(serialize_edge_list(net, alpha))
+        hidden = ",".join(net.labels[i] for i in sorted(mask.hidden_nodes))
+        for argv in (["simulate", "--horizon", 6, "--num-cascades", 40, "--seed", 3, "--sources", "random",
+                      "--out", tmp_path / "simulated.txt"],
+                     ["mask", "--cascades", tmp_path / "simulated.txt", "--hidden", hidden, "--snapshots", "2,4,6",
+                      "--out", tmp_path / "observed.txt"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([str(a) for a in [*argv, "--network", tmp_path / "net.edges"]]) == 0
+        full = read_cascades(net, (tmp_path / "simulated.txt").read_text())
+        expected = [apply_mask(obs.to_cascade(), mask) for obs in full]
+        got = read_cascades(net, (tmp_path / "observed.txt").read_text())
+        assert len(got) == len(expected) == 40
+        assert all(a == b for a, b in zip(got, expected))
+        # to_cascade marks exact windows complete and refuses any other
+        assert full[0].to_cascade() == generate_dataset(net, alpha, 40, "random", 6, 3)[0]
+        with pytest.raises(DatasetError, match="^cascade is not fully observed$"):
+            got[0].to_cascade()
 
 
 class TestWindowCodes:
@@ -630,7 +688,7 @@ class TestWindowCodes:
             CascadeTable(T, [[0, -2]], [[0, 0]], [[False, False]])
         for t in (-1, T + 1):
             with pytest.raises(DatasetError, match=in_range):
-                cascades._table([Cascade(T, [0, t])])
+                cascades._table([cascade(T, [0, t])])
 
 
 class TestCodeDtypes:
@@ -702,14 +760,14 @@ class TestNetworkWidth:
             # walks over blocks of two 5-node rows would see a first block of
             # full rows, then a block of narrow ones, each of one width
             monkeypatch.setattr(cascades, "_BLOCK_CELLS", 10)
-            rows, widths = [wide] * 2 + [Cascade(5, [0])] * 3, "[1, 5]"
+            rows, widths = [wide] * 2 + [cascade(5, [0])] * 3, "[1, 5]"
         else:
-            rows, widths = [wide, Cascade(5, [0]), Cascade(5, [0, 1])], "[1, 2, 5]"
+            rows, widths = [wide, cascade(5, [0]), cascade(5, [0, 1])], "[1, 2, 5]"
         with pytest.raises(DatasetError, match=f"^{re.escape(f'cascades with mismatched node counts: {widths}')}$"):
             self.CALLS[call](rows, net, np.full(4, 0.5))
 
     def test_table_of_unequal_rows(self):
-        rows = [Cascade(5, [0, 1]), Cascade(5, [0]), apply_mask(Cascade(5, [0, 1, 2]), MaskSpec())]
+        rows = [cascade(5, [0, 1]), cascade(5, [0]), apply_mask(cascade(5, [0, 1, 2]), MaskSpec())]
         with pytest.raises(DatasetError, match=r"^cascades with mismatched node counts: \[1, 2, 3\]$"):
             cascades._table([*generate_dataset(chain_net(2), [0.5], 1, [0], 5, seed=1), *rows])
 
@@ -762,7 +820,7 @@ class TestTableOrRows:
 
 class TestMasking:
     def test_full_time_hidden_node(self, chain3):
-        c = Cascade(5, [0, 1, 2])
+        c = cascade(5, [0, 1, 2])
         obs = apply_mask(c, MaskSpec(frozenset({1}), None))
         assert _window(obs, 0) == (-1, 0)
         assert _window(obs, 1) is None
@@ -770,44 +828,44 @@ class TestMasking:
 
     def test_snapshot_interval(self):
         net = chain_net(2)
-        c = Cascade(10, [0, 3])
+        c = cascade(10, [0, 3])
         obs = apply_mask(c, MaskSpec(frozenset(), (2, 4, 6, 8, 10)))
         assert _window(obs, 1) == (2, 4)
 
     def test_censored_at_horizon_all_snapshots(self):
-        c = Cascade(10, [0, 10])
+        c = cascade(10, [0, 10])
         obs = apply_mask(c, MaskSpec(frozenset(), None))
         assert _window(obs, 1) == (9, 10)
 
     def test_activation_after_last_snapshot(self):
-        c = Cascade(10, [0, 9])
+        c = cascade(10, [0, 9])
         obs = apply_mask(c, MaskSpec(frozenset(), (2, 4)))
         assert _window(obs, 1) == (4, 10)
 
     def test_censored_with_sparse_snapshots_including_T(self):
-        c = Cascade(10, [0, 10])
+        c = cascade(10, [0, 10])
         obs = apply_mask(c, MaskSpec(frozenset(), (4, 10)))
         assert _window(obs, 1) == (9, 10)
 
     def test_first_active_at_horizon_snapshot_caps_at_Tminus1(self):
-        c = Cascade(10, [0, 7])
+        c = cascade(10, [0, 7])
         obs = apply_mask(c, MaskSpec(frozenset(), (4, 10)))
         assert _window(obs, 1) == (4, 9)
 
     def test_pre_first_snapshot_activation(self):
-        c = Cascade(10, [0, 2])
+        c = cascade(10, [0, 2])
         obs = apply_mask(c, MaskSpec(frozenset(), (4, 8)))
         assert _window(obs, 1) == (0, 4)
 
     def test_adjacent_snapshots_pin_exact(self):
-        c = Cascade(10, [0, 4])
+        c = cascade(10, [0, 4])
         obs = apply_mask(c, MaskSpec(frozenset(), (3, 4, 8)))
         assert _window(obs, 1) == (3, 4)
 
     def test_exact_equals_unit_interval(self):
-        c = Cascade(10, [0, 4])
+        c = cascade(10, [0, 4])
         full = apply_mask(c, MaskSpec(frozenset(), None))
-        assert full.hi[1] - full.lo[1] == 1
+        assert full.hi[0, 1] - full.lo[0, 1] == 1
 
     def test_matches_per_node_reference(self, rng):
         for net, cascades, mask in random_masked_cases(rng):
@@ -816,7 +874,7 @@ class TestMasking:
 
     def test_every_horizon_and_snapshot_set_as_the_reference(self, rng):
         for T in range(1, 13):
-            c = Cascade(T, np.arange(T + 1))  # every recorded time
+            c = cascade(T, np.arange(T + 1))  # every recorded time
             random_sets = [tuple(np.flatnonzero(rng.random(T + 1) < 0.4).tolist()) for _ in range(8)]
             for snapshots in [None, (), (0,), (T - 1,), (T,), (T - 1, T), *random_sets]:
                 mask = MaskSpec(frozenset({T}), snapshots)
@@ -826,16 +884,16 @@ class TestMasking:
         for T in range(1, 13):
             for t in (-2, -1, T + 1):
                 with pytest.raises(DatasetError, match=rf"^observation windows must lie in \[-1, {T}\]$"):
-                    apply_mask(Cascade(T, [0, t]), MaskSpec())
+                    apply_mask(cascade(T, [0, t]), MaskSpec())
 
     def test_times_outside_the_horizon_as_the_reference(self):
         # the reference loop read such times as their nearest time in [0, T];
-        # a row now refuses them when it is built, with the message of a list
-        # or a table
+        # a table of such times now refuses them when it is built, with the
+        # message of any table
         with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 5\]$"):
-            apply_mask(Cascade(5, [0, 99, -3]), MaskSpec())
+            apply_mask(cascade(5, [0, 99, -3]), MaskSpec())
         with pytest.raises(DatasetError, match=r"^observation windows must lie in \[-1, 4\]$"):
-            apply_mask(Cascade(4, [0, -3, -1, 4, 9, 2]), MaskSpec(frozenset({5}), (1, 4)))
+            apply_mask(cascade(4, [0, -3, -1, 4, 9, 2]), MaskSpec(frozenset({5}), (1, 4)))
 
     def test_negative_hidden_count_rejected(self, chain3):
         with pytest.raises(DatasetError, match=r"^cannot hide -1 of 3 eligible nodes$"):
@@ -915,8 +973,8 @@ class TestFiles:
 
     def test_all_hidden_cascade_roundtrip(self, chain3):
         observed = [
-            apply_mask(Cascade(5, [0, 1, 2]), MaskSpec(frozenset(), None)),
-            apply_mask(Cascade(5, [0, 1, 2]), MaskSpec(frozenset({0, 1, 2}), None)),
+            apply_mask(cascade(5, [0, 1, 2]), MaskSpec(frozenset(), None)),
+            apply_mask(cascade(5, [0, 1, 2]), MaskSpec(frozenset({0, 1, 2}), None)),
         ]
         text = write_cascades(chain3, observed)
         assert text.splitlines()[2] == "1\t"
@@ -927,10 +985,10 @@ class TestFiles:
 
     def test_window_outside_the_horizon_rejected(self, chain3):
         with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
-            write_cascades(chain3, [ObservedCascade(5, [-1, 3, -1], [0, 7, -1], [False, False, True])])
+            write_cascades(chain3, [CascadeTable(5, [[-1, 3, -1]], [[0, 7, -1]], [[False, False, True]])])
 
     def test_mixed_horizons_rejected(self, chain3):
-        data = [Cascade(5, [0, 1, 2]), Cascade(6, [0, 1, 2])]
+        data = [cascade(5, [0, 1, 2]), cascade(6, [0, 1, 2])]
         with pytest.raises(DatasetError, match="mismatched horizons"):
             write_cascades(chain3, data)
         with pytest.raises(DatasetError, match="^empty dataset$"):
@@ -1083,7 +1141,7 @@ class TestParseErrors:
         back = read_cascades(chain3, text)
         assert _window(back[0], 1) == (1, 3)
         assert _window(back[0], 2) == (4, 5)
-        assert back[1].hidden.tolist() == [False, True, False]
+        assert back[1].hidden.tolist() == [[False, True, False]]
         assert _window(back[1], 2) == (3, 4)
 
 
@@ -1266,6 +1324,31 @@ class TestInputPathMemory:
         net, observed, text = pa_data
         back, _held, peak = self._traced(lambda: read_cascades(net, text))
         assert len(back) == len(observed)
+        assert peak <= 3.9 * 2**20
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\u2028"])
+    def test_read_of_other_line_ends_peaks_as_of_newlines(self, pa_data, end):
+        # a block ends at any line end that str.splitlines honours, so the
+        # text is still read a block at a time
+        net, _observed, text = pa_data
+        want = read_cascades(net, text)
+        other = text.replace("\n", end)
+        back, _held, peak = self._traced(lambda: read_cascades(net, other))
+        assert back == want
+        assert peak <= 3.9 * 2**20
+
+    def test_a_bad_line_is_quoted_from_its_block(self, pa_data):
+        # a 40 MB text whose second line is bad: the error quotes that line
+        # from the block being scanned, with no split of the whole text
+        net, _observed, text = pa_data
+        header, body = text.split("\n", 1)
+        big = "\n".join([header, "0\t0:0,x:1", body * -(-40 * 2**20 // len(body))])
+
+        def read():
+            with pytest.raises(ParseError, match="^line 2: unknown node 'x'$"):
+                read_cascades(net, big)
+
+        _result, _held, peak = self._traced(read)
         assert peak <= 3.9 * 2**20
 
     def test_read_with_many_distinct_tokens_peaks_near_the_dataset_size(self, many_tokens):

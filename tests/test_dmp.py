@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cascade_recon import (
-    Cascade,
     CapacityError,
     Network,
     dmp_forward,
@@ -13,7 +12,7 @@ from cascade_recon import (
     parse_edge_list,
 )
 
-from conftest import chain_net, exact_cascade_probability, random_tree_net, random_loopy_net, random_couplings
+from conftest import cascade, chain_net, exact_cascade_probability, random_tree_net, random_loopy_net, random_couplings
 
 
 @pytest.fixture
@@ -155,5 +154,5 @@ class TestCascadeProbability:
 
     def test_unrealizable_is_zero(self):
         net = chain_net(3)
-        c = Cascade(5, [0, 5, 2])  # node 2 activates with its only parent inactive
+        c = cascade(5, [0, 5, 2])  # node 2 activates with its only parent inactive
         assert exact_cascade_probability(net, [0.5, 0.5], c) == 0.0

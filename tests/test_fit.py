@@ -35,7 +35,7 @@ class TestDmprecFit:
         net, _ = parse_edge_list("0\t1\n")
         T = 10
         dataset = _full_dataset(net, [0.3], 20000, T, seed=6, sources=[0])
-        taus = np.array([obs.hi[1] for obs in dataset])
+        taus = np.array([obs.hi[0, 1] for obs in dataset])
         mle = _censored_geometric_mle(taus, T)
         res = dmprec_fit(dataset, net)
         assert res.converged
@@ -95,18 +95,11 @@ class TestDmprecFit:
         ]
         net2 = Network(sorted(relabel.values()), edges)
         to_new = {i: net2.label_index[relabel[net.labels[i]]] for i in range(net.n_nodes)}
-        from cascade_recon import ObservedCascade
+        from cascade_recon import CascadeTable
 
-        dataset2 = []
-        for obs in dataset:
-            lo = np.empty_like(obs.lo)
-            hi = np.empty_like(obs.hi)
-            hidden = np.zeros_like(obs.hidden)
-            for i in range(net.n_nodes):
-                lo[to_new[i]] = obs.lo[i]
-                hi[to_new[i]] = obs.hi[i]
-                hidden[to_new[i]] = obs.hidden[i]
-            dataset2.append(ObservedCascade(obs.horizon, lo, hi, hidden))
+        # new node to_new[i] takes old node i's column
+        old = np.argsort([to_new[i] for i in range(net.n_nodes)])
+        dataset2 = [CascadeTable(obs.horizon, obs.lo[:, old], obs.hi[:, old], obs.hidden[:, old]) for obs in dataset]
         res2 = dmprec_fit(dataset2, net2)
         # bit-exact equality is unattainable: relabeling reorders the
         # in-edge products, and float multiplication is not associative

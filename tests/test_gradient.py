@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cascade_recon import (
+    CascadeTable,
     DatasetError,
     MaskSpec,
     apply_mask,
@@ -25,6 +26,7 @@ from cascade_recon.gradient import (
 )
 
 from conftest import (
+    cascade,
     chain_net,
     dmp_forward_with_gradients,
     random_couplings,
@@ -133,7 +135,6 @@ class TestSummaries:
         # 512 one-row blocks, each with 3 keys met in no other block: merged
         # block by block into the running count they sort about 3 * 512**2 / 2
         # keys, merged as a binary counter about 3 * 512 * log2(512)
-        from cascade_recon import CascadeTable
         from cascade_recon import cascades
 
         M, T = 512, 600
@@ -151,10 +152,8 @@ class TestSummaries:
         assert sum(sorted_sizes) <= 2 * 3 * M * np.log2(M)
 
     def test_window_outside_the_horizon_rejected(self):
-        from cascade_recon import ObservedCascade
-
         with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
-            summarize_dataset([ObservedCascade(5, [-1, 3], [0, 7], [False, False])])
+            summarize_dataset([CascadeTable(5, [[-1, 3]], [[0, 7]], [[False, False]])])
 
 
 class TestWindowTerms:
@@ -295,24 +294,24 @@ class TestReverseMode:
 
 class TestObservedFreeEnergy:
     def test_exact_observation_closed_form(self, edge01):
-        obs = apply_mask(_cascade(edge01, [0, 2], T=3), MaskSpec())
+        obs = apply_mask(cascade(3, [0, 2]), MaskSpec())
         f = observed_negative_log_likelihood([obs], edge01, [0.5])
         assert f == pytest.approx(np.log(4.0))
 
     def test_hidden_node_contributes_nothing(self, edge01):
-        c = _cascade(edge01, [0, 2], T=3)
+        c = cascade(3, [0, 2])
         obs = apply_mask(c, MaskSpec(frozenset({1}), None))
         assert observed_negative_log_likelihood([obs], edge01, [0.5]) == 0.0
 
     def test_interval_observation(self, edge01):
-        c = _cascade(edge01, [0, 2], T=3)
+        c = cascade(3, [0, 2])
         obs = apply_mask(c, MaskSpec(frozenset(), (2,)))
         # activation in (0, 2]: probability 1 - (1-a)^2 = 0.75 at a=0.5
         f = observed_negative_log_likelihood([obs], edge01, [0.5])
         assert f == pytest.approx(-np.log(0.75))
 
     def test_stationary_point_single_edge(self, edge01):
-        obs = apply_mask(_cascade(edge01, [0, 2], T=4), MaskSpec())
+        obs = apply_mask(cascade(4, [0, 2]), MaskSpec())
         rep = free_energy_gradient([obs], edge01, [0.5])
         # m(2) = a(1-a) is maximized at a = 0.5
         assert rep.gradient[0] == pytest.approx(0.0, abs=1e-12)
@@ -467,7 +466,7 @@ class TestLogDomainWindows:
     @pytest.mark.parametrize("a", [0.9, 0.99])
     def test_censored_single_edge_closed_form(self, edge01, a):
         # censored at T=10: node 1 survives 9 steps, P = (1-a)^9
-        obs = apply_mask(_cascade(edge01, [0, 10], T=10), MaskSpec())
+        obs = apply_mask(cascade(10, [0, 10]), MaskSpec())
         alpha = np.array([a])
         f = observed_negative_log_likelihood([obs], edge01, alpha)
         assert f == pytest.approx(-9.0 * np.log1p(-a), rel=1e-10)
@@ -481,7 +480,7 @@ class TestLogDomainWindows:
         # probability a01 * a12, where S(1) - S(2) cancels to nothing
         net = chain_net(3)
         alpha = np.array([1e-9, 1e-10])
-        obs = apply_mask(_cascade(net, [0, 1, 2], T=4), MaskSpec())
+        obs = apply_mask(cascade(4, [0, 1, 2]), MaskSpec())
         rep = free_energy_gradient([obs], net, alpha)
         expected = -np.log(alpha[0]) - np.log(alpha[0] * alpha[1])
         assert rep.value == pytest.approx(expected, rel=1e-12)
@@ -607,10 +606,6 @@ class TestPopulationLimit:
             assert np.abs(grad).max() <= 1e-8
 
 
-def _cascade(net, times, T):
-    from cascade_recon import Cascade
-
-    return Cascade(T, np.asarray(times))
 
 
 def _assert_grad_close(analytic, numeric):

@@ -64,6 +64,20 @@ def test_comments_and_blank_lines():
     assert alpha[0] == 0.25
 
 
+def test_lines_cut_alike_for_a_string_and_a_stream():
+    # the lines of a string and of a stream are cut where str.splitlines
+    # cuts them, as the cascade and config readers cut theirs
+    import io
+
+    want = parse_edge_list("0\t1\t0.5\n1\t2\t0.25\n2\t3\t0.125\n3\t0\t1.0\n")
+    text = "0\t1\t0.5\r\n1\t2\t0.25\r2\t3\t0.125\u20283\t0\t1.0\n"
+    for source in (text, io.StringIO(text, newline="")):
+        net, alpha = parse_edge_list(source)
+        assert net == want[0] and alpha.tobytes() == want[1].tobytes()
+    with pytest.raises(ParseError, match="^line 3: self-loop at node '2'$"):
+        parse_edge_list("0\t1\r1\t2\u20282\t2\n")
+
+
 def _in_neighbors(net, i):
     return net.edge_src[net.in_edges(i)].tolist()
 
