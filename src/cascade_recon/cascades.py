@@ -20,7 +20,9 @@ fit as one :class:`CascadeTable`, an (M, N) array of them, and one
 cascade is a one-row table.  Simulation, masking and reading write the
 codes; writing, summarizing and fitting read them, a slice of a table at
 a time (:func:`_blocks`), once a public function has stacked a list of
-tables (:func:`_table`).
+tables (:func:`_table`).  Reading is one stream of blocks of codes
+(:func:`_cascade_blocks`): :func:`read_cascades` stacks them into a
+table, and the summaries take them as they come, with no table.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -628,33 +630,70 @@ def resolve_mask(hidden, snapshots, net: Network, mask_seed: int | None = None, 
 def _source_groups(dataset: CascadeTable | Sequence[CascadeTable]) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """The distinct observed source sets of ``dataset`` in sorted order,
     and for each cascade the index of its set among them: the one
-    numbering of source groups, which the free-energy summaries and the
-    two-stage baseline read.
+    numbering of source groups (:class:`_SourceSets`), ranked, which the
+    two-stage baseline reads; the free-energy summaries take the same
+    numbering a block at a time and sort their groups at the end.
 
     One forward model run per group suffices for likelihood work, so the
     cost of an update step scales with the number of distinct initial
     conditions, not with the number of cascades.  An empty dataset is
-    rejected, and so is a cascade with no observed source (the source was
-    hidden by the mask): the model conditions on known initial conditions,
-    and the error names the first such cascade.  One walk over the table,
-    a block at a time, groups each block's rows by their source sets (the
-    nodes of window code 1) packed into bits and numbers the sets as first
-    met; the numbers are ranked in sorted order of the sets at the end.
+    rejected, and so is a cascade with no observed source (see
+    :class:`_SourceSets`).  One walk over the table, a block at a time,
+    numbers the sets as first met; the numbers are ranked in sorted order
+    of the sets at the end.
     """
-    ids: dict[tuple[int, ...], int] = {}
-    set_ids = []
-    for _start, block in _blocks(_table(dataset)):
-        is_source = _is_source(block.codes)
-        first, which = _group_rows(_bit_words(is_source))
-        met = [ids.setdefault(tuple(np.flatnonzero(is_source[row]).tolist()), len(ids)) for row in first.tolist()]
-        set_ids.append(np.array(met, dtype=np.intp)[which])
-    set_id = np.concatenate(set_ids)
-    if () in ids:
-        idx = int(np.argmax(set_id == ids[()]))
-        raise DatasetError(f"cascade {idx} has no observed source; cannot fit")
-    keys = sorted(ids)
+    sets = _SourceSets()
+    set_id = np.concatenate([sets.number(block) for _start, block in _blocks(_table(dataset))])
+    met = sets.met()
+    order = sorted(range(len(met)), key=met.__getitem__)
     # the inverse of the permutation from rank to first-met number
-    return keys, np.argsort([ids[key] for key in keys])[set_id]
+    return [met[number] for number in order], np.argsort(order)[set_id]
+
+
+class _SourceSets:
+    """The source sets of a walk over cascades, numbered as first met, a
+    block of rows at a time: each block's rows are grouped by their source
+    sets (the nodes of window code 1) packed into bits, and each group is
+    looked up by its bits; a set is spelt out as its nodes when first met.
+    The first cascade with no observed source (the source was hidden by
+    the mask) is kept, and :meth:`met` rejects it: the model conditions on
+    known initial conditions."""
+
+    def __init__(self):
+        self._number_of: dict[bytes, int] = {}       # by packed bits
+        self._sets: list[tuple[int, ...]] = []       # by number
+        self._rows = 0
+        self._sourceless: int | None = None
+
+    def number(self, block: CascadeTable) -> np.ndarray:
+        """The number of the source set of each row of ``block``, the next
+        block of the walk."""
+        is_source = _is_source(block.codes)
+        words = _bit_words(is_source)
+        first, which = _group_rows(words)
+        bits = np.stack([column[first] for column in words], axis=1)
+        width, bits = 8 * bits.shape[1], bits.tobytes()
+        met, empty = [], None
+        for k, row in enumerate(first.tolist()):
+            number = self._number_of.setdefault(bits[k * width : (k + 1) * width], len(self._sets))
+            if number == len(self._sets):
+                nodes = tuple(np.flatnonzero(is_source[row]).tolist())
+                self._sets.append(nodes)
+                if not nodes:
+                    empty = number
+            met.append(number)
+        numbers = np.array(met, dtype=np.intp)[which]
+        if empty is not None:
+            self._sourceless = self._rows + int(np.argmax(numbers == empty))
+        self._rows += len(block)
+        return numbers
+
+    def met(self) -> list[tuple[int, ...]]:
+        """The sets met, by number; a cascade with no observed source is a
+        :class:`DatasetError` that names the first one."""
+        if self._sourceless is not None:
+            raise DatasetError(f"cascade {self._sourceless} has no observed source; cannot fit")
+        return self._sets
 
 
 def _bit_words(flags: np.ndarray) -> list[np.ndarray]:
@@ -768,7 +807,7 @@ def _token_suffix(lo: int, hi: int, T: int) -> str:
     return f":({lo},{hi}]"
 
 
-def read_cascades(net: Network, text: str) -> CascadeTable:
+def read_cascades(net: Network, text: str | TextIO) -> CascadeTable:
     """Parse the cascade file format; inverse of :func:`write_cascades`.
 
     After the ``T=<int>`` line, blank lines and lines starting with ``#``
@@ -778,15 +817,32 @@ def read_cascades(net: Network, text: str) -> CascadeTable:
     each ``<label>:<time>``, with whitespace around a token or a number
     ignored.  Each error names its line; on a line, the first offending
     token in order is reported, and a window outside ``-1 <= lo < hi <= T``
-    after all of them.  The cascades come back as one table, whose codes
-    each block of lines writes with one scatter.
+    after all of them.
 
-    The text is tokenized a block of about ``_READ_BLOCK_CHARS`` characters
-    of whole lines at a time, by array passes over its UTF-8 bytes (see
-    :func:`_token_spans`).  The tokens are looked up by their packed bytes
-    in one vocabulary that the blocks share (:class:`_TokenTable`), so each
-    distinct token text is decoded once and a block sorts only the tokens
-    that miss there.
+    ``text`` is a string or a text stream, such as a file opened as
+    ``Path.read_text`` opens it (``open(path, encoding="utf-8")``); either
+    is read as one stream of blocks of lines (:func:`_cascade_blocks`),
+    whose code blocks are stacked into one table.
+    """
+    horizon, blocks = _cascade_blocks(net, text)
+    return _coded_table(horizon, np.concatenate([block.codes for _start, block in blocks]))
+
+
+def _cascade_blocks(net: Network, text: str | TextIO):
+    """The horizon of the cascade text ``text`` (see :func:`read_cascades`)
+    and a generator of ``(start, block)``: the tables of the cascades of
+    its consecutive blocks of lines (:func:`_line_blocks`), ``start`` the
+    index of a block's first cascade, as :func:`_blocks` cuts a table.
+
+    The ``T=<int>`` line is read at once, and each block of lines when the
+    generator reaches it, so a bad line raises there, and a text with no
+    cascade raises once the generator is spent.  The blocks are tokenized
+    by array passes over their UTF-8 bytes (see :func:`_token_spans`).  The
+    tokens are looked up by their packed bytes in one vocabulary that the
+    blocks share (:class:`_TokenTable`), so each distinct token text is
+    decoded once and a block sorts only the tokens that miss there; each
+    block's codes are then one scatter.  A reader holds one block of text
+    and its codes at a time, besides the vocabulary.
     """
     blocks = _line_blocks(text)
     for first, lines in blocks:
@@ -803,58 +859,74 @@ def read_cascades(net: Network, text: str) -> CascadeTable:
         raise ParseError(f"bad horizon line {lines[skip]!r}") from None
     if T < 1:
         raise ParseError("horizon must be >= 1")
+    tokens = _TokenTable(net, T)
+    return T, _coded_blocks(tokens, itertools.chain([(first + skip + 1, lines[skip + 1:])], blocks))
 
-    tokens = _TokenTable(net, T, "\0" in text)
-    parts = []                       # per block: line numbers, token counts and token codes of its cascades
-    bad = None                       # number of the first line found to be bad
-    for first, lines in itertools.chain([(first + skip + 1, lines[skip + 1:])], blocks):
-        numbers, counts, codes, bad = tokens.scan(first, lines)
-        parts.append((numbers, counts, codes))
-        if bad is not None:
-            break
-    n_cascades = sum(counts.size for _numbers, counts, _codes in parts)
-    if not n_cascades and bad is None:
+
+def _coded_blocks(tokens: _TokenTable, blocks):
+    """Yield ``(start, block)`` for the ``(first, lines)`` blocks of lines
+    after a text's ``T=<int>`` line; a block of no cascade yields nothing."""
+    start = 0
+    for first, lines in blocks:
+        codes = tokens.codes(first, lines)
+        if len(codes):
+            yield start, _coded_table(tokens.horizon, codes)
+            start += len(codes)
+    if not start:
         raise ParseError("cascade file contains no cascades")
 
-    windows = np.zeros((n_cascades, net.n_nodes), dtype=_code_dtype(T))
-    node_of, window_of = tokens.table.T
-    done = 0
-    for numbers, counts, codes in parts:
-        codes = codes.astype(np.intp)
-        cells = np.repeat(np.arange(done, done + counts.size) * net.n_nodes, counts) + node_of[codes]
-        windows.ravel()[cells] = window_of[codes]
-        # a node listed twice on a line leaves fewer cells than tokens
-        twice = np.count_nonzero(windows[done : done + counts.size], axis=1) != counts
-        if twice.any():
-            bad = int(numbers[np.argmax(twice)])
-            break
-        done += counts.size
-    if bad is not None:
-        if not first <= bad < first + len(lines):
-            # a line of an earlier block, found by the scatter: walk the blocks to it
-            first, lines = next((first, lines) for first, lines in _line_blocks(text) if bad < first + len(lines))
-        raise tokens.line_error(bad, lines[bad - first])
-    return _coded_table(T, windows)
 
-
-# characters of text tokenized at a time by read_cascades, cut after a line end
+# characters of text taken at a time by the cascade reader, cut after a line end
 _READ_BLOCK_CHARS = 1 << 17
-# the line ends of str.splitlines, "\r\n" kept whole
-_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+# the characters at which str.splitlines ends a line, and its line ends
+_LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_END = re.compile(f"\r\n|[{_LINE_ENDS}]")
 
 
-def _line_blocks(text: str):
+def _line_blocks(text: str | TextIO):
     """Yield ``(number of the first line, lines)`` for consecutive runs of
-    the lines of ``text``, as ``str.splitlines`` cuts them, of about
-    ``_READ_BLOCK_CHARS`` characters each: a block ends at the first line
-    end at or after that many characters."""
-    start, first = 0, 1
+    the lines of ``text``, a string or a text stream, as ``str.splitlines``
+    cuts the whole text.
+
+    The text is taken about ``_READ_BLOCK_CHARS`` characters at a time:
+    reads of a stream, or slices of a string that end at the first line
+    end past that many characters (:func:`_string_pieces`).  A block ends
+    at the last line end taken so far; a ``\\r`` that ends the text taken
+    so far waits for the next piece, which may start with the ``\\n`` of
+    its ``\\r\\n``.  Pieces with no line end are held until one comes.
+    """
+    pieces = _string_pieces(text) if isinstance(text, str) else iter(lambda: text.read(_READ_BLOCK_CHARS), "")
+    first, held = 1, []
+    for piece in pieces:
+        held.append(piece)
+        if not _LINE_END.search(piece):
+            continue
+        lines = "".join(held).splitlines()
+        end = piece[-1]
+        del piece                    # no piece outlives its lines' block
+        if end == "\r":
+            held = [lines.pop() + end]
+        elif end in _LINE_ENDS:
+            held = []
+        else:
+            held = [lines.pop()]
+        if lines:
+            yield first, lines
+            first += len(lines)
+    if held:
+        yield first, "".join(held).splitlines()
+
+
+def _string_pieces(text: str):
+    """Yield the slices of ``text`` that each end at its first line end at
+    or after ``_READ_BLOCK_CHARS`` characters, so that a block of lines is
+    a slice and no piece is copied again."""
+    start = 0
     while start < len(text):
         end = _LINE_END.search(text, start + _READ_BLOCK_CHARS)
         cut = end.end() if end else len(text)
-        lines = text[start:cut].splitlines()
-        yield first, lines
-        start, first = cut, first + len(lines)
+        yield text[start:cut]
+        start = cut
 
 
 _NEWLINE, _TAB, _COMMA, _OPEN, _CLOSE, _HASH = b"\n\t,(]#"
@@ -933,8 +1005,9 @@ def _packed_runs(data: bytes, start: np.ndarray, end: np.ndarray, has_nul: bool)
     zero-padded.  When the text holds a NUL byte (``has_nul``), padding
     could look like content, so a run of length L takes L // 8 + 1 words
     and L % 8 goes in the top byte of the last (which holds at most 7 of
-    its bytes).  Among runs keyed with one ``has_nul``, which a read fixes
-    for all its blocks, equal keys mean equal bytes.
+    its bytes).  Among runs keyed with one ``has_nul``, equal keys mean
+    equal bytes; a read keys its tokens anew from its first NUL byte on
+    (:meth:`_TokenTable.codes`).
     """
     length = end - start
     # without NUL bytes, zero padding alone tells the lengths apart
@@ -1034,25 +1107,31 @@ class _TokenTable:
     key table.
     """
 
-    def __init__(self, net: Network, horizon: int, has_nul: bool):
+    def __init__(self, net: Network, horizon: int):
         self.label_index = net.label_index
+        self.n_nodes = net.n_nodes
         self.horizon = horizon
-        self.has_nul = has_nul                        # the text holds a NUL byte: see _packed_runs
+        self.has_nul = False                          # a NUL byte was met: see _packed_runs
         self.code_of: dict[bytes, int] = {}
         self.decoded: list[tuple[int, int, int]] = []
         self.table = np.empty((0, 2), dtype=np.int64)
         self.key_tables: dict[int, _KeyTable] = {}    # per word count
 
-    def scan(self, first: int, lines: list[str]):
-        """``(numbers, counts, codes, bad)`` for the block ``lines``, whose
-        first line has number ``first``: the line numbers and token counts
-        of its cascade lines, their tokens' codes into :attr:`table` in
-        order, and the number of the first line with an invalid token or
-        no tab, or None; the results stop before that line."""
+    def codes(self, first: int, lines: list[str]) -> np.ndarray:
+        """The (cascades, N) window codes of the cascade lines of the block
+        ``lines``, whose first line has number ``first``.  The first line
+        with an invalid token, with no tab or with a node listed twice
+        raises its error (:meth:`line_error`).
+
+        The first block that holds a NUL byte keys its tokens anew, and so
+        does every block after it: the key tables made before are dropped,
+        and the texts met before are found again by :attr:`code_of`."""
         data, cascade, has_tab, start, end, line = _token_spans(lines)
-        numbers = first + cascade
+        if not self.has_nul and b"\0" in data:
+            self.has_nul, self.key_tables = True, {}
         filled = end > start
-        start, end, line = start[filled], end[filled], line[filled]
+        if not filled.all():
+            start, end, line = start[filled], end[filled], line[filled]
         codes = np.empty(start.size, dtype=np.int32)
         for runs, keys in _packed_runs(data, start, end, self.has_nul):
             codes[runs] = self._codes(data, start[runs], end[runs], keys)
@@ -1062,14 +1141,23 @@ class _TokenTable:
             self.table = np.concatenate([self.table, np.stack([np.where(code < 0, -1, node), code], axis=1)])
         nodes = self.table[codes, 0]
         token = nodes != -2
-        codes, line = codes[token], line[token]
-        counts = np.bincount(line, minlength=cascade.size)
+        if not token.all():
+            codes, nodes, line = codes[token], nodes[token], line[token]
         bad_line = ~has_tab
-        bad_line[line[nodes[token] < 0]] = True
-        if not bad_line.any():
-            return numbers, counts, codes, None
-        k = int(np.argmax(bad_line))
-        return numbers[:k], counts[:k], codes[line < k], int(numbers[k])
+        bad_line[line[nodes < 0]] = True
+        n_good = int(np.argmax(bad_line)) if bad_line.any() else cascade.size
+        # the tokens come in line order, so those of the good lines lead
+        n_tokens = int(np.searchsorted(line, n_good))
+        codes, nodes, line = codes[:n_tokens], nodes[:n_tokens], line[:n_tokens]
+        block = np.zeros((n_good, self.n_nodes), dtype=_code_dtype(self.horizon))
+        block.ravel()[line * self.n_nodes + nodes] = self.table[codes, 1]
+        # a node listed twice on a line leaves fewer cells than tokens
+        twice = np.count_nonzero(block, axis=1) != np.bincount(line, minlength=n_good)
+        bad = int(np.argmax(twice)) if twice.any() else n_good
+        if bad < cascade.size:
+            lineno = first + int(cascade[bad])
+            raise self.line_error(lineno, lines[lineno - first])
+        return block
 
     def _codes(self, data: bytes, start: np.ndarray, end: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
         """The codes of the runs ``data[start:end]``, whose keys have one

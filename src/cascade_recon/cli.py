@@ -36,6 +36,7 @@ from .graph import Network, parse_edge_list, serialize_edge_list
 from .cascades import (
     CascadeTable,
     MaskSpec,
+    _cascade_blocks,
     apply_mask,
     generate_dataset,
     read_cascades,
@@ -43,8 +44,8 @@ from .cascades import (
     write_cascades,
 )
 from .dmp import dmp_forward, exact_marginals_oracle
-from .gradient import free_energy_gradient, observed_negative_log_likelihood
-from .fit import FitConfig, dmprec_fit, identifiable_edges, l1_coupling_error
+from .gradient import free_energy_gradient, observed_negative_log_likelihood, summarize_dataset
+from .fit import FitConfig, _summaries_fit, identifiable_edges, l1_coupling_error
 from .baselines import HtsConfig, hts_fit, netrate_fit
 
 __all__ = ["main", "build_parser"]
@@ -215,6 +216,13 @@ def _parse_sources(run: _Run, net: Network, allow_random=False):
     return ids
 
 
+def _read_cascade_file(net: Network, path: str) -> CascadeTable:
+    """The table of the cascade file at ``path``, opened as
+    ``Path.read_text`` opens it and read a block at a time."""
+    with open(path, encoding="utf-8") as text:
+        return read_cascades(net, text)
+
+
 def _write(path: str, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
@@ -249,7 +257,8 @@ def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file
     """The mask that --hidden, --snapshots and --mask-seed describe, or
     the same keys of ``mask_file``, each parsed by its flag's parser; both
     at once is a usage error.  A random hidden count never picks a source
-    of ``cascades``, so without them it gives None; label lists need none."""
+    of ``cascades``, so without them it gives None; label lists need none,
+    and only a count builds the sources."""
     fields = run
     if mask_file:
         clash = [key for key in _MASK_KEYS if key in run]
@@ -266,15 +275,17 @@ def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file
     # one), so numeric labels stay labels
     items = [v.strip() for v in fields.get("hidden", "").split(",") if v.strip()]
     hidden = int(items[0]) if len(items) == 1 and items[0].isdigit() and mask_seed is not None else items
-    if cascades is None and isinstance(hidden, int):
-        return None
-    source_nodes = [] if cascades is None else np.unique(cascades.sources % cascades.n_nodes).tolist()
+    source_nodes = ()
+    if isinstance(hidden, int):
+        if cascades is None:
+            return None
+        source_nodes = (cascades.sources % cascades.n_nodes).tolist()
     return resolve_mask(hidden, fields.get("snapshots", "all"), net, mask_seed=mask_seed, exclude=source_nodes)
 
 
 def _cmd_mask(run: _Run) -> int:
     net, _ = _load_network(run)
-    cascades = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
+    cascades = _read_cascade_file(net, run.require("cascades"))
     spec = _mask_spec(run, net, cascades, run.get("mask"))
     _write(run.require("out"), write_cascades(net, apply_mask(cascades, spec)))
     return 0
@@ -282,17 +293,21 @@ def _cmd_mask(run: _Run) -> int:
 
 def _cmd_fit(run: _Run) -> int:
     net, _ = _load_network(run)
-    dataset = read_cascades(net, Path(run.require("cascades")).read_text(encoding="utf-8"))
+    path = run.require("cascades")
     method = run.get("method", "dmprec")
     if method == "dmprec":
-        result = dmprec_fit(dataset, net, run.fit)
+        # the file is summarized as it is read: no whole text and no table is held
+        with open(path, encoding="utf-8") as text:
+            horizon, blocks = _cascade_blocks(net, text)
+            result = _summaries_fit(summarize_dataset(blocks), net, horizon, run.fit)
         alpha, diagnostics = result.couplings_hat, result.diagnostics
     elif method == "netrate":
+        dataset = _read_cascade_file(net, path)
         alpha = netrate_fit(dataset, net, run.fit)
         nll = observed_negative_log_likelihood(dataset, net, alpha)
         diagnostics = [(0, nll, 0.0, 0.0)]
     else:
-        result = hts_fit(dataset, net, run.fit)
+        result = hts_fit(_read_cascade_file(net, path), net, run.fit)
         alpha = result.couplings_hat
         diagnostics = [(i, f, 0.0, 0.0) for i, f in enumerate(result.free_energy_trajectory)]
     out = run.require("out")
@@ -315,7 +330,7 @@ def _cmd_eval(run: _Run) -> int:
         raise ParseError(f"{est_path}: not a couplings file over the same graph")
     mask, path = run.get("mask"), run.get("cascades")
     if mask:
-        cascades = read_cascades(net, Path(path).read_text(encoding="utf-8")) if path else None
+        cascades = _read_cascade_file(net, path) if path else None
         spec = _mask_spec(run, net, cascades, mask)
         if spec is None:
             raise _usage_error("a random hidden count needs --cascades (their sources are never hidden)")

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DatasetError
 from .graph import Network
 from .cascades import CascadeTable, MaskSpec, _table
-from .gradient import _chunks, _dataset_free_energy, summarize_dataset
+from .gradient import GroupSummary, _chunks, _dataset_free_energy, summarize_dataset
 
 __all__ = [
     "FitConfig",
@@ -201,15 +201,21 @@ def dmprec_fit(
     config = config or FitConfig()
     config.validate()
     table = _table(dataset, net)
-    summaries = summarize_dataset(table)
-    grad_chunks = _chunks(summaries, net, table.horizon)
-    value_chunks = _chunks(summaries, net, table.horizon, with_gradient=False)
+    return _summaries_fit(summarize_dataset(table), net, table.horizon, config)
+
+
+def _summaries_fit(summaries: Sequence[GroupSummary], net: Network, horizon: int, config: FitConfig) -> FitResult:
+    """:func:`dmprec_fit` from the summaries of a dataset of ``horizon``,
+    with a validated ``config``: ``cascade-recon fit`` summarizes its
+    cascade file as it reads it and fits from here."""
+    grad_chunks = _chunks(summaries, net, horizon)
+    value_chunks = _chunks(summaries, net, horizon, with_gradient=False)
 
     def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        return _dataset_free_energy(grad_chunks, net, alpha, table.horizon)
+        return _dataset_free_energy(grad_chunks, net, alpha, horizon)
 
     def value_only(alpha: np.ndarray) -> float:
-        return _dataset_free_energy(value_chunks, net, alpha, table.horizon, with_gradient=False)[0]
+        return _dataset_free_energy(value_chunks, net, alpha, horizon, with_gradient=False)[0]
 
     x0 = np.full(net.n_edges, config.alpha_init)
     start = time.perf_counter()

@@ -45,6 +45,7 @@ and a value pass gives the same value, bit for bit, as a gradient pass.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,10 +55,10 @@ from .graph import Network, validate_couplings
 from .cascades import (
     _PASS_BYTES,
     CascadeTable,
+    _SourceSets,
     _blocks,
     _code_count,
     _is_visible_non_source,
-    _source_groups,
     _table,
     _window_bounds,
 )
@@ -99,34 +100,43 @@ class GroupSummary:
     counts: np.ndarray
 
 
-def summarize_dataset(dataset: CascadeTable | Sequence[CascadeTable]) -> list[GroupSummary]:
-    """Group cascades by source set and aggregate observation windows.
+def summarize_dataset(
+    dataset: CascadeTable | Sequence[CascadeTable] | Iterator[tuple[int, CascadeTable]],
+) -> list[GroupSummary]:
+    """Group cascades by source set and aggregate observation windows, one
+    summary per group in sorted order of the sets.
 
-    A list of tables is stacked into one table first
-    (:func:`cascades._table`), and its source groups are numbered once
-    (:func:`cascades._source_groups`, in sorted order of the sets).  One
-    walk over the table's codes, a block (:func:`cascades._blocks`) at a
-    time, makes each window of a visible non-source node one int64 key
-    that orders by (group, node, lo, hi), with the window code as its last
-    digit, so no bounds are decoded until the keys are counted.  A block's
-    counted keys are a run, and runs of equally many blocks merge as a
-    binary counter carries, so a key is sorted about log2(blocks) times
-    and the merged keys come out in (group, node, lo, hi) order.
+    ``dataset`` is a table, a list of tables, which is stacked into one
+    table first (:func:`cascades._table`), or the ``(start, block)``
+    iterator of a cascade text being read (:func:`cascades._cascade_blocks`),
+    which ``cascade-recon fit`` summarizes with no table.  One walk over the
+    blocks of codes (a table is cut by :func:`cascades._blocks`) numbers
+    each block's source groups as first met (:class:`cascades._SourceSets`,
+    the numbering of :func:`cascades._source_groups`) and makes each window
+    of a visible non-source node one int64 key that orders by (group,
+    node, lo, hi), with the window code as its last digit, so no bounds
+    are decoded until the keys are counted.  A block's counted keys are a
+    run, and runs of equally many blocks merge as a binary counter
+    carries (:func:`_merged`), so a key takes part in about log2(blocks)
+    merges and the merged keys come out in (group, node, lo, hi) order;
+    the groups are put in sorted order of their sets at the end.  The walk
+    holds one block and the distinct keys, whatever the number of
+    cascades.
     """
-    table = _table(dataset)
-    sources, group_of = _source_groups(table)
-    T, n_nodes = table.horizon, table.n_nodes
-    n_codes = _code_count(T)
+    blocks = dataset if isinstance(dataset, Iterator) else _blocks(_table(dataset))
+    sets = _SourceSets()
     runs = []                                                # (blocks, keys, counts), blocks falling
-    for start, block in _blocks(table):
-        codes = block.codes
+    for _start, block in blocks:
+        T, n_nodes, codes = block.horizon, block.n_nodes, block.codes
+        n_codes = _code_count(T)
         # int64 before the codes are added: an int8 or int16 product would wrap
-        cells = (group_of[start : start + len(block), None] * n_nodes + np.arange(n_nodes)) * n_codes + codes
+        cells = (sets.number(block)[:, None] * n_nodes + np.arange(n_nodes)) * n_codes + codes
         keys = cells[_is_visible_non_source(codes)]
         run = (1, *np.unique(keys, return_counts=True))
         while runs and runs[-1][0] == run[0]:
             run = _merged([runs.pop(), run])
         runs.append(run)
+    sources = sets.met()                                     # by first-met number
     _, keys, counts = _merged(runs)
     runs.clear()                                             # as large as the keys
     rest, codes = np.divmod(keys, n_codes)
@@ -134,17 +144,26 @@ def summarize_dataset(dataset: CascadeTable | Sequence[CascadeTable]) -> list[Gr
     lo, hi = _window_bounds(codes, T)
     nodes = nodes.astype(np.intp, copy=False)
     ends = np.searchsorted(group, np.arange(len(sources) + 1))
-    return [
+    summaries = [
         GroupSummary(src, nodes[a:b], lo[a:b], hi[a:b], counts[a:b])
         for src, a, b in zip(sources, ends[:-1].tolist(), ends[1:].tolist())
     ]
+    return sorted(summaries, key=lambda summ: summ.sources)
 
 
 def _merged(runs: list) -> tuple:
     """One run of ``(blocks, keys, counts)`` runs: their sorted distinct
-    keys with float64 counts summed over the runs."""
-    keys, where = np.unique(np.concatenate([run[1] for run in runs]), return_inverse=True)
-    return sum(run[0] for run in runs), keys, np.bincount(where, weights=np.concatenate([run[2] for run in runs]))
+    keys with float64 counts summed over the runs.  The keys of each run
+    are sorted, so a stable sort of them all merges the runs in linear
+    time, and keeps a key's counts in the order of the runs."""
+    keys = np.concatenate([run[1] for run in runs])
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    counts = np.bincount(np.cumsum(new) - 1, weights=np.concatenate([run[2] for run in runs])[order])
+    return sum(run[0] for run in runs), keys[new], counts
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 """Cascade simulation, dataset generation, masking, and file round trips."""
 
+import io
 import re
 
 import numpy as np
@@ -34,6 +35,7 @@ from cascade_recon import (
 
 from cascade_recon import cascades, gradient
 from cascade_recon.cascades import _decode_time, _source_groups, _split_token
+from cascade_recon.fit import _summaries_fit
 
 from conftest import (
     cascade,
@@ -146,6 +148,24 @@ def _reference_read_cascades(net, text):
     if not out:
         raise ParseError("cascade file contains no cascades")
     return out
+
+
+def _file_summaries(net, path):
+    """The summaries of the cascade file at ``path`` read as ``cascade-recon
+    fit`` reads it: opened as ``Path.read_text`` opens it and streamed a
+    block of lines at a time into ``summarize_dataset``, with no whole text
+    and no table."""
+    with open(path, encoding="utf-8") as fh:
+        _horizon, blocks = cascades._cascade_blocks(net, fh)
+        return gradient.summarize_dataset(blocks)
+
+
+def _streamed_summaries(net, text, tmp_path):
+    """The summaries of ``text`` written to a file, line ends as they are,
+    and read back as ``cascade-recon fit`` reads it."""
+    path = tmp_path / "cascades.txt"
+    path.write_text(text, encoding="utf-8", newline="")
+    return _file_summaries(net, path)
 
 
 def _reference_write_cascades(net, cascades_):
@@ -1080,7 +1100,20 @@ class TestWriterMatchesReference:
 
 
 class TestParseErrors:
-    """Each error of the cascade reader, with the line it names."""
+    """Each error of the cascade reader, with the line it names, through
+    both of its entries: ``read_cascades`` of a string, and a file streamed
+    into the summaries as ``cascade-recon fit`` streams it."""
+
+    @staticmethod
+    def _error(net, text, tmp_path):
+        """The message of the error that ``text`` raises, the same through both entries."""
+        messages = []
+        for read in (read_cascades, lambda net, text: _streamed_summaries(net, text, tmp_path)):
+            with pytest.raises(ParseError) as exc:
+                read(net, text)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        return messages[0]
 
     @pytest.mark.parametrize("text, message", [
         ("0\t0:0\n", "cascade file must start with a 'T=<int>' line"),
@@ -1105,36 +1138,27 @@ class TestParseErrors:
         ("T=5\n# nothing\n\n", "cascade file contains no cascades"),
         ("T=5\n", "cascade file contains no cascades"),
     ])
-    def test_message(self, chain3, text, message):
-        with pytest.raises(ParseError) as exc:
-            read_cascades(chain3, text)
-        assert str(exc.value) == message
+    def test_message(self, chain3, text, message, tmp_path):
+        assert self._error(chain3, text, tmp_path) == message
 
     @pytest.mark.parametrize("token", ["1:x", "1:(1,b]", "1:x+", "1:(a,2]", "1:"])
-    def test_non_integer_time(self, chain3, token):
-        with pytest.raises(ParseError) as exc:
-            read_cascades(chain3, f"T=5\n0\t0:0,{token}\n")
-        assert str(exc.value) == f"line 2: non-integer time in token '{token}'"
+    def test_non_integer_time(self, chain3, token, tmp_path):
+        assert self._error(chain3, f"T=5\n0\t0:0,{token}\n", tmp_path) == f"line 2: non-integer time in token '{token}'"
 
-    def test_first_bad_token_of_a_line_wins(self, chain3):
+    def test_first_bad_token_of_a_line_wins(self, chain3, tmp_path):
         # an out-of-bounds window is reported only after the line's tokens
-        with pytest.raises(ParseError, match="^line 2: unknown node '9'$"):
-            read_cascades(chain3, "T=5\n0\t1:(3,2],9:1,2:x\n")
-        with pytest.raises(ParseError, match="^line 2: node '1' listed twice$"):
-            read_cascades(chain3, "T=5\n0\t1:1,1:x\n")
+        assert self._error(chain3, "T=5\n0\t1:(3,2],9:1,2:x\n", tmp_path) == "line 2: unknown node '9'"
+        assert self._error(chain3, "T=5\n0\t1:1,1:x\n", tmp_path) == "line 2: node '1' listed twice"
 
-    def test_first_bad_line_wins(self, chain3):
+    def test_first_bad_line_wins(self, chain3, tmp_path):
         text = "T=5\n0\t0:0\n1\t0:0,1:(3,2]\n2\t0:0,9:1\n"
-        with pytest.raises(ParseError, match="^line 3: interval bounds"):
-            read_cascades(chain3, text)
+        assert self._error(chain3, text, tmp_path).startswith("line 3: interval bounds")
 
-    def test_line_numbers_past_the_first_batch(self, chain3):
+    def test_line_numbers_past_the_first_batch(self, chain3, tmp_path):
         good = "\n".join(f"{k}\t0:0,1:{1 + k % 3},2:5+" for k in range(1500))
         text = f"\n\nT=5\n# header\n{good}\n\n# a comment\n   \n1500\t0:0,1:(1,2],2:9\n1501\t0:0\n"
-        with pytest.raises(ParseError, match="^line 1508: exact time 9 outside \\[0, 5\\)$"):
-            read_cascades(chain3, text)
-        with pytest.raises(ParseError, match="^line 1508: expected"):
-            read_cascades(chain3, text.replace("1500\t", "1500 "))
+        assert self._error(chain3, text, tmp_path) == "line 1508: exact time 9 outside [0, 5)"
+        assert self._error(chain3, text.replace("1500\t", "1500 "), tmp_path).startswith("line 1508: expected")
 
     def test_whitespace_around_tokens_and_numbers(self, chain3):
         text = "T=5\n  0\t 0:0 , 1:( 1 , 3 ] ,2:5+ ,\n1\t,0:0,,2: 4\t\n"
@@ -1145,7 +1169,7 @@ class TestParseErrors:
         assert _window(back[1], 2) == (3, 4)
 
 
-    def test_errors_past_the_first_block(self, chain3):
+    def test_errors_past_the_first_block(self, chain3, tmp_path):
         # about three blocks of lines; the first bad line wins across blocks,
         # a node listed twice against a bad token or a line without a tab
         line = "{}\t0:0,1:1,2:5+"
@@ -1156,10 +1180,7 @@ class TestParseErrors:
         assert 1 < n_blocks[0] < n_blocks[1]
 
         def read(edits):
-            text = "\n".join(edits.get(k, ln) for k, ln in enumerate(lines)) + "\n"
-            with pytest.raises(ParseError) as exc:
-                read_cascades(chain3, text)
-            return str(exc.value)
+            return self._error(chain3, "\n".join(edits.get(k, ln) for k, ln in enumerate(lines)) + "\n", tmp_path)
 
         assert read({bad: f"{bad}\t0:0,1:7"}) == f"line {bad + 1}: exact time 7 outside [0, 5)"
         assert read({bad: f"{bad} 0:0"}) == f"line {bad + 1}: expected '<id>\\t<tokens>'"
@@ -1203,19 +1224,29 @@ class TestReaderMatchesReference:
             return str(exc)
         return [(obs.horizon, *((a.dtype, a.tolist()) for a in (obs.lo, obs.hi, obs.hidden))) for obs in got]
 
-    def _assert_same(self, net, texts, monkeypatch):
+    def _assert_same(self, net, texts, monkeypatch, tmp_path):
+        """The reference's outcome from a string and from a file opened as
+        ``Path.read_text`` opens it, a stream of blocks."""
+        path = tmp_path / "cascades.txt"
+
+        def read_file(net, text):
+            path.write_text(text, encoding="utf-8", newline="")
+            with open(path, encoding="utf-8") as fh:
+                return read_cascades(net, fh)
+
         for block in (cascades._READ_BLOCK_CHARS, 24, 1):
             monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
             for text in texts:
                 want = self._outcome(_reference_read_cascades, net, text)
                 assert self._outcome(read_cascades, net, text) == want, (block, text)
+                assert self._outcome(read_file, net, text) == want, (block, text)
 
     @staticmethod
     def _text(rng, lines, header=("T=5",) * 6 + ("T=2", " \nT=3", "", "T=x")):
         ends = ["\n"] * 6 + ["\r\n", ""]
         return rng.choice(header) + "\n" + "\n".join(lines) + rng.choice(ends)
 
-    def test_random_texts(self, chain3, rng, monkeypatch):
+    def test_random_texts(self, chain3, rng, monkeypatch, tmp_path):
         alphabet = list("012:(],+-x \t")
         texts = []
         for _ in range(300):
@@ -1224,7 +1255,7 @@ class TestReaderMatchesReference:
                 body = "".join(rng.choice(alphabet, size=int(rng.integers(0, 24))))
                 lines.append((f"{int(rng.integers(0, 9))}\t" if rng.random() < 0.8 else "") + body)
             texts.append(self._text(rng, lines))
-        self._assert_same(chain3, texts, monkeypatch)
+        self._assert_same(chain3, texts, monkeypatch, tmp_path)
 
     @staticmethod
     def _valid_biased(rng, labels, T=5):
@@ -1255,11 +1286,11 @@ class TestReaderMatchesReference:
                 lines.append(rng.choice(["# a comment, (with] brackets", "", "   ", "\u3000", " #x\t1:1"]))
         return lines
 
-    def test_valid_biased_texts(self, chain3, rng, monkeypatch):
+    def test_valid_biased_texts(self, chain3, rng, monkeypatch, tmp_path):
         texts = [self._text(rng, self._valid_biased(rng, ["0", "1", "2"]), header=["T=5"]) for _ in range(300)]
-        self._assert_same(chain3, texts, monkeypatch)
+        self._assert_same(chain3, texts, monkeypatch, tmp_path)
 
-    def test_nul_bytes_and_other_line_breaks(self, chain3, monkeypatch):
+    def test_nul_bytes_and_other_line_breaks(self, chain3, monkeypatch, tmp_path):
         texts = [
             "T=5\n0\t0:0,1:1\n1\t0:0,1:1\0\n",                 # '1:1' and '1:1\0' are different tokens
             "T=5\n0\t0:0,1:(1,2]\0\0,2:(1,2]\n",
@@ -1269,13 +1300,13 @@ class TestReaderMatchesReference:
             # not pass for '0:(1,2]\x07' in a later one
             "T=5\n# \0\n0\t0:(1,2],1:(1,3],2:(1,4]\n1\t0:(1,2]\x07\n",
         ]
-        self._assert_same(chain3, texts, monkeypatch)
+        self._assert_same(chain3, texts, monkeypatch, tmp_path)
 
-    def test_labels_with_brackets_commas_and_other_scripts(self, rng, monkeypatch):
+    def test_labels_with_brackets_commas_and_other_scripts(self, rng, monkeypatch, tmp_path):
         labels = ["a(b", "c,d", "e]f", "é中", "ñ"]
         net = Network(labels, [("a(b", "c,d"), ("c,d", "e]f"), ("e]f", "é中"), ("é中", "ñ")])
         texts = [self._text(rng, self._valid_biased(rng, labels), header=["T=5"]) for _ in range(300)]
-        self._assert_same(net, texts, monkeypatch)
+        self._assert_same(net, texts, monkeypatch, tmp_path)
 
     def test_vocabulary_past_its_initial_slots(self, many_tokens, monkeypatch):
         # the text holds NUL bytes, so a token of L bytes is keyed by L // 8 + 1
@@ -1287,6 +1318,83 @@ class TestReaderMatchesReference:
         for block in (cascades._READ_BLOCK_CHARS, 24):
             monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
             assert self._outcome(read_cascades, net, text) == want
+
+
+class TestStreamedInput:
+    """A cascade file streamed into the summaries, as ``cascade-recon fit``
+    reads it, gives the summaries and the couplings of the table path byte
+    for byte, whatever its line ends and the reader's block size."""
+
+    @pytest.fixture(scope="class")
+    def observed(self):
+        rng = np.random.default_rng(34)
+        net = random_loopy_net(12, 10, rng)
+        alpha = random_couplings(net, rng, 0.1, 0.6)
+        data = generate_dataset(net, alpha, 400, "random", 8, seed=5, exclude=[3, 7])
+        return net, write_cascades(net, apply_mask(data, MaskSpec(frozenset({3, 7}), (2, 4, 8))))
+
+    @staticmethod
+    def _edited(text, end):
+        """``text`` with ``end`` for its line ends, comment and blank lines
+        after every 37th line, and a comment with a NUL byte two thirds in."""
+        lines = []
+        for k, line in enumerate(text.splitlines()):
+            lines.append(line)
+            if k % 37 == 5:
+                lines += ["# a comment, (with] brackets", "", "   "]
+        lines.insert(2 * len(lines) // 3, "# a NUL \0 byte")
+        return end.join(lines) + end
+
+    @pytest.mark.parametrize("block", [cascades._READ_BLOCK_CHARS, 300, 1])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\u2028"])
+    def test_summaries_and_couplings_as_the_table_path(self, observed, end, block, tmp_path, monkeypatch):
+        net, text = observed
+        table = read_cascades(net, text)
+        want = gradient.summarize_dataset(table)
+        edited = self._edited(text, end)
+        monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
+        assert read_cascades(net, edited) == table
+        got = _streamed_summaries(net, edited, tmp_path)
+        assert [summ.sources for summ in got] == [summ.sources for summ in want]
+        for a, b in zip(got, want):
+            for name in ("nodes", "lo", "hi", "counts"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert (x.dtype, x.tobytes()) == (y.dtype, y.tobytes()), name
+        config = FitConfig(max_iters=5)
+        streamed, direct = _summaries_fit(got, net, table.horizon, config), dmprec_fit(table, net, config)
+        assert streamed.couplings_hat.tobytes() == direct.couplings_hat.tobytes()
+        assert streamed.free_energy_trajectory == direct.free_energy_trajectory
+
+    def test_a_nul_byte_first_met_after_the_first_block(self, observed, monkeypatch):
+        # the blocks before the NUL key their tokens as a text without one;
+        # the reader keys anew from that block on and reads the same table
+        net, text = observed
+        want = read_cascades(net, text)
+        edited = self._edited(text, "\n")
+        monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", 300)
+        assert edited.index("\0") > 2 * cascades._READ_BLOCK_CHARS
+        keyed, packed_runs = [], cascades._packed_runs
+
+        def recorded(data, start, end, has_nul):
+            keyed.append(has_nul)
+            return packed_runs(data, start, end, has_nul)
+
+        monkeypatch.setattr(cascades, "_packed_runs", recorded)
+        assert read_cascades(net, edited) == want
+        assert not keyed[0] and keyed[-1] and keyed == sorted(keyed)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_line_blocks_cut_as_splitlines(self, rng, block, monkeypatch):
+        # a string and a stream alike: a "\r\n" split between two pieces is one line end
+        monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
+        alphabet = ["a", "b", " ", "\n", "\r", "\r\n", "\u2028", "\x1c", "\x85", "\0"]
+        for _ in range(200):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 40))))
+            for source in (text, io.StringIO(text, newline="")):
+                blocks = list(cascades._line_blocks(source))
+                assert [line for _first, lines in blocks for line in lines] == text.splitlines()
+                assert [first for first, _lines in blocks] == [1 + sum(len(lines) for _, lines in blocks[:k])
+                                                               for k in range(len(blocks))]
 
 
 class TestInputPathMemory:
@@ -1356,6 +1464,21 @@ class TestInputPathMemory:
         back, _held, peak = self._traced(lambda: read_cascades(net, text))
         assert len(back) == 300
         assert peak <= 9.6 * 2**20
+
+    def test_streamed_fit_input_peaks_alike_for_m_and_4m_cascades(self, pa_data, tmp_path):
+        # the fit's input path, file to summaries, holds one block of text and
+        # its codes besides the distinct keys, so a file of four times the
+        # cascades (2.1 and 8.5 MB) peaks under the same ceiling, at about 3.1
+        # MiB; reading a table and summarizing it peaks at 2.9 and 5.5 MiB on
+        # top of the whole text
+        net, _observed, text = pa_data
+        header, body = text.split("\n", 1)
+        for copies in (1, 4):
+            path = tmp_path / f"{copies}.txt"
+            path.write_text(f"{header}\n{body * copies}", encoding="utf-8")
+            summaries, _held, peak = self._traced(lambda: _file_summaries(net, path))
+            assert len(summaries) == 2
+            assert peak <= 3.5 * 2**20, copies
 
     def test_summarize_peaks_little_above_its_input(self, pa_data):
         from cascade_recon.gradient import summarize_dataset

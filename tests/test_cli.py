@@ -81,6 +81,49 @@ class TestMaskFitEval:
         assert scatter[0] == "src,dst,alpha_true,alpha_est"
         assert len(scatter) == net.n_edges + 1
 
+    def test_fit_streams_the_file_as_the_library_fits_the_table(self, workdir, monkeypatch):
+        # the file is summarized a block of lines at a time, blocks of a few
+        # lines here, with \r\n line ends: the estimate is the library's fit
+        # of the table, and the bytes of estimate and diagnostics are those
+        # of the file with \n line ends
+        from cascade_recon import FitConfig, cascades, dmprec_fit
+
+        tmp, net, _truth = workdir
+        self._simulate(tmp, M=300, sources="0")
+        assert run("mask", "--network", tmp / "net.edges", "--cascades", tmp / "truth.txt", "--hidden", "3,5",
+                   "--snapshots", "2,4,8", "--out", tmp / "lf.txt") == 0
+        text = (tmp / "lf.txt").read_text(encoding="utf-8")
+        (tmp / "crlf.txt").write_text(text, encoding="utf-8", newline="\r\n")
+        (tmp / "fit.cfg").write_text("max-iters = 10\n")
+        monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", 200)
+        for name in ("lf", "crlf"):
+            assert run("fit", "--network", tmp / "net.edges", "--cascades", tmp / f"{name}.txt",
+                       "--config", tmp / "fit.cfg", "--out", tmp / f"{name}.edges") == 0
+        result = dmprec_fit(read_cascades(net, text.replace("\n", "\r\n")), net, FitConfig(max_iters=10))
+        assert (tmp / "crlf.edges").read_text(encoding="utf-8") == serialize_edge_list(net, result.couplings_hat)
+        for suffix in (".edges", ".edges.diag.csv"):
+            assert (tmp / f"crlf{suffix}").read_bytes() == (tmp / f"lf{suffix}").read_bytes()
+
+    @pytest.mark.parametrize("hidden", [["--hidden", "3,5"], ["--hidden", 2, "--mask-seed", 5]])
+    def test_mask_loads_no_numpy_ma(self, workdir, hidden):
+        # the sources of the cascades are built for a random hidden count
+        # alone, and with no plain np.unique, which would import numpy.ma
+        import os
+        import subprocess
+        import sys
+
+        import cascade_recon
+
+        tmp, _net, _truth = workdir
+        self._simulate(tmp, M=50, sources="0")
+        script = "import sys\nfrom cascade_recon.cli import main\nprint(main(sys.argv[1:]), 'numpy.ma' in sys.modules)\n"
+        argv = ["mask", "--network", tmp / "net.edges", "--cascades", tmp / "truth.txt", *hidden, "--out", tmp / "o.txt"]
+        root = os.path.dirname(os.path.dirname(cascade_recon.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([root, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script, *map(str, argv)], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout == "0 False\n"
+
     def test_eval_zero_for_truth(self, workdir, capsys):
         tmp, net, truth = workdir
         rc = run("eval", "--network", tmp / "net.edges", "--couplings", tmp / "net.edges")
