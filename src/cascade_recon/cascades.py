@@ -876,11 +876,11 @@ def _coded_blocks(tokens: _TokenTable, blocks):
         raise ParseError("cascade file contains no cascades")
 
 
-# characters of text taken at a time by the cascade reader, cut after a line end
+# characters of text taken at a time by the cascade reader
 _READ_BLOCK_CHARS = 1 << 17
-# the characters at which str.splitlines ends a line, and its line ends
+# the characters at which str.splitlines ends a line, and a search for one
 _LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_END = re.compile(f"\r\n|[{_LINE_ENDS}]")
+_LINE_END = re.compile(f"[{_LINE_ENDS}]")
 
 
 def _line_blocks(text: str | TextIO):
@@ -888,14 +888,17 @@ def _line_blocks(text: str | TextIO):
     the lines of ``text``, a string or a text stream, as ``str.splitlines``
     cuts the whole text.
 
-    The text is taken about ``_READ_BLOCK_CHARS`` characters at a time:
-    reads of a stream, or slices of a string that end at the first line
-    end past that many characters (:func:`_string_pieces`).  A block ends
-    at the last line end taken so far; a ``\\r`` that ends the text taken
-    so far waits for the next piece, which may start with the ``\\n`` of
-    its ``\\r\\n``.  Pieces with no line end are held until one comes.
+    The text is taken ``_READ_BLOCK_CHARS`` characters at a time: reads of
+    a stream, or as many characters sliced from a string, so that a string
+    is cut as a stream of it is read.  A block ends at the last line end
+    taken so far; a ``\\r`` that ends the text taken so far waits for the
+    next piece, which may start with the ``\\n`` of its ``\\r\\n``.  Pieces
+    with no line end are held until one comes.
     """
-    pieces = _string_pieces(text) if isinstance(text, str) else iter(lambda: text.read(_READ_BLOCK_CHARS), "")
+    if isinstance(text, str):
+        pieces = (text[k:k + _READ_BLOCK_CHARS] for k in range(0, len(text), _READ_BLOCK_CHARS))
+    else:
+        pieces = iter(lambda: text.read(_READ_BLOCK_CHARS), "")
     first, held = 1, []
     for piece in pieces:
         held.append(piece)
@@ -915,18 +918,6 @@ def _line_blocks(text: str | TextIO):
             first += len(lines)
     if held:
         yield first, "".join(held).splitlines()
-
-
-def _string_pieces(text: str):
-    """Yield the slices of ``text`` that each end at its first line end at
-    or after ``_READ_BLOCK_CHARS`` characters, so that a block of lines is
-    a slice and no piece is copied again."""
-    start = 0
-    while start < len(text):
-        end = _LINE_END.search(text, start + _READ_BLOCK_CHARS)
-        cut = end.end() if end else len(text)
-        yield text[start:cut]
-        start = cut
 
 
 _NEWLINE, _TAB, _COMMA, _OPEN, _CLOSE, _HASH = b"\n\t,(]#"
@@ -992,34 +983,29 @@ def _token_spans(lines: list[str]):
     return data, cascade, has_tab, pos[cut[run]] + 1, pos[cut[run + 1]], line
 
 
-# mask of the first k bytes of a little-endian word, for k in 0..8
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# 0xFF in the bytes of a little-endian word past its first k, for k in 0..8
+_PAD_BYTES = np.array([(1 << 64) - (1 << 8 * k) for k in range(9)], dtype=np.uint64)
 
 
-def _packed_runs(data: bytes, start: np.ndarray, end: np.ndarray, has_nul: bool):
-    """Yield ``(runs, keys)`` for the byte runs ``data[start:end]``, one
-    pair per word count: the indices of the runs with that count and their
-    keys, one uint64 array per word.
+def _packed_runs(data: bytes, start: np.ndarray, end: np.ndarray):
+    """Yield ``(runs, keys)`` for the non-empty byte runs
+    ``data[start:end]``, one pair per word count: the indices of the runs
+    with that count and their keys, one uint64 array per word.
 
-    A run is keyed by its bytes packed into little-endian uint64 words,
-    zero-padded.  When the text holds a NUL byte (``has_nul``), padding
-    could look like content, so a run of length L takes L // 8 + 1 words
-    and L % 8 goes in the top byte of the last (which holds at most 7 of
-    its bytes).  Among runs keyed with one ``has_nul``, equal keys mean
-    equal bytes; a read keys its tokens anew from its first NUL byte on
-    (:meth:`_TokenTable.codes`).
+    A run of L bytes is keyed by its bytes packed into (L + 7) // 8
+    little-endian uint64 words, the last padded with 0xFF bytes.  UTF-8,
+    also with ``surrogatepass``, never holds a byte from 0xF5 to 0xFF, so
+    padding never looks like content: among runs of one word count, equal
+    keys mean equal bytes, whatever the text holds.
     """
     length = end - start
-    # without NUL bytes, zero padding alone tells the lengths apart
-    n_words = length // 8 + 1 if has_nul else (length + 7) // 8
+    n_words = (length + 7) // 8
     words = np.ndarray((len(data),), dtype="<u8", buffer=data + bytes(8), strides=(1,))
     for w in np.flatnonzero(np.bincount(n_words)).tolist():
         runs = np.flatnonzero(n_words == w)
         at, tail = start[runs], length[runs] - 8 * (w - 1)
         keys = [words[at + 8 * k] for k in range(w - 1)]
-        keys.append(words[at + 8 * (w - 1)] & _LOW_BYTES[tail])
-        if has_nul:
-            keys[-1] |= tail.astype(np.uint64) << np.uint64(56)
+        keys.append(words[at + 8 * (w - 1)] | _PAD_BYTES[tail])
         yield runs, keys
 
 
@@ -1111,7 +1097,6 @@ class _TokenTable:
         self.label_index = net.label_index
         self.n_nodes = net.n_nodes
         self.horizon = horizon
-        self.has_nul = False                          # a NUL byte was met: see _packed_runs
         self.code_of: dict[bytes, int] = {}
         self.decoded: list[tuple[int, int, int]] = []
         self.table = np.empty((0, 2), dtype=np.int64)
@@ -1123,17 +1108,14 @@ class _TokenTable:
         with an invalid token, with no tab or with a node listed twice
         raises its error (:meth:`line_error`).
 
-        The first block that holds a NUL byte keys its tokens anew, and so
-        does every block after it: the key tables made before are dropped,
-        and the texts met before are found again by :attr:`code_of`."""
+        The key tables of the blocks before serve this one, as
+        :func:`_packed_runs` keys a token alike in every block."""
         data, cascade, has_tab, start, end, line = _token_spans(lines)
-        if not self.has_nul and b"\0" in data:
-            self.has_nul, self.key_tables = True, {}
         filled = end > start
         if not filled.all():
             start, end, line = start[filled], end[filled], line[filled]
         codes = np.empty(start.size, dtype=np.int32)
-        for runs, keys in _packed_runs(data, start, end, self.has_nul):
+        for runs, keys in _packed_runs(data, start, end):
             codes[runs] = self._codes(data, start[runs], end[runs], keys)
         if len(self.decoded) > len(self.table):
             node, lo, hi = np.array(self.decoded[len(self.table):], dtype=np.int64).T
@@ -1186,7 +1168,7 @@ class _TokenTable:
 
     def _decode(self, tok: str) -> tuple[int, int, int]:
         """``(node, lo, hi)`` of a stripped token, node -2 when it is empty
-        and -1 when it is bad; :meth:`scan` encodes the window.  The bounds
+        and -1 when it is bad; :meth:`codes` encodes the window.  The bounds
         are clipped into int64, [-2, T + 1], where one outside [-1, T] stays so."""
         if not tok:
             return -2, -1, 0

@@ -1296,8 +1296,8 @@ class TestReaderMatchesReference:
             "T=5\n0\t0:0,1:(1,2]\0\0,2:(1,2]\n",
             "T=5\r0\t0:0,1:1\r\n1\t0:0\x0b2\t2:4\x0c3\t0:0\x1c4\t0:0,1:9\n",
             "T=5\x85\u20280\t0:0,1:1\u20291\t0:0,\x1f2:3\x1f\n2\t0:0,0:1\n",
-            # a NUL in an earlier block: '0:(1,2]' with its length byte 7 must
-            # not pass for '0:(1,2]\x07' in a later one
+            # a NUL in an earlier block: '0:(1,2]', padded to its key's 8 bytes,
+            # must not pass for '0:(1,2]\x07' in a later one
             "T=5\n# \0\n0\t0:(1,2],1:(1,3],2:(1,4]\n1\t0:(1,2]\x07\n",
         ]
         self._assert_same(chain3, texts, monkeypatch, tmp_path)
@@ -1309,11 +1309,11 @@ class TestReaderMatchesReference:
         self._assert_same(net, texts, monkeypatch, tmp_path)
 
     def test_vocabulary_past_its_initial_slots(self, many_tokens, monkeypatch):
-        # the text holds NUL bytes, so a token of L bytes is keyed by L // 8 + 1
-        # words; the key table of one word count grows past its first size
+        # a token of L bytes is keyed by (L + 7) // 8 words; the key table of
+        # one word count grows past its first size
         net, text = many_tokens
         distinct = {tok for line in text.splitlines()[1:] for tok in _REFERENCE_TOKEN.findall(line.partition("\t")[2])}
-        assert np.bincount([len(tok.encode()) // 8 + 1 for tok in distinct]).max() > cascades._KEY_SLOTS
+        assert np.bincount([(len(tok.encode()) + 7) // 8 for tok in distinct]).max() > cascades._KEY_SLOTS
         want = self._outcome(_reference_read_cascades, net, text)
         for block in (cascades._READ_BLOCK_CHARS, 24):
             monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
@@ -1365,36 +1365,53 @@ class TestStreamedInput:
         assert streamed.couplings_hat.tobytes() == direct.couplings_hat.tobytes()
         assert streamed.free_energy_trajectory == direct.free_energy_trajectory
 
-    def test_a_nul_byte_first_met_after_the_first_block(self, observed, monkeypatch):
-        # the blocks before the NUL key their tokens as a text without one;
-        # the reader keys anew from that block on and reads the same table
-        net, text = observed
-        want = read_cascades(net, text)
-        edited = self._edited(text, "\n")
-        monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", 300)
-        assert edited.index("\0") > 2 * cascades._READ_BLOCK_CHARS
-        keyed, packed_runs = [], cascades._packed_runs
-
-        def recorded(data, start, end, has_nul):
-            keyed.append(has_nul)
-            return packed_runs(data, start, end, has_nul)
-
-        monkeypatch.setattr(cascades, "_packed_runs", recorded)
-        assert read_cascades(net, edited) == want
-        assert not keyed[0] and keyed[-1] and keyed == sorted(keyed)
+    def test_packed_runs_key_equal_bytes_alike(self, rng):
+        # runs of UTF-8 text with NUL bytes, multi-byte characters and lone
+        # surrogates, of every length from 1 to 40 bytes, each also with a
+        # byte added or its last character dropped, met at many places: among
+        # runs of one word count, keys are equal exactly when bytes are
+        chars = ["a", "\0", "\x07", ":", "é", "中", "\U0001f600", "\ud800", "\udfff"]
+        width = [len(c.encode("utf-8", "surrogatepass")) for c in chars]
+        texts = []
+        for length in list(range(1, 41)) * 5:
+            text = ""
+            while length:
+                fits = [c for c, n in zip(chars, width) if n <= length]
+                text += fits[int(rng.integers(len(fits)))]
+                length -= width[chars.index(text[-1])]
+            texts += [text, text + "\0", text + "\x07", text[:-1], text[:-1] + "\0"]
+        pool = [t.encode("utf-8", "surrogatepass") for t in texts]
+        pool = [run for run in pool if 1 <= len(run) <= 40]
+        data, start, end = b"", [], []
+        for k in rng.integers(0, len(pool), 4000).tolist():
+            start.append(len(data))
+            data += pool[k]
+            end.append(len(data))
+            data += chars[int(rng.integers(len(chars)))].encode("utf-8", "surrogatepass")
+        start, end = np.array(start), np.array(end)
+        key_of, run_of = {}, {}
+        for runs, keys in cascades._packed_runs(data, start, end):
+            for r, key in zip(runs.tolist(), zip(*(key.tolist() for key in keys))):
+                run = data[start[r]:end[r]]
+                assert len(key) == (len(run) + 7) // 8
+                assert key_of.setdefault(run, key) == key, run
+                assert run_of.setdefault(key, run) == run, (run, run_of[key])
+        assert {len(run) for run in key_of} == set(range(1, 41))
 
     @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
     def test_line_blocks_cut_as_splitlines(self, rng, block, monkeypatch):
-        # a string and a stream alike: a "\r\n" split between two pieces is one line end
+        # a string is cut as a stream of it is read, and both as
+        # str.splitlines cuts the text: a "\r\n" split between two pieces is
+        # one line end
         monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
         alphabet = ["a", "b", " ", "\n", "\r", "\r\n", "\u2028", "\x1c", "\x85", "\0"]
         for _ in range(200):
-            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 40))))
-            for source in (text, io.StringIO(text, newline="")):
-                blocks = list(cascades._line_blocks(source))
-                assert [line for _first, lines in blocks for line in lines] == text.splitlines()
-                assert [first for first, _lines in blocks] == [1 + sum(len(lines) for _, lines in blocks[:k])
-                                                               for k in range(len(blocks))]
+            text = "".join(alphabet[k] for k in rng.integers(0, len(alphabet), int(rng.integers(0, 40))).tolist())
+            blocks = list(cascades._line_blocks(text))
+            assert list(cascades._line_blocks(io.StringIO(text, newline=""))) == blocks
+            assert [line for _first, lines in blocks for line in lines] == text.splitlines()
+            assert [first for first, _lines in blocks] == [1 + sum(len(lines) for _, lines in blocks[:k])
+                                                           for k in range(len(blocks))]
 
 
 class TestInputPathMemory:
