@@ -841,8 +841,10 @@ def _cascade_blocks(net: Network, text: str | TextIO):
     tokens are looked up by their packed bytes in one vocabulary that the
     blocks share (:class:`_TokenTable`), so each distinct token text is
     decoded once and a block sorts only the tokens that miss there; each
-    block's codes are then one scatter.  A reader holds one block of text
-    and its codes at a time, besides the vocabulary.
+    block's codes are then one scatter.  A reader holds one block at a
+    time, besides the vocabulary: its lines, their bytes, int32 token
+    spans, the keys of one word count, read in place from the bytes, and
+    the codes, about 10 bytes a character of the block at their peak.
     """
     blocks = _line_blocks(text)
     for first, lines in blocks:
@@ -860,7 +862,9 @@ def _cascade_blocks(net: Network, text: str | TextIO):
     if T < 1:
         raise ParseError("horizon must be >= 1")
     tokens = _TokenTable(net, T)
-    return T, _coded_blocks(tokens, itertools.chain([(first + skip + 1, lines[skip + 1:])], blocks))
+    # chain holds its arguments as long as it lives, so the first block goes
+    # in an iterator, which lets go of it once it is taken
+    return T, _coded_blocks(tokens, itertools.chain(iter([(first + skip + 1, lines[skip + 1:])]), blocks))
 
 
 def _coded_blocks(tokens: _TokenTable, blocks):
@@ -869,6 +873,7 @@ def _coded_blocks(tokens: _TokenTable, blocks):
     start = 0
     for first, lines in blocks:
         codes = tokens.codes(first, lines)
+        del lines                    # no block of text outlives its codes
         if len(codes):
             yield start, _coded_table(tokens.horizon, codes)
             start += len(codes)
@@ -876,7 +881,10 @@ def _coded_blocks(tokens: _TokenTable, blocks):
         raise ParseError("cascade file contains no cascades")
 
 
-# characters of text taken at a time by the cascade reader
+# characters of text taken at a time by the cascade reader: at 2^15, 2^16,
+# 2^17 and 2^18 a warm tree-snapshot stream, file to summaries, took 42, 35,
+# 27 and 29 ms and peaked at 1.05, 1.20, 1.89 and 3.38 MiB (pa-hidden-snapshot
+# 69, 53, 47 and 48 ms; medians of 8, 2-CPU x86-64 host)
 _READ_BLOCK_CHARS = 1 << 17
 # the characters at which str.splitlines ends a line, and a search for one
 _LINE_ENDS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -916,6 +924,7 @@ def _line_blocks(text: str | TextIO):
         if lines:
             yield first, lines
             first += len(lines)
+        del lines                    # nor a block of lines the next read
     if held:
         yield first, "".join(held).splitlines()
 
@@ -933,11 +942,13 @@ def _token_spans(lines: list[str]):
     """Split ``lines`` into their cascade lines and token spans.
 
     Returns the lines' UTF-8 bytes ``data``, each line followed by a
-    newline; the indices in ``lines`` of the cascade lines (neither blank
-    nor starting with ``#``) and whether each has a tab after its id; and,
-    in order, the ``(start, end)`` byte spans of the runs of text between
-    the commas that separate tokens on the lines with a tab, with the index
-    among the cascade lines of the line of each.  A line's tokens follow
+    newline and the last newline by ``_WORD_TAIL`` more bytes (see
+    :func:`_packed_runs`); the indices in ``lines`` of the cascade lines
+    (neither blank nor starting with ``#``) and whether each has a tab
+    after its id; and, in order, the ``(start, end)`` byte spans of the
+    runs of text between the commas that separate tokens on the lines with
+    a tab, with the index among the cascade lines of the line of each, as
+    int32 unless the bytes outgrow it.  A line's tokens follow
     its first tab after the id.  A comma separates tokens unless an
     interval is open at it: the last ``(`` before it among the line's
     tokens comes after the last ``]``.  A run can be empty or whitespace.
@@ -945,13 +956,20 @@ def _token_spans(lines: list[str]):
     The work is on the "events", the positions of the bytes
     ``\\n \\t , ( ]`` in order, with array passes over them.
     """
-    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
-    b = np.frombuffer(data, dtype=np.uint8)
-    pos = np.flatnonzero((b == _COMMA) | (b == _OPEN) | (b == _CLOSE) | (b == _NEWLINE) | (b == _TAB))
+    data = "\n".join([*lines, _WORD_TAIL]).encode("utf-8", "surrogatepass")
+    b = np.frombuffer(data, dtype=np.uint8, count=len(data) - len(_WORD_TAIL))
+    index = np.int32 if b.size < 2**31 else np.int64
+    at = b == _COMMA
+    for byte in (_OPEN, _CLOSE, _NEWLINE, _TAB):
+        at |= b == byte
+    pos = np.flatnonzero(at)
+    del at
     event = b[pos]
     newline = np.flatnonzero(event == _NEWLINE)              # the event of each line's end
-    ends = pos[newline]
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    # the first byte and the first event of each line
+    starts, firsts = np.zeros_like(newline), np.zeros_like(newline)
+    starts[1:] = pos[newline[:-1]] + 1
+    firsts[1:] = newline[:-1] + 1
     for k in np.flatnonzero(_MAYBE_SPACE[b[starts]]).tolist():
         line = lines[k]
         starts[k] += len(line[: len(line) - len(line.lstrip())].encode("utf-8", "surrogatepass"))
@@ -966,46 +984,62 @@ def _token_spans(lines: list[str]):
     # events before the _BODY of their line, or on a line without one, are outside the lists
     stop = newline.copy()
     stop[listed] = tab[has_tab]
-    outside = _ranges(np.concatenate(([0], newline[:-1] + 1)), stop)
+    outside = _ranges(firsts, stop)
     # '(' opens an interval up to the next bracket, _BODY or newline
-    marks = np.flatnonzero((event == _OPEN) | (event == _CLOSE) | (event == _NEWLINE) | (event == _BODY))
+    mark = event == _OPEN
+    for byte in (_CLOSE, _NEWLINE, _BODY):
+        mark |= event == byte
+    marks = np.flatnonzero(mark)
+    del mark
     opened = np.flatnonzero(event[marks[:-1]] == _OPEN)
     inside = _ranges(marks[opened] + 1, marks[opened + 1])
     cut = event == _COMMA
     cut[outside] = cut[inside] = False
+    del outside, marks, opened, inside
     cut[newline[listed]] = True
     cut |= event == _BODY
     # runs go from a _BODY or separating comma to the next separating comma or list end
     cut = np.flatnonzero(cut)
-    run = np.flatnonzero(event[cut[:-1]] != _NEWLINE)
-    per_line = np.diff(np.append(np.flatnonzero(event[cut] == _BODY), cut.size)) - 1
-    line = np.repeat(np.flatnonzero(has_tab), per_line)
-    return data, cascade, has_tab, pos[cut[run]] + 1, pos[cut[run + 1]], line
+    at, event = pos[cut].astype(index), event[cut]
+    del pos, cut
+    run = event[:-1] != _NEWLINE
+    start, end = at[:-1][run], at[1:][run]
+    start += 1
+    per_line = np.diff(np.append(np.flatnonzero(event == _BODY), event.size)) - 1
+    line = np.repeat(np.flatnonzero(has_tab).astype(index), per_line)
+    return data, cascade, has_tab, start, end, line
 
 
+# bytes after a block's last newline, so that a word can be read at every byte before it
+_WORD_TAIL = "\0" * 7
 # 0xFF in the bytes of a little-endian word past its first k, for k in 0..8
 _PAD_BYTES = np.array([(1 << 64) - (1 << 8 * k) for k in range(9)], dtype=np.uint64)
 
 
 def _packed_runs(data: bytes, start: np.ndarray, end: np.ndarray):
     """Yield ``(runs, keys)`` for the non-empty byte runs
-    ``data[start:end]``, one pair per word count: the indices of the runs
-    with that count and their keys, one uint64 array per word.
+    ``data[start:end]``, one pair per word count: the runs with that count
+    (``slice(None)`` when that is all of them, else their indices) and
+    their keys, one uint64 array per word.  ``data`` holds at least 7 bytes
+    after the last run, as :func:`_token_spans` leaves it.
 
     A run of L bytes is keyed by its bytes packed into (L + 7) // 8
     little-endian uint64 words, the last padded with 0xFF bytes.  UTF-8,
     also with ``surrogatepass``, never holds a byte from 0xF5 to 0xFF, so
     padding never looks like content: among runs of one word count, equal
-    keys mean equal bytes, whatever the text holds.
+    keys mean equal bytes, whatever the text holds.  The words are read in
+    place, unaligned, from ``data``.
     """
     length = end - start
-    n_words = (length + 7) // 8
-    words = np.ndarray((len(data),), dtype="<u8", buffer=data + bytes(8), strides=(1,))
-    for w in np.flatnonzero(np.bincount(n_words)).tolist():
-        runs = np.flatnonzero(n_words == w)
-        at, tail = start[runs], length[runs] - 8 * (w - 1)
-        keys = [words[at + 8 * k] for k in range(w - 1)]
-        keys.append(words[at + 8 * (w - 1)] | _PAD_BYTES[tail])
+    n_words = length + 7
+    n_words >>= 3
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    counts = np.bincount(n_words)
+    for w in np.flatnonzero(counts).tolist():
+        runs = slice(None) if counts[w] == length.size else np.flatnonzero(n_words == w)
+        at, tail = start[runs], length[runs]
+        keys = [words[at]] + [words[at + 8 * k] for k in range(1, w)]
+        keys[-1] |= np.take(_PAD_BYTES, tail - 8 * (w - 1) if w > 1 else tail)
         yield runs, keys
 
 
@@ -1022,8 +1056,10 @@ def _group_rows(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 # Fibonacci hashing: the odd integer nearest 2**64 over the golden ratio
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# slots of a key table before it grows
-_KEY_SLOTS = 1 << 12
+# runs that miss the key tables grouped at a time: a read's first block
+# misses with all of its runs, so each group is put before the rest are
+# looked up again, and few runs are sorted
+_GROUP_RUNS = 1 << 12
 
 
 class _KeyTable:
@@ -1032,14 +1068,14 @@ class _KeyTable:
 
     A key's slot is the top bits of a multiplicative hash of its words.  A
     slot holds the first key put there, and a key whose slot is taken is
-    not held.  The table has a power of two slots, ``_KEY_SLOTS`` or twice
-    the distinct keys met, whichever is more; when the keys outgrow it, it
-    is rebuilt from the keys it holds.
+    not held.  The table has a power of two slots, at least twice the
+    distinct keys met: the keys of its first put size it, and when the keys
+    outgrow it, it is rebuilt from the keys it holds.
     """
 
     def __init__(self, width: int):
         self.n_keys = 0                  # distinct keys met
-        self._allocate(_KEY_SLOTS, width)
+        self._allocate(0, width)
 
     def _allocate(self, n_slots: int, width: int) -> None:
         self.shift = np.uint64(65 - n_slots.bit_length())
@@ -1049,14 +1085,18 @@ class _KeyTable:
     def _slots(self, keys: list[np.ndarray]) -> np.ndarray:
         h = keys[0] * _HASH_MULTIPLIER
         for key in keys[1:]:
-            h = (h ^ key) * _HASH_MULTIPLIER
-        return (h >> self.shift).astype(np.intp)
+            h ^= key
+            h *= _HASH_MULTIPLIER
+        h >>= self.shift
+        return h.view(np.int64)
 
     def find(self, keys: list[np.ndarray]) -> np.ndarray:
         """The code of each key, or -1 where its slot holds another key or
         none (an empty slot's code is -1)."""
         slot = self._slots(keys)
-        hit = np.logical_and.reduce([column[slot] == key for column, key in zip(self.slot_keys, keys)])
+        hit = self.slot_keys[0][slot] == keys[0]
+        for column, key in zip(self.slot_keys[1:], keys[1:]):
+            hit &= column[slot] == key
         return np.where(hit, self.slot_code[slot], -1)
 
     def put(self, keys: list[np.ndarray], codes: np.ndarray, n_new: int) -> None:
@@ -1088,9 +1128,9 @@ class _TokenTable:
     The texts met so far make one vocabulary for all the blocks of a read:
     a token is looked up by its packed key words (:func:`_packed_runs`) in
     the :class:`_KeyTable` of its word count.  Only the tokens that miss
-    there are grouped by sorting their words; each group's text is then
-    looked up in :attr:`code_of`, decoded if it is new, and put in the
-    key table.
+    there are grouped by sorting their words, ``_GROUP_RUNS`` at a time;
+    each group's text is then looked up in :attr:`code_of`, decoded if it
+    is new, and put in the key table.
     """
 
     def __init__(self, net: Network, horizon: int):
@@ -1099,7 +1139,9 @@ class _TokenTable:
         self.horizon = horizon
         self.code_of: dict[bytes, int] = {}
         self.decoded: list[tuple[int, int, int]] = []
-        self.table = np.empty((0, 2), dtype=np.int64)
+        # by token code: its node, and its window code in a table's type
+        self.node = np.empty(0, dtype=np.int32)
+        self.window = np.empty(0, dtype=_code_dtype(horizon))
         self.key_tables: dict[int, _KeyTable] = {}    # per word count
 
     def codes(self, first: int, lines: list[str]) -> np.ndarray:
@@ -1117,11 +1159,14 @@ class _TokenTable:
         codes = np.empty(start.size, dtype=np.int32)
         for runs, keys in _packed_runs(data, start, end):
             codes[runs] = self._codes(data, start[runs], end[runs], keys)
-        if len(self.decoded) > len(self.table):
-            node, lo, hi = np.array(self.decoded[len(self.table):], dtype=np.int64).T
+            del keys
+        del data, start, end
+        if len(self.decoded) > len(self.node):
+            node, lo, hi = np.array(self.decoded[len(self.node):], dtype=np.int64).T
             code = _window_codes(lo, hi, self.horizon)
-            self.table = np.concatenate([self.table, np.stack([np.where(code < 0, -1, node), code], axis=1)])
-        nodes = self.table[codes, 0]
+            self.node = np.concatenate([self.node, np.where(code < 0, -1, node).astype(np.int32)])
+            self.window = np.concatenate([self.window, code.astype(self.window.dtype)])
+        nodes = self.node[codes]
         token = nodes != -2
         if not token.all():
             codes, nodes, line = codes[token], nodes[token], line[token]
@@ -1131,8 +1176,11 @@ class _TokenTable:
         # the tokens come in line order, so those of the good lines lead
         n_tokens = int(np.searchsorted(line, n_good))
         codes, nodes, line = codes[:n_tokens], nodes[:n_tokens], line[:n_tokens]
-        block = np.zeros((n_good, self.n_nodes), dtype=_code_dtype(self.horizon))
-        block.ravel()[line * self.n_nodes + nodes] = self.table[codes, 1]
+        block = np.zeros((n_good, self.n_nodes), dtype=self.window.dtype)
+        cell = np.multiply(line, self.n_nodes, dtype=np.intp)
+        cell += nodes
+        block.ravel()[cell] = self.window[codes]
+        del cell
         # a node listed twice on a line leaves fewer cells than tokens
         twice = np.count_nonzero(block, axis=1) != np.bincount(line, minlength=n_good)
         bad = int(np.argmax(twice)) if twice.any() else n_good
@@ -1143,21 +1191,31 @@ class _TokenTable:
 
     def _codes(self, data: bytes, start: np.ndarray, end: np.ndarray, keys: list[np.ndarray]) -> np.ndarray:
         """The codes of the runs ``data[start:end]``, whose keys have one
-        word count; texts not met before are decoded and added."""
+        word count; texts not met before are decoded and added.  The runs
+        that miss are grouped ``_GROUP_RUNS`` at a time, and the runs after
+        a group are looked up again once it is put."""
         table = self.key_tables.get(len(keys))
-        if table is None:
-            table = self.key_tables[len(keys)] = _KeyTable(len(keys))
-        codes = table.find(keys)
+        codes = table.find(keys) if table is not None else np.full(start.size, -1, dtype=np.int32)
         miss = np.flatnonzero(codes < 0)
-        if miss.size:
-            rep, which = _group_rows([key[miss] for key in keys])
-            rep = miss[rep]
-            texts = [data[a:z] for a, z in zip(start[rep].tolist(), end[rep].tolist())]
+        if miss.size < codes.size:
+            keys = [key[miss] for key in keys]
+        while miss.size:
+            head = [key[:_GROUP_RUNS] for key in keys]
+            rep, which = _group_rows(head)
+            at = miss[rep]
+            texts = [data[a:z] for a, z in zip(start[at].tolist(), end[at].tolist())]
             n_known = len(self.decoded)
             found = np.array([self.code_of[text] if text in self.code_of else self._add(text) for text in texts],
                              dtype=np.int32)
-            codes[miss] = found[which]
-            table.put([key[rep] for key in keys], found, int(np.count_nonzero(found >= n_known)))
+            codes[miss[:_GROUP_RUNS]] = found[which]
+            if table is None:
+                table = self.key_tables[len(keys)] = _KeyTable(len(keys))
+            table.put([key[rep] for key in head], found, int(np.count_nonzero(found >= n_known)))
+            miss, keys = miss[_GROUP_RUNS:], [key[_GROUP_RUNS:] for key in keys]
+            if miss.size:
+                codes[miss] = found = table.find(keys)
+                left = found < 0
+                miss, keys = miss[left], [key[left] for key in keys]
         return codes
 
     def _add(self, text: bytes) -> int:

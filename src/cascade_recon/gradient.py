@@ -127,15 +127,12 @@ def summarize_dataset(
     sets = _SourceSets()
     runs = []                                                # (blocks, keys, counts), blocks falling
     for _start, block in blocks:
-        T, n_nodes, codes = block.horizon, block.n_nodes, block.codes
-        n_codes = _code_count(T)
-        # int64 before the codes are added: an int8 or int16 product would wrap
-        cells = (sets.number(block)[:, None] * n_nodes + np.arange(n_nodes)) * n_codes + codes
-        keys = cells[_is_visible_non_source(codes)]
-        run = (1, *np.unique(keys, return_counts=True))
+        run = (1, *_counted_keys(sets.number(block), block))
         while runs and runs[-1][0] == run[0]:
             run = _merged([runs.pop(), run])
         runs.append(run)
+    T, n_nodes = block.horizon, block.n_nodes
+    n_codes = _code_count(T)
     sources = sets.met()                                     # by first-met number
     _, keys, counts = _merged(runs)
     runs.clear()                                             # as large as the keys
@@ -149,6 +146,19 @@ def summarize_dataset(
         for src, a, b in zip(sources, ends[:-1].tolist(), ends[1:].tolist())
     ]
     return sorted(summaries, key=lambda summ: summ.sources)
+
+
+def _counted_keys(number: np.ndarray, block: CascadeTable) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys of the windows of the visible non-source
+    nodes of ``block``, whose rows are in the source groups ``number``, and
+    the count of each.  The (rows, N) int64 keys are made in place, and
+    they go when this returns, before the walk reads the next block."""
+    n_nodes, codes = block.n_nodes, block.codes
+    # int64 before the codes are added: an int8 or int16 product would wrap
+    cells = number[:, None] * n_nodes + np.arange(n_nodes)
+    cells *= _code_count(block.horizon)
+    cells += codes
+    return np.unique(cells[_is_visible_non_source(codes)], return_counts=True)
 
 
 def _merged(runs: list) -> tuple:

@@ -1035,9 +1035,14 @@ class TestFiles:
         # splits lines at; a network with a label that would not read back
         # is refused, and the first such label named
         plain, special = list("ab])+#0\0é \t"), list(",:(\r\n\x0b\x1c\x85\u2028\u3000")
+
+        def draw(chars):
+            # by index: rng.choice would make "\0" an empty numpy string
+            return chars[int(rng.integers(len(chars)))]
+
         accepted = refused = 0
         for _ in range(300):
-            labels = {"".join(rng.choice(special) if rng.random() < 0.1 else rng.choice(plain)
+            labels = {"".join(draw(special) if rng.random() < 0.1 else draw(plain)
                               for _ in range(int(rng.integers(0, 4)))) for _ in range(3)}
             net = Network(labels, [])
             data = _random_windows(rng, 8, net.n_nodes, 4)
@@ -1310,14 +1315,27 @@ class TestReaderMatchesReference:
 
     def test_vocabulary_past_its_initial_slots(self, many_tokens, monkeypatch):
         # a token of L bytes is keyed by (L + 7) // 8 words; the key table of
-        # one word count grows past its first size
+        # one word count starts empty, is sized by its first put and grows
+        # past that size as more distinct tokens come
         net, text = many_tokens
         distinct = {tok for line in text.splitlines()[1:] for tok in _REFERENCE_TOKEN.findall(line.partition("\t")[2])}
-        assert np.bincount([(len(tok.encode()) + 7) // 8 for tok in distinct]).max() > cascades._KEY_SLOTS
+        assert np.bincount([(len(tok.encode()) + 7) // 8 for tok in distinct]).max() > cascades._GROUP_RUNS
+        sizes = []
+        allocate = cascades._KeyTable._allocate
+
+        def spy(table, n_slots, width):
+            sizes.append((width, n_slots))
+            allocate(table, n_slots, width)
+
+        monkeypatch.setattr(cascades._KeyTable, "_allocate", spy)
         want = self._outcome(_reference_read_cascades, net, text)
         for block in (cascades._READ_BLOCK_CHARS, 24):
             monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", block)
+            sizes.clear()
             assert self._outcome(read_cascades, net, text) == want
+            grown = [[n for w, n in sizes if w == width] for width in {w for w, _n in sizes}]
+            assert all(n[0] == 0 for n in grown)
+            assert max(len(n) for n in grown) > 2, sizes
 
 
 class TestStreamedInput:
@@ -1389,9 +1407,10 @@ class TestStreamedInput:
             end.append(len(data))
             data += chars[int(rng.integers(len(chars)))].encode("utf-8", "surrogatepass")
         start, end = np.array(start), np.array(end)
+        data += bytes(7)                     # words are read in place, as _token_spans leaves its bytes
         key_of, run_of = {}, {}
         for runs, keys in cascades._packed_runs(data, start, end):
-            for r, key in zip(runs.tolist(), zip(*(key.tolist() for key in keys))):
+            for r, key in zip(np.arange(start.size)[runs].tolist(), zip(*(key.tolist() for key in keys))):
                 run = data[start[r]:end[r]]
                 assert len(key) == (len(run) + 7) // 8
                 assert key_of.setdefault(run, key) == key, run
@@ -1442,14 +1461,28 @@ class TestInputPathMemory:
 
     # The reader's ceilings are absolute: the table it returns is 2 bytes a
     # cell, so a ceiling relative to it would bound the transient work alone.
-    # Each is half the peak of the reader that held int64 bounds (7.88 MiB
-    # and 19.3 MiB).
+    # Each is its peak with int32 token spans and key words read in place
+    # (numpy 2.4), plus 0.15 to 0.2 MiB.
 
     def test_read_peaks_near_the_dataset_size(self, pa_data):
+        # peaks at 1.91 MiB
         net, observed, text = pa_data
         back, _held, peak = self._traced(lambda: read_cascades(net, text))
         assert len(back) == len(observed)
-        assert peak <= 3.9 * 2**20
+        assert peak <= 2.1 * 2**20
+
+    def test_one_block_of_text_peaks_at_12_bytes_a_character(self, pa_data):
+        # one full block read with an empty vocabulary, so that every token
+        # misses: the block's bytes, spans, keys and codes take 11.7 bytes a
+        # character of it at their peak (20.4 with int64 spans and a sort of
+        # every token)
+        net, _observed, text = pa_data
+        first, lines = list(cascades._line_blocks(text))[1]
+        chars = sum(map(len, lines)) + len(lines)
+        assert chars > cascades._READ_BLOCK_CHARS - 1000
+        codes, _held, peak = self._traced(lambda: cascades._TokenTable(net, 10).codes(first, lines))
+        assert len(codes) == len(lines)
+        assert peak <= 12 * chars
 
     @pytest.mark.parametrize("end", ["\r", "\r\n", "\u2028"])
     def test_read_of_other_line_ends_peaks_as_of_newlines(self, pa_data, end):
@@ -1460,7 +1493,7 @@ class TestInputPathMemory:
         other = text.replace("\n", end)
         back, _held, peak = self._traced(lambda: read_cascades(net, other))
         assert back == want
-        assert peak <= 3.9 * 2**20
+        assert peak <= 2.1 * 2**20                 # peaks at 1.92 MiB
 
     def test_a_bad_line_is_quoted_from_its_block(self, pa_data):
         # a 40 MB text whose second line is bad: the error quotes that line
@@ -1474,20 +1507,20 @@ class TestInputPathMemory:
                 read_cascades(net, big)
 
         _result, _held, peak = self._traced(read)
-        assert peak <= 3.9 * 2**20
+        assert peak <= 1.8 * 2**20                 # peaks at 1.60 MiB
 
     def test_read_with_many_distinct_tokens_peaks_near_the_dataset_size(self, many_tokens):
         net, text = many_tokens
         back, _held, peak = self._traced(lambda: read_cascades(net, text))
         assert len(back) == 300
-        assert peak <= 9.6 * 2**20
+        assert peak <= 5.5 * 2**20                 # peaks at 5.13 MiB
 
     def test_streamed_fit_input_peaks_alike_for_m_and_4m_cascades(self, pa_data, tmp_path):
         # the fit's input path, file to summaries, holds one block of text and
         # its codes besides the distinct keys, so a file of four times the
-        # cascades (2.1 and 8.5 MB) peaks under the same ceiling, at about 3.1
-        # MiB; reading a table and summarizing it peaks at 2.9 and 5.5 MiB on
-        # top of the whole text
+        # cascades (2.1 and 8.5 MB) peaks under the same ceiling, at 1.86 MiB
+        # for both; reading a table and summarizing it peaks at 1.9 and 5.5
+        # MiB on top of the whole text
         net, _observed, text = pa_data
         header, body = text.split("\n", 1)
         for copies in (1, 4):
@@ -1495,7 +1528,7 @@ class TestInputPathMemory:
             path.write_text(f"{header}\n{body * copies}", encoding="utf-8")
             summaries, _held, peak = self._traced(lambda: _file_summaries(net, path))
             assert len(summaries) == 2
-            assert peak <= 3.5 * 2**20, copies
+            assert peak <= 2.0 * 2**20, copies
 
     def test_summarize_peaks_little_above_its_input(self, pa_data):
         from cascade_recon.gradient import summarize_dataset
