@@ -47,8 +47,8 @@ every message array carries one column per source group, so that one
 pass over a chunk of groups costs one cavity sum and one in-edge sum per
 step for all of them.  It yields one state per step and keeps no
 history: a value pass keeps their ``log_step``, a gradient pass their
-``rho`` and ``r`` too.  :func:`dmp_forward` runs one group and stacks
-its states into a :class:`DmpTrace`.
+``rho`` and ``r`` too.  :func:`dmp_forward` runs one group, stacks its
+``log_step`` and returns the marginals as a :class:`DmpTrace`.
 """
 
 from __future__ import annotations
@@ -72,14 +72,10 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DmpTrace:
-    """Full message and marginal history of one forward run: ``theta``,
-    ``phi = theta * rho`` (k active, signal not crossed yet) and the
-    marginals."""
+    """Marginal history of one forward run."""
 
     horizon: int
     initial_susceptible: np.ndarray  # (N,) indicator: 0 at sources, 1 elsewhere
-    theta: np.ndarray                # (T+1, |E|)
-    phi: np.ndarray                  # (T+1, |E|)
     p_susceptible: np.ndarray        # (T+1, N)
     p_activate: np.ndarray           # (T+1, N); row 0 is 1 - initial_susceptible
     # (T+1, N): the sum of log(1 - hazard) over in-edges at step t, so that
@@ -97,17 +93,15 @@ def initial_susceptible(net: Network, sources) -> np.ndarray:
 
 def dmp_forward(net: Network, couplings, sources, horizon: int) -> DmpTrace:
     """Run the forward message-passing recursion up to ``horizon``: the
-    states of its one group stacked, and the marginals advanced as
-    ``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``."""
+    ``log_step`` of each state of its one group stacked, and the marginals
+    advanced as ``p_susceptible[t] = p_susceptible[t-1] * exp(log_step[t])``."""
     _check_horizon(horizon)
     alpha = validate_couplings(net, couplings)
     ps0 = initial_susceptible(net, sources)
-    states = list(_propagate(net, alpha, ps0[:, None], horizon))
-    log_theta, rho, log_step = (np.stack([getattr(s, name)[:, 0] for s in states]) for name in ("log_theta", "rho", "log_step"))
-    theta = np.exp(log_theta)
+    log_step = np.stack([state.log_step[:, 0] for state in _propagate(net, alpha, ps0[:, None], horizon)])
     p_s = np.cumprod(np.concatenate([ps0[None], np.exp(log_step[1:])]), axis=0)
     m = np.concatenate([1.0 - ps0[None], p_s[:-1] - p_s[1:]])
-    return DmpTrace(horizon, ps0, theta, theta * rho, p_s, m, log_step)
+    return DmpTrace(horizon, ps0, p_s, m, log_step)
 
 
 @dataclass(frozen=True, eq=False)

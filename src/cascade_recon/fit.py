@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DatasetError
 from .graph import Network
 from .cascades import CascadeTable, MaskSpec, _table
-from .gradient import GroupSummary, _chunks, _dataset_free_energy, summarize_dataset
+from .gradient import Summaries, _chunks, _dataset_free_energy, summarize_dataset
 
 __all__ = [
     "FitConfig",
@@ -195,8 +195,9 @@ def dmprec_fit(
     evaluation runs one batched forward pass, and each gradient one reverse
     sweep, per chunk of distinct source sets.  Line-search values run on
     chunks sized for a value pass and gradients on the smaller chunks that
-    the sweep's memory allows; both lists are stacked once for the whole
-    run.  ``threads`` is accepted for existing callers and has no effect.
+    the sweep's memory allows; the chunks of both are slices of the one
+    row table of the summaries.  ``threads`` is accepted for existing
+    callers and has no effect.
     """
     config = config or FitConfig()
     config.validate()
@@ -204,7 +205,7 @@ def dmprec_fit(
     return _summaries_fit(summarize_dataset(table), net, table.horizon, config)
 
 
-def _summaries_fit(summaries: Sequence[GroupSummary], net: Network, horizon: int, config: FitConfig) -> FitResult:
+def _summaries_fit(summaries: Summaries, net: Network, horizon: int, config: FitConfig) -> FitResult:
     """:func:`dmprec_fit` from the summaries of a dataset of ``horizon``,
     with a validated ``config``: ``cascade-recon fit`` summarizes its
     cascade file as it reads it and fits from here."""

@@ -29,18 +29,23 @@ step.  The reverse sweep of :mod:`cascade_recon.dmp`
 (:func:`dmp._log_step_adjoint`) takes that derivative from the ``rho``
 and ``r`` that the forward pass keeps.
 
-Source groups run in chunks: the messages of a chunk of G groups are
-stacked as (..., |E|, G) arrays, so one forward pass and one sweep serve
-the whole chunk, with one cavity sum per step for all of its groups,
-and the window rows of the chunk are stacked with the column of their
-group.  A chunk holds as many groups as its pass fits in
-:data:`_PASS_BYTES`: a value pass keeps only ``log_step`` and the current
-step, a gradient pass every step's ``rho`` and ``r`` and the window
-weights, so value chunks hold several times the groups of gradient
-chunks.  That bounds the memory of an evaluation whatever the number of
-groups.  Value, gradient and window contributions are then reduced one
-group at a time in input order, so they do not depend on the chunking,
-and a value pass gives the same value, bit for bit, as a gradient pass.
+The summaries lay the window rows of all source groups out once, as one
+row table (:class:`Summaries`) in sorted order of the groups' sets, with
+the number of each row's group as a column.  Source groups run in
+chunks of consecutive groups: the messages of a chunk of G groups are
+(..., |E|, G) arrays, so one forward pass and one sweep serve the whole
+chunk, with one cavity sum per step for all of its groups, and the
+window rows of the chunk are a slice of the row table, whose group
+numbers less the chunk's first are the columns of their groups.  A chunk
+holds as many groups as its pass fits in :data:`_PASS_BYTES`: a value
+pass keeps only ``log_step`` and the current step, a gradient pass every
+step's ``rho`` and ``r`` and the window weights, so value chunks hold
+several times the groups of gradient chunks.  That bounds the memory of
+an evaluation whatever the number of groups, and both chunkings of a
+fit slice the same rows.  Value, gradient and window contributions are
+then reduced one group at a time in input order, so they do not depend
+on the chunking, and a value pass gives the same value, bit for bit, as
+a gradient pass.
 """
 
 from __future__ import annotations
@@ -91,6 +96,7 @@ class GroupSummary:
     across the group's cascades; source nodes are excluded (their exact-0
     observation is conditioned on, not generated by the model).  Only the
     windows enter the free energy, so a group's number of cascades is not kept.
+    The arrays are views of the columns of the group's :class:`Summaries`.
     """
 
     sources: tuple[int, ...]
@@ -100,11 +106,35 @@ class GroupSummary:
     counts: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class Summaries:
+    """The window rows of every source group of a dataset, laid out once:
+    group after group in sorted order of their source sets, each group's
+    rows in (node, lo, hi) order, with the number of each row's group as a
+    column.  It iterates as the :class:`GroupSummary` of each group, and
+    every chunk of a pass (:func:`_chunks`) is a slice of its columns."""
+
+    sources: list[tuple[int, ...]]   # by group
+    ends: np.ndarray                 # group g owns rows ends[g]:ends[g+1]
+    group: np.ndarray                # (rows,) the group of each row
+    nodes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def __iter__(self) -> Iterator[GroupSummary]:
+        for src, a, b in zip(self.sources, self.ends[:-1].tolist(), self.ends[1:].tolist()):
+            yield GroupSummary(src, self.nodes[a:b], self.lo[a:b], self.hi[a:b], self.counts[a:b])
+
+
 def summarize_dataset(
     dataset: CascadeTable | Sequence[CascadeTable] | Iterator[tuple[int, CascadeTable]],
-) -> list[GroupSummary]:
-    """Group cascades by source set and aggregate observation windows, one
-    summary per group in sorted order of the sets.
+) -> Summaries:
+    """Group cascades by source set and aggregate observation windows into
+    one row table, its groups in sorted order of the sets.
 
     ``dataset`` is a table, a list of tables, which is stacked into one
     table first (:func:`cascades._table`), or the ``(start, block)``
@@ -118,8 +148,9 @@ def summarize_dataset(
     are decoded until the keys are counted.  A block's counted keys are a
     run, and runs of equally many blocks merge as a binary counter
     carries (:func:`_merged`), so a key takes part in about log2(blocks)
-    merges and the merged keys come out in (group, node, lo, hi) order;
-    the groups are put in sorted order of their sets at the end.  The walk
+    merges and the merged keys come out in (group, node, lo, hi) order.
+    The keys and counts are then permuted once, so that the groups come in
+    sorted order of their sets, and decoded into the columns.  The walk
     holds one block and the distinct keys, whatever the number of
     cascades.
     """
@@ -133,19 +164,27 @@ def summarize_dataset(
         runs.append(run)
     T, n_nodes = block.horizon, block.n_nodes
     n_codes = _code_count(T)
-    sources = sets.met()                                     # by first-met number
+    met = sets.met()                                         # by first-met number
     _, keys, counts = _merged(runs)
     runs.clear()                                             # as large as the keys
-    rest, codes = np.divmod(keys, n_codes)
-    group, nodes = np.divmod(rest, n_nodes)
+    # the rows of each first-met group, and the groups in sorted order of their sets
+    starts = np.searchsorted(keys, np.arange(len(met) + 1) * (n_nodes * n_codes))
+    order = sorted(range(len(met)), key=met.__getitem__)
+    lengths = np.diff(starts)[order]
+    ends = np.concatenate(([0], np.cumsum(lengths)))
+    # row k of the table, in group g, is row k - ends[g] + starts[order[g]] of the
+    # keys; each temporary goes once used, so laying out holds little above the table
+    take = np.repeat(starts[order] - ends[:-1], lengths)
+    take += np.arange(keys.size)
+    keys, counts = keys[take], counts[take]
+    del take
+    nodes, codes = np.divmod(keys, n_codes)
+    del keys
+    np.remainder(nodes, n_nodes, out=nodes)
     lo, hi = _window_bounds(codes, T)
-    nodes = nodes.astype(np.intp, copy=False)
-    ends = np.searchsorted(group, np.arange(len(sources) + 1))
-    summaries = [
-        GroupSummary(src, nodes[a:b], lo[a:b], hi[a:b], counts[a:b])
-        for src, a, b in zip(sources, ends[:-1].tolist(), ends[1:].tolist())
-    ]
-    return sorted(summaries, key=lambda summ: summ.sources)
+    del codes
+    group = np.repeat(np.arange(len(met)), lengths)
+    return Summaries([met[g] for g in order], ends, group, nodes.astype(np.intp, copy=False), lo, hi, counts)
 
 
 def _counted_keys(number: np.ndarray, block: CascadeTable) -> tuple[np.ndarray, np.ndarray]:
@@ -178,17 +217,24 @@ def _merged(runs: list) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class _Chunk:
-    """Consecutive source groups stacked for one batched pass: the
-    columns of ``ps0`` are the groups, and the window rows of all of them
-    follow in group order, each with the column of its group."""
+    """Consecutive source groups of a :class:`Summaries` for one batched
+    pass: the columns of ``ps0`` are the groups, and the window rows of all
+    of them are views of the summaries' rows, in group order."""
 
     ps0: np.ndarray                  # (N, G) initial susceptibility
-    group: np.ndarray                # (rows,) column of each row's group
+    first: int                       # the group of column 0
+    group: np.ndarray                # (rows,) each row's group; its column is group - first
     nodes: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     counts: np.ndarray
-    ends: list[int]                  # group g owns rows ends[g]:ends[g+1]
+    ends: list[int]                  # column g owns rows ends[g]:ends[g+1]
+
+    def cells(self) -> np.ndarray:
+        """The flat index of each row's (node, column) in an (N, G) array."""
+        cell = self.nodes * self.ps0.shape[1] + self.group
+        cell -= self.first
+        return cell
 
 
 def _group_bytes(net: Network, horizon: int, with_gradient: bool) -> int:
@@ -197,25 +243,31 @@ def _group_bytes(net: Network, horizon: int, with_gradient: bool) -> int:
     step; a gradient pass keeps every step's ``rho`` and ``r`` for the
     sweep as well, and the window weights with their partial sums: (T+1)
     (2 |E| + 4 N) cells, and the sweep's |E|-long arrays.  Both count the
-    sums' in-edge index and cavity gathers, (|E|, G) at most, among those."""
+    sums' in-edge index and cavity gathers, (|E|, G) at most, among those.
+    Only these per-group arrays are counted: the cumulative sum of
+    ``log_step`` and the per-row arrays that :func:`_window_log_prob`
+    makes are left out, so a value pass holds more than this: about 20
+    KiB a group against 12.5 KiB here on a 60-node tree at T = 10 with
+    157 window rows a group."""
     T1, E, N = horizon + 1, net.n_edges, net.n_nodes
     return 8 * (T1 * (2 * E + 4 * N) + 10 * E if with_gradient else T1 * N + 8 * E)
 
 
-def _chunks(summaries: Sequence[GroupSummary], net: Network, horizon: int, with_gradient: bool = True) -> list[_Chunk]:
-    """The groups of ``summaries`` in input order, cut into chunks that a
-    value pass, or ``with_gradient`` a gradient pass, runs in about
-    ``_PASS_BYTES``."""
+def _chunks(summaries: Summaries, net: Network, horizon: int, with_gradient: bool = True) -> list[_Chunk]:
+    """The groups of ``summaries`` in order, cut into chunks that a value
+    pass, or ``with_gradient`` a gradient pass, runs in about
+    ``_PASS_BYTES``; each chunk's rows are a slice of the summaries'."""
     size = max(1, _PASS_BYTES // _group_bytes(net, horizon, with_gradient))
+    ends = summaries.ends.tolist()
     chunks = []
-    for start in range(0, len(summaries), size):
-        block = summaries[start:start + size]
-        lengths = [summ.nodes.size for summ in block]
+    for first in range(0, len(summaries), size):
+        stop = min(first + size, len(summaries))
+        rows = slice(ends[first], ends[stop])
         chunks.append(_Chunk(
-            ps0=np.stack([initial_susceptible(net, summ.sources) for summ in block], axis=1),
-            group=np.repeat(np.arange(len(block)), lengths),
-            **{name: np.concatenate([getattr(summ, name) for summ in block]) for name in ("nodes", "lo", "hi", "counts")},
-            ends=np.cumsum([0, *lengths]).tolist(),
+            ps0=np.stack([initial_susceptible(net, src) for src in summaries.sources[first:stop]], axis=1),
+            first=first,
+            **{name: getattr(summaries, name)[rows] for name in ("group", "nodes", "lo", "hi", "counts")},
+            ends=[end - ends[first] for end in ends[first:stop + 1]],
         ))
     return chunks
 
@@ -226,7 +278,7 @@ def _window_log_prob(log_step: np.ndarray, rows: _Chunk):
     of the windows: for k = 1, 2, ..., the rows whose window holds step
     lo + k and that step's flat index into ``log_step``."""
     T1, N, G = log_step.shape
-    column = rows.nodes * G + rows.group
+    column = rows.cells()
     # log S(lo) = sum of log_step over t <= lo; row 0 is 0, so lo = -1 reads it too
     log_s = np.cumsum(log_step, axis=0).reshape(-1)[np.maximum(rows.lo, 0) * (N * G) + column]
     censored = rows.hi == T1 - 1
@@ -254,7 +306,7 @@ def _window_weights(log_step: np.ndarray, rows: _Chunk) -> tuple[np.ndarray, np.
     # as one weight per (t, node, group) on d log_step: the counts of the windows with
     # lo >= t, a reverse cumulative sum over lo + 1 in [0, T+1] taken in place, plus
     # d_span times the counts of those that hold step t
-    at_lo = np.bincount((rows.lo + 1) * (N * G) + rows.nodes * G + rows.group, rows.counts, (T1 + 1) * N * G)
+    at_lo = np.bincount((rows.lo + 1) * (N * G) + rows.cells(), rows.counts, (T1 + 1) * N * G)
     by_step = at_lo.reshape(T1 + 1, N * G)[::-1]
     np.cumsum(by_step, axis=0, out=by_step)
     weights = at_lo[N * G:]
@@ -349,8 +401,9 @@ def population_free_energy(
     # the censored window (T-1, T] by the reference survival to T-1
     mass = np.concatenate([ref.p_activate[1:T], ref.p_susceptible[T - 1 : T]])
     t_idx, nodes = np.nonzero(mass > 0.0)
-    summ = GroupSummary(
-        tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist()),
-        nodes, t_idx.astype(np.int64), t_idx.astype(np.int64) + 1, mass[t_idx, nodes],
+    lo = t_idx.astype(np.int64)
+    summaries = Summaries(
+        [tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist())], np.array([0, lo.size]),
+        np.zeros(lo.size, np.intp), nodes, lo, lo + 1, mass[t_idx, nodes],
     )
-    return _dataset_free_energy(_chunks([summ], net, horizon), net, couplings, horizon)
+    return _dataset_free_energy(_chunks(summaries, net, horizon), net, couplings, horizon)

@@ -15,7 +15,9 @@ import pytest
 
 from cascade_recon import CascadeTable, DmpTrace, MaskSpec, Network, ParseError, dmp_forward, generate_dataset
 from cascade_recon.cascades import _coded_table
-from cascade_recon.dmp import _propagate
+from cascade_recon.dmp import _propagate, initial_susceptible
+from cascade_recon.gradient import Summaries
+from cascade_recon.graph import validate_couplings
 
 
 def cascade(horizon: int, times) -> CascadeTable:
@@ -190,6 +192,17 @@ def reference_sampled_times(net: Network, couplings, sources, horizon: int, coun
     return np.concatenate(out)
 
 
+def laid_out(groups) -> Summaries:
+    """The row table of ``groups``, hand-made :class:`GroupSummary` or
+    those of another table, in the order given: their rows concatenated,
+    as ``summarize_dataset`` lays out the groups it counts."""
+    lengths = [summ.nodes.size for summ in groups]
+    return Summaries(
+        [summ.sources for summ in groups], np.cumsum([0, *lengths]), np.repeat(np.arange(len(groups)), lengths),
+        *(np.concatenate([getattr(summ, name) for summ in groups]) for name in ("nodes", "lo", "hi", "counts")),
+    )
+
+
 def reference_summaries(dataset) -> list[tuple]:
     """The ``Counter``-based grouping and window count that
     ``summarize_dataset`` replaced, kept as its reference: one tuple of
@@ -274,6 +287,16 @@ def exact_cascade_probability(net: Network, couplings, cascade: CascadeTable) ->
             if prob == 0.0:
                 return 0.0
     return prob
+
+
+def messages(net: Network, couplings, sources, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (T+1, |E|) histories of the messages ``theta`` and ``phi =
+    theta * rho`` of one forward run, from the states of ``dmp._propagate``;
+    ``dmp_forward`` keeps neither."""
+    ps0 = initial_susceptible(net, sources)[:, None]
+    states = list(_propagate(net, validate_couplings(net, couplings), ps0, horizon))
+    theta = np.exp(np.stack([state.log_theta[:, 0] for state in states]))
+    return theta, theta * np.stack([state.rho[:, 0] for state in states])
 
 
 @dataclass(frozen=True, eq=False)

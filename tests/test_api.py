@@ -16,7 +16,7 @@ class TestApiSurface:
     PARAMETERS = {
         # classes: the constructor's parameters
         "CascadeTable": ("horizon", "lo", "hi", "hidden"),
-        "DmpTrace": ("horizon", "initial_susceptible", "theta", "phi", "p_susceptible", "p_activate", "log_step"),
+        "DmpTrace": ("horizon", "initial_susceptible", "p_susceptible", "p_activate", "log_step"),
         "FitConfig": ("alpha_init", "alpha_min", "alpha_max", "max_iters", "tol"),
         "FitResult": ("couplings_hat", "iterations", "free_energy_trajectory", "converged", "wall_time",
                       "diagnostics"),

@@ -815,7 +815,7 @@ class TestTableOrRows:
             return (result.dtype.str, result.tobytes())
         if isinstance(result, float):
             return np.float64(result).tobytes()
-        if isinstance(result, list):
+        if isinstance(result, gradient.Summaries):
             return [(summ.sources, *(TestTableOrRows._bytes(getattr(summ, name))
                      for name in ("nodes", "lo", "hi", "counts"))) for summ in result]
         if hasattr(result, "couplings_hat"):

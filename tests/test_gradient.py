@@ -14,6 +14,7 @@ from cascade_recon import (
     observed_negative_log_likelihood,
     parse_edge_list,
     population_free_energy,
+    write_cascades,
 )
 
 from cascade_recon.dmp import _propagate
@@ -29,6 +30,9 @@ from conftest import (
     cascade,
     chain_net,
     dmp_forward_with_gradients,
+    laid_out,
+    messages,
+    preferential_attachment_net,
     random_couplings,
     random_loopy_net,
     random_masked_cases,
@@ -74,7 +78,7 @@ def _forward_mode_free_energy(dataset, net, alpha):
     value, grad = 0.0, np.zeros(net.n_edges)
     for summ in summarize_dataset(dataset):
         trace, gtrace = dmp_forward_with_gradients(net, alpha, summ.sources, T)
-        (rows,) = _chunks([summ], net, T)
+        (rows,) = _chunks(laid_out([summ]), net, T)
         contrib, weights = _window_weights(trace.log_step[..., None], rows)
         value += float(contrib.sum())
         grad -= np.tensordot(weights[..., 0], gtrace.d_log_step, axes=2)
@@ -86,7 +90,7 @@ def _reference_window_log_prob(log_step, rows):
     kept as its reference: ``log P`` of each window, its log-domain pieces
     as masks over time and ``d log P / d span``."""
     T = log_step.shape[0] - 1
-    steps = log_step[:, rows.nodes, rows.group].T
+    steps = log_step[:, rows.nodes, rows.group - rows.first].T
     t = np.arange(T + 1)
     before = t <= rows.lo[:, None]
     inside = (t > rows.lo[:, None]) & (t <= rows.hi[:, None])
@@ -105,7 +109,7 @@ def _reference_window_weights(log_step, rows):
     log_p, before, inside, d_span = _reference_window_log_prob(log_step, rows)
     row_weights = rows.counts[:, None] * (before + d_span[:, None] * inside)
     weights = np.zeros_like(log_step)
-    np.add.at(weights.transpose(1, 2, 0), (rows.nodes, rows.group), row_weights)
+    np.add.at(weights.transpose(1, 2, 0), (rows.nodes, rows.group - rows.first), row_weights)
     return -rows.counts * log_p, weights
 
 
@@ -203,8 +207,8 @@ class TestWindowTerms:
         ]
         for low, high in ((0.05, 0.95), (0.5, 0.999), (1e-6, 1 - 1e-6)):
             alpha = random_couplings(net, rng, low, high)
-            self._assert_matches_reference(net, summaries, alpha, T)
-            self._assert_matches_reference(net, summaries[1:2], alpha, T)
+            self._assert_matches_reference(net, laid_out(summaries), alpha, T)
+            self._assert_matches_reference(net, laid_out(summaries[1:2]), alpha, T)
 
 
 class TestSensitivities:
@@ -459,6 +463,94 @@ class TestChunking:
         assert peak < 2 * (T + 1) * net.n_edges * 15 * 8
 
 
+class TestRowTable:
+    """The summaries lay the window rows out once, and every chunk of the
+    value and gradient passes is a slice of them, so the rows of a fit are
+    held once whatever its two chunkings."""
+
+    COLUMNS = ("group", "nodes", "lo", "hi", "counts")
+
+    @pytest.fixture(scope="class")
+    def pa_rows(self):
+        # 300 nodes, 400 random single sources, T = 10: 217 groups, 217
+        # gradient chunks of one group and 31 value chunks of seven
+        local = np.random.default_rng(300)
+        net = preferential_attachment_net(300, 3, local)
+        alpha = local.uniform(0.05, 0.5, net.n_edges)
+        return net, apply_mask(generate_dataset(net, alpha, 400, "random", 10, seed=301), MaskSpec())
+
+    def test_chunks_are_disjoint_slices_of_the_summaries(self, pa_rows):
+        net, data = pa_rows
+        summaries = summarize_dataset(data)
+        for summ in summaries:
+            for name in ("nodes", "lo", "hi", "counts"):
+                assert getattr(summ, name).size == 0 or np.shares_memory(getattr(summ, name), getattr(summaries, name))
+        for with_gradient in (True, False):
+            chunks = _chunks(summaries, net, 10, with_gradient)
+            assert len(chunks) == (217 if with_gradient else 31)
+            assert sum(chunk.nodes.size for chunk in chunks) == summaries.nodes.size
+            for k, chunk in enumerate(chunks):
+                for name in self.COLUMNS:
+                    assert np.shares_memory(getattr(chunk, name), getattr(summaries, name))
+                assert not any(np.shares_memory(chunk.nodes, other.nodes) for other in chunks[k + 1:])
+
+    def test_chunking_adds_one_group_column_and_the_initial_conditions(self, pa_rows):
+        # what the summaries and both chunk lists hold, less the summaries'
+        # four columns, is 0.24 MiB above the group column and the chunks'
+        # ps0, the small objects of 248 chunks; a chunk list that stacked
+        # its own rows would add about 4 MiB
+        import tracemalloc
+
+        net, data = pa_rows
+        tracemalloc.start()
+        try:
+            summaries = summarize_dataset(data)
+            chunks = _chunks(summaries, net, 10) + _chunks(summaries, net, 10, with_gradient=False)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        columns = sum(getattr(summaries, name).nbytes for name in ("nodes", "lo", "hi", "counts"))
+        assert held - columns <= summaries.group.nbytes + sum(chunk.ps0.nbytes for chunk in chunks) + 2**19
+
+    def test_streamed_fit_peaks_at_its_stream(self, tmp_path):
+        # a 60-node tree with snapshot windows and 60 source groups, streamed
+        # from its file: the fit peaks within 0.01 MiB of the stream that
+        # summarizes it (1.81 MiB), where passes over chunks that stacked
+        # their own rows peaked 0.5 MiB above it
+        import tracemalloc
+
+        from cascade_recon import FitConfig, cascades
+        from cascade_recon.fit import _summaries_fit
+
+        local = np.random.default_rng(60)
+        net = random_tree_net(60, local)
+        alpha = local.uniform(0.1, 0.6, net.n_edges)
+        observed = apply_mask(generate_dataset(net, alpha, 3000, "random", 10, seed=61), MaskSpec(frozenset(), (2, 4, 6, 8, 10)))
+        path = tmp_path / "observed.txt"
+        path.write_text(write_cascades(net, observed), encoding="utf-8")
+
+        def stream():
+            with open(path, encoding="utf-8") as fh:
+                horizon, blocks = cascades._cascade_blocks(net, fh)
+                return horizon, summarize_dataset(blocks)
+
+        def fit():
+            horizon, summaries = stream()
+            return _summaries_fit(summaries, net, horizon, FitConfig(max_iters=3))
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fit()                                                 # builds the network's cavity slots
+        assert len(stream()[1]) == 60
+        assert peak(fit) <= peak(stream) + 0.1 * 2**20
+
+
 class TestLogDomainWindows:
     """Window probabilities far below any float floor: the value is exact
     and the gradient is its derivative."""
@@ -499,10 +591,11 @@ class TestLogDomainWindows:
         alpha[local.random(net.n_edges) < 0.3] = box.alpha_max
         for src in range(net.n_nodes):
             tr = dmp_forward(net, alpha, [src], 10)
-            for arr in (tr.theta, tr.phi, tr.p_susceptible):
+            theta, phi = messages(net, alpha, [src], 10)
+            for arr in (theta, phi, tr.p_susceptible):
                 assert arr.min() >= 0.0 and arr.max() <= 1.0
             assert np.all(np.diff(tr.p_susceptible, axis=0) <= 0.0)
-            assert np.all(np.diff(tr.theta, axis=0) <= 0.0)
+            assert np.all(np.diff(theta, axis=0) <= 0.0)
         hidden = frozenset(int(x) for x in local.choice(net.n_nodes, size=15, replace=False))
         dataset = _masked_dataset(net, truth, 10, 300, MaskSpec(hidden, None), seed=42)
         rep = free_energy_gradient(dataset, net, alpha)
@@ -547,7 +640,7 @@ def _longdouble_free_energy(dataset, net, alpha):
             theta *= np.exp(log_keep)
             cav *= np.exp(cavity_sum @ log_keep)
             log_step[t, :, 0] = in_edge_sum @ log_keep
-        (rows,) = _chunks([summ], net, T)
+        (rows,) = _chunks(laid_out([summ]), net, T)
         value -= (rows.counts * _reference_window_log_prob(log_step, rows)[0]).sum()
     return value
 
