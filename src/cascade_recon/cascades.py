@@ -644,8 +644,7 @@ def _source_groups(dataset: CascadeTable | Sequence[CascadeTable]) -> tuple[list
     """
     sets = _SourceSets()
     set_id = np.concatenate([sets.number(block) for _start, block in _blocks(_table(dataset))])
-    met = sets.met()
-    order = sorted(range(len(met)), key=met.__getitem__)
+    met, order = sets.met()
     # the inverse of the permutation from rank to first-met number
     return [met[number] for number in order], np.argsort(order)[set_id]
 
@@ -688,12 +687,13 @@ class _SourceSets:
         self._rows += len(block)
         return numbers
 
-    def met(self) -> list[tuple[int, ...]]:
-        """The sets met, by number; a cascade with no observed source is a
-        :class:`DatasetError` that names the first one."""
+    def met(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """The sets met, by number, and their numbers in sorted order of the
+        sets; a cascade with no observed source is a :class:`DatasetError`
+        that names the first one."""
         if self._sourceless is not None:
             raise DatasetError(f"cascade {self._sourceless} has no observed source; cannot fit")
-        return self._sets
+        return self._sets, sorted(range(len(self._sets)), key=self._sets.__getitem__)
 
 
 def _bit_words(flags: np.ndarray) -> list[np.ndarray]:
@@ -706,7 +706,7 @@ def _bit_words(flags: np.ndarray) -> list[np.ndarray]:
 
 
 # Bytes that one block of a walk over a table, one batched pass over a chunk
-# of source groups (gradient._chunks) or one (rows, |E|) term array of a block
+# of source groups (gradient._group_ranges) or one (rows, |E|) term array of a block
 # of baselines.batch_full_log_likelihood or of NetRate holds: 1 MiB.
 _PASS_BYTES = 1 << 20
 

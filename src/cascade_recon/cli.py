@@ -271,10 +271,15 @@ def _mask_spec(run: _Run, net: Network, cascades: CascadeTable | None, mask_file
             except ValueError:
                 raise ParseError(f"line {lineno}: {spelt} takes integers, got {text!r}") from None
     mask_seed = fields.get("mask-seed")
-    # one integer is a count only with a mask seed (random selection needs
-    # one), so numeric labels stay labels
+    # one integer, as the integer flags parse it, is a count only with a
+    # mask seed (random selection needs one), so numeric labels stay labels
     items = [v.strip() for v in fields.get("hidden", "").split(",") if v.strip()]
-    hidden = int(items[0]) if len(items) == 1 and items[0].isdigit() and mask_seed is not None else items
+    hidden = items
+    if len(items) == 1 and mask_seed is not None:
+        try:
+            hidden = _integer(items[0])
+        except ValueError:
+            pass
     source_nodes = ()
     if isinstance(hidden, int):
         if cascades is None:

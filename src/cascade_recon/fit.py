@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DatasetError
 from .graph import Network
 from .cascades import CascadeTable, MaskSpec, _table
-from .gradient import Summaries, _chunks, _dataset_free_energy, summarize_dataset
+from .gradient import Summaries, _dataset_free_energy, summarize_dataset
 
 __all__ = [
     "FitConfig",
@@ -195,9 +195,9 @@ def dmprec_fit(
     evaluation runs one batched forward pass, and each gradient one reverse
     sweep, per chunk of distinct source sets.  Line-search values run on
     chunks sized for a value pass and gradients on the smaller chunks that
-    the sweep's memory allows; the chunks of both are slices of the one
-    row table of the summaries.  ``threads`` is accepted for existing
-    callers and has no effect.
+    the sweep's memory allows; each pass cuts its chunks from the
+    summaries, which are all that the fit holds.  ``threads`` is accepted
+    for existing callers and has no effect.
     """
     config = config or FitConfig()
     config.validate()
@@ -209,14 +209,11 @@ def _summaries_fit(summaries: Summaries, net: Network, horizon: int, config: Fit
     """:func:`dmprec_fit` from the summaries of a dataset of ``horizon``,
     with a validated ``config``: ``cascade-recon fit`` summarizes its
     cascade file as it reads it and fits from here."""
-    grad_chunks = _chunks(summaries, net, horizon)
-    value_chunks = _chunks(summaries, net, horizon, with_gradient=False)
-
     def value_and_grad(alpha: np.ndarray) -> tuple[float, np.ndarray]:
-        return _dataset_free_energy(grad_chunks, net, alpha, horizon)
+        return _dataset_free_energy(summaries, net, alpha, horizon)
 
     def value_only(alpha: np.ndarray) -> float:
-        return _dataset_free_energy(value_chunks, net, alpha, horizon, with_gradient=False)[0]
+        return _dataset_free_energy(summaries, net, alpha, horizon, with_gradient=False)[0]
 
     x0 = np.full(net.n_edges, config.alpha_init)
     start = time.perf_counter()

@@ -30,28 +30,30 @@ step.  The reverse sweep of :mod:`cascade_recon.dmp`
 and ``r`` that the forward pass keeps.
 
 The summaries lay the window rows of all source groups out once, as one
-row table (:class:`Summaries`) in sorted order of the groups' sets, with
-the number of each row's group as a column.  Source groups run in
-chunks of consecutive groups: the messages of a chunk of G groups are
-(..., |E|, G) arrays, so one forward pass and one sweep serve the whole
-chunk, with one cavity sum per step for all of its groups, and the
-window rows of the chunk are a slice of the row table, whose group
-numbers less the chunk's first are the columns of their groups.  A chunk
-holds as many groups as its pass fits in :data:`_PASS_BYTES`: a value
-pass keeps only ``log_step`` and the current step, a gradient pass every
-step's ``rho`` and ``r`` and the window weights, so value chunks hold
-several times the groups of gradient chunks.  That bounds the memory of
-an evaluation whatever the number of groups, and both chunkings of a
-fit slice the same rows.  Value, gradient and window contributions are
-then reduced one group at a time in input order, so they do not depend
-on the chunking, and a value pass gives the same value, bit for bit, as
-a gradient pass.
+row table (:class:`Summaries`) in sorted order of the groups' sets, and a
+fit holds nothing else.  Source groups run in chunks of consecutive
+groups: the messages of a chunk of G groups are (..., |E|, G) arrays, so
+one forward pass and one sweep serve the whole chunk, with one cavity sum
+per step for all of its groups.  Each pass cuts its own chunks: a
+chunk's window rows are a slice of the row table, and the pass makes the
+chunk's (N, G) initial susceptibility from the groups' source sets and
+the column of each row from the table's group ends, and drops both when
+the chunk is done.  A chunk holds as many groups as its pass fits in
+:data:`_PASS_BYTES`: a value pass keeps only ``log_step`` and the
+current step, a gradient pass every step's ``rho`` and ``r`` and the
+window weights, so value chunks hold several times the groups of
+gradient chunks.  That bounds the memory of an evaluation whatever the
+number of groups.  Value, gradient and window contributions are then
+reduced one group at a time in input order, so they do not depend on the
+chunking, and a value pass gives the same value, bit for bit, as a
+gradient pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +69,7 @@ from .cascades import (
     _table,
     _window_bounds,
 )
-from .dmp import dmp_forward, initial_susceptible, _log_step_adjoint, _propagate
+from .dmp import dmp_forward, _log_step_adjoint, _propagate
 
 __all__ = [
     "FreeEnergyReport",
@@ -110,13 +112,13 @@ class GroupSummary:
 class Summaries:
     """The window rows of every source group of a dataset, laid out once:
     group after group in sorted order of their source sets, each group's
-    rows in (node, lo, hi) order, with the number of each row's group as a
-    column.  It iterates as the :class:`GroupSummary` of each group, and
-    every chunk of a pass (:func:`_chunks`) is a slice of its columns."""
+    rows in (node, lo, hi) order.  Every chunk of a pass
+    (:func:`_dataset_free_energy`) is a slice of its columns, and the
+    pass takes each row's group from ``ends``.  It iterates as the
+    :class:`GroupSummary` of each group."""
 
     sources: list[tuple[int, ...]]   # by group
     ends: np.ndarray                 # group g owns rows ends[g]:ends[g+1]
-    group: np.ndarray                # (rows,) the group of each row
     nodes: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
@@ -164,12 +166,11 @@ def summarize_dataset(
         runs.append(run)
     T, n_nodes = block.horizon, block.n_nodes
     n_codes = _code_count(T)
-    met = sets.met()                                         # by first-met number
+    met, order = sets.met()                                  # by first-met number, ranked
     _, keys, counts = _merged(runs)
     runs.clear()                                             # as large as the keys
     # the rows of each first-met group, and the groups in sorted order of their sets
     starts = np.searchsorted(keys, np.arange(len(met) + 1) * (n_nodes * n_codes))
-    order = sorted(range(len(met)), key=met.__getitem__)
     lengths = np.diff(starts)[order]
     ends = np.concatenate(([0], np.cumsum(lengths)))
     # row k of the table, in group g, is row k - ends[g] + starts[order[g]] of the
@@ -183,8 +184,7 @@ def summarize_dataset(
     np.remainder(nodes, n_nodes, out=nodes)
     lo, hi = _window_bounds(codes, T)
     del codes
-    group = np.repeat(np.arange(len(met)), lengths)
-    return Summaries([met[g] for g in order], ends, group, nodes.astype(np.intp, copy=False), lo, hi, counts)
+    return Summaries([met[g] for g in order], ends, nodes.astype(np.intp, copy=False), lo, hi, counts)
 
 
 def _counted_keys(number: np.ndarray, block: CascadeTable) -> tuple[np.ndarray, np.ndarray]:
@@ -215,28 +215,6 @@ def _merged(runs: list) -> tuple:
     return sum(run[0] for run in runs), keys[new], counts
 
 
-@dataclass(frozen=True, eq=False)
-class _Chunk:
-    """Consecutive source groups of a :class:`Summaries` for one batched
-    pass: the columns of ``ps0`` are the groups, and the window rows of all
-    of them are views of the summaries' rows, in group order."""
-
-    ps0: np.ndarray                  # (N, G) initial susceptibility
-    first: int                       # the group of column 0
-    group: np.ndarray                # (rows,) each row's group; its column is group - first
-    nodes: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    counts: np.ndarray
-    ends: list[int]                  # column g owns rows ends[g]:ends[g+1]
-
-    def cells(self) -> np.ndarray:
-        """The flat index of each row's (node, column) in an (N, G) array."""
-        cell = self.nodes * self.ps0.shape[1] + self.group
-        cell -= self.first
-        return cell
-
-
 def _group_bytes(net: Network, horizon: int, with_gradient: bool) -> int:
     """Bytes that a pass holds per source group.  A value pass keeps
     ``log_step``, (T+1) N cells, and a few |E|-long arrays of the current
@@ -244,50 +222,41 @@ def _group_bytes(net: Network, horizon: int, with_gradient: bool) -> int:
     sweep as well, and the window weights with their partial sums: (T+1)
     (2 |E| + 4 N) cells, and the sweep's |E|-long arrays.  Both count the
     sums' in-edge index and cavity gathers, (|E|, G) at most, among those.
-    Only these per-group arrays are counted: the cumulative sum of
-    ``log_step`` and the per-row arrays that :func:`_window_log_prob`
-    makes are left out, so a value pass holds more than this: about 20
-    KiB a group against 12.5 KiB here on a 60-node tree at T = 10 with
-    157 window rows a group."""
+    Only these per-group arrays are counted: the chunk's initial
+    susceptibility, N cells, the cumulative sum of ``log_step``, the row
+    cells that :func:`_dataset_free_energy` makes and the per-row arrays
+    of :func:`_window_log_prob` are left out, so a value pass holds more
+    than this: about 20 KiB a group against 12.5 KiB here on a 60-node
+    tree at T = 10 with 157 window rows a group."""
     T1, E, N = horizon + 1, net.n_edges, net.n_nodes
     return 8 * (T1 * (2 * E + 4 * N) + 10 * E if with_gradient else T1 * N + 8 * E)
 
 
-def _chunks(summaries: Summaries, net: Network, horizon: int, with_gradient: bool = True) -> list[_Chunk]:
-    """The groups of ``summaries`` in order, cut into chunks that a value
-    pass, or ``with_gradient`` a gradient pass, runs in about
-    ``_PASS_BYTES``; each chunk's rows are a slice of the summaries'."""
+def _group_ranges(n_groups: int, net: Network, horizon: int, with_gradient: bool):
+    """Yield ``(first, stop)``: the groups of the chunks that a value pass,
+    or ``with_gradient`` a gradient pass, runs in about ``_PASS_BYTES``."""
     size = max(1, _PASS_BYTES // _group_bytes(net, horizon, with_gradient))
-    ends = summaries.ends.tolist()
-    chunks = []
-    for first in range(0, len(summaries), size):
-        stop = min(first + size, len(summaries))
-        rows = slice(ends[first], ends[stop])
-        chunks.append(_Chunk(
-            ps0=np.stack([initial_susceptible(net, src) for src in summaries.sources[first:stop]], axis=1),
-            first=first,
-            **{name: getattr(summaries, name)[rows] for name in ("group", "nodes", "lo", "hi", "counts")},
-            ends=[end - ends[first] for end in ends[first:stop + 1]],
-        ))
-    return chunks
+    for first in range(0, n_groups, size):
+        yield first, min(first + size, n_groups)
 
 
-def _window_log_prob(log_step: np.ndarray, rows: _Chunk):
+def _window_log_prob(log_step: np.ndarray, cells: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """``log P`` of each window and ``d log P / d span`` (see the module
-    docstring), from the chunk's (T+1, N, G) ``log_step``, with the steps
-    of the windows: for k = 1, 2, ..., the rows whose window holds step
-    lo + k and that step's flat index into ``log_step``."""
+    docstring), from a chunk's (T+1, N, G) ``log_step`` and its rows: the
+    flat index ``cells`` of each row's (node, column) in an (N, G) array
+    and the window bounds, with the steps of the windows: for k = 1, 2,
+    ..., the rows whose window holds step lo + k and that step's flat
+    index into ``log_step``."""
     T1, N, G = log_step.shape
-    column = rows.cells()
     # log S(lo) = sum of log_step over t <= lo; row 0 is 0, so lo = -1 reads it too
-    log_s = np.cumsum(log_step, axis=0).reshape(-1)[np.maximum(rows.lo, 0) * (N * G) + column]
-    censored = rows.hi == T1 - 1
-    width = np.where(censored, 0, rows.hi - rows.lo)
+    log_s = np.cumsum(log_step, axis=0).reshape(-1)[np.maximum(lo, 0) * (N * G) + cells]
+    censored = hi == T1 - 1
+    width = np.where(censored, 0, hi - lo)
     span = np.zeros(width.size)                              # log S(hi) - log S(lo)
     steps = []
     for k in range(1, int(width.max(initial=0)) + 1):
         inside = np.flatnonzero(width >= k)
-        at = (rows.lo[inside] + k) * (N * G) + column[inside]
+        at = (lo[inside] + k) * (N * G) + cells[inside]
         span[inside] += log_step.reshape(-1)[at]
         steps.append((inside, at))
     span[censored] = -np.inf                                 # S(T) = 0
@@ -297,27 +266,30 @@ def _window_log_prob(log_step: np.ndarray, rows: _Chunk):
     return log_p, d_span, steps
 
 
-def _window_weights(log_step: np.ndarray, rows: _Chunk) -> tuple[np.ndarray, np.ndarray]:
+def _window_weights(
+    log_step: np.ndarray, cells: np.ndarray, lo: np.ndarray, hi: np.ndarray, counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-window free-energy contributions and the (T+1, N, G) weights
-    with ``d F = -sum(weights * d log_step)``."""
-    log_p, d_span, steps = _window_log_prob(log_step, rows)
+    with ``d F = -sum(weights * d log_step)``, for the rows of
+    :func:`_window_log_prob` and their ``counts``."""
+    log_p, d_span, steps = _window_log_prob(log_step, cells, lo, hi)
     T1, N, G = log_step.shape
     # d log P = sum_{t <= lo} d log_step + d_span * sum_{lo < t <= hi} d log_step, collected
     # as one weight per (t, node, group) on d log_step: the counts of the windows with
     # lo >= t, a reverse cumulative sum over lo + 1 in [0, T+1] taken in place, plus
     # d_span times the counts of those that hold step t
-    at_lo = np.bincount((rows.lo + 1) * (N * G) + rows.cells(), rows.counts, (T1 + 1) * N * G)
+    at_lo = np.bincount((lo + 1) * (N * G) + cells, counts, (T1 + 1) * N * G)
     by_step = at_lo.reshape(T1 + 1, N * G)[::-1]
     np.cumsum(by_step, axis=0, out=by_step)
     weights = at_lo[N * G:]
-    span_weights = rows.counts * d_span
+    span_weights = counts * d_span
     for inside, at in steps:
         weights += np.bincount(at, span_weights[inside], T1 * N * G)
-    return -rows.counts * log_p, weights.reshape(T1, N, G)
+    return -counts * log_p, weights.reshape(T1, N, G)
 
 
 def _dataset_free_energy(
-    chunks: Sequence[_Chunk],
+    summaries: Summaries,
     net: Network,
     couplings,
     horizon: int,
@@ -325,30 +297,41 @@ def _dataset_free_energy(
 ) -> tuple[float, np.ndarray | None]:
     """``(value, gradient)`` summed over source groups.
 
-    Each chunk runs one batched forward pass and, ``with_gradient``, one
-    sweep over each step's ``rho`` and ``r``; a value pass keeps only
-    ``log_step``.
-    The results are reduced one group at a time in input order, so they
-    are the same for any chunking.  The gradient is None without
-    ``with_gradient``.
+    The groups run in the chunks of :func:`_group_ranges`.  Each chunk
+    makes its (N, G) initial susceptibility from the groups' source sets
+    and the cells of its rows from ``summaries.ends``, runs one batched
+    forward pass and, ``with_gradient``, one sweep over each step's
+    ``rho`` and ``r``; a value pass keeps only ``log_step``.  Nothing of
+    a chunk outlives it.  The results are reduced one group at a time in
+    input order, so they are the same for any chunking.  The gradient is
+    None without ``with_gradient``.
     """
     alpha = validate_couplings(net, couplings)
     value = 0.0
     gradient = np.zeros(net.n_edges) if with_gradient else None
-    for chunk in chunks:
-        log_step, rho, r = np.empty((horizon + 1, *chunk.ps0.shape)), [], []
-        for t, state in enumerate(_propagate(net, alpha, chunk.ps0, horizon)):
+    ends = summaries.ends.tolist()
+    for first, stop in _group_ranges(len(summaries), net, horizon, with_gradient):
+        G, rows, sources = stop - first, slice(ends[first], ends[stop]), summaries.sources[first:stop]
+        # column g is 0 at the sources of group first + g, and each row's cell is its
+        # node's entry in the column of its group
+        columns = np.repeat(np.arange(G), [len(src) for src in sources])
+        ps0 = np.ones((net.n_nodes, G))
+        ps0[np.fromiter(chain.from_iterable(sources), np.intp, columns.size), columns] = 0.0
+        cells = summaries.nodes[rows] * G + np.repeat(np.arange(G), np.diff(summaries.ends[first:stop + 1]))
+        lo, hi, counts = summaries.lo[rows], summaries.hi[rows], summaries.counts[rows]
+        log_step, rho, r = np.empty((horizon + 1, net.n_nodes, G)), [], []
+        for t, state in enumerate(_propagate(net, alpha, ps0, horizon)):
             log_step[t] = state.log_step
             if with_gradient:
                 rho.append(state.rho)
                 r.append(state.r)
         if with_gradient:
-            contrib, weights = _window_weights(log_step, chunk)
+            contrib, weights = _window_weights(log_step, cells, lo, hi, counts)
             grads = _log_step_adjoint(net, alpha, rho, r, weights)
         else:
-            contrib = -chunk.counts * _window_log_prob(log_step, chunk)[0]
-        for g, (a, b) in enumerate(zip(chunk.ends[:-1], chunk.ends[1:])):
-            value += float(contrib[a:b].sum())
+            contrib = -counts * _window_log_prob(log_step, cells, lo, hi)[0]
+        for g, (a, b) in enumerate(zip(ends[first:stop], ends[first + 1:stop + 1])):
+            value += float(contrib[a - rows.start:b - rows.start].sum())
             if with_gradient:
                 gradient += grads[:, g]
     return value, gradient
@@ -362,8 +345,7 @@ def observed_negative_log_likelihood(
     """Free energy of a dataset: sum over observed nodes of
     ``-log P(observation window)`` under the message-passing marginals."""
     table = _table(dataset, net)
-    chunks = _chunks(summarize_dataset(table), net, table.horizon, with_gradient=False)
-    return _dataset_free_energy(chunks, net, couplings, table.horizon, with_gradient=False)[0]
+    return _dataset_free_energy(summarize_dataset(table), net, couplings, table.horizon, with_gradient=False)[0]
 
 
 def free_energy_gradient(
@@ -377,8 +359,7 @@ def free_energy_gradient(
     distinct source sets, shared by all cascades of those groups.
     """
     table = _table(dataset, net)
-    chunks = _chunks(summarize_dataset(table), net, table.horizon)
-    return FreeEnergyReport(*_dataset_free_energy(chunks, net, couplings, table.horizon))
+    return FreeEnergyReport(*_dataset_free_energy(summarize_dataset(table), net, couplings, table.horizon))
 
 
 def population_free_energy(
@@ -404,6 +385,6 @@ def population_free_energy(
     lo = t_idx.astype(np.int64)
     summaries = Summaries(
         [tuple(np.flatnonzero(ref.initial_susceptible == 0.0).tolist())], np.array([0, lo.size]),
-        np.zeros(lo.size, np.intp), nodes, lo, lo + 1, mass[t_idx, nodes],
+        nodes, lo, lo + 1, mass[t_idx, nodes],
     )
-    return _dataset_free_energy(_chunks(summaries, net, horizon), net, couplings, horizon)
+    return _dataset_free_energy(summaries, net, couplings, horizon)

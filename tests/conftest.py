@@ -193,13 +193,13 @@ def reference_sampled_times(net: Network, couplings, sources, horizon: int, coun
 
 
 def laid_out(groups) -> Summaries:
-    """The row table of ``groups``, hand-made :class:`GroupSummary` or
-    those of another table, in the order given: their rows concatenated,
-    as ``summarize_dataset`` lays out the groups it counts."""
-    lengths = [summ.nodes.size for summ in groups]
+    """The row table of ``groups``, hand-made ``(sources, nodes, lo, hi,
+    counts)`` tuples or those of :func:`reference_summaries`, in the order
+    given: their rows concatenated, as ``summarize_dataset`` lays out the
+    groups it counts."""
     return Summaries(
-        [summ.sources for summ in groups], np.cumsum([0, *lengths]), np.repeat(np.arange(len(groups)), lengths),
-        *(np.concatenate([getattr(summ, name) for summ in groups]) for name in ("nodes", "lo", "hi", "counts")),
+        [group[0] for group in groups], np.cumsum([0, *(group[1].size for group in groups)]),
+        *(np.concatenate([group[k] for group in groups]) for k in range(1, 5)),
     )
 
 

@@ -584,6 +584,27 @@ class TestErrorsAndConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "obs.txt").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden", "²"),
+        ("--mask", "hidden=²\nmask_seed=1\n"),
+    ], ids=["flags", "mask-file"])
+    def test_hidden_label_that_no_integer_parser_reads_stays_a_label(self, tmp_path, flag, value):
+        # '²' is a digit to str.isdigit, but int('²') fails: with a mask seed
+        # it names the node to hide, as any label that is not an integer does
+        (tmp_path / "net.edges").write_text("0\t²\t0.5\n²\t1\t0.5\n", encoding="utf-8")
+        run("simulate", "--network", tmp_path / "net.edges", "--horizon", 4, "--num-cascades", 5,
+            "--sources", "0", "--seed", 1, "--out", tmp_path / "truth.txt")
+        flags = [flag, value, "--mask-seed", 1]
+        if flag == "--mask":
+            (tmp_path / "mask.spec").write_text(value, encoding="utf-8")
+            flags = [flag, tmp_path / "mask.spec"]
+        rc = run("mask", "--network", tmp_path / "net.edges", "--cascades", tmp_path / "truth.txt",
+                 *flags, "--out", tmp_path / "obs.txt")
+        assert rc == 0
+        net, _ = parse_edge_list((tmp_path / "net.edges").read_text(encoding="utf-8"))
+        observed = read_cascades(net, (tmp_path / "obs.txt").read_text(encoding="utf-8"))
+        assert [net.labels[i] for i in np.flatnonzero(observed.hidden.all(axis=0))] == ["²"]
+
     @pytest.mark.parametrize("command, flags, line, message", [
         ("mask", ["--snapshots", "2,x"], "", "snapshots: expected an integer, got 'x'"),
         ("mask", [], "snapshots = 2,x", "snapshots: expected an integer, got 'x'"),

@@ -17,10 +17,10 @@ from cascade_recon import (
     write_cascades,
 )
 
-from cascade_recon.dmp import _propagate
+from cascade_recon.dmp import _propagate, initial_susceptible
 from cascade_recon.gradient import (
-    GroupSummary,
-    _chunks,
+    _dataset_free_energy,
+    _group_ranges,
     _window_log_prob,
     _window_weights,
     summarize_dataset,
@@ -76,25 +76,26 @@ def _forward_mode_free_energy(dataset, net, alpha):
     window weights contracted with ``d_log_step``, group by group."""
     T = dataset[0].horizon
     value, grad = 0.0, np.zeros(net.n_edges)
-    for summ in summarize_dataset(dataset):
-        trace, gtrace = dmp_forward_with_gradients(net, alpha, summ.sources, T)
-        (rows,) = _chunks(laid_out([summ]), net, T)
-        contrib, weights = _window_weights(trace.log_step[..., None], rows)
+    for sources, nodes, lo, hi, counts in reference_summaries(dataset):
+        trace, gtrace = dmp_forward_with_gradients(net, alpha, sources, T)
+        # one group: each row's cell in the (N, 1) log_step is its node
+        contrib, weights = _window_weights(trace.log_step[..., None], nodes, lo, hi, counts)
         value += float(contrib.sum())
         grad -= np.tensordot(weights[..., 0], gtrace.d_log_step, axes=2)
     return value, grad
 
 
-def _reference_window_log_prob(log_step, rows):
+def _reference_window_log_prob(log_step, cells, lo, hi):
     """The (rows, T+1) mask formula that ``_window_log_prob`` replaced,
-    kept as its reference: ``log P`` of each window, its log-domain pieces
-    as masks over time and ``d log P / d span``."""
+    kept as its reference: ``log P`` of each window, whose (node, column)
+    is the flat index ``cells`` into the (N, G) steps of ``log_step``, its
+    log-domain pieces as masks over time and ``d log P / d span``."""
     T = log_step.shape[0] - 1
-    steps = log_step[:, rows.nodes, rows.group - rows.first].T
+    steps = log_step.reshape(T + 1, -1)[:, cells].T
     t = np.arange(T + 1)
-    before = t <= rows.lo[:, None]
-    inside = (t > rows.lo[:, None]) & (t <= rows.hi[:, None])
-    censored = rows.hi == T
+    before = t <= lo[:, None]
+    inside = (t > lo[:, None]) & (t <= hi[:, None])
+    censored = hi == T
     span = np.where(inside, steps, 0.0).sum(axis=1)
     span[censored] = -np.inf
     with np.errstate(divide="ignore", over="ignore"):
@@ -103,14 +104,14 @@ def _reference_window_log_prob(log_step, rows):
     return log_p, before, inside, d_span
 
 
-def _reference_window_weights(log_step, rows):
+def _reference_window_weights(log_step, cells, lo, hi, counts):
     """The masked per-row weights scattered with ``np.add.at`` that
     ``_window_weights`` replaced, kept as its reference."""
-    log_p, before, inside, d_span = _reference_window_log_prob(log_step, rows)
-    row_weights = rows.counts[:, None] * (before + d_span[:, None] * inside)
+    log_p, before, inside, d_span = _reference_window_log_prob(log_step, cells, lo, hi)
+    row_weights = counts[:, None] * (before + d_span[:, None] * inside)
     weights = np.zeros_like(log_step)
-    np.add.at(weights.transpose(1, 2, 0), (rows.nodes, rows.group - rows.first), row_weights)
-    return -rows.counts * log_p, weights
+    np.add.at(weights.reshape(log_step.shape[0], -1).T, cells, row_weights)
+    return -counts * log_p, weights
 
 
 class TestSummaries:
@@ -167,12 +168,20 @@ class TestWindowTerms:
 
     @staticmethod
     def _assert_matches_reference(net, summaries, alpha, T):
-        for chunk in _chunks(summaries, net, T):
-            log_step = np.stack([state.log_step for state in _propagate(net, alpha, chunk.ps0, T)])
-            contrib, weights = _window_weights(log_step, chunk)
-            want_contrib, want_weights = _reference_window_weights(log_step, chunk)
-            log_p = _window_log_prob(log_step, chunk)[0]
-            np.testing.assert_allclose(log_p, _reference_window_log_prob(log_step, chunk)[0], rtol=1e-13, atol=0)
+        # the chunks of a gradient pass, each with its groups' initial
+        # conditions and the flat (node, column) cell of each row
+        ends = summaries.ends
+        for first, stop in _group_ranges(len(summaries), net, T, True):
+            ps0 = np.stack([initial_susceptible(net, src) for src in summaries.sources[first:stop]], axis=1)
+            rows = slice(ends[first], ends[stop])
+            column = np.concatenate([np.full(ends[g + 1] - ends[g], g - first) for g in range(first, stop)])
+            cells = summaries.nodes[rows] * (stop - first) + column
+            lo, hi, counts = summaries.lo[rows], summaries.hi[rows], summaries.counts[rows]
+            log_step = np.stack([state.log_step for state in _propagate(net, alpha, ps0, T)])
+            contrib, weights = _window_weights(log_step, cells, lo, hi, counts)
+            want_contrib, want_weights = _reference_window_weights(log_step, cells, lo, hi, counts)
+            log_p = _window_log_prob(log_step, cells, lo, hi)[0]
+            np.testing.assert_allclose(log_p, _reference_window_log_prob(log_step, cells, lo, hi)[0], rtol=1e-13, atol=0)
             np.testing.assert_allclose(contrib, want_contrib, rtol=1e-13, atol=0)
             assert weights.shape == want_weights.shape
             np.testing.assert_allclose(weights, want_weights, rtol=0, atol=1e-13 * np.abs(want_weights).max(initial=0.0))
@@ -192,7 +201,7 @@ class TestWindowTerms:
 
         def group(sources, windows):
             nodes, lo, hi = np.array(windows, dtype=np.int64).reshape(-1, 3).T
-            return GroupSummary(sources, nodes.astype(np.intp), lo, hi, rng.integers(1, 50, len(nodes)).astype(float))
+            return sources, nodes.astype(np.intp), lo, hi, rng.integers(1, 50, len(nodes)).astype(float)
 
         exact = [(v, t - 1, t) for v in (2, 3) for t in range(1, T)]
         from_start = [(4, -1, 2), (5, -1, 5), (6, -1, T)]      # lo = -1, the last one open to T as well
@@ -333,10 +342,10 @@ class TestObservedFreeEnergy:
         alpha = random_couplings(net, rng, 0.1, 0.9)
         rep = free_energy_gradient(dataset, net, alpha)
         expect = 0.0
-        for summ in summarize_dataset(dataset):
-            s = np.vstack([dmp_forward(net, alpha, summ.sources, 6).p_susceptible[:6], np.zeros(net.n_nodes)])
-            assert summ.lo.min() >= 0
-            expect -= summ.counts @ np.log(s[summ.lo, summ.nodes] - s[summ.hi, summ.nodes])
+        for sources, nodes, lo, hi, counts in reference_summaries(dataset):
+            s = np.vstack([dmp_forward(net, alpha, sources, 6).p_susceptible[:6], np.zeros(net.n_nodes)])
+            assert lo.min() >= 0
+            expect -= counts @ np.log(s[lo, nodes] - s[hi, nodes])
         assert rep.value == pytest.approx(expect, rel=1e-12)
 
     def test_gradient_matches_fd_full_observation(self, rng):
@@ -377,8 +386,8 @@ class TestChunking:
         # a budget of groups_per_chunk groups for the value and the gradient passes alike
         monkeypatch.setattr(gradient, "_group_bytes", lambda *_pass: 1)
         monkeypatch.setattr(gradient, "_PASS_BYTES", groups_per_chunk)
-        summaries = summarize_dataset(dataset)
-        assert len(_chunks(summaries, net, T)) == -(-len(summaries) // groups_per_chunk)
+        n_groups = len(summarize_dataset(dataset))
+        assert len(list(_group_ranges(n_groups, net, T, True))) == -(-n_groups // groups_per_chunk)
         rep = free_energy_gradient(dataset, net, alpha)
         fit = dmprec_fit(dataset, net, FitConfig(max_iters=3))
         return rep, fit
@@ -401,8 +410,6 @@ class TestChunking:
     def _evaluation_peak(n_groups):
         import tracemalloc
 
-        from cascade_recon.gradient import _dataset_free_energy
-
         local = np.random.default_rng(60)
         net = random_tree_net(60, local)
         alpha = random_couplings(net, local, 0.1, 0.6)
@@ -410,15 +417,15 @@ class TestChunking:
         dataset = []
         for k, sources in enumerate(source_sets[:n_groups]):
             dataset += list(apply_mask(generate_dataset(net, alpha, 5, sources, 10, seed=k), MaskSpec()))
-        chunks = _chunks(summarize_dataset(dataset), net, 10)
-        _dataset_free_energy(chunks, net, alpha, 10)  # builds the network's cavity slots
+        summaries = summarize_dataset(dataset)
+        _dataset_free_energy(summaries, net, alpha, 10)  # builds the network's cavity slots
         tracemalloc.start()
         try:
-            _dataset_free_energy(chunks, net, alpha, 10)
+            _dataset_free_energy(summaries, net, alpha, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(len(chunk.ends) - 1 for chunk in chunks) == n_groups
+        assert len(summaries) == n_groups
         return peak
 
     def test_evaluation_peak_does_not_grow_with_groups(self):
@@ -431,8 +438,8 @@ class TestChunking:
         dataset = []
         for v in range(60):
             dataset += _masked_dataset(net, truth, 10, 5, MaskSpec(frozenset(), (2, 4, 6, 8, 10)), seed=v, sources=[v])
-        summaries = summarize_dataset(dataset)
-        assert len(_chunks(summaries, net, 10, with_gradient=False)) < len(_chunks(summaries, net, 10))
+        n_groups = len(summarize_dataset(dataset))
+        assert len(list(_group_ranges(n_groups, net, 10, False))) < len(list(_group_ranges(n_groups, net, 10, True)))
         for low, high in ((0.05, 0.95), (0.5, 0.999), (1e-6, 1 - 1e-6)):
             alpha = random_couplings(net, rng, low, high)
             assert free_energy_gradient(dataset, net, alpha).value == observed_negative_log_likelihood(dataset, net, alpha)
@@ -443,20 +450,18 @@ class TestChunking:
         import tracemalloc
         from importlib.resources import files
 
-        from cascade_recon.gradient import _dataset_free_energy
-
         net, truth = parse_edge_list(files("cascade_recon").joinpath("data/hub30.edges").read_text())
         T = 10
         hidden = frozenset(int(v) for v in np.random.default_rng(30).choice(net.n_nodes, 15, replace=False))
         dataset = []
         for v in sorted(set(range(net.n_nodes)) - hidden):
             dataset += _masked_dataset(net, truth, T, 20, MaskSpec(hidden, None), seed=v, sources=[v])
-        chunks = _chunks(summarize_dataset(dataset), net, T, with_gradient=False)
-        assert [chunk.ps0.shape[1] for chunk in chunks] == [15]
-        _dataset_free_energy(chunks, net, truth, T, with_gradient=False)  # builds the network's cavity slots
+        summaries = summarize_dataset(dataset)
+        assert list(_group_ranges(len(summaries), net, T, False)) == [(0, 15)]
+        _dataset_free_energy(summaries, net, truth, T, with_gradient=False)  # builds the network's cavity slots
         tracemalloc.start()
         try:
-            _dataset_free_energy(chunks, net, truth, T, with_gradient=False)
+            _dataset_free_energy(summaries, net, truth, T, with_gradient=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -464,53 +469,37 @@ class TestChunking:
 
 
 class TestRowTable:
-    """The summaries lay the window rows out once, and every chunk of the
-    value and gradient passes is a slice of them, so the rows of a fit are
-    held once whatever its two chunkings."""
+    """A fit holds its summaries and nothing else: each pass cuts its
+    chunks from the summaries' rows, and the initial conditions and row
+    cells that it makes for a chunk go with the chunk."""
 
-    COLUMNS = ("group", "nodes", "lo", "hi", "counts")
+    def test_evaluations_hold_nothing_beyond_the_summaries(self):
+        # 300 nodes, 400 random single sources, T = 10: 217 groups, which a
+        # gradient pass runs in 217 chunks of one group and a value pass in
+        # 31 of seven.  After a value and a gradient evaluation, what is held
+        # less the four columns (3.2 MiB) is the summaries' source sets and
+        # ends, 6.7 KiB measured; the two chunk lists that a fit once kept
+        # held 2.0 MiB there, their chunks' initial conditions and a group
+        # column
+        import tracemalloc
 
-    @pytest.fixture(scope="class")
-    def pa_rows(self):
-        # 300 nodes, 400 random single sources, T = 10: 217 groups, 217
-        # gradient chunks of one group and 31 value chunks of seven
         local = np.random.default_rng(300)
         net = preferential_attachment_net(300, 3, local)
         alpha = local.uniform(0.05, 0.5, net.n_edges)
-        return net, apply_mask(generate_dataset(net, alpha, 400, "random", 10, seed=301), MaskSpec())
-
-    def test_chunks_are_disjoint_slices_of_the_summaries(self, pa_rows):
-        net, data = pa_rows
-        summaries = summarize_dataset(data)
-        for summ in summaries:
-            for name in ("nodes", "lo", "hi", "counts"):
-                assert getattr(summ, name).size == 0 or np.shares_memory(getattr(summ, name), getattr(summaries, name))
-        for with_gradient in (True, False):
-            chunks = _chunks(summaries, net, 10, with_gradient)
-            assert len(chunks) == (217 if with_gradient else 31)
-            assert sum(chunk.nodes.size for chunk in chunks) == summaries.nodes.size
-            for k, chunk in enumerate(chunks):
-                for name in self.COLUMNS:
-                    assert np.shares_memory(getattr(chunk, name), getattr(summaries, name))
-                assert not any(np.shares_memory(chunk.nodes, other.nodes) for other in chunks[k + 1:])
-
-    def test_chunking_adds_one_group_column_and_the_initial_conditions(self, pa_rows):
-        # what the summaries and both chunk lists hold, less the summaries'
-        # four columns, is 0.24 MiB above the group column and the chunks'
-        # ps0, the small objects of 248 chunks; a chunk list that stacked
-        # its own rows would add about 4 MiB
-        import tracemalloc
-
-        net, data = pa_rows
+        data = apply_mask(generate_dataset(net, alpha, 400, "random", 10, seed=301), MaskSpec())
+        _dataset_free_energy(summarize_dataset(data), net, alpha, 10)  # builds the network's cavity slots
         tracemalloc.start()
         try:
             summaries = summarize_dataset(data)
-            chunks = _chunks(summaries, net, 10) + _chunks(summaries, net, 10, with_gradient=False)
+            _dataset_free_energy(summaries, net, alpha, 10, with_gradient=False)
+            _dataset_free_energy(summaries, net, alpha, 10)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert len(summaries) == 217
+        assert [len(list(_group_ranges(217, net, 10, with_gradient))) for with_gradient in (True, False)] == [217, 31]
         columns = sum(getattr(summaries, name).nbytes for name in ("nodes", "lo", "hi", "counts"))
-        assert held - columns <= summaries.group.nbytes + sum(chunk.ps0.nbytes for chunk in chunks) + 2**19
+        assert held - columns <= 32 * 2**10
 
     def test_streamed_fit_peaks_at_its_stream(self, tmp_path):
         # a 60-node tree with snapshot windows and 60 source groups, streamed
@@ -623,14 +612,12 @@ def _longdouble_free_energy(dataset, net, alpha):
     logarithms, ``1 - rho = ps0_src * cav / theta``, and ``log keep`` from
     the form that is exact for each entry; couplings below 1 keep theta
     positive."""
-    from cascade_recon.dmp import initial_susceptible
-
     ld, T = np.longdouble, dataset[0].horizon
     alpha = alpha.astype(ld)
     in_edge_sum, cavity_sum = sum_matrices(net, ld)
     value = ld(0)
-    for summ in summarize_dataset(dataset):
-        ps0_src = initial_susceptible(net, summ.sources).astype(ld)[net.edge_src]
+    for sources, nodes, lo, hi, counts in reference_summaries(dataset):
+        ps0_src = initial_susceptible(net, sources).astype(ld)[net.edge_src]
         theta, cav = np.ones(net.n_edges, ld), np.ones(net.n_edges, ld)
         log_step = np.zeros((T + 1, net.n_nodes, 1), ld)
         for t in range(1, T + 1):
@@ -640,8 +627,7 @@ def _longdouble_free_energy(dataset, net, alpha):
             theta *= np.exp(log_keep)
             cav *= np.exp(cavity_sum @ log_keep)
             log_step[t, :, 0] = in_edge_sum @ log_keep
-        (rows,) = _chunks(laid_out([summ]), net, T)
-        value -= (rows.counts * _reference_window_log_prob(log_step, rows)[0]).sum()
+        value -= (counts * _reference_window_log_prob(log_step, nodes, lo, hi)[0]).sum()
     return value
 
 
