@@ -25,6 +25,7 @@ settings that ``FitConfig.validate`` or ``HtsConfig.validate`` rejects).
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -115,13 +116,27 @@ def _parse(key: str, text):
         raise _usage_error(f"{key}: {exc}") from None
 
 
+def _open(path: str):
+    """An input file opened for reading text: UTF-8, with a leading byte
+    order mark dropped.  Every file a subcommand reads goes through it;
+    the files it writes get no mark."""
+    # the mark is skipped in the bytes: the utf-8-sig codec would decode
+    # every block through its Python-level decoder
+    text = open(path, encoding="utf-8")
+    if text.buffer.peek(3).startswith(codecs.BOM_UTF8):
+        text.buffer.read(3)
+    return text
+
+
 def _read_key_values(path: str, keys, where: str) -> dict[str, tuple[int, str, str]]:
     """The ``key = value`` lines of a config or mask file, ``#`` starting a
     comment: each key, ``_`` read as ``-``, to its line number, its
-    spelling there and its value.  A key not in ``keys`` is a ParseError
-    that names the line as ``where`` and its number."""
+    spelling there and its value.  A key not in ``keys``, or one given on
+    an earlier line in either spelling, is a ParseError that names the
+    line as ``where`` and its number."""
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    with _open(path) as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,6 +147,8 @@ def _read_key_values(path: str, keys, where: str) -> dict[str, tuple[int, str, s
         key = spelt.replace("_", "-")
         if key not in keys:
             raise ParseError(f"{where} {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ParseError(f"{where} {lineno}: key {spelt!r} was given on line {values[key][0]} already")
         values[key] = (lineno, spelt, value)
     return values
 
@@ -180,7 +197,7 @@ class _Run(dict):
 
 
 def _load_network(run: _Run) -> tuple[Network, np.ndarray | None]:
-    with open(run.require("network"), encoding="utf-8") as fh:
+    with _open(run.require("network")) as fh:
         return parse_edge_list(fh)
 
 
@@ -190,7 +207,8 @@ def _load_couplings(run: _Run) -> tuple[Network, np.ndarray]:
     net, net_alpha = _load_network(run)
     path = run.get("couplings")
     if path:
-        other, alpha = parse_edge_list(Path(path).read_text(encoding="utf-8"))
+        with _open(path) as fh:
+            other, alpha = parse_edge_list(fh)
         if alpha is None:
             raise ParseError(f"{path}: no coupling column")
         if other != net:
@@ -217,9 +235,8 @@ def _parse_sources(run: _Run, net: Network, allow_random=False):
 
 
 def _read_cascade_file(net: Network, path: str) -> CascadeTable:
-    """The table of the cascade file at ``path``, opened as
-    ``Path.read_text`` opens it and read a block at a time."""
-    with open(path, encoding="utf-8") as text:
+    """The table of the cascade file at ``path``, read a block at a time."""
+    with _open(path) as text:
         return read_cascades(net, text)
 
 
@@ -302,7 +319,7 @@ def _cmd_fit(run: _Run) -> int:
     method = run.get("method", "dmprec")
     if method == "dmprec":
         # the file is summarized as it is read: no whole text and no table is held
-        with open(path, encoding="utf-8") as text:
+        with _open(path) as text:
             horizon, blocks = _cascade_blocks(net, text)
             result = _summaries_fit(summarize_dataset(blocks), net, horizon, run.fit)
         alpha, diagnostics = result.couplings_hat, result.diagnostics
@@ -330,7 +347,8 @@ def _cmd_eval(run: _Run) -> int:
     est_path = run.get("couplings")
     if not est_path:
         raise _usage_error("--couplings must point at the estimated couplings")
-    other, est = parse_edge_list(Path(est_path).read_text(encoding="utf-8"))
+    with _open(est_path) as fh:
+        other, est = parse_edge_list(fh)
     if est is None or other != net:
         raise ParseError(f"{est_path}: not a couplings file over the same graph")
     mask, path = run.get("mask"), run.get("cascades")

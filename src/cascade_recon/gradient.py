@@ -34,14 +34,14 @@ row table (:class:`Summaries`) in sorted order of the groups' sets, and a
 fit holds nothing else.  Source groups run in chunks of consecutive
 groups: the messages of a chunk of G groups are (..., |E|, G) arrays, so
 one forward pass and one sweep serve the whole chunk, with one cavity sum
-per step for all of its groups.  Each pass cuts its own chunks: a
-chunk's window rows are a slice of the row table, and the pass makes the
-chunk's (N, G) initial susceptibility from the groups' source sets and
-the column of each row from the table's group ends, and drops both when
-the chunk is done.  A chunk holds as many groups as its pass fits in
-:data:`_PASS_BYTES`: a value pass keeps only ``log_step`` and the
-current step, a gradient pass every step's ``rho`` and ``r`` and the
-window weights, so value chunks hold several times the groups of
+per step for all of its groups.  Each pass cuts its own chunks: a chunk
+is ``summaries[first:stop]``, as a group is ``summaries[g]``, and the
+pass makes the chunk's (N, G) initial susceptibility from the groups'
+source sets and the column of each row from the chunk's group ends, and
+drops both when the chunk is done.  A chunk holds as many groups as its
+pass fits in :data:`_PASS_BYTES`: a value pass keeps only ``log_step``
+and the current step, a gradient pass every step's ``rho`` and ``r`` and
+the window weights, so value chunks hold several times the groups of
 gradient chunks.  That bounds the memory of an evaluation whatever the
 number of groups.  Value, gradient and window contributions are then
 reduced one group at a time in input order, so they do not depend on the
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -91,31 +91,17 @@ class FreeEnergyReport:
 
 
 @dataclass(frozen=True, eq=False)
-class GroupSummary:
-    """Aggregated observation windows for cascades sharing one source set.
-
-    Each row is one (node, lo, hi) observation window with its multiplicity
-    across the group's cascades; source nodes are excluded (their exact-0
-    observation is conditioned on, not generated by the model).  Only the
-    windows enter the free energy, so a group's number of cascades is not kept.
-    The arrays are views of the columns of the group's :class:`Summaries`.
-    """
-
-    sources: tuple[int, ...]
-    nodes: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    counts: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Summaries:
     """The window rows of every source group of a dataset, laid out once:
     group after group in sorted order of their source sets, each group's
-    rows in (node, lo, hi) order.  Every chunk of a pass
-    (:func:`_dataset_free_energy`) is a slice of its columns, and the
-    pass takes each row's group from ``ends``.  It iterates as the
-    :class:`GroupSummary` of each group."""
+    rows in (node, lo, hi) order.  A row is one observation window with
+    its multiplicity across the group's cascades; sources are excluded
+    (their exact-0 observation is conditioned on, not generated by the
+    model).  The summaries slice by groups as a table slices by rows:
+    ``summaries[first:stop]`` is those groups' column views with ``ends``
+    rebased to 0, and a group is ``summaries[g]``, as a cascade is a
+    one-row table; every chunk of a pass (:func:`_dataset_free_energy`)
+    is such a slice."""
 
     sources: list[tuple[int, ...]]   # by group
     ends: np.ndarray                 # group g owns rows ends[g]:ends[g+1]
@@ -127,9 +113,21 @@ class Summaries:
     def __len__(self) -> int:
         return len(self.sources)
 
-    def __iter__(self) -> Iterator[GroupSummary]:
-        for src, a, b in zip(self.sources, self.ends[:-1].tolist(), self.ends[1:].tolist()):
-            yield GroupSummary(src, self.nodes[a:b], self.lo[a:b], self.hi[a:b], self.counts[a:b])
+    def __getitem__(self, index) -> Summaries:
+        if isinstance(index, (int, np.integer)):
+            # a plain slice past either end would give no groups
+            g = range(len(self))[index]
+            index = slice(g, g + 1)
+        if not isinstance(index, slice) or index.step not in (None, 1):
+            raise IndexError("an index of summaries picks consecutive groups")
+        first, stop, _ = index.indices(len(self))
+        stop = max(first, stop)
+        rows = slice(self.ends[first], self.ends[stop])
+        return Summaries(self.sources[first:stop], self.ends[first:stop + 1] - self.ends[first],
+                         self.nodes[rows], self.lo[rows], self.hi[rows], self.counts[rows])
+
+    def __iter__(self) -> Iterator[Summaries]:
+        return (self[g] for g in range(len(self)))
 
 
 def summarize_dataset(
@@ -297,11 +295,12 @@ def _dataset_free_energy(
 ) -> tuple[float, np.ndarray | None]:
     """``(value, gradient)`` summed over source groups.
 
-    The groups run in the chunks of :func:`_group_ranges`.  Each chunk
-    makes its (N, G) initial susceptibility from the groups' source sets
-    and the cells of its rows from ``summaries.ends``, runs one batched
-    forward pass and, ``with_gradient``, one sweep over each step's
-    ``rho`` and ``r``; a value pass keeps only ``log_step``.  Nothing of
+    The groups run in the chunks of :func:`_group_ranges`, each chunk
+    ``summaries[first:stop]``.  A chunk makes its (N, G) initial
+    susceptibility from the groups' source sets and the cells of its rows
+    from its ``ends``, runs one batched forward pass and,
+    ``with_gradient``, one sweep over each step's ``rho`` and ``r``; a
+    value pass keeps only ``log_step``.  Nothing of
     a chunk outlives it.  The results are reduced one group at a time in
     input order, so they are the same for any chunking.  The gradient is
     None without ``with_gradient``.
@@ -309,16 +308,14 @@ def _dataset_free_energy(
     alpha = validate_couplings(net, couplings)
     value = 0.0
     gradient = np.zeros(net.n_edges) if with_gradient else None
-    ends = summaries.ends.tolist()
     for first, stop in _group_ranges(len(summaries), net, horizon, with_gradient):
-        G, rows, sources = stop - first, slice(ends[first], ends[stop]), summaries.sources[first:stop]
-        # column g is 0 at the sources of group first + g, and each row's cell is its
-        # node's entry in the column of its group
-        columns = np.repeat(np.arange(G), [len(src) for src in sources])
+        chunk, G = summaries[first:stop], stop - first
+        # column g is 0 at the sources of group g of the chunk, and each row's cell is
+        # its node's entry in the column of its group
+        columns = np.repeat(np.arange(G), [len(src) for src in chunk.sources])
         ps0 = np.ones((net.n_nodes, G))
-        ps0[np.fromiter(chain.from_iterable(sources), np.intp, columns.size), columns] = 0.0
-        cells = summaries.nodes[rows] * G + np.repeat(np.arange(G), np.diff(summaries.ends[first:stop + 1]))
-        lo, hi, counts = summaries.lo[rows], summaries.hi[rows], summaries.counts[rows]
+        ps0[np.fromiter(chain.from_iterable(chunk.sources), np.intp, columns.size), columns] = 0.0
+        cells = chunk.nodes * G + np.repeat(np.arange(G), np.diff(chunk.ends))
         log_step, rho, r = np.empty((horizon + 1, net.n_nodes, G)), [], []
         for t, state in enumerate(_propagate(net, alpha, ps0, horizon)):
             log_step[t] = state.log_step
@@ -326,12 +323,12 @@ def _dataset_free_energy(
                 rho.append(state.rho)
                 r.append(state.r)
         if with_gradient:
-            contrib, weights = _window_weights(log_step, cells, lo, hi, counts)
+            contrib, weights = _window_weights(log_step, cells, chunk.lo, chunk.hi, chunk.counts)
             grads = _log_step_adjoint(net, alpha, rho, r, weights)
         else:
-            contrib = -counts * _window_log_prob(log_step, cells, lo, hi)[0]
-        for g, (a, b) in enumerate(zip(ends[first:stop], ends[first + 1:stop + 1])):
-            value += float(contrib[a - rows.start:b - rows.start].sum())
+            contrib = -chunk.counts * _window_log_prob(log_step, cells, chunk.lo, chunk.hi)[0]
+        for g, (a, b) in enumerate(pairwise(chunk.ends.tolist())):
+            value += float(contrib[a:b].sum())
             if with_gradient:
                 gradient += grads[:, g]
     return value, gradient

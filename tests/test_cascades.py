@@ -744,7 +744,7 @@ class TestCodeDtypes:
         want = reference_summaries(rows)
         assert len(got) == len(want) == 2
         for summ, (sources, nodes, lo, hi, counts) in zip(got, want):
-            assert summ.sources == sources
+            assert summ.sources == [sources]
             for x, y in ((summ.nodes, nodes), (summ.lo, lo), (summ.hi, hi), (summ.counts, counts)):
                 assert x.dtype == y.dtype
                 np.testing.assert_array_equal(x, y)

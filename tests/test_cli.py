@@ -85,7 +85,8 @@ class TestMaskFitEval:
         # the file is summarized a block of lines at a time, blocks of a few
         # lines here, with \r\n line ends: the estimate is the library's fit
         # of the table, and the bytes of estimate and diagnostics are those
-        # of the file with \n line ends
+        # of the file with \n line ends; so are those of a network, config and
+        # cascade file that each start with a UTF-8 byte order mark
         from cascade_recon import FitConfig, cascades, dmprec_fit
 
         tmp, net, _truth = workdir
@@ -95,14 +96,19 @@ class TestMaskFitEval:
         text = (tmp / "lf.txt").read_text(encoding="utf-8")
         (tmp / "crlf.txt").write_text(text, encoding="utf-8", newline="\r\n")
         (tmp / "fit.cfg").write_text("max-iters = 10\n")
+        inputs = {name: ("net.edges", f"{name}.txt", "fit.cfg") for name in ("lf", "crlf")}
+        inputs["bom"] = tuple(f"bom-{file}" for file in inputs["lf"])
+        for file in inputs["lf"]:
+            (tmp / f"bom-{file}").write_bytes(b"\xef\xbb\xbf" + (tmp / file).read_bytes())
         monkeypatch.setattr(cascades, "_READ_BLOCK_CHARS", 200)
-        for name in ("lf", "crlf"):
-            assert run("fit", "--network", tmp / "net.edges", "--cascades", tmp / f"{name}.txt",
-                       "--config", tmp / "fit.cfg", "--out", tmp / f"{name}.edges") == 0
+        for name, (network, observed, config) in inputs.items():
+            assert run("fit", "--network", tmp / network, "--cascades", tmp / observed, "--config", tmp / config,
+                       "--out", tmp / f"{name}.edges") == 0
         result = dmprec_fit(read_cascades(net, text.replace("\n", "\r\n")), net, FitConfig(max_iters=10))
         assert (tmp / "crlf.edges").read_text(encoding="utf-8") == serialize_edge_list(net, result.couplings_hat)
         for suffix in (".edges", ".edges.diag.csv"):
-            assert (tmp / f"crlf{suffix}").read_bytes() == (tmp / f"lf{suffix}").read_bytes()
+            for name in ("crlf", "bom"):
+                assert (tmp / f"{name}{suffix}").read_bytes() == (tmp / f"lf{suffix}").read_bytes()
 
     @pytest.mark.parametrize("hidden", [["--hidden", "3,5"], ["--hidden", 2, "--mask-seed", 5]])
     def test_mask_loads_no_numpy_ma(self, workdir, hidden):
@@ -200,11 +206,13 @@ class TestMaskFitEval:
         # a mask file is read as a config file is: spaces, comments, and
         # a key spelt with '-' or '_'
         (["--hidden", 2, "--mask-seed", 11], "hidden = 2  # a random count\n\nmask-seed = 11\n"),
-    ], ids=["labels", "count"])
+        # a leading byte order mark is dropped
+        (["--hidden", "3,5", "--snapshots", "2,4,8"], "\ufeffhidden=3,5\nsnapshots=2,4,8\n"),
+    ], ids=["labels", "count", "bom"])
     def test_mask_flags_and_file_agree(self, workdir, flags, spec):
         tmp, net, _ = workdir
         self._simulate(tmp, M=40, sources="0")
-        (tmp / "mask.spec").write_text(spec)
+        (tmp / "mask.spec").write_text(spec, encoding="utf-8")
         common = ["--network", tmp / "net.edges", "--cascades", tmp / "truth.txt"]
         assert run("mask", *common, *flags, "--out", tmp / "flags.txt") == 0
         assert run("mask", *common, "--mask", tmp / "mask.spec", "--out", tmp / "file.txt") == 0
@@ -404,6 +412,8 @@ class TestErrorsAndConfig:
     @pytest.mark.parametrize("line, message", [
         ("snapshots=2,x", "line 2: snapshots takes integers, got '2,x'"),
         ("mask_seed=abc", "line 2: mask_seed takes integers, got 'abc'"),
+        # a key given twice once kept its last line: only node 3 was hidden
+        ("hidden=3", "line 2: key 'hidden' was given on line 1 already"),
     ])
     def test_non_integer_mask_spec_value_is_exit_1(self, workdir, capsys, line, message):
         tmp, net, _ = workdir
@@ -483,15 +493,22 @@ class TestErrorsAndConfig:
          "config line 1: marginals takes no key 'mask'"),
         ("simulate", ["--horizon", 3, "--sources", "0", "--seed", 1, "--num-cascades", 2, "--out", "m.csv"],
          "max_iters = 5\n", "config line 1: simulate takes no key 'max_iters'"),
-    ], ids=["eval-hidden", "marginals-mask", "simulate-max-iters"])
+        # a key given twice, in either spelling, once kept its last line: 50 iterations ran
+        ("fit", ["--cascades", "none.txt", "--out", "m.csv"], "max-iters = 3\nmax_iters = 50\n",
+         "config line 2: key 'max_iters' was given on line 1 already"),
+    ], ids=["eval-hidden", "marginals-mask", "simulate-max-iters", "fit-max-iters-twice"])
     def test_config_key_of_no_option_of_the_subcommand_is_usage_error(self, workdir, capsys, command, flags,
                                                                       lines, message):
         tmp, _, _ = workdir
         (tmp / "cfg.txt").write_text(lines)
-        flags = [tmp / f if str(f).endswith((".edges", ".csv")) else f for f in flags]
-        with pytest.raises(SystemExit) as exc:
-            run(command, "--network", tmp / "net.edges", *flags, "--config", tmp / "cfg.txt")
-        assert exc.value.code == 2
+        flags = [tmp / f if str(f).endswith((".edges", ".csv", ".txt")) else f for f in flags]
+        # a usage error exits from the parsing of the run, a config file that does
+        # not parse returns its exit code
+        try:
+            code = run(command, "--network", tmp / "net.edges", *flags, "--config", tmp / "cfg.txt")
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not (tmp / "m.csv").exists()
 

@@ -121,7 +121,7 @@ class TestSummaries:
         want = reference_summaries(dataset)
         assert len(got) == len(want)
         for summ, (sources, nodes, lo, hi, counts) in zip(got, want):
-            assert summ.sources == sources
+            assert summ.sources == [sources]
             for x, y in ((summ.nodes, nodes), (summ.lo, lo), (summ.hi, hi), (summ.counts, counts)):
                 assert x.dtype == y.dtype
                 np.testing.assert_array_equal(x, y)
@@ -156,6 +156,39 @@ class TestSummaries:
         self._assert_matches_reference(dataset)
         assert sum(sorted_sizes) <= 2 * 3 * M * np.log2(M)
 
+    def test_summaries_slice_by_groups_as_a_table_slices_by_rows(self, rng):
+        _net, cascades, mask = next(random_masked_cases(rng))
+        observed = apply_mask(cascades, mask)
+        summaries, want = summarize_dataset(observed), reference_summaries(observed)
+        n = len(summaries)
+        assert n == len(want) >= 3
+        # an integer, negative too, is one group; an integer past either end is refused
+        for g in (0, n - 1, -1, -n):
+            group = summaries[g]
+            sources, nodes, *_ = want[g]
+            assert len(group) == 1 and group.sources == [sources]
+            assert group.ends.tolist() == [0, nodes.size]
+            np.testing.assert_array_equal(group.nodes, nodes)
+        for g in (n, -n - 1):
+            with pytest.raises(IndexError):
+                summaries[g]
+        # a slice rebases its ends to 0 and views the columns; past the ends it clips
+        chunk = summaries[1:3]
+        a, b = summaries.ends[1], summaries.ends[3]
+        assert chunk.sources == summaries.sources[1:3]
+        assert chunk.ends.tolist() == (summaries.ends[1:4] - a).tolist()
+        for name in ("nodes", "lo", "hi", "counts"):
+            column, view = getattr(summaries, name), getattr(chunk, name)
+            assert np.shares_memory(view, column)
+            np.testing.assert_array_equal(view, column[a:b])
+        assert summaries[1:n + 5].ends.tolist() == (summaries.ends[1:] - summaries.ends[1]).tolist()
+        for empty in (summaries[n:n + 2], summaries[3:1]):
+            assert len(empty) == 0 and empty.ends.tolist() == [0] and empty.nodes.size == 0
+        # a step picks no consecutive groups, and other indices are refused as well
+        for index in (slice(None, None, 2), slice(None, None, -1), (0, 1), [0]):
+            with pytest.raises(IndexError):
+                summaries[index]
+
     def test_window_outside_the_horizon_rejected(self):
         with pytest.raises(DatasetError, match=r"windows must lie in \[-1, 5\]"):
             summarize_dataset([CascadeTable(5, [[-1, 3]], [[0, 7]], [[False, False]])])
@@ -170,13 +203,12 @@ class TestWindowTerms:
     def _assert_matches_reference(net, summaries, alpha, T):
         # the chunks of a gradient pass, each with its groups' initial
         # conditions and the flat (node, column) cell of each row
-        ends = summaries.ends
         for first, stop in _group_ranges(len(summaries), net, T, True):
-            ps0 = np.stack([initial_susceptible(net, src) for src in summaries.sources[first:stop]], axis=1)
-            rows = slice(ends[first], ends[stop])
-            column = np.concatenate([np.full(ends[g + 1] - ends[g], g - first) for g in range(first, stop)])
-            cells = summaries.nodes[rows] * (stop - first) + column
-            lo, hi, counts = summaries.lo[rows], summaries.hi[rows], summaries.counts[rows]
+            chunk = summaries[first:stop]
+            ps0 = np.stack([initial_susceptible(net, src) for src in chunk.sources], axis=1)
+            column = np.concatenate([np.full(group.nodes.size, g) for g, group in enumerate(chunk)])
+            cells = chunk.nodes * len(chunk) + column
+            lo, hi, counts = chunk.lo, chunk.hi, chunk.counts
             log_step = np.stack([state.log_step for state in _propagate(net, alpha, ps0, T)])
             contrib, weights = _window_weights(log_step, cells, lo, hi, counts)
             want_contrib, want_weights = _reference_window_weights(log_step, cells, lo, hi, counts)
